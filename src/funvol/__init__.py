@@ -17,12 +17,10 @@ from .numerics import (
     QuadratureConfig,
     QuadratureResult,
     Rng,
-    SymMatrix,
     elem_sym,
     flag_coefficient,
-    integrate_box,
     integrate_interval,
-    integrate_polar,
+    integrate_polar_separable,
     kappa,
 )
 from .weights import (

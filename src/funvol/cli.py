@@ -4,7 +4,6 @@ All randomness sits behind --seed (default 0) and numeric output carries 17
 significant digits, so identical invocations produce identical stdout bytes
 (timing never reaches stdout).  Exit codes: 0 ok/pass, 1 verification
 failure, 2 schema error, 3 unsupported variant, 4 non-converged.
-FUNVOL_THREADS caps the worker count of sampled evaluations.
 """
 from __future__ import annotations
 
@@ -177,6 +176,7 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    Rng(args.seed)  # a bad seed fails before any case runs
     if args.default_suite:
         manifest = default_manifest(samples=args.samples, seed=args.seed)
     else:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import MAX_DIM, elem_sym_values, kappa
@@ -163,6 +162,9 @@ class PolytopeV(ConvexBody):
     """Convex hull of a vertex list, dimension 2 or 3 (1-d sets are boxes)."""
 
     def __init__(self, vertices):
+        # qhull is the only user of scipy.spatial, which costs a noticeable
+        # share of the package import time
+        from scipy.spatial import ConvexHull
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise ValueError("polytope vertices must be (m, 2) or (m, 3)")
@@ -397,10 +399,6 @@ class ConvexFunction:
         """Radii r with |grad u(minimizer + r*dir)| = s, per direction."""
         raise UnsupportedVariant(f"{type(self).__name__} has no ray data")
 
-    def region_radius(self, s: float) -> float:
-        """A rigorous outer radius (around the minimizer) of {|grad u| <= s}."""
-        raise UnsupportedVariant(f"{type(self).__name__} has no region bound")
-
     def radial_profile(self):
         """phi with u(x) = phi(|x|) for origin-centered radial variants, else None."""
         return None
@@ -462,9 +460,6 @@ class Quadratic(ConvexFunction):
 
     def grad_radius(self, dirs, s):
         return s / np.linalg.norm(dirs @ self.a, axis=1)
-
-    def region_radius(self, s):
-        return s / float(np.linalg.eigvalsh(self.a).min())
 
     def radial_profile(self):
         if np.allclose(self.a, self.a[0, 0] * np.eye(self.n)) and not self.b.any():
@@ -542,9 +537,6 @@ class RadialPower(ConvexFunction):
     def grad_radius(self, dirs, s):
         r = (s / self.scale) ** (1.0 / (self.p - 1.0))
         return np.full(len(dirs), r)
-
-    def region_radius(self, s):
-        return (s / self.scale) ** (1.0 / (self.p - 1.0))
 
     def radial_profile(self):
         return lambda r: self.scale * np.asarray(r) ** self.p / self.p
@@ -867,9 +859,6 @@ class EpiTranslated(ConvexFunction):
     def grad_radius(self, dirs, s):
         return self.inner.grad_radius(dirs, s)
 
-    def region_radius(self, s):
-        return self.inner.region_radius(s)
-
     def to_spec(self):
         return {"type": "epi_translate", "x0": self.x0.tolist(), "alpha": self.alpha,
                 "inner": self.inner.to_spec()}
@@ -931,9 +920,6 @@ class Rotated(ConvexFunction):
     def grad_radius(self, dirs, s):
         return self.inner.grad_radius(dirs @ self.q, s)
 
-    def region_radius(self, s):
-        return self.inner.region_radius(s)
-
     def to_spec(self):
         return {"type": "rotate", "Q": self.q.tolist(), "inner": self.inner.to_spec()}
 
@@ -989,9 +975,6 @@ class EpiScaled(ConvexFunction):
 
     def grad_radius(self, dirs, s):
         return self.lam * self.inner.grad_radius(dirs, s)
-
-    def region_radius(self, s):
-        return self.lam * self.inner.region_radius(s)
 
     def to_spec(self):
         return {"type": "epi_scale", "lambda": self.lam, "inner": self.inner.to_spec()}

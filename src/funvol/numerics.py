@@ -1,10 +1,11 @@
 """Shared numerical substrate.
 
-Quadrature on intervals, boxes and spheres, elementary symmetric functions of
-small symmetric matrices, unit-ball volumes, and a counter-based deterministic
-RNG.  Everything here is pure; quadrature routines report an error estimate
-alongside the value and raise :class:`NonConvergedError` when the budget runs
-out before the tolerance is met.
+Quadrature on intervals and in polar coordinates, elementary symmetric
+functions of symmetric-matrix eigenvalues, unit-ball volumes, and a
+counter-based deterministic RNG.  Everything here is pure; quadrature
+routines report an error estimate alongside the value and raise
+:class:`NonConvergedError` when the budget runs out before the tolerance is
+met.
 """
 from __future__ import annotations
 
@@ -14,14 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonConvergedError
+from .errors import NonConvergedError, SchemaError
 
 __all__ = [
     "MAX_DIM",
-    "MAX_BOX_DIM",
     "kappa",
     "flag_coefficient",
-    "SymMatrix",
     "eigenvalues",
     "elem_sym",
     "elem_sym_values",
@@ -29,14 +28,12 @@ __all__ = [
     "QuadratureResult",
     "DEFAULT_CONFIG",
     "integrate_interval",
-    "integrate_box",
-    "integrate_polar",
+    "integrate_polar_separable",
     "sphere_rule",
     "Rng",
 ]
 
 MAX_DIM = 6        # exact evaluators (matrices, bodies)
-MAX_BOX_DIM = 4    # tensor-product box quadrature
 
 
 def kappa(j: int) -> float:
@@ -54,61 +51,12 @@ def flag_coefficient(n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric matrices
-
-
-class SymMatrix:
-    """Symmetric n x n matrix, n <= 6, with only the upper triangle stored."""
-
-    __slots__ = ("n", "_packed")
-
-    def __init__(self, data):
-        a = np.asarray(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise ValueError("matrix is not symmetric")
-        self.n = n
-        iu = np.triu_indices(n)
-        self._packed = a[iu].copy()
-
-    @classmethod
-    def diagonal(cls, values) -> "SymMatrix":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
-
-    @property
-    def array(self) -> np.ndarray:
-        iu = np.triu_indices(self.n)
-        a = np.zeros((self.n, self.n))
-        a[iu] = self._packed
-        a = a + a.T
-        a[np.diag_indices(self.n)] /= 2.0
-        return a
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.array)
-
-    def is_positive_definite(self, tol: float = 1e-10) -> bool:
-        return bool(self.eigenvalues().min() > tol)
-
-    def __repr__(self):
-        return f"SymMatrix({self.array.tolist()!r})"
-
-
-def _as_matrix(a) -> np.ndarray:
-    return a.array if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
+# Symmetric functions of eigenvalues
 
 
 def eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(_as_matrix(a))
+    return np.linalg.eigvalsh(np.asarray(a, dtype=float))
 
 
 def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
@@ -131,8 +79,7 @@ def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
 
 def elem_sym(a, i: int) -> float:
     """i-th elementary symmetric function of the eigenvalues of a symmetric matrix."""
-    m = _as_matrix(a)
-    return float(elem_sym_values(np.linalg.eigvalsh(m), i))
+    return float(elem_sym_values(eigenvalues(a), i))
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +90,14 @@ def elem_sym(a, i: int) -> float:
 class QuadratureConfig:
     """Knobs for the adaptive quadrature routines.
 
-    ``order`` is the per-panel Gauss order on intervals; box rules derive a
-    smaller per-axis order from the dimension.  ``endpoint_refine`` enables
-    geometric subdivision toward a declared singular endpoint (ratio 1/2,
-    until the subinterval contribution drops below tolerance/10).
+    ``order`` is the per-panel Gauss order on intervals.  ``max_depth``
+    bounds both the bisection depth of a panel and the number of geometric
+    panels toward a declared singular endpoint.
     """
     order: int = 31
     max_depth: int = 40
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    endpoint_refine: bool = True
     max_panels: int = 400_000
 
     def __post_init__(self):
@@ -166,8 +111,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-_BOX_ORDERS = {1: (15, 31), 2: (7, 11), 3: (5, 8), 4: (4, 6)}
 
 
 @dataclass(frozen=True)
@@ -276,27 +219,38 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
         return QuadratureResult(0.0, 0.0, 0)
     fn = _CountingFn(f)
     tol = cfg.abs_tol
-    if not (singular_left and cfg.endpoint_refine):
+    if not singular_left:
         value, error, ok = _adaptive_interval(fn, a, b, cfg, tol)
         if not ok:
             raise NonConvergedError(
                 f"interval quadrature on [{a}, {b}] did not converge "
                 f"(error {error:.3e})", value, error, fn.count)
         return QuadratureResult(value, error, fn.count)
+    value, error = _geometric_tail(
+        lambda lo, hi: _adaptive_interval(fn, lo, hi, cfg, tol / 2.0), a, b, cfg, fn)
+    return QuadratureResult(value, error, fn.count)
 
-    # Geometric subdivision toward the left endpoint, ratio 1/2.  Once panel
-    # contributions decay geometrically (power/log singularities do), the
-    # remaining tail is summed by geometric-series extrapolation with the
-    # ratio drift folded into the error.
+
+def _geometric_tail(panel, a: float, b: float, cfg: QuadratureConfig,
+                    fn: _CountingFn) -> tuple[float, float]:
+    """Integral over (a, b] by geometric subdivision toward ``a``, ratio 1/2.
+
+    ``panel(lo, hi)`` returns (value, error, converged) for one panel; panel k
+    is [a + (b-a)/2^k, a + (b-a)/2^(k-1)].  Once panel contributions decay
+    geometrically (power/log singularities do), the remaining tail is summed
+    by geometric-series extrapolation with the ratio drift folded into the
+    error.  Raises :class:`NonConvergedError` when a panel fails or
+    ``cfg.max_depth`` panels leave the last contribution significant.
+    """
+    tol = cfg.abs_tol
     total, total_err = 0.0, 0.0
     width = b - a
     hi_end = b
-    converged = False
     prev_v = None
     prev_ratio = None
     for k in range(1, cfg.max_depth + 1):
         lo_end = a + width * 2.0 ** (-k)
-        v, e, ok = _adaptive_interval(fn, lo_end, hi_end, cfg, tol / 2.0)
+        v, e, ok = panel(lo_end, hi_end)
         if not ok:
             raise NonConvergedError(
                 f"singular-endpoint panel [{lo_end}, {hi_end}] did not converge",
@@ -305,9 +259,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
         total_err += e
         hi_end = lo_end
         if abs(v) < max(tol, cfg.rel_tol * abs(total)) / 10.0 and k >= 4:
-            total_err += abs(v)
-            converged = True
-            break
+            return total, total_err + abs(v)
         if prev_v is not None and abs(prev_v) > 0:
             ratio = v / prev_v
             if prev_ratio is not None and k >= 6 and 0.0 < ratio < 0.97:
@@ -315,192 +267,12 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
                 drift = abs(ratio - prev_ratio)
                 extra_err = abs(correction) * (drift / (1.0 - ratio) + 1e-9)
                 if extra_err < max(tol, cfg.rel_tol * abs(total)) / 10.0:
-                    total += correction
-                    total_err += extra_err
-                    converged = True
-                    break
+                    return total + correction, total_err + extra_err
             prev_ratio = ratio
         prev_v = v
-    if not converged:
-        raise NonConvergedError(
-            f"endpoint refinement hit depth {cfg.max_depth} with the last "
-            f"contribution still significant", total, total_err, fn.count)
-    return QuadratureResult(total, total_err, fn.count)
-
-
-# -- box quadrature ---------------------------------------------------------
-
-
-_UNIT_GRID_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _unit_grid(d: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss nodes on [-1,1]^d: points (order^d, d) and weights (order^d,)."""
-    key = (d, order)
-    if key not in _UNIT_GRID_CACHE:
-        x, w = _leggauss(order)
-        grids = np.meshgrid(*([x] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = np.ones(order ** d)
-        for axis in range(d):
-            wts *= np.meshgrid(*([w] * d), indexing="ij")[axis].ravel()
-        _UNIT_GRID_CACHE[key] = (pts, wts)
-    return _UNIT_GRID_CACHE[key]
-
-
-def _box_values(fn: _CountingFn, lo: np.ndarray, hi: np.ndarray,
-                orders: tuple[int, int]) -> tuple[float, float]:
-    d = len(lo)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    jac = float(np.prod(half))
-    o_lo, o_hi = orders
-    p_hi, w_hi = _unit_grid(d, o_hi)
-    p_lo, w_lo = _unit_grid(d, o_lo)
-    pts = np.concatenate([center + p_hi * half, center + p_lo * half])
-    vals = fn(pts)
-    v_hi = jac * float(vals[: len(w_hi)] @ w_hi)
-    v_lo = jac * float(vals[len(w_hi):] @ w_lo)
-    return v_hi, abs(v_hi - v_lo)
-
-
-def _box_minus_box(outer_lo, outer_hi, inner_lo, inner_hi):
-    """Decompose outer \\ inner into disjoint boxes (inner assumed inside outer)."""
-    cells_per_axis = []
-    for a, b, c, d in zip(outer_lo, outer_hi, inner_lo, inner_hi):
-        cuts = []
-        if c > a:
-            cuts.append((a, c, False))
-        cuts.append((max(a, c), min(b, d), True))
-        if d < b:
-            cuts.append((d, b, False))
-        cells_per_axis.append(cuts)
-    out = []
-
-    def rec(axis, lo, hi, all_inner):
-        if axis == len(cells_per_axis):
-            if not all_inner:
-                out.append((np.array(lo), np.array(hi)))
-            return
-        for a, b, is_inner in cells_per_axis[axis]:
-            if b <= a:
-                continue
-            rec(axis + 1, lo + [a], hi + [b], all_inner and is_inner)
-
-    rec(0, [], [], True)
-    return out
-
-
-def _adaptive_boxes(fn: _CountingFn, boxes, d: int, cfg: QuadratureConfig,
-                    tol_abs: float) -> tuple[float, float, bool]:
-    orders = _BOX_ORDERS[d]
-    heap = []
-    total, total_err = 0.0, 0.0
-    for idx, (lo, hi) in enumerate(boxes):
-        v, e = _box_values(fn, lo, hi, orders)
-        total += v
-        total_err += e
-        heapq.heappush(heap, (-e, idx, 0, lo, hi, v, e))
-    uid = len(boxes)
-    panels = len(boxes)
-    batch = 32
-    while total_err > max(tol_abs, cfg.rel_tol * abs(total)):
-        popped = []
-        while heap and len(popped) < batch:
-            popped.append(heapq.heappop(heap))
-        refinable = [p for p in popped if p[2] < cfg.max_depth]
-        stuck = [p for p in popped if p[2] >= cfg.max_depth]
-        for p in stuck:
-            heapq.heappush(heap, p)
-        if not refinable or panels > cfg.max_panels:
-            for p in refinable:
-                heapq.heappush(heap, p)
-            return total, total_err, False
-        for _, _, depth, lo, hi, v, e in refinable:
-            axis = int(np.argmax(hi - lo))
-            mid = 0.5 * (lo[axis] + hi[axis])
-            for child_lo, child_hi in (
-                (lo, np.where(np.arange(d) == axis, mid, hi)),
-                (np.where(np.arange(d) == axis, mid, lo), hi),
-            ):
-                cv, ce = _box_values(fn, np.asarray(child_lo, float), np.asarray(child_hi, float), orders)
-                total += cv
-                total_err += ce
-                heapq.heappush(heap, (-ce, uid, depth + 1, np.asarray(child_lo, float),
-                                      np.asarray(child_hi, float), cv, ce))
-                uid += 1
-                panels += 1
-            total -= v
-            total_err -= e
-    return total, total_err, True
-
-
-def integrate_box(f, box, cfg: QuadratureConfig | None = None, *,
-                  singular_point=None) -> QuadratureResult:
-    """Adaptive tensor-product quadrature over a d-dimensional box, d <= 4.
-
-    ``box`` is a (d, 2) array of per-axis intervals.  A declared integrable
-    point singularity at ``singular_point`` is excluded by a vanishing-measure
-    refinement: nested shells shrink toward the point until their contribution
-    is negligible; the final shell's contribution is folded into the error.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    box = np.asarray(box, dtype=float)
-    d = box.shape[0]
-    if not 1 <= d <= MAX_BOX_DIM:
-        raise ValueError(f"box quadrature supports 1..{MAX_BOX_DIM} dims, got {d}")
-    lo, hi = box[:, 0].copy(), box[:, 1].copy()
-    if np.any(hi <= lo):
-        return QuadratureResult(0.0, 0.0, 0)
-    fn = _CountingFn(f)
-
-    if singular_point is None:
-        value, error, ok = _adaptive_boxes(fn, [(lo, hi)], d, cfg, cfg.abs_tol)
-        if not ok:
-            raise NonConvergedError(
-                f"box quadrature did not converge (error {error:.3e})",
-                value, error, fn.count)
-        return QuadratureResult(value, error, fn.count)
-
-    p = np.asarray(singular_point, dtype=float)
-    h0 = 0.25 * float(np.max(hi - lo))
-    total, total_err = 0.0, 0.0
-    inner_lo = np.maximum(lo, p - h0)
-    inner_hi = np.minimum(hi, p + h0)
-    outer_cells = _box_minus_box(lo, hi, inner_lo, inner_hi)
-    if outer_cells:
-        v, e, ok = _adaptive_boxes(fn, outer_cells, d, cfg, cfg.abs_tol / 2.0)
-        if not ok:
-            raise NonConvergedError("outer region did not converge", v, e, fn.count)
-        total, total_err = v, e
-    h = h0
-    converged = False
-    for _ in range(cfg.max_depth):
-        h_next = h / 2.0
-        shell_outer_lo = np.maximum(lo, p - h)
-        shell_outer_hi = np.minimum(hi, p + h)
-        shell_inner_lo = np.maximum(lo, p - h_next)
-        shell_inner_hi = np.minimum(hi, p + h_next)
-        cells = _box_minus_box(shell_outer_lo, shell_outer_hi, shell_inner_lo, shell_inner_hi)
-        if not cells:
-            converged = True
-            break
-        v, e, ok = _adaptive_boxes(fn, cells, d, cfg, cfg.abs_tol / 4.0)
-        if not ok:
-            raise NonConvergedError("singular shell did not converge",
-                                    total + v, total_err + e, fn.count)
-        total += v
-        total_err += e
-        h = h_next
-        if abs(v) < max(cfg.abs_tol, cfg.rel_tol * abs(total)) / 10.0:
-            total_err += abs(v)
-            converged = True
-            break
-    if not converged:
-        raise NonConvergedError(
-            "shell refinement toward the singular point hit the depth limit",
-            total, total_err, fn.count)
-    return QuadratureResult(total, total_err, fn.count)
+    raise NonConvergedError(
+        f"endpoint refinement hit depth {cfg.max_depth} with the last "
+        f"contribution still significant", total, total_err, fn.count)
 
 
 # -- sphere rules and polar quadrature --------------------------------------
@@ -559,72 +331,6 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere_rule supports n <= 4, got {n}")
 
 
-def _radial_value(fn: _CountingFn, direction: np.ndarray, center: np.ndarray, n: int,
-                  r_hi: float, breaks, cfg: QuadratureConfig,
-                  singular_center: bool) -> tuple[float, float]:
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        pts = center[None, :] + r[:, None] * direction[None, :]
-        return fn(pts) * r ** (n - 1)
-
-    edges = [0.0]
-    for b in sorted(set(float(x) for x in (breaks or []))):
-        if 1e-14 < b < r_hi * (1.0 - 1e-12):
-            edges.append(b)
-    edges.append(r_hi)
-    total, err = 0.0, 0.0
-    for i in range(len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        res = integrate_interval(g, a, b, cfg,
-                                 singular_left=(singular_center and i == 0))
-        total += res.value
-        err += res.error
-    return total, err
-
-
-def integrate_polar(f, n: int, center, r_max, cfg: QuadratureConfig | None = None, *,
-                    ray_breaks=None, singular_center: bool = False,
-                    level: int = 8, max_level: int = 64) -> QuadratureResult:
-    """Quadrature of ``f`` over {x : |x - center| <= r_max(direction)}.
-
-    Radial panels are split at the per-ray ``ray_breaks`` (kink radii of the
-    integrand) so each 1-d integral sees a smooth piece.  The angular level is
-    doubled until consecutive sphere rules agree to tolerance; their last
-    difference is the angular error estimate.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    center = np.asarray(center, dtype=float)
-    fn = _CountingFn(f)
-
-    def run(lv: int) -> tuple[float, float]:
-        dirs, wts = sphere_rule(n, lv)
-        acc, err = 0.0, 0.0
-        radii = r_max(dirs) if callable(r_max) else np.full(len(dirs), float(r_max))
-        for i in range(len(dirs)):
-            if radii[i] <= 0:
-                continue
-            breaks = ray_breaks(dirs[i]) if callable(ray_breaks) else ray_breaks
-            v, e = _radial_value(fn, dirs[i], center, n, float(radii[i]),
-                                 breaks, cfg, singular_center)
-            acc += wts[i] * v
-            err += wts[i] * e
-        return acc, err
-
-    if n == 1:
-        value, error = run(1)
-        return QuadratureResult(value, error, fn.count)
-    prev, _ = run(max(2, level // 2))
-    lv = level
-    while True:
-        fine, rad_err = run(lv)
-        ang_err = abs(fine - prev)
-        if ang_err <= max(cfg.abs_tol, cfg.rel_tol * abs(fine)) or lv >= max_level:
-            break
-        prev = fine
-        lv *= 2
-    return QuadratureResult(fine, rad_err + ang_err, fn.count)
-
-
 def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | None = None, *,
                               break_ratios=(), singular_center: bool = False,
                               level: int = 8, max_level: int = 64) -> QuadratureResult:
@@ -659,39 +365,14 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
             lo = half * float(scale @ (vals[:, 15:] @ w_lo))
             return hi, abs(hi - lo)
 
-        heap = []
-        total, total_err = 0.0, 0.0
         if singular_center:
-            # geometric tau-panels toward 0 with tail extrapolation
-            t1 = edges0[0]
-            acc, prev_v, prev_ratio = 0.0, None, None
-            k = 0
-            while k < cfg.max_depth:
-                a, b = t1 * 2.0 ** (-k - 1), t1 * 2.0 ** (-k)
-                v, e = panel(a, b)
-                total += v
-                total_err += e
-                k += 1
-                if abs(v) < max(cfg.abs_tol, cfg.rel_tol * abs(total)) / 10.0 and k >= 4:
-                    total_err += abs(v)
-                    break
-                if prev_v is not None and abs(prev_v) > 0:
-                    ratio = v / prev_v
-                    if prev_ratio is not None and k >= 6 and 0.0 < ratio < 0.97:
-                        corr = v * ratio / (1.0 - ratio)
-                        drift = abs(ratio - prev_ratio)
-                        extra = abs(corr) * (drift / (1.0 - ratio) + 1e-9)
-                        if extra < max(cfg.abs_tol, cfg.rel_tol * abs(total)) / 10.0:
-                            total += corr
-                            total_err += extra
-                            break
-                    prev_ratio = ratio
-                prev_v = v
-            prev_edge = t1
-            seq = edges0[1:]
+            prev_edge, seq = edges0[0], edges0[1:]
+            total, total_err = _geometric_tail(
+                lambda a, b: (*panel(a, b), True), 0.0, prev_edge, cfg, fn)
         else:
-            prev_edge = 0.0
-            seq = edges0
+            prev_edge, seq = 0.0, edges0
+            total, total_err = 0.0, 0.0
+        heap = []
         uid = 0
         for e_hi in seq:
             v, err = panel(prev_edge, e_hi)
@@ -701,10 +382,11 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
             uid += 1
             prev_edge = e_hi
         while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and heap:
-            neg, _, depth, a, b, v, e = heapq.heappop(heap)
+            _, _, depth, a, b, v, e = heapq.heappop(heap)
             if depth >= cfg.max_depth:
-                heapq.heappush(heap, (neg, uid, depth, a, b, v, e))
-                break
+                raise NonConvergedError(
+                    f"radial refinement hit depth {cfg.max_depth} "
+                    f"(error {total_err:.3e})", total, total_err, fn.count)
             mid = 0.5 * (a + b)
             lv_, le_ = panel(a, mid)
             rv_, re_ = panel(mid, b)
@@ -741,12 +423,17 @@ _STREAM_FANOUT = 1 << 16
 class Rng:
     """Counter-based deterministic RNG (Philox).
 
-    Identical (seed, counter) reproduces identical draws across runs and
-    thread schedules.  ``stream(i)`` derives disjoint child streams, so
-    parallel Monte Carlo splits by counter ranges and never shares state.
+    Identical (seed, counter) reproduces identical draws across runs.
+    ``stream(i)`` derives disjoint child streams, so each Monte Carlo sample
+    draws from its own counter range and never shares state.  The seed is a
+    Philox key, an integer in [0, 2**128).
     """
     seed: int = 0
     counter: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 1 << 128:
+            raise SchemaError(f"seed must be an integer in [0, 2**128), got {self.seed}")
 
     def stream(self, index: int) -> "Rng":
         if index < 0 or index >= _STREAM_FANOUT - 1:

@@ -60,16 +60,6 @@ class Subspace:
         if k < n and np.abs(frame.T @ self.complement).max() > _ORTHO_TOL:
             raise ValueError("complement is not orthogonal to the frame")
 
-    def lift(self, coords):
-        """E-coordinates -> ambient points."""
-        coords = np.asarray(coords, dtype=float)
-        return coords @ self.frame.T
-
-    def coords(self, points):
-        """Ambient points -> E-coordinates."""
-        points = np.asarray(points, dtype=float)
-        return points @ self.frame
-
     def reframed(self, rng: Rng) -> "Subspace":
         """Same subspace under a fresh orthonormal frame."""
         g = rng.generator().standard_normal((self.k, self.k))

@@ -9,15 +9,11 @@ reports its value with an error estimate combining quadrature error and, for
 sampled routes, the Monte Carlo standard error of the subspace average.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
-point with radial panels split at the weight's kink preimages per ray; a box
-tensor-product scheme is kept as an alternative (``scheme="box"``) and as the
-fallback for variants without ray data.
+point with radial panels split at the weight's kink preimages per ray.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +22,7 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Rotated, body_intrinsic_volume, conjugate, project_body)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (DEFAULT_CONFIG, QuadratureConfig, Rng, flag_coefficient,
-                       integrate_box, integrate_interval,
-                       integrate_polar_separable, kappa)
+                       integrate_interval, integrate_polar_separable, kappa)
 from .subspaces import project_function, restrict_function, sample_grassmann
 from .weights import (HadClass, WeightFunction, alpha_from_zeta, in_had_class,
                       transform_R_power, xi_from_zeta)
@@ -67,9 +62,6 @@ class ValuationSpec:
                 f"weight not admissible for degree j={self.j} in dimension "
                 f"n={self.n}: {why}")
 
-    def with_dims(self, j: int, n: int, zeta: WeightFunction) -> "ValuationSpec":
-        return ValuationSpec(j, n, zeta)
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -105,26 +97,6 @@ class CheckResult:
         return abs(self.lhs - self.rhs)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FUNVOL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _indexed_map(fn, count: int) -> list:
-    """Ordered map over range(count); thread pool when FUNVOL_THREADS > 1.
-
-    Per-index RNG streams plus fixed-order reduction keep results identical
-    regardless of the schedule.
-    """
-    workers = _worker_count()
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def _combine_samples(values, errors) -> tuple[float, float]:
     """Mean with MC standard error and mean inner error added in quadrature.
 
@@ -135,6 +107,8 @@ def _combine_samples(values, errors) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     m = len(values)
+    if m == 0:
+        raise SchemaError("need at least one subspace sample")
     mean = float(np.sum(values)) / m  # pairwise summation: bit-stable order
     if m == 1:
         return mean, float("nan")
@@ -147,8 +121,7 @@ def _combine_samples(values, errors) -> tuple[float, float]:
 
 
 def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
-                     cfg: QuadratureConfig, scheme: str = "auto",
-                     level: int = 8):
+                     cfg: QuadratureConfig, level: int = 8):
     """integral of weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}."""
     if u.smooth_kind() is None:
         raise NotDifferentiable(
@@ -172,12 +145,6 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
                 u.hessian_elem_sym(np.atleast_2d(pts)[active], degree))
         return out
 
-    if scheme == "box":
-        radius = u.region_radius(s_max) * (1.0 + 1e-12)
-        box = np.stack([center - radius, center + radius], axis=1)
-        return integrate_box(integrand, box, cfg,
-                             singular_point=center if singular else None)
-
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
     # radii sit at shared ratios of the per-ray region radius
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
@@ -195,13 +162,12 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
 
 
 def eval_smooth(spec: ValuationSpec, u: ConvexFunction,
-                cfg: QuadratureConfig | None = None,
-                scheme: str = "auto") -> EvalResult:
+                cfg: QuadratureConfig | None = None) -> EvalResult:
     """Direct Hessian-integrand route; needs j >= 1 and a twice-differentiable u."""
     if spec.j < 1:
         raise SchemaError("the smooth route needs j >= 1 (degree 0 is a constant)")
     cfg = cfg or DEFAULT_CONFIG
-    res = _smooth_integral(u, spec.zeta, spec.n - spec.j, cfg, scheme)
+    res = _smooth_integral(u, spec.zeta, spec.n - spec.j, cfg)
     return EvalResult(res.value, res.error, "smooth", res.evaluations)
 
 
@@ -256,15 +222,13 @@ def eval_cauchy_kubota(spec: ValuationSpec, u: ConvexFunction,
     alpha = alpha_from_zeta(spec.zeta, j, n)
     if j == 0:
         return EvalResult(float(alpha.value_at_zero()), 0.0, "cauchy_kubota")
-    if samples < 1:
-        raise SchemaError("need at least one subspace sample")
 
     def one(i):
         e = sample_grassmann(n, j, rng.stream(i))
         w = project_function(u, e).realized
         return _domain_weight_integral(w, alpha, cfg)
 
-    results = _indexed_map(one, samples)
+    results = [one(i) for i in range(samples)]
     values = [r[0] for r in results]
     errors = [r[1] for r in results]
     evals = sum(r[2] for r in results)
@@ -310,7 +274,7 @@ def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
         w = project_function(u, e).realized
         return _z_lower_dim(j, k, xi, w, stream.stream(0), cfg, samples)
 
-    results = _indexed_map(one, samples)
+    results = [one(i) for i in range(samples)]
     mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, "ck_general",
@@ -397,7 +361,7 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         res = _dual_integral(j, xi, w, cfg)
         return res.value, res.error, res.evaluations
 
-    results = _indexed_map(one, samples)
+    results = [one(i) for i in range(samples)]
     mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, "dual_ck",
@@ -457,7 +421,7 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
         shadow = project_body(body, e.frame)
         return body_intrinsic_volume(shadow, j), 0.0, 0
 
-    results = _indexed_map(one, samples)
+    results = [one(i) for i in range(samples)]
     mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
     if j == k:
         lhs = body_intrinsic_volume(body, j)

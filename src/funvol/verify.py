@@ -393,10 +393,7 @@ def run_case(case: IdentityCase) -> VerificationReport:
 
 def run_suite(manifest) -> SuiteReport:
     """Run every case (no short-circuit); assembly ordered by manifest index."""
-    from .valuations import _indexed_map
-    cases = list(manifest)
-    reports = _indexed_map(lambda i: run_case(cases[i]), len(cases))
-    return SuiteReport(tuple(reports))
+    return SuiteReport(tuple(run_case(case) for case in manifest))
 
 
 # ---------------------------------------------------------------------------

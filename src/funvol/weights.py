@@ -129,19 +129,6 @@ def _antiderivative(terms) -> tuple[_Term, ...]:
     return _combine(out)
 
 
-def _terms_at_zero(terms) -> float:
-    """Limit of a term sum at 0+; raises if divergent (non-integrable misuse)."""
-    val = 0.0
-    for t in terms:
-        if t.p > 0:
-            continue
-        if t.p == 0.0 and t.q == 0:
-            val += t.c
-        else:
-            raise ValueError("divergent limit at 0 in closed-form algebra")
-    return val
-
-
 def _shift(terms, dp: float) -> tuple[_Term, ...]:
     return tuple(_Term(t.c, t.p + dp, t.q) for t in terms)
 

@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import funvol
 from funvol.cli import main
+from funvol.numerics import QuadratureConfig
 
 
 @pytest.fixture
@@ -32,6 +42,41 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run; argparse exits count."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "quad": {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]],
+                 "b": [0.0, 0.0], "c": 0.0},
+        "tent": {"type": "tent", "s0": 1.0},
+        "manifest": [{"id": "cone",
+                      "params": {"n": 2, "j": 1, "zeta": {"type": "tent", "s0": 1.0},
+                                 "t": 0.5, "samples": 4, "seed": 0},
+                      "tolerance": {"absolute": 1e-6}}],
+    }
+    paths = {}
+    for name, spec in files.items():
+        p = root / f"{name}.json"
+        p.write_text(json.dumps(spec))
+        paths[name] = str(p)
+    return paths
+
+
+SEEDS = st.one_of(st.integers(-3, 3),
+                  st.integers(min_value=-(1 << 130), max_value=1 << 130))
 
 
 class TestCompute:
@@ -92,6 +137,26 @@ class TestCompute:
                                "--zeta", specs["tent"], "--j", "1",
                                "--method", "ck-general")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 128)], ids=["negative", "2**128"])
+    def test_bad_seed_exit_2(self, capsys, specs, seed):
+        code, out, err = run_cli(capsys, "compute", "--function", specs["quad"],
+                                 "--zeta", specs["tent"], "--j", "1",
+                                 "--method", "ck", "--seed", seed)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+        assert "Traceback" not in err
+
+    def test_non_converged_exit_4(self, capsys, specs, tmp_path, monkeypatch):
+        # a depth budget too small for the log-singular weight's endpoint tail
+        monkeypatch.setattr("funvol.valuations.DEFAULT_CONFIG",
+                            QuadratureConfig(max_depth=3))
+        zeta = tmp_path / "log_cap.json"
+        zeta.write_text(json.dumps({"type": "log_cap"}))
+        code, out, _ = run_cli(capsys, "compute", "--function", specs["quad"],
+                               "--zeta", str(zeta), "--j", "1", "--method", "smooth")
+        assert code == 4
+        assert json.loads(out)["error"]["type"] == "NonConvergedError"
 
     def test_stdout_stability(self, capsys, specs):
         argv = ("compute", "--function", specs["aniso"], "--zeta", specs["tent"],
@@ -233,3 +298,60 @@ class TestVerify:
         c1, out1, _ = run_cli(capsys, *argv)
         c2, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2 and c1 == c2
+
+    def test_bad_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--default-suite", "--seed", "-1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+        assert "Traceback" not in err
+
+
+class TestFlagFuzz:
+    """Every flag combination ends in a documented exit code and never a traceback."""
+
+    @given(method=st.sampled_from(["smooth", "ck", "ck-general", "dual",
+                                   "domain-gradient", "bogus"]),
+           j=st.integers(-1, 3), k=st.none() | st.integers(-1, 3),
+           samples=st.integers(-2, 6), seed=SEEDS)
+    @example(method="ck-general", j=1, k=1, samples=0, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_compute(self, fuzz_files, method, j, k, samples, seed):
+        argv = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
+                "--j", str(j), "--method", method, "--samples", str(samples),
+                "--seed", str(seed)]
+        if k is not None:
+            argv += ["--k", str(k)]
+        code, out, err = run_captured(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code != 0 and method != "bogus":
+            assert "error" in json.loads(out)
+
+    @given(samples=st.none() | st.integers(-2, 6), seed=SEEDS)
+    @example(samples=0, seed=1 << 128)
+    @settings(max_examples=30, deadline=None)
+    def test_verify(self, fuzz_files, samples, seed):
+        argv = ["verify", "--manifest", fuzz_files["manifest"], "--seed", str(seed)]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        code, out, err = run_captured(argv)
+        assert "Traceback" not in err
+        # 1 is the verification-failure code and must come with a full report
+        # (a single sample has no standard error, so its verdict is non_converged)
+        assert code in (0, 1, 2, 3, 4)
+        payload = json.loads(out)
+        if code == 1:
+            assert payload["all_pass"] is False
+        elif code != 0:
+            assert "error" in payload
+
+
+class TestImport:
+    def test_scipy_spatial_stays_unloaded(self):
+        src = str(Path(funvol.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, funvol, funvol.cli; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

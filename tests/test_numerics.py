@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funvol.errors import NonConvergedError
+from funvol.errors import NonConvergedError, SchemaError
 from funvol.numerics import (
     QuadratureConfig,
     Rng,
-    SymMatrix,
     eigenvalues,
     elem_sym,
     elem_sym_values,
     flag_coefficient,
-    integrate_box,
     integrate_interval,
-    integrate_polar,
+    integrate_polar_separable,
     kappa,
     sphere_rule,
 )
@@ -77,23 +75,6 @@ class TestKappa:
 
 
 class TestSymMatrix:
-    def test_storage_and_eigenvalues(self):
-        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(m.array, m.array.T)
-        assert m.eigenvalues() == pytest.approx([1.0, 3.0])
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            SymMatrix([[1.0, 2.0], [0.0, 1.0]])
-
-    def test_rejects_large_dim(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.eye(7))
-
-    def test_positive_definite(self):
-        assert SymMatrix.identity(3).is_positive_definite()
-        assert not SymMatrix.diagonal([1.0, -0.5]).is_positive_definite()
-
     def test_eigenvalues_sorted(self):
         assert eigenvalues(np.diag([3.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0])
 
@@ -136,35 +117,6 @@ class TestIntervalQuadrature:
             integrate_interval(lambda t: t, 0.0, math.inf)
 
 
-class TestBoxQuadrature:
-    def test_constant_unit_square(self):
-        r = integrate_box(lambda x: np.ones(len(x)), [[0, 1], [0, 1]])
-        assert r.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian(self):
-        r = integrate_box(lambda x: np.exp(-(x ** 2).sum(axis=1)), [[-6, 6], [-6, 6]])
-        assert r.value == pytest.approx(math.pi, rel=1e-10)
-
-    def test_inverse_radius_disk(self):
-        # oracle: polar integration of 1/r over the unit disk gives 2*pi
-        def f(x):
-            r2 = (x ** 2).sum(axis=1)
-            return np.where(r2 <= 1.0, 1.0 / np.maximum(np.sqrt(r2), 1e-300), 0.0)
-
-        cfg = QuadratureConfig(abs_tol=2e-3, rel_tol=1e-3)
-        r = integrate_box(f, [[-1, 1], [-1, 1]], cfg, singular_point=[0.0, 0.0])
-        assert r.value == pytest.approx(2.0 * math.pi, abs=5e-3)
-
-    def test_3d_smooth(self):
-        r = integrate_box(lambda x: x[:, 0] ** 2 * x[:, 1] * np.ones(len(x)),
-                          [[0, 1], [0, 1], [0, 2]])
-        assert r.value == pytest.approx((1 / 3) * (1 / 2) * 2, rel=1e-10)
-
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            integrate_box(lambda x: np.ones(len(x)), [[0, 1]] * 5)
-
-
 class TestPolarQuadrature:
     def test_sphere_rule_areas(self):
         for n in range(1, 5):
@@ -178,7 +130,7 @@ class TestPolarQuadrature:
             return np.maximum(0.0, 1.0 - np.sqrt((x ** 2).sum(axis=1)))
 
         expect = n * kappa(n) * (1.0 / n - 1.0 / (n + 1))
-        r = integrate_polar(f, n, np.zeros(n), 1.0)
+        r = integrate_polar_separable(f, n, np.zeros(n), 1.0)
         assert r.value == pytest.approx(expect, rel=1e-10)
 
     def test_ray_breaks_and_anisotropy(self):
@@ -186,9 +138,36 @@ class TestPolarQuadrature:
         def f(x):
             return np.maximum(0.0, 1.0 - 2.0 * np.sqrt((x ** 2).sum(axis=1)))
 
-        r = integrate_polar(f, 2, [0.0, 0.0], 0.5, ray_breaks=lambda d: [0.25])
+        r = integrate_polar_separable(f, 2, [0.0, 0.0], 0.5, break_ratios=[0.5])
         expect = 2 * kappa(2) * (0.5 ** 2 / 2 - 2 * 0.5 ** 3 / 3)
         assert r.value == pytest.approx(expect, rel=1e-11)
+
+
+class TestBudgetsRaise:
+    """Every refinement loop raises once its depth budget is spent."""
+
+    def test_polar_singular_center_tail(self):
+        def f(x):
+            return -np.log(np.sqrt((x ** 2).sum(axis=1)))
+
+        with pytest.raises(NonConvergedError, match="endpoint refinement") as info:
+            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=3),
+                                      singular_center=True)
+        assert info.value.evaluations > 0
+
+    def test_polar_radial_heap(self):
+        # kink at radius 1/3, never on a bisection edge, and no break ratio
+        def f(x):
+            return np.maximum(0.0, 1.0 - 3.0 * np.sqrt((x ** 2).sum(axis=1)))
+
+        with pytest.raises(NonConvergedError, match="radial refinement"):
+            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=2))
+
+    def test_interval_singular_left(self):
+        with pytest.raises(NonConvergedError, match="endpoint refinement") as info:
+            integrate_interval(lambda t: -np.log(t), 0.0, 1.0, QuadratureConfig(max_depth=3),
+                               singular_left=True)
+        assert math.isfinite(info.value.value)
 
 
 class TestRng:
@@ -209,6 +188,14 @@ class TestRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["negative", "2**128"])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(SchemaError):
+            Rng(seed)
+
+    def test_largest_seed(self):
+        assert Rng((1 << 128) - 1).stream(2).generator().standard_normal(1).shape == (1,)
+
 
 class TestConfigValidation:
     def test_positive_tolerances(self):
@@ -217,8 +204,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QuadratureConfig(max_depth=0)
 
-
-class TestSymMatrixElemSym:
-    def test_elem_sym_accepts_symmatrix(self):
-        m = SymMatrix.diagonal([1.0, 2.0, 3.0])
-        assert elem_sym(m, 2) == pytest.approx(11.0)
