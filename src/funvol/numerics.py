@@ -5,7 +5,8 @@ functions of symmetric-matrix eigenvalues, unit-ball volumes, and a
 counter-based deterministic RNG.  Everything here is pure; quadrature
 routines report an error estimate alongside the value and raise
 :class:`NonConvergedError` when the budget runs out before the tolerance is
-met.
+met.  A singular endpoint is graded, r = t^2, and refined by the same
+adaptive panels as the rest of the range.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 MAX_DIM = 6        # exact evaluators (matrices, bodies)
+_GRADE = 2         # graded endpoint substitution x = t^_GRADE toward a singular end
 
 
 def kappa(j: int) -> float:
@@ -91,8 +93,7 @@ class QuadratureConfig:
     """Knobs for the adaptive quadrature routines.
 
     ``order`` is the per-panel Gauss order on intervals.  ``max_depth``
-    bounds both the bisection depth of a panel and the number of geometric
-    panels toward a declared singular endpoint.
+    bounds the bisection depth of a panel.
     """
     order: int = 31
     max_depth: int = 40
@@ -206,9 +207,10 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     """Adaptive estimate of the integral of ``f`` over (a, b).
 
     ``b`` may be ``inf`` provided ``support_bound`` gives a finite point beyond
-    which ``f`` vanishes.  With ``singular_left`` the interval is subdivided
-    geometrically toward ``a`` so integrable endpoint singularities (log, or
-    power of exponent > -1) converge.
+    which ``f`` vanishes.  With ``singular_left`` the graded substitution
+    x = a + (b-a) t^2 clusters the nodes at ``a``, so integrable endpoint
+    singularities (log, or power of exponent > -1) converge; x^(-1/2) becomes
+    smooth.
     """
     cfg = cfg or DEFAULT_CONFIG
     if math.isinf(b):
@@ -218,61 +220,20 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
     fn = _CountingFn(f)
-    tol = cfg.abs_tol
-    if not singular_left:
-        value, error, ok = _adaptive_interval(fn, a, b, cfg, tol)
-        if not ok:
-            raise NonConvergedError(
-                f"interval quadrature on [{a}, {b}] did not converge "
-                f"(error {error:.3e})", value, error, fn.count)
-        return QuadratureResult(value, error, fn.count)
-    value, error = _geometric_tail(
-        lambda lo, hi: _adaptive_interval(fn, lo, hi, cfg, tol / 2.0), a, b, cfg, fn)
+    if singular_left:
+        width = b - a
+
+        def g(t):
+            return fn(a + width * t ** _GRADE) * (width * _GRADE * t ** (_GRADE - 1))
+
+        value, error, ok = _adaptive_interval(g, 0.0, 1.0, cfg, cfg.abs_tol)
+    else:
+        value, error, ok = _adaptive_interval(fn, a, b, cfg, cfg.abs_tol)
+    if not ok:
+        raise NonConvergedError(
+            f"interval quadrature on [{a}, {b}] did not converge "
+            f"(error {error:.3e})", value, error, fn.count)
     return QuadratureResult(value, error, fn.count)
-
-
-def _geometric_tail(panel, a: float, b: float, cfg: QuadratureConfig,
-                    fn: _CountingFn) -> tuple[float, float]:
-    """Integral over (a, b] by geometric subdivision toward ``a``, ratio 1/2.
-
-    ``panel(lo, hi)`` returns (value, error, converged) for one panel; panel k
-    is [a + (b-a)/2^k, a + (b-a)/2^(k-1)].  Once panel contributions decay
-    geometrically (power/log singularities do), the remaining tail is summed
-    by geometric-series extrapolation with the ratio drift folded into the
-    error.  Raises :class:`NonConvergedError` when a panel fails or
-    ``cfg.max_depth`` panels leave the last contribution significant.
-    """
-    tol = cfg.abs_tol
-    total, total_err = 0.0, 0.0
-    width = b - a
-    hi_end = b
-    prev_v = None
-    prev_ratio = None
-    for k in range(1, cfg.max_depth + 1):
-        lo_end = a + width * 2.0 ** (-k)
-        v, e, ok = panel(lo_end, hi_end)
-        if not ok:
-            raise NonConvergedError(
-                f"singular-endpoint panel [{lo_end}, {hi_end}] did not converge",
-                total + v, total_err + e, fn.count)
-        total += v
-        total_err += e
-        hi_end = lo_end
-        if abs(v) < max(tol, cfg.rel_tol * abs(total)) / 10.0 and k >= 4:
-            return total, total_err + abs(v)
-        if prev_v is not None and abs(prev_v) > 0:
-            ratio = v / prev_v
-            if prev_ratio is not None and k >= 6 and 0.0 < ratio < 0.97:
-                correction = v * ratio / (1.0 - ratio)
-                drift = abs(ratio - prev_ratio)
-                extra_err = abs(correction) * (drift / (1.0 - ratio) + 1e-9)
-                if extra_err < max(tol, cfg.rel_tol * abs(total)) / 10.0:
-                    return total + correction, total_err + extra_err
-            prev_ratio = ratio
-        prev_v = v
-    raise NonConvergedError(
-        f"endpoint refinement hit depth {cfg.max_depth} with the last "
-        f"contribution still significant", total, total_err, fn.count)
 
 
 # -- sphere rules and polar quadrature --------------------------------------
@@ -338,14 +299,19 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
 
     With r = R(direction) * tau, panels in tau are identical across rays, so a
     whole sphere rule is evaluated in a handful of batched integrand calls.
-    Panels are refined adaptively on the shared tau grid (aggregated error);
-    the angular level doubles until consecutive sphere rules agree.
+    With ``singular_center`` the graded substitution tau = t^2 (break ratios
+    mapped to their square roots) clusters the nodes at the center.  Panels
+    are refined adaptively on the shared grid (aggregated error); the angular
+    level doubles until consecutive sphere rules agree.  Raises
+    :class:`NonConvergedError` when a panel reaches ``cfg.max_depth`` or the
+    level reaches ``max_level`` without agreement.
     """
     cfg = cfg or DEFAULT_CONFIG
     center = np.asarray(center, dtype=float)
     fn = _CountingFn(f)
-    edges0 = sorted({float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14}
-                    | {1.0})
+    grade = _GRADE if singular_center else 1
+    edges = [e ** (1.0 / grade) for e in sorted(
+        {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
     x_hi, w_hi = _leggauss(15)
     x_lo, w_lo = _leggauss(8)
 
@@ -356,31 +322,26 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
 
         def panel(a: float, b: float) -> tuple[float, float]:
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            tau = np.concatenate([mid + half * x_hi, mid + half * x_lo])
+            t = np.concatenate([mid + half * x_hi, mid + half * x_lo])
+            tau = t ** grade
             pts = (center[None, None, :]
                    + (radii[:, None] * tau[None, :])[:, :, None] * dirs[:, None, :])
-            vals = fn(pts.reshape(-1, n)).reshape(len(dirs), len(tau))
-            vals = vals * tau[None, :] ** (n - 1)
+            vals = fn(pts.reshape(-1, n)).reshape(len(dirs), len(t))
+            vals = vals * (tau ** (n - 1) * (grade * t ** (grade - 1)))[None, :]
             hi = half * float(scale @ (vals[:, :15] @ w_hi))
             lo = half * float(scale @ (vals[:, 15:] @ w_lo))
             return hi, abs(hi - lo)
 
-        if singular_center:
-            prev_edge, seq = edges0[0], edges0[1:]
-            total, total_err = _geometric_tail(
-                lambda a, b: (*panel(a, b), True), 0.0, prev_edge, cfg, fn)
-        else:
-            prev_edge, seq = 0.0, edges0
-            total, total_err = 0.0, 0.0
+        total, total_err = 0.0, 0.0
         heap = []
-        uid = 0
-        for e_hi in seq:
+        prev_edge = 0.0
+        for uid, e_hi in enumerate(edges):
             v, err = panel(prev_edge, e_hi)
             total += v
             total_err += err
             heapq.heappush(heap, (-err, uid, 0, prev_edge, e_hi, v, err))
-            uid += 1
             prev_edge = e_hi
+        uid = len(edges)
         while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and heap:
             _, _, depth, a, b, v, e = heapq.heappop(heap)
             if depth >= cfg.max_depth:
@@ -392,9 +353,9 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
             rv_, re_ = panel(mid, b)
             total += lv_ + rv_ - v
             total_err += le_ + re_ - e
-            heapq.heappush(heap, (-le_, uid + 1, depth + 1, a, mid, lv_, le_))
-            heapq.heappush(heap, (-re_, uid + 2, depth + 1, mid, b, rv_, re_))
-            uid += 3
+            heapq.heappush(heap, (-le_, uid, depth + 1, a, mid, lv_, le_))
+            heapq.heappush(heap, (-re_, uid + 1, depth + 1, mid, b, rv_, re_))
+            uid += 2
         return total, total_err
 
     if n == 1:
@@ -405,11 +366,14 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
     while True:
         fine, rad_err = run(lv)
         ang_err = abs(fine - prev)
-        if ang_err <= max(cfg.abs_tol, cfg.rel_tol * abs(fine)) or lv >= max_level:
-            break
+        if ang_err <= max(cfg.abs_tol, cfg.rel_tol * abs(fine)):
+            return QuadratureResult(fine, rad_err + ang_err, fn.count)
+        if lv >= max_level:
+            raise NonConvergedError(
+                f"angular refinement hit level {max_level} (error {ang_err:.3e})",
+                fine, rad_err + ang_err, fn.count)
         prev = fine
         lv *= 2
-    return QuadratureResult(fine, rad_err + ang_err, fn.count)
 
 
 # ---------------------------------------------------------------------------

@@ -60,13 +60,6 @@ class Subspace:
         if k < n and np.abs(frame.T @ self.complement).max() > _ORTHO_TOL:
             raise ValueError("complement is not orthogonal to the frame")
 
-    def reframed(self, rng: Rng) -> "Subspace":
-        """Same subspace under a fresh orthonormal frame."""
-        g = rng.generator().standard_normal((self.k, self.k))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        return Subspace(self.frame @ q, self.complement)
-
     def __repr__(self):
         return f"Subspace(k={self.k}, n={self.n})"
 

@@ -9,7 +9,8 @@ reports its value with an error estimate combining quadrature error and, for
 sampled routes, the Monte Carlo standard error of the subspace average.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
-point with radial panels split at the weight's kink preimages per ray.
+point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
+the weight's kink preimages per ray.
 """
 from __future__ import annotations
 
@@ -120,21 +121,40 @@ def _combine_samples(values, errors) -> tuple[float, float]:
 # Smooth-route integrals
 
 
+def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
+    """Hess u(center)^{-1} when finite and positive definite, else the identity."""
+    try:
+        hess = np.asarray(u.hessian(center), dtype=float)
+    except NotDifferentiable:  # e.g. a radial power with p != 2
+        return np.eye(u.n)
+    if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
+        return np.eye(u.n)
+    return np.linalg.inv(hess)
+
+
 def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
                      cfg: QuadratureConfig, level: int = 8):
-    """integral of weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}."""
+    """integral of weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
+
+    The polar rule runs in z with x = c + M z, c the minimizer and M from
+    :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a ball in z.
+    The integrand is still evaluated at the primal points x.
+    """
     if u.smooth_kind() is None:
         raise NotDifferentiable(
             f"{type(u).__name__} is outside the twice-differentiable catalog")
     s_max = weight.support_bound
     center = u.minimizer()
+    frame = _whitening(u, center)
+    jac = abs(float(np.linalg.det(frame)))
     singular = (u.smooth_kind() == "except_center"
                 or weight.singularity.kind != "none")
 
-    def integrand(pts):
+    def integrand(z):
+        pts = center + np.atleast_2d(z) @ frame.T
         g = u.gradient(pts)
         s = np.linalg.norm(np.atleast_2d(g), axis=1)
-        w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
+        w = jac * np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = np.where(s >= s_max, 0.0, w)
         if degree == 0:
             return w
@@ -142,11 +162,12 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
         out = np.zeros_like(w)
         if active.any():
             out[active] = w[active] * np.asarray(
-                u.hessian_elem_sym(np.atleast_2d(pts)[active], degree))
+                u.hessian_elem_sym(pts[active], degree))
         return out
 
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
-    # radii sit at shared ratios of the per-ray region radius
+    # radii sit at shared ratios of the per-ray region radius; rays through
+    # c in z map to rays through c in x, so the ratios carry over
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     probe = np.zeros((1, u.n))
     probe[0, 0] = 1.0
@@ -154,9 +175,11 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
     ratios = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
 
     def r_max(dirs):
-        return u.grad_radius(dirs, s_max)
+        img = dirs @ frame.T
+        length = np.linalg.norm(img, axis=1)
+        return u.grad_radius(img / length[:, None], s_max) / length
 
-    return integrate_polar_separable(integrand, u.n, center, r_max, cfg,
+    return integrate_polar_separable(integrand, u.n, np.zeros(u.n), r_max, cfg,
                                      break_ratios=ratios,
                                      singular_center=singular, level=level)
 

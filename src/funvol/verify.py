@@ -68,6 +68,12 @@ class TolerancePolicy:
                 "multiplier": self.multiplier}
 
 
+# scalar case params, by the type every runner reads them as
+_INT_PARAMS = frozenset({"n", "j", "k", "l", "seed", "samples", "grid"})
+_REAL_PARAMS = frozenset({"t", "r", "p", "scale", "lambda", "grid_halfwidth",
+                          "expected_min"})
+
+
 @dataclass(frozen=True)
 class IdentityCase:
     id: str
@@ -79,6 +85,14 @@ class IdentityCase:
             raise SchemaError(f"unknown identity id {self.id!r}")
         if not isinstance(self.params, dict):
             raise SchemaError("case params must be an object")
+        for key, value in self.params.items():
+            integral = isinstance(value, int) and not isinstance(value, bool)
+            if key in _INT_PARAMS and not integral:
+                raise SchemaError(f"case {self.id!r}: parameter {key!r} must be "
+                                  f"an integer, got {value!r}")
+            if key in _REAL_PARAMS and not (integral or isinstance(value, float)):
+                raise SchemaError(f"case {self.id!r}: parameter {key!r} must be "
+                                  f"a number, got {value!r}")
 
     def to_dict(self):
         return {"id": self.id, "params": self.params,
@@ -382,6 +396,8 @@ def run_case(case: IdentityCase) -> VerificationReport:
                                   {"integrand_evals": exc.evaluations})
     except KeyError as exc:
         raise SchemaError(f"case {case.id!r} is missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a param the catalog rejects
+        raise SchemaError(f"case {case.id!r} has an invalid parameter: {exc}") from exc
     wall = time.perf_counter() - start
     diff = abs(lhs - rhs)
     if not (math.isfinite(diff) and math.isfinite(error)):
@@ -525,10 +541,13 @@ def manifest_from_json(data) -> list[IdentityCase]:
         tol = entry.get("tolerance", {})
         if not isinstance(tol, dict):
             raise SchemaError("tolerance must be an object")
-        policy = TolerancePolicy(
-            absolute=float(tol.get("absolute", 1e-8)),
-            relative=float(tol.get("relative", 0.0)),
-            multiplier=float(tol.get("multiplier", 3.0)))
+        try:
+            policy = TolerancePolicy(
+                absolute=float(tol.get("absolute", 1e-8)),
+                relative=float(tol.get("relative", 0.0)),
+                multiplier=float(tol.get("multiplier", 3.0)))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"invalid tolerance {tol!r}: {exc}") from exc
         cases.append(IdentityCase(entry["id"], entry.get("params", {}), policy))
     return cases
 

@@ -148,9 +148,9 @@ class TestCompute:
         assert "Traceback" not in err
 
     def test_non_converged_exit_4(self, capsys, specs, tmp_path, monkeypatch):
-        # a depth budget too small for the log-singular weight's endpoint tail
+        # a depth budget too small for the log-singular weight's graded center panel
         monkeypatch.setattr("funvol.valuations.DEFAULT_CONFIG",
-                            QuadratureConfig(max_depth=3))
+                            QuadratureConfig(max_depth=2))
         zeta = tmp_path / "log_cap.json"
         zeta.write_text(json.dumps({"type": "log_cap"}))
         code, out, _ = run_cli(capsys, "compute", "--function", specs["quad"],
@@ -344,6 +344,30 @@ class TestFlagFuzz:
             assert payload["all_pass"] is False
         elif code != 0:
             assert "error" in payload
+
+    @given(key=st.sampled_from(["n", "j", "t", "r", "samples", "seed"]),
+           value=st.one_of(st.integers(-2, 6), st.floats(), st.text(max_size=3),
+                           st.none(), st.booleans(), st.lists(st.integers(0, 2), max_size=2)))
+    @example(key="seed", value="abc")
+    @example(key="n", value="2")
+    @settings(max_examples=150, deadline=None)
+    def test_manifest_params(self, tmp_path_factory, key, value):
+        case = {"id": "cone",
+                "params": {"n": 2, "j": 1, "zeta": {"type": "tent", "s0": 1.0},
+                           "t": 0.5, "samples": 4, "seed": 0, key: value},
+                "tolerance": {"absolute": 1e-6}}
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        path.write_text(json.dumps([case]))
+        code, out, err = run_captured(["verify", "--manifest", str(path)])
+        assert "Traceback" not in err
+        assert code in (0, 1, 2, 3, 4)
+        payload = json.loads(out)
+        if code == 1:
+            assert payload["all_pass"] is False
+        elif code != 0:
+            assert "error" in payload
+        if isinstance(value, (str, list)) or value is None:
+            assert code == 2 and payload["error"]["type"] == "SchemaError"
 
 
 class TestImport:

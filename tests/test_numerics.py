@@ -147,11 +147,12 @@ class TestBudgetsRaise:
     """Every refinement loop raises once its depth budget is spent."""
 
     def test_polar_singular_center_tail(self):
+        # the graded center panel of a log singularity needs more than two bisections
         def f(x):
             return -np.log(np.sqrt((x ** 2).sum(axis=1)))
 
-        with pytest.raises(NonConvergedError, match="endpoint refinement") as info:
-            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=3),
+        with pytest.raises(NonConvergedError, match="radial refinement") as info:
+            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=2),
                                       singular_center=True)
         assert info.value.evaluations > 0
 
@@ -164,10 +165,35 @@ class TestBudgetsRaise:
             integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=2))
 
     def test_interval_singular_left(self):
-        with pytest.raises(NonConvergedError, match="endpoint refinement") as info:
+        with pytest.raises(NonConvergedError, match="interval quadrature") as info:
             integrate_interval(lambda t: -np.log(t), 0.0, 1.0, QuadratureConfig(max_depth=3),
                                singular_left=True)
         assert math.isfinite(info.value.value)
+
+    def test_polar_angular_cap(self):
+        # peaked toward direction (1, 0): 8 and 16 directions disagree
+        def f(x):
+            return np.exp(30.0 * x[:, 0])
+
+        with pytest.raises(NonConvergedError, match="angular refinement") as info:
+            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, level=4, max_level=4)
+        assert math.isfinite(info.value.value) and info.value.evaluations > 0
+
+
+class TestGradedEndpoint:
+    def test_log_moment_error_bar(self):
+        # int_0^1 -ln(r^3) 5 r^4 dr = 3/5, and the reported error covers the miss
+        r = integrate_interval(lambda t: -np.log(t ** 3) * 5.0 * t ** 4, 0.0, 1.0,
+                               singular_left=True)
+        assert abs(r.value - 0.6) <= r.error + 8 * math.ulp(0.6)
+
+    def test_polar_log_center(self):
+        # int over the unit disk of -ln|x| = pi/2
+        def f(x):
+            return -np.log(np.sqrt((x ** 2).sum(axis=1)))
+
+        r = integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, singular_center=True)
+        assert abs(r.value - math.pi / 2) <= r.error + 8 * math.ulp(math.pi / 2)
 
 
 class TestRng:

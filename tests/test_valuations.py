@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,22 @@ class TestSmoothRoute:
         r = eval_smooth(ValuationSpec(1, 2, TENT), Quadratic(np.diag([1.0, 2.0])))
         assert r.value == pytest.approx(math.pi / 2, rel=1e-10)
 
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_condition_100(self, rotate):
+        # oracle: e_2(A^-1) * 4*pi * int_0^1 (1-s) s^2 ds = (10 + 100 + 1000) * pi/3
+        a = np.diag([1.0, 0.1, 0.01])
+        if rotate:
+            q = sample_rotation(3, Rng(23))
+            a = q @ a @ q.T
+            a = 0.5 * (a + a.T)
+        r = eval_smooth(ValuationSpec(2, 3, TENT), Quadratic(a))
+        assert r.value == pytest.approx(1162.3892818282236, rel=1e-10)
+
+    def test_condition_100_2d(self):
+        # oracle: e_1(A^-1) * 2*pi * int_0^1 (1-s) s ds = 101 * pi/3
+        r = eval_smooth(ValuationSpec(1, 2, TENT), Quadratic(np.diag([1.0, 0.01])))
+        assert r.value == pytest.approx(101.0 * math.pi / 3.0, rel=1e-10)
+
     def test_singular_weight(self):
         # log-singular weight: oracle 2 * 2*pi * int_0^1 ln(1/r) r dr = pi
         r = eval_smooth(ValuationSpec(1, 2, LogCap()), Quadratic(np.eye(2)))
@@ -103,6 +120,62 @@ class TestSmoothRoute:
     def test_degree_zero_rejected(self):
         with pytest.raises(SchemaError):
             eval_smooth(ValuationSpec(0, 2, TENT), Quadratic(np.eye(2)))
+
+
+def _moment2(zeta):
+    """int_0^inf zeta(s) s^2 ds with its quadrature error, by scipy."""
+    return quad(lambda t: float(zeta(t)) * t * t, 0.0, zeta.support_bound,
+                epsabs=0.0, epsrel=1e-13, limit=400)
+
+
+def _esym(values, i):
+    return sum(math.prod(c) for c in itertools.combinations(values, i))
+
+
+HONEST_WEIGHTS = {"tent": TENT, "log_cap": LogCap(), "bump": Bump(0.2, 0.8)}
+
+
+class TestErrorBarHonesty:
+    """On closed-form cases the reported error covers the actual one:
+    |value - exact| <= error + 8 ulp (plus the oracle's own quadrature error)."""
+
+    @staticmethod
+    def check(value, error, exact, slack=0.0):
+        assert abs(value - exact) <= error + slack + 8 * math.ulp(exact), \
+            (value, exact, error)
+
+    def test_cone(self):
+        spec = ValuationSpec(1, 2, TENT)
+        ck = eval_cauchy_kubota(spec, Cone(2, 0.5, 1.0), 64, Rng(5))
+        self.check(ck.value, ck.error, cone_closed_form(spec, 0.5))
+        top = eval_domain_gradient(ValuationSpec(2, 2, TENT), Cone(2, 0.5, 1.0))
+        self.check(top.value, top.error, math.pi / 2)
+
+    @pytest.mark.parametrize("j,exact", [(1, 12 * math.pi / 7), (2, 12 * math.pi / 5)],
+                             ids=["j1", "j2"])
+    def test_reilly_radial_log_cap(self, j, exact):
+        # 4*pi * int_0^1 -ln(r^3) e_{3-j}(Hess |x|^4/4) r^2 dr, e_2 = 7r^4, e_1 = 5r^2
+        res = reilly_radial_check(3, j, LogCap(), p=4.0)
+        for side in (res.lhs_result, res.rhs_result):
+            self.check(side.value, side.error, exact)
+
+    @pytest.mark.parametrize("name", sorted(HONEST_WEIGHTS))
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_quadratic_123(self, name, j):
+        # V_j = e_j(A^-1) 4*pi m_2 and the dual V*_j = e_j(A) 4*pi m_2, with
+        # m_2 = int zeta(s) s^2 ds; log_cap at j = 1 gives 22*pi/27
+        zeta = HONEST_WEIGHTS[name]
+        eigs = [1.0, 2.0, 3.0]
+        m2, m2_err = _moment2(zeta)
+        spec = ValuationSpec(j, 3, zeta)
+        u = Quadratic(np.diag(eigs))
+        for result, coeff in ((eval_smooth(spec, u), _esym([1 / e for e in eigs], j)),
+                              (eval_dual(spec, u), _esym(eigs, j))):
+            scale = coeff * 4 * math.pi
+            self.check(result.value, result.error, scale * m2, scale * m2_err)
+        if name == "log_cap" and j == 1:
+            assert eval_smooth(spec, u).value == pytest.approx(22 * math.pi / 27,
+                                                               rel=1e-13)
 
 
 class TestDomainGradientRoute:
