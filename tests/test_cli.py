@@ -284,6 +284,14 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    def test_mistyped_tolerance_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"id": "cone", "params": {},
+                                     "tolerance": {"absolute": "tight"}}]))
+        code, out, _ = run_cli(capsys, "verify", "--manifest", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
     def test_csv_format_and_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "verify", "--default-suite",
