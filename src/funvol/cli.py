@@ -106,6 +106,9 @@ def _cmd_compute(args) -> int:
         result = eval_domain_gradient(spec, u)
     else:
         raise SchemaError(f"unknown method {args.method!r}")
+    if not np.isfinite(result.value):
+        raise NonConvergedError(f"the {args.method} value is not finite in double precision",
+                                result.value)
     print(canonical_json(result.to_dict()))
     return EXIT_OK
 
@@ -130,6 +133,9 @@ def _cmd_transform(args) -> int:
     if np.any(grid <= 0):
         raise SchemaError("transform grids live on (0, inf)")
     values = np.asarray(out(grid))
+    if not np.all(np.isfinite(values)):
+        raise NonConvergedError("transform values are not finite in double precision "
+                                "on this grid")
     lines = [f"s,{label}"]
     lines += [f"{_fmt(s)},{_fmt(v)}" for s, v in zip(grid, values)]
     print("\n".join(lines))

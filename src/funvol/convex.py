@@ -77,10 +77,12 @@ class Ball(ConvexBody):
     center: tuple
 
     def __init__(self, radius: float, center):
-        if radius <= 0:
-            raise ValueError("ball needs radius > 0")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("ball needs a finite radius > 0")
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(center)))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("ball needs a finite center")
 
     @property
     def n(self):
@@ -116,8 +118,8 @@ class Box(ConvexBody):
 
     def __init__(self, intervals):
         iv = tuple((float(a), float(b)) for a, b in intervals)
-        if any(b < a for a, b in iv):
-            raise ValueError("box intervals must satisfy a <= b")
+        if not all(math.isfinite(a) and math.isfinite(b) and a <= b for a, b in iv):
+            raise ValueError("box intervals must be finite with a <= b")
         object.__setattr__(self, "intervals", iv)
 
     @property
@@ -164,11 +166,18 @@ class PolytopeV(ConvexBody):
     def __init__(self, vertices):
         # qhull is the only user of scipy.spatial, which costs a noticeable
         # share of the package import time
-        from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise ValueError("polytope vertices must be (m, 2) or (m, 3)")
-        self._hull = ConvexHull(pts)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("polytope vertices must be finite")
+        try:
+            self._hull = ConvexHull(pts)
+        except QhullError as exc:
+            # flat or too few vertices: qhull needs a full-dimensional hull
+            raise ValueError(f"polytope vertices do not span a full-dimensional "
+                             f"hull: {str(exc).splitlines()[0]}") from exc
         self._verts = pts[self._hull.vertices]
         self.n = pts.shape[1]
 
@@ -417,16 +426,24 @@ class Quadratic(ConvexFunction):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("A must be finite")
         if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
             raise ValueError("A must be symmetric")
         n = a.shape[0]
         if n > MAX_DIM:
             raise ValueError(f"dimension cap is {MAX_DIM}")
-        if np.linalg.eigvalsh(a).min() <= 1e-10:
-            raise ValueError("A must be positive definite (min eigenvalue > 1e-10)")
+        eig = np.linalg.eigvalsh(a)
+        if eig[0] <= 1e-10 * max(1.0, eig[-1]):
+            raise ValueError("A must be positive definite "
+                             "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
+        if eig[-1] > 1e300:  # projections f'Af would overflow
+            raise ValueError("A must have eigenvalues below 1e300")
         self.a = a
         self.b = np.zeros(n) if b is None else _vec(b, n)
         self.c = float(c)
+        if not (np.all(np.isfinite(self.b)) and math.isfinite(self.c)):
+            raise ValueError("b and c must be finite")
         self.n = n
 
     def _eval(self, pts):
@@ -478,10 +495,8 @@ class RadialPower(ConvexFunction):
     is_finite = True
 
     def __init__(self, n: int, p: float, scale: float = 1.0):
-        if p <= 1:
-            raise ValueError("radial power needs p > 1")
-        if scale <= 0:
-            raise ValueError("radial power needs scale > 0")
+        if not (math.isfinite(p) and math.isfinite(scale) and p > 1 and scale > 0):
+            raise ValueError("radial power needs finite p > 1 and scale > 0")
         self.n = int(n)
         self.p = float(p)
         self.scale = float(scale)
@@ -551,8 +566,8 @@ class Cone(ConvexFunction):
     is_supercoercive = True
 
     def __init__(self, n: int, t: float, r: float = 1.0):
-        if t < 0 or r <= 0:
-            raise ValueError("cone needs t >= 0 and r > 0")
+        if not (math.isfinite(t) and math.isfinite(r) and t >= 0 and r > 0):
+            raise ValueError("cone needs finite t >= 0 and r > 0")
         self.n = int(n)
         self.t = float(t)
         self.r = float(r)
@@ -605,8 +620,8 @@ class RadialHinge(ConvexFunction):
     is_finite = True
 
     def __init__(self, n: int, t: float, r: float = 1.0):
-        if t < 0 or r <= 0:
-            raise ValueError("radial hinge needs t >= 0 and r > 0")
+        if not (math.isfinite(t) and math.isfinite(r) and t >= 0 and r > 0):
+            raise ValueError("radial hinge needs finite t >= 0 and r > 0")
         self.n = int(n)
         self.t = float(t)
         self.r = float(r)

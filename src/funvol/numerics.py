@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,9 +107,6 @@ class QuadratureConfig:
         if self.max_depth < 1:
             raise ValueError("depth limit must be >= 1")
 
-    def loosened(self, abs_tol: float | None = None, rel_tol: float | None = None) -> "QuadratureConfig":
-        return replace(self, abs_tol=abs_tol or self.abs_tol, rel_tol=rel_tol or self.rel_tol)
-
 
 DEFAULT_CONFIG = QuadratureConfig()
 
@@ -155,12 +152,6 @@ class _CountingFn:
         if self._scalar:
             return np.array([float(self.f(xi)) for xi in x])
         return np.asarray(self.f(x), dtype=float)
-
-
-def gauss_panel(f, a: float, b: float, order: int = 31) -> tuple[float, float]:
-    """Single-panel Gauss estimate on [a, b] with a two-order error estimate."""
-    fn = f if isinstance(f, _CountingFn) else _CountingFn(f)
-    return _panel_pair(fn, a, b, order)
 
 
 def _panel_pair(f: _CountingFn, a: float, b: float, order: int) -> tuple[float, float]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      InfConv, MaxAffine, PlusAffine, PointwiseScaled,
@@ -53,7 +52,7 @@ class Subspace:
         self.n = n
         self.k = k
         if complement is None:
-            complement = null_space(frame.T) if k < n else np.zeros((n, 0))
+            complement = np.linalg.qr(frame, mode="complete")[0][:, k:]
         self.complement = np.asarray(complement, dtype=float)
         if self.complement.shape != (n, n - k):
             raise ValueError("complement frame has the wrong shape")
@@ -65,11 +64,11 @@ class Subspace:
 
 
 def sample_grassmann(n: int, k: int, rng: Rng) -> Subspace:
-    """Haar-distributed k-dimensional subspace via sign-fixed QR of a Gaussian."""
+    """Haar-distributed subspace: frame and complement from one sign-fixed complete QR."""
     g = rng.generator().standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    return Subspace(q)
+    q, r = np.linalg.qr(g, mode="complete")
+    q[:, :k] *= np.sign(np.diag(r))
+    return Subspace(q[:, :k], q[:, k:])
 
 
 def sample_rotation(n: int, rng: Rng) -> np.ndarray:

@@ -8,7 +8,9 @@ sums and lazy transforms) is closed under the integral transform
 its iterates T^l(z)(s) = s^l z(s) + l * int_s^inf t^{l-1} z(t) dt and the
 inverse T^{-l}(r)(s) = r(s)/s^l - l * int_s^inf r(t)/t^{l+1} dt.  Tent, capped
 log and capped polynomial live in a piecewise power-log algebra where all of
-these are exact; bump-rooted chains fall back to memoized adaptive quadrature.
+these are exact.  For bump-rooted chains the integrand is fitted by piecewise
+Chebyshev series, which are integrated exactly; a fit that does not resolve
+raises NonConvergedError.
 
 Membership in the admissibility class indexed by (j, n) -- vanishing of
 s^{n-j} z(s) at 0 together with a finite limit of int_s^inf t^{n-j-1} z(t) dt
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
-from .errors import SchemaError, UnknownSingularity
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, gauss_panel,
-                       integrate_interval, kappa)
+from .errors import NonConvergedError, SchemaError, UnknownSingularity
+# integrate_interval is unused here; bench/smoke.py checks that its tracer wraps this name
+from .numerics import integrate_interval, kappa  # noqa: F401
 
 __all__ = [
     "Singularity",
@@ -90,6 +94,8 @@ class _Term:
 def _combine(terms) -> tuple[_Term, ...]:
     acc: dict[tuple[float, int], float] = {}
     scale = max((abs(t.c) for t in terms), default=0.0)
+    if not math.isfinite(scale):
+        raise SchemaError("power-log coefficients overflow double precision")
     for t in terms:
         key = (round(t.p, 10), t.q)
         acc[key] = acc.get(key, 0.0) + t.c
@@ -337,8 +343,8 @@ class Tent(_ClosedFormWeight):
     """max(0, 1 - s/s0)."""
 
     def __init__(self, s0: float = 1.0):
-        if s0 <= 0:
-            raise ValueError("tent needs s0 > 0")
+        if not (math.isfinite(s0) and s0 > 0):
+            raise ValueError("tent needs a finite s0 > 0")
         self.s0 = float(s0)
         super().__init__(PowerLogForm(
             [_Piece(0.0, self.s0, (_Term(1.0, 0.0, 0), _Term(-1.0 / self.s0, 1.0, 0)))],
@@ -366,9 +372,9 @@ class PolyCapped(_ClosedFormWeight):
     """
 
     def __init__(self, coeffs, cutoff: float = 1.0):
-        if cutoff <= 0:
-            raise ValueError("poly_capped needs cutoff > 0")
         self.coeffs = [float(c) for c in coeffs]
+        if not (math.isfinite(cutoff) and cutoff > 0 and all(map(math.isfinite, self.coeffs))):
+            raise ValueError("poly_capped needs finite coefficients and a finite cutoff > 0")
         self.cutoff = float(cutoff)
         terms = tuple(_Term(c, float(i), 0) for i, c in enumerate(self.coeffs) if c != 0.0)
         super().__init__(PowerLogForm([_Piece(0.0, self.cutoff, terms)], self.cutoff))
@@ -381,8 +387,8 @@ class Bump(WeightFunction):
     """Smooth bump exp(1 - (b-a)^2 / (4 (s-a)(b-s))) on (a, b), peak value 1."""
 
     def __init__(self, a: float, b: float):
-        if not 0 <= a < b:
-            raise ValueError("bump needs 0 <= a < b")
+        if not (0 <= a < b and math.isfinite((b - a) * (b - a))):
+            raise ValueError("bump needs 0 <= a < b with a finite (b - a)^2")
         self.a = float(a)
         self.b = float(b)
         self.support_bound = self.b
@@ -419,6 +425,8 @@ class Scaled(WeightFunction):
     def __init__(self, inner: WeightFunction, factor: float):
         self.inner = inner
         self.factor = float(factor)
+        if not math.isfinite(self.factor):
+            raise ValueError("scaled needs a finite factor")
         self.support_bound = inner.support_bound
 
     def _values(self, s):
@@ -497,167 +505,120 @@ class SumWeight(WeightFunction):
         return {"type": "sum", "terms": [t.to_spec() for t in self.terms]}
 
 
-class _CumulativeTail:
-    """F(s) = int_s^{hi} g(t) dt with memoized geometric panels toward 0."""
+# Transforms without a closed form: the integrand is fitted piecewise by
+# Chebyshev series, sampled at the Chebyshev points of the first kind, and the
+# series are integrated exactly (after chebfun's cumsum).
+_CHEB_DEG = 32
+_CHEB_TOL = 1e-15       # trailing coefficients times half-width, over the integral scale
+_CHEB_MAX_PIECES = 2048
+_EXT_FLOOR = 1e-13      # with nothing flat, dyadic pieces stop at this share of s_max
+_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_NODES = np.cos(_THETA)
+_TO_COEF = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _THETA))
+_TO_COEF[0] *= 0.5
 
-    def __init__(self, g, hi: float, cfg: QuadratureConfig):
-        self.g = g
-        self.hi = hi
-        self.cfg = cfg
-        self._edges = [hi]          # strictly decreasing
-        self._cum = [(0.0, 0.0)]    # integral (value, error) from edges[k] to hi
 
-    def _extend(self, s: float):
-        while self._edges[-1] > max(s, 1e-13) and len(self._edges) < 120:
-            a = self._edges[-1] / 2.0
-            r = integrate_interval(self.g, a, self._edges[-1], self.cfg)
-            v, e = self._cum[-1]
-            self._edges.append(a)
-            self._cum.append((v + r.value, e + r.error))
+class _ChebTail:
+    """F(s) = int_s^{edges[-1]} g(t) dt from exactly integrated Chebyshev pieces.
 
-    def _segment(self, a: float, b: float) -> tuple[float, float]:
-        """Integral over [a, b]; single Gauss panel with adaptive fallback."""
-        if b <= a:
-            return 0.0, 0.0
-        v, e = gauss_panel(self.g, a, b, self.cfg.order)
-        if e > max(self.cfg.abs_tol, self.cfg.rel_tol * abs(v)):
-            r = integrate_interval(self.g, a, b, self.cfg)
-            return r.value, r.error
-        return v, e
+    ``edges`` cuts the range into roots on each of which g is smooth; a piece
+    is bisected until its trailing coefficients, times its half-width, fall
+    below ``_CHEB_TOL`` of the integral scale, the largest max|g| * width of
+    its root and of every root right of it.  So F is resolved relative to its
+    own size even where g grows toward 0.  More than ``_CHEB_MAX_PIECES``
+    pieces raise :class:`NonConvergedError`; an overflow raises
+    :class:`SchemaError`.
+    """
 
-    def __call__(self, s: float) -> tuple[float, float]:
-        if s >= self.hi:
-            return 0.0, 0.0
-        self._extend(s)
-        k = 0
-        while k < len(self._edges) and self._edges[k] > s:
-            k += 1
-        if k == len(self._edges):
-            k -= 1  # s below the extension floor; the missing sliver is negligible
-        v, e = self._cum[k - 1] if k > 0 else (0.0, 0.0)
-        upper = self._edges[k - 1] if k > 0 else self.hi
-        if upper > s:
-            pv, pe = self._segment(s, upper)
-            v, e = v + pv, e + pe
-        return v, e
+    @np.errstate(over="ignore", invalid="ignore")  # overflow fails the final check
+    def __init__(self, g, edges):
+        a, b = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
+        root, scale, done = np.arange(len(a)), None, []
+        while len(a):
+            half = 0.5 * (b - a)
+            vals = np.asarray(g(((a + b)[:, None] * 0.5 + half[:, None] * _CHEB_NODES).ravel()),
+                              dtype=float).reshape(len(a), -1)
+            if not np.all(np.isfinite(vals)):
+                raise SchemaError("transform integrand overflows double precision")
+            coef = vals @ _TO_COEF.T
+            if scale is None:
+                area = np.abs(vals).max(axis=1) * (b - a)
+                scale = np.maximum.accumulate(area[::-1])[::-1]
+            ok = np.abs(coef[:, -4:]).max(axis=1) * half <= _CHEB_TOL * scale[root]
+            done.append((a[ok], b[ok], coef[ok] * half[ok, None]))
+            a, b, root = a[~ok], b[~ok], root[~ok]
+            if sum(len(d[0]) for d in done) + 2 * len(a) > _CHEB_MAX_PIECES:
+                raise NonConvergedError(f"Chebyshev fit of the transform integrand needs "
+                                        f"more than {_CHEB_MAX_PIECES} pieces")
+            mid = 0.5 * (a + b)
+            a, b, root = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(root, 2)
+        lo, hi, coef = (np.concatenate(x) for x in zip(*done))
+        order = np.argsort(lo)
+        self.lo, self.hi = lo[order], hi[order]
+        # integral from each piece's left end; F = (total of this piece and right of it) - it
+        integral = cheb.chebint(coef[order], lbnd=-1, axis=1)
+        total = np.cumsum(integral.sum(axis=1)[::-1])[::-1]
+        integral = -integral
+        integral[:, 0] += total
+        if not np.all(np.isfinite(integral)):
+            raise SchemaError("transform integral overflows double precision")
+        self._coef = np.ascontiguousarray(integral.T)
 
-    def many(self, s_sorted: np.ndarray) -> np.ndarray:
-        """F at an ascending array of points, via cumulative gap integration."""
-        out = np.empty(len(s_sorted))
-        acc, _ = self(float(s_sorted[-1]))
-        out[-1] = acc
-        for i in range(len(s_sorted) - 2, -1, -1):
-            v, _ = self._segment(float(s_sorted[i]), float(s_sorted[i + 1]))
-            acc += v
-            out[i] = acc
-        return out
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """F on points of [lo[0], hi[-1]]: Clenshaw with per-point coefficients."""
+        p = np.minimum(np.searchsorted(self.hi, s), len(self.hi) - 1)
+        x2 = 2.0 * (2.0 * s - self.lo[p] - self.hi[p]) / (self.hi[p] - self.lo[p])
+        b1, b2 = np.zeros_like(s), np.zeros_like(s)
+        for row in self._coef[:0:-1]:
+            b1, b2 = row[p] + x2 * b1 - b2, b1
+        return self._coef[0][p] + 0.5 * x2 * b1 - b2
 
 
 class TransformedWeight(WeightFunction):
-    """Lazy T^l (l may be negative) with exact closed forms where available."""
+    """Lazy T^p for a power p of either sign: s^p z(s) + p * int_s^inf t^{p-1} z(t) dt.
 
-    def __init__(self, inner: WeightFunction, power: int,
-                 cfg: QuadratureConfig | None = None):
+    A closed-form inner weight gives an exact power-log form.  Otherwise (bump-
+    rooted chains) the integrand t^{p-1} z is fitted by Chebyshev pieces on the
+    inner knot intervals and integrated exactly (:class:`_ChebTail`), built on
+    first use.  The transform is constant below the inner flat region; with
+    none, dyadic pieces run toward 0 down to ``_EXT_FLOOR`` times the support
+    bound, and the transform is constant below that.
+    """
+
+    def __init__(self, inner: WeightFunction, power: int):
         if power == 0:
             raise ValueError("power 0 is the identity; use the inner weight")
         self.inner = inner
         self.power = int(power)
         self.support_bound = inner.support_bound
-        self._cfg = cfg or DEFAULT_CONFIG.loosened(abs_tol=1e-12, rel_tol=1e-11)
         self._form = None
-        self._interp = None
         inner_form = inner.closed_form()
         if inner_form is not None:
-            f = inner_form
             if power > 0:
-                f = f.transform_power(power)
+                self._form = inner_form.transform_power(power)
             else:
-                f = f.transform_inverse(-power)
-            self._form = f
-        else:
-            l = abs(self.power)
-            if self.power > 0:
-                self._tail = _CumulativeTail(
-                    lambda t: np.asarray(t) ** (l - 1) * np.asarray(self.inner(t)),
-                    self.support_bound, self._cfg)
-            else:
-                self._tail = _CumulativeTail(
-                    lambda t: np.asarray(self.inner(t)) / np.asarray(t) ** (l + 1),
-                    self.support_bound, self._cfg)
+                self._form = inner_form.transform_inverse(-power)
 
-    def _point(self, s: float) -> float:
-        l = abs(self.power)
+    @cached_property
+    def _tail(self) -> _ChebTail:
         fb = self.inner.flat_below
-        se = max(s, fb) if fb > 0 else s
-        tail, _ = self._tail(se)
-        if self.power > 0:
-            return se ** l * float(self.inner(se)) + l * tail
-        return float(self.inner(se)) / se ** l - l * tail
-
-    def _build_interp(self):
-        """Memoize the quadrature-backed transform as piecewise Chebyshev fits.
-
-        The transform is constant below the inner flat region and smooth
-        between the inner knots, so a modest fit reproduces it to ~1e-12; the
-        fit is verified at off-node points and abandoned if it falls short.
-        """
-        from numpy.polynomial import chebyshev as cheb
-        fb = self.inner.flat_below
-        if fb <= 0:
-            self._interp = False
-            return
-        edges = sorted({k for k in self.knots() if fb < k <= self.support_bound}
-                       | {self.support_bound})
-        pieces = []
-        ok = True
-        for lo, hi in zip([fb] + edges, edges):
-            sub = np.linspace(lo, hi, 9)
-            for a, b in zip(sub, sub[1:]):
-                deg = 48
-                nodes = np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-                xs = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-                ys = np.array([self._point(float(x)) for x in xs])
-                fit = cheb.Chebyshev.fit(xs, ys, deg, domain=[a, b])
-                mids = np.linspace(a, b, 7)[1:-1]
-                scale = max(1.0, float(np.abs(ys).max()))
-                if max(abs(fit(m) - self._point(float(m))) for m in mids) > 1e-10 * scale:
-                    ok = False
-                    break
-                pieces.append((a, b, fit))
-            if not ok:
-                break
-        if not ok:
-            self._interp = False
-            return
-        self._interp = (self._point(fb), pieces)
+        lo = fb if fb > 0 else _EXT_FLOOR * self.support_bound
+        edges = {lo, self.support_bound}
+        edges |= {k for k in self.inner.knots() if lo < k < self.support_bound}
+        x = min(edges - {lo}) / 2.0
+        while fb <= 0 and x > lo:  # dyadic pieces toward 0
+            edges.add(x)
+            x /= 2.0
+        return _ChebTail(lambda t: t ** (self.power - 1) * self.inner(t), sorted(edges))
 
     def _values(self, s):
         if self._form is not None:
             return self._form(s)
-        s = np.asarray(s, dtype=float)
-        if self._interp is None and s.size > 8:
-            self._build_interp()
-        if self._interp:
-            head, pieces = self._interp
-            out = np.zeros_like(s)
-            out[s <= pieces[0][0]] = head
-            for a, b, fit in pieces:
-                mask = (s > a) & (s <= b)
-                if mask.any():
-                    out[mask] = fit(s[mask])
-            out[s > self.support_bound] = 0.0
-            return out
-        uniq, inverse = np.unique(s, return_inverse=True)
-        l = abs(self.power)
-        fb = self.inner.flat_below
-        se = np.maximum(uniq, fb) if fb > 0 else uniq
-        tails = self._tail.many(se)
-        inner_vals = np.asarray(self.inner(se))
-        if self.power > 0:
-            vals = se ** l * inner_vals + l * tails
-        else:
-            vals = inner_vals / se ** l - l * tails
-        return vals[inverse]
+        se = np.maximum(s, self._tail.lo[0])
+        out = (se ** self.power * np.asarray(self.inner(se))
+               + self.power * self._tail(np.minimum(se, self.support_bound)))
+        out[s >= self.support_bound] = 0.0
+        return out
 
     @property
     def singularity(self):
@@ -677,11 +638,10 @@ class TransformedWeight(WeightFunction):
     def value_at_zero(self):
         if self._form is not None:
             return self._form.value_at_zero()
-        fb = self.inner.flat_below
-        if fb > 0:
-            return self._point(fb)
-        if self.power > 0 and self.inner.value_at_zero() is not None:
-            return self._point(1e-9)
+        # the value at the lower end of the fit: T(flat_below), or l * F(0)
+        if self.inner.flat_below > 0 or (
+                self.power > 0 and self.inner.value_at_zero() is not None):
+            return float(self._values(np.zeros(1))[0])
         return None
 
     def closed_form(self):

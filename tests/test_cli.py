@@ -378,12 +378,128 @@ class TestFlagFuzz:
             assert code == 2 and payload["error"]["type"] == "SchemaError"
 
 
+# Spec fuzzing: parameters mix ordinary values with the edges of double
+# precision and with values of the wrong type.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, 0.2, 0.8, 1.0, 2.0, -1.0, 1e-300, 1e150, 1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(-3.0, 3.0), st.integers(-2, 4))
+PARAMS = NUMBERS | st.sampled_from([None, "x", [1.0], True])
+LEAF_WEIGHTS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("tent")}, optional={"s0": PARAMS}),
+    st.just({"type": "log_cap"}),
+    st.fixed_dictionaries({"type": st.just("bump"), "a": PARAMS, "b": PARAMS}),
+    st.fixed_dictionaries({"type": st.just("poly_capped"),
+                           "coeffs": st.lists(NUMBERS, max_size=3)},
+                          optional={"cutoff": PARAMS}),
+    st.fixed_dictionaries({"type": st.sampled_from(["nope", "transform"])}))
+WEIGHTS = st.recursive(LEAF_WEIGHTS, lambda inner: st.one_of(
+    st.fixed_dictionaries({"type": st.just("scaled"), "factor": PARAMS, "inner": inner}),
+    st.fixed_dictionaries({"type": st.just("sum"),
+                           "terms": st.lists(inner, min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"type": st.just("transform"), "l": st.integers(-3, 3),
+                           "inner": inner})), max_leaves=3)
+POINTS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=4)
+BODIES = st.one_of(
+    st.fixed_dictionaries({"type": st.just("ball"), "r": PARAMS,
+                           "center": st.lists(NUMBERS, min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"type": st.just("box"),
+                           "intervals": st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
+                                                 min_size=2, max_size=2)}),
+    st.fixed_dictionaries({"type": st.just("polytope"), "vertices": POINTS}))
+FUNCTIONS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("quadratic"),
+                           "A": st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
+                                         min_size=2, max_size=2)},
+                          optional={"b": st.lists(NUMBERS, min_size=2, max_size=2),
+                                    "c": PARAMS}),
+    st.fixed_dictionaries({"type": st.sampled_from(["cone", "radial_hinge"]),
+                           "n": st.integers(0, 3), "t": PARAMS},
+                          optional={"r": PARAMS}),
+    st.fixed_dictionaries({"type": st.just("radial_power"), "n": st.integers(0, 3),
+                           "p": PARAMS}, optional={"scale": PARAMS}),
+    st.fixed_dictionaries({"type": st.sampled_from(["indicator", "support"]),
+                           "body": BODIES}))
+# the three reproductions that used to escape as tracebacks
+FLAT_POLYTOPE = {"type": "indicator",
+                 "body": {"type": "polytope",
+                          "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}}
+INFINITE_BUMP = {"type": "bump", "a": 0.2, "b": math.inf}
+HUGE_BUMP = {"type": "bump", "a": 0.2, "b": 1e308}
+INFINITE_TENT = {"type": "tent", "s0": math.inf}
+
+
+def _check_exit(code, out, err):
+    assert "Traceback" not in err
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert "error" in json.loads(out)
+
+
+class TestSpecFuzz:
+    """Every weight, function and body spec ends in exit 0, 2, 3 or 4, never a traceback."""
+
+    @given(zeta=WEIGHTS, power=st.integers(0, 3), inverse=st.booleans())
+    @example(zeta=INFINITE_BUMP, power=1, inverse=False)
+    @example(zeta=HUGE_BUMP, power=1, inverse=False)
+    @example(zeta=INFINITE_TENT, power=1, inverse=False)
+    @settings(max_examples=150, deadline=None)
+    def test_transform(self, tmp_path_factory, zeta, power, inverse):
+        path = tmp_path_factory.mktemp("spec") / "zeta.json"
+        path.write_text(json.dumps(zeta))
+        argv = ["transform", "--zeta", str(path), "--power", str(power),
+                "--grid", "0.1:0.9:3"]
+        code, out, err = run_captured(argv + ["--inverse"] if inverse else argv)
+        _check_exit(code, out, err)
+
+    @given(function=FUNCTIONS, zeta=WEIGHTS)
+    @example(function=FLAT_POLYTOPE, zeta={"type": "tent", "s0": 1.0})
+    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=INFINITE_BUMP)
+    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=HUGE_BUMP)
+    @settings(max_examples=100, deadline=None)
+    def test_compute(self, tmp_path_factory, function, zeta):
+        root = tmp_path_factory.mktemp("spec")
+        (root / "u.json").write_text(json.dumps(function))
+        (root / "zeta.json").write_text(json.dumps(zeta))
+        code, out, err = run_captured(
+            ["compute", "--function", str(root / "u.json"), "--zeta", str(root / "zeta.json"),
+             "--method", "ck", "--j", "1", "--samples", "8"])
+        _check_exit(code, out, err)
+
+    @pytest.mark.parametrize("zeta", [INFINITE_BUMP, HUGE_BUMP, INFINITE_TENT],
+                             ids=["infinite_bump", "huge_bump", "infinite_tent"])
+    def test_non_finite_weight_exit_2(self, tmp_path, zeta):
+        path = tmp_path / "zeta.json"
+        path.write_text(json.dumps(zeta))
+        code, out, err = run_captured(["transform", "--zeta", str(path), "--power", "1",
+                                       "--grid", "0.1:0.9:3"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    def test_flat_polytope_exit_2(self, tmp_path, fuzz_files):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(FLAT_POLYTOPE))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", "ck",
+                                       "--j", "1", "--samples", "8"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
 class TestImport:
-    def test_scipy_spatial_stays_unloaded(self):
+    @staticmethod
+    def _loaded_after_import(module):
         src = str(Path(funvol.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = "import sys, funvol, funvol.cli; print('scipy.spatial' in sys.modules)"
+        probe = f"import sys, funvol, funvol.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        return out.strip() == "True"
+
+    def test_scipy_spatial_stays_unloaded(self):
+        assert not self._loaded_after_import("scipy.spatial")
+
+    def test_scipy_linalg_stays_unloaded(self):
+        # subspace complements come from numpy's complete QR
+        assert not self._loaded_after_import("scipy.linalg")

@@ -41,6 +41,20 @@ class TestSampling:
             assert np.abs(e.frame.T @ e.frame - np.eye(2)).max() <= 1e-12
             assert np.abs(e.frame.T @ e.complement).max() <= 1e-12
 
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (6, 3), (3, 3)])
+    def test_frame_and_complement_orthogonal(self, n, k):
+        for i in range(10):
+            e = sample_grassmann(n, k, Rng(3).stream(i))
+            q = np.concatenate([e.frame, e.complement], axis=1)
+            assert q.shape == (n, n)
+            assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
+
+    def test_built_complement(self):
+        # a frame without a complement gets one from a complete QR
+        e = Subspace(sample_rotation(4, Rng(5))[:, :2])
+        q = np.concatenate([e.frame, e.complement], axis=1)
+        assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-14
+
     def test_full_dimension(self):
         e = sample_grassmann(3, 3, Rng(1))
         q = e.frame

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from funvol.errors import SchemaError, UnknownSingularity
+from funvol.errors import NonConvergedError, SchemaError, UnknownSingularity
 from funvol.weights import (
     Bump,
     HadClass,
@@ -81,6 +81,16 @@ class TestHadMembership:
         with pytest.raises(UnknownSingularity):
             in_had_class(raw, HadClass(1, 3))
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_unknown_singularity_after_evaluation(self, l):
+        # evaluating the inverse of Bump(0, b) (dyadic pieces toward 0) gives
+        # finite values but certifies nothing about its behavior at 0
+        raw = transform_R_inverse(Bump(0.0, 0.8), l)
+        assert np.all(np.isfinite(raw(log_grid(0.8, 50))))
+        assert raw.value_at_zero() is None
+        with pytest.raises(UnknownSingularity):
+            in_had_class(raw, HadClass(1, 3))
+
     def test_degenerate_class_convention(self):
         # the (0, 0) class coincides with (1, 1): finite limit required
         assert in_had_class(Tent(1.0), HadClass(0, 0))[0]
@@ -132,6 +142,63 @@ class TestTransformClosedForms:
                 tail, _ = quad(lambda t: t * float(z(t)), s, z.support_bound, limit=200)
                 expect = s ** 2 * float(z(s)) + 2.0 * tail
                 assert float(r(s)) == pytest.approx(expect, abs=5e-11), name
+
+
+def _quad_transform(z, l, s):
+    """T^l(z)(s), l may be negative, by scipy quadrature of the defining formula."""
+    se = max(s, z.flat_below)
+    if l > 0:
+        tail, _ = quad(lambda t: t ** (l - 1) * float(z(t)), se, z.support_bound,
+                       limit=200, epsabs=1e-14, epsrel=1e-14)
+        return se ** l * float(z(se)) + l * tail
+    tail, _ = quad(lambda t: float(z(t)) / t ** (1 - l), se, z.support_bound,
+                   limit=200, epsabs=1e-14, epsrel=1e-14)
+    return float(z(se)) / se ** -l + l * tail
+
+
+class TestChebyshevTransform:
+    """Bump-rooted chains: one exactly integrated piecewise Chebyshev fit."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("l", [1, 2, 3, -1, -2, -3])
+    def test_bump_against_quad(self, l):
+        z = Bump(0.2, 0.8)
+        w = transform_R_power(z, l) if l > 0 else transform_R_inverse(z, -l)
+        s = np.array([0.1, 0.2, 0.21, 0.3, 0.45, 0.5, 0.62, 0.75, 0.79])
+        vals = w(s)
+        for si, v in zip(s, vals):
+            assert v == pytest.approx(_quad_transform(z, l, si), abs=5e-11), si
+        assert w.value_at_zero() == pytest.approx(_quad_transform(z, l, 0.2), abs=5e-11)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_bump_at_zero_no_flat_region(self, l):
+        # Bump(0, b): dyadic pieces toward 0; the value at 0 is l * F(0)
+        z = Bump(0.0, 0.8)
+        tail, _ = quad(lambda t: t ** (l - 1) * float(z(t)), 0.0, 0.8,
+                       epsabs=1e-14, epsrel=1e-14)
+        w = transform_R_power(z, l)
+        assert w.value_at_zero() == pytest.approx(l * tail, abs=5e-11)
+        assert float(w(1e-6)) == pytest.approx(l * tail, abs=5e-11)
+
+    def test_unresolvable_fit_raises(self):
+        class Wiggle(Bump):
+            """Oscillates far faster than the piece budget can follow."""
+
+            def _values(self, s):
+                return np.sin(1e6 * s) * (s < self.b)
+
+        w = transform_R_power(Wiggle(0.0, 0.8), 1)
+        with pytest.raises(NonConvergedError):
+            w(0.5)
+
+    def test_nested_chain(self):
+        # T(T(bump)) fits the inner chain's own representation
+        z = Bump(0.2, 0.8)
+        inner = transform_R(z)
+        outer = transform_R(inner)
+        for s in (0.25, 0.5, 0.7):
+            tail, _ = quad(lambda t: float(inner(t)), s, 0.8, epsabs=1e-14, epsrel=1e-14)
+            assert float(outer(s)) == pytest.approx(s * float(inner(s)) + tail, abs=5e-11)
 
 
 class TestTransformProperties:
@@ -262,3 +329,25 @@ class TestJsonSpecs:
             weight_from_spec({"no_type": 1})
         with pytest.raises(SchemaError):
             weight_from_spec({"type": "tent", "s0": -1.0})
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "tent", "s0": math.inf},
+        {"type": "tent", "s0": math.nan},
+        {"type": "bump", "a": 0.2, "b": math.inf},
+        {"type": "bump", "a": math.nan, "b": 0.8},
+        {"type": "bump", "a": 0.2, "b": 1e308},
+        {"type": "poly_capped", "coeffs": [1.0, math.inf]},
+        {"type": "poly_capped", "coeffs": [1.0], "cutoff": math.inf},
+        {"type": "scaled", "factor": math.nan, "inner": {"type": "tent"}},
+    ], ids=lambda spec: "-".join(f"{k}={v}".replace(" ", "") for k, v in spec.items()
+                                 if k != "inner"))
+    def test_non_finite_parameters(self, spec):
+        with pytest.raises(SchemaError):
+            weight_from_spec(spec)
+
+    def test_overflowing_transform(self):
+        # finite parameters whose transform leaves double precision
+        with pytest.raises(SchemaError):
+            transform_R_power(Tent(1e300), 3)
+        with pytest.raises(SchemaError):
+            transform_R_power(Bump(0.2, 1e150), 3)(0.5)
