@@ -6,7 +6,6 @@ verification harness that cross-checks every identity at desk scale.
 """
 from .errors import (
     FunvolError,
-    MinimizerNotFound,
     NonConvergedError,
     NotDifferentiable,
     SchemaError,

@@ -1,8 +1,8 @@
 """Catalog of super-coercive convex functions, their duals, and convex bodies.
 
-Every variant carries exact evaluation; gradients, Hessians, subdifferentials
-and Legendre-Fenchel conjugates are closed catalog-to-catalog maps wherever
-they exist, and raise rather than approximate silently when they do not.  The
+Every variant carries exact evaluation; gradients, Hessians and
+Legendre-Fenchel conjugates are closed catalog-to-catalog maps wherever they
+exist, and raise rather than approximate silently when they do not.  The
 discrete Legendre transform lives here solely as an independent numerical
 oracle for the analytic conjugates.
 """
@@ -20,7 +20,6 @@ from .numerics import MAX_DIM, elem_sym_values, kappa
 __all__ = [
     "ConvexBody", "Ball", "Box", "PolytopeV",
     "body_intrinsic_volume", "project_body", "body_from_spec", "body_to_spec",
-    "Subdifferential",
     "ConvexFunction", "Quadratic", "RadialPower", "Cone", "Indicator",
     "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
     "EpiScaled", "PointwiseScaled", "PlusAffine", "InfConv", "PointwiseSum",
@@ -34,6 +33,11 @@ def _vec(x, n=None):
     if n is not None and v.shape != (n,):
         raise ValueError(f"expected a vector of length {n}, got shape {v.shape}")
     return v
+
+
+def _finite_length(v) -> bool:
+    """|v| is finite (so is <v, f> for every unit f, as projections need)."""
+    return math.isfinite(math.hypot(*v))
 
 
 def _points(x, n):
@@ -60,9 +64,6 @@ class ConvexBody:
 
     def vertices(self) -> np.ndarray:
         raise UnsupportedVariant(f"{type(self).__name__} has no vertex description")
-
-    def bounding_box(self) -> np.ndarray:
-        raise NotImplementedError
 
     def volume(self) -> float:
         raise NotImplementedError
@@ -101,9 +102,6 @@ class Ball(ConvexBody):
         pts, scalar = _points(x, self.n)
         out = np.linalg.norm(pts - self.c, axis=1) <= self.radius + tol
         return bool(out[0]) if scalar else out
-
-    def bounding_box(self):
-        return np.stack([self.c - self.radius, self.c + self.radius], axis=1)
 
     def volume(self):
         return kappa(self.n) * self.radius ** self.n
@@ -150,9 +148,6 @@ class Box(ConvexBody):
     def vertices(self):
         return np.array(list(itertools.product(*self.intervals)))
 
-    def bounding_box(self):
-        return np.array(self.intervals, dtype=float)
-
     def volume(self):
         return float(np.prod(self.side_lengths()))
 
@@ -195,18 +190,12 @@ class PolytopeV(ConvexBody):
     def vertices(self):
         return self._verts.copy()
 
-    def bounding_box(self):
-        return np.stack([self._verts.min(axis=0), self._verts.max(axis=0)], axis=1)
-
     def volume(self):
         return float(self._hull.volume)
 
     def surface(self) -> float:
         # scipy: for 2-d hulls 'area' is the perimeter, for 3-d the surface area
         return float(self._hull.area)
-
-    def facet_equations(self):
-        return self._hull.equations
 
     def mean_width_sum(self) -> float:
         """Sum of edge length times exterior dihedral angle (3-d only)."""
@@ -275,69 +264,6 @@ def project_body(body: ConvexBody, frame: np.ndarray) -> ConvexBody:
 
 
 # ---------------------------------------------------------------------------
-# Subdifferentials
-
-
-class Subdifferential:
-    """Either a singleton gradient, a ball, or conv(points) + cone(directions)."""
-
-    def __init__(self, kind, *, point=None, center=None, radius=0.0,
-                 points=None, directions=None):
-        self.kind = kind
-        self.point = None if point is None else np.asarray(point, dtype=float)
-        self.center = None if center is None else np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.points = None if points is None else np.atleast_2d(np.asarray(points, dtype=float))
-        self.directions = (None if directions is None
-                           else np.atleast_2d(np.asarray(directions, dtype=float)))
-
-    @classmethod
-    def singleton(cls, g):
-        return cls("point", point=g)
-
-    @classmethod
-    def ball(cls, center, radius):
-        return cls("ball", center=center, radius=radius)
-
-    @classmethod
-    def generated(cls, points, directions=None):
-        return cls("generated", points=points, directions=directions)
-
-    @property
-    def is_singleton(self):
-        return self.kind == "point" or (
-            self.kind == "generated" and len(self.points) == 1
-            and (self.directions is None or len(self.directions) == 0))
-
-    def gradient(self):
-        if self.kind == "point":
-            return self.point.copy()
-        if self.is_singleton:
-            return self.points[0].copy()
-        raise ValueError("subdifferential is not a singleton")
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "point":
-            return np.tile(self.point, (count, 1))
-        if self.kind == "ball":
-            n = len(self.center)
-            g = rng.standard_normal((count, n))
-            g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-            r = self.radius * rng.random(count) ** (1.0 / n)
-            return self.center + g * r[:, None]
-        w = rng.random((count, len(self.points)))
-        w /= w.sum(axis=1, keepdims=True)
-        out = w @ self.points
-        if self.directions is not None and len(self.directions):
-            lam = 3.0 * rng.random((count, len(self.directions)))
-            out = out + lam @ self.directions
-        return out
-
-    def __repr__(self):
-        return f"Subdifferential(kind={self.kind!r})"
-
-
-# ---------------------------------------------------------------------------
 # Convex functions
 
 
@@ -382,19 +308,11 @@ class ConvexFunction:
     def _hessian(self, pts):
         raise NotDifferentiable(f"{type(self).__name__} is not twice differentiable")
 
-    def subdifferential(self, x) -> Subdifferential:
-        raise UnsupportedVariant(f"subdifferential unsupported for {type(self).__name__}")
-
     def conjugate(self) -> "ConvexFunction":
         raise UnsupportedVariant(
             f"conjugate of {type(self).__name__} leaves the catalog")
 
     # geometry accessors used by the evaluators --------------------------------
-    @property
-    def domain_body(self) -> ConvexBody | None:
-        """Bounded domain as a body, or None when the domain is all of R^n."""
-        return None
-
     def minimizer(self) -> np.ndarray | None:
         """A global minimizer (the gradient-zero point for smooth variants)."""
         return None
@@ -460,9 +378,6 @@ class Quadratic(ConvexFunction):
         e = float(elem_sym_values(np.linalg.eigvalsh(self.a), degree))
         out = np.full(len(pts), e)
         return float(out[0]) if scalar else out
-
-    def subdifferential(self, x):
-        return Subdifferential.singleton(self.gradient(x))
 
     def conjugate(self):
         ainv = np.linalg.inv(self.a)
@@ -536,9 +451,6 @@ class RadialPower(ConvexFunction):
                + (math.comb(self.n - 1, i - 1) * tang ** (i - 1) * rad if i >= 1 else 0.0))
         return float(out[0]) if scalar else out
 
-    def subdifferential(self, x):
-        return Subdifferential.singleton(self.gradient(x))
-
     def conjugate(self):
         q = self.p / (self.p - 1.0)
         return RadialPower(self.n, q, self.scale ** (1.0 - q))
@@ -582,27 +494,8 @@ class Cone(ConvexFunction):
             raise NotDifferentiable("cone gradient defined for 0 < |x| <= r only")
         return self.t * pts / norms[:, None]
 
-    def subdifferential(self, x):
-        x = _vec(x, self.n)
-        norm = float(np.linalg.norm(x))
-        if norm > self.r + 1e-12:
-            raise ValueError("point outside the cone's domain")
-        if norm <= 1e-14:
-            return Subdifferential.ball(np.zeros(self.n), self.t)
-        unit = x / norm
-        if norm >= self.r - 1e-12:
-            return Subdifferential.generated([self.t * unit], [unit])
-        return Subdifferential.singleton(self.t * unit)
-
     def conjugate(self):
         return RadialHinge(self.n, self.t, self.r)
-
-    @property
-    def domain_body(self):
-        return Ball(self.r, np.zeros(self.n))
-
-    def minimizer(self):
-        return np.zeros(self.n)
 
     def radial_profile(self):
         def phi(r):
@@ -629,20 +522,6 @@ class RadialHinge(ConvexFunction):
     def _eval(self, pts):
         return self.r * np.maximum(0.0, np.linalg.norm(pts, axis=1) - self.t)
 
-    def subdifferential(self, x):
-        x = _vec(x, self.n)
-        norm = float(np.linalg.norm(x))
-        if norm <= 1e-14:
-            if self.t > 0:
-                return Subdifferential.singleton(np.zeros(self.n))
-            return Subdifferential.ball(np.zeros(self.n), self.r)
-        unit = x / norm
-        if norm < self.t - 1e-12:
-            return Subdifferential.singleton(np.zeros(self.n))
-        if norm <= self.t + 1e-12:
-            return Subdifferential.generated([np.zeros(self.n), self.r * unit])
-        return Subdifferential.singleton(self.r * unit)
-
     def conjugate(self):
         return Cone(self.n, self.t, self.r)
 
@@ -665,48 +544,8 @@ class Indicator(ConvexFunction):
     def _eval(self, pts):
         return np.where(self.body.contains(pts), 0.0, np.inf)
 
-    def subdifferential(self, x):
-        x = _vec(x, self.n)
-        if not self.body.contains(x):
-            raise ValueError("point outside the domain")
-        body = self.body
-        if isinstance(body, Ball):
-            d = float(np.linalg.norm(x - body.c))
-            if d < body.radius - 1e-12:
-                return Subdifferential.singleton(np.zeros(self.n))
-            return Subdifferential.generated([np.zeros(self.n)], [(x - body.c) / body.radius])
-        if isinstance(body, Box):
-            dirs = []
-            for i, (a, b) in enumerate(body.intervals):
-                if x[i] >= b - 1e-12:
-                    dirs.append(np.eye(self.n)[i])
-                if x[i] <= a + 1e-12:
-                    dirs.append(-np.eye(self.n)[i])
-            if not dirs:
-                return Subdifferential.singleton(np.zeros(self.n))
-            return Subdifferential.generated([np.zeros(self.n)], dirs)
-        if isinstance(body, PolytopeV):
-            eq = body.facet_equations()
-            resid = eq[:, :-1] @ x + eq[:, -1]
-            active = eq[np.abs(resid) <= 1e-10, :-1]
-            if len(active) == 0:
-                return Subdifferential.singleton(np.zeros(self.n))
-            return Subdifferential.generated([np.zeros(self.n)], active)
-        raise UnsupportedVariant("indicator subdifferential for this body")
-
     def conjugate(self):
         return SupportFn(self.body)
-
-    @property
-    def domain_body(self):
-        return self.body
-
-    def minimizer(self):
-        if isinstance(self.body, Ball):
-            return self.body.c
-        if isinstance(self.body, Box):
-            return 0.5 * (self.body.lo + self.body.hi)
-        return self.body.vertices().mean(axis=0)
 
     def radial_profile(self):
         if isinstance(self.body, Ball) and not np.any(self.body.c):
@@ -734,29 +573,6 @@ class SupportFn(ConvexFunction):
     def _eval(self, pts):
         return np.asarray(self.body.support(pts))
 
-    def subdifferential(self, x):
-        x = _vec(x, self.n)
-        body = self.body
-        norm = float(np.linalg.norm(x))
-        if isinstance(body, Ball):
-            if norm <= 1e-14:
-                return Subdifferential.ball(body.c, body.radius)
-            return Subdifferential.singleton(body.c + body.radius * x / norm)
-        if isinstance(body, Box):
-            pts = []
-            lo, hi = body.lo, body.hi
-            choices = [(hi[i],) if x[i] > 1e-12 else (lo[i],) if x[i] < -1e-12
-                       else (lo[i], hi[i]) for i in range(self.n)]
-            for combo in itertools.product(*choices):
-                pts.append(np.array(combo))
-            return Subdifferential.generated(pts)
-        if isinstance(body, PolytopeV):
-            verts = body.vertices()
-            vals = verts @ x
-            active = verts[vals >= vals.max() - 1e-10 * max(1.0, abs(vals.max()))]
-            return Subdifferential.generated(active)
-        raise UnsupportedVariant("support-function subdifferential for this body")
-
     def conjugate(self):
         return Indicator(self.body)
 
@@ -777,6 +593,10 @@ class MaxAffine(ConvexFunction):
         self.offsets = np.asarray(offsets, dtype=float)
         if len(self.slopes) != len(self.offsets):
             raise ValueError("slopes and offsets must have equal length")
+        if not (all(map(_finite_length, self.slopes))
+                and np.all(np.isfinite(self.offsets))):
+            raise ValueError("max-affine slopes need a finite length and offsets "
+                             "must be finite")
         self.n = self.slopes.shape[1]
         self.domain = domain
         self.is_finite = domain is None
@@ -788,18 +608,6 @@ class MaxAffine(ConvexFunction):
             vals = np.where(self.domain.contains(pts), vals, np.inf)
         return vals
 
-    def subdifferential(self, x):
-        x = _vec(x, self.n)
-        vals = self.slopes @ x + self.offsets
-        active = self.slopes[vals >= vals.max() - 1e-10 * max(1.0, abs(vals.max()))]
-        if self.domain is not None and not self.domain.contains(x):
-            raise ValueError("point outside the domain")
-        if self.domain is not None:
-            inner = Indicator(self.domain).subdifferential(x)
-            if not inner.is_singleton:
-                raise UnsupportedVariant("max-affine subdifferential on the domain boundary")
-        return Subdifferential.generated(active)
-
     def conjugate(self):
         if self.domain is None and not self.offsets.any() and self.n <= 3:
             if self.n == 1:
@@ -807,10 +615,6 @@ class MaxAffine(ConvexFunction):
                 return Indicator(Box([(lo, hi)]))
             return Indicator(PolytopeV(self.slopes))
         raise UnsupportedVariant("conjugate of this max-affine form leaves the catalog")
-
-    @property
-    def domain_body(self):
-        return self.domain
 
     def to_spec(self):
         spec = {"type": "max_affine", "slopes": self.slopes.tolist(),
@@ -827,6 +631,8 @@ class EpiTranslated(ConvexFunction):
         self.inner = inner
         self.x0 = _vec(x0, inner.n)
         self.alpha = float(alpha)
+        if not (_finite_length(self.x0) and math.isfinite(self.alpha)):
+            raise ValueError("epi-translation needs an x0 of finite length and a finite alpha")
         self.n = inner.n
         self.is_supercoercive = inner.is_supercoercive
         self.is_finite = inner.is_finite
@@ -845,24 +651,8 @@ class EpiTranslated(ConvexFunction):
         out = np.atleast_1d(self.inner.hessian_elem_sym(pts - self.x0, degree))
         return float(out[0]) if scalar else out
 
-    def subdifferential(self, x):
-        return self.inner.subdifferential(_vec(x, self.n) - self.x0)
-
     def conjugate(self):
         return PlusAffine(self.inner.conjugate(), self.x0, -self.alpha)
-
-    @property
-    def domain_body(self):
-        inner = self.inner.domain_body
-        if inner is None:
-            return None
-        if isinstance(inner, Ball):
-            return Ball(inner.radius, inner.c + self.x0)
-        if isinstance(inner, Box):
-            return Box(np.stack([inner.lo + self.x0, inner.hi + self.x0], axis=1))
-        if isinstance(inner, PolytopeV):
-            return PolytopeV(inner.vertices() + self.x0)
-        return None
 
     def minimizer(self):
         m = self.inner.minimizer()
@@ -907,23 +697,8 @@ class Rotated(ConvexFunction):
         out = np.atleast_1d(self.inner.hessian_elem_sym(pts @ self.q, degree))
         return float(out[0]) if scalar else out
 
-    def subdifferential(self, x):
-        inner = self.inner.subdifferential(self.q.T @ _vec(x, self.n))
-        return _map_subdiff(inner, lambda v: self.q @ v)
-
     def conjugate(self):
         return Rotated(self.inner.conjugate(), self.q)
-
-    @property
-    def domain_body(self):
-        inner = self.inner.domain_body
-        if inner is None:
-            return None
-        if isinstance(inner, Ball):
-            return Ball(inner.radius, self.q @ inner.c)
-        if isinstance(inner, (Box, PolytopeV)) and self.n in (2, 3):
-            return PolytopeV(inner.vertices() @ self.q.T)
-        return None
 
     def minimizer(self):
         m = self.inner.minimizer()
@@ -944,8 +719,8 @@ class EpiScaled(ConvexFunction):
 
     def __new__(cls, inner: ConvexFunction, lam: float):
         lam = float(lam)
-        if lam <= 0:
-            raise ValueError("epigraph scaling needs lam > 0")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError("epigraph scaling needs a finite lam > 0")
         # exact folds keep the catalog small
         if isinstance(inner, Quadratic):
             return Quadratic(inner.a / lam, inner.b, lam * inner.c)
@@ -975,9 +750,6 @@ class EpiScaled(ConvexFunction):
     def _hessian(self, pts):
         return self.inner._hessian(pts / self.lam) / self.lam
 
-    def subdifferential(self, x):
-        return self.inner.subdifferential(_vec(x, self.n) / self.lam)
-
     def conjugate(self):
         return PointwiseScaled(self.inner.conjugate(), self.lam)
 
@@ -999,10 +771,11 @@ class PointwiseScaled(ConvexFunction):
     """c * v(x) for c > 0 (dual companion of epigraph scaling)."""
 
     def __init__(self, inner: ConvexFunction, c: float):
-        if c <= 0:
-            raise ValueError("pointwise scaling needs c > 0")
+        c = float(c)
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError("pointwise scaling needs a finite c > 0")
         self.inner = inner
-        self.c = float(c)
+        self.c = c
         self.n = inner.n
         self.is_supercoercive = inner.is_supercoercive
         self.is_finite = inner.is_finite
@@ -1015,10 +788,6 @@ class PointwiseScaled(ConvexFunction):
 
     def _hessian(self, pts):
         return self.c * self.inner._hessian(pts)
-
-    def subdifferential(self, x):
-        return _map_subdiff(self.inner.subdifferential(x), lambda v: self.c * v,
-                            scale_radius=self.c)
 
     def conjugate(self):
         return EpiScaled(self.inner.conjugate(), self.c)
@@ -1034,6 +803,9 @@ class PlusAffine(ConvexFunction):
         self.inner = inner
         self.slope = _vec(slope, inner.n)
         self.const = float(const)
+        if not (_finite_length(self.slope) and math.isfinite(self.const)):
+            raise ValueError("affine term needs a slope of finite length and a finite "
+                             "constant")
         self.n = inner.n
         self.is_supercoercive = inner.is_supercoercive
         self.is_finite = inner.is_finite
@@ -1046,10 +818,6 @@ class PlusAffine(ConvexFunction):
 
     def _hessian(self, pts):
         return self.inner._hessian(pts)
-
-    def subdifferential(self, x):
-        return _map_subdiff(self.inner.subdifferential(x), lambda v: v + self.slope,
-                            shift=self.slope)
 
     def conjugate(self):
         return EpiTranslated(self.inner.conjugate(), self.slope, -self.const)
@@ -1088,26 +856,8 @@ class PointwiseSum(ConvexFunction):
     def _hessian(self, pts):
         return self.left._hessian(pts) + self.right._hessian(pts)
 
-    def subdifferential(self, x):
-        a = self.left.subdifferential(x)
-        b = self.right.subdifferential(x)
-        if a.is_singleton:
-            return _map_subdiff(b, lambda v: v + a.gradient(), shift=a.gradient())
-        if b.is_singleton:
-            return _map_subdiff(a, lambda v: v + b.gradient(), shift=b.gradient())
-        raise UnsupportedVariant("sum of two non-singleton subdifferentials")
-
     def conjugate(self):
         return InfConv(self.left.conjugate(), self.right.conjugate())
-
-    @property
-    def domain_body(self):
-        bodies = [b for b in (self.left.domain_body, self.right.domain_body) if b is not None]
-        if not bodies:
-            return None
-        if len(bodies) == 1:
-            return bodies[0]
-        raise UnsupportedVariant("intersection of two bounded domains is not realized")
 
     def to_spec(self):
         return {"type": "sum", "left": self.left.to_spec(), "right": self.right.to_spec()}
@@ -1174,22 +924,6 @@ def _scale_body(body: ConvexBody, lam: float) -> ConvexBody:
     if isinstance(body, PolytopeV):
         return PolytopeV(lam * body.vertices())
     raise UnsupportedVariant("cannot scale this body")
-
-
-def _map_subdiff(sd: Subdifferential, f, shift=None, scale_radius=1.0) -> Subdifferential:
-    if sd.kind == "point":
-        return Subdifferential.singleton(f(sd.point))
-    if sd.kind == "ball":
-        center = f(sd.center) if shift is None else sd.center + shift
-        return Subdifferential.ball(center, sd.radius * scale_radius)
-    pts = np.array([f(p) for p in sd.points])
-    dirs = None
-    if sd.directions is not None and len(sd.directions):
-        if shift is not None:
-            dirs = sd.directions.copy()
-        else:
-            dirs = np.array([f(d) - f(np.zeros_like(d)) for d in sd.directions])
-    return Subdifferential.generated(pts, dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -1333,7 +1067,8 @@ def function_from_spec(spec: dict) -> ConvexFunction:
                                 function_from_spec(spec["right"]))
     except KeyError as exc:
         raise SchemaError(f"function spec '{t}' is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a catalog fold such as lam ** (1 - p) leaves double precision
         raise SchemaError(f"invalid function spec '{t}': {exc}") from exc
     raise SchemaError(f"unknown function type {t!r}")
 

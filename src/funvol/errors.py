@@ -22,10 +22,6 @@ class UnknownSingularity(FunvolError):
     """Singularity descriptor unavailable (inverse-transform chain without a certified flat region)."""
 
 
-class MinimizerNotFound(FunvolError):
-    """Numeric inner minimization failed to converge."""
-
-
 class NonConvergedError(FunvolError):
     """Adaptive quadrature hit its depth/panel budget with the error still above tolerance.
 

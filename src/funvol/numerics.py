@@ -117,9 +117,6 @@ class QuadratureResult:
     error: float
     evaluations: int
 
-    def __iter__(self):
-        return iter((self.value, self.error))
-
 
 _LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -3,9 +3,8 @@
 A subspace is stored as a column-orthonormal frame identifying it with R^k;
 rotation invariance of everything downstream makes the frame choice
 immaterial.  Projection functions (minimum over the orthogonal fiber) are
-realized as catalog variants wherever a closed form exists; the numeric
-fallback is coordinate descent over the fiber with Armijo backtracking and a
-visible convergence report.
+realized as catalog variants wherever a closed form exists; any other source
+raises UnsupportedVariant, as an unrealized restriction does.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      InfConv, MaxAffine, PlusAffine, PointwiseScaled,
                      PointwiseSum, Quadratic, RadialHinge, RadialPower,
                      Rotated, SupportFn, project_body)
-from .errors import MinimizerNotFound, NotDifferentiable, UnsupportedVariant
+from .errors import UnsupportedVariant
 from .numerics import Rng
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "project_function",
     "restrict_function",
     "check_conjugate_projection",
-    "check_projection_subgradient",
-    "SubgradientVerdict",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -93,84 +90,12 @@ class ProjectedFunction:
     realized: ConvexFunction
 
 
-class NumericProjection(ConvexFunction):
-    """Fallback realization evaluating the fiber minimum numerically.
-
-    Coordinate descent over the fiber with Armijo backtracking; iteration
-    counts of the last evaluation are kept for reporting.
-    """
-
-    is_supercoercive = True
-
-    def __init__(self, source: ConvexFunction, subspace: Subspace,
-                 tol: float = 1e-10, max_sweeps: int = 400):
-        self.source = source
-        self.subspace = subspace
-        self.tol = tol
-        self.max_sweeps = max_sweeps
-        self.n = subspace.k
-        self.last_iterations = 0
-
-    def _minimize_fiber(self, base: np.ndarray) -> tuple[float, np.ndarray, int]:
-        g = self.subspace.complement
-        m = g.shape[1]
-        w = np.zeros(m)
-        f = float(self.source(base))
-        if m == 0:
-            return f, w, 0
-        sweeps = 0
-        step0 = 1.0
-        h = 1e-7
-        for sweeps in range(1, self.max_sweeps + 1):
-            f_before = f
-            for i in range(m):
-                e = g[:, i]
-
-                def val(t):
-                    return float(self.source(base + g @ w + t * e))
-
-                slope = (val(h) - val(-h)) / (2.0 * h)
-                if not np.isfinite(slope):
-                    # one-sided probe at a domain boundary
-                    slope = (val(h) - f) / h if np.isfinite(val(h)) else (f - val(-h)) / h
-                if abs(slope) < self.tol:
-                    continue
-                direction = -np.sign(slope)
-                alpha = step0
-                while alpha > 1e-14:
-                    cand = val(direction * alpha)
-                    if cand <= f - 0.25 * alpha * abs(slope):
-                        w[i] += direction * alpha
-                        f = cand
-                        break
-                    alpha *= 0.5
-            if f_before - f < self.tol:
-                return f, w, sweeps
-        raise MinimizerNotFound(
-            f"fiber minimization did not converge in {self.max_sweeps} sweeps")
-
-    def _eval(self, pts):
-        out = np.empty(len(pts))
-        iters = 0
-        for i, xe in enumerate(pts):
-            base = self.subspace.frame @ xe
-            out[i], _, it = self._minimize_fiber(base)
-            iters = max(iters, it)
-        self.last_iterations = iters
-        return out
-
-    def fiber_minimizer(self, x_e) -> np.ndarray:
-        base = self.subspace.frame @ np.asarray(x_e, dtype=float)
-        _, w, _ = self._minimize_fiber(base)
-        return base + self.subspace.complement @ w
-
-
 def project_function(u: ConvexFunction, e: Subspace) -> ProjectedFunction:
     """Projection function of a super-coercive u onto a subspace.
 
     Closed forms per variant (Schur complement for quadratics, dimension drop
-    for radial variants, body shadow for indicators); anything else falls back
-    to numeric fiber minimization.
+    for radial variants, body shadow for indicators, and the wrappers built on
+    them); any other source raises UnsupportedVariant.
     """
     if not u.is_supercoercive:
         raise UnsupportedVariant("projection functions need a super-coercive source")
@@ -213,7 +138,7 @@ def _project(u: ConvexFunction, e: Subspace) -> ConvexFunction:
         return PointwiseScaled(_project(u.inner, e), u.c)
     if isinstance(u, InfConv):
         return InfConv(_project(u.left, e), _project(u.right, e))
-    return NumericProjection(u, e)
+    raise UnsupportedVariant(f"projection of {type(u).__name__} is not realized")
 
 
 def restrict_function(v: ConvexFunction, e: Subspace) -> ConvexFunction:
@@ -264,59 +189,3 @@ def check_conjugate_projection(u: ConvexFunction, e: Subspace, grid) -> float:
     diff = np.abs(lhs - rhs)
     diff[both_inf] = 0.0
     return float(diff.max())
-
-
-@dataclass(frozen=True)
-class SubgradientVerdict:
-    ok: bool
-    max_violation: float
-    minimizer: np.ndarray
-    lifted_gradient: np.ndarray
-    iterations: int
-
-
-def check_projection_subgradient(u: ConvexFunction, e: Subspace, x_e, rng: Rng,
-                                 trials: int = 200) -> SubgradientVerdict:
-    """Verify that the projected gradient at x_E lifts to a subgradient of u.
-
-    Finds a fiber minimizer x (closed form or numeric), sets y = frame @ grad,
-    and tests the subgradient inequality at random points.
-    """
-    x_e = np.asarray(x_e, dtype=float)
-    proj = project_function(u, e).realized
-    try:
-        y_e = proj.gradient(x_e)
-    except NotDifferentiable:
-        sd = proj.subdifferential(x_e)
-        if not sd.is_singleton:
-            raise
-        y_e = sd.gradient()
-    x, iters = _fiber_minimizer(u, e, x_e)
-    y = e.frame @ y_e
-    gen = rng.generator()
-    z = x + gen.uniform(-2.0, 2.0, size=(trials, u.n))
-    vals = np.asarray(u(z))
-    bound = float(u(x)) + (z - x) @ y
-    finite = np.isfinite(vals)
-    violation = float(np.maximum(bound[finite] - vals[finite], 0.0).max(initial=0.0))
-    return SubgradientVerdict(violation <= 1e-10, violation, x, y, iters)
-
-
-def _fiber_minimizer(u: ConvexFunction, e: Subspace, x_e) -> tuple[np.ndarray, int]:
-    f, g = e.frame, e.complement
-    if isinstance(u, Quadratic):
-        if e.k == u.n:
-            return f @ x_e, 0
-        a_gg = g.T @ u.a @ g
-        w = -np.linalg.solve(a_gg, g.T @ (u.a @ (f @ x_e)) + g.T @ u.b)
-        return f @ x_e + g @ w, 0
-    if isinstance(u, (RadialPower, Cone)):
-        return f @ x_e, 0
-    if isinstance(u, Indicator) and u.body.contains(f @ x_e):
-        return f @ x_e, 0
-    if isinstance(u, EpiTranslated):
-        x_inner, it = _fiber_minimizer(u.inner, e, np.asarray(x_e) - f.T @ u.x0)
-        return x_inner + u.x0, it
-    numeric = NumericProjection(u, e)
-    x = numeric.fiber_minimizer(x_e)
-    return x, numeric.last_iterations

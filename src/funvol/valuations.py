@@ -41,8 +41,6 @@ __all__ = [
     "cone_closed_form",
     "retrieval_check",
     "classical_ck_check",
-    "hessian_measure_integral",
-    "conjugation_pushforward_check",
     "reilly_radial_check",
 ]
 
@@ -261,9 +259,9 @@ def eval_cauchy_kubota(spec: ValuationSpec, u: ConvexFunction,
                       evals, samples)
 
 
-def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction,
+def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction | None,
                  rng: Rng, cfg: QuadratureConfig, samples: int):
-    """Degree-j functional intrinsic volume of a k-dimensional projection."""
+    """Degree-j functional intrinsic volume of a k-dimensional projection (None for j = 0)."""
     if k == 0:
         v0 = xi.value_at_zero()
         return float(v0), 0.0, 0
@@ -294,7 +292,8 @@ def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
     def one(i):
         stream = rng.stream(i)
         e = sample_grassmann(n, k, stream)
-        w = project_function(u, e).realized
+        # the degree-0 value is a constant that needs no projection
+        w = project_function(u, e).realized if j > 0 else None
         return _z_lower_dim(j, k, xi, w, stream.stream(0), cfg, samples)
 
     results = [one(i) for i in range(samples)]
@@ -457,27 +456,6 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
     return CheckResult(lhs, rhs, coeff * err,
                        rhs_result=EvalResult(rhs, coeff * err, "classical_ck",
                                              0, samples))
-
-
-def hessian_measure_integral(u: ConvexFunction, j: int, beta: WeightFunction,
-                             cfg: QuadratureConfig | None = None) -> EvalResult:
-    """integral of beta(|grad u|) e_{n-j}(Hessian): the gradient-pushforward measure
-    of the degree-j Hessian density, integrated against a radial test function."""
-    cfg = cfg or DEFAULT_CONFIG
-    res = _smooth_integral(u, beta, u.n - j, cfg)
-    return EvalResult(res.value, res.error, "hessian_measure", res.evaluations)
-
-
-def conjugation_pushforward_check(u: ConvexFunction, j: int, beta: WeightFunction,
-                                  cfg: QuadratureConfig | None = None) -> CheckResult:
-    """Gradient-pushforward measure of u versus the Hessian measure of its conjugate."""
-    cfg = cfg or DEFAULT_CONFIG
-    lhs = hessian_measure_integral(u, j, beta, cfg)
-    rhs = _dual_integral(j, beta, conjugate(u), cfg)
-    return CheckResult(lhs.value, rhs.value, lhs.error + rhs.error,
-                       lhs_result=lhs,
-                       rhs_result=EvalResult(rhs.value, rhs.error, "dual_integral",
-                                             rhs.evaluations))
 
 
 def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,

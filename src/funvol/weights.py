@@ -226,35 +226,18 @@ class PowerLogForm:
             pieces.append(_Piece(a, b, tuple(terms)))
         return PowerLogForm(pieces, s_max)
 
-    def transform_power(self, l: int) -> "PowerLogForm":
-        """T^l for l >= 1: s^l z(s) + l * int_s^inf t^{l-1} z(t) dt, exactly."""
+    def transform(self, p: int) -> "PowerLogForm":
+        """T^p for p != 0 of either sign: s^p z(s) + p * int_s^inf t^{p-1} z(t) dt, exactly."""
         new_pieces = []
-        tail = 0.0  # integral of t^{l-1} z over everything right of the current piece
+        tail = 0.0  # integral of t^{p-1} z over everything right of the current piece
         for pc in reversed(self.pieces):
-            g = _antiderivative(_shift(pc.terms, l - 1))
+            g = _antiderivative(_shift(pc.terms, p - 1))
             g_hi = float(_eval_terms(g, np.array([pc.hi]))[0]) if g else 0.0
-            const = l * (tail + g_hi)
-            terms = list(_shift(pc.terms, l))
-            terms.append(_Term(const, 0.0, 0))
-            terms.extend(_scale_terms(g, -l))
+            terms = list(_shift(pc.terms, p))
+            terms.append(_Term(p * (tail + g_hi), 0.0, 0))
+            terms.extend(_scale_terms(g, -p))
             new_pieces.append(_Piece(pc.lo, pc.hi, tuple(terms)))
             if pc.lo > 0.0:  # the first piece's own integral is never consumed
-                g_lo = float(_eval_terms(g, np.array([pc.lo]))[0]) if g else 0.0
-                tail += g_hi - g_lo
-        return PowerLogForm(list(reversed(new_pieces)), self.s_max)
-
-    def transform_inverse(self, l: int) -> "PowerLogForm":
-        """T^{-l} for l >= 1: z(s)/s^l - l * int_s^inf z(t)/t^{l+1} dt, exactly."""
-        new_pieces = []
-        tail = 0.0
-        for pc in reversed(self.pieces):
-            g = _antiderivative(_shift(pc.terms, -l - 1))
-            g_hi = float(_eval_terms(g, np.array([pc.hi]))[0]) if g else 0.0
-            terms = list(_shift(pc.terms, -l))
-            terms.append(_Term(-l * (tail + g_hi), 0.0, 0))
-            terms.extend(_scale_terms(g, l))
-            new_pieces.append(_Piece(pc.lo, pc.hi, tuple(terms)))
-            if pc.lo > 0.0:
                 g_lo = float(_eval_terms(g, np.array([pc.lo]))[0]) if g else 0.0
                 tail += g_hi - g_lo
         return PowerLogForm(list(reversed(new_pieces)), self.s_max)
@@ -275,14 +258,15 @@ class WeightFunction:
         s_arr = np.atleast_1d(s_arr)
         if np.any(s_arr < 0):
             raise ValueError("weights are defined for s >= 0")
-        out = np.zeros_like(s_arr)
+        out = np.full_like(s_arr, np.nan)  # a NaN argument stays NaN
         pos = s_arr > 0
         out[pos] = self._values(s_arr[pos])
-        if np.any(~pos):
+        zero = s_arr == 0
+        if np.any(zero):
             v0 = self.value_at_zero()
             if v0 is None:
                 raise ValueError("weight has no finite limit at 0")
-            out[~pos] = v0
+            out[zero] = v0
         return float(out[0]) if scalar else out
 
     # subclass API ----------------------------------------------------------
@@ -591,13 +575,8 @@ class TransformedWeight(WeightFunction):
         self.inner = inner
         self.power = int(power)
         self.support_bound = inner.support_bound
-        self._form = None
         inner_form = inner.closed_form()
-        if inner_form is not None:
-            if power > 0:
-                self._form = inner_form.transform_power(power)
-            else:
-                self._form = inner_form.transform_inverse(-power)
+        self._form = None if inner_form is None else inner_form.transform(self.power)
 
     @cached_property
     def _tail(self) -> _ChebTail:

@@ -284,6 +284,18 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    def test_seed_zero_overrides_manifest(self, capsys, tmp_path):
+        manifest = [{"id": "cone",
+                     "params": {"n": 2, "j": 1, "zeta": {"type": "tent", "s0": 1.0},
+                                "t": 0.5, "samples": 4, "seed": 5},
+                     "tolerance": {"absolute": 1e-6}}]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        for argv, seed in (((), 5), (("--seed", "1"), 1), (("--seed", "0"), 0)):
+            code, out, _ = run_cli(capsys, "verify", "--manifest", str(path), *argv)
+            assert code == 0
+            assert json.loads(out)["cases"][0]["case"]["params"]["seed"] == seed, argv
+
     def test_mistyped_tolerance_exit_2(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([{"id": "cone", "params": {},
@@ -381,7 +393,7 @@ class TestFlagFuzz:
 # Spec fuzzing: parameters mix ordinary values with the edges of double
 # precision and with values of the wrong type.
 NUMBERS = st.one_of(
-    st.sampled_from([0.0, 0.2, 0.8, 1.0, 2.0, -1.0, 1e-300, 1e150, 1e308,
+    st.sampled_from([0.0, 0.2, 0.8, 1.0, 2.0, -1.0, 1e-300, 1e150, 1e308, 1.7e308,
                      math.inf, -math.inf, math.nan]),
     st.floats(-3.0, 3.0), st.integers(-2, 4))
 PARAMS = NUMBERS | st.sampled_from([None, "x", [1.0], True])
@@ -407,7 +419,7 @@ BODIES = st.one_of(
                            "intervals": st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
                                                  min_size=2, max_size=2)}),
     st.fixed_dictionaries({"type": st.just("polytope"), "vertices": POINTS}))
-FUNCTIONS = st.one_of(
+LEAF_FUNCTIONS = st.one_of(
     st.fixed_dictionaries({"type": st.just("quadratic"),
                            "A": st.lists(st.lists(NUMBERS, min_size=2, max_size=2),
                                          min_size=2, max_size=2)},
@@ -419,7 +431,32 @@ FUNCTIONS = st.one_of(
     st.fixed_dictionaries({"type": st.just("radial_power"), "n": st.integers(0, 3),
                            "p": PARAMS}, optional={"scale": PARAMS}),
     st.fixed_dictionaries({"type": st.sampled_from(["indicator", "support"]),
-                           "body": BODIES}))
+                           "body": BODIES}),
+    st.fixed_dictionaries({"type": st.just("max_affine"), "slopes": POINTS,
+                           "offsets": st.lists(NUMBERS, min_size=1, max_size=4)},
+                          optional={"domain": BODIES}),
+    # valid leaves, so that the wrappers' own parameters reach the evaluators
+    st.sampled_from([
+        {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0], "c": 0.0},
+        {"type": "radial_power", "n": 2, "p": 4.0},
+        {"type": "cone", "n": 2, "t": 0.5},
+        {"type": "indicator", "body": {"type": "ball", "r": 1.0, "center": [0.0, 0.0]}},
+        {"type": "radial_hinge", "n": 2, "t": 0.5}]))
+VECTORS = st.lists(NUMBERS, min_size=2, max_size=2)
+ORTHOGONAL = st.one_of(
+    st.sampled_from([[[0.6, -0.8], [0.8, 0.6]], [[0.0, 1.0], [1.0, 0.0]]]),
+    st.lists(VECTORS, min_size=2, max_size=2))
+FUNCTIONS = st.recursive(LEAF_FUNCTIONS, lambda inner: st.one_of(
+    st.fixed_dictionaries({"type": st.just("epi_translate"), "x0": VECTORS, "inner": inner},
+                          optional={"alpha": PARAMS}),
+    st.fixed_dictionaries({"type": st.just("rotate"), "Q": ORTHOGONAL, "inner": inner}),
+    st.fixed_dictionaries({"type": st.just("epi_scale"), "lambda": PARAMS, "inner": inner}),
+    st.fixed_dictionaries({"type": st.just("pointwise_scaled"), "factor": PARAMS,
+                           "inner": inner}),
+    st.fixed_dictionaries({"type": st.just("plus_affine"), "slope": VECTORS, "inner": inner},
+                          optional={"const": PARAMS}),
+    st.fixed_dictionaries({"type": st.sampled_from(["sum", "inf_conv"]),
+                           "left": inner, "right": inner})), max_leaves=3)
 # the three reproductions that used to escape as tracebacks
 FLAT_POLYTOPE = {"type": "indicator",
                  "body": {"type": "polytope",
@@ -427,6 +464,10 @@ FLAT_POLYTOPE = {"type": "indicator",
 INFINITE_BUMP = {"type": "bump", "a": 0.2, "b": math.inf}
 HUGE_BUMP = {"type": "bump", "a": 0.2, "b": 1e308}
 INFINITE_TENT = {"type": "tent", "s0": math.inf}
+# an infinite translate used to print the value of the untranslated function
+INFINITE_TRANSLATE = {"type": "epi_translate", "x0": [math.inf, 0.0],
+                      "inner": {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]],
+                                "b": [0.0, 0.0], "c": 0.0}}
 
 
 def _check_exit(code, out, err):
@@ -452,18 +493,23 @@ class TestSpecFuzz:
         code, out, err = run_captured(argv + ["--inverse"] if inverse else argv)
         _check_exit(code, out, err)
 
-    @given(function=FUNCTIONS, zeta=WEIGHTS)
-    @example(function=FLAT_POLYTOPE, zeta={"type": "tent", "s0": 1.0})
-    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=INFINITE_BUMP)
-    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=HUGE_BUMP)
+    @given(function=FUNCTIONS, zeta=st.just({"type": "tent", "s0": 1.0}) | WEIGHTS,
+           method=st.sampled_from(["smooth", "ck", "dual"]))
+    @example(function=FLAT_POLYTOPE, zeta={"type": "tent", "s0": 1.0}, method="ck")
+    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=INFINITE_BUMP, method="ck")
+    @example(function={"type": "cone", "n": 2, "t": 0.5}, zeta=HUGE_BUMP, method="ck")
+    @example(function=INFINITE_TRANSLATE, zeta={"type": "tent", "s0": 1.0}, method="smooth")
+    @example(function={"type": "epi_scale", "lambda": 0.2,
+                       "inner": {"type": "radial_power", "n": 2, "p": 1e150}},
+             zeta={"type": "tent", "s0": 1.0}, method="smooth")
     @settings(max_examples=100, deadline=None)
-    def test_compute(self, tmp_path_factory, function, zeta):
+    def test_compute(self, tmp_path_factory, function, zeta, method):
         root = tmp_path_factory.mktemp("spec")
         (root / "u.json").write_text(json.dumps(function))
         (root / "zeta.json").write_text(json.dumps(zeta))
         code, out, err = run_captured(
             ["compute", "--function", str(root / "u.json"), "--zeta", str(root / "zeta.json"),
-             "--method", "ck", "--j", "1", "--samples", "8"])
+             "--method", method, "--j", "1", "--samples", "8"])
         _check_exit(code, out, err)
 
     @pytest.mark.parametrize("zeta", [INFINITE_BUMP, HUGE_BUMP, INFINITE_TENT],
@@ -473,6 +519,15 @@ class TestSpecFuzz:
         path.write_text(json.dumps(zeta))
         code, out, err = run_captured(["transform", "--zeta", str(path), "--power", "1",
                                        "--grid", "0.1:0.9:3"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    def test_infinite_translate_exit_2(self, tmp_path, fuzz_files):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(INFINITE_TRANSLATE))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", "smooth",
+                                       "--j", "1"])
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 

@@ -17,11 +17,10 @@ from funvol.convex import (
     Rotated,
 )
 from funvol.numerics import Rng
+from funvol.errors import UnsupportedVariant
 from funvol.subspaces import (
-    NumericProjection,
     Subspace,
     check_conjugate_projection,
-    check_projection_subgradient,
     project_function,
     restrict_function,
     sample_grassmann,
@@ -150,16 +149,13 @@ class TestProjection:
                     assert got == pytest.approx(brute, abs=2e-3), (idx, t)
                     assert got <= brute + 1e-10
 
-    def test_numeric_fallback_matches_closed_form(self):
-        u = Quadratic(np.array([[2.0, 0.4], [0.4, 1.0]]), [0.1, -0.2])
-        e = span([2.0, 1.0])
-        closed = project_function(u, e).realized
-        numeric = NumericProjection(u, e)
-        pts = np.linspace(-1.0, 1.0, 7)[:, None]
-        assert np.allclose(numeric(pts), closed(pts), atol=1e-8)
+    def test_pointwise_sum_unrealized(self):
+        # a sum has no closed-form projection, and nothing approximates one
+        u = PointwiseSum(RadialPower(2, 4.0), Indicator(Box([(-1.0, 1.0)] * 2)))
+        with pytest.raises(UnsupportedVariant, match="projection of PointwiseSum"):
+            project_function(u, span([1.0, 0.0]))
 
     def test_rejects_finite_valued(self):
-        from funvol.errors import UnsupportedVariant
         with pytest.raises(UnsupportedVariant):
             project_function(Quadratic(np.eye(2)).conjugate() if False else
                              __import__("funvol.convex", fromlist=["SupportFn"]).SupportFn(
@@ -249,45 +245,3 @@ class TestConjugateProjection:
         e = sample_grassmann(3, 2, Rng(74))
         grid = Rng(75).generator().uniform(-2.0, 2.0, size=(20, 2))
         assert check_conjugate_projection(u, e, grid) <= 1e-10
-
-
-class TestProjectionSubgradient:
-    def test_quadratic(self):
-        u = Quadratic(np.array([[2.0, 0.4], [0.4, 1.0]]), [0.3, -0.1])
-        e = span([1.0, 2.0])
-        verdict = check_projection_subgradient(u, e, [0.4], Rng(81))
-        assert verdict.ok and verdict.max_violation <= 1e-12
-
-    def test_radial(self):
-        u = RadialPower(3, 4.0)
-        e = sample_grassmann(3, 1, Rng(82))
-        verdict = check_projection_subgradient(u, e, [0.7], Rng(83))
-        assert verdict.ok
-        assert np.allclose(verdict.minimizer, e.frame[:, 0] * 0.7)
-
-    def test_box_indicator_interior(self):
-        u = Indicator(Box([(-1.0, 1.0), (-1.0, 1.0)]))
-        e = span([1.0, 0.0])
-        verdict = check_projection_subgradient(u, e, [0.2], Rng(84))
-        assert verdict.ok
-        assert np.allclose(verdict.lifted_gradient, 0.0)
-
-
-class TestNumericProjectionFallback:
-    def test_pointwise_sum_falls_back(self):
-        from funvol.convex import PointwiseSum, RadialPower
-        u = PointwiseSum(RadialPower(2, 4.0), Indicator(Box([(-1.0, 1.0)] * 2)))
-        e = span([1.0, 0.0])
-        proj = project_function(u, e)
-        assert isinstance(proj.realized, NumericProjection)
-        # fiber minimum over x2 of |x|^4/4 on the box is attained at x2 = 0
-        got = float(proj.realized(np.array([0.5])))
-        assert got == pytest.approx(0.5 ** 4 / 4.0, abs=1e-8)
-
-    def test_minimizer_not_found_reported(self):
-        from funvol.errors import MinimizerNotFound
-        u = Quadratic(np.array([[2.0, 0.9], [0.9, 1.0]]), [0.4, -0.7])
-        e = span([1.0, 0.0])
-        strict = NumericProjection(u, e, tol=1e-14, max_sweeps=1)
-        with pytest.raises(MinimizerNotFound):
-            strict(np.array([[0.3]]))

@@ -50,6 +50,14 @@ class TestEval:
         for _, z in CATALOG:
             assert z(z.support_bound + 0.5) == 0.0
 
+    def test_nan_argument_stays_nan(self):
+        # a NaN is neither positive nor zero: it must not take the value at 0
+        for _, z in CATALOG + [("tent_t1", transform_R_power(Tent(1.0), 1))]:
+            assert math.isnan(z(math.nan))
+            out = np.asarray(z(np.array([0.25, math.nan, 0.5])))
+            assert math.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+        assert math.isnan(Tent(1.0)(np.array([0.0, math.nan]))[1])
+
     def test_bump_peak_and_smooth_edges(self):
         b = Bump(0.2, 0.8)
         assert b(0.5) == pytest.approx(1.0)
