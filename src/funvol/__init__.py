@@ -28,7 +28,6 @@ from .weights import (
     LogCap,
     PolyCapped,
     Tent,
-    alpha_from_zeta,
     in_had_class,
     nonnegativity_check,
     transform_R,

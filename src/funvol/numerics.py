@@ -5,7 +5,8 @@ functions of symmetric-matrix eigenvalues, unit-ball volumes, and a
 counter-based deterministic RNG.  Everything here is pure; quadrature
 routines report an error estimate alongside the value and raise
 :class:`NonConvergedError` when the budget runs out before the tolerance is
-met.  A singular endpoint is graded, r = t^2, and refined by the same
+met.  One adaptive loop refines the panels of both interval and radial
+quadrature.  A singular endpoint is graded, r = t^2, and refined by the same
 adaptive panels as the rest of the range.
 """
 from __future__ import annotations
@@ -88,18 +89,21 @@ def elem_sym(a, i: int) -> float:
 # Quadrature
 
 
+_INTERVAL_ORDER = 31   # Gauss order of an interval panel
+_POLAR_ORDER = 15      # Gauss order of a radial panel in polar quadrature
+_MAX_PANELS = 400_000  # panel budget of one adaptive refinement
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the adaptive quadrature routines.
+    """Budget and tolerances of the adaptive quadrature routines.
 
-    ``order`` is the per-panel Gauss order on intervals.  ``max_depth``
-    bounds the bisection depth of a panel.
+    ``max_depth`` bounds the bisection depth of a panel; a refinement stops
+    once its summed panel error is at most max(abs_tol, rel_tol * |value|).
     """
-    order: int = 31
     max_depth: int = 40
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_panels: int = 400_000
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -127,100 +131,92 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _LEG_CACHE[order]
 
 
+def _gauss_pair(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the order-point Gauss rule followed by those of its lower
+    companion on [-1, 1], with the two weight vectors."""
+    x_hi, w_hi = _leggauss(order)
+    x_lo, w_lo = _leggauss(max(3, (order + 1) // 2))
+    return np.concatenate([x_hi, x_lo]), w_hi, w_lo
+
+
 class _CountingFn:
-    """Wraps an integrand; calls it vectorized, falling back to a python loop once."""
+    """Wraps a vectorized integrand and counts the points it is called at."""
 
     def __init__(self, f):
         self.f = f
         self.count = 0
-        self._scalar = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         self.count += len(x)
-        if self._scalar is None:
-            try:
-                out = np.asarray(self.f(x), dtype=float)
-                if out.shape == (len(x),):
-                    self._scalar = False
-                    return out
-            except Exception:
-                pass
-            self._scalar = True
-        if self._scalar:
-            return np.array([float(self.f(xi)) for xi in x])
         return np.asarray(self.f(x), dtype=float)
 
 
-def _panel_pair(f: _CountingFn, a: float, b: float, order: int) -> tuple[float, float]:
-    """(high-order estimate, |high - low|) on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x_hi, w_hi = _leggauss(order)
-    lo_order = max(3, (order + 1) // 2)
-    x_lo, w_lo = _leggauss(lo_order)
-    vals = f(np.concatenate([mid + half * x_hi, mid + half * x_lo]))
-    hi = half * float(vals[:order] @ w_hi)
-    lo = half * float(vals[order:] @ w_lo)
-    return hi, abs(hi - lo)
+def _refine(panel, edges, cfg: QuadratureConfig, fn: _CountingFn,
+            what: str) -> tuple[float, float]:
+    """Adaptive bisection of the panels between consecutive ``edges``.
 
-
-def _adaptive_interval(f: _CountingFn, a: float, b: float, cfg: QuadratureConfig,
-                       tol: float) -> tuple[float, float, bool]:
-    """Heap-refined adaptive Gauss on [a, b]; returns (value, error, converged)."""
-    hi, err = _panel_pair(f, a, b, cfg.order)
-    heap = [(-err, 0, a, b, hi, err)]
-    total, total_err = hi, err
-    tick = 1
-    while total_err > max(tol, cfg.rel_tol * abs(total)):
-        neg, depth, pa, pb, pv, pe = heapq.heappop(heap)
-        if depth >= cfg.max_depth or len(heap) > cfg.max_panels:
-            heapq.heappush(heap, (neg, depth, pa, pb, pv, pe))
-            return total, total_err, False
-        pm = 0.5 * (pa + pb)
-        lv, le = _panel_pair(f, pa, pm, cfg.order)
-        rv, re = _panel_pair(f, pm, pb, cfg.order)
-        total += lv + rv - pv
-        total_err += le + re - pe
-        heapq.heappush(heap, (-le, depth + 1, pa, pm, lv, le))
-        heapq.heappush(heap, (-re, depth + 1, pm, pb, rv, re))
-        tick += 1
-        if tick > cfg.max_panels:
-            return total, total_err, False
-    return total, total_err, True
+    ``panel(a, b)`` returns (estimate, error) on [a, b].  The panel with the
+    largest error is split until the summed error is within tolerance;
+    :class:`NonConvergedError` is raised when that panel sits at
+    ``cfg.max_depth`` or the panel count reaches ``_MAX_PANELS``.
+    """
+    total, total_err = 0.0, 0.0
+    heap = []
+    for uid, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        v, err = panel(a, b)
+        total += v
+        total_err += err
+        heapq.heappush(heap, (-err, uid, 0, a, b, v, err))
+    uid = len(heap)
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        _, _, depth, a, b, v, err = heapq.heappop(heap)
+        if depth >= cfg.max_depth or len(heap) >= _MAX_PANELS:
+            raise NonConvergedError(
+                f"{what} did not converge at depth {depth} with {len(heap) + 1} "
+                f"panels (error {total_err:.3e})", total, total_err, fn.count)
+        mid = 0.5 * (a + b)
+        lv, le = panel(a, mid)
+        rv, re = panel(mid, b)
+        total += lv + rv - v
+        total_err += le + re - err
+        heapq.heappush(heap, (-le, uid, depth + 1, a, mid, lv, le))
+        heapq.heappush(heap, (-re, uid + 1, depth + 1, mid, b, rv, re))
+        uid += 2
+    return total, total_err
 
 
 def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = None, *,
-                       support_bound: float | None = None,
                        singular_left: bool = False) -> QuadratureResult:
-    """Adaptive estimate of the integral of ``f`` over (a, b).
+    """Adaptive Gauss estimate of the integral of ``f`` over a finite (a, b).
 
-    ``b`` may be ``inf`` provided ``support_bound`` gives a finite point beyond
-    which ``f`` vanishes.  With ``singular_left`` the graded substitution
-    x = a + (b-a) t^2 clusters the nodes at ``a``, so integrable endpoint
-    singularities (log, or power of exponent > -1) converge; x^(-1/2) becomes
-    smooth.
+    Panels carry a 31-point rule checked against a 16-point one and are
+    bisected in x.  With ``singular_left`` the graded substitution
+    x = a + (b-a) t^2 clusters the nodes at ``a`` and the panels are bisected
+    in t, so integrable endpoint singularities (log, or power of exponent
+    > -1) converge; x^(-1/2) becomes smooth.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if math.isinf(b):
-        if support_bound is None:
-            raise ValueError("b = inf requires a finite support_bound")
-        b = float(support_bound)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval quadrature needs finite bounds, got [{a}, {b}]")
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
     fn = _CountingFn(f)
-    if singular_left:
-        width = b - a
+    nodes, w_hi, w_lo = _gauss_pair(_INTERVAL_ORDER)
+    width = b - a
 
-        def g(t):
-            return fn(a + width * t ** _GRADE) * (width * _GRADE * t ** (_GRADE - 1))
+    def panel(pa: float, pb: float) -> tuple[float, float]:
+        half, mid = 0.5 * (pb - pa), 0.5 * (pa + pb)
+        t = mid + half * nodes
+        if singular_left:
+            vals = fn(a + width * t ** _GRADE) * (width * _GRADE * t ** (_GRADE - 1))
+        else:
+            vals = fn(t)
+        hi = half * float(vals[:_INTERVAL_ORDER] @ w_hi)
+        lo = half * float(vals[_INTERVAL_ORDER:] @ w_lo)
+        return hi, abs(hi - lo)
 
-        value, error, ok = _adaptive_interval(g, 0.0, 1.0, cfg, cfg.abs_tol)
-    else:
-        value, error, ok = _adaptive_interval(fn, a, b, cfg, cfg.abs_tol)
-    if not ok:
-        raise NonConvergedError(
-            f"interval quadrature on [{a}, {b}] did not converge "
-            f"(error {error:.3e})", value, error, fn.count)
+    edges = (0.0, 1.0) if singular_left else (a, b)
+    value, error = _refine(panel, edges, cfg, fn, f"interval quadrature on [{a}, {b}]")
     return QuadratureResult(value, error, fn.count)
 
 
@@ -280,28 +276,28 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"sphere_rule supports n <= 4, got {n}")
 
 
-def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | None = None, *,
+def integrate_polar_separable(f, n: int, r_max, cfg: QuadratureConfig | None = None, *,
                               break_ratios=(), singular_center: bool = False,
                               level: int = 8, max_level: int = 64) -> QuadratureResult:
-    """Polar quadrature when the integrand's radial kinks sit at shared ratios.
+    """Polar quadrature around the origin when the integrand's radial kinks sit
+    at shared ratios.
 
     With r = R(direction) * tau, panels in tau are identical across rays, so a
     whole sphere rule is evaluated in a handful of batched integrand calls.
     With ``singular_center`` the graded substitution tau = t^2 (break ratios
     mapped to their square roots) clusters the nodes at the center.  Panels
-    are refined adaptively on the shared grid (aggregated error); the angular
-    level doubles until consecutive sphere rules agree.  Raises
-    :class:`NonConvergedError` when a panel reaches ``cfg.max_depth`` or the
-    level reaches ``max_level`` without agreement.
+    carry a 15-point rule checked against an 8-point one and are refined by
+    the same adaptive loop as intervals, on the shared grid (aggregated
+    error); the angular level doubles until consecutive sphere rules agree.
+    Raises :class:`NonConvergedError` when a panel reaches ``cfg.max_depth``
+    or the level reaches ``max_level`` without agreement.
     """
     cfg = cfg or DEFAULT_CONFIG
-    center = np.asarray(center, dtype=float)
     fn = _CountingFn(f)
     grade = _GRADE if singular_center else 1
-    edges = [e ** (1.0 / grade) for e in sorted(
+    edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
         {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
-    x_hi, w_hi = _leggauss(15)
-    x_lo, w_lo = _leggauss(8)
+    nodes, w_hi, w_lo = _gauss_pair(_POLAR_ORDER)
 
     def run(lv: int) -> tuple[float, float]:
         dirs, wts = sphere_rule(n, lv)
@@ -310,41 +306,16 @@ def integrate_polar_separable(f, n: int, center, r_max, cfg: QuadratureConfig | 
 
         def panel(a: float, b: float) -> tuple[float, float]:
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            t = np.concatenate([mid + half * x_hi, mid + half * x_lo])
+            t = mid + half * nodes
             tau = t ** grade
-            pts = (center[None, None, :]
-                   + (radii[:, None] * tau[None, :])[:, :, None] * dirs[:, None, :])
+            pts = (radii[:, None] * tau[None, :])[:, :, None] * dirs[:, None, :]
             vals = fn(pts.reshape(-1, n)).reshape(len(dirs), len(t))
             vals = vals * (tau ** (n - 1) * (grade * t ** (grade - 1)))[None, :]
-            hi = half * float(scale @ (vals[:, :15] @ w_hi))
-            lo = half * float(scale @ (vals[:, 15:] @ w_lo))
+            hi = half * float(scale @ (vals[:, :_POLAR_ORDER] @ w_hi))
+            lo = half * float(scale @ (vals[:, _POLAR_ORDER:] @ w_lo))
             return hi, abs(hi - lo)
 
-        total, total_err = 0.0, 0.0
-        heap = []
-        prev_edge = 0.0
-        for uid, e_hi in enumerate(edges):
-            v, err = panel(prev_edge, e_hi)
-            total += v
-            total_err += err
-            heapq.heappush(heap, (-err, uid, 0, prev_edge, e_hi, v, err))
-            prev_edge = e_hi
-        uid = len(edges)
-        while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and heap:
-            _, _, depth, a, b, v, e = heapq.heappop(heap)
-            if depth >= cfg.max_depth:
-                raise NonConvergedError(
-                    f"radial refinement hit depth {cfg.max_depth} "
-                    f"(error {total_err:.3e})", total, total_err, fn.count)
-            mid = 0.5 * (a + b)
-            lv_, le_ = panel(a, mid)
-            rv_, re_ = panel(mid, b)
-            total += lv_ + rv_ - v
-            total_err += le_ + re_ - e
-            heapq.heappush(heap, (-le_, uid, depth + 1, a, mid, lv_, le_))
-            heapq.heappush(heap, (-re_, uid + 1, depth + 1, mid, b, rv_, re_))
-            uid += 2
-        return total, total_err
+        return _refine(panel, edges, cfg, fn, "radial refinement")
 
     if n == 1:
         value, error = run(1)

@@ -7,6 +7,8 @@ number is reached through a Grassmannian average of projected-domain
 integrals, and through the dual form on convex conjugates.  Each route
 reports its value with an error estimate combining quadrature error and, for
 sampled routes, the Monte Carlo standard error of the subspace average.
+Every subspace average runs through one loop, :func:`_grassmann_average`;
+the Cauchy-Kubota route is the general projection route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -22,11 +24,11 @@ import numpy as np
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Rotated, body_intrinsic_volume, conjugate, project_body)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
-from .numerics import (DEFAULT_CONFIG, QuadratureConfig, Rng, flag_coefficient,
-                       integrate_interval, integrate_polar_separable, kappa)
+from .numerics import (DEFAULT_CONFIG, Rng, flag_coefficient, integrate_interval,
+                       integrate_polar_separable, kappa)
 from .subspaces import project_function, restrict_function, sample_grassmann
-from .weights import (HadClass, WeightFunction, alpha_from_zeta, in_had_class,
-                      transform_R_power, xi_from_zeta)
+from .weights import (HadClass, WeightFunction, in_had_class, transform_R_power,
+                      xi_from_zeta)
 
 __all__ = [
     "ValuationSpec",
@@ -96,27 +98,33 @@ class CheckResult:
         return abs(self.lhs - self.rhs)
 
 
-def _combine_samples(values, errors) -> tuple[float, float]:
-    """Mean with MC standard error and mean inner error added in quadrature.
+def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
+    """(mean, error, evals) of ``one(e, stream) -> (value, error, evals)`` over
+    ``samples`` Haar k-planes e in R^n, sample i drawn from ``rng.stream(i)``.
 
-    A single sample has no standard error; the estimate is returned with a
-    NaN error so downstream verdicts become non_converged, never falsely
-    certified.
+    The error is the Monte Carlo standard error and the mean inner error
+    added in quadrature.  A single sample has no standard error; the estimate
+    is returned with a NaN error so downstream verdicts become non_converged,
+    never falsely certified.
     """
-    values = np.asarray(values, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    m = len(values)
-    if m == 0:
+    if samples < 1:
         raise SchemaError("need at least one subspace sample")
-    mean = float(np.sum(values)) / m  # pairwise summation: bit-stable order
-    if m == 1:
-        return mean, float("nan")
-    se = float(np.std(values, ddof=1) / math.sqrt(m))
-    return mean, math.hypot(se, float(np.mean(errors)))
+    values, errors, evals = zip(*[one(sample_grassmann(n, k, s), s)
+                                  for s in map(rng.stream, range(samples))])
+    values = np.asarray(values, dtype=float)
+    mean = float(np.sum(values)) / samples  # pairwise summation: bit-stable order
+    if samples == 1:
+        return mean, float("nan"), sum(evals)
+    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    inner = float(np.mean(np.asarray(errors, dtype=float)))
+    return mean, math.hypot(se, inner), sum(evals)
 
 
 # ---------------------------------------------------------------------------
 # Smooth-route integrals
+
+
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
@@ -130,13 +138,15 @@ def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
     return np.linalg.inv(hess)
 
 
-def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
-                     cfg: QuadratureConfig, level: int = 8):
+def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int):
     """integral of weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
 
     The polar rule runs in z with x = c + M z, c the minimizer and M from
     :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a ball in z.
-    The integrand is still evaluated at the primal points x.
+    The integrand is still evaluated at the primal points x.  A frame whose
+    |det M|, or squared image length |M d|^2 of a rule direction d, falls
+    below the smallest normal double would lose its digits to underflow, so
+    it raises :class:`SchemaError` instead.
     """
     if u.smooth_kind() is None:
         raise NotDifferentiable(
@@ -145,6 +155,10 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
     center = u.minimizer()
     frame = _whitening(u, center)
     jac = abs(float(np.linalg.det(frame)))
+    if jac < _TINY:
+        raise SchemaError(
+            f"{type(u).__name__} is too steep at its minimizer: the whitening "
+            f"frame's determinant {jac:.3e} underflows")
     singular = (u.smooth_kind() == "except_center"
                 or weight.singularity.kind != "none")
 
@@ -174,36 +188,46 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int,
 
     def r_max(dirs):
         img = dirs @ frame.T
-        length = np.linalg.norm(img, axis=1)
+        squared = np.sum(img * img, axis=1)
+        if squared.min() < _TINY:
+            raise SchemaError(
+                f"{type(u).__name__} is too steep at its minimizer: a whitened "
+                f"direction's squared length {squared.min():.3e} underflows")
+        length = np.sqrt(squared)
         return u.grad_radius(img / length[:, None], s_max) / length
 
-    return integrate_polar_separable(integrand, u.n, np.zeros(u.n), r_max, cfg,
-                                     break_ratios=ratios,
-                                     singular_center=singular, level=level)
+    return integrate_polar_separable(integrand, u.n, r_max, DEFAULT_CONFIG,
+                                     break_ratios=ratios, singular_center=singular)
 
 
-def eval_smooth(spec: ValuationSpec, u: ConvexFunction,
-                cfg: QuadratureConfig | None = None) -> EvalResult:
+def eval_smooth(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
     """Direct Hessian-integrand route; needs j >= 1 and a twice-differentiable u."""
     if spec.j < 1:
         raise SchemaError("the smooth route needs j >= 1 (degree 0 is a constant)")
-    cfg = cfg or DEFAULT_CONFIG
-    res = _smooth_integral(u, spec.zeta, spec.n - spec.j, cfg)
+    res = _smooth_integral(u, spec.zeta, spec.n - spec.j)
     return EvalResult(res.value, res.error, "smooth", res.evaluations)
 
 
-def eval_domain_gradient(spec: ValuationSpec, u: ConvexFunction,
-                         cfg: QuadratureConfig | None = None) -> EvalResult:
+def eval_domain_gradient(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
     """Top-degree route: integral of weight(|grad u|) over the domain (j = n)."""
     if spec.j != spec.n:
         raise SchemaError("the domain-gradient route is the j = n representation")
-    cfg = cfg or DEFAULT_CONFIG
-    value, error, evals = _domain_weight_integral(u, spec.zeta, cfg)
+    value, error, evals = _domain_weight_integral(u, spec.zeta)
     return EvalResult(value, error, "domain_gradient", evals)
 
 
-def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction,
-                            cfg: QuadratureConfig):
+def _eval_primal(spec: ValuationSpec, u: ConvexFunction, samples: int,
+                 rng: Rng) -> EvalResult:
+    """The valuation of u by the first route that applies: the domain-gradient
+    integral at j = n, else the smooth route, else the Cauchy-Kubota average."""
+    if spec.j == spec.n:
+        return eval_domain_gradient(spec, u)
+    if u.smooth_kind() is not None:
+        return eval_smooth(spec, u)
+    return eval_cauchy_kubota(spec, u, samples, rng)
+
+
+def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction):
     """integral over dom(w) of weight(|grad w|), with exact special cases."""
     if isinstance(w, Indicator):
         v0 = weight.value_at_zero()
@@ -215,16 +239,14 @@ def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction,
         if wt is None:
             raise SchemaError("weight has no finite value at 0")
         return wt * kappa(w.n) * w.r ** w.n, 0.0, 0
-    if isinstance(w, EpiTranslated):
-        return _domain_weight_integral(w.inner, weight, cfg)
-    if isinstance(w, Rotated):
-        return _domain_weight_integral(w.inner, weight, cfg)
+    if isinstance(w, (EpiTranslated, Rotated)):
+        return _domain_weight_integral(w.inner, weight)
     if isinstance(w, EpiScaled):
-        value, error, evals = _domain_weight_integral(w.inner, weight, cfg)
+        value, error, evals = _domain_weight_integral(w.inner, weight)
         scale = w.lam ** w.n
         return value * scale, error * scale, evals
     if w.smooth_kind() is not None:
-        res = _smooth_integral(w, weight, 0, cfg)
+        res = _smooth_integral(w, weight, 0)
         return res.value, res.error, res.evaluations
     raise UnsupportedVariant(
         f"domain-gradient integral unsupported for {type(w).__name__}")
@@ -235,80 +257,61 @@ def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction,
 
 
 def eval_cauchy_kubota(spec: ValuationSpec, u: ConvexFunction,
-                       samples: int = 256, rng: Rng = Rng(0),
-                       cfg: QuadratureConfig | None = None) -> EvalResult:
+                       samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Projection-average route at the natural projection dimension k = j."""
-    cfg = cfg or DEFAULT_CONFIG
+    return _projection_average(spec, u, spec.j, samples, rng, "cauchy_kubota")
+
+
+def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
+                    samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
+    """Projection-average route at an intermediate dimension j <= k < n."""
     j, n = spec.j, spec.n
-    alpha = alpha_from_zeta(spec.zeta, j, n)
-    if j == 0:
-        return EvalResult(float(alpha.value_at_zero()), 0.0, "cauchy_kubota")
+    if not j <= k < n:
+        raise SchemaError(f"need j <= k < n, got j={j}, k={k}, n={n}")
+    return _projection_average(spec, u, k, samples, rng, "ck_general")
 
-    def one(i):
-        e = sample_grassmann(n, j, rng.stream(i))
-        w = project_function(u, e).realized
-        return _domain_weight_integral(w, alpha, cfg)
 
-    results = [one(i) for i in range(samples)]
-    values = [r[0] for r in results]
-    errors = [r[1] for r in results]
-    evals = sum(r[2] for r in results)
-    mean, err = _combine_samples(values, errors)
-    value = flag_coefficient(n, j) * mean
-    return EvalResult(value, flag_coefficient(n, j) * err, "cauchy_kubota",
-                      evals, samples)
+def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
+                        samples: int, rng: Rng, method: str) -> EvalResult:
+    """Grassmannian average over k-planes of the degree-j valuation of u's projection."""
+    j, n = spec.j, spec.n
+    xi = xi_from_zeta(spec.zeta, j, k, n)
+    if k == 0:
+        return EvalResult(float(xi.value_at_zero()), 0.0, method)
+
+    def one(e, stream):
+        # the degree-0 value is a constant that needs no projection
+        w = project_function(u, e).realized if j > 0 else None
+        return _z_lower_dim(j, k, xi, w, stream, samples)
+
+    mean, err, evals = _grassmann_average(n, k, samples, rng, one)
+    coeff = flag_coefficient(n, k)
+    return EvalResult(coeff * mean, coeff * err, method, evals, samples)
 
 
 def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction | None,
-                 rng: Rng, cfg: QuadratureConfig, samples: int):
-    """Degree-j functional intrinsic volume of a k-dimensional projection (None for j = 0)."""
-    if k == 0:
-        v0 = xi.value_at_zero()
-        return float(v0), 0.0, 0
+                 rng: Rng, samples: int):
+    """Degree-j functional intrinsic volume of a k-dimensional projection (None for j = 0).
+
+    ``rng`` is the sample's stream; a nested average draws from its child stream 0.
+    """
     if j == 0:
         const = kappa(k) * transform_R_power(xi, k).value_at_zero()
         return float(const), 0.0, 0
     if j == k:
-        return _domain_weight_integral(w, xi, cfg)
+        return _domain_weight_integral(w, xi)
     if w.smooth_kind() is not None:
-        res = _smooth_integral(w, xi, k - j, cfg)
+        res = _smooth_integral(w, xi, k - j)
         return res.value, res.error, res.evaluations
-    inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, rng, cfg)
+    inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, rng.stream(0))
     return inner.value, inner.error, inner.integrand_evals
-
-
-def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
-                    samples: int = 256, rng: Rng = Rng(0),
-                    cfg: QuadratureConfig | None = None) -> EvalResult:
-    """Projection-average route at an intermediate dimension j <= k < n."""
-    cfg = cfg or DEFAULT_CONFIG
-    j, n = spec.j, spec.n
-    if not j <= k < n:
-        raise SchemaError(f"need j <= k < n, got j={j}, k={k}, n={n}")
-    xi = xi_from_zeta(spec.zeta, j, k, n)
-    if k == 0:
-        return EvalResult(float(xi.value_at_zero()), 0.0, "ck_general")
-
-    def one(i):
-        stream = rng.stream(i)
-        e = sample_grassmann(n, k, stream)
-        # the degree-0 value is a constant that needs no projection
-        w = project_function(u, e).realized if j > 0 else None
-        return _z_lower_dim(j, k, xi, w, stream.stream(0), cfg, samples)
-
-    results = [one(i) for i in range(samples)]
-    mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
-    coeff = flag_coefficient(n, k)
-    return EvalResult(coeff * mean, coeff * err, "ck_general",
-                      sum(r[2] for r in results), samples)
 
 
 # ---------------------------------------------------------------------------
 # Dual routes
 
 
-def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction,
-                   cfg: QuadratureConfig, level: int = 8):
+def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction):
     """integral over {|x| <= s_max} of weight(|x|) * e_j(Hessian of v)."""
     s_max = weight.support_bound
     n = v.n
@@ -324,25 +327,23 @@ def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction,
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = (weight.singularity.kind != "none"
                 or v.smooth_kind() == "except_center")
-    return integrate_polar_separable(integrand, n, np.zeros(n), s_max, cfg,
+    return integrate_polar_separable(integrand, n, s_max, DEFAULT_CONFIG,
                                      break_ratios=[k / s_max for k in knots],
-                                     singular_center=singular, level=level)
+                                     singular_center=singular)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
-              samples: int = 256, rng: Rng = Rng(0),
-              cfg: QuadratureConfig | None = None) -> EvalResult:
+              samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Dual valuation of a finite-valued v.
 
     ``integral`` evaluates weight(|x|) against the Hessian symmetric function
     of v directly; ``conjugate`` routes through the primal valuation of the
     convex conjugate.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not v.is_finite:
         raise UnsupportedVariant("dual valuations act on finite-valued functions")
     if path == "integral":
-        res = _dual_integral(spec.j, spec.zeta, v, cfg)
+        res = _dual_integral(spec.j, spec.zeta, v)
         return EvalResult(res.value, res.error, "dual_integral", res.evaluations)
     if path != "conjugate":
         raise SchemaError(f"unknown dual path {path!r}")
@@ -350,21 +351,14 @@ def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
     if spec.j == 0:
         const = kappa(spec.n) * transform_R_power(spec.zeta, spec.n).value_at_zero()
         return EvalResult(float(const), 0.0, "dual_conjugate")
-    if spec.j == spec.n:
-        inner = eval_domain_gradient(spec, u, cfg)
-    elif u.smooth_kind() is not None:
-        inner = eval_smooth(spec, u, cfg)
-    else:
-        inner = eval_cauchy_kubota(spec, u, samples, rng, cfg)
+    inner = _eval_primal(spec, u, samples, rng)
     return EvalResult(inner.value, inner.error, "dual_conjugate",
                       inner.integrand_evals, inner.subspace_samples)
 
 
 def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
-                 samples: int = 256, rng: Rng = Rng(0),
-                 cfg: QuadratureConfig | None = None) -> EvalResult:
+                 samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Dual projection-average route: restrictions in place of projections."""
-    cfg = cfg or DEFAULT_CONFIG
     j, n = spec.j, spec.n
     if not j <= k < n:
         raise SchemaError(f"need j <= k < n, got j={j}, k={k}, n={n}")
@@ -374,20 +368,17 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, "dual_ck")
 
-    def one(i):
-        e = sample_grassmann(n, k, rng.stream(i))
+    def one(e, stream):
         w = restrict_function(v, e)
         if j == 0:
             const = kappa(k) * transform_R_power(xi, k).value_at_zero()
             return float(const), 0.0, 0
-        res = _dual_integral(j, xi, w, cfg)
+        res = _dual_integral(j, xi, w)
         return res.value, res.error, res.evaluations
 
-    results = [one(i) for i in range(samples)]
-    mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
+    mean, err, evals = _grassmann_average(n, k, samples, rng, one)
     coeff = flag_coefficient(n, k)
-    return EvalResult(coeff * mean, coeff * err, "dual_ck",
-                      sum(r[2] for r in results), samples)
+    return EvalResult(coeff * mean, coeff * err, "dual_ck", evals, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +398,7 @@ def cone_closed_form(spec: ValuationSpec, t: float, r: float = 1.0) -> float:
 
 
 def retrieval_check(spec: ValuationSpec, body, samples: int = 256,
-                    rng: Rng = Rng(0),
-                    cfg: QuadratureConfig | None = None) -> CheckResult:
+                    rng: Rng = Rng(0)) -> CheckResult:
     """Indicator functions retrieve the classical intrinsic volumes."""
     j, n = spec.j, spec.n
     if body.n != n:
@@ -416,11 +406,11 @@ def retrieval_check(spec: ValuationSpec, body, samples: int = 256,
     if j == n:
         v0 = spec.zeta.value_at_zero()
         rhs = float(v0) * body_intrinsic_volume(body, n)
-        lhs = eval_domain_gradient(spec, Indicator(body), cfg)
+        lhs = eval_domain_gradient(spec, Indicator(body))
     else:
         const = kappa(n - j) * transform_R_power(spec.zeta, n - j).value_at_zero()
         rhs = float(const) * body_intrinsic_volume(body, j)
-        lhs = eval_cauchy_kubota(spec, Indicator(body), samples, rng, cfg)
+        lhs = eval_cauchy_kubota(spec, Indicator(body), samples, rng)
     return CheckResult(lhs.value, rhs, lhs.error, lhs_result=lhs)
 
 
@@ -438,13 +428,10 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
     if k == 0:
         return CheckResult(1.0, 1.0, 0.0)
 
-    def one(i):
-        e = sample_grassmann(n, k, rng.stream(i))
-        shadow = project_body(body, e.frame)
-        return body_intrinsic_volume(shadow, j), 0.0, 0
+    def one(e, stream):
+        return body_intrinsic_volume(project_body(body, e.frame), j), 0.0, 0
 
-    results = [one(i) for i in range(samples)]
-    mean, err = _combine_samples([r[0] for r in results], [r[1] for r in results])
+    mean, err, _ = _grassmann_average(n, k, samples, rng, one)
     if j == k:
         lhs = body_intrinsic_volume(body, j)
         coeff = flag_coefficient(n, j)
@@ -459,8 +446,7 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
 
 
 def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
-                        scale: float = 1.0,
-                        cfg: QuadratureConfig | None = None) -> CheckResult:
+                        scale: float = 1.0) -> CheckResult:
     """Radial two-route identity: Hessian integrand versus the transformed weight
     against the level-set curvature function, both reduced to 1-d integrals.
 
@@ -468,7 +454,6 @@ def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
     gradient 0 at the origin); level sets are spheres, whose curvature
     symmetric functions are binomial powers of 1/r.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not 1 <= j <= n - 1:
         raise SchemaError("the radial identity needs 1 <= j <= n-1")
     if p <= 1 or scale <= 0:
@@ -497,8 +482,9 @@ def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
         return (math.comb(n - 1, i) * np.asarray(transformed(grad(r)))
                 * r ** (j - 1))
 
-    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, cfg, singular_left=singular)
-    rhs = integrate_interval(rhs_integrand, 0.0, r_bound, cfg, singular_left=False)
+    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, DEFAULT_CONFIG,
+                             singular_left=singular)
+    rhs = integrate_interval(rhs_integrand, 0.0, r_bound, DEFAULT_CONFIG)
     lv, rv = surf * lhs.value, surf * rhs.value
     err = surf * (lhs.error + rhs.error)
     return CheckResult(lv, rv, err,

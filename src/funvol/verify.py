@@ -21,10 +21,10 @@ from .errors import NonConvergedError, SchemaError
 from .numerics import Rng
 from .subspaces import (check_conjugate_projection, sample_grassmann,
                         sample_rotation)
-from .valuations import (ValuationSpec, classical_ck_check, cone_closed_form,
-                         eval_cauchy_kubota, eval_ck_general,
-                         eval_domain_gradient, eval_dual, eval_dual_ck,
-                         eval_smooth, retrieval_check, reilly_radial_check)
+from .valuations import (ValuationSpec, _eval_primal, classical_ck_check,
+                         cone_closed_form, eval_cauchy_kubota, eval_ck_general,
+                         eval_dual, eval_dual_ck, eval_smooth, retrieval_check,
+                         reilly_radial_check)
 from .weights import (log_grid, nonnegativity_check, transform_R_inverse,
                       transform_R_power, weight_from_spec)
 
@@ -290,8 +290,7 @@ def _run_valuation_property(p):
     evals = 0
     vals = {}
     for name, body in (("k1", k1), ("k2", k2), ("union", union), ("inter", inter)):
-        r = (eval_cauchy_kubota(spec, Indicator(body), _samples(p), rng)
-             if spec.j < spec.n else eval_domain_gradient(spec, Indicator(body)))
+        r = _eval_primal(spec, Indicator(body), _samples(p), rng)
         vals[name] = r.value
         total_err += r.error
         evals += r.integrand_evals
@@ -308,15 +307,7 @@ def _run_invariance(p):
     alpha = float(gen.uniform(-1.0, 1.0))
     q = sample_rotation(u.n, rng.stream(1))
     wrapped = EpiTranslated(Rotated(u, q), x0, alpha)
-
-    def z(fn):
-        if spec.j == spec.n:
-            return eval_domain_gradient(spec, fn)
-        if fn.smooth_kind() is not None:
-            return eval_smooth(spec, fn)
-        return eval_cauchy_kubota(spec, fn, _samples(p), rng.stream(2))
-
-    a, b = z(u), z(wrapped)
+    a, b = (_eval_primal(spec, fn, _samples(p), rng.stream(2)) for fn in (u, wrapped))
     return a.value, b.value, a.error + b.error, {
         "integrand_evals": a.integrand_evals + b.integrand_evals}
 
@@ -325,17 +316,9 @@ def _run_homogeneity(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     u = function_from_spec(p["u"])
     lam = float(p.get("lambda", 2.0))
-    rng = _rng(p)
-
-    def z(fn, stream):
-        if spec.j == spec.n:
-            return eval_domain_gradient(spec, fn)
-        if fn.smooth_kind() is not None:
-            return eval_smooth(spec, fn)
-        return eval_cauchy_kubota(spec, fn, _samples(p), stream)
-
-    base = z(u, rng.stream(0))
-    scaled = z(EpiScaled(u, lam), rng.stream(0))
+    stream = _rng(p).stream(0)
+    base = _eval_primal(spec, u, _samples(p), stream)
+    scaled = _eval_primal(spec, EpiScaled(u, lam), _samples(p), stream)
     return scaled.value, lam ** spec.j * base.value, \
         scaled.error + lam ** spec.j * base.error, {
             "integrand_evals": base.integrand_evals + scaled.integrand_evals}

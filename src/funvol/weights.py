@@ -44,7 +44,6 @@ __all__ = [
     "transform_R",
     "transform_R_power",
     "transform_R_inverse",
-    "alpha_from_zeta",
     "xi_from_zeta",
     "in_had_class",
     "nonnegativity_check",
@@ -672,14 +671,6 @@ def transform_R_inverse(rho: WeightFunction, l: int) -> WeightFunction:
     if isinstance(rho, Scaled):
         return Scaled(transform_R_inverse(rho.inner, l), rho.factor)
     return TransformedWeight(rho, -l)
-
-
-def alpha_from_zeta(zeta: WeightFunction, j: int, n: int) -> WeightFunction:
-    """kappa_{n-j} * T^{n-j}(zeta): the degree-j inner-integral weight, finite at 0."""
-    if not 0 <= j <= n:
-        raise ValueError("need 0 <= j <= n")
-    return Scaled(transform_R_power(zeta, n - j), kappa(n - j)) if j < n \
-        else Scaled(zeta, 1.0)
 
 
 def xi_from_zeta(zeta: WeightFunction, j: int, k: int, n: int) -> WeightFunction:

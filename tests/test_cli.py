@@ -132,6 +132,35 @@ class TestCompute:
         assert code == 3
         assert json.loads(out)["error"]["type"] == "NotDifferentiable"
 
+    @staticmethod
+    def _scaled_identity(tmp_path, lam):
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"type": "quadratic", "A": [[lam, 0.0], [0.0, lam]],
+                                    "b": [0.0, 0.0], "c": 0.0}))
+        return str(path)
+
+    @pytest.mark.parametrize("lam", [1e155, 1e160])
+    @pytest.mark.parametrize("method", [("smooth",), ("ck", "--samples", "8")],
+                             ids=["smooth", "ck"])
+    def test_underflowing_frame_exit_2(self, capsys, specs, tmp_path, method, lam):
+        # the whitening frame A^-1 has |det| or squared direction images below
+        # the smallest normal double: refused, never a silent 0.0
+        code, out, err = run_cli(capsys, "compute", "--function",
+                                 self._scaled_identity(tmp_path, lam),
+                                 "--zeta", specs["tent"], "--j", "1", "--method", *method)
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("method", [("smooth",), ("ck", "--samples", "8")],
+                             ids=["smooth", "ck"])
+    def test_steep_quadratic_in_range(self, capsys, specs, tmp_path, method):
+        lam = 1e153
+        code, out, _ = run_cli(capsys, "compute", "--function",
+                               self._scaled_identity(tmp_path, lam),
+                               "--zeta", specs["tent"], "--j", "1", "--method", *method)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(2 * math.pi / 3 / lam, rel=1e-12)
+
     def test_ck_general_requires_k(self, capsys, specs):
         code, out, _ = run_cli(capsys, "compute", "--function", specs["quad"],
                                "--zeta", specs["tent"], "--j", "1",

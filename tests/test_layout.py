@@ -55,3 +55,48 @@ def test_every_definition_is_used_by_the_package():
             if total[node.name] - _references(node)[node.name] <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, "defined but never used by the package: " + ", ".join(unused)
+
+
+def _callers(tree, name: str) -> Counter:
+    """Qualified names of the innermost functions that call ``name``, with counts.
+
+    A call counts whether it names the function directly or as an attribute
+    (``heapq.heappop``); calls at module level count under ``<module>``.
+    """
+    found = Counter()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found[owner] += 1
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _package_callers(name: str, modules=None) -> Counter:
+    found = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if modules is None or path.stem in modules:
+            for owner, count in _callers(ast.parse(path.read_text()), name).items():
+                found[f"{path.stem}.{owner}"] += count
+    return found
+
+
+def test_one_refinement_loop():
+    """Every adaptive panel heap is drained by the same function."""
+    callers = _package_callers("heappop")
+    assert len(callers) == 1, f"heappop is called from {sorted(callers)}"
+
+
+def test_one_grassmannian_average():
+    """Every subspace average in valuations samples its planes in one loop."""
+    callers = _package_callers("sample_grassmann", {"valuations"})
+    assert len(callers) == 1, f"sample_grassmann is called from {sorted(callers)}"

@@ -81,8 +81,7 @@ class TestSymMatrix:
 
 class TestIntervalQuadrature:
     def test_tent_with_support_bound(self):
-        r = integrate_interval(lambda t: np.maximum(0.0, 1.0 - t), 0.0, math.inf,
-                               support_bound=1.0)
+        r = integrate_interval(lambda t: np.maximum(0.0, 1.0 - t), 0.0, 1.0)
         assert r.value == pytest.approx(0.5, abs=1e-12)
 
     def test_log_singularity(self):
@@ -112,9 +111,10 @@ class TestIntervalQuadrature:
         with pytest.raises(NonConvergedError):
             integrate_interval(lambda t: np.abs(np.sin(40.0 * t)) ** 0.3, 0.0, 3.0, cfg)
 
-    def test_requires_support_bound_for_inf(self):
-        with pytest.raises(ValueError):
-            integrate_interval(lambda t: t, 0.0, math.inf)
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite_bound(self, a, b):
+        with pytest.raises(ValueError, match="finite bounds"):
+            integrate_interval(lambda t: t, a, b)
 
 
 class TestPolarQuadrature:
@@ -130,7 +130,7 @@ class TestPolarQuadrature:
             return np.maximum(0.0, 1.0 - np.sqrt((x ** 2).sum(axis=1)))
 
         expect = n * kappa(n) * (1.0 / n - 1.0 / (n + 1))
-        r = integrate_polar_separable(f, n, np.zeros(n), 1.0)
+        r = integrate_polar_separable(f, n, 1.0)
         assert r.value == pytest.approx(expect, rel=1e-10)
 
     def test_ray_breaks_and_anisotropy(self):
@@ -138,7 +138,7 @@ class TestPolarQuadrature:
         def f(x):
             return np.maximum(0.0, 1.0 - 2.0 * np.sqrt((x ** 2).sum(axis=1)))
 
-        r = integrate_polar_separable(f, 2, [0.0, 0.0], 0.5, break_ratios=[0.5])
+        r = integrate_polar_separable(f, 2, 0.5, break_ratios=[0.5])
         expect = 2 * kappa(2) * (0.5 ** 2 / 2 - 2 * 0.5 ** 3 / 3)
         assert r.value == pytest.approx(expect, rel=1e-11)
 
@@ -152,7 +152,7 @@ class TestBudgetsRaise:
             return -np.log(np.sqrt((x ** 2).sum(axis=1)))
 
         with pytest.raises(NonConvergedError, match="radial refinement") as info:
-            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=2),
+            integrate_polar_separable(f, 2, 1.0, QuadratureConfig(max_depth=2),
                                       singular_center=True)
         assert info.value.evaluations > 0
 
@@ -162,7 +162,7 @@ class TestBudgetsRaise:
             return np.maximum(0.0, 1.0 - 3.0 * np.sqrt((x ** 2).sum(axis=1)))
 
         with pytest.raises(NonConvergedError, match="radial refinement"):
-            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, QuadratureConfig(max_depth=2))
+            integrate_polar_separable(f, 2, 1.0, QuadratureConfig(max_depth=2))
 
     def test_interval_singular_left(self):
         with pytest.raises(NonConvergedError, match="interval quadrature") as info:
@@ -176,7 +176,7 @@ class TestBudgetsRaise:
             return np.exp(30.0 * x[:, 0])
 
         with pytest.raises(NonConvergedError, match="angular refinement") as info:
-            integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, level=4, max_level=4)
+            integrate_polar_separable(f, 2, 1.0, level=4, max_level=4)
         assert math.isfinite(info.value.value) and info.value.evaluations > 0
 
 
@@ -192,7 +192,7 @@ class TestGradedEndpoint:
         def f(x):
             return -np.log(np.sqrt((x ** 2).sum(axis=1)))
 
-        r = integrate_polar_separable(f, 2, [0.0, 0.0], 1.0, singular_center=True)
+        r = integrate_polar_separable(f, 2, 1.0, singular_center=True)
         assert abs(r.value - math.pi / 2) <= r.error + 8 * math.ulp(math.pi / 2)
 
 

@@ -19,6 +19,7 @@ from funvol.convex import (
 from funvol.errors import SchemaError
 from funvol.numerics import Rng, kappa
 from funvol.subspaces import sample_rotation
+from funvol.verify import IdentityCase, run_case
 from funvol.valuations import (
     ValuationSpec,
     classical_ck_check,
@@ -369,6 +370,51 @@ class TestClassicalCk:
     def test_degree_zero(self):
         res = classical_ck_check(Box([(0, 1)] * 2), 0, 0, 10, Rng(6))
         assert res.lhs == 1.0 and res.rhs == 1.0
+
+
+TENT_SPEC = {"type": "tent", "s0": 1.0}
+QUAD2 = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 4.0]], "b": [0.0, 0.0], "c": 0.0}
+QUAD3 = {"type": "quadratic", "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]],
+         "b": [0.0, 0.0, 0.0], "c": 0.0}
+BALL3 = {"type": "ball", "r": 1.0, "center": [0.0, 0.0, 0.0]}
+
+# each sampled route: a direct call at a sample count, and a case that reaches it
+AVERAGING_CALLERS = {
+    "eval_cauchy_kubota": (
+        lambda m: eval_cauchy_kubota(ValuationSpec(1, 2, TENT), Cone(2, 0.5, 1.0), m, Rng(1)),
+        lambda m: IdentityCase("cone", {"n": 2, "j": 1, "zeta": TENT_SPEC, "t": 0.5,
+                                        "samples": m})),
+    "eval_ck_general": (
+        lambda m: eval_ck_general(ValuationSpec(1, 3, TENT), Quadratic(np.eye(3)), 2,
+                                  m, Rng(1)),
+        lambda m: IdentityCase("ck_general", {"n": 3, "j": 1, "k": 2, "zeta": TENT_SPEC,
+                                              "u": QUAD3, "samples": m})),
+    "eval_dual_ck": (
+        lambda m: eval_dual_ck(ValuationSpec(1, 2, TENT), Quadratic(np.diag([1.0, 4.0])),
+                               1, m, Rng(1)),
+        lambda m: IdentityCase("dual_restriction", {"n": 2, "j": 1, "k": 1,
+                                                    "zeta": TENT_SPEC, "v": QUAD2,
+                                                    "samples": m})),
+    "classical_ck_check": (
+        lambda m: classical_ck_check(Ball(1.0, [0, 0, 0]), 1, 1, m, Rng(1)),
+        lambda m: IdentityCase("ck_classical", {"K": BALL3, "j": 1, "k": 1,
+                                                "samples": m})),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(AVERAGING_CALLERS))
+class TestGrassmannAverage:
+    """Every subspace average shares one contract on its sample count."""
+
+    def test_single_sample_has_no_error_bar(self, caller):
+        direct, case = AVERAGING_CALLERS[caller]
+        assert math.isnan(direct(1).error)
+        assert run_case(case(1)).verdict == "non_converged"
+
+    def test_zero_samples_rejected(self, caller):
+        direct, _ = AVERAGING_CALLERS[caller]
+        with pytest.raises(SchemaError):
+            direct(0)
 
 
 class TestHessianMeasures:

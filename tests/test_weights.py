@@ -13,7 +13,6 @@ from funvol.weights import (
     Scaled,
     SumWeight,
     Tent,
-    alpha_from_zeta,
     in_had_class,
     log_grid,
     nonnegativity_check,
@@ -265,20 +264,14 @@ class TestTransformProperties:
 
 class TestDerivedWeights:
     def test_alpha_values(self):
-        a = alpha_from_zeta(Tent(1.0), 1, 2)
+        # at k = j the projected-dimension weight is kappa_{n-j} T^{n-j}(zeta)
+        a = xi_from_zeta(Tent(1.0), 1, 1, 2)
         assert a(0.5) == pytest.approx(0.75)
         assert a.value_at_zero() == pytest.approx(1.0)
 
     def test_alpha_zero_weight(self):
-        a = alpha_from_zeta(PolyCapped([0.0], 1.0), 1, 3)
+        a = xi_from_zeta(PolyCapped([0.0], 1.0), 1, 1, 3)
         assert float(a(0.3)) == 0.0
-
-    def test_xi_matches_alpha_for_j_equal_k(self):
-        z = Tent(1.0)
-        xi = xi_from_zeta(z, 1, 1, 2)
-        al = alpha_from_zeta(z, 1, 2)
-        s = log_grid(1.0, 80)
-        assert grid_dev(xi, al, s) < 1e-12
 
     def test_xi_coefficient(self):
         xi = xi_from_zeta(Tent(1.0), 0, 1, 2)
