@@ -13,10 +13,8 @@ from .errors import (
     UnsupportedVariant,
 )
 from .numerics import (
-    QuadratureConfig,
     QuadratureResult,
     Rng,
-    elem_sym,
     flag_coefficient,
     integrate_interval,
     integrate_polar_separable,
@@ -24,13 +22,11 @@ from .numerics import (
 )
 from .weights import (
     Bump,
-    HadClass,
     LogCap,
     PolyCapped,
     Tent,
     in_had_class,
     nonnegativity_check,
-    transform_R,
     transform_R_inverse,
     transform_R_power,
     weight_from_spec,
@@ -46,12 +42,8 @@ from .convex import (
     RadialPower,
     SupportFn,
     body_intrinsic_volume,
-    conjugate,
     discrete_legendre,
-    epi_scale,
-    epi_translate,
     function_from_spec,
-    inf_conv,
     project_body,
 )
 from .subspaces import (

@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .convex import (conjugate, discrete_legendre, function_from_spec,
-                     function_to_spec)
+from .convex import discrete_legendre, function_from_spec
 from .errors import (FunvolError, NonConvergedError, NotDifferentiable,
                      SchemaError, UnknownSingularity, UnsupportedVariant)
 from .numerics import Rng
@@ -143,9 +142,9 @@ def _cmd_transform(args) -> int:
 
 def _cmd_conjugate(args) -> int:
     u = function_from_spec(_load_json(args.function))
-    dual = conjugate(u)
+    dual = u.conjugate()
     if not args.numeric:
-        print(canonical_json(function_to_spec(dual)))
+        print(canonical_json(dual.to_spec()))
         return EXIT_OK
     primal = _parse_grid(args.grid)
     dual_grid = (_parse_grid(args.dual_grid) if args.dual_grid

@@ -1,10 +1,13 @@
 """Catalog of super-coercive convex functions, their duals, and convex bodies.
 
 Every variant carries exact evaluation; gradients, Hessians and
-Legendre-Fenchel conjugates are closed catalog-to-catalog maps wherever they
-exist, and raise rather than approximate silently when they do not.  The
-discrete Legendre transform lives here solely as an independent numerical
-oracle for the analytic conjugates.
+Legendre-Fenchel conjugates (the ``conjugate`` method) are closed
+catalog-to-catalog maps wherever they exist, and raise rather than
+approximate silently when they do not.  Epigraph operations are the wrapper
+classes themselves (:class:`EpiTranslated`, :class:`EpiScaled`,
+:class:`InfConv`).  Quadratic and radial variants live in an integral
+dimension 1 <= n <= MAX_DIM.  The discrete Legendre transform lives here
+solely as an independent numerical oracle for the analytic conjugates.
 """
 from __future__ import annotations
 
@@ -14,18 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
+from .errors import NotDifferentiable, SchemaError, UnsupportedVariant, spec_errors
 from .numerics import MAX_DIM, elem_sym_values, kappa
 
 __all__ = [
     "ConvexBody", "Ball", "Box", "PolytopeV",
-    "body_intrinsic_volume", "project_body", "body_from_spec", "body_to_spec",
+    "body_intrinsic_volume", "project_body", "body_from_spec",
     "ConvexFunction", "Quadratic", "RadialPower", "Cone", "Indicator",
     "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
     "EpiScaled", "PointwiseScaled", "PlusAffine", "InfConv", "PointwiseSum",
-    "conjugate", "inf_conv", "epi_scale", "epi_translate",
-    "discrete_legendre", "function_from_spec", "function_to_spec",
+    "discrete_legendre", "function_from_spec",
 ]
+
+_CONTAINS_TOL = 1e-12  # slack of a body's membership test
 
 
 def _vec(x, n=None):
@@ -33,6 +37,13 @@ def _vec(x, n=None):
     if n is not None and v.shape != (n,):
         raise ValueError(f"expected a vector of length {n}, got shape {v.shape}")
     return v
+
+
+def _dimension(n) -> int:
+    """An integral dimension in 1..MAX_DIM, as quadratic and radial variants need."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIM:
+        raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
+    return n
 
 
 def _finite_length(v) -> bool:
@@ -59,7 +70,7 @@ class ConvexBody:
     def support(self, y):
         raise NotImplementedError
 
-    def contains(self, x, tol: float = 1e-12):
+    def contains(self, x):
         raise NotImplementedError
 
     def vertices(self) -> np.ndarray:
@@ -98,9 +109,9 @@ class Ball(ConvexBody):
         out = pts @ self.c + self.radius * np.linalg.norm(pts, axis=1)
         return float(out[0]) if scalar else out
 
-    def contains(self, x, tol=1e-12):
+    def contains(self, x):
         pts, scalar = _points(x, self.n)
-        out = np.linalg.norm(pts - self.c, axis=1) <= self.radius + tol
+        out = np.linalg.norm(pts - self.c, axis=1) <= self.radius + _CONTAINS_TOL
         return bool(out[0]) if scalar else out
 
     def volume(self):
@@ -140,9 +151,10 @@ class Box(ConvexBody):
         out = np.maximum(pts * self.lo, pts * self.hi).sum(axis=1)
         return float(out[0]) if scalar else out
 
-    def contains(self, x, tol=1e-12):
+    def contains(self, x):
         pts, scalar = _points(x, self.n)
-        out = np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        out = np.all((pts >= self.lo - _CONTAINS_TOL) & (pts <= self.hi + _CONTAINS_TOL),
+                     axis=1)
         return bool(out[0]) if scalar else out
 
     def vertices(self):
@@ -181,10 +193,10 @@ class PolytopeV(ConvexBody):
         out = (pts @ self._verts.T).max(axis=1)
         return float(out[0]) if scalar else out
 
-    def contains(self, x, tol=1e-12):
+    def contains(self, x):
         pts, scalar = _points(x, self.n)
         eq = self._hull.equations
-        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= _CONTAINS_TOL, axis=1)
         return bool(out[0]) if scalar else out
 
     def vertices(self):
@@ -348,9 +360,7 @@ class Quadratic(ConvexFunction):
             raise ValueError("A must be finite")
         if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
             raise ValueError("A must be symmetric")
-        n = a.shape[0]
-        if n > MAX_DIM:
-            raise ValueError(f"dimension cap is {MAX_DIM}")
+        n = _dimension(a.shape[0])
         eig = np.linalg.eigvalsh(a)
         if eig[0] <= 1e-10 * max(1.0, eig[-1]):
             raise ValueError("A must be positive definite "
@@ -412,7 +422,7 @@ class RadialPower(ConvexFunction):
     def __init__(self, n: int, p: float, scale: float = 1.0):
         if not (math.isfinite(p) and math.isfinite(scale) and p > 1 and scale > 0):
             raise ValueError("radial power needs finite p > 1 and scale > 0")
-        self.n = int(n)
+        self.n = _dimension(n)
         self.p = float(p)
         self.scale = float(scale)
 
@@ -480,7 +490,7 @@ class Cone(ConvexFunction):
     def __init__(self, n: int, t: float, r: float = 1.0):
         if not (math.isfinite(t) and math.isfinite(r) and t >= 0 and r > 0):
             raise ValueError("cone needs finite t >= 0 and r > 0")
-        self.n = int(n)
+        self.n = _dimension(n)
         self.t = float(t)
         self.r = float(r)
 
@@ -515,7 +525,7 @@ class RadialHinge(ConvexFunction):
     def __init__(self, n: int, t: float, r: float = 1.0):
         if not (math.isfinite(t) and math.isfinite(r) and t >= 0 and r > 0):
             raise ValueError("radial hinge needs finite t >= 0 and r > 0")
-        self.n = int(n)
+        self.n = _dimension(n)
         self.t = float(t)
         self.r = float(r)
 
@@ -930,23 +940,6 @@ def _scale_body(body: ConvexBody, lam: float) -> ConvexBody:
 # Module-level operations
 
 
-def conjugate(u: ConvexFunction) -> ConvexFunction:
-    """Legendre-Fenchel transform within the catalog."""
-    return u.conjugate()
-
-
-def inf_conv(u1: ConvexFunction, u2: ConvexFunction) -> ConvexFunction:
-    return InfConv(u1, u2)
-
-
-def epi_scale(u: ConvexFunction, lam: float) -> ConvexFunction:
-    return EpiScaled(u, lam)
-
-
-def epi_translate(u: ConvexFunction, x0, alpha: float = 0.0) -> ConvexFunction:
-    return EpiTranslated(u, x0, alpha)
-
-
 def _llt_1d(x: np.ndarray, f: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Linear-time discrete Legendre transform along one axis.
 
@@ -1010,29 +1003,21 @@ def body_from_spec(spec: dict) -> ConvexBody:
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError(f"body spec must be an object with a 'type': {spec!r}")
     t = spec["type"]
-    try:
+    with spec_errors(f"body spec '{t}'"):
         if t == "ball":
             return Ball(spec["r"], spec["center"])
         if t == "box":
             return Box(spec["intervals"])
         if t == "polytope":
             return PolytopeV(spec["vertices"])
-    except KeyError as exc:
-        raise SchemaError(f"body spec '{t}' is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid body spec '{t}': {exc}") from exc
     raise SchemaError(f"unknown body type {t!r}")
-
-
-def body_to_spec(body: ConvexBody) -> dict:
-    return body.to_spec()
 
 
 def function_from_spec(spec: dict) -> ConvexFunction:
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError(f"function spec must be an object with a 'type': {spec!r}")
     t = spec["type"]
-    try:
+    with spec_errors(f"function spec '{t}'"):
         if t == "quadratic":
             return Quadratic(spec["A"], spec.get("b"), spec.get("c", 0.0))
         if t == "radial_power":
@@ -1065,13 +1050,4 @@ def function_from_spec(spec: dict) -> ConvexFunction:
         if t == "sum":
             return PointwiseSum(function_from_spec(spec["left"]),
                                 function_from_spec(spec["right"]))
-    except KeyError as exc:
-        raise SchemaError(f"function spec '{t}' is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: a catalog fold such as lam ** (1 - p) leaves double precision
-        raise SchemaError(f"invalid function spec '{t}': {exc}") from exc
     raise SchemaError(f"unknown function type {t!r}")
-
-
-def function_to_spec(u: ConvexFunction) -> dict:
-    return u.to_spec()

@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class FunvolError(Exception):
     """Base class for all package errors."""
@@ -35,3 +37,16 @@ class NonConvergedError(FunvolError):
         self.value = value
         self.error = error
         self.evaluations = evaluations
+
+
+@contextmanager
+def spec_errors(what: str):
+    """Report a catalog constructor's rejection of an input inside the block
+    as a :class:`SchemaError` naming ``what``: a missing field (KeyError), a
+    wrong type or value, or a number that leaves double precision."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"invalid {what}: {exc}") from exc

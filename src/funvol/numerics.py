@@ -1,13 +1,15 @@
 """Shared numerical substrate.
 
 Quadrature on intervals and in polar coordinates, elementary symmetric
-functions of symmetric-matrix eigenvalues, unit-ball volumes, and a
-counter-based deterministic RNG.  Everything here is pure; quadrature
-routines report an error estimate alongside the value and raise
-:class:`NonConvergedError` when the budget runs out before the tolerance is
-met.  One adaptive loop refines the panels of both interval and radial
-quadrature.  A singular endpoint is graded, r = t^2, and refined by the same
-adaptive panels as the rest of the range.
+functions of eigenvalues, unit-ball volumes, and a counter-based
+deterministic RNG.  Everything here is pure; quadrature routines report an
+error estimate alongside the value and raise :class:`NonConvergedError` when
+the fixed budget (bisection depth, panel count, angular level) runs out
+before the fixed tolerance is met.  One adaptive loop refines the panels of
+both interval and radial quadrature.  A singular endpoint is graded,
+r = t^2, and refined by the same adaptive panels as the rest of the range.
+Sphere rules, and so polar quadrature, cover n <= 4; a larger n is an
+:class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
@@ -17,18 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergedError, SchemaError
+from .errors import NonConvergedError, SchemaError, UnsupportedVariant
 
 __all__ = [
     "MAX_DIM",
     "kappa",
     "flag_coefficient",
-    "eigenvalues",
-    "elem_sym",
     "elem_sym_values",
-    "QuadratureConfig",
     "QuadratureResult",
-    "DEFAULT_CONFIG",
     "integrate_interval",
     "integrate_polar_separable",
     "sphere_rule",
@@ -57,11 +55,6 @@ def flag_coefficient(n: int, k: int) -> float:
 # Symmetric functions of eigenvalues
 
 
-def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(np.asarray(a, dtype=float))
-
-
 def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
     """e_i of the entries along the last axis (e_0 = 1), batched.
 
@@ -80,11 +73,6 @@ def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
     return e[..., i]
 
 
-def elem_sym(a, i: int) -> float:
-    """i-th elementary symmetric function of the eigenvalues of a symmetric matrix."""
-    return float(elem_sym_values(eigenvalues(a), i))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -92,27 +80,11 @@ def elem_sym(a, i: int) -> float:
 _INTERVAL_ORDER = 31   # Gauss order of an interval panel
 _POLAR_ORDER = 15      # Gauss order of a radial panel in polar quadrature
 _MAX_PANELS = 400_000  # panel budget of one adaptive refinement
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Budget and tolerances of the adaptive quadrature routines.
-
-    ``max_depth`` bounds the bisection depth of a panel; a refinement stops
-    once its summed panel error is at most max(abs_tol, rel_tol * |value|).
-    """
-    max_depth: int = 40
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.max_depth < 1:
-            raise ValueError("depth limit must be >= 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+_MAX_DEPTH = 40        # bisection depth budget of one panel
+_ABS_TOL = 1e-10       # a refinement stops once its error is at most
+_REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
+_LEVEL = 8             # first fine angular level of polar quadrature
+_MAX_LEVEL = 64        # angular level budget of polar quadrature
 
 
 @dataclass(frozen=True)
@@ -151,14 +123,13 @@ class _CountingFn:
         return np.asarray(self.f(x), dtype=float)
 
 
-def _refine(panel, edges, cfg: QuadratureConfig, fn: _CountingFn,
-            what: str) -> tuple[float, float]:
+def _refine(panel, edges, fn: _CountingFn, what: str) -> tuple[float, float]:
     """Adaptive bisection of the panels between consecutive ``edges``.
 
     ``panel(a, b)`` returns (estimate, error) on [a, b].  The panel with the
     largest error is split until the summed error is within tolerance;
     :class:`NonConvergedError` is raised when that panel sits at
-    ``cfg.max_depth`` or the panel count reaches ``_MAX_PANELS``.
+    ``_MAX_DEPTH`` or the panel count reaches ``_MAX_PANELS``.
     """
     total, total_err = 0.0, 0.0
     heap = []
@@ -168,9 +139,9 @@ def _refine(panel, edges, cfg: QuadratureConfig, fn: _CountingFn,
         total_err += err
         heapq.heappush(heap, (-err, uid, 0, a, b, v, err))
     uid = len(heap)
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total)):
         _, _, depth, a, b, v, err = heapq.heappop(heap)
-        if depth >= cfg.max_depth or len(heap) >= _MAX_PANELS:
+        if depth >= _MAX_DEPTH or len(heap) >= _MAX_PANELS:
             raise NonConvergedError(
                 f"{what} did not converge at depth {depth} with {len(heap) + 1} "
                 f"panels (error {total_err:.3e})", total, total_err, fn.count)
@@ -185,7 +156,7 @@ def _refine(panel, edges, cfg: QuadratureConfig, fn: _CountingFn,
     return total, total_err
 
 
-def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = None, *,
+def integrate_interval(f, a: float, b: float, *,
                        singular_left: bool = False) -> QuadratureResult:
     """Adaptive Gauss estimate of the integral of ``f`` over a finite (a, b).
 
@@ -195,7 +166,6 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
     in t, so integrable endpoint singularities (log, or power of exponent
     > -1) converge; x^(-1/2) becomes smooth.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval quadrature needs finite bounds, got [{a}, {b}]")
     if b <= a:
@@ -216,7 +186,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadratureConfig | None = Non
         return hi, abs(hi - lo)
 
     edges = (0.0, 1.0) if singular_left else (a, b)
-    value, error = _refine(panel, edges, cfg, fn, f"interval quadrature on [{a}, {b}]")
+    value, error = _refine(panel, edges, fn, f"interval quadrature on [{a}, {b}]")
     return QuadratureResult(value, error, fn.count)
 
 
@@ -228,6 +198,7 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
 
     Weights sum to the sphere's surface area n * kappa_n.  ``level`` scales
     the resolution; the rules converge rapidly for smooth angular integrands.
+    Rules exist for 1 <= n <= 4; any other n raises :class:`UnsupportedVariant`.
     """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -273,12 +244,11 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         ])
         wts = np.concatenate([wp * wring for wp in wpsi])
         return dirs, wts
-    raise ValueError(f"sphere_rule supports n <= 4, got {n}")
+    raise UnsupportedVariant(f"sphere rules and polar quadrature cover n <= 4, got n = {n}")
 
 
-def integrate_polar_separable(f, n: int, r_max, cfg: QuadratureConfig | None = None, *,
-                              break_ratios=(), singular_center: bool = False,
-                              level: int = 8, max_level: int = 64) -> QuadratureResult:
+def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
+                              singular_center: bool = False) -> QuadratureResult:
     """Polar quadrature around the origin when the integrand's radial kinks sit
     at shared ratios.
 
@@ -288,11 +258,11 @@ def integrate_polar_separable(f, n: int, r_max, cfg: QuadratureConfig | None = N
     mapped to their square roots) clusters the nodes at the center.  Panels
     carry a 15-point rule checked against an 8-point one and are refined by
     the same adaptive loop as intervals, on the shared grid (aggregated
-    error); the angular level doubles until consecutive sphere rules agree.
-    Raises :class:`NonConvergedError` when a panel reaches ``cfg.max_depth``
-    or the level reaches ``max_level`` without agreement.
+    error); the angular level doubles from ``_LEVEL`` until consecutive
+    sphere rules agree.  Raises :class:`NonConvergedError` when a panel
+    reaches ``_MAX_DEPTH`` or the level reaches ``_MAX_LEVEL`` without
+    agreement.
     """
-    cfg = cfg or DEFAULT_CONFIG
     fn = _CountingFn(f)
     grade = _GRADE if singular_center else 1
     edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
@@ -315,21 +285,21 @@ def integrate_polar_separable(f, n: int, r_max, cfg: QuadratureConfig | None = N
             lo = half * float(scale @ (vals[:, _POLAR_ORDER:] @ w_lo))
             return hi, abs(hi - lo)
 
-        return _refine(panel, edges, cfg, fn, "radial refinement")
+        return _refine(panel, edges, fn, "radial refinement")
 
     if n == 1:
         value, error = run(1)
         return QuadratureResult(value, error, fn.count)
-    prev, _ = run(max(2, level // 2))
-    lv = level
+    prev, _ = run(max(2, _LEVEL // 2))
+    lv = _LEVEL
     while True:
         fine, rad_err = run(lv)
         ang_err = abs(fine - prev)
-        if ang_err <= max(cfg.abs_tol, cfg.rel_tol * abs(fine)):
+        if ang_err <= max(_ABS_TOL, _REL_TOL * abs(fine)):
             return QuadratureResult(fine, rad_err + ang_err, fn.count)
-        if lv >= max_level:
+        if lv >= _MAX_LEVEL:
             raise NonConvergedError(
-                f"angular refinement hit level {max_level} (error {ang_err:.3e})",
+                f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
                 fine, rad_err + ang_err, fn.count)
         prev = fine
         lv *= 2

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     Rotated, body_intrinsic_volume, conjugate, project_body)
+                     Rotated, body_intrinsic_volume, project_body)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
-from .numerics import (DEFAULT_CONFIG, Rng, flag_coefficient, integrate_interval,
+from .numerics import (Rng, flag_coefficient, integrate_interval,
                        integrate_polar_separable, kappa)
 from .subspaces import project_function, restrict_function, sample_grassmann
-from .weights import (HadClass, WeightFunction, in_had_class, transform_R_power,
-                      xi_from_zeta)
+from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
 
 __all__ = [
     "ValuationSpec",
@@ -57,7 +56,7 @@ class ValuationSpec:
     def __post_init__(self):
         if not 0 <= self.j <= self.n:
             raise SchemaError(f"need 0 <= j <= n, got j={self.j}, n={self.n}")
-        ok, why = in_had_class(self.zeta, HadClass(self.j, self.n))
+        ok, why = in_had_class(self.zeta, self.j, self.n)
         if not ok:
             raise SchemaError(
                 f"weight not admissible for degree j={self.j} in dimension "
@@ -196,8 +195,8 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int):
         length = np.sqrt(squared)
         return u.grad_radius(img / length[:, None], s_max) / length
 
-    return integrate_polar_separable(integrand, u.n, r_max, DEFAULT_CONFIG,
-                                     break_ratios=ratios, singular_center=singular)
+    return integrate_polar_separable(integrand, u.n, r_max, break_ratios=ratios,
+                                     singular_center=singular)
 
 
 def eval_smooth(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
@@ -327,7 +326,7 @@ def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction):
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = (weight.singularity.kind != "none"
                 or v.smooth_kind() == "except_center")
-    return integrate_polar_separable(integrand, n, s_max, DEFAULT_CONFIG,
+    return integrate_polar_separable(integrand, n, s_max,
                                      break_ratios=[k / s_max for k in knots],
                                      singular_center=singular)
 
@@ -347,7 +346,7 @@ def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
         return EvalResult(res.value, res.error, "dual_integral", res.evaluations)
     if path != "conjugate":
         raise SchemaError(f"unknown dual path {path!r}")
-    u = conjugate(v)
+    u = v.conjugate()
     if spec.j == 0:
         const = kappa(spec.n) * transform_R_power(spec.zeta, spec.n).value_at_zero()
         return EvalResult(float(const), 0.0, "dual_conjugate")
@@ -482,9 +481,8 @@ def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
         return (math.comb(n - 1, i) * np.asarray(transformed(grad(r)))
                 * r ** (j - 1))
 
-    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, DEFAULT_CONFIG,
-                             singular_left=singular)
-    rhs = integrate_interval(rhs_integrand, 0.0, r_bound, DEFAULT_CONFIG)
+    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, singular_left=singular)
+    rhs = integrate_interval(rhs_integrand, 0.0, r_bound)
     lv, rv = surf * lhs.value, surf * rhs.value
     err = surf * (lhs.error + rhs.error)
     return CheckResult(lv, rv, err,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .convex import (Box, EpiScaled, EpiTranslated, Indicator, Rotated,
                      body_from_spec, function_from_spec)
-from .errors import NonConvergedError, SchemaError
+from .errors import NonConvergedError, SchemaError, spec_errors
 from .numerics import Rng
 from .subspaces import (check_conjugate_projection, sample_grassmann,
                         sample_rotation)
@@ -371,16 +371,13 @@ def run_case(case: IdentityCase) -> VerificationReport:
     runner = _RUNNERS[case.id]
     start = time.perf_counter()
     try:
-        lhs, rhs, error, counters = runner(case.params)
+        with spec_errors(f"case {case.id!r}"):  # a param the catalog rejects
+            lhs, rhs, error, counters = runner(case.params)
     except NonConvergedError as exc:
         wall = time.perf_counter() - start
         return VerificationReport(case, exc.value, float("nan"), float("nan"),
                                   exc.error, "non_converged", wall,
                                   {"integrand_evals": exc.evaluations})
-    except KeyError as exc:
-        raise SchemaError(f"case {case.id!r} is missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a param the catalog rejects
-        raise SchemaError(f"case {case.id!r} has an invalid parameter: {exc}") from exc
     wall = time.perf_counter() - start
     diff = abs(lhs - rhs)
     if not (math.isfinite(diff) and math.isfinite(error)):

@@ -12,6 +12,10 @@ these are exact.  For bump-rooted chains the integrand is fitted by piecewise
 Chebyshev series, which are integrated exactly; a fit that does not resolve
 raises NonConvergedError.
 
+Each transform is built in the one representation it uses: a closed-form
+inner weight gives a closed-form weight, any other a lazy
+:class:`TransformedWeight` on the Chebyshev path.
+
 Membership in the admissibility class indexed by (j, n) -- vanishing of
 s^{n-j} z(s) at 0 together with a finite limit of int_s^inf t^{n-j-1} z(t) dt
 (finite limit of z itself when j = n) -- is decided from the singularity
@@ -26,13 +30,12 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import NonConvergedError, SchemaError, UnknownSingularity
+from .errors import NonConvergedError, SchemaError, UnknownSingularity, spec_errors
 # integrate_interval is unused here; bench/smoke.py checks that its tracer wraps this name
 from .numerics import integrate_interval, kappa  # noqa: F401
 
 __all__ = [
     "Singularity",
-    "HadClass",
     "WeightFunction",
     "Tent",
     "Bump",
@@ -41,7 +44,6 @@ __all__ = [
     "Scaled",
     "SumWeight",
     "TransformedWeight",
-    "transform_R",
     "transform_R_power",
     "transform_R_inverse",
     "xi_from_zeta",
@@ -50,7 +52,6 @@ __all__ = [
     "NonnegativityVerdict",
     "log_grid",
     "weight_from_spec",
-    "weight_to_spec",
 ]
 
 _COEF_EPS = 1e-13
@@ -61,21 +62,6 @@ class Singularity:
     """Behavior of a weight at 0+: 'none' (finite limit), 'log', 'power' (p < 0), 'unknown'."""
     kind: str
     power: float = 0.0
-
-
-@dataclass(frozen=True)
-class HadClass:
-    """Admissibility class indexed by degree j and dimension n, 0 <= j <= n."""
-    j: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.j <= self.n:
-            raise ValueError(f"need 0 <= j <= n, got j={self.j}, n={self.n}")
-
-    def normalized(self) -> "HadClass":
-        # The degenerate (0, 0) class is defined to coincide with (1, 1).
-        return HadClass(1, 1) if (self.j, self.n) == (0, 0) else self
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +274,6 @@ class WeightFunction:
 
     def knots(self) -> tuple[float, ...]:
         """Points in (0, s_max] where the weight may lose smoothness."""
-        form = self.closed_form()
-        if form is not None:
-            return tuple(p.hi for p in form.pieces)
-        return (self.support_bound,)
-
-    def to_spec(self) -> dict:
         raise NotImplementedError
 
 
@@ -321,6 +301,9 @@ class _ClosedFormWeight(WeightFunction):
     def flat_below(self):
         return self._form.flat_below()
 
+    def knots(self):
+        return tuple(p.hi for p in self._form.pieces)
+
 
 class Tent(_ClosedFormWeight):
     """max(0, 1 - s/s0)."""
@@ -333,18 +316,12 @@ class Tent(_ClosedFormWeight):
             [_Piece(0.0, self.s0, (_Term(1.0, 0.0, 0), _Term(-1.0 / self.s0, 1.0, 0)))],
             self.s0))
 
-    def to_spec(self):
-        return {"type": "tent", "s0": self.s0}
-
 
 class LogCap(_ClosedFormWeight):
     """max(0, ln(1/s)); log singularity at 0, support (0, 1]."""
 
     def __init__(self):
         super().__init__(PowerLogForm([_Piece(0.0, 1.0, (_Term(-1.0, 0.0, 1),))], 1.0))
-
-    def to_spec(self):
-        return {"type": "log_cap"}
 
 
 class PolyCapped(_ClosedFormWeight):
@@ -361,9 +338,6 @@ class PolyCapped(_ClosedFormWeight):
         self.cutoff = float(cutoff)
         terms = tuple(_Term(c, float(i), 0) for i, c in enumerate(self.coeffs) if c != 0.0)
         super().__init__(PowerLogForm([_Piece(0.0, self.cutoff, terms)], self.cutoff))
-
-    def to_spec(self):
-        return {"type": "poly_capped", "coeffs": self.coeffs, "cutoff": self.cutoff}
 
 
 class Bump(WeightFunction):
@@ -400,9 +374,6 @@ class Bump(WeightFunction):
     def knots(self):
         return (self.a, self.b) if self.a > 0 else (self.b,)
 
-    def to_spec(self):
-        return {"type": "bump", "a": self.a, "b": self.b}
-
 
 class Scaled(WeightFunction):
     def __init__(self, inner: WeightFunction, factor: float):
@@ -433,9 +404,6 @@ class Scaled(WeightFunction):
 
     def knots(self):
         return self.inner.knots()
-
-    def to_spec(self):
-        return {"type": "scaled", "factor": self.factor, "inner": self.inner.to_spec()}
 
 
 class SumWeight(WeightFunction):
@@ -483,9 +451,6 @@ class SumWeight(WeightFunction):
     def knots(self):
         ks = sorted({k for t in self.terms for k in t.knots()})
         return tuple(ks)
-
-    def to_spec(self):
-        return {"type": "sum", "terms": [t.to_spec() for t in self.terms]}
 
 
 # Transforms without a closed form: the integrand is fitted piecewise by
@@ -558,24 +523,21 @@ class _ChebTail:
 
 
 class TransformedWeight(WeightFunction):
-    """Lazy T^p for a power p of either sign: s^p z(s) + p * int_s^inf t^{p-1} z(t) dt.
+    """Lazy T^p for a power p != 0 of either sign, s^p z(s) + p * int_s^inf t^{p-1} z(t) dt,
+    of an inner weight z without a closed form (bump-rooted chains).
 
-    A closed-form inner weight gives an exact power-log form.  Otherwise (bump-
-    rooted chains) the integrand t^{p-1} z is fitted by Chebyshev pieces on the
-    inner knot intervals and integrated exactly (:class:`_ChebTail`), built on
-    first use.  The transform is constant below the inner flat region; with
-    none, dyadic pieces run toward 0 down to ``_EXT_FLOOR`` times the support
+    The integrand t^{p-1} z is fitted by Chebyshev pieces on the inner knot
+    intervals and integrated exactly (:class:`_ChebTail`), built on first
+    use.  The transform is constant below the inner flat region; with none,
+    dyadic pieces run toward 0 down to ``_EXT_FLOOR`` times the support
     bound, and the transform is constant below that.
     """
 
     def __init__(self, inner: WeightFunction, power: int):
-        if power == 0:
-            raise ValueError("power 0 is the identity; use the inner weight")
         self.inner = inner
         self.power = int(power)
+        float(self.power)  # a power beyond double range overflows here, not on first use
         self.support_bound = inner.support_bound
-        inner_form = inner.closed_form()
-        self._form = None if inner_form is None else inner_form.transform(self.power)
 
     @cached_property
     def _tail(self) -> _ChebTail:
@@ -590,8 +552,6 @@ class TransformedWeight(WeightFunction):
         return _ChebTail(lambda t: t ** (self.power - 1) * self.inner(t), sorted(edges))
 
     def _values(self, s):
-        if self._form is not None:
-            return self._form(s)
         se = np.maximum(s, self._tail.lo[0])
         out = (se ** self.power * np.asarray(self.inner(se))
                + self.power * self._tail(np.minimum(se, self.support_bound)))
@@ -600,8 +560,6 @@ class TransformedWeight(WeightFunction):
 
     @property
     def singularity(self):
-        if self._form is not None:
-            return self._form.singularity()
         inner_sing = self.inner.singularity
         if self.power > 0:
             if inner_sing.kind in ("none", "log"):
@@ -614,39 +572,22 @@ class TransformedWeight(WeightFunction):
         return Singularity("unknown")
 
     def value_at_zero(self):
-        if self._form is not None:
-            return self._form.value_at_zero()
         # the value at the lower end of the fit: T(flat_below), or l * F(0)
         if self.inner.flat_below > 0 or (
                 self.power > 0 and self.inner.value_at_zero() is not None):
             return float(self._values(np.zeros(1))[0])
         return None
 
-    def closed_form(self):
-        return self._form
-
     @property
     def flat_below(self):
-        if self._form is not None:
-            return self._form.flat_below()
         return self.inner.flat_below
 
     def knots(self):
-        if self._form is not None:
-            return tuple(p.hi for p in self._form.pieces)
         return self.inner.knots()
-
-    def to_spec(self):
-        return {"type": "transform", "l": self.power, "inner": self.inner.to_spec()}
 
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def transform_R(zeta: WeightFunction) -> WeightFunction:
-    """One application of the transform."""
-    return transform_R_power(zeta, 1)
 
 
 def transform_R_power(zeta: WeightFunction, l: int) -> WeightFunction:
@@ -659,7 +600,7 @@ def transform_R_power(zeta: WeightFunction, l: int) -> WeightFunction:
         return SumWeight([transform_R_power(t, l) for t in zeta.terms])
     if isinstance(zeta, Scaled):
         return Scaled(transform_R_power(zeta.inner, l), zeta.factor)
-    return TransformedWeight(zeta, l)
+    return _transformed(zeta, l)
 
 
 def transform_R_inverse(rho: WeightFunction, l: int) -> WeightFunction:
@@ -670,7 +611,15 @@ def transform_R_inverse(rho: WeightFunction, l: int) -> WeightFunction:
         return SumWeight([transform_R_inverse(t, l) for t in rho.terms])
     if isinstance(rho, Scaled):
         return Scaled(transform_R_inverse(rho.inner, l), rho.factor)
-    return TransformedWeight(rho, -l)
+    return _transformed(rho, -l)
+
+
+def _transformed(zeta: WeightFunction, p: int) -> WeightFunction:
+    """T^p in the one representation it uses: exact when zeta has a closed form."""
+    form = zeta.closed_form()
+    if form is not None:
+        return _ClosedFormWeight(form.transform(p))
+    return TransformedWeight(zeta, p)
 
 
 def xi_from_zeta(zeta: WeightFunction, j: int, k: int, n: int) -> WeightFunction:
@@ -681,19 +630,26 @@ def xi_from_zeta(zeta: WeightFunction, j: int, k: int, n: int) -> WeightFunction
     return Scaled(transform_R_power(zeta, n - k), factor)
 
 
-def in_had_class(zeta: WeightFunction, cls: HadClass) -> tuple[bool, str]:
-    """Descriptor-driven membership decision (no limit sampling)."""
-    cls = cls.normalized()
+def in_had_class(zeta: WeightFunction, j: int, n: int) -> tuple[bool, str]:
+    """Membership in the admissibility class of degree j in dimension n,
+    0 <= j <= n, decided from the singularity descriptor (no limit sampling).
+
+    The degenerate (0, 0) class is defined to coincide with (1, 1).
+    """
+    if not 0 <= j <= n:
+        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
+    if (j, n) == (0, 0):
+        j, n = 1, 1
     sing = zeta.singularity
     if sing.kind == "unknown":
         raise UnknownSingularity(
             "singularity descriptor unavailable for this transform chain; "
             "membership cannot be certified")
-    if cls.j == cls.n:
+    if j == n:
         if sing.kind == "none":
             return True, "finite limit at 0"
         return False, f"{sing.kind} singularity at 0; the (n, n) class needs a finite limit"
-    gap = cls.n - cls.j
+    gap = n - j
     if sing.kind in ("none", "log"):
         return True, f"{sing.kind} behavior at 0 is admissible for n - j = {gap}"
     if sing.power > -gap:
@@ -709,9 +665,9 @@ class NonnegativityVerdict:
     note: str
 
 
-def log_grid(s_max: float, count: int = 200, lo: float = 1e-4) -> np.ndarray:
-    """Log-spaced grid on (lo, s_max], covering the singular region near 0."""
-    return np.geomspace(lo, s_max, count)
+def log_grid(s_max: float, count: int = 200) -> np.ndarray:
+    """Log-spaced grid on [1e-4, s_max], covering the singular region near 0."""
+    return np.geomspace(1e-4, s_max, count)
 
 
 def nonnegativity_check(zeta: WeightFunction, j: int, n: int,
@@ -750,7 +706,7 @@ def weight_from_spec(spec: dict) -> WeightFunction:
     if not isinstance(spec, dict) or "type" not in spec:
         raise SchemaError(f"weight spec must be an object with a 'type': {spec!r}")
     t = spec["type"]
-    try:
+    with spec_errors(f"weight spec '{t}'"):
         if t == "tent":
             return Tent(spec.get("s0", 1.0))
         if t == "log_cap":
@@ -764,17 +720,11 @@ def weight_from_spec(spec: dict) -> WeightFunction:
         if t == "sum":
             return SumWeight([weight_from_spec(s) for s in spec["terms"]])
         if t == "transform":
-            l = int(spec["l"])
+            l = spec["l"]
+            if isinstance(l, bool) or not isinstance(l, int):
+                raise TypeError(f"'l' must be an integer, got {l!r}")
             inner = weight_from_spec(spec["inner"])
             if l == 0:
                 return inner
             return transform_R_power(inner, l) if l > 0 else transform_R_inverse(inner, -l)
-    except KeyError as exc:
-        raise SchemaError(f"weight spec '{t}' is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid weight spec '{t}': {exc}") from exc
     raise SchemaError(f"unknown weight type {t!r}")
-
-
-def weight_to_spec(zeta: WeightFunction) -> dict:
-    return zeta.to_spec()

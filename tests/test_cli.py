@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import funvol
 from funvol.cli import main
-from funvol.numerics import QuadratureConfig
 
 
 @pytest.fixture
@@ -178,8 +177,7 @@ class TestCompute:
 
     def test_non_converged_exit_4(self, capsys, specs, tmp_path, monkeypatch):
         # a depth budget too small for the log-singular weight's graded center panel
-        monkeypatch.setattr("funvol.valuations.DEFAULT_CONFIG",
-                            QuadratureConfig(max_depth=2))
+        monkeypatch.setattr("funvol.numerics._MAX_DEPTH", 2)
         zeta = tmp_path / "log_cap.json"
         zeta.write_text(json.dumps({"type": "log_cap"}))
         code, out, _ = run_cli(capsys, "compute", "--function", specs["quad"],
@@ -420,10 +418,10 @@ class TestFlagFuzz:
 
 
 # Spec fuzzing: parameters mix ordinary values with the edges of double
-# precision and with values of the wrong type.
+# precision, an integer no double holds, and values of the wrong type.
 NUMBERS = st.one_of(
     st.sampled_from([0.0, 0.2, 0.8, 1.0, 2.0, -1.0, 1e-300, 1e150, 1e308, 1.7e308,
-                     math.inf, -math.inf, math.nan]),
+                     math.inf, -math.inf, math.nan, 10 ** 400]),
     st.floats(-3.0, 3.0), st.integers(-2, 4))
 PARAMS = NUMBERS | st.sampled_from([None, "x", [1.0], True])
 LEAF_WEIGHTS = st.one_of(
@@ -438,8 +436,11 @@ WEIGHTS = st.recursive(LEAF_WEIGHTS, lambda inner: st.one_of(
     st.fixed_dictionaries({"type": st.just("scaled"), "factor": PARAMS, "inner": inner}),
     st.fixed_dictionaries({"type": st.just("sum"),
                            "terms": st.lists(inner, min_size=1, max_size=2)}),
-    st.fixed_dictionaries({"type": st.just("transform"), "l": st.integers(-3, 3),
+    st.fixed_dictionaries({"type": st.just("transform"), "l": st.integers(-3, 3) | PARAMS,
                            "inner": inner})), max_leaves=3)
+# past the sphere rules (n <= 4) but inside the catalog's MAX_DIM
+QUAD5 = {"type": "quadratic", "A": [[float(i == k) for k in range(5)] for i in range(5)],
+         "b": [0.0] * 5, "c": 0.0}
 POINTS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=4)
 BODIES = st.one_of(
     st.fixed_dictionaries({"type": st.just("ball"), "r": PARAMS,
@@ -455,9 +456,9 @@ LEAF_FUNCTIONS = st.one_of(
                           optional={"b": st.lists(NUMBERS, min_size=2, max_size=2),
                                     "c": PARAMS}),
     st.fixed_dictionaries({"type": st.sampled_from(["cone", "radial_hinge"]),
-                           "n": st.integers(0, 3), "t": PARAMS},
+                           "n": st.integers(-1, 7) | PARAMS, "t": PARAMS},
                           optional={"r": PARAMS}),
-    st.fixed_dictionaries({"type": st.just("radial_power"), "n": st.integers(0, 3),
+    st.fixed_dictionaries({"type": st.just("radial_power"), "n": st.integers(-1, 7) | PARAMS,
                            "p": PARAMS}, optional={"scale": PARAMS}),
     st.fixed_dictionaries({"type": st.sampled_from(["indicator", "support"]),
                            "body": BODIES}),
@@ -470,7 +471,8 @@ LEAF_FUNCTIONS = st.one_of(
         {"type": "radial_power", "n": 2, "p": 4.0},
         {"type": "cone", "n": 2, "t": 0.5},
         {"type": "indicator", "body": {"type": "ball", "r": 1.0, "center": [0.0, 0.0]}},
-        {"type": "radial_hinge", "n": 2, "t": 0.5}]))
+        {"type": "radial_hinge", "n": 2, "t": 0.5},
+        QUAD5]))
 VECTORS = st.lists(NUMBERS, min_size=2, max_size=2)
 ORTHOGONAL = st.one_of(
     st.sampled_from([[[0.6, -0.8], [0.8, 0.6]], [[0.0, 1.0], [1.0, 0.0]]]),
@@ -497,6 +499,16 @@ INFINITE_TENT = {"type": "tent", "s0": math.inf}
 INFINITE_TRANSLATE = {"type": "epi_translate", "x0": [math.inf, 0.0],
                       "inner": {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]],
                                 "b": [0.0, 0.0], "c": 0.0}}
+# radial variants outside 1..MAX_DIM used to be truncated, computed or to overflow
+BAD_DIMENSIONS = {
+    "radial_power_2.5": ({"type": "radial_power", "n": 2.5, "p": 4.0}, "smooth", "1"),
+    "cone_0": ({"type": "cone", "n": 0, "t": 0.5}, "ck", "0"),
+    "radial_power_7": ({"type": "radial_power", "n": 7, "p": 4.0}, "ck", "1"),
+    "radial_power_100000": ({"type": "radial_power", "n": 100000, "p": 4.0}, "ck", "1"),
+}
+TENT = {"type": "tent", "s0": 1.0}
+INFINITE_POWER = {"type": "transform", "l": math.inf, "inner": TENT}
+FRACTIONAL_POWER = {"type": "transform", "l": 1.5, "inner": TENT}
 
 
 def _check_exit(code, out, err):
@@ -513,6 +525,10 @@ class TestSpecFuzz:
     @example(zeta=INFINITE_BUMP, power=1, inverse=False)
     @example(zeta=HUGE_BUMP, power=1, inverse=False)
     @example(zeta=INFINITE_TENT, power=1, inverse=False)
+    @example(zeta=INFINITE_POWER, power=1, inverse=False)
+    @example(zeta=FRACTIONAL_POWER, power=0, inverse=False)
+    @example(zeta={"type": "transform", "l": 10 ** 400,
+                   "inner": {"type": "bump", "a": 0.2, "b": 0.8}}, power=1, inverse=False)
     @settings(max_examples=150, deadline=None)
     def test_transform(self, tmp_path_factory, zeta, power, inverse):
         path = tmp_path_factory.mktemp("spec") / "zeta.json"
@@ -531,6 +547,12 @@ class TestSpecFuzz:
     @example(function={"type": "epi_scale", "lambda": 0.2,
                        "inner": {"type": "radial_power", "n": 2, "p": 1e150}},
              zeta={"type": "tent", "s0": 1.0}, method="smooth")
+    @example(function=QUAD5, zeta=TENT, method="smooth")
+    @example(function=QUAD5, zeta=TENT, method="dual")
+    @example(function=BAD_DIMENSIONS["radial_power_2.5"][0], zeta=TENT, method="smooth")
+    @example(function=BAD_DIMENSIONS["cone_0"][0], zeta=TENT, method="ck")
+    @example(function=BAD_DIMENSIONS["radial_power_7"][0], zeta=TENT, method="ck")
+    @example(function=BAD_DIMENSIONS["radial_power_100000"][0], zeta=TENT, method="ck")
     @settings(max_examples=100, deadline=None)
     def test_compute(self, tmp_path_factory, function, zeta, method):
         root = tmp_path_factory.mktemp("spec")
@@ -557,6 +579,58 @@ class TestSpecFuzz:
         code, out, err = run_captured(["compute", "--function", str(path),
                                        "--zeta", fuzz_files["tent"], "--method", "smooth",
                                        "--j", "1"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("method,j", [("smooth", "1"), ("dual", "1"),
+                                          ("domain-gradient", "5")])
+    def test_polar_route_past_four_dimensions_exit_3(self, tmp_path, fuzz_files,
+                                                     method, j):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(QUAD5))
+        argv = ["compute", "--function", str(path), "--zeta", fuzz_files["tent"]]
+        code, out, err = run_captured(argv + ["--j", j, "--method", method])
+        assert code == 3 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "UnsupportedVariant"
+        # the projection route averages 1-d integrals, which stay in reach
+        code, out, err = run_captured(argv + ["--j", "1", "--method", "ck", "--samples", "8"])
+        assert code == 0 and math.isfinite(json.loads(out)["value"])
+
+    @pytest.mark.parametrize("function,method,j", BAD_DIMENSIONS.values(),
+                             ids=list(BAD_DIMENSIONS))
+    def test_radial_dimension_exit_2(self, tmp_path, fuzz_files, function, method, j):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(function))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", method,
+                                       "--j", j, "--samples", "8"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("text", [
+        '{"type": "transform", "l": 1e400, "inner": {"type": "tent"}}',
+        '{"type": "transform", "l": 1.5, "inner": {"type": "tent"}}',
+    ], ids=["l_1e400", "l_1.5"])
+    def test_transform_power_exit_2(self, tmp_path, text):
+        path = tmp_path / "zeta.json"
+        path.write_text(text)
+        code, out, err = run_captured(["transform", "--zeta", str(path), "--power", "0",
+                                       "--grid", "0.1:0.9:3"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("case", [
+        # r_bound = (s_max / scale) ** (1 / (p - 1)) overflows
+        {"id": "reilly_radial", "params": {"n": 2, "j": 1, "zeta": TENT, "p": 1.001,
+                                           "scale": 1e-300}},
+        {"id": "ck_classical", "params": {"K": {"type": "ball", "r": 10 ** 400,
+                                                "center": [0.0, 0.0, 0.0]},
+                                          "j": 1, "k": 1, "samples": 8}},
+    ], ids=["reilly_overflow", "ball_401_digits"])
+    def test_overflowing_case_exit_2(self, tmp_path, case):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([case]))
+        code, out, err = run_captured(["verify", "--manifest", str(path)])
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 

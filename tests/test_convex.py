@@ -19,13 +19,8 @@ from funvol.convex import (
     SupportFn,
     body_from_spec,
     body_intrinsic_volume,
-    conjugate,
     discrete_legendre,
-    epi_scale,
-    epi_translate,
     function_from_spec,
-    function_to_spec,
-    inf_conv,
     project_body,
 )
 from funvol.errors import NotDifferentiable, SchemaError, UnsupportedVariant
@@ -126,17 +121,17 @@ def _subgradient_pair(u, rng):
 class TestConjugate:
     def test_half_norm_squared_self_dual(self):
         u = Quadratic(np.eye(2))
-        v = conjugate(u)
+        v = u.conjugate()
         assert isinstance(v, Quadratic)
         assert v.a == pytest.approx(np.eye(2))
 
     def test_indicator_ball_gives_support(self):
-        v = conjugate(Indicator(Ball(1.0, [0.0, 0.0])))
+        v = Indicator(Ball(1.0, [0.0, 0.0])).conjugate()
         assert isinstance(v, SupportFn)
         assert v([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_cone_gives_radial_hinge(self):
-        v = conjugate(Cone(2, 0.5, 1.0))
+        v = Cone(2, 0.5, 1.0).conjugate()
         assert v([2.0, 0.0]) == pytest.approx(1.5)
         assert v([0.25, 0.0]) == 0.0
 
@@ -153,7 +148,7 @@ class TestConjugate:
             EpiScaled(EpiTranslated(RadialPower(2, 4.0), [0.1, 0.0]), 2.0),
         ]
         for u in cases:
-            uu = conjugate(conjugate(u))
+            uu = u.conjugate().conjugate()
             pts = rng.uniform(-0.9, 0.9, size=(100, 2))
             vu = u(pts)
             vuu = uu(pts)
@@ -165,7 +160,7 @@ class TestConjugate:
         rng = Rng(6).generator()
         for u in catalog():
             try:
-                v = conjugate(u)
+                v = u.conjugate()
             except UnsupportedVariant:
                 continue
             for _ in range(10):
@@ -182,14 +177,14 @@ class TestConjugate:
 
     def test_max_affine_zero_offsets(self):
         m = MaxAffine([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, 0.0])
-        v = conjugate(m)
+        v = m.conjugate()
         assert isinstance(v, Indicator)
         assert v([0.0, 0.0]) == 0.0
 
     def test_unsupported_reported(self):
         m = MaxAffine([[1.0, 0.0]], [2.0])
         with pytest.raises(UnsupportedVariant):
-            conjugate(m)
+            m.conjugate()
 
 
 class TestDiscreteLegendre:
@@ -219,7 +214,7 @@ class TestDiscreteLegendre:
     def test_2d_quadratic_oracle_for_analytic_conjugate(self):
         a = np.array([[2.0, 0.4], [0.4, 1.0]])
         u = Quadratic(a)
-        v = conjugate(u)
+        v = u.conjugate()
         x = np.linspace(-5.0, 5.0, 161)
         h = x[1] - x[0]
         grid = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -233,23 +228,23 @@ class TestDiscreteLegendre:
 
 class TestEpiOperations:
     def test_epi_scale_quadratic(self):
-        u = epi_scale(Quadratic(np.eye(2)), 2.0)
+        u = EpiScaled(Quadratic(np.eye(2)), 2.0)
         x = np.array([1.0, 1.0])
         assert u(x) == pytest.approx(np.dot(x, x) / 4.0)
 
     def test_inf_conv_boxes(self):
-        k = inf_conv(Indicator(Box([(0.0, 1.0), (0.0, 1.0)])),
-                     Indicator(Box([(0.0, 2.0), (-1.0, 0.0)])))
+        k = InfConv(Indicator(Box([(0.0, 1.0), (0.0, 1.0)])),
+                    Indicator(Box([(0.0, 2.0), (-1.0, 0.0)])))
         assert isinstance(k, Indicator)
         assert k.body.intervals == ((0.0, 3.0), (-1.0, 1.0))
 
     def test_inf_conv_balls(self):
-        k = inf_conv(Indicator(Ball(1.0, [0.0, 0.0])), Indicator(Ball(0.5, [1.0, 0.0])))
+        k = InfConv(Indicator(Ball(1.0, [0.0, 0.0])), Indicator(Ball(0.5, [1.0, 0.0])))
         assert isinstance(k, Indicator)
         assert k.body.radius == pytest.approx(1.5)
 
     def test_inf_conv_quadratics_folds(self):
-        u = inf_conv(Quadratic(np.diag([1.0, 2.0])), Quadratic(np.diag([2.0, 2.0])))
+        u = InfConv(Quadratic(np.diag([1.0, 2.0])), Quadratic(np.diag([2.0, 2.0])))
         assert isinstance(u, Quadratic)
         expect = np.linalg.inv(np.linalg.inv(np.diag([1.0, 2.0])) + np.linalg.inv(np.diag([2.0, 2.0])))
         assert u.a == pytest.approx(expect)
@@ -261,7 +256,7 @@ class TestEpiOperations:
         assert u(x) == pytest.approx(0.5 * (3.0 - 1.0) ** 2, abs=1e-6)
 
     def test_epi_translate(self):
-        u = epi_translate(Quadratic(np.eye(2)), [1.0, 0.0], 2.0)
+        u = EpiTranslated(Quadratic(np.eye(2)), [1.0, 0.0], 2.0)
         assert u([1.0, 0.0]) == pytest.approx(2.0)
         assert u([2.0, 1.0]) == pytest.approx(1.0 + 2.0)
 
@@ -353,7 +348,7 @@ class TestJsonSpecs:
     ])
     def test_round_trip(self, spec):
         u = function_from_spec(spec)
-        again = function_from_spec(function_to_spec(u))
+        again = function_from_spec(u.to_spec())
         rng = Rng(1).generator()
         pts = rng.uniform(-0.5, 0.5, size=(25, u.n))
         assert np.allclose(u(pts), again(pts), equal_nan=True)
@@ -386,6 +381,13 @@ class TestJsonSpecs:
         with pytest.raises(SchemaError):
             function_from_spec({"type": "epi_scale", "lambda": 0.2,
                                 "inner": {"type": "radial_power", "n": 2, "p": 1e150}})
+
+    @pytest.mark.parametrize("kind", ["radial_power", "cone", "radial_hinge"])
+    @pytest.mark.parametrize("n", [2.5, 0, -1, 7, 100000, True, "2"])
+    def test_radial_dimension(self, kind, n):
+        # an integral n in 1..MAX_DIM, as a quadratic's A has
+        with pytest.raises(SchemaError, match="dimension"):
+            function_from_spec({"type": kind, "n": n, "p": 4.0, "t": 0.5})
 
     def test_bad_specs(self):
         with pytest.raises(SchemaError):

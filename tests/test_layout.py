@@ -21,36 +21,25 @@ def _references(node) -> Counter:
     return refs
 
 
-def _exported(tree) -> set:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def test_every_definition_is_used_by_the_package():
     """No function, class or method is reached only from tests.
 
     Each definition must be referenced by name somewhere in the package
-    outside its own body, or be a module-level name listed in that module's
-    __all__.  Dunder names are exempt.
+    outside its own body.  Listing a name in ``__all__`` or re-exporting it
+    from ``__init__.py`` is not a use.  Dunder names are exempt.
     """
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     total = Counter()
-    for tree in trees.values():
-        total.update(_references(tree))
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            total.update(_references(tree))
     unused = []
     for name, tree in trees.items():
-        exported = _exported(tree)
-        top_level = set(tree.body)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if node in top_level and node.name in exported:
                 continue
             if total[node.name] - _references(node)[node.name] <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")

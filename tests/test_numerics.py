@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funvol.errors import NonConvergedError, SchemaError
+from funvol import numerics
+from funvol.errors import NonConvergedError, SchemaError, UnsupportedVariant
 from funvol.numerics import (
-    QuadratureConfig,
     Rng,
-    eigenvalues,
-    elem_sym,
     elem_sym_values,
     flag_coefficient,
     integrate_interval,
@@ -18,6 +16,11 @@ from funvol.numerics import (
     kappa,
     sphere_rule,
 )
+
+
+def elem_sym(a, i):
+    """e_i of the eigenvalues of a symmetric matrix."""
+    return float(elem_sym_values(np.linalg.eigvalsh(a), i))
 
 
 class TestElemSym:
@@ -74,11 +77,6 @@ class TestKappa:
             assert flag_coefficient(n, n) == pytest.approx(1.0)
 
 
-class TestSymMatrix:
-    def test_eigenvalues_sorted(self):
-        assert eigenvalues(np.diag([3.0, 1.0, 2.0])) == pytest.approx([1.0, 2.0, 3.0])
-
-
 class TestIntervalQuadrature:
     def test_tent_with_support_bound(self):
         r = integrate_interval(lambda t: np.maximum(0.0, 1.0 - t), 0.0, 1.0)
@@ -106,10 +104,12 @@ class TestIntervalQuadrature:
         assert rc == pytest.approx(2 * rf + 3 * rg, rel=1e-11)
         assert integrate_interval(lambda t: f(t) + 0.5, a, b).value > rf
 
-    def test_non_converged(self):
-        cfg = QuadratureConfig(max_depth=2, abs_tol=1e-14, rel_tol=1e-14)
-        with pytest.raises(NonConvergedError):
-            integrate_interval(lambda t: np.abs(np.sin(40.0 * t)) ** 0.3, 0.0, 3.0, cfg)
+    def test_non_converged(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 2)
+        monkeypatch.setattr(numerics, "_ABS_TOL", 1e-14)
+        monkeypatch.setattr(numerics, "_REL_TOL", 1e-14)
+        with pytest.raises(NonConvergedError, match="interval quadrature"):
+            integrate_interval(lambda t: np.abs(np.sin(40.0 * t)) ** 0.3, 0.0, 3.0)
 
     @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
     def test_rejects_non_finite_bound(self, a, b):
@@ -122,6 +122,11 @@ class TestPolarQuadrature:
         for n in range(1, 5):
             _, w = sphere_rule(n, 8)
             assert w.sum() == pytest.approx(n * kappa(n), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 5, 6])
+    def test_no_rule_beyond_four_dimensions(self, n):
+        with pytest.raises(UnsupportedVariant, match="n <= 4"):
+            integrate_polar_separable(lambda x: np.ones(len(x)), n, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tent_ball(self, n):
@@ -146,37 +151,46 @@ class TestPolarQuadrature:
 class TestBudgetsRaise:
     """Every refinement loop raises once its depth budget is spent."""
 
-    def test_polar_singular_center_tail(self):
+    @pytest.fixture
+    def depth(self, monkeypatch):
+        def set_depth(d):
+            monkeypatch.setattr(numerics, "_MAX_DEPTH", d)
+        return set_depth
+
+    def test_polar_singular_center_tail(self, depth):
         # the graded center panel of a log singularity needs more than two bisections
         def f(x):
             return -np.log(np.sqrt((x ** 2).sum(axis=1)))
 
+        depth(2)
         with pytest.raises(NonConvergedError, match="radial refinement") as info:
-            integrate_polar_separable(f, 2, 1.0, QuadratureConfig(max_depth=2),
-                                      singular_center=True)
+            integrate_polar_separable(f, 2, 1.0, singular_center=True)
         assert info.value.evaluations > 0
 
-    def test_polar_radial_heap(self):
+    def test_polar_radial_heap(self, depth):
         # kink at radius 1/3, never on a bisection edge, and no break ratio
         def f(x):
             return np.maximum(0.0, 1.0 - 3.0 * np.sqrt((x ** 2).sum(axis=1)))
 
+        depth(2)
         with pytest.raises(NonConvergedError, match="radial refinement"):
-            integrate_polar_separable(f, 2, 1.0, QuadratureConfig(max_depth=2))
+            integrate_polar_separable(f, 2, 1.0)
 
-    def test_interval_singular_left(self):
+    def test_interval_singular_left(self, depth):
+        depth(3)
         with pytest.raises(NonConvergedError, match="interval quadrature") as info:
-            integrate_interval(lambda t: -np.log(t), 0.0, 1.0, QuadratureConfig(max_depth=3),
-                               singular_left=True)
+            integrate_interval(lambda t: -np.log(t), 0.0, 1.0, singular_left=True)
         assert math.isfinite(info.value.value)
 
-    def test_polar_angular_cap(self):
+    def test_polar_angular_cap(self, monkeypatch):
         # peaked toward direction (1, 0): 8 and 16 directions disagree
         def f(x):
             return np.exp(30.0 * x[:, 0])
 
+        monkeypatch.setattr(numerics, "_LEVEL", 4)
+        monkeypatch.setattr(numerics, "_MAX_LEVEL", 4)
         with pytest.raises(NonConvergedError, match="angular refinement") as info:
-            integrate_polar_separable(f, 2, 1.0, level=4, max_level=4)
+            integrate_polar_separable(f, 2, 1.0)
         assert math.isfinite(info.value.value) and info.value.evaluations > 0
 
 
@@ -221,12 +235,3 @@ class TestRng:
 
     def test_largest_seed(self):
         assert Rng((1 << 128) - 1).stream(2).generator().standard_normal(1).shape == (1,)
-
-
-class TestConfigValidation:
-    def test_positive_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_depth=0)
-

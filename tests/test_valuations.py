@@ -423,9 +423,8 @@ class TestHessianMeasures:
 
     @staticmethod
     def _pair(u, zeta):
-        from funvol.convex import conjugate
         spec = ValuationSpec(1, 2, zeta)
-        return eval_smooth(spec, u).value, eval_dual(spec, conjugate(u), "integral").value
+        return eval_smooth(spec, u).value, eval_dual(spec, u.conjugate(), "integral").value
 
     def test_self_dual_case(self):
         lhs, rhs = self._pair(Quadratic(np.eye(2)), TENT)
@@ -527,10 +526,9 @@ class TestDualCrossRoutes:
 
     def test_dual_ck_matches_ck_general_on_conjugate(self):
         # restrictions of v correspond to projections of its conjugate
-        from funvol.convex import conjugate
         spec = ValuationSpec(1, 2, TENT)
         v = Quadratic(np.diag([1.0, 4.0]))
-        u = conjugate(v)
+        u = v.conjugate()
         d = eval_dual_ck(spec, v, 1, 64, Rng(3))
         g = eval_ck_general(spec, u, 1, 64, Rng(3))
         assert d.value == pytest.approx(g.value, rel=1e-10)

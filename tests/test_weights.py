@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from funvol.errors import NonConvergedError, SchemaError, UnknownSingularity
 from funvol.weights import (
     Bump,
-    HadClass,
     LogCap,
     PolyCapped,
     Scaled,
@@ -16,11 +15,9 @@ from funvol.weights import (
     in_had_class,
     log_grid,
     nonnegativity_check,
-    transform_R,
     transform_R_inverse,
     transform_R_power,
     weight_from_spec,
-    weight_to_spec,
     xi_from_zeta,
 )
 
@@ -66,27 +63,27 @@ class TestEval:
 
 class TestHadMembership:
     def test_tent_everywhere(self):
-        assert in_had_class(Tent(1.0), HadClass(0, 3))[0]
-        assert in_had_class(Tent(1.0), HadClass(3, 3))[0]
+        assert in_had_class(Tent(1.0), 0, 3)[0]
+        assert in_had_class(Tent(1.0), 3, 3)[0]
 
     def test_logcap_top_class_fails(self):
-        ok, why = in_had_class(LogCap(), HadClass(3, 3))
+        ok, why = in_had_class(LogCap(), 3, 3)
         assert not ok and "finite limit" in why
 
     def test_logcap_one_below(self):
-        assert in_had_class(LogCap(), HadClass(1, 2))[0]
-        assert in_had_class(LogCap(), HadClass(2, 3))[0]
+        assert in_had_class(LogCap(), 1, 2)[0]
+        assert in_had_class(LogCap(), 2, 3)[0]
 
     def test_power_singularity_threshold(self):
         # T^{-2}(tent) behaves like 1/s at 0
         w = transform_R_inverse(Tent(1.0), 2)
-        assert in_had_class(w, HadClass(1, 3))[0]
-        assert not in_had_class(w, HadClass(2, 3))[0]
+        assert in_had_class(w, 1, 3)[0]
+        assert not in_had_class(w, 2, 3)[0]
 
     def test_unknown_singularity_reported(self):
         raw = transform_R_inverse(Bump(0.0, 0.8), 1)
         with pytest.raises(UnknownSingularity):
-            in_had_class(raw, HadClass(1, 3))
+            in_had_class(raw, 1, 3)
 
     @pytest.mark.parametrize("l", [1, 2])
     def test_unknown_singularity_after_evaluation(self, l):
@@ -96,23 +93,28 @@ class TestHadMembership:
         assert np.all(np.isfinite(raw(log_grid(0.8, 50))))
         assert raw.value_at_zero() is None
         with pytest.raises(UnknownSingularity):
-            in_had_class(raw, HadClass(1, 3))
+            in_had_class(raw, 1, 3)
 
     def test_degenerate_class_convention(self):
         # the (0, 0) class coincides with (1, 1): finite limit required
-        assert in_had_class(Tent(1.0), HadClass(0, 0))[0]
-        assert not in_had_class(LogCap(), HadClass(0, 0))[0]
+        assert in_had_class(Tent(1.0), 0, 0)[0]
+        assert not in_had_class(LogCap(), 0, 0)[0]
+
+    @pytest.mark.parametrize("j,n", [(-1, 2), (3, 2)])
+    def test_class_range(self, j, n):
+        with pytest.raises(ValueError, match="0 <= j <= n"):
+            in_had_class(Tent(1.0), j, n)
 
 
 class TestTransformClosedForms:
     def test_logcap_maps_to_tent(self):
         # symbolic oracle: s ln(1/s) + int_s^1 ln(1/t) dt = 1 - s
-        r = transform_R(LogCap())
+        r = transform_R_power(LogCap(), 1)
         s = np.linspace(1e-4, 1.3, 300)
         assert grid_dev(r, lambda x: np.maximum(0.0, 1.0 - x), s) < 1e-12
 
     def test_tent_transform_values(self):
-        r = transform_R(Tent(1.0))
+        r = transform_R_power(Tent(1.0), 1)
         assert r(0.5) == pytest.approx(0.375)
         assert r.value_at_zero() == pytest.approx(0.5)
 
@@ -137,7 +139,7 @@ class TestTransformClosedForms:
 
     def test_zero_weight_fixed(self):
         z = PolyCapped([0.0], 1.0)
-        r = transform_R(z)
+        r = transform_R_power(z, 1)
         s = log_grid(1.0, 50)
         assert np.abs(np.asarray(r(s))).max() == 0.0
 
@@ -201,8 +203,8 @@ class TestChebyshevTransform:
     def test_nested_chain(self):
         # T(T(bump)) fits the inner chain's own representation
         z = Bump(0.2, 0.8)
-        inner = transform_R(z)
-        outer = transform_R(inner)
+        inner = transform_R_power(z, 1)
+        outer = transform_R_power(inner, 1)
         for s in (0.25, 0.5, 0.7):
             tail, _ = quad(lambda t: float(inner(t)), s, 0.8, epsabs=1e-14, epsrel=1e-14)
             assert float(outer(s)) == pytest.approx(s * float(inner(s)) + tail, abs=5e-11)
@@ -221,16 +223,17 @@ class TestTransformProperties:
         s = log_grid(zeta.support_bound, 60)
         iterated = zeta
         for l in (1, 2, 3):
-            iterated = transform_R(iterated)
+            iterated = transform_R_power(iterated, 1)
             direct = transform_R_power(zeta, l)
             assert grid_dev(iterated, direct, s) <= 1e-8
 
     def test_linearity(self):
         z1, z2 = Tent(1.0), LogCap()
         a, b = 2.0, -0.7
-        lhs = transform_R(SumWeight([Scaled(z1, a), Scaled(z2, b)]))
+        lhs = transform_R_power(SumWeight([Scaled(z1, a), Scaled(z2, b)]), 1)
         s = log_grid(1.0, 120)
-        rhs_vals = a * np.asarray(transform_R(z1)(s)) + b * np.asarray(transform_R(z2)(s))
+        rhs_vals = (a * np.asarray(transform_R_power(z1, 1)(s))
+                    + b * np.asarray(transform_R_power(z2, 1)(s)))
         assert np.abs(np.asarray(lhs(s)) - rhs_vals).max() <= 1e-10
 
     def test_support_preserved(self):
@@ -243,9 +246,9 @@ class TestTransformProperties:
         # s^{n-1-k} int_s^inf zeta -> 0 for members of the (k, n) class, k < n-1
         n = 3
         for name, z in CATALOG:
-            if not in_had_class(z, HadClass(0, n))[0]:
+            if not in_had_class(z, 0, n)[0]:
                 continue
-            tail = lambda s: float(transform_R(z)(s)) - s * float(z(s))
+            tail = lambda s: float(transform_R_power(z, 1)(s)) - s * float(z(s))
             vals = [s ** (n - 1) * tail(s) for s in (1e-2, 1e-3, 1e-4)]
             assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9, name
             assert vals[2] < 1e-5
@@ -254,12 +257,12 @@ class TestTransformProperties:
         for name, z in CATALOG:
             for n in (2, 3):
                 for k in range(0, n + 1):
-                    ok, _ = in_had_class(z, HadClass(k, n))
+                    ok, _ = in_had_class(z, k, n)
                     if not ok:
                         continue
                     for l in range(0, n - k + 1):
                         rz = transform_R_power(z, l)
-                        assert in_had_class(rz, HadClass(k, n - l))[0], (name, k, n, l)
+                        assert in_had_class(rz, k, n - l)[0], (name, k, n, l)
 
 
 class TestDerivedWeights:
@@ -281,7 +284,7 @@ class TestDerivedWeights:
         z = LogCap()
         for (j, k, n) in [(0, 1, 3), (1, 2, 3), (1, 1, 2)]:
             xi = xi_from_zeta(z, j, k, n)
-            assert in_had_class(xi, HadClass(j, k))[0]
+            assert in_had_class(xi, j, k)[0]
 
 
 class TestNonnegativity:
@@ -305,21 +308,26 @@ class TestNonnegativity:
 
 
 class TestJsonSpecs:
-    @pytest.mark.parametrize("spec", [
-        {"type": "tent", "s0": 1.0},
-        {"type": "log_cap"},
-        {"type": "bump", "a": 0.2, "b": 0.8},
-        {"type": "poly_capped", "coeffs": [1.0, -2.0, 1.0], "cutoff": 1.0},
-        {"type": "scaled", "factor": 2.0, "inner": {"type": "tent", "s0": 1.0}},
-        {"type": "sum", "terms": [{"type": "tent", "s0": 1.0}, {"type": "log_cap"}]},
-        {"type": "transform", "l": 2, "inner": {"type": "tent", "s0": 1.0}},
-        {"type": "transform", "l": -1, "inner": {"type": "tent", "s0": 1.0}},
-    ])
-    def test_round_trip(self, spec):
+    @pytest.mark.parametrize("spec,built", [
+        ({"type": "tent", "s0": 1.0}, Tent(1.0)),
+        ({"type": "log_cap"}, LogCap()),
+        ({"type": "bump", "a": 0.2, "b": 0.8}, Bump(0.2, 0.8)),
+        ({"type": "poly_capped", "coeffs": [1.0, -2.0, 1.0], "cutoff": 1.0},
+         PolyCapped([1.0, -2.0, 1.0], 1.0)),
+        ({"type": "scaled", "factor": 2.0, "inner": {"type": "tent", "s0": 1.0}},
+         Scaled(Tent(1.0), 2.0)),
+        ({"type": "sum", "terms": [{"type": "tent", "s0": 1.0}, {"type": "log_cap"}]},
+         SumWeight([Tent(1.0), LogCap()])),
+        ({"type": "transform", "l": 2, "inner": {"type": "tent", "s0": 1.0}},
+         transform_R_power(Tent(1.0), 2)),
+        ({"type": "transform", "l": -1, "inner": {"type": "tent", "s0": 1.0}},
+         transform_R_inverse(Tent(1.0), 1)),
+    ], ids=[f"spec{i}" for i in range(8)])
+    def test_round_trip(self, spec, built):
+        """Each spec parses to the weight its constructor builds."""
         w = weight_from_spec(spec)
-        again = weight_from_spec(weight_to_spec(w))
         s = log_grid(w.support_bound, 40)
-        assert grid_dev(w, again, s) < 1e-12
+        assert grid_dev(w, built, s) == 0.0
 
     def test_bad_specs(self):
         with pytest.raises(SchemaError):
@@ -330,6 +338,13 @@ class TestJsonSpecs:
             weight_from_spec({"no_type": 1})
         with pytest.raises(SchemaError):
             weight_from_spec({"type": "tent", "s0": -1.0})
+
+    @pytest.mark.parametrize("l", [1.5, 2.0, math.inf, True, "1", 10 ** 400])
+    def test_transform_power_must_be_an_integer(self, l):
+        # 10**400 is an integer that no double can hold
+        with pytest.raises(SchemaError):
+            weight_from_spec({"type": "transform", "l": l, "inner": {"type": "bump",
+                                                                      "a": 0.2, "b": 0.8}})
 
     @pytest.mark.parametrize("spec", [
         {"type": "tent", "s0": math.inf},
