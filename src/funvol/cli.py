@@ -15,7 +15,7 @@ import numpy as np
 
 from .convex import discrete_legendre, function_from_spec
 from .errors import (FunvolError, NonConvergedError, NotDifferentiable,
-                     SchemaError, UnknownSingularity, UnsupportedVariant)
+                     SchemaError, UnknownSingularity, UnsupportedVariant, spec_errors)
 from .numerics import Rng
 from .valuations import (ValuationSpec, eval_cauchy_kubota, eval_ck_general,
                          eval_domain_gradient, eval_dual, eval_smooth)
@@ -116,17 +116,19 @@ def _cmd_transform(args) -> int:
     power = args.power
     if power < 0:
         raise SchemaError("--power must be >= 0; use --inverse for the inverse map")
-    if args.inverse:
-        if power < 1:
-            raise SchemaError("inverse transforms need --power >= 1")
-        out = transform_R_inverse(zeta, power)
-        label = f"Rinv{power}"
-    elif power == 0:
-        out = zeta
-        label = "identity"
-    else:
-        out = transform_R_power(zeta, power)
-        label = f"R{power}"
+    if args.inverse and power < 1:
+        raise SchemaError("inverse transforms need --power >= 1")
+    # a power beyond double range fails in the transform's construction
+    with spec_errors("--power"):
+        if args.inverse:
+            out = transform_R_inverse(zeta, power)
+            label = f"Rinv{power}"
+        elif power == 0:
+            out = zeta
+            label = "identity"
+        else:
+            out = transform_R_power(zeta, power)
+            label = f"R{power}"
     grid = _parse_grid(args.grid)
     if np.any(grid <= 0):
         raise SchemaError("transform grids live on (0, inf)")

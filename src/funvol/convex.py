@@ -40,7 +40,7 @@ def _vec(x, n=None):
 
 
 def _dimension(n) -> int:
-    """An integral dimension in 1..MAX_DIM, as quadratic and radial variants need."""
+    """An integral dimension in 1..MAX_DIM, as every variant of the catalog needs."""
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_DIM:
         raise ValueError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
     return n
@@ -95,6 +95,7 @@ class Ball(ConvexBody):
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(center)))
         if not all(map(math.isfinite, self.center)):
             raise ValueError("ball needs a finite center")
+        _dimension(len(self.center))
 
     @property
     def n(self):
@@ -129,6 +130,7 @@ class Box(ConvexBody):
         iv = tuple((float(a), float(b)) for a, b in intervals)
         if not all(math.isfinite(a) and math.isfinite(b) and a <= b for a, b in iv):
             raise ValueError("box intervals must be finite with a <= b")
+        _dimension(len(iv))
         object.__setattr__(self, "intervals", iv)
 
     @property
@@ -186,7 +188,7 @@ class PolytopeV(ConvexBody):
             raise ValueError(f"polytope vertices do not span a full-dimensional "
                              f"hull: {str(exc).splitlines()[0]}") from exc
         self._verts = pts[self._hull.vertices]
-        self.n = pts.shape[1]
+        self.n = _dimension(pts.shape[1])
 
     def support(self, y):
         pts, scalar = _points(y, self.n)
@@ -607,7 +609,7 @@ class MaxAffine(ConvexFunction):
                 and np.all(np.isfinite(self.offsets))):
             raise ValueError("max-affine slopes need a finite length and offsets "
                              "must be finite")
-        self.n = self.slopes.shape[1]
+        self.n = _dimension(self.slopes.shape[1])
         self.domain = domain
         self.is_finite = domain is None
         self.is_supercoercive = domain is not None and True

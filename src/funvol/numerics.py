@@ -6,13 +6,20 @@ deterministic RNG.  Everything here is pure; quadrature routines report an
 error estimate alongside the value and raise :class:`NonConvergedError` when
 the fixed budget (bisection depth, panel count, angular level) runs out
 before the fixed tolerance is met.  One adaptive loop refines the panels of
-both interval and radial quadrature.  A singular endpoint is graded,
-r = t^2, and refined by the same adaptive panels as the rest of the range.
-Sphere rules, and so polar quadrature, cover n <= 4; a larger n is an
+both interval and radial quadrature: interval panels carry a 31-point Gauss
+rule checked against a 16-point one, radial panels the Gauss-Kronrod 7/15
+pair with its embedded error.  A singular endpoint is graded, r = t^2, and
+refined by the same adaptive panels as the rest of the range.  Polar
+quadrature doubles the angular level from 2 until two consecutive sphere
+rules agree; every level integrates constants exactly, consecutive levels are
+turned against each other so that they cannot alias together, and each
+level starts from the radial panels the previous one ended with.  Sphere
+rules, and so polar quadrature, cover n <= 4; a larger n is an
 :class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -78,13 +85,27 @@ def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
 
 
 _INTERVAL_ORDER = 31   # Gauss order of an interval panel
-_POLAR_ORDER = 15      # Gauss order of a radial panel in polar quadrature
 _MAX_PANELS = 400_000  # panel budget of one adaptive refinement
 _MAX_DEPTH = 40        # bisection depth budget of one panel
 _ABS_TOL = 1e-10       # a refinement stops once its error is at most
 _REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
-_LEVEL = 8             # first fine angular level of polar quadrature
+_LEVEL = 4             # first fine angular level of polar quadrature
 _MAX_LEVEL = 64        # angular level budget of polar quadrature
+_MAX_BATCH = 1 << 18   # integrand points per call of polar quadrature
+
+# Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): the nonnegative
+# Kronrod abscissae in decreasing order, their weights, and the weights of
+# the 7-point Gauss rule at the abscissae of odd index (1, 3, 5, 7)
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
 
 @dataclass(frozen=True)
@@ -111,6 +132,14 @@ def _gauss_pair(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([x_hi, x_lo]), w_hi, w_lo
 
 
+def _kronrod_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes on [-1, 1] in increasing order, their weights, and
+    the 7-point Gauss weights of the embedded nodes ``nodes[1::2]``."""
+    x, wk, wg = np.array(_XGK), np.array(_WGK), np.array(_WG)
+    nodes = np.concatenate([-x[:-1], x[::-1]])
+    return nodes, np.concatenate([wk[:-1], wk[::-1]]), np.concatenate([wg[:-1], wg[::-1]])
+
+
 class _CountingFn:
     """Wraps a vectorized integrand and counts the points it is called at."""
 
@@ -123,21 +152,23 @@ class _CountingFn:
         return np.asarray(self.f(x), dtype=float)
 
 
-def _refine(panel, edges, fn: _CountingFn, what: str) -> tuple[float, float]:
-    """Adaptive bisection of the panels between consecutive ``edges``.
+def _refine(panel, leaves, fn: _CountingFn, what: str):
+    """Adaptive bisection of the panels ``leaves``, a list of (a, b, depth).
 
     ``panel(a, b)`` returns (estimate, error) on [a, b].  The panel with the
     largest error is split until the summed error is within tolerance;
     :class:`NonConvergedError` is raised when that panel sits at
-    ``_MAX_DEPTH`` or the panel count reaches ``_MAX_PANELS``.
+    ``_MAX_DEPTH`` or the panel count reaches ``_MAX_PANELS``.  Returns the
+    value, its error and the final panels in increasing order, with their
+    depths, so a later pass over the same range can start from them.
     """
     total, total_err = 0.0, 0.0
     heap = []
-    for uid, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+    for uid, (a, b, depth) in enumerate(leaves):
         v, err = panel(a, b)
         total += v
         total_err += err
-        heapq.heappush(heap, (-err, uid, 0, a, b, v, err))
+        heapq.heappush(heap, (-err, uid, depth, a, b, v, err))
     uid = len(heap)
     while total_err > max(_ABS_TOL, _REL_TOL * abs(total)):
         _, _, depth, a, b, v, err = heapq.heappop(heap)
@@ -153,7 +184,7 @@ def _refine(panel, edges, fn: _CountingFn, what: str) -> tuple[float, float]:
         heapq.heappush(heap, (-le, uid, depth + 1, a, mid, lv, le))
         heapq.heappush(heap, (-re, uid + 1, depth + 1, mid, b, rv, re))
         uid += 2
-    return total, total_err
+    return total, total_err, sorted((a, b, depth) for _, _, depth, a, b, _, _ in heap)
 
 
 def integrate_interval(f, a: float, b: float, *,
@@ -185,32 +216,51 @@ def integrate_interval(f, a: float, b: float, *,
         lo = half * float(vals[_INTERVAL_ORDER:] @ w_lo)
         return hi, abs(hi - lo)
 
-    edges = (0.0, 1.0) if singular_left else (a, b)
-    value, error = _refine(panel, edges, fn, f"interval quadrature on [{a}, {b}]")
+    leaves = [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)]
+    value, error, _ = _refine(panel, leaves, fn, f"interval quadrature on [{a}, {b}]")
     return QuadratureResult(value, error, fn.count)
 
 
 # -- sphere rules and polar quadrature --------------------------------------
 
 
+def _rotation(n: int) -> np.ndarray:
+    """The fixed generic rotation R of R^n that turns consecutive sphere-rule
+    levels against each other: the Cayley transform of a skew matrix with
+    incommensurate entries."""
+    skew = np.zeros((n, n))
+    upper = np.triu_indices(n, 1)
+    skew[upper] = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0][:len(upper[0])]) / 4.0
+    skew -= skew.T
+    eye = np.eye(n)
+    return np.linalg.solve(eye - skew, eye + skew)
+
+
+@functools.lru_cache(maxsize=32)
 def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Directions and weights integrating over the unit sphere S^{n-1}.
 
-    Weights sum to the sphere's surface area n * kappa_n.  ``level`` scales
-    the resolution; the rules converge rapidly for smooth angular integrands.
-    Rules exist for 1 <= n <= 4; any other n raises :class:`UnsupportedVariant`.
+    Weights sum to the sphere's surface area n * kappa_n at every level, and
+    ``level`` scales the resolution: the rules are products of trapezoidal
+    rules in the azimuth and Gauss rules in the polar angles (Gauss-Legendre
+    in z = cos of the polar angle, and for n = 4 the Gauss rule of the
+    weight sin^2 in the third angle), which integrate polynomials of degree
+    below 4 * level exactly.  The rule at level 2^k is turned by R^k for one
+    fixed generic rotation R, so the rules of consecutive levels share no
+    nodes and cannot alias together.  Rules are cached per (n, level) and
+    read-only.  Rules exist for 1 <= n <= 4; any other n raises
+    :class:`UnsupportedVariant`.
     """
     if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if n == 2:
+        dirs, wts = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    elif n == 2:
         m = 4 * level
         theta = 2.0 * math.pi * np.arange(m) / m
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return dirs, np.full(m, 2.0 * math.pi / m)
-    if n == 3:
-        nz = 2 * level
+        wts = np.full(m, 2.0 * math.pi / m)
+    elif n in (3, 4):
+        z, wz = _leggauss(2 * level)
         mphi = 4 * level
-        z, wz = _leggauss(nz)
         phi = 2.0 * math.pi * np.arange(mphi) / mphi
         s = np.sqrt(1.0 - z ** 2)
         dirs = np.stack([
@@ -219,32 +269,23 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
             np.repeat(z, mphi),
         ], axis=-1)
         wts = np.repeat(wz, mphi) * (2.0 * math.pi / mphi)
-        return dirs, wts
-    if n == 4:
-        npsi = 2 * level
-        nz = 2 * level
-        mphi = 4 * level
-        # psi in [0, pi] with measure sin^2(psi); Gauss nodes on [-1, 1] mapped.
-        t, wt = _leggauss(npsi)
-        psi = 0.5 * math.pi * (t + 1.0)
-        wpsi = 0.5 * math.pi * wt * np.sin(psi) ** 2
-        z, wz = _leggauss(nz)
-        phi = 2.0 * math.pi * np.arange(mphi) / mphi
-        s = np.sqrt(1.0 - z ** 2)
-        ring = np.stack([
-            np.outer(s, np.cos(phi)).ravel(),
-            np.outer(s, np.sin(phi)).ravel(),
-            np.repeat(z, mphi),
-        ], axis=-1)
-        wring = np.repeat(wz, mphi) * (2.0 * math.pi / mphi)
-        dirs = np.concatenate([
-            np.concatenate([np.full((len(ring), 1), math.cos(p)),
-                            math.sin(p) * ring], axis=1)
-            for p in psi
-        ])
-        wts = np.concatenate([wp * wring for wp in wpsi])
-        return dirs, wts
-    raise UnsupportedVariant(f"sphere rules and polar quadrature cover n <= 4, got n = {n}")
+        if n == 4:
+            # psi in (0, pi) with measure sin^2(psi): the Gauss rule of that
+            # weight, psi_k = k pi / (m + 1) with weights pi / (m + 1) sin^2(psi_k)
+            m = 2 * level
+            psi = math.pi * np.arange(1, m + 1) / (m + 1)
+            wpsi = math.pi / (m + 1) * np.sin(psi) ** 2
+            dirs = np.concatenate([
+                np.repeat(np.cos(psi), len(dirs))[:, None],
+                (np.sin(psi)[:, None, None] * dirs[None]).reshape(-1, 3),
+            ], axis=1)
+            wts = np.outer(wpsi, wts).ravel()
+    else:
+        raise UnsupportedVariant(f"sphere rules and polar quadrature cover n <= 4, got n = {n}")
+    dirs = dirs @ np.linalg.matrix_power(_rotation(n), level.bit_length() - 1).T
+    dirs.setflags(write=False)
+    wts.setflags(write=False)
+    return dirs, wts
 
 
 def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
@@ -253,13 +294,15 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     at shared ratios.
 
     With r = R(direction) * tau, panels in tau are identical across rays, so a
-    whole sphere rule is evaluated in a handful of batched integrand calls.
-    With ``singular_center`` the graded substitution tau = t^2 (break ratios
+    whole sphere rule is evaluated in a handful of batched integrand calls of
+    at most ``_MAX_BATCH`` points each.  With ``singular_center`` the graded substitution tau = t^2 (break ratios
     mapped to their square roots) clusters the nodes at the center.  Panels
-    carry a 15-point rule checked against an 8-point one and are refined by
-    the same adaptive loop as intervals, on the shared grid (aggregated
-    error); the angular level doubles from ``_LEVEL`` until consecutive
-    sphere rules agree.  Raises :class:`NonConvergedError` when a panel
+    carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the embedded
+    error |K15 - G7|, and are refined by the same adaptive loop as
+    intervals, on the shared grid (aggregated error).  The angular level
+    doubles from ``_LEVEL // 2`` until consecutive sphere rules agree; each
+    level starts from the radial panels the previous one ended with and
+    evaluates only those.  Raises :class:`NonConvergedError` when a panel
     reaches ``_MAX_DEPTH`` or the level reaches ``_MAX_LEVEL`` without
     agreement.
     """
@@ -267,9 +310,10 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     grade = _GRADE if singular_center else 1
     edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
         {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
-    nodes, w_hi, w_lo = _gauss_pair(_POLAR_ORDER)
+    nodes, w_k, w_g = _kronrod_pair()
+    step = max(1, _MAX_BATCH // len(nodes))  # directions per integrand call
 
-    def run(lv: int) -> tuple[float, float]:
+    def run(lv: int, leaves):
         dirs, wts = sphere_rule(n, lv)
         radii = r_max(dirs) if callable(r_max) else np.full(len(dirs), float(r_max))
         scale = wts * radii ** n  # substitution r = R * tau
@@ -278,22 +322,25 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
             half, mid = 0.5 * (b - a), 0.5 * (a + b)
             t = mid + half * nodes
             tau = t ** grade
-            pts = (radii[:, None] * tau[None, :])[:, :, None] * dirs[:, None, :]
-            vals = fn(pts.reshape(-1, n)).reshape(len(dirs), len(t))
+            vals = np.concatenate([
+                fn(((radii[i:i + step, None] * tau)[:, :, None]
+                    * dirs[i:i + step, None, :]).reshape(-1, n))
+                for i in range(0, len(dirs), step)]).reshape(len(dirs), len(t))
             vals = vals * (tau ** (n - 1) * (grade * t ** (grade - 1)))[None, :]
-            hi = half * float(scale @ (vals[:, :_POLAR_ORDER] @ w_hi))
-            lo = half * float(scale @ (vals[:, _POLAR_ORDER:] @ w_lo))
+            hi = half * float(scale @ (vals @ w_k))
+            lo = half * float(scale @ (vals[:, 1::2] @ w_g))
             return hi, abs(hi - lo)
 
-        return _refine(panel, edges, fn, "radial refinement")
+        return _refine(panel, leaves, fn, "radial refinement")
 
+    leaves = [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])]
     if n == 1:
-        value, error = run(1)
+        value, error, _ = run(1, leaves)
         return QuadratureResult(value, error, fn.count)
-    prev, _ = run(max(2, _LEVEL // 2))
+    prev, _, leaves = run(_LEVEL // 2, leaves)
     lv = _LEVEL
     while True:
-        fine, rad_err = run(lv)
+        fine, rad_err, leaves = run(lv, leaves)
         ang_err = abs(fine - prev)
         if ang_err <= max(_ABS_TOL, _REL_TOL * abs(fine)):
             return QuadratureResult(fine, rad_err + ang_err, fn.count)

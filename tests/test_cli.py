@@ -506,6 +506,18 @@ BAD_DIMENSIONS = {
     "radial_power_7": ({"type": "radial_power", "n": 7, "p": 4.0}, "ck", "1"),
     "radial_power_100000": ({"type": "radial_power", "n": 100000, "p": 4.0}, "ck", "1"),
 }
+# bodies and max-affine functions outside 1..MAX_DIM used to be computed
+BALL_0 = {"type": "indicator", "body": {"type": "ball", "r": 1.0, "center": []}}
+BALL_7 = {"type": "indicator", "body": {"type": "ball", "r": 1.0, "center": [0.0] * 7}}
+BOX_8 = {"type": "support", "body": {"type": "box", "intervals": [[0.0, 1.0]] * 8}}
+MAX_AFFINE_7 = {"type": "max_affine", "slopes": [[1.0] + [0.0] * 6, [-1.0] + [0.0] * 6],
+                "offsets": [0.0, 0.0]}
+BAD_BODY_DIMENSIONS = {
+    "ball_0": (BALL_0, "ck", "0"),
+    "ball_7": (BALL_7, "domain-gradient", "7"),
+    "box_8": (BOX_8, "ck", "0"),
+    "max_affine_7": (MAX_AFFINE_7, "ck", "1"),
+}
 TENT = {"type": "tent", "s0": 1.0}
 INFINITE_POWER = {"type": "transform", "l": math.inf, "inner": TENT}
 FRACTIONAL_POWER = {"type": "transform", "l": 1.5, "inner": TENT}
@@ -529,6 +541,8 @@ class TestSpecFuzz:
     @example(zeta=FRACTIONAL_POWER, power=0, inverse=False)
     @example(zeta={"type": "transform", "l": 10 ** 400,
                    "inner": {"type": "bump", "a": 0.2, "b": 0.8}}, power=1, inverse=False)
+    @example(zeta=TENT, power=10 ** 400, inverse=False)
+    @example(zeta=TENT, power=10 ** 400, inverse=True)
     @settings(max_examples=150, deadline=None)
     def test_transform(self, tmp_path_factory, zeta, power, inverse):
         path = tmp_path_factory.mktemp("spec") / "zeta.json"
@@ -553,6 +567,10 @@ class TestSpecFuzz:
     @example(function=BAD_DIMENSIONS["cone_0"][0], zeta=TENT, method="ck")
     @example(function=BAD_DIMENSIONS["radial_power_7"][0], zeta=TENT, method="ck")
     @example(function=BAD_DIMENSIONS["radial_power_100000"][0], zeta=TENT, method="ck")
+    @example(function=BALL_0, zeta=TENT, method="ck")
+    @example(function=BALL_7, zeta=TENT, method="ck")
+    @example(function=BOX_8, zeta=TENT, method="ck")
+    @example(function=MAX_AFFINE_7, zeta=TENT, method="dual")
     @settings(max_examples=100, deadline=None)
     def test_compute(self, tmp_path_factory, function, zeta, method):
         root = tmp_path_factory.mktemp("spec")
@@ -604,6 +622,26 @@ class TestSpecFuzz:
         code, out, err = run_captured(["compute", "--function", str(path),
                                        "--zeta", fuzz_files["tent"], "--method", method,
                                        "--j", j, "--samples", "8"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("function,method,j", BAD_BODY_DIMENSIONS.values(),
+                             ids=list(BAD_BODY_DIMENSIONS))
+    def test_body_dimension_exit_2(self, tmp_path, fuzz_files, function, method, j):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(function))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", method,
+                                       "--j", j, "--samples", "8"])
+        assert code == 2 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError" and "dimension" in error["message"]
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_transform_flag_beyond_double_exit_2(self, fuzz_files, inverse):
+        argv = ["transform", "--zeta", fuzz_files["tent"], "--power", str(10 ** 400),
+                "--grid", "0.5:0.5:1"]
+        code, out, err = run_captured(argv + ["--inverse"] if inverse else argv)
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funvol import numerics
+from funvol.convex import Quadratic
 from funvol.errors import NonConvergedError, SchemaError, UnsupportedVariant
 from funvol.numerics import (
     Rng,
@@ -16,6 +17,8 @@ from funvol.numerics import (
     kappa,
     sphere_rule,
 )
+from funvol.valuations import ValuationSpec, eval_smooth
+from funvol.weights import Bump, Tent
 
 
 def elem_sym(a, i):
@@ -146,6 +149,103 @@ class TestPolarQuadrature:
         r = integrate_polar_separable(f, 2, 0.5, break_ratios=[0.5])
         expect = 2 * kappa(2) * (0.5 ** 2 / 2 - 2 * 0.5 ** 3 / 3)
         assert r.value == pytest.approx(expect, rel=1e-11)
+
+
+class TestSphereRuleExactness:
+    @pytest.mark.parametrize("level", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_area_at_every_level(self, n, level):
+        _, w = sphere_rule(n, level)
+        assert abs(w.sum() - n * kappa(n)) <= 1e-14 * n * kappa(n)
+
+    @pytest.mark.parametrize("level", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_degree_two_moments(self, n, level):
+        # the integral of x x^T over S^{n-1} is kappa_n I
+        dirs, w = sphere_rule(n, level)
+        moments = (dirs * w[:, None]).T @ dirs
+        assert np.abs(moments - kappa(n) * np.eye(n)).max() <= 1e-14 * n * kappa(n)
+
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_consecutive_levels_share_no_direction(self, n, level):
+        coarse, _ = sphere_rule(n, level)
+        fine, _ = sphere_rule(n, 2 * level)
+        gap = np.linalg.norm(coarse[:, None, :] - fine[None, :, :], axis=2).min()
+        assert gap > 1e-6
+
+
+ALIASING_CASES = [(2, m) for m in (16, 32, 64)] + [(n, m) for n in (3, 4) for m in (8, 16, 32)]
+
+
+class TestAngularAliasing:
+    @pytest.mark.parametrize("n,m", ALIASING_CASES,
+                             ids=[f"n{n}-m{m}" for n, m in ALIASING_CASES])
+    def test_harmonic_over_the_ball(self, n, m):
+        # Re((x0 + i x1)^m) integrates to 0 over the unit ball, so the value is kappa_n;
+        # a rule whose directions alias the harmonic must not report convergence
+        def f(x):
+            # level 32 at n = 4 holds 524,288 directions; they come in bounded batches
+            assert len(x) <= 1 << 18
+            return 1.0 + ((x[:, 0] + 1j * x[:, 1]) ** m).real
+
+        try:
+            r = integrate_polar_separable(f, n, 1.0)
+        except NonConvergedError:
+            return
+        assert abs(r.value - kappa(n)) <= r.error + 8 * math.ulp(kappa(n))
+
+
+class TestKronrodPanels:
+    @staticmethod
+    def _moment_misses(nodes, weights, degrees):
+        return [abs(float(weights @ nodes ** d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+                for d in degrees]
+
+    def test_kronrod_rule_degree(self):
+        nodes, w_k, _ = numerics._kronrod_pair()
+        assert len(nodes) == 15 and np.all(np.diff(nodes) > 0)
+        assert max(self._moment_misses(nodes, w_k, range(23))) <= 1e-15
+
+    def test_embedded_gauss_rule_degree(self):
+        nodes, _, w_g = numerics._kronrod_pair()
+        gauss = nodes[1::2]
+        assert max(self._moment_misses(gauss, w_g, range(14))) <= 1e-15
+        assert np.allclose(gauss, np.polynomial.legendre.leggauss(7)[0], rtol=0, atol=1e-15)
+        # the pair differs from degree 14 on, which is what the error estimate sees
+        assert self._moment_misses(gauss, w_g, [14])[0] > 1e-6
+
+    def test_refine_resumes_from_its_panels(self):
+        calls = []
+
+        def panel(a, b):
+            calls.append((a, b))
+            return b - a, (b - a) ** 2 * 1e-6
+
+        fn = numerics._CountingFn(None)
+        value, _, leaves = numerics._refine(panel, [(0.0, 1.0, 0)], fn, "test")
+        assert len(leaves) > 500 and max(d for _, _, d in leaves) == 10
+        calls.clear()
+        again, _, resumed = numerics._refine(panel, leaves, fn, "test")
+        # a converged grid is evaluated once more, at its leaves only
+        assert calls == [(a, b) for a, b, _ in leaves]
+        assert resumed == leaves and again == pytest.approx(value, rel=1e-14)
+
+
+class TestPolarWork:
+    def test_radial_tent_costs_two_levels_of_one_panel(self):
+        # whitened, the tent integrand of a quadratic is radial: levels 2 and 4
+        # (128 + 1,024 directions) of one 15-point panel each
+        spec = ValuationSpec(1, 4, Tent(1.0))
+        res = eval_smooth(spec, Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])))
+        assert res.integrand_evals == (128 + 1024) * 15
+
+    def test_counts_repeat(self):
+        spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
+        u = Quadratic(np.diag([1.0, 0.5, 0.25]))
+        first, second = eval_smooth(spec, u), eval_smooth(spec, u)
+        assert first.integrand_evals == second.integrand_evals
+        assert (first.value, first.error) == (second.value, second.error)
 
 
 class TestBudgetsRaise:
