@@ -21,7 +21,7 @@ from .valuations import (ValuationSpec, eval_cauchy_kubota, eval_ck_general,
                          eval_domain_gradient, eval_dual, eval_smooth)
 from .verify import (canonical_json, default_manifest, manifest_from_json,
                      report_csv, run_suite)
-from .weights import transform_R_inverse, transform_R_power, weight_from_spec
+from .weights import MAX_POWER, transform_R_inverse, transform_R_power, weight_from_spec
 
 __all__ = ["main"]
 
@@ -118,7 +118,7 @@ def _cmd_transform(args) -> int:
         raise SchemaError("--power must be >= 0; use --inverse for the inverse map")
     if args.inverse and power < 1:
         raise SchemaError("inverse transforms need --power >= 1")
-    # a power beyond double range fails in the transform's construction
+    # a power above MAX_POWER fails in the transform's construction
     with spec_errors("--power"):
         if args.inverse:
             out = transform_R_inverse(zeta, power)
@@ -239,7 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     transform = sub.add_parser("transform", help="tabulate a weight transform")
     transform.add_argument("--zeta", required=True)
-    transform.add_argument("--power", type=int, required=True)
+    transform.add_argument("--power", type=int, required=True,
+                           help=f"transform power l, 0 <= l <= {MAX_POWER} "
+                                "(1 <= l with --inverse)")
     transform.add_argument("--inverse", action="store_true")
     transform.add_argument("--grid", required=True, help="a:b:count[:log]")
     transform.set_defaults(fn=_cmd_transform)

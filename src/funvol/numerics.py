@@ -38,6 +38,7 @@ __all__ = [
     "integrate_polar_separable",
     "sphere_rule",
     "Rng",
+    "standard_normals",
 ]
 
 MAX_DIM = 6        # exact evaluators (matrices, bodies)
@@ -382,3 +383,31 @@ class Rng:
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 64))
+
+
+def _words(value: int, count: int) -> np.ndarray:
+    """``value`` as ``count`` little-endian 64-bit words, as Philox stores it."""
+    try:
+        return np.frombuffer(value.to_bytes(8 * count, "little"), dtype="<u8")
+    except OverflowError as exc:
+        raise ValueError(f"Philox word out of range: {value}") from exc
+
+
+def standard_normals(streams, shape) -> np.ndarray:
+    """Standard normals of the given shape from each stream, stacked: the
+    ``(len(streams), *shape)`` array ``np.stack([s.generator().standard_normal(shape)
+    for s in streams])``, bit for bit.
+
+    One Philox bit generator is re-keyed per stream by setting its ``state``
+    to the stream's key and counter with an empty output buffer, which is the
+    state ``Rng.generator`` builds, instead of being built once per stream.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    out = np.empty((len(streams), *shape))
+    for s, row in zip(streams, out):
+        state["state"] = {"counter": _words(s.counter << 64, 4), "key": _words(s.seed, 2)}
+        bits.state = state
+        gen.standard_normal(out=row)
+    return out

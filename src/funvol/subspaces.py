@@ -2,12 +2,18 @@
 
 A subspace is stored as a column-orthonormal frame identifying it with R^k;
 rotation invariance of everything downstream makes the frame choice
-immaterial.  Projection functions (minimum over the orthogonal fiber) are
-realized as catalog variants wherever a closed form exists; any other source
-raises UnsupportedVariant, as an unrealized restriction does.
+immaterial.  Haar subspaces and rotations come from sign-fixed QR of
+Gaussian matrices (Mezzadri, Notices AMS 54, 2007): all the planes of one
+Grassmannian average are drawn as one stack of normals, factored by one
+stacked complete QR and checked for orthonormality in one batched pass, and
+each plane is then a view into that stack.  Projection functions (minimum
+over the orthogonal fiber) are realized as catalog variants wherever a closed
+form exists; any other source raises UnsupportedVariant, as an unrealized
+restriction does.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +23,7 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      PointwiseSum, Quadratic, RadialHinge, RadialPower,
                      Rotated, SupportFn, project_body)
 from .errors import UnsupportedVariant
-from .numerics import Rng
+from .numerics import Rng, standard_normals
 
 __all__ = [
     "Subspace",
@@ -32,6 +38,17 @@ __all__ = [
 _ORTHO_TOL = 1e-12
 
 
+def _check_orthonormal(frames: np.ndarray, complements: np.ndarray) -> None:
+    """Raise ValueError unless every (n, k) frame of the stack has orthonormal
+    columns and is orthogonal to its (n, n - k) complement."""
+    frames_t = np.swapaxes(frames, -1, -2)
+    gram = frames_t @ frames
+    if not np.abs(gram - np.eye(frames.shape[-1])).max() <= _ORTHO_TOL:
+        raise ValueError("frame columns are not orthonormal")
+    if complements.shape[-1] and not np.abs(frames_t @ complements).max() <= _ORTHO_TOL:
+        raise ValueError("complement is not orthogonal to the frame")
+
+
 class Subspace:
     """A k-dimensional linear subspace of R^n spanned by an orthonormal frame."""
 
@@ -42,37 +59,74 @@ class Subspace:
         n, k = frame.shape
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        gram = frame.T @ frame
-        if np.abs(gram - np.eye(k)).max() > _ORTHO_TOL:
-            raise ValueError("frame columns are not orthonormal")
-        self.frame = frame
-        self.n = n
-        self.k = k
         if complement is None:
             complement = np.linalg.qr(frame, mode="complete")[0][:, k:]
-        self.complement = np.asarray(complement, dtype=float)
-        if self.complement.shape != (n, n - k):
+        complement = np.asarray(complement, dtype=float)
+        if complement.shape != (n, n - k):
             raise ValueError("complement frame has the wrong shape")
-        if k < n and np.abs(frame.T @ self.complement).max() > _ORTHO_TOL:
-            raise ValueError("complement is not orthogonal to the frame")
+        _check_orthonormal(frame[None], complement[None])
+        self._set(frame, complement)
+
+    @classmethod
+    def _checked(cls, frame: np.ndarray, complement: np.ndarray) -> "Subspace":
+        """A subspace on a frame and complement that a batched check has passed."""
+        e = cls.__new__(cls)
+        e._set(frame, complement)
+        return e
+
+    def _set(self, frame: np.ndarray, complement: np.ndarray) -> None:
+        self.frame = frame
+        self.complement = complement
+        self.n, self.k = frame.shape
 
     def __repr__(self):
         return f"Subspace(k={self.k}, n={self.n})"
 
 
-def sample_grassmann(n: int, k: int, rng: Rng) -> Subspace:
-    """Haar-distributed subspace: frame and complement from one sign-fixed complete QR."""
-    g = rng.generator().standard_normal((n, k))
-    q, r = np.linalg.qr(g, mode="complete")
-    q[:, :k] *= np.sign(np.diag(r))
-    return Subspace(q[:, :k], q[:, k:])
+def _haar_frames(n: int, k: int, streams) -> np.ndarray:
+    """Checked (len(streams), n, n) stack of complete orthogonal frames whose
+    first k columns are Haar on the Grassmannian.
+
+    Frame i is the complete QR factor of ``streams[i]``'s (n, k) standard
+    normals, with each of the first k columns multiplied by the sign of its
+    diagonal entry of R; one stacked QR factors every draw.
+    """
+    q, r = np.linalg.qr(standard_normals(streams, (n, k)), mode="complete")
+    q[:, :, :k] *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    _check_orthonormal(q[:, :, :k], q[:, :, k:])
+    return q
+
+
+class _Planes(Sequence):
+    """The subspaces spanned by the first k columns of a checked frame stack;
+    each is built, as a view into the stack, when it is indexed."""
+
+    def __init__(self, q: np.ndarray, k: int):
+        self._q = q
+        self._k = k
+
+    def __len__(self):
+        return len(self._q)
+
+    def __getitem__(self, i: int) -> Subspace:
+        q = self._q[i]
+        return Subspace._checked(q[:, :self._k], q[:, self._k:])
+
+
+def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> Sequence[Subspace]:
+    """One Haar-distributed k-plane in R^n per stream.
+
+    Plane i has frame and complement from the sign-fixed complete QR of
+    ``streams[i].generator().standard_normal((n, k))``, bit for bit.  The
+    draws, the QR and the orthonormality check run once over the whole stack;
+    the returned sequence builds each plane as a view into it when indexed.
+    """
+    return _Planes(_haar_frames(n, k, streams), k)
 
 
 def sample_rotation(n: int, rng: Rng) -> np.ndarray:
     """Haar rotation: sign-fixed QR with the determinant corrected to +1."""
-    g = rng.generator().standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
+    q = _haar_frames(n, n, [rng])[0]
     if np.linalg.det(q) < 0:
         q[:, -1] = -q[:, -1]
     return q

@@ -24,7 +24,7 @@ import numpy as np
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Rotated, body_intrinsic_volume, project_body)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
-from .numerics import (Rng, flag_coefficient, integrate_interval,
+from .numerics import (_STREAM_FANOUT, Rng, flag_coefficient, integrate_interval,
                        integrate_polar_separable, kappa)
 from .subspaces import project_function, restrict_function, sample_grassmann
 from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
@@ -101,6 +101,11 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
     """(mean, error, evals) of ``one(e, stream) -> (value, error, evals)`` over
     ``samples`` Haar k-planes e in R^n, sample i drawn from ``rng.stream(i)``.
 
+    All the planes come from one :func:`sample_grassmann` call over the
+    streams, one stacked draw, and ``one`` then sees them in stream order.
+    ``rng`` has at most ``_STREAM_FANOUT - 1`` child streams, so a larger
+    ``samples`` raises :class:`SchemaError` before anything is drawn.
+
     The error is the Monte Carlo standard error and the mean inner error
     added in quadrature.  A single sample has no standard error; the estimate
     is returned with a NaN error so downstream verdicts become non_converged,
@@ -108,8 +113,11 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
     """
     if samples < 1:
         raise SchemaError("need at least one subspace sample")
-    values, errors, evals = zip(*[one(sample_grassmann(n, k, s), s)
-                                  for s in map(rng.stream, range(samples))])
+    if samples > _STREAM_FANOUT - 1:
+        raise SchemaError(f"at most {_STREAM_FANOUT - 1} subspace samples per average "
+                          f"(one random stream each), got {samples}")
+    streams = [rng.stream(i) for i in range(samples)]
+    values, errors, evals = zip(*map(one, sample_grassmann(n, k, streams), streams))
     values = np.asarray(values, dtype=float)
     mean = float(np.sum(values)) / samples  # pairwise summation: bit-stable order
     if samples == 1:

@@ -263,7 +263,7 @@ def _run_conj_projection(p):
     u = function_from_spec(p["u"])
     rng = _rng(p)
     k = int(p.get("k", max(1, u.n - 1)))
-    e = sample_grassmann(u.n, k, rng.stream(0))
+    e = sample_grassmann(u.n, k, [rng.stream(0)])[0]
     gen = rng.stream(1).generator()
     grid = gen.uniform(-p.get("grid_halfwidth", 1.0), p.get("grid_halfwidth", 1.0),
                        size=(int(p.get("grid", 20)), k))

@@ -184,7 +184,7 @@ def test_c09_duality():
              (Cone(3, 0.5, 1.0), 3, 2),
              (Indicator(Ball(1.0, [0.0, 0.0])), 2, 1)]
     for u, n, k in cases:
-        e = sample_grassmann(n, k, Rng(4))
+        e = sample_grassmann(n, k, [Rng(4)])[0]
         grid = Rng(5).generator().uniform(-1.5, 1.5, size=(25, k))
         worst_dev = max(worst_dev, check_conjugate_projection(u, e, grid))
     ok = ok and worst_dev <= 1e-9

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import funvol
 from funvol.cli import main
+from funvol.weights import MAX_POWER
 
 
 @pytest.fixture
@@ -645,10 +646,53 @@ class TestSpecFuzz:
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("power", [10 ** 20, MAX_POWER + 1], ids=["1e20", "cap+1"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_transform_power_above_cap_exit_2(self, fuzz_files, power, inverse):
+        # closed-form transforms lose their digits at huge powers: 10**20 printed 0
+        argv = ["transform", "--zeta", fuzz_files["tent"], "--power", str(power),
+                "--grid", "0.5:0.5:1"]
+        code, out, err = run_captured(argv + ["--inverse"] if inverse else argv)
+        assert code == 2 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError" and f"cap {MAX_POWER}" in error["message"]
+
+    def test_transform_power_at_cap(self, fuzz_files):
+        # T^l tent(1/2) = (1 - 2^-(l+1)) / (l + 1) for tent(s) = (1 - s)_+
+        code, out, err = run_captured(["transform", "--zeta", fuzz_files["tent"],
+                                       "--power", str(MAX_POWER), "--grid", "0.5:0.5:1"])
+        assert code == 0 and "Traceback" not in err
+        value = float(out.splitlines()[1].split(",")[1])
+        exact = (1.0 - 2.0 ** -(MAX_POWER + 1)) / (MAX_POWER + 1)
+        assert abs(value - exact) <= 1e-9 * exact
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--method", "ck", "--j", "1", "--samples", "65536"],
+        ["verify", "--manifest"],
+    ], ids=["compute", "verify_manifest"])
+    def test_samples_beyond_stream_fanout_exit_2(self, tmp_path, fuzz_files, argv):
+        # one random stream per plane, 65,535 per average; refused before any draw
+        if argv[0] == "compute":
+            argv = argv + ["--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"]]
+        else:
+            case = {"id": "cone",
+                    "params": {"n": 2, "j": 1, "zeta": TENT, "t": 0.5, "samples": 65536,
+                               "seed": 0},
+                    "tolerance": {"absolute": 1e-6}}
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps([case]))
+            argv = argv + [str(path)]
+        code, out, err = run_captured(argv)
+        assert code == 2 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError"
+        assert "at most 65535 subspace samples" in error["message"]
+
     @pytest.mark.parametrize("text", [
         '{"type": "transform", "l": 1e400, "inner": {"type": "tent"}}',
         '{"type": "transform", "l": 1.5, "inner": {"type": "tent"}}',
-    ], ids=["l_1e400", "l_1.5"])
+        '{"type": "transform", "l": 100000000000000000000, "inner": {"type": "tent"}}',
+    ], ids=["l_1e400", "l_1.5", "l_1e20"])
     def test_transform_power_exit_2(self, tmp_path, text):
         path = tmp_path / "zeta.json"
         path.write_text(text)

@@ -89,3 +89,18 @@ def test_one_grassmannian_average():
     """Every subspace average in valuations samples its planes in one loop."""
     callers = _package_callers("sample_grassmann", {"valuations"})
     assert len(callers) == 1, f"sample_grassmann is called from {sorted(callers)}"
+
+
+def test_one_haar_draw():
+    """Random frames come from one stacked normal draw and one QR of it.
+
+    ``standard_normal`` has one caller, the batched ``standard_normals``, and
+    that has one caller, which factors its draws.  The only other QR in the
+    package completes a frame handed to ``Subspace``.
+    """
+    normals = _package_callers("standard_normal")
+    assert len(normals) == 1, f"standard_normal is called from {sorted(normals)}"
+    draws = _package_callers("standard_normals")
+    assert len(draws) == 1, f"standard_normals is called from {sorted(draws)}"
+    qr = _package_callers("qr")
+    assert qr == draws + Counter({"subspaces.__init__": 1}), f"qr is called from {dict(qr)}"

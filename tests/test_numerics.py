@@ -16,6 +16,7 @@ from funvol.numerics import (
     integrate_polar_separable,
     kappa,
     sphere_rule,
+    standard_normals,
 )
 from funvol.valuations import ValuationSpec, eval_smooth
 from funvol.weights import Bump, Tent
@@ -335,3 +336,22 @@ class TestRng:
 
     def test_largest_seed(self):
         assert Rng((1 << 128) - 1).stream(2).generator().standard_normal(1).shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(n, k) for n in range(2, 7) for k in range(1, n + 1)],
+                             ids=str)
+    def test_standard_normals_match_per_stream_generators(self, shape):
+        # one re-keyed bit generator reproduces every stream's own generator,
+        # also past counter 2**64 and with seeds and depths mixed in one stack
+        bases = [Rng(0), Rng(7), Rng((1 << 128) - 1), Rng(7, counter=2 ** 70),
+                 Rng(7).stream(3).stream(65534).stream(0)]
+        streams = [s for b in bases for s in (b, b.stream(0), b.stream(1), b.stream(65534))]
+        expected = np.stack([s.generator().standard_normal(shape) for s in streams])
+        assert np.array_equal(standard_normals(streams, shape), expected)
+
+    def test_standard_normals_counter_beyond_philox(self):
+        # Philox counters are 256 bits; the stream's counter sits above bit 64
+        s = Rng(7, counter=1 << 192)
+        with pytest.raises(ValueError):
+            s.generator()
+        with pytest.raises(ValueError):
+            standard_normals([s], (2, 1))

@@ -20,6 +20,8 @@ from funvol.numerics import Rng
 from funvol.errors import UnsupportedVariant
 from funvol.subspaces import (
     Subspace,
+    _check_orthonormal,
+    _haar_frames,
     check_conjugate_projection,
     project_function,
     restrict_function,
@@ -35,15 +37,13 @@ def span(vec):
 
 class TestSampling:
     def test_frame_orthonormal(self):
-        for i in range(20):
-            e = sample_grassmann(4, 2, Rng(0).stream(i))
+        for e in sample_grassmann(4, 2, [Rng(0).stream(i) for i in range(20)]):
             assert np.abs(e.frame.T @ e.frame - np.eye(2)).max() <= 1e-12
             assert np.abs(e.frame.T @ e.complement).max() <= 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (6, 3), (3, 3)])
     def test_frame_and_complement_orthogonal(self, n, k):
-        for i in range(10):
-            e = sample_grassmann(n, k, Rng(3).stream(i))
+        for e in sample_grassmann(n, k, [Rng(3).stream(i) for i in range(10)]):
             q = np.concatenate([e.frame, e.complement], axis=1)
             assert q.shape == (n, n)
             assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
@@ -55,7 +55,7 @@ class TestSampling:
         assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-14
 
     def test_full_dimension(self):
-        e = sample_grassmann(3, 3, Rng(1))
+        e = sample_grassmann(3, 3, [Rng(1)])[0]
         q = e.frame
         assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
 
@@ -67,8 +67,7 @@ class TestSampling:
     def test_line_angle_uniform(self):
         # Haar on lines in the plane: the angle mod pi is uniform (KS at 1%)
         angles = []
-        for i in range(10_000):
-            e = sample_grassmann(2, 1, Rng(7).stream(i))
+        for e in sample_grassmann(2, 1, [Rng(7).stream(i) for i in range(10_000)]):
             v = e.frame[:, 0]
             angles.append(math.atan2(v[1], v[0]) % math.pi)
         stat = stats.kstest(np.array(angles) / math.pi, "uniform").statistic
@@ -79,12 +78,52 @@ class TestSampling:
         fixed = np.array([1.0, 0.0, 0.0])
         theta = sample_rotation(3, Rng(123))
         a, b = [], []
-        for i in range(10_000):
-            e = sample_grassmann(3, 1, Rng(11).stream(i))
+        for e in sample_grassmann(3, 1, [Rng(11).stream(i) for i in range(10_000)]):
             a.append(float(e.frame[:, 0] @ fixed))
             b.append(float((theta @ e.frame[:, 0]) @ fixed))
         stat = stats.ks_2samp(a, b).statistic
         assert stat < 1.63 * math.sqrt(2.0 / 10_000)
+
+
+class TestBatchedDraw:
+    """The stacked draw reproduces the per-sample sign-fixed QR bit for bit."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, n + 1)])
+    def test_planes_match_per_sample_qr(self, n, k):
+        streams = [Rng(9).stream(i) for i in range(40)] + [Rng(7, counter=2 ** 70).stream(5)]
+        planes = sample_grassmann(n, k, streams)
+        assert len(planes) == len(streams)
+        for s, e in zip(streams, planes):
+            q, r = np.linalg.qr(s.generator().standard_normal((n, k)), mode="complete")
+            q[:, :k] *= np.sign(np.diag(r))
+            assert np.array_equal(e.frame, q[:, :k])
+            assert np.array_equal(e.complement, q[:, k:])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rotation_matches_per_sample_qr(self, n):
+        for i in range(20):
+            s = Rng(2).stream(i)
+            q, r = np.linalg.qr(s.generator().standard_normal((n, n)))
+            q = q * np.sign(np.diag(r))
+            if np.linalg.det(q) < 0:
+                q[:, -1] = -q[:, -1]
+            assert np.array_equal(sample_rotation(n, s), q)
+
+    def test_planes_are_views_of_one_stack(self):
+        planes = sample_grassmann(4, 2, [Rng(0).stream(i) for i in range(3)])
+        assert planes[0].frame.base is planes[2].complement.base is not None
+
+    def test_batch_check_rejects_a_bad_frame(self):
+        q = _haar_frames(3, 2, [Rng(0).stream(i) for i in range(5)])
+        _check_orthonormal(q[:, :, :2], q[:, :, 2:])
+        stretched, nan, overlap = q.copy(), q.copy(), q.copy()
+        stretched[3, :, 0] *= 1.0 + 1e-9
+        nan[1, 0, 1] = np.nan
+        overlap[4, :, 2] = overlap[4, :, 0]
+        for bad, why in ((stretched, "not orthonormal"), (nan, "not orthonormal"),
+                         (overlap, "not orthogonal")):
+            with pytest.raises(ValueError, match=why):
+                _check_orthonormal(bad[:, :, :2], bad[:, :, 2:])
 
 
 class TestProjection:
@@ -98,13 +137,13 @@ class TestProjection:
 
     def test_cone_radial_symmetry(self):
         u = Cone(3, 0.5, 1.0)
-        e = sample_grassmann(3, 2, Rng(4))
+        e = sample_grassmann(3, 2, [Rng(4)])[0]
         w = project_function(u, e).realized
         assert isinstance(w, Cone) and w.n == 2 and w.t == 0.5 and w.r == 1.0
 
     def test_ball_indicator(self):
         u = Indicator(Ball(2.0, [0.0, 0.0, 0.0]))
-        e = sample_grassmann(3, 2, Rng(5))
+        e = sample_grassmann(3, 2, [Rng(5)])[0]
         w = project_function(u, e).realized
         assert isinstance(w, Indicator)
         assert isinstance(w.body, Ball) and w.body.radius == 2.0
@@ -130,8 +169,8 @@ class TestProjection:
             Rotated(Quadratic(np.diag([1.0, 2.0, 4.0])), sample_rotation(3, Rng(77))),
             EpiScaled(EpiTranslated(RadialPower(3, 4.0), [0.2, 0.0, 0.0]), 2.0),
         ]
-        for idx, u in enumerate(cases):
-            e = sample_grassmann(3, 1, rng.stream(idx))
+        planes = sample_grassmann(3, 1, [rng.stream(idx) for idx in range(len(cases))])
+        for idx, (u, e) in enumerate(zip(cases, planes)):
             w = project_function(u, e).realized
             ts = np.linspace(-0.8, 0.8, 5)
             for t in ts:
@@ -169,7 +208,7 @@ class TestProjectionProperties:
         k2 = Box([(1.0, 2.0), (0.0, 1.0)])
         union = Box([(0.0, 2.0), (0.0, 1.0)])
         inter = Box([(1.0, 1.0), (0.0, 1.0)])
-        e = sample_grassmann(2, 1, Rng(31))
+        e = sample_grassmann(2, 1, [Rng(31)])[0]
         grid = np.linspace(-3.0, 3.0, 101)[:, None]
 
         def proj_vals(body):
@@ -182,7 +221,7 @@ class TestProjectionProperties:
 
     def test_epi_scale_equivariance(self):
         u = EpiTranslated(RadialPower(3, 4.0), [0.1, 0.2, -0.1])
-        e = sample_grassmann(3, 2, Rng(41))
+        e = sample_grassmann(3, 2, [Rng(41)])[0]
         lam = 2.0
         lhs = project_function(EpiScaled(u, lam), e).realized
         rhs = EpiScaled(project_function(u, e).realized, lam)
@@ -191,7 +230,7 @@ class TestProjectionProperties:
 
     def test_frame_independence(self):
         u = Quadratic(np.diag([1.0, 2.0, 4.0]), [0.1, 0.0, -0.3])
-        e = sample_grassmann(3, 2, Rng(51))
+        e = sample_grassmann(3, 2, [Rng(51)])[0]
         # the same subspace under a fresh orthonormal frame
         q, r = np.linalg.qr(Rng(52).generator().standard_normal((2, 2)))
         e2 = Subspace(e.frame @ (q * np.sign(np.diag(r))), e.complement)
@@ -207,14 +246,14 @@ class TestProjectionProperties:
 class TestRestriction:
     def test_quadratic(self):
         v = Quadratic(np.eye(3))
-        e = sample_grassmann(3, 2, Rng(61))
+        e = sample_grassmann(3, 2, [Rng(61)])[0]
         w = restrict_function(v, e)
         pts = np.array([[0.3, -0.4]])
         assert w(pts)[0] == pytest.approx(0.5 * 0.25)
 
     def test_support_fn_ball(self):
         v = __import__("funvol.convex", fromlist=["SupportFn"]).SupportFn(Ball(1.0, [0.0, 0.0, 0.0]))
-        e = sample_grassmann(3, 2, Rng(62))
+        e = sample_grassmann(3, 2, [Rng(62)])[0]
         w = restrict_function(v, e)
         pts = np.array([[3.0, 4.0]])
         assert w(pts)[0] == pytest.approx(5.0)
@@ -222,7 +261,7 @@ class TestRestriction:
     def test_radial_hinge(self):
         from funvol.convex import RadialHinge
         v = RadialHinge(3, 0.5, 1.0)
-        e = sample_grassmann(3, 1, Rng(63))
+        e = sample_grassmann(3, 1, [Rng(63)])[0]
         w = restrict_function(v, e)
         assert w(np.array([[2.0]]))[0] == pytest.approx(1.5)
 
@@ -230,18 +269,18 @@ class TestRestriction:
 class TestConjugateProjection:
     def test_quadratic(self):
         u = Quadratic(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]))
-        e = sample_grassmann(3, 2, Rng(71))
+        e = sample_grassmann(3, 2, [Rng(71)])[0]
         grid = Rng(72).generator().uniform(-1.0, 1.0, size=(20, 2))
         assert check_conjugate_projection(u, e, grid) <= 1e-9
 
     def test_ball_indicator_exact(self):
         u = Indicator(Ball(1.0, [0.0, 0.0]))
-        e = sample_grassmann(2, 1, Rng(73))
+        e = sample_grassmann(2, 1, [Rng(73)])[0]
         grid = np.linspace(-2.0, 2.0, 21)[:, None]
         assert check_conjugate_projection(u, e, grid) == pytest.approx(0.0, abs=1e-12)
 
     def test_cone(self):
         u = Cone(3, 0.5, 1.0)
-        e = sample_grassmann(3, 2, Rng(74))
+        e = sample_grassmann(3, 2, [Rng(74)])[0]
         grid = Rng(75).generator().uniform(-2.0, 2.0, size=(20, 2))
         assert check_conjugate_projection(u, e, grid) <= 1e-10

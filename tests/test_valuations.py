@@ -16,6 +16,7 @@ from funvol.convex import (
     RadialPower,
     Rotated,
 )
+from funvol import valuations
 from funvol.errors import SchemaError
 from funvol.numerics import Rng, kappa
 from funvol.subspaces import sample_rotation
@@ -415,6 +416,25 @@ class TestGrassmannAverage:
         direct, _ = AVERAGING_CALLERS[caller]
         with pytest.raises(SchemaError):
             direct(0)
+
+    def test_samples_beyond_stream_fanout_rejected_before_drawing(self, caller, monkeypatch):
+        # one random stream per sample, and an Rng has 65,535 child streams
+        def no_draw(*args):
+            raise AssertionError("planes were drawn")
+
+        monkeypatch.setattr(valuations, "sample_grassmann", no_draw)
+        direct, case = AVERAGING_CALLERS[caller]
+        for run in (direct, lambda m: run_case(case(m))):
+            with pytest.raises(SchemaError, match="at most 65535 subspace samples"):
+                run(65536)
+
+
+def test_grassmann_average_takes_every_stream():
+    # the largest average draws 65,535 lines in one stack; E cos^2 = 1/2 on G(2,1)
+    mean, err, evals = valuations._grassmann_average(
+        2, 1, 65535, Rng(3), lambda e, s: (float(e.frame[0, 0] ** 2), 0.0, 1))
+    assert evals == 65535
+    assert abs(mean - 0.5) <= 4 * err
 
 
 class TestHessianMeasures:
