@@ -215,15 +215,12 @@ class PolytopeV(ConvexBody):
         """Sum of edge length times exterior dihedral angle (3-d only)."""
         hull = self._hull
         total = 0.0
-        seen = set()
         for s, simplex in enumerate(hull.simplices):
             for local, t in enumerate(hull.neighbors[s]):
                 if t <= s:
                     continue
-                shared = [v for v in simplex if v in set(hull.simplices[t])]
-                if len(shared) != 2 or (s, t) in seen:
-                    continue
-                seen.add((s, t))
+                # neighbors[s][local] is the facet opposite simplex[local]
+                shared = np.delete(simplex, local)
                 n1 = hull.equations[s, :-1]
                 n2 = hull.equations[t, :-1]
                 angle = math.acos(float(np.clip(n1 @ n2, -1.0, 1.0)))
@@ -742,16 +739,14 @@ class EpiScaled(ConvexFunction):
             return Cone(inner.n, inner.t, lam * inner.r)
         if isinstance(inner, Indicator):
             return Indicator(_scale_body(inner.body, lam))
-        obj = object.__new__(cls)
-        return obj
+        return object.__new__(cls)
 
     def __init__(self, inner: ConvexFunction, lam: float):
-        if not hasattr(self, "inner"):
-            self.inner = inner
-            self.lam = float(lam)
-            self.n = inner.n
-            self.is_supercoercive = inner.is_supercoercive
-            self.is_finite = inner.is_finite
+        self.inner = inner
+        self.lam = float(lam)
+        self.n = inner.n
+        self.is_supercoercive = inner.is_supercoercive
+        self.is_finite = inner.is_finite
 
     def _eval(self, pts):
         return self.lam * self.inner._eval(pts / self.lam)
@@ -848,16 +843,15 @@ class PointwiseSum(ConvexFunction):
         return object.__new__(cls)
 
     def __init__(self, left: ConvexFunction, right: ConvexFunction):
-        if not hasattr(self, "left"):
-            if left.n != right.n:
-                raise ValueError("dimension mismatch")
-            self.left = left
-            self.right = right
-            self.n = left.n
-            self.is_finite = left.is_finite and right.is_finite
-            self.is_supercoercive = (
-                (left.is_supercoercive and (right.is_finite or right.is_supercoercive))
-                or (right.is_supercoercive and left.is_finite))
+        if left.n != right.n:
+            raise ValueError("dimension mismatch")
+        self.left = left
+        self.right = right
+        self.n = left.n
+        self.is_finite = left.is_finite and right.is_finite
+        self.is_supercoercive = (
+            (left.is_supercoercive and (right.is_finite or right.is_supercoercive))
+            or (right.is_supercoercive and left.is_finite))
 
     def _eval(self, pts):
         return self.left._eval(pts) + self.right._eval(pts)
@@ -890,14 +884,13 @@ class InfConv(ConvexFunction):
         return object.__new__(cls)
 
     def __init__(self, left: ConvexFunction, right: ConvexFunction):
-        if not hasattr(self, "left"):
-            if left.n != right.n:
-                raise ValueError("dimension mismatch")
-            self.left = left
-            self.right = right
-            self.n = left.n
-            self.is_supercoercive = left.is_supercoercive and right.is_supercoercive
-            self.is_finite = left.is_finite or right.is_finite
+        if left.n != right.n:
+            raise ValueError("dimension mismatch")
+        self.left = left
+        self.right = right
+        self.n = left.n
+        self.is_supercoercive = left.is_supercoercive and right.is_supercoercive
+        self.is_finite = left.is_finite or right.is_finite
 
     def _eval(self, pts):
         pl = self.left.radial_profile()

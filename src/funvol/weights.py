@@ -7,14 +7,15 @@ sums and lazy transforms) is closed under the integral transform
 
 its iterates T^l(z)(s) = s^l z(s) + l * int_s^inf t^{l-1} z(t) dt and the
 inverse T^{-l}(r)(s) = r(s)/s^l - l * int_s^inf r(t)/t^{l+1} dt.  Tent, capped
-log and capped polynomial live in a piecewise power-log algebra where all of
-these are exact.  For bump-rooted chains the integrand is fitted by piecewise
-Chebyshev series, which are integrated exactly; a fit that does not resolve
-raises NonConvergedError.
+log and capped polynomial are each one sum of c * t^p * ln(t)^q on (0, s_max]
+(:class:`PowerLogForm`), on which all of these are exact.  For bump-rooted
+chains the integrand is fitted by piecewise Chebyshev series, which are
+integrated exactly; a fit that does not resolve raises NonConvergedError.
 
-Each transform is built in the one representation it uses: a closed-form
-inner weight gives a closed-form weight, any other a lazy
-:class:`TransformedWeight` on the Chebyshev path.
+Each transform is built in the one representation it uses: T^l of a sum or a
+scaling is the sum or scaling of the transforms, a closed-form weight gives a
+closed-form weight, and any other a lazy :class:`TransformedWeight` on the
+Chebyshev path.
 
 Membership in the admissibility class indexed by (j, n) -- vanishing of
 s^{n-j} z(s) at 0 together with a finite limit of int_s^inf t^{n-j-1} z(t) dt
@@ -66,7 +67,7 @@ class Singularity:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise power-log closed forms
+# Power-log closed forms
 
 
 @dataclass(frozen=True)
@@ -129,44 +130,24 @@ def _scale_terms(terms, c: float) -> tuple[_Term, ...]:
     return tuple(_Term(t.c * c, t.p, t.q) for t in terms)
 
 
-@dataclass(frozen=True)
-class _Piece:
-    lo: float
-    hi: float
-    terms: tuple[_Term, ...]
-
-
 class PowerLogForm:
-    """Piecewise sum of c * t^p * ln(t)^q on contiguous pieces covering (0, s_max]."""
+    """Sum of c * t^p * ln(t)^q on (0, s_max], 0 beyond."""
 
-    def __init__(self, pieces, s_max: float):
-        norm: list[_Piece] = []
-        cursor = 0.0
-        for pc in sorted(pieces, key=lambda p: p.lo):
-            if pc.hi <= pc.lo:
-                continue
-            if pc.lo > cursor + 1e-15:
-                norm.append(_Piece(cursor, pc.lo, ()))
-            norm.append(_Piece(pc.lo, pc.hi, _combine(pc.terms)))
-            cursor = pc.hi
-        if cursor < s_max - 1e-15:
-            norm.append(_Piece(cursor, s_max, ()))
-        self.pieces = norm
+    def __init__(self, terms, s_max: float):
+        self.terms = _combine(terms)
         self.s_max = s_max
 
     def __call__(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
-        for pc in self.pieces:
-            mask = (s > pc.lo) & (s <= pc.hi)
-            if mask.any() and pc.terms:
-                out[mask] = _eval_terms(pc.terms, s[mask])
+        mask = s <= self.s_max  # callers pass s > 0 only
+        if mask.any() and self.terms:
+            out[mask] = _eval_terms(self.terms, s[mask])
         return out
 
     def value_at_zero(self) -> float | None:
-        first = self.pieces[0]
         val = 0.0
-        for t in first.terms:
+        for t in self.terms:
             if t.p > 0:
                 continue
             if t.p == 0.0 and t.q == 0:
@@ -176,57 +157,23 @@ class PowerLogForm:
         return val
 
     def singularity(self) -> Singularity:
-        first = self.pieces[0]
-        if not first.terms:
+        if not self.terms:
             return Singularity("none")
-        pmin = min(t.p for t in first.terms)
+        pmin = min(t.p for t in self.terms)
         if pmin < -1e-12:
             return Singularity("power", pmin)
-        if any(t.p <= 1e-12 and t.q > 0 for t in first.terms):
+        if any(t.p <= 1e-12 and t.q > 0 for t in self.terms):
             return Singularity("log")
         return Singularity("none")
 
-    def flat_below(self) -> float:
-        first = self.pieces[0]
-        if all(t.p == 0.0 and t.q == 0 for t in first.terms):
-            return first.hi
-        return 0.0
-
-    def scaled(self, c: float) -> "PowerLogForm":
-        return PowerLogForm(
-            [_Piece(p.lo, p.hi, _scale_terms(p.terms, c)) for p in self.pieces], self.s_max)
-
-    def plus(self, other: "PowerLogForm") -> "PowerLogForm":
-        s_max = max(self.s_max, other.s_max)
-        edges = sorted({0.0, s_max}
-                       | {p.lo for p in self.pieces} | {p.hi for p in self.pieces}
-                       | {p.lo for p in other.pieces} | {p.hi for p in other.pieces})
-        pieces = []
-        for a, b in zip(edges, edges[1:]):
-            terms = []
-            for form in (self, other):
-                for p in form.pieces:
-                    if p.lo <= a + 1e-15 and b <= p.hi + 1e-15:
-                        terms.extend(p.terms)
-                        break
-            pieces.append(_Piece(a, b, tuple(terms)))
-        return PowerLogForm(pieces, s_max)
-
     def transform(self, p: int) -> "PowerLogForm":
         """T^p for p != 0 of either sign: s^p z(s) + p * int_s^inf t^{p-1} z(t) dt, exactly."""
-        new_pieces = []
-        tail = 0.0  # integral of t^{p-1} z over everything right of the current piece
-        for pc in reversed(self.pieces):
-            g = _antiderivative(_shift(pc.terms, p - 1))
-            g_hi = float(_eval_terms(g, np.array([pc.hi]))[0]) if g else 0.0
-            terms = list(_shift(pc.terms, p))
-            terms.append(_Term(p * (tail + g_hi), 0.0, 0))
-            terms.extend(_scale_terms(g, -p))
-            new_pieces.append(_Piece(pc.lo, pc.hi, tuple(terms)))
-            if pc.lo > 0.0:  # the first piece's own integral is never consumed
-                g_lo = float(_eval_terms(g, np.array([pc.lo]))[0]) if g else 0.0
-                tail += g_hi - g_lo
-        return PowerLogForm(list(reversed(new_pieces)), self.s_max)
+        g = _antiderivative(_shift(self.terms, p - 1))
+        g_hi = float(_eval_terms(g, np.array([self.s_max]))[0]) if g else 0.0
+        terms = list(_shift(self.terms, p))
+        terms.append(_Term(p * g_hi, 0.0, 0))
+        terms.extend(_scale_terms(g, -p))
+        return PowerLogForm(terms, self.s_max)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +216,13 @@ class WeightFunction:
     def closed_form(self) -> PowerLogForm | None:
         return None
 
-    @property
-    def flat_below(self) -> float:
-        return 0.0
-
     def knots(self) -> tuple[float, ...]:
         """Points in (0, s_max] where the weight may lose smoothness."""
         raise NotImplementedError
 
 
 class _ClosedFormWeight(WeightFunction):
-    """Weight backed by an exact piecewise power-log representation."""
+    """Weight backed by an exact power-log representation."""
 
     def __init__(self, form: PowerLogForm):
         self._form = form
@@ -298,12 +241,8 @@ class _ClosedFormWeight(WeightFunction):
     def closed_form(self):
         return self._form
 
-    @property
-    def flat_below(self):
-        return self._form.flat_below()
-
     def knots(self):
-        return tuple(p.hi for p in self._form.pieces)
+        return (self._form.s_max,)
 
 
 class Tent(_ClosedFormWeight):
@@ -313,16 +252,15 @@ class Tent(_ClosedFormWeight):
         if not (math.isfinite(s0) and s0 > 0):
             raise ValueError("tent needs a finite s0 > 0")
         self.s0 = float(s0)
-        super().__init__(PowerLogForm(
-            [_Piece(0.0, self.s0, (_Term(1.0, 0.0, 0), _Term(-1.0 / self.s0, 1.0, 0)))],
-            self.s0))
+        terms = (_Term(1.0, 0.0, 0), _Term(-1.0 / self.s0, 1.0, 0))
+        super().__init__(PowerLogForm(terms, self.s0))
 
 
 class LogCap(_ClosedFormWeight):
     """max(0, ln(1/s)); log singularity at 0, support (0, 1]."""
 
     def __init__(self):
-        super().__init__(PowerLogForm([_Piece(0.0, 1.0, (_Term(-1.0, 0.0, 1),))], 1.0))
+        super().__init__(PowerLogForm((_Term(-1.0, 0.0, 1),), 1.0))
 
 
 class PolyCapped(_ClosedFormWeight):
@@ -338,7 +276,7 @@ class PolyCapped(_ClosedFormWeight):
             raise ValueError("poly_capped needs finite coefficients and a finite cutoff > 0")
         self.cutoff = float(cutoff)
         terms = tuple(_Term(c, float(i), 0) for i, c in enumerate(self.coeffs) if c != 0.0)
-        super().__init__(PowerLogForm([_Piece(0.0, self.cutoff, terms)], self.cutoff))
+        super().__init__(PowerLogForm(terms, self.cutoff))
 
 
 class Bump(WeightFunction):
@@ -395,14 +333,6 @@ class Scaled(WeightFunction):
         v = self.inner.value_at_zero()
         return None if v is None else self.factor * v
 
-    def closed_form(self):
-        f = self.inner.closed_form()
-        return None if f is None else f.scaled(self.factor)
-
-    @property
-    def flat_below(self):
-        return self.inner.flat_below
-
     def knots(self):
         return self.inner.knots()
 
@@ -435,19 +365,6 @@ class SumWeight(WeightFunction):
         if any(v is None for v in vals):
             return None
         return float(sum(vals))
-
-    def closed_form(self):
-        forms = [t.closed_form() for t in self.terms]
-        if any(f is None for f in forms):
-            return None
-        out = forms[0]
-        for f in forms[1:]:
-            out = out.plus(f)
-        return out
-
-    @property
-    def flat_below(self):
-        return min(t.flat_below for t in self.terms)
 
     def knots(self):
         ks = sorted({k for t in self.terms for k in t.knots()})
@@ -525,8 +442,10 @@ class _ChebTail:
 
 class TransformedWeight(WeightFunction):
     """Lazy T^p for a power p != 0 of either sign, s^p z(s) + p * int_s^inf t^{p-1} z(t) dt,
-    of an inner weight z without a closed form (bump-rooted chains).
+    of an inner weight z without a closed form.
 
+    Built only by ``_transformed``, which splits sums and scalings first, so
+    z is a :class:`Bump` or another TransformedWeight (a bump-rooted chain).
     The integrand t^{p-1} z is fitted by Chebyshev pieces on the inner knot
     intervals and integrated exactly (:class:`_ChebTail`), built on first
     use.  The transform is constant below the inner flat region; with none,
@@ -561,14 +480,9 @@ class TransformedWeight(WeightFunction):
 
     @property
     def singularity(self):
-        inner_sing = self.inner.singularity
-        if self.power > 0:
-            if inner_sing.kind in ("none", "log"):
-                return Singularity("none")
-            if inner_sing.kind == "power" and inner_sing.power + self.power >= 0:
-                return Singularity("none")
-            return Singularity("unknown")
-        if self.inner.flat_below > 0:
+        # a bump-rooted inner weight is either 'none' or 'unknown' at 0
+        if self.inner.flat_below > 0 or (
+                self.power > 0 and self.inner.singularity.kind == "none"):
             return Singularity("none")
         return Singularity("unknown")
 
@@ -595,23 +509,13 @@ def transform_R_power(zeta: WeightFunction, l: int) -> WeightFunction:
     """T^l via the direct formula (never by l-fold composition); l >= 0."""
     if l < 0:
         raise ValueError("use transform_R_inverse for negative powers")
-    if l == 0:
-        return zeta
-    if isinstance(zeta, SumWeight):
-        return SumWeight([transform_R_power(t, l) for t in zeta.terms])
-    if isinstance(zeta, Scaled):
-        return Scaled(transform_R_power(zeta.inner, l), zeta.factor)
-    return _transformed(zeta, l)
+    return zeta if l == 0 else _transformed(zeta, l)
 
 
 def transform_R_inverse(rho: WeightFunction, l: int) -> WeightFunction:
     """T^{-l} for l >= 1; the bijection inverse of T^l between admissibility classes."""
     if l < 1:
         raise ValueError("inverse transform needs l >= 1")
-    if isinstance(rho, SumWeight):
-        return SumWeight([transform_R_inverse(t, l) for t in rho.terms])
-    if isinstance(rho, Scaled):
-        return Scaled(transform_R_inverse(rho.inner, l), rho.factor)
     return _transformed(rho, -l)
 
 
@@ -623,9 +527,14 @@ MAX_POWER = 10 ** 6
 
 
 def _transformed(zeta: WeightFunction, p: int) -> WeightFunction:
-    """T^p in the one representation it uses: exact when zeta has a closed form."""
+    """T^p in the one representation it uses: split over sums and scalings,
+    exact on a closed form, else a lazy :class:`TransformedWeight`."""
     if abs(p) > MAX_POWER:
         raise ValueError(f"transform power {abs(p)} is above the cap {MAX_POWER}")
+    if isinstance(zeta, SumWeight):
+        return SumWeight([_transformed(t, p) for t in zeta.terms])
+    if isinstance(zeta, Scaled):
+        return Scaled(_transformed(zeta.inner, p), zeta.factor)
     form = zeta.closed_form()
     if form is not None:
         return _ClosedFormWeight(form.transform(p))
@@ -672,7 +581,6 @@ class NonnegativityVerdict:
     nonnegative: bool
     min_value: float
     argmin: float
-    note: str
 
 
 def log_grid(s_max: float, count: int = 200) -> np.ndarray:
@@ -684,18 +592,19 @@ def nonnegativity_check(zeta: WeightFunction, j: int, n: int,
                         grid: int = 200) -> NonnegativityVerdict:
     """Sign of the valuation generated by zeta at degree j.
 
-    Grid-certified only: the 1 <= j <= n-1 criterion samples T^{n-j}(zeta) on a
-    log grid plus its limit at 0; j = n checks zeta itself; j = 0 checks the
-    sign of the constant.
+    A weight outside the admissibility class of (j, n) generates no valuation
+    and raises :class:`SchemaError`.  Grid-certified only: the 1 <= j <= n-1
+    criterion samples T^{n-j}(zeta) on a log grid plus its limit at 0; j = n
+    checks zeta itself; j = 0 checks the sign of the constant.
     """
     if not 0 <= j <= n:
         raise ValueError("need 0 <= j <= n")
+    ok, why = in_had_class(zeta, j, n)
+    if not ok:
+        raise SchemaError(f"weight not admissible for degree j={j} in dimension n={n}: {why}")
     if j == 0:
-        rn = transform_R_power(zeta, n)
-        v0 = rn.value_at_zero()
-        v0 = 0.0 if v0 is None else v0
-        return NonnegativityVerdict(v0 >= -1e-12, v0, 0.0,
-                                    "sign of the degree-0 constant")
+        v0 = transform_R_power(zeta, n).value_at_zero()
+        return NonnegativityVerdict(v0 >= -1e-12, v0, 0.0)
     target = zeta if j == n else transform_R_power(zeta, n - j)
     s = log_grid(target.support_bound, grid)
     vals = np.asarray(target(s))
@@ -704,8 +613,7 @@ def nonnegativity_check(zeta: WeightFunction, j: int, n: int,
     if v0 is not None:
         pts.append((0.0, v0))
     argmin, min_value = min(pts, key=lambda t: t[1])
-    note = "grid-certified on a log grid plus the limit at 0"
-    return NonnegativityVerdict(min_value >= -1e-12, float(min_value), float(argmin), note)
+    return NonnegativityVerdict(min_value >= -1e-12, float(min_value), float(argmin))
 
 
 # ---------------------------------------------------------------------------

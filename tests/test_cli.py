@@ -194,6 +194,52 @@ class TestCompute:
         assert out1 == out2
 
 
+class TestSumAndScaledWeights:
+    """sum and scaled weights through compute, on u = x^T A x / 2 with A = diag(1, 2, 3).
+
+    At j = 1 the smooth route is e2(A) / det A * int zeta(|y|) dy and the dual
+    route, on the conjugate, is e2(A^-1) * det A * int zeta(|y|) dy; over R^3
+    the integral of tent(s0) is pi s0^3 / 3.
+    """
+
+    TENT1 = {"type": "tent", "s0": 1.0}
+    TENT_HALF = {"type": "tent", "s0": 0.5}
+
+    @pytest.fixture
+    def quad3(self, tmp_path):
+        p = tmp_path / "quad3.json"
+        p.write_text(json.dumps({"type": "quadratic",
+                                 "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]],
+                                 "b": [0.0, 0.0, 0.0], "c": 0.0}))
+        return str(p)
+
+    def value(self, capsys, tmp_path, quad3, method, zeta):
+        p = tmp_path / "zeta.json"
+        p.write_text(json.dumps(zeta))
+        code, out, _ = run_cli(capsys, "compute", "--function", quad3, "--zeta", str(p),
+                               "--j", "1", "--method", method)
+        assert code == 0, out
+        return json.loads(out)["value"]
+
+    @pytest.mark.parametrize("method, factor", [("smooth", 11.0 / 6.0), ("dual", 6.0)])
+    def test_sum_is_sum_of_parts(self, capsys, tmp_path, quad3, method, factor):
+        total = self.value(capsys, tmp_path, quad3, method,
+                           {"type": "sum", "terms": [self.TENT1, self.TENT_HALF]})
+        parts = [self.value(capsys, tmp_path, quad3, method, z)
+                 for z in (self.TENT1, self.TENT_HALF)]
+        assert total == pytest.approx(sum(parts), rel=1e-13)
+        assert total == pytest.approx(factor * math.pi * (1.0 + 0.125) / 3.0, rel=1e-13)
+        if method == "smooth":
+            assert total == pytest.approx(2.1598449493429825, rel=1e-15)
+
+    @pytest.mark.parametrize("method", ["smooth", "dual"])
+    def test_scaled_is_scaled_value(self, capsys, tmp_path, quad3, method):
+        single = self.value(capsys, tmp_path, quad3, method, self.TENT1)
+        doubled = self.value(capsys, tmp_path, quad3, method,
+                             {"type": "scaled", "factor": 2.0, "inner": self.TENT1})
+        assert doubled == 2.0 * single
+
+
 class TestTransform:
     def test_forward_row(self, capsys, specs):
         code, out, _ = run_cli(capsys, "transform", "--zeta", specs["tent"],
@@ -304,6 +350,19 @@ class TestVerify:
         path.write_text(json.dumps(manifest))
         code, _, _ = run_cli(capsys, "verify", "--manifest", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_nonnegativity_of_inadmissible_weight_exit_2(self, capsys, tmp_path, j):
+        # T^{-3} tent has a power -2 singularity and generates no valuation for n = 2
+        zeta = {"type": "transform", "l": -3, "inner": {"type": "tent"}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"id": "nonnegativity",
+                                     "params": {"n": 2, "j": j, "zeta": zeta}}]))
+        code, out, _ = run_cli(capsys, "verify", "--manifest", str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError"
+        assert "not admissible" in error["message"]
 
     def test_malformed_manifest_exit_2(self, capsys, tmp_path):
         path = tmp_path / "manifest.json"

@@ -104,3 +104,10 @@ def test_one_haar_draw():
     assert len(draws) == 1, f"standard_normals is called from {sorted(draws)}"
     qr = _package_callers("qr")
     assert qr == draws + Counter({"subspaces.__init__": 1}), f"qr is called from {dict(qr)}"
+
+
+def test_one_closed_form_dispatch():
+    """Sums and scalings are split before a closed form is asked for, in one place."""
+    callers = _package_callers("closed_form")
+    assert callers == Counter({"weights._transformed": 1}), \
+        f"closed_form is called from {dict(callers)}"

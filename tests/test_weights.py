@@ -10,6 +10,7 @@ from funvol.weights import (
     LogCap,
     PolyCapped,
     Scaled,
+    Singularity,
     SumWeight,
     Tent,
     in_had_class,
@@ -94,6 +95,14 @@ class TestHadMembership:
         assert raw.value_at_zero() is None
         with pytest.raises(UnknownSingularity):
             in_had_class(raw, 1, 3)
+
+    def test_sum_takes_the_worst_term(self):
+        # log_cap + T^{-2} tent = ln(1/s) + 1/s - 1 on (0, 1]: power -1 decides
+        z = weight_from_spec({"type": "sum", "terms": [
+            {"type": "log_cap"}, {"type": "transform", "l": -2, "inner": {"type": "tent"}}]})
+        assert z.singularity == Singularity("power", -1.0)
+        assert not in_had_class(z, 1, 2)[0]
+        assert in_had_class(z, 1, 3)[0]
 
     def test_degenerate_class_convention(self):
         # the (0, 0) class coincides with (1, 1): finite limit required
@@ -305,6 +314,12 @@ class TestNonnegativity:
     def test_degree_zero_sign(self):
         assert nonnegativity_check(Tent(1.0), 0, 2).nonnegative
         assert not nonnegativity_check(Scaled(Tent(1.0), -1.0), 0, 2).nonnegative
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_inadmissible_weight_rejected(self, j):
+        # T^{-3} tent = (1/s^2 - 1)/2 has a power -2 singularity: no class for n = 2
+        with pytest.raises(SchemaError, match="not admissible"):
+            nonnegativity_check(transform_R_inverse(Tent(1.0), 3), j, 2)
 
 
 class TestJsonSpecs:
