@@ -6,7 +6,9 @@ immaterial.  Haar subspaces and rotations come from sign-fixed QR of
 Gaussian matrices (Mezzadri, Notices AMS 54, 2007): all the planes of one
 Grassmannian average are drawn as one stack of normals, factored by one
 stacked complete QR and checked for orthonormality in one batched pass, and
-each plane is then a view into that stack.  Projection functions (minimum
+each plane is then a view into that stack.  Cubature planes, the lines
+through or the hyperplanes normal to the directions of a sphere rule, are
+framed by the same stacked QR.  Projection functions (minimum
 over the orthogonal fiber) are realized as catalog variants wherever a closed
 form exists; any other source raises UnsupportedVariant, as an unrealized
 restriction does.
@@ -23,12 +25,13 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      PointwiseSum, Quadratic, RadialHinge, RadialPower,
                      Rotated, SupportFn, project_body)
 from .errors import UnsupportedVariant
-from .numerics import Rng, standard_normals
+from .numerics import Rng, sphere_rule, standard_normals
 
 __all__ = [
     "Subspace",
     "ProjectedFunction",
     "sample_grassmann",
+    "grassmann_cubature",
     "sample_rotation",
     "project_function",
     "restrict_function",
@@ -83,18 +86,26 @@ class Subspace:
         return f"Subspace(k={self.k}, n={self.n})"
 
 
-def _haar_frames(n: int, k: int, streams) -> np.ndarray:
-    """Checked (len(streams), n, n) stack of complete orthogonal frames whose
-    first k columns are Haar on the Grassmannian.
+def _stacked_frames(m: np.ndarray) -> np.ndarray:
+    """Checked (S, n, n) stack of complete orthogonal frames for an (S, n, k)
+    stack of full-rank matrices.
 
-    Frame i is the complete QR factor of ``streams[i]``'s (n, k) standard
-    normals, with each of the first k columns multiplied by the sign of its
-    diagonal entry of R; one stacked QR factors every draw.
+    Frame i is the complete QR factor of ``m[i]``, with each of its first k
+    columns multiplied by the sign of its diagonal entry of R, so those
+    columns span the column space of ``m[i]``; one stacked QR factors them all.
     """
-    q, r = np.linalg.qr(standard_normals(streams, (n, k)), mode="complete")
+    k = m.shape[-1]
+    q, r = np.linalg.qr(m, mode="complete")
     q[:, :, :k] *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     _check_orthonormal(q[:, :, :k], q[:, :, k:])
     return q
+
+
+def _haar_frames(n: int, k: int, streams) -> np.ndarray:
+    """Checked (len(streams), n, n) stack of complete orthogonal frames whose
+    first k columns are Haar on the Grassmannian: frame i factors
+    ``streams[i]``'s (n, k) standard normals."""
+    return _stacked_frames(standard_normals(streams, (n, k)))
 
 
 class _Planes(Sequence):
@@ -122,6 +133,29 @@ def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> Sequence[Subspac
     the returned sequence builds each plane as a view into it when indexed.
     """
     return _Planes(_haar_frames(n, k, streams), k)
+
+
+def grassmann_cubature(n: int, k: int, level: int) -> tuple[Sequence[Subspace], np.ndarray]:
+    """Planes and weights of the level-``level`` cubature rule on k-planes in R^n.
+
+    The nodes come from the directions d of ``sphere_rule(n, level)``: the
+    lines through them for k = 1 (G(2, 1) included; the whole space for
+    k = n), else the hyperplanes normal to them for k = n - 1, with the
+    rule's weights normalized to sum to 1.  A function of the plane that is
+    a polynomial of degree below 4 * level in d is averaged exactly.
+    Antipodal directions give the same plane twice.  Other (n, k), G(4, 2)
+    and every n >= 5, raise :class:`UnsupportedVariant`.
+    """
+    lines = k in (1, n)
+    if not (lines or k == n - 1) or n > 4:
+        raise UnsupportedVariant(
+            f"Grassmannian cubature covers lines and hyperplanes in n <= 4, "
+            f"got k={k}, n={n}")
+    dirs, wts = sphere_rule(n, level)
+    q = _stacked_frames(dirs[:, :, None])
+    if not lines:  # the normal's complement, then the normal
+        q = np.roll(q, -1, axis=2)
+    return _Planes(q, k), wts / wts.sum()
 
 
 def sample_rotation(n: int, rng: Rng) -> np.ndarray:

@@ -419,19 +419,21 @@ class TestFlagFuzz:
     @given(method=st.sampled_from(["smooth", "ck", "ck-general", "dual",
                                    "domain-gradient", "bogus"]),
            j=st.integers(-1, 3), k=st.none() | st.integers(-1, 3),
-           samples=st.integers(-2, 6), seed=SEEDS)
-    @example(method="ck-general", j=1, k=1, samples=0, seed=0)
+           samples=st.integers(-2, 6), seed=SEEDS,
+           grassmann=st.sampled_from(["mc", "cubature", "bogus"]))
+    @example(method="ck-general", j=1, k=1, samples=0, seed=0, grassmann="mc")
+    @example(method="ck", j=2, k=None, samples=1, seed=0, grassmann="cubature")
     @settings(max_examples=150, deadline=None)
-    def test_compute(self, fuzz_files, method, j, k, samples, seed):
+    def test_compute(self, fuzz_files, method, j, k, samples, seed, grassmann):
         argv = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
                 "--j", str(j), "--method", method, "--samples", str(samples),
-                "--seed", str(seed)]
+                "--seed", str(seed), "--grassmann", grassmann]
         if k is not None:
             argv += ["--k", str(k)]
         code, out, err = run_captured(argv)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
-        if code != 0 and method != "bogus":
+        if code != 0 and "bogus" not in (method, grassmann):
             assert "error" in json.loads(out)
 
     @given(samples=st.none() | st.integers(-2, 6), seed=SEEDS)
@@ -452,11 +454,14 @@ class TestFlagFuzz:
         elif code != 0:
             assert "error" in payload
 
-    @given(key=st.sampled_from(["n", "j", "t", "r", "samples", "seed"]),
+    @given(key=st.sampled_from(["n", "j", "t", "r", "samples", "seed", "grassmann"]),
            value=st.one_of(st.integers(-2, 6), st.floats(), st.text(max_size=3),
                            st.none(), st.booleans(), st.lists(st.integers(0, 2), max_size=2)))
     @example(key="seed", value="abc")
     @example(key="n", value="2")
+    @example(key="grassmann", value="qmc")
+    @example(key="grassmann", value="cubature")
+    @example(key="grassmann", value=1)
     @settings(max_examples=150, deadline=None)
     def test_manifest_params(self, tmp_path_factory, key, value):
         case = {"id": "cone",
@@ -473,7 +478,10 @@ class TestFlagFuzz:
             assert payload["all_pass"] is False
         elif code != 0:
             assert "error" in payload
-        if isinstance(value, (str, list)) or value is None:
+        rejected = isinstance(value, (str, list)) or value is None
+        if key == "grassmann":
+            rejected = value not in ("mc", "cubature")
+        if rejected:
             assert code == 2 and payload["error"]["type"] == "SchemaError"
 
 
@@ -783,6 +791,61 @@ class TestSpecFuzz:
                                        "--j", "1", "--samples", "8"])
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
+
+
+QUAD4 = {"type": "quadratic", "A": [[float(i == j) * (i + 1) for j in range(4)]
+                                    for i in range(4)], "b": [0.0] * 4, "c": 0.0}
+QUAD5 = {"type": "quadratic", "A": [[float(i == j) * (i + 1) for j in range(5)]
+                                    for i in range(5)], "b": [0.0] * 5, "c": 0.0}
+
+
+class TestGrassmannFlag:
+    """``--grassmann`` picks the estimator of every Grassmannian average."""
+
+    def test_cubature_is_deterministic(self, fuzz_files):
+        base = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
+                "--j", "1", "--method", "ck", "--grassmann", "cubature"]
+        outs = [run_captured(base + ["--seed", seed]) for seed in ("0", "5")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        payload = json.loads(outs[0][1])
+        # levels 1 and 2 of G(2, 1): 4 + 8 lines; a quadratic is exact there
+        assert payload["counters"]["subspace_samples"] == 12
+        exact = run_captured(base[:-4] + ["--method", "smooth"])
+        assert payload["value"] == pytest.approx(json.loads(exact[1])["value"], rel=1e-14)
+
+    def test_default_is_monte_carlo(self, fuzz_files):
+        base = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
+                "--j", "1", "--method", "ck", "--samples", "16", "--seed", "3"]
+        assert run_captured(base) == run_captured(base + ["--grassmann", "mc"])
+
+    @pytest.mark.parametrize("fn,j,extra", [
+        (QUAD4, "2", ["--method", "ck"]),
+        (QUAD4, "1", ["--method", "ck-general", "--k", "2"]),
+        (QUAD5, "1", ["--method", "ck"]),
+        (QUAD5, "2", ["--method", "ck-general", "--k", "4"]),
+    ], ids=["G42", "G42_general", "G51", "G54"])
+    def test_unsupported_planes_exit_3(self, tmp_path, fuzz_files, fn, j, extra):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(fn))
+        code, out, err = run_captured(["compute", "--function", str(path), "--zeta",
+                                       fuzz_files["tent"], "--j", j, "--samples", "8",
+                                       "--grassmann", "cubature"] + extra)
+        assert code == 3 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "UnsupportedVariant" and "cubature" in error["message"]
+
+    @pytest.mark.parametrize("value", ["qmc", 1, None])
+    def test_bad_manifest_grassmann_exit_2(self, tmp_path, value):
+        case = {"id": "cone",
+                "params": {"n": 2, "j": 1, "zeta": TENT, "t": 0.5, "samples": 8,
+                           "grassmann": value},
+                "tolerance": {"absolute": 1e-6}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([case]))
+        code, out, err = run_captured(["verify", "--manifest", str(path)])
+        assert code == 2 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "SchemaError" and "grassmann" in error["message"]
 
 
 class TestImport:

@@ -92,18 +92,25 @@ def test_one_grassmannian_average():
 
 
 def test_one_haar_draw():
-    """Random frames come from one stacked normal draw and one QR of it.
+    """Frames come from one stacked QR helper, fed one stacked normal draw.
 
     ``standard_normal`` has one caller, the batched ``standard_normals``, and
-    that has one caller, which factors its draws.  The only other QR in the
-    package completes a frame handed to ``Subspace``.
+    that has one caller, the Haar draw.  The Haar draw and the cubature
+    planes are the callers of the one stacked complete-QR helper.  The only
+    other QR in the package completes a frame handed to ``Subspace``.
     """
     normals = _package_callers("standard_normal")
     assert len(normals) == 1, f"standard_normal is called from {sorted(normals)}"
     draws = _package_callers("standard_normals")
-    assert len(draws) == 1, f"standard_normals is called from {sorted(draws)}"
+    assert draws == Counter({"subspaces._haar_frames": 1}), \
+        f"standard_normals is called from {dict(draws)}"
+    stacked = _package_callers("_stacked_frames")
+    assert stacked == Counter({"subspaces._haar_frames": 1,
+                               "subspaces.grassmann_cubature": 1}), \
+        f"_stacked_frames is called from {dict(stacked)}"
     qr = _package_callers("qr")
-    assert qr == draws + Counter({"subspaces.__init__": 1}), f"qr is called from {dict(qr)}"
+    assert qr == Counter({"subspaces._stacked_frames": 1, "subspaces.__init__": 1}), \
+        f"qr is called from {dict(qr)}"
 
 
 def test_one_closed_form_dispatch():

@@ -23,6 +23,7 @@ from funvol.subspaces import (
     _check_orthonormal,
     _haar_frames,
     check_conjugate_projection,
+    grassmann_cubature,
     project_function,
     restrict_function,
     sample_grassmann,
@@ -124,6 +125,54 @@ class TestBatchedDraw:
                          (overlap, "not orthogonal")):
             with pytest.raises(ValueError, match=why):
                 _check_orthonormal(bad[:, :, :2], bad[:, :, 2:])
+
+
+CUBATURE_NK = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 4)]
+
+
+class TestGrassmannCubature:
+    """Lines and hyperplanes from the directions of a sphere rule."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n,k", CUBATURE_NK)
+    def test_weights_and_second_moment(self, n, k, level):
+        # E |P_E x|^2 = k / n for every unit x under the Haar measure on G(n, k)
+        planes, weights = grassmann_cubature(n, k, level)
+        assert len(planes) == len(weights)
+        assert abs(weights.sum() - 1.0) <= 1e-14
+        assert np.all(weights > 0)
+        frames = np.stack([e.frame for e in planes])
+        for x in (np.eye(n)[0], np.full(n, 1.0 / math.sqrt(n)),
+                  np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0))):
+            shadow = np.sum((x @ frames) ** 2, axis=1)
+            assert abs(weights @ shadow - k / n) <= 1e-14
+
+    @pytest.mark.parametrize("n,k", CUBATURE_NK)
+    def test_planes_are_checked_frames(self, n, k):
+        planes, _ = grassmann_cubature(n, k, 2)
+        for e in planes:
+            assert (e.n, e.k) == (n, k)
+            q = np.concatenate([e.frame, e.complement], axis=1)
+            assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lines_and_normals_follow_the_sphere_rule(self, n):
+        # on G(2, 1) the lines are the rule's directions, not their normals
+        from funvol.numerics import sphere_rule
+        dirs, wts = sphere_rule(n, 2)
+        lines, weights = grassmann_cubature(n, 1, 2)
+        normals, _ = grassmann_cubature(n, max(n - 1, 2), 2)
+        assert np.array_equal(weights, wts / wts.sum())
+        for d, line, normal in zip(dirs, lines, normals):
+            assert np.abs(line.frame[:, 0] - d).max() <= 1e-15
+            if n > 2:
+                assert np.abs(normal.frame.T @ d).max() <= 1e-15
+                assert np.abs(np.abs(normal.complement[:, 0] @ d) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 4), (6, 3)])
+    def test_unsupported(self, n, k):
+        with pytest.raises(UnsupportedVariant, match="cubature"):
+            grassmann_cubature(n, k, 1)
 
 
 class TestProjection:

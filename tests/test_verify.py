@@ -31,6 +31,15 @@ class TestIdentityCase:
         # a zero policy is the standard way to force a failing case
         TolerancePolicy(absolute=0.0, relative=0.0, multiplier=0.0)
 
+    @pytest.mark.parametrize("value", ["qmc", "MC", "", 1, None, True, ["mc"]])
+    def test_grassmann_param_validated(self, value):
+        with pytest.raises(SchemaError, match="grassmann"):
+            IdentityCase("cone", {"n": 2, "j": 1, "zeta": TENT, "grassmann": value})
+
+    @pytest.mark.parametrize("value", ["mc", "cubature"])
+    def test_grassmann_param_accepted(self, value):
+        IdentityCase("cone", {"n": 2, "j": 1, "zeta": TENT, "grassmann": value})
+
 
 class TestRunCase:
     def test_cone_case_passes(self):
@@ -100,6 +109,21 @@ class TestSuite:
         b = run_suite(subset)
         assert canonical_json(a.to_dict(include_timing=False)) == \
             canonical_json(b.to_dict(include_timing=False))
+
+    def test_default_grassmannian_cases_on_cubature(self):
+        # every default case that takes a subspace average takes it by cubature,
+        # and reports an error no larger than Monte Carlo's at the same budget
+        averaging = {"cone", "ck_functional", "ck_general", "ck_classical",
+                     "dual_restriction", "valuation_property", "homogeneity"}
+        moved = [c for c in default_manifest(seed=7)
+                 if c.id in averaging or (c.id == "retrieval" and c.params["j"] > 0)]
+        assert len(moved) == 11
+        assert all(c.params["grassmann"] == "cubature" for c in moved)
+        mc = [IdentityCase(c.id, {**c.params, "grassmann": "mc"}, c.tolerance)
+              for c in moved]
+        for cub, ref in zip(run_suite(moved).reports, run_suite(mc).reports):
+            assert cub.verdict == "pass", cub.case.id
+            assert cub.error <= max(ref.error, 1e-12), cub.case.id
 
     def test_manifest_round_trip(self):
         manifest = default_manifest(samples=8)
