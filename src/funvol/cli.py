@@ -17,7 +17,7 @@ from .convex import discrete_legendre, function_from_spec
 from .errors import (FunvolError, NonConvergedError, NotDifferentiable,
                      SchemaError, UnknownSingularity, UnsupportedVariant, spec_errors)
 from .numerics import Rng
-from .valuations import (GRASSMANN, ValuationSpec, eval_cauchy_kubota, eval_ck_general,
+from .valuations import (ValuationSpec, eval_cauchy_kubota, eval_ck_general,
                          eval_domain_gradient, eval_dual, eval_smooth)
 from .verify import (canonical_json, default_manifest, manifest_from_json,
                      report_csv, run_suite)
@@ -93,13 +93,13 @@ def _cmd_compute(args) -> int:
     if args.method == "smooth":
         result = eval_smooth(spec, u)
     elif args.method == "ck":
-        result = eval_cauchy_kubota(spec, u, args.samples, rng, args.grassmann)
+        result = eval_cauchy_kubota(spec, u, args.samples, rng)
     elif args.method == "ck-general":
         if args.k is None:
             raise SchemaError("method ck-general requires --k")
-        result = eval_ck_general(spec, u, args.k, args.samples, rng, args.grassmann)
+        result = eval_ck_general(spec, u, args.k, args.samples, rng)
     elif args.method == "dual":
-        result = eval_dual(spec, u, args.dual_path, args.samples, rng, args.grassmann)
+        result = eval_dual(spec, u, args.dual_path, args.samples, rng)
     elif args.method == "domain-gradient":
         result = eval_domain_gradient(spec, u)
     else:
@@ -234,12 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--dual-path", choices=["integral", "conjugate"],
                          default="integral")
     compute.add_argument("--samples", type=int, default=256,
-                         help="subspace samples, or the cubature node budget, "
-                              "per Grassmannian average")
-    compute.add_argument("--grassmann", choices=GRASSMANN, default="mc",
-                         help="estimator of the Grassmannian average: Monte "
-                              "Carlo, or deterministic cubature (lines and "
-                              "hyperplanes, n <= 4)")
+                         help="Haar planes per Grassmannian average, or the "
+                              "plane budget where its cubature applies")
     compute.add_argument("--seed", type=int, default=0)
     compute.set_defaults(fn=_cmd_compute)
 

@@ -37,6 +37,7 @@ __all__ = [
     "integrate_interval",
     "integrate_polar_separable",
     "sphere_rule",
+    "sphere_rule_size",
     "Rng",
     "standard_normals",
 ]
@@ -248,9 +249,11 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     weight sin^2 in the third angle), which integrate polynomials of degree
     below 4 * level exactly.  The rule at level 2^k is turned by R^k for one
     fixed generic rotation R, so the rules of consecutive levels share no
-    nodes and cannot alias together.  Rules are cached per (n, level) and
-    read-only.  Rules exist for 1 <= n <= 4; any other n raises
-    :class:`UnsupportedVariant`.
+    nodes and cannot alias together.  The directions of the second half of
+    a rule are the negatives of those of its first half, with the same
+    weights.  Rules are cached per (n, level) and read-only, and hold
+    :func:`sphere_rule_size` directions.  Rules exist for 1 <= n <= 4; any
+    other n raises :class:`UnsupportedVariant`.
     """
     if n == 1:
         dirs, wts = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -287,6 +290,13 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     dirs.setflags(write=False)
     wts.setflags(write=False)
     return dirs, wts
+
+
+def sphere_rule_size(n: int, level: int) -> int:
+    """The number of directions of ``sphere_rule(n, level)``, without building it."""
+    if not 1 <= n <= 4:
+        raise UnsupportedVariant(f"sphere rules and polar quadrature cover n <= 4, got n = {n}")
+    return 2 ** n * level ** (n - 1)
 
 
 def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),

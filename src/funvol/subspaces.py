@@ -25,12 +25,14 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      PointwiseSum, Quadratic, RadialHinge, RadialPower,
                      Rotated, SupportFn, project_body)
 from .errors import UnsupportedVariant
-from .numerics import Rng, sphere_rule, standard_normals
+from .numerics import Rng, sphere_rule, sphere_rule_size, standard_normals
 
 __all__ = [
     "Subspace",
     "ProjectedFunction",
     "sample_grassmann",
+    "cubature_covers",
+    "cubature_levels",
     "grassmann_cubature",
     "sample_rotation",
     "project_function",
@@ -135,27 +137,51 @@ def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> Sequence[Subspac
     return _Planes(_haar_frames(n, k, streams), k)
 
 
+def cubature_covers(n: int, k: int) -> bool:
+    """Whether :func:`grassmann_cubature` has rules on k-planes in R^n: lines,
+    hyperplanes and the whole space, for 2 <= n <= 4."""
+    return 2 <= n <= 4 and k in (1, n - 1, n)
+
+
+def _cubature_size(n: int, level: int) -> int:
+    """Planes of the level-``level`` cubature rule in R^n: one per antipodal
+    pair of sphere-rule directions."""
+    return sphere_rule_size(n, level) // 2
+
+
+def cubature_levels(n: int, samples: int) -> list[int]:
+    """The levels L = 1, 2, 4, ... of :func:`grassmann_cubature` in R^n within a
+    budget of ``samples`` planes: levels 1 and 2 always, and each further
+    level while the cumulative plane count stays at most ``samples``."""
+    levels, count = [1, 2], _cubature_size(n, 1) + _cubature_size(n, 2)
+    while count + _cubature_size(n, 2 * levels[-1]) <= samples:
+        levels.append(2 * levels[-1])
+        count += _cubature_size(n, levels[-1])
+    return levels
+
+
 def grassmann_cubature(n: int, k: int, level: int) -> tuple[Sequence[Subspace], np.ndarray]:
     """Planes and weights of the level-``level`` cubature rule on k-planes in R^n.
 
     The nodes come from the directions d of ``sphere_rule(n, level)``: the
     lines through them for k = 1 (G(2, 1) included; the whole space for
-    k = n), else the hyperplanes normal to them for k = n - 1, with the
-    rule's weights normalized to sum to 1.  A function of the plane that is
-    a polynomial of degree below 4 * level in d is averaged exactly.
-    Antipodal directions give the same plane twice.  Other (n, k), G(4, 2)
-    and every n >= 5, raise :class:`UnsupportedVariant`.
+    k = n), else the hyperplanes normal to them for k = n - 1.  Antipodal
+    directions give the same plane, so only the rule's first half is taken,
+    one direction per pair, with its weights normalized to sum to 1.  A
+    function of the plane that is a polynomial of degree below 4 * level in
+    d is averaged exactly.  (n, k) not covered (see :func:`cubature_covers`),
+    G(4, 2) and every n >= 5 among them, raise :class:`UnsupportedVariant`.
     """
-    lines = k in (1, n)
-    if not (lines or k == n - 1) or n > 4:
+    if not cubature_covers(n, k):
         raise UnsupportedVariant(
             f"Grassmannian cubature covers lines and hyperplanes in n <= 4, "
             f"got k={k}, n={n}")
     dirs, wts = sphere_rule(n, level)
-    q = _stacked_frames(dirs[:, :, None])
-    if not lines:  # the normal's complement, then the normal
+    half = len(wts) // 2  # the second half negates the first
+    q = _stacked_frames(dirs[:half, :, None])
+    if k not in (1, n):  # the normal's complement, then the normal
         q = np.roll(q, -1, axis=2)
-    return _Planes(q, k), wts / wts.sum()
+    return _Planes(q, k), wts[:half] / wts[:half].sum()
 
 
 def sample_rotation(n: int, rng: Rng) -> np.ndarray:

@@ -8,9 +8,9 @@ integrals, and through the dual form on convex conjugates.  Each route
 reports its value with an error estimate combining quadrature error and, for
 the Grassmannian routes, the error of the subspace average: the Monte Carlo
 standard error, or the level differences of a deterministic cubature.
-Every subspace average runs through one loop, :func:`_grassmann_average`,
-over a node set from :func:`_node_set`; the Cauchy-Kubota route is the
-general projection route at k = j.
+Every subspace average runs through :func:`_grassmann_average`, which takes
+the cubature wherever it covers the planes and Monte Carlo elsewhere; the
+Cauchy-Kubota route is the general projection route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -27,10 +27,9 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Rotated, body_intrinsic_volume, project_body)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, flag_coefficient,
-                       integrate_interval, integrate_polar_separable, kappa,
-                       sphere_rule)
-from .subspaces import (grassmann_cubature, project_function, restrict_function,
-                        sample_grassmann)
+                       integrate_interval, integrate_polar_separable, kappa)
+from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
+                        project_function, restrict_function, sample_grassmann)
 from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
 
 __all__ = [
@@ -101,93 +100,64 @@ class CheckResult:
         return abs(self.lhs - self.rhs)
 
 
-GRASSMANN = ("mc", "cubature")  # estimators of a Grassmannian average
-
-
-def _node_set(n: int, k: int, samples: int, rng: Rng, grassmann: str):
-    """The node set of a Grassmannian average over k-planes in R^n.
-
-    A node set is a sequence of levels ``(planes, weights, streams)``: a
-    checked frame stack of k-planes, their weights summing to 1 (None for
-    equal weights), and the stream each plane's evaluation is handed.
-
-    ``"mc"`` is one level of ``samples`` Haar planes, plane i drawn from
-    ``rng.stream(i)``, all from one :func:`sample_grassmann` call.
-
-    ``"cubature"`` yields the levels L = 1, 2, 4, ... of
-    :func:`grassmann_cubature`, each plane handed ``rng`` itself.  Levels 1
-    and 2 always come; a further level comes while the cumulative node count
-    stays at most ``samples``.
-
-    Either way ``samples`` is at most ``_STREAM_FANOUT - 1``, the child
-    streams of ``rng``; a larger one raises :class:`SchemaError` before
-    anything is drawn.
-    """
-    if samples < 1:
-        raise SchemaError("need at least one subspace sample")
-    if samples > _STREAM_FANOUT - 1:
-        raise SchemaError(f"at most {_STREAM_FANOUT - 1} subspace samples per average, "
-                          f"got {samples}")
-    if grassmann == "mc":
-        streams = [rng.stream(i) for i in range(samples)]
-        return [(sample_grassmann(n, k, streams), None, streams)]
-    if grassmann != "cubature":
-        raise SchemaError(f"unknown Grassmannian estimator {grassmann!r}; "
-                          f"expected one of {', '.join(GRASSMANN)}")
-
-    def levels():
-        level, count = 1, 0
-        while level <= 2 or count + len(sphere_rule(n, level)[1]) <= samples:
-            planes, weights = grassmann_cubature(n, k, level)
-            count += len(planes)
-            yield planes, weights, [rng] * len(planes)
-            level *= 2
-
-    return levels()
-
-
 def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
     """sum_i weights_i x_i for weights summing to 1, taken about x_0, so a
     constant x gives x_0 exactly whatever the rounding of the weights' sum."""
     return float(x[0] + weights @ (x - x[0]))
 
 
-def _grassmann_average(nodes, one):
+def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
     """(mean, error, evals, planes) of ``one(e, stream) -> (value, error, evals)``
-    over the node set ``nodes`` (see :func:`_node_set`), with the number of
-    planes evaluated.
+    over k-planes e in R^n, with the number of planes evaluated.
 
-    A level of equal weights is a Monte Carlo sample.  Its mean is the sample
-    mean, and its error the standard error and the mean inner error added in
-    quadrature.  A single sample has no standard error; the estimate is
-    returned with a NaN error so downstream verdicts become non_converged,
-    never falsely certified.
+    Where :func:`grassmann_cubature` covers G(n, k) (lines, hyperplanes and the
+    whole space, n <= 4) the average is deterministic.  Its levels are those
+    of :func:`cubature_levels` for a budget of ``samples`` planes, each plane
+    handed ``rng``, and they run in order until two consecutive level
+    estimates agree within the polar tolerance.  The mean is the last
+    level's, and the error is the larger of the last two level differences
+    plus the last level's weighted inner error.  A budget that runs out
+    leaves that error bar, not a non-converged result.
 
-    Weighted levels are cubature refinements.  They run in order until two
-    consecutive level estimates agree within the polar tolerance or the node
-    set ends.  The mean is the last level's, and the error is the larger of
-    the last two level differences plus the last level's weighted inner error.
+    Elsewhere it is Monte Carlo over ``samples`` Haar k-planes, sample i drawn
+    from ``rng.stream(i)``.  All the planes come from one
+    :func:`sample_grassmann` call over the streams, one stacked draw, and
+    ``one`` then sees them in stream order.  The error is the Monte Carlo
+    standard error and the mean inner error added in quadrature.  A single
+    sample has no standard error; the estimate is returned with a NaN error
+    so downstream verdicts become non_converged, never falsely certified.
+
+    ``rng`` has at most ``_STREAM_FANOUT - 1`` child streams, so a larger
+    ``samples`` raises :class:`SchemaError` before anything is drawn.
     """
-    estimates, total, count = [], 0, 0
-    for planes, weights, streams in nodes:
-        values, errors, evals = zip(*map(one, planes, streams))
-        values = np.asarray(values, dtype=float)
-        total += sum(evals)
-        count += len(values)
-        if weights is None:
-            mean = float(np.sum(values)) / count  # pairwise summation: bit-stable order
-            if count == 1:
-                return mean, float("nan"), total, count
-            se = float(np.std(values, ddof=1) / math.sqrt(count))
-            inner = float(np.mean(np.asarray(errors, dtype=float)))
-            return mean, math.hypot(se, inner), total, count
-        estimates.append(_weighted_mean(weights, values))
-        inner = _weighted_mean(weights, np.asarray(errors, dtype=float))
-        if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
-                _ABS_TOL, _REL_TOL * abs(estimates[-1])):
-            break
-    spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
-    return estimates[-1], spread + inner, total, count
+    if samples < 1:
+        raise SchemaError("need at least one subspace sample")
+    if samples > _STREAM_FANOUT - 1:
+        raise SchemaError(f"at most {_STREAM_FANOUT - 1} subspace samples per average, "
+                          f"got {samples}")
+    if cubature_covers(n, k):
+        estimates, total, count = [], 0, 0
+        for level in cubature_levels(n, samples):
+            planes, weights = grassmann_cubature(n, k, level)
+            values, errors, evals = zip(*(one(e, rng) for e in planes))
+            total += sum(evals)
+            count += len(planes)
+            estimates.append(_weighted_mean(weights, np.asarray(values, dtype=float)))
+            inner = _weighted_mean(weights, np.asarray(errors, dtype=float))
+            if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
+                    _ABS_TOL, _REL_TOL * abs(estimates[-1])):
+                break
+        spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
+        return estimates[-1], spread + inner, total, count
+    streams = [rng.stream(i) for i in range(samples)]
+    values, errors, evals = zip(*map(one, sample_grassmann(n, k, streams), streams))
+    values = np.asarray(values, dtype=float)
+    mean = float(np.sum(values)) / samples  # pairwise summation: bit-stable order
+    if samples == 1:
+        return mean, float("nan"), sum(evals), samples
+    se = float(np.std(values, ddof=1) / math.sqrt(samples))
+    inner = float(np.mean(np.asarray(errors, dtype=float)))
+    return mean, math.hypot(se, inner), sum(evals), samples
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +257,14 @@ def eval_domain_gradient(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
 
 
 def _eval_primal(spec: ValuationSpec, u: ConvexFunction, samples: int,
-                 rng: Rng, grassmann: str = "mc") -> EvalResult:
+                 rng: Rng) -> EvalResult:
     """The valuation of u by the first route that applies: the domain-gradient
     integral at j = n, else the smooth route, else the Cauchy-Kubota average."""
     if spec.j == spec.n:
         return eval_domain_gradient(spec, u)
     if u.smooth_kind() is not None:
         return eval_smooth(spec, u)
-    return eval_cauchy_kubota(spec, u, samples, rng, grassmann)
+    return eval_cauchy_kubota(spec, u, samples, rng)
 
 
 def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction):
@@ -327,30 +297,22 @@ def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction):
 
 
 def eval_cauchy_kubota(spec: ValuationSpec, u: ConvexFunction,
-                       samples: int = 256, rng: Rng = Rng(0),
-                       grassmann: str = "mc") -> EvalResult:
-    """Projection-average route at the natural projection dimension k = j.
-
-    ``grassmann`` picks the estimator of the average, ``"mc"`` or
-    ``"cubature"``, with ``samples`` as its node budget (see
-    :func:`_node_set`)."""
-    return _projection_average(spec, u, spec.j, samples, rng, grassmann,
-                               "cauchy_kubota")
+                       samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
+    """Projection-average route at the natural projection dimension k = j."""
+    return _projection_average(spec, u, spec.j, samples, rng, "cauchy_kubota")
 
 
 def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
-                    samples: int = 256, rng: Rng = Rng(0),
-                    grassmann: str = "mc") -> EvalResult:
+                    samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Projection-average route at an intermediate dimension j <= k < n."""
     j, n = spec.j, spec.n
     if not j <= k < n:
         raise SchemaError(f"need j <= k < n, got j={j}, k={k}, n={n}")
-    return _projection_average(spec, u, k, samples, rng, grassmann, "ck_general")
+    return _projection_average(spec, u, k, samples, rng, "ck_general")
 
 
 def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
-                        samples: int, rng: Rng, grassmann: str,
-                        method: str) -> EvalResult:
+                        samples: int, rng: Rng, method: str) -> EvalResult:
     """Grassmannian average over k-planes of the degree-j valuation of u's projection."""
     j, n = spec.j, spec.n
     xi = xi_from_zeta(spec.zeta, j, k, n)
@@ -360,20 +322,18 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
     def one(e, stream):
         # the degree-0 value is a constant that needs no projection
         w = project_function(u, e).realized if j > 0 else None
-        return _z_lower_dim(j, k, xi, w, stream, samples, grassmann)
+        return _z_lower_dim(j, k, xi, w, stream, samples)
 
-    mean, err, evals, planes = _grassmann_average(
-        _node_set(n, k, samples, rng, grassmann), one)
+    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, one)
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, method, evals, planes)
 
 
 def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction | None,
-                 rng: Rng, samples: int, grassmann: str):
+                 rng: Rng, samples: int):
     """Degree-j functional intrinsic volume of a k-dimensional projection (None for j = 0).
 
-    ``rng`` is the sample's stream; a nested average, by the same estimator,
-    draws from its child stream 0.
+    ``rng`` is the sample's stream; a nested average draws from its child stream 0.
     """
     if j == 0:
         const = kappa(k) * transform_R_power(xi, k).value_at_zero()
@@ -383,8 +343,7 @@ def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction | None,
     if w.smooth_kind() is not None:
         res = _smooth_integral(w, xi, k - j)
         return res.value, res.error, res.evaluations
-    inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, rng.stream(0),
-                               grassmann)
+    inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, rng.stream(0))
     return inner.value, inner.error, inner.integrand_evals
 
 
@@ -414,14 +373,12 @@ def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction):
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
-              samples: int = 256, rng: Rng = Rng(0),
-              grassmann: str = "mc") -> EvalResult:
+              samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Dual valuation of a finite-valued v.
 
     ``integral`` evaluates weight(|x|) against the Hessian symmetric function
     of v directly; ``conjugate`` routes through the primal valuation of the
-    convex conjugate, whose projection average (if it takes one) runs on the
-    ``grassmann`` estimator.
+    convex conjugate.
     """
     if not v.is_finite:
         raise UnsupportedVariant("dual valuations act on finite-valued functions")
@@ -434,14 +391,13 @@ def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
     if spec.j == 0:
         const = kappa(spec.n) * transform_R_power(spec.zeta, spec.n).value_at_zero()
         return EvalResult(float(const), 0.0, "dual_conjugate")
-    inner = _eval_primal(spec, u, samples, rng, grassmann)
+    inner = _eval_primal(spec, u, samples, rng)
     return EvalResult(inner.value, inner.error, "dual_conjugate",
                       inner.integrand_evals, inner.subspace_samples)
 
 
 def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
-                 samples: int = 256, rng: Rng = Rng(0),
-                 grassmann: str = "mc") -> EvalResult:
+                 samples: int = 256, rng: Rng = Rng(0)) -> EvalResult:
     """Dual projection-average route: restrictions in place of projections."""
     j, n = spec.j, spec.n
     if not j <= k < n:
@@ -460,8 +416,7 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         res = _dual_integral(j, xi, w)
         return res.value, res.error, res.evaluations
 
-    mean, err, evals, planes = _grassmann_average(
-        _node_set(n, k, samples, rng, grassmann), one)
+    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, one)
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, "dual_ck", evals, planes)
 
@@ -483,7 +438,7 @@ def cone_closed_form(spec: ValuationSpec, t: float, r: float = 1.0) -> float:
 
 
 def retrieval_check(spec: ValuationSpec, body, samples: int = 256,
-                    rng: Rng = Rng(0), grassmann: str = "mc") -> CheckResult:
+                    rng: Rng = Rng(0)) -> CheckResult:
     """Indicator functions retrieve the classical intrinsic volumes."""
     j, n = spec.j, spec.n
     if body.n != n:
@@ -495,14 +450,14 @@ def retrieval_check(spec: ValuationSpec, body, samples: int = 256,
     else:
         const = kappa(n - j) * transform_R_power(spec.zeta, n - j).value_at_zero()
         rhs = float(const) * body_intrinsic_volume(body, j)
-        lhs = eval_cauchy_kubota(spec, Indicator(body), samples, rng, grassmann)
+        lhs = eval_cauchy_kubota(spec, Indicator(body), samples, rng)
     return CheckResult(lhs.value, rhs, lhs.error, lhs_result=lhs)
 
 
 def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
-                       rng: Rng = Rng(0), grassmann: str = "mc") -> CheckResult:
+                       rng: Rng = Rng(0)) -> CheckResult:
     """Classical projection formula for intrinsic volumes, a Grassmannian
-    average (``grassmann`` estimator) vs closed form.
+    average vs closed form.
 
     For j == k both sides are normalized to V_j itself; for j < k the two
     sides of the general flag identity are reported.
@@ -517,8 +472,7 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
     def one(e, stream):
         return body_intrinsic_volume(project_body(body, e.frame), j), 0.0, 0
 
-    mean, err, _, planes = _grassmann_average(_node_set(n, k, samples, rng, grassmann),
-                                              one)
+    mean, err, _, planes = _grassmann_average(n, k, samples, rng, one)
     if j == k:
         lhs = body_intrinsic_volume(body, j)
         coeff = flag_coefficient(n, j)

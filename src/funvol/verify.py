@@ -21,7 +21,7 @@ from .errors import NonConvergedError, SchemaError, spec_errors
 from .numerics import Rng
 from .subspaces import (check_conjugate_projection, sample_grassmann,
                         sample_rotation)
-from .valuations import (GRASSMANN, ValuationSpec, _eval_primal, classical_ck_check,
+from .valuations import (ValuationSpec, _eval_primal, classical_ck_check,
                          cone_closed_form, eval_cauchy_kubota, eval_ck_general,
                          eval_dual, eval_dual_ck, eval_smooth, retrieval_check,
                          reilly_radial_check)
@@ -93,10 +93,6 @@ class IdentityCase:
             if key in _REAL_PARAMS and not (integral or isinstance(value, float)):
                 raise SchemaError(f"case {self.id!r}: parameter {key!r} must be "
                                   f"a number, got {value!r}")
-            # the estimator of every Grassmannian average the case takes
-            if key == "grassmann" and value not in GRASSMANN:
-                raise SchemaError(f"case {self.id!r}: parameter 'grassmann' must be "
-                                  f"one of {', '.join(GRASSMANN)}, got {value!r}")
 
     def to_dict(self):
         return {"id": self.id, "params": self.params,
@@ -160,10 +156,6 @@ def _samples(params, default=64) -> int:
     return int(params.get("samples", default))
 
 
-def _grassmann(params) -> str:
-    return params.get("grassmann", "mc")
-
-
 def _grid_for(zeta, params):
     return log_grid(zeta.support_bound, int(params.get("grid", 200)))
 
@@ -171,7 +163,7 @@ def _grid_for(zeta, params):
 def _run_ck_functional(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     u = function_from_spec(p["u"])
-    ck = eval_cauchy_kubota(spec, u, _samples(p), _rng(p), _grassmann(p))
+    ck = eval_cauchy_kubota(spec, u, _samples(p), _rng(p))
     sm = eval_smooth(spec, u)
     return ck.value, sm.value, ck.error + sm.error, {
         "integrand_evals": ck.integrand_evals + sm.integrand_evals,
@@ -181,7 +173,7 @@ def _run_ck_functional(p):
 def _run_ck_general(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     u = function_from_spec(p["u"])
-    ck = eval_ck_general(spec, u, p["k"], _samples(p), _rng(p), _grassmann(p))
+    ck = eval_ck_general(spec, u, p["k"], _samples(p), _rng(p))
     sm = eval_smooth(spec, u)
     return ck.value, sm.value, ck.error + sm.error, {
         "integrand_evals": ck.integrand_evals + sm.integrand_evals,
@@ -190,8 +182,7 @@ def _run_ck_general(p):
 
 def _run_ck_classical(p):
     body = body_from_spec(p["K"])
-    res = classical_ck_check(body, p["j"], p["k"], _samples(p, 10_000), _rng(p),
-                             _grassmann(p))
+    res = classical_ck_check(body, p["j"], p["k"], _samples(p, 10_000), _rng(p))
     samples = res.rhs_result.subspace_samples if res.rhs_result else 0
     return res.rhs, res.lhs, res.error, {"subspace_samples": samples}
 
@@ -200,8 +191,7 @@ def _run_cone(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     from .convex import Cone
     t, r = float(p.get("t", 0.5)), float(p.get("r", 1.0))
-    ck = eval_cauchy_kubota(spec, Cone(p["n"], t, r), _samples(p), _rng(p),
-                            _grassmann(p))
+    ck = eval_cauchy_kubota(spec, Cone(p["n"], t, r), _samples(p), _rng(p))
     closed = cone_closed_form(spec, t, r)
     return ck.value, closed, ck.error, {
         "integrand_evals": ck.integrand_evals,
@@ -210,8 +200,7 @@ def _run_cone(p):
 
 def _run_retrieval(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
-    res = retrieval_check(spec, body_from_spec(p["K"]), _samples(p), _rng(p),
-                          _grassmann(p))
+    res = retrieval_check(spec, body_from_spec(p["K"]), _samples(p), _rng(p))
     counters = {}
     if res.lhs_result:
         counters = {"integrand_evals": res.lhs_result.integrand_evals,
@@ -255,7 +244,7 @@ def _run_duality(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     v = function_from_spec(p["v"])
     a = eval_dual(spec, v, "integral")
-    b = eval_dual(spec, v, "conjugate", _samples(p), _rng(p), _grassmann(p))
+    b = eval_dual(spec, v, "conjugate", _samples(p), _rng(p))
     return a.value, b.value, a.error + b.error, {
         "integrand_evals": a.integrand_evals + b.integrand_evals}
 
@@ -263,7 +252,7 @@ def _run_duality(p):
 def _run_dual_restriction(p):
     spec = ValuationSpec(p["j"], p["n"], _zeta(p))
     v = function_from_spec(p["v"])
-    a = eval_dual_ck(spec, v, p["k"], _samples(p), _rng(p), _grassmann(p))
+    a = eval_dual_ck(spec, v, p["k"], _samples(p), _rng(p))
     b = eval_dual(spec, v, "integral")
     return a.value, b.value, a.error + b.error, {
         "integrand_evals": a.integrand_evals + b.integrand_evals,
@@ -301,7 +290,7 @@ def _run_valuation_property(p):
     evals = 0
     vals = {}
     for name, body in (("k1", k1), ("k2", k2), ("union", union), ("inter", inter)):
-        r = _eval_primal(spec, Indicator(body), _samples(p), rng, _grassmann(p))
+        r = _eval_primal(spec, Indicator(body), _samples(p), rng)
         vals[name] = r.value
         total_err += r.error
         evals += r.integrand_evals
@@ -318,8 +307,7 @@ def _run_invariance(p):
     alpha = float(gen.uniform(-1.0, 1.0))
     q = sample_rotation(u.n, rng.stream(1))
     wrapped = EpiTranslated(Rotated(u, q), x0, alpha)
-    a, b = (_eval_primal(spec, fn, _samples(p), rng.stream(2), _grassmann(p))
-            for fn in (u, wrapped))
+    a, b = (_eval_primal(spec, fn, _samples(p), rng.stream(2)) for fn in (u, wrapped))
     return a.value, b.value, a.error + b.error, {
         "integrand_evals": a.integrand_evals + b.integrand_evals}
 
@@ -329,8 +317,8 @@ def _run_homogeneity(p):
     u = function_from_spec(p["u"])
     lam = float(p.get("lambda", 2.0))
     stream = _rng(p).stream(0)
-    base = _eval_primal(spec, u, _samples(p), stream, _grassmann(p))
-    scaled = _eval_primal(spec, EpiScaled(u, lam), _samples(p), stream, _grassmann(p))
+    base = _eval_primal(spec, u, _samples(p), stream)
+    scaled = _eval_primal(spec, EpiScaled(u, lam), _samples(p), stream)
     return scaled.value, lam ** spec.j * base.value, \
         scaled.error + lam ** spec.j * base.error, {
             "integrand_evals": base.integrand_evals + scaled.integrand_evals}
@@ -432,9 +420,6 @@ def default_manifest(samples: int | None = None, seed: int = 0) -> list[Identity
     def m(samples_default):
         return samples if samples is not None else samples_default
 
-    # every Grassmannian average of the suite is on n <= 3, where the
-    # deterministic cubature covers it; ``samples`` is then its node budget
-    cub = {"grassmann": "cubature"}
     exact = TolerancePolicy(absolute=1e-7, relative=0.0, multiplier=0.0)
     mc = TolerancePolicy(absolute=1e-8, relative=0.0, multiplier=3.0)
     cases = [
@@ -445,27 +430,26 @@ def default_manifest(samples: int | None = None, seed: int = 0) -> list[Identity
         IdentityCase("r_closed_form", {"pair": "tent_inverse", "seed": seed},
                      TolerancePolicy(absolute=1e-7, multiplier=0.0)),
         IdentityCase("cone", {"n": 2, "j": 1, "zeta": tent, "t": 0.5, "r": 1.0,
-                              "samples": m(32), "seed": seed, **cub},
+                              "samples": m(32), "seed": seed},
                      TolerancePolicy(absolute=1e-6, multiplier=3.0)),
         IdentityCase("ck_functional", {"n": 2, "j": 1, "zeta": tent,
                                        "u": quad_iso2, "samples": m(64),
-                                       "seed": seed, **cub}, mc),
+                                       "seed": seed}, mc),
         IdentityCase("ck_general", {"n": 3, "j": 1, "k": 2, "zeta": tent,
                                     "u": quad_iso3, "samples": m(64),
-                                    "seed": seed, **cub}, mc),
+                                    "seed": seed}, mc),
         IdentityCase("ck_general", {"n": 3, "j": 1, "k": 2, "zeta": logcap,
-                                    "u": rp4, "samples": m(48), "seed": seed,
-                                    **cub}, mc),
+                                    "u": rp4, "samples": m(48), "seed": seed}, mc),
         IdentityCase("ck_classical", {"K": ball3, "j": 1, "k": 1,
-                                      "samples": m(512), "seed": seed, **cub},
+                                      "samples": m(512), "seed": seed},
                      TolerancePolicy(absolute=1e-8, multiplier=3.0)),
         IdentityCase("ck_classical", {"K": cube, "j": 2, "k": 2,
-                                      "samples": m(2000), "seed": seed, **cub}, mc),
+                                      "samples": m(2000), "seed": seed}, mc),
         IdentityCase("retrieval", {"n": 2, "j": 1, "zeta": tent, "K": ball2,
-                                   "samples": m(64), "seed": seed, **cub},
+                                   "samples": m(64), "seed": seed},
                      TolerancePolicy(absolute=1e-8, relative=1e-4, multiplier=3.0)),
         IdentityCase("retrieval", {"n": 2, "j": 1, "zeta": tent, "K": box12,
-                                   "samples": m(2000), "seed": seed, **cub}, mc),
+                                   "samples": m(2000), "seed": seed}, mc),
         IdentityCase("retrieval", {"n": 2, "j": 0, "zeta": tent, "K": ball2,
                                    "samples": m(8), "seed": seed}, exact),
         IdentityCase("reilly_radial", {"n": 2, "j": 1, "zeta": tent, "p": 2.0,
@@ -482,7 +466,7 @@ def default_manifest(samples: int | None = None, seed: int = 0) -> list[Identity
                      TolerancePolicy(absolute=1e-9, relative=1e-5, multiplier=3.0)),
         IdentityCase("dual_restriction", {"n": 2, "j": 1, "k": 1, "zeta": tent,
                                           "v": quad_aniso2, "samples": m(512),
-                                          "seed": seed, **cub}, mc),
+                                          "seed": seed}, mc),
         IdentityCase("conj_projection", {"u": quad_aniso3, "k": 2, "grid": 20,
                                          "seed": seed},
                      TolerancePolicy(absolute=1e-9, multiplier=0.0)),
@@ -494,7 +478,7 @@ def default_manifest(samples: int | None = None, seed: int = 0) -> list[Identity
                      {"n": 2, "j": 1, "zeta": tent,
                       "K1": {"type": "box", "intervals": [[0.0, 1.0], [0.0, 1.0]]},
                       "K2": {"type": "box", "intervals": [[1.0, 2.0], [0.0, 1.0]]},
-                      "samples": m(128), "seed": seed, **cub}, mc),
+                      "samples": m(128), "seed": seed}, mc),
         IdentityCase("invariance", {"n": 2, "j": 1, "zeta": tent,
                                     "u": quad_aniso2, "samples": m(64),
                                     "seed": seed},
@@ -503,7 +487,7 @@ def default_manifest(samples: int | None = None, seed: int = 0) -> list[Identity
                                      "u": {"type": "cone", "n": 2, "t": 0.5,
                                            "r": 1.0},
                                      "lambda": 2.0, "samples": m(32),
-                                     "seed": seed, **cub}, mc),
+                                     "seed": seed}, mc),
         IdentityCase("nonnegativity", {"n": 2, "j": 1, "zeta": tent,
                                        "expected_min": 0.0, "seed": seed},
                      TolerancePolicy(absolute=1e-9, multiplier=0.0)),

@@ -127,7 +127,7 @@ def test_c06_retrieval():
                 tag = "rel 1e-4"
             else:
                 good = res.difference <= 3.0 * res.error
-                tag = "3 MC std errors"
+                tag = "3 reported errors"
             ok = ok and good
             details.append(f"{type(body).__name__} j={j}: "
                            f"diff {res.difference:.2e} ({tag})")
@@ -146,7 +146,7 @@ def test_c07_classical_cauchy_kubota():
     report("C7 classical projection formula",
            ok_ball and ok_cube and elapsed < 30.0,
            f"V1(ball)={ball.rhs:.6f} (exact 4), V2(cube)={cube.rhs:.6f} "
-           f"(exact 3, 3se {3 * cube.error:.1e}), {elapsed:.1f}s (< 30s)")
+           f"(exact 3, 3 errors {3 * cube.error:.1e}), {elapsed:.1f}s (< 30s)")
 
 
 def test_c08_radial_identity():

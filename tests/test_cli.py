@@ -419,21 +419,19 @@ class TestFlagFuzz:
     @given(method=st.sampled_from(["smooth", "ck", "ck-general", "dual",
                                    "domain-gradient", "bogus"]),
            j=st.integers(-1, 3), k=st.none() | st.integers(-1, 3),
-           samples=st.integers(-2, 6), seed=SEEDS,
-           grassmann=st.sampled_from(["mc", "cubature", "bogus"]))
-    @example(method="ck-general", j=1, k=1, samples=0, seed=0, grassmann="mc")
-    @example(method="ck", j=2, k=None, samples=1, seed=0, grassmann="cubature")
+           samples=st.integers(-2, 6), seed=SEEDS)
+    @example(method="ck-general", j=1, k=1, samples=0, seed=0)
     @settings(max_examples=150, deadline=None)
-    def test_compute(self, fuzz_files, method, j, k, samples, seed, grassmann):
+    def test_compute(self, fuzz_files, method, j, k, samples, seed):
         argv = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
                 "--j", str(j), "--method", method, "--samples", str(samples),
-                "--seed", str(seed), "--grassmann", grassmann]
+                "--seed", str(seed)]
         if k is not None:
             argv += ["--k", str(k)]
         code, out, err = run_captured(argv)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
-        if code != 0 and "bogus" not in (method, grassmann):
+        if code != 0 and method != "bogus":
             assert "error" in json.loads(out)
 
     @given(samples=st.none() | st.integers(-2, 6), seed=SEEDS)
@@ -454,14 +452,11 @@ class TestFlagFuzz:
         elif code != 0:
             assert "error" in payload
 
-    @given(key=st.sampled_from(["n", "j", "t", "r", "samples", "seed", "grassmann"]),
+    @given(key=st.sampled_from(["n", "j", "t", "r", "samples", "seed"]),
            value=st.one_of(st.integers(-2, 6), st.floats(), st.text(max_size=3),
                            st.none(), st.booleans(), st.lists(st.integers(0, 2), max_size=2)))
     @example(key="seed", value="abc")
     @example(key="n", value="2")
-    @example(key="grassmann", value="qmc")
-    @example(key="grassmann", value="cubature")
-    @example(key="grassmann", value=1)
     @settings(max_examples=150, deadline=None)
     def test_manifest_params(self, tmp_path_factory, key, value):
         case = {"id": "cone",
@@ -478,10 +473,7 @@ class TestFlagFuzz:
             assert payload["all_pass"] is False
         elif code != 0:
             assert "error" in payload
-        rejected = isinstance(value, (str, list)) or value is None
-        if key == "grassmann":
-            rejected = value not in ("mc", "cubature")
-        if rejected:
+        if isinstance(value, (str, list)) or value is None:
             assert code == 2 and payload["error"]["type"] == "SchemaError"
 
 
@@ -793,59 +785,37 @@ class TestSpecFuzz:
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
 
-QUAD4 = {"type": "quadratic", "A": [[float(i == j) * (i + 1) for j in range(4)]
-                                    for i in range(4)], "b": [0.0] * 4, "c": 0.0}
-QUAD5 = {"type": "quadratic", "A": [[float(i == j) * (i + 1) for j in range(5)]
-                                    for i in range(5)], "b": [0.0] * 5, "c": 0.0}
+class TestGrassmannianAverage:
+    """compute takes the cubature on lines and hyperplanes in n <= 4, and
+    Monte Carlo elsewhere."""
 
-
-class TestGrassmannFlag:
-    """``--grassmann`` picks the estimator of every Grassmannian average."""
-
-    def test_cubature_is_deterministic(self, fuzz_files):
-        base = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
-                "--j", "1", "--method", "ck", "--grassmann", "cubature"]
-        outs = [run_captured(base + ["--seed", seed]) for seed in ("0", "5")]
-        assert outs[0] == outs[1] and outs[0][0] == 0
-        payload = json.loads(outs[0][1])
-        # levels 1 and 2 of G(2, 1): 4 + 8 lines; a quadratic is exact there
-        assert payload["counters"]["subspace_samples"] == 12
-        exact = run_captured(base[:-4] + ["--method", "smooth"])
-        assert payload["value"] == pytest.approx(json.loads(exact[1])["value"], rel=1e-14)
-
-    def test_default_is_monte_carlo(self, fuzz_files):
-        base = ["compute", "--function", fuzz_files["quad"], "--zeta", fuzz_files["tent"],
-                "--j", "1", "--method", "ck", "--samples", "16", "--seed", "3"]
-        assert run_captured(base) == run_captured(base + ["--grassmann", "mc"])
-
-    @pytest.mark.parametrize("fn,j,extra", [
-        (QUAD4, "2", ["--method", "ck"]),
-        (QUAD4, "1", ["--method", "ck-general", "--k", "2"]),
-        (QUAD5, "1", ["--method", "ck"]),
-        (QUAD5, "2", ["--method", "ck-general", "--k", "4"]),
-    ], ids=["G42", "G42_general", "G51", "G54"])
-    def test_unsupported_planes_exit_3(self, tmp_path, fuzz_files, fn, j, extra):
+    @staticmethod
+    def _ck(tmp_path, fn, j, seed):
         path = tmp_path / "u.json"
         path.write_text(json.dumps(fn))
+        zeta = tmp_path / "zeta.json"
+        zeta.write_text(json.dumps(TENT))
         code, out, err = run_captured(["compute", "--function", str(path), "--zeta",
-                                       fuzz_files["tent"], "--j", j, "--samples", "8",
-                                       "--grassmann", "cubature"] + extra)
-        assert code == 3 and "Traceback" not in err
-        error = json.loads(out)["error"]
-        assert error["type"] == "UnsupportedVariant" and "cubature" in error["message"]
+                                       str(zeta), "--j", str(j), "--method", "ck",
+                                       "--samples", "16", "--seed", str(seed)])
+        assert code == 0, err
+        return json.loads(out)
 
-    @pytest.mark.parametrize("value", ["qmc", 1, None])
-    def test_bad_manifest_grassmann_exit_2(self, tmp_path, value):
-        case = {"id": "cone",
-                "params": {"n": 2, "j": 1, "zeta": TENT, "t": 0.5, "samples": 8,
-                           "grassmann": value},
-                "tolerance": {"absolute": 1e-6}}
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps([case]))
-        code, out, err = run_captured(["verify", "--manifest", str(path)])
-        assert code == 2 and "Traceback" not in err
-        error = json.loads(out)["error"]
-        assert error["type"] == "SchemaError" and "grassmann" in error["message"]
+    def test_lines_do_not_depend_on_the_seed(self, tmp_path):
+        quad = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0],
+                "c": 0.0}
+        a, b = (self._ck(tmp_path, quad, 1, seed) for seed in (0, 5))
+        assert a == b
+        # levels 1 and 2 of G(2, 1): 2 + 4 lines; a quadratic is exact there
+        assert a["counters"]["subspace_samples"] == 6
+
+    def test_two_planes_in_four_dimensions_are_sampled(self, tmp_path):
+        quad = {"type": "quadratic",
+                "A": [[float(i == k) * (i + 1) for k in range(4)] for i in range(4)],
+                "b": [0.0] * 4, "c": 0.0}
+        a, b = (self._ck(tmp_path, quad, 2, seed) for seed in (0, 5))
+        assert a["value"] != b["value"]
+        assert a["counters"]["subspace_samples"] == 16
 
 
 class TestImport:

@@ -16,6 +16,7 @@ from funvol.numerics import (
     integrate_polar_separable,
     kappa,
     sphere_rule,
+    sphere_rule_size,
     standard_normals,
 )
 from funvol.valuations import ValuationSpec, eval_smooth
@@ -174,6 +175,23 @@ class TestSphereRuleExactness:
         fine, _ = sphere_rule(n, 2 * level)
         gap = np.linalg.norm(coarse[:, None, :] - fine[None, :, :], axis=2).min()
         assert gap > 1e-6
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_second_half_negates_the_first(self, n, level):
+        dirs, w = sphere_rule(n, level)
+        assert len(w) == sphere_rule_size(n, level)
+        half = len(w) // 2
+        gap = np.abs(dirs[:half, None, :] + dirs[None, half:, :]).max(axis=2)
+        match = gap.argmin(axis=1)
+        assert gap.min(axis=1).max() <= 1e-15
+        assert sorted(match) == list(range(half))
+        assert np.abs(w[:half] - w[half:][match]).max() <= 1e-15 * w.max()
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_size_out_of_range(self, n):
+        with pytest.raises(UnsupportedVariant):
+            sphere_rule_size(n, 1)
 
 
 ALIASING_CASES = [(2, m) for m in (16, 32, 64)] + [(n, m) for n in (3, 4) for m in (8, 16, 32)]

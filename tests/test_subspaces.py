@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from funvol.subspaces import (
     _check_orthonormal,
     _haar_frames,
     check_conjugate_projection,
+    cubature_covers,
+    cubature_levels,
     grassmann_cubature,
     project_function,
     restrict_function,
@@ -127,7 +130,7 @@ class TestBatchedDraw:
                 _check_orthonormal(bad[:, :, :2], bad[:, :, 2:])
 
 
-CUBATURE_NK = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 4)]
+CUBATURE_NK = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 4)]
 
 
 class TestGrassmannCubature:
@@ -157,22 +160,41 @@ class TestGrassmannCubature:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lines_and_normals_follow_the_sphere_rule(self, n):
-        # on G(2, 1) the lines are the rule's directions, not their normals
+        # one plane per antipodal pair: the first half of the rule's directions;
+        # on G(2, 1) the lines are the directions, not their normals
         from funvol.numerics import sphere_rule
         dirs, wts = sphere_rule(n, 2)
+        half = len(wts) // 2
         lines, weights = grassmann_cubature(n, 1, 2)
         normals, _ = grassmann_cubature(n, max(n - 1, 2), 2)
-        assert np.array_equal(weights, wts / wts.sum())
+        assert len(lines) == len(normals) == half
+        assert np.array_equal(weights, wts[:half] / wts[:half].sum())
         for d, line, normal in zip(dirs, lines, normals):
             assert np.abs(line.frame[:, 0] - d).max() <= 1e-15
             if n > 2:
                 assert np.abs(normal.frame.T @ d).max() <= 1e-15
                 assert np.abs(np.abs(normal.complement[:, 0] @ d) - 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 4), (6, 3)])
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 4), (6, 3), (3, 0), (1, 1)])
     def test_unsupported(self, n, k):
+        assert not cubature_covers(n, k)
         with pytest.raises(UnsupportedVariant, match="cubature"):
             grassmann_cubature(n, k, 1)
+
+    def test_covers(self):
+        assert {nk for nk in itertools.product(range(1, 7), repeat=2)
+                if cubature_covers(*nk)} == set(CUBATURE_NK)
+
+    @pytest.mark.parametrize("n,sizes", [(2, (2, 4, 8, 16)),
+                                         (3, (4, 16, 64, 256)), (4, (8, 64, 512))])
+    def test_levels_within_budget(self, n, sizes):
+        # levels 1 and 2 always; each further level while the planes fit
+        assert [len(grassmann_cubature(n, 1, 2 ** i)[0]) for i in range(len(sizes))] \
+            == list(sizes)
+        two = sizes[0] + sizes[1]
+        for budget in (1, two, two + sizes[2] - 1):
+            assert cubature_levels(n, budget) == [1, 2]
+        assert cubature_levels(n, two + sizes[2]) == [1, 2, 4]
 
 
 class TestProjection:
