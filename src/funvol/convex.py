@@ -14,15 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotDifferentiable, SchemaError, UnsupportedVariant, spec_errors
+from .errors import (NonConvergedError, NotDifferentiable, SchemaError,
+                     UnsupportedVariant, spec_errors)
 from .numerics import MAX_DIM, elem_sym_values, kappa
 
 __all__ = [
     "ConvexBody", "Ball", "Box", "PolytopeV",
-    "body_intrinsic_volume", "project_body", "body_from_spec",
+    "body_intrinsic_volume", "project_body", "shadow_intrinsic_volumes",
+    "body_from_spec",
     "ConvexFunction", "Quadratic", "RadialPower", "Cone", "Indicator",
     "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
     "EpiScaled", "PointwiseScaled", "PlusAffine", "InfConv", "PointwiseSum",
@@ -30,6 +33,9 @@ __all__ = [
 ]
 
 _CONTAINS_TOL = 1e-12  # slack of a body's membership test
+# Shewchuk's orient2d bound: a floating-point turn larger than this times
+# |left product| + |right product| has the exact turn's sign
+_TURN_BOUND = (3.0 + 8.0 * np.finfo(float).eps) * np.finfo(float).eps / 2.0
 
 
 def _vec(x, n=None):
@@ -169,26 +175,123 @@ class Box(ConvexBody):
         return {"type": "box", "intervals": [list(iv) for iv in self.intervals]}
 
 
+def _turn_sign(p: np.ndarray, c: np.ndarray, r: np.ndarray) -> float:
+    """Exact sign of the turn p -> c -> r in rational arithmetic: +1
+    counterclockwise, -1 clockwise, 0 collinear."""
+    px, py, cx, cy, rx, ry = map(Fraction, (*p, *c, *r))
+    det = (cx - px) * (ry - py) - (cy - py) * (rx - px)
+    return float((det > 0) - (det < 0))
+
+
+def _hull_2d(pts: np.ndarray):
+    """Convex hulls of an (S, m, 2) stack of planar point sets, by one gift
+    wrap over the whole stack.
+
+    Returns ``(walk, area, perimeter)``.  Row s of the (S, L) index array
+    ``walk`` runs counterclockwise through hull s's vertices from its
+    lexicographic minimum back to that start, then repeats the start index.
+    From each vertex the wrap takes the point that no other point lies to
+    the right of, and among collinear ones the farthest, so an edge skips
+    the points inside it.  Every orientation sign is exact, with no
+    tolerance: the floating-point turn is taken where it exceeds Shewchuk's
+    forward error bound (orient2d's ccwerrboundA) and recomputed in rational
+    arithmetic where it does not, and "farthest" compares coordinates.  A
+    tolerance, or a rounded sign, can put the start inside an edge, and the
+    wrap then never comes back to it.  Each plane is first scaled by a power
+    of two to coordinates below 1 in magnitude, which keeps the products
+    finite.  A flat set has area 0 and twice its length as perimeter.
+    """
+    count, m, _ = pts.shape
+    rows = np.arange(count)
+    _, exponent = np.frexp(np.abs(pts).max(axis=(1, 2)))
+    pts = np.ldexp(pts, -exponent[:, None, None])
+    x, y = pts[..., 0], pts[..., 1]
+    start = np.where(x == x.min(axis=1, keepdims=True), y, np.inf).argmin(axis=1)
+    sx, sy = x[rows, start], y[rows, start]
+    walk, current = [start], start
+    done = np.zeros(count, dtype=bool)
+    for _ in range(m):
+        dx = x - x[rows, current][:, None]
+        dy = y - y[rows, current][:, None]
+        cand = np.zeros(count, dtype=np.intp)
+        kx, ky, cx, cy = x[:, 0], y[:, 0], dx[:, 0], dy[:, 0]
+        for r in range(1, m):
+            rx, ry = dx[:, r], dy[:, r]
+            left, right = cx * ry, cy * rx
+            turn = left - right
+            bound = _TURN_BOUND * (np.abs(left) + np.abs(right))
+            for s in np.flatnonzero((np.abs(turn) <= bound) & (bound > 0.0)):
+                turn[s] = _turn_sign(pts[s, current[s]], (kx[s], ky[s]), pts[s, r])
+            better = ((cx == 0.0) & (cy == 0.0)) | (turn < 0.0)
+            ties = turn == 0.0
+            if ties.any():  # r collinear: take it if it lies beyond the candidate
+                beyond = (np.sign(x[:, r] - kx) * np.sign(cx)
+                          + np.sign(y[:, r] - ky) * np.sign(cy)) > 0.0
+                better |= ties & beyond
+            cand = np.where(better, r, cand)
+            kx, ky = np.where(better, x[:, r], kx), np.where(better, y[:, r], ky)
+            cx, cy = np.where(better, rx, cx), np.where(better, ry, cy)
+        closes = (kx == sx) & (ky == sy)
+        current = np.where(done | closes, start, cand)
+        walk.append(current)
+        done |= closes
+        if done.all():
+            break
+    else:
+        raise NonConvergedError(f"hull walk did not close within {m} steps")
+    walk = np.stack(walk, axis=1)
+    poly = pts[rows[:, None], walk]
+    rel = poly - poly[:, :1]
+    area = 0.5 * np.sum(rel[:, :-1, 0] * rel[:, 1:, 1] - rel[:, :-1, 1] * rel[:, 1:, 0],
+                        axis=1)
+    edges = np.diff(poly, axis=1)
+    perimeter = np.sum(np.hypot(edges[..., 0], edges[..., 1]), axis=1)
+    return walk, np.ldexp(area, 2 * exponent), np.ldexp(perimeter, exponent)
+
+
 class PolytopeV(ConvexBody):
-    """Convex hull of a vertex list, dimension 2 or 3 (1-d sets are boxes)."""
+    """Convex hull of a vertex list, dimension 2 or 3 (1-d sets are boxes).
+
+    A 2-d hull is :func:`_hull_2d` on a stack of one; qhull builds 3-d hulls.
+    """
 
     def __init__(self, vertices):
-        # qhull is the only user of scipy.spatial, which costs a noticeable
-        # share of the package import time
-        from scipy.spatial import ConvexHull, QhullError
         pts = np.asarray(vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] not in (2, 3):
             raise ValueError("polytope vertices must be (m, 2) or (m, 3)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polytope vertices must be finite")
-        try:
-            self._hull = ConvexHull(pts)
-        except QhullError as exc:
-            # flat or too few vertices: qhull needs a full-dimensional hull
-            raise ValueError(f"polytope vertices do not span a full-dimensional "
-                             f"hull: {str(exc).splitlines()[0]}") from exc
-        self._verts = pts[self._hull.vertices]
+        if len(pts) <= pts.shape[1]:
+            raise ValueError(f"polytope needs at least {pts.shape[1] + 1} vertices, "
+                             f"got {len(pts)}")
         self.n = _dimension(pts.shape[1])
+        if self.n == 2:
+            walk, area, perimeter = _hull_2d(pts[None])
+            if not area[0] > 0.0:
+                raise ValueError("polytope vertices do not span a full-dimensional "
+                                 "hull: they are collinear")
+            walk = walk[0, :1 + int(np.argmax(walk[0, 1:] == walk[0, 0]))]
+            self._verts = pts[walk]
+            edges = np.roll(self._verts, -1, axis=0) - self._verts
+            normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+            normals /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
+            self._equations = np.column_stack(
+                [normals, -np.sum(normals * self._verts, axis=1)])
+            self._volume, self._surface = float(area[0]), float(perimeter[0])
+        else:
+            # scipy.spatial, which costs a noticeable share of the package
+            # import time, serves only these 3-d hulls
+            from scipy.spatial import ConvexHull, QhullError
+            try:
+                self._hull = ConvexHull(pts)
+            except QhullError as exc:
+                # flat: qhull needs a full-dimensional hull
+                raise ValueError(f"polytope vertices do not span a full-dimensional "
+                                 f"hull: {str(exc).splitlines()[0]}") from exc
+            self._verts = pts[self._hull.vertices]
+            self._equations = self._hull.equations
+            # scipy: for 3-d hulls 'area' is the surface area
+            self._volume, self._surface = float(self._hull.volume), float(self._hull.area)
 
     def support(self, y):
         pts, scalar = _points(y, self.n)
@@ -197,7 +300,7 @@ class PolytopeV(ConvexBody):
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        eq = self._hull.equations
+        eq = self._equations
         out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= _CONTAINS_TOL, axis=1)
         return bool(out[0]) if scalar else out
 
@@ -205,11 +308,11 @@ class PolytopeV(ConvexBody):
         return self._verts.copy()
 
     def volume(self):
-        return float(self._hull.volume)
+        return self._volume
 
     def surface(self) -> float:
-        # scipy: for 2-d hulls 'area' is the perimeter, for 3-d the surface area
-        return float(self._hull.area)
+        """Perimeter in 2-d, surface area in 3-d."""
+        return self._surface
 
     def mean_width_sum(self) -> float:
         """Sum of edge length times exterior dihedral angle (3-d only)."""
@@ -271,6 +374,35 @@ def project_body(body: ConvexBody, frame: np.ndarray) -> ConvexBody:
         return Box([(float(verts.min()), float(verts.max()))])
     if k in (2, 3):
         return PolytopeV(verts)
+    raise UnsupportedVariant(f"projection to dimension {k} is out of catalog")
+
+
+def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np.ndarray:
+    """V_j of the body's shadow on each plane of an (S, n, k) stack of
+    orthonormal frames, as :func:`body_intrinsic_volume` of
+    :func:`project_body` gives it plane by plane.
+
+    A ball's shadows are k-balls of its radius, one closed form.  Otherwise
+    the vertices are projected on every plane in one product: the shadows
+    on lines are intervals, whose widths are V_1; on 2-planes one batched
+    :func:`_hull_2d` gives every area (V_2) and half-perimeter (V_1), and a
+    flat shadow has area 0; on 3-planes qhull builds each shadow in turn.
+    """
+    count, _, k = frames.shape
+    if not 0 <= j <= k:
+        raise ValueError(f"need 0 <= j <= k={k}, got {j}")
+    if j == 0:
+        return np.ones(count)
+    if isinstance(body, Ball):
+        return np.full(count, body_intrinsic_volume(Ball(body.radius, np.zeros(k)), j))
+    verts = body.vertices() @ frames
+    if k == 1:
+        return verts[..., 0].max(axis=1) - verts[..., 0].min(axis=1)
+    if k == 2:
+        _, area, perimeter = _hull_2d(verts)
+        return area if j == 2 else 0.5 * perimeter
+    if k == 3:
+        return np.array([body_intrinsic_volume(PolytopeV(v), j) for v in verts])
     raise UnsupportedVariant(f"projection to dimension {k} is out of catalog")
 
 

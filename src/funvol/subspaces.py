@@ -31,6 +31,7 @@ __all__ = [
     "Subspace",
     "ProjectedFunction",
     "sample_grassmann",
+    "whole_space",
     "cubature_covers",
     "cubature_levels",
     "grassmann_cubature",
@@ -112,11 +113,13 @@ def _haar_frames(n: int, k: int, streams) -> np.ndarray:
 
 class _Planes(Sequence):
     """The subspaces spanned by the first k columns of a checked frame stack;
-    each is built, as a view into the stack, when it is indexed."""
+    each is built, as a view into the stack, when it is indexed, and
+    ``frames`` views the whole (S, n, k) stack of their frames."""
 
     def __init__(self, q: np.ndarray, k: int):
         self._q = q
         self._k = k
+        self.frames = q[:, :, :k]
 
     def __len__(self):
         return len(self._q)
@@ -126,7 +129,12 @@ class _Planes(Sequence):
         return Subspace._checked(q[:, :self._k], q[:, self._k:])
 
 
-def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> Sequence[Subspace]:
+def whole_space(n: int) -> _Planes:
+    """R^n as a stack of one plane, on the identity frame."""
+    return _Planes(np.eye(n)[None], n)
+
+
+def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> _Planes:
     """One Haar-distributed k-plane in R^n per stream.
 
     Plane i has frame and complement from the sign-fixed complete QR of
@@ -160,7 +168,7 @@ def cubature_levels(n: int, samples: int) -> list[int]:
     return levels
 
 
-def grassmann_cubature(n: int, k: int, level: int) -> tuple[Sequence[Subspace], np.ndarray]:
+def grassmann_cubature(n: int, k: int, level: int) -> tuple[_Planes, np.ndarray]:
     """Planes and weights of the level-``level`` cubature rule on k-planes in R^n.
 
     The nodes come from the directions d of ``sphere_rule(n, level)``: the

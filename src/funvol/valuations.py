@@ -9,8 +9,12 @@ reports its value with an error estimate combining quadrature error and, for
 the Grassmannian routes, the error of the subspace average: the Monte Carlo
 standard error, or the level differences of a deterministic cubature.
 Every subspace average runs through :func:`_grassmann_average`, which takes
-the cubature wherever it covers the planes and Monte Carlo elsewhere; the
-Cauchy-Kubota route is the general projection route at k = j.
+the cubature wherever it covers the planes and Monte Carlo elsewhere, and
+hands each level or draw to its caller as one plane stack: the shadows of a
+body, for indicators and the classical check, are evaluated for the whole
+stack in one numpy pass, and every other route maps its plane-by-plane
+evaluation over it.  The Cauchy-Kubota route is the general projection route
+at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -24,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     Rotated, body_intrinsic_volume, project_body)
+                     Rotated, body_intrinsic_volume, shadow_intrinsic_volumes)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, flag_coefficient,
                        integrate_interval, integrate_polar_separable, kappa)
 from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
-                        project_function, restrict_function, sample_grassmann)
+                        project_function, restrict_function, sample_grassmann,
+                        whole_space)
 from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
 
 __all__ = [
@@ -106,13 +111,24 @@ def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
     return float(x[0] + weights @ (x - x[0]))
 
 
-def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
-    """(mean, error, evals, planes) of ``one(e, stream) -> (value, error, evals)``
-    over k-planes e in R^n, with the number of planes evaluated.
+def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
+    """(mean, error, evals, planes) of ``stack(planes, streams) -> (values,
+    errors, evals)`` over k-planes in R^n, with the number of planes evaluated.
 
-    Where :func:`grassmann_cubature` covers G(n, k) (lines, hyperplanes and the
-    whole space, n <= 4) the average is deterministic.  Its levels are those
-    of :func:`cubature_levels` for a budget of ``samples`` planes, each plane
+    ``stack`` takes a whole plane stack at once, the planes of one cubature
+    level or one Monte Carlo draw (a sequence of subspaces whose ``frames``
+    is their (S, n, k) frame stack), with one random stream per plane, and
+    returns arrays of the per-plane values, inner errors and integrand
+    evaluations.  :func:`_per_plane` makes one from a plane-by-plane
+    evaluation.
+
+    The whole space (k = n) is a single plane: one evaluation on the
+    identity frame, with weight 1 and stream ``rng``, whose error is that
+    evaluation's inner error.
+
+    Where :func:`grassmann_cubature` covers G(n, k) (lines and hyperplanes,
+    n <= 4) the average is deterministic.  Its levels are those of
+    :func:`cubature_levels` for a budget of ``samples`` planes, each plane
     handed ``rng``, and they run in order until two consecutive level
     estimates agree within the polar tolerance.  The mean is the last
     level's, and the error is the larger of the last two level differences
@@ -121,11 +137,11 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
 
     Elsewhere it is Monte Carlo over ``samples`` Haar k-planes, sample i drawn
     from ``rng.stream(i)``.  All the planes come from one
-    :func:`sample_grassmann` call over the streams, one stacked draw, and
-    ``one`` then sees them in stream order.  The error is the Monte Carlo
-    standard error and the mean inner error added in quadrature.  A single
-    sample has no standard error; the estimate is returned with a NaN error
-    so downstream verdicts become non_converged, never falsely certified.
+    :func:`sample_grassmann` call over the streams, one stacked draw, handed
+    to ``stack`` in stream order.  The error is the Monte Carlo standard
+    error and the mean inner error added in quadrature.  A single sample has
+    no standard error; the estimate is returned with a NaN error so
+    downstream verdicts become non_converged, never falsely certified.
 
     ``rng`` has at most ``_STREAM_FANOUT - 1`` child streams, so a larger
     ``samples`` raises :class:`SchemaError` before anything is drawn.
@@ -135,29 +151,48 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, one):
     if samples > _STREAM_FANOUT - 1:
         raise SchemaError(f"at most {_STREAM_FANOUT - 1} subspace samples per average, "
                           f"got {samples}")
+    if k == n:
+        values, errors, evals = stack(whole_space(n), [rng])
+        return float(values[0]), float(errors[0]), int(np.sum(evals)), 1
     if cubature_covers(n, k):
         estimates, total, count = [], 0, 0
         for level in cubature_levels(n, samples):
             planes, weights = grassmann_cubature(n, k, level)
-            values, errors, evals = zip(*(one(e, rng) for e in planes))
-            total += sum(evals)
+            values, errors, evals = stack(planes, [rng] * len(planes))
+            total += int(np.sum(evals))
             count += len(planes)
-            estimates.append(_weighted_mean(weights, np.asarray(values, dtype=float)))
-            inner = _weighted_mean(weights, np.asarray(errors, dtype=float))
+            estimates.append(_weighted_mean(weights, values))
+            inner = _weighted_mean(weights, errors)
             if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
                     _ABS_TOL, _REL_TOL * abs(estimates[-1])):
                 break
         spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
         return estimates[-1], spread + inner, total, count
     streams = [rng.stream(i) for i in range(samples)]
-    values, errors, evals = zip(*map(one, sample_grassmann(n, k, streams), streams))
-    values = np.asarray(values, dtype=float)
+    values, errors, evals = stack(sample_grassmann(n, k, streams), streams)
     mean = float(np.sum(values)) / samples  # pairwise summation: bit-stable order
     if samples == 1:
-        return mean, float("nan"), sum(evals), samples
+        return mean, float("nan"), int(np.sum(evals)), samples
     se = float(np.std(values, ddof=1) / math.sqrt(samples))
-    inner = float(np.mean(np.asarray(errors, dtype=float)))
-    return mean, math.hypot(se, inner), sum(evals), samples
+    inner = float(np.mean(errors))
+    return mean, math.hypot(se, inner), int(np.sum(evals)), samples
+
+
+def _per_plane(one):
+    """The plane-stack callback of :func:`_grassmann_average` that maps
+    ``one(e, stream) -> (value, error, evals)`` over the stack, plane by plane."""
+    def stack(planes, streams):
+        values, errors, evals = zip(*map(one, planes, streams))
+        return (np.asarray(values, dtype=float), np.asarray(errors, dtype=float),
+                np.asarray(evals))
+    return stack
+
+
+def _exact(values: np.ndarray):
+    """A plane-stack callback's result for exact per-plane values: no inner
+    error and no integrand evaluations."""
+    zeros = np.zeros(len(values))
+    return values, zeros, zeros
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +302,20 @@ def _eval_primal(spec: ValuationSpec, u: ConvexFunction, samples: int,
     return eval_cauchy_kubota(spec, u, samples, rng)
 
 
+def _value_at_zero(weight: WeightFunction):
+    """weight(0), which must be finite."""
+    v0 = weight.value_at_zero()
+    if v0 is None:
+        raise SchemaError("weight has no finite value at 0")
+    return v0
+
+
 def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction):
     """integral over dom(w) of weight(|grad w|), with exact special cases."""
     if isinstance(w, Indicator):
-        v0 = weight.value_at_zero()
-        if v0 is None:
-            raise SchemaError("weight has no finite value at 0")
-        return v0 * w.body.volume(), 0.0, 0
+        return _value_at_zero(weight) * w.body.volume(), 0.0, 0
     if isinstance(w, Cone):
-        wt = weight.value_at_zero() if w.t == 0 else float(weight(w.t))
-        if wt is None:
-            raise SchemaError("weight has no finite value at 0")
+        wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
         return wt * kappa(w.n) * w.r ** w.n, 0.0, 0
     if isinstance(w, (EpiTranslated, Rotated)):
         return _domain_weight_integral(w.inner, weight)
@@ -319,12 +357,21 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, method)
 
-    def one(e, stream):
-        # the degree-0 value is a constant that needs no projection
-        w = project_function(u, e).realized if j > 0 else None
-        return _z_lower_dim(j, k, xi, w, stream, samples)
+    if isinstance(u, Indicator) and j == k:
+        # the domain integral of xi over each shadow, xi(0) V_k(shadow), for
+        # the whole stack at once
+        v0 = _value_at_zero(xi)
 
-    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, one)
+        def stack(planes, streams):
+            return _exact(v0 * shadow_intrinsic_volumes(u.body, planes.frames, k))
+    else:
+        def one(e, stream):
+            # the degree-0 value is a constant that needs no projection
+            w = project_function(u, e).realized if j > 0 else None
+            return _z_lower_dim(j, k, xi, w, stream, samples)
+        stack = _per_plane(one)
+
+    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, method, evals, planes)
 
@@ -416,7 +463,7 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         res = _dual_integral(j, xi, w)
         return res.value, res.error, res.evaluations
 
-    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, one)
+    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, _per_plane(one))
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, "dual_ck", evals, planes)
 
@@ -469,10 +516,10 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
     if k == 0:
         return CheckResult(1.0, 1.0, 0.0)
 
-    def one(e, stream):
-        return body_intrinsic_volume(project_body(body, e.frame), j), 0.0, 0
+    def shadows(planes, streams):
+        return _exact(shadow_intrinsic_volumes(body, planes.frames, j))
 
-    mean, err, _, planes = _grassmann_average(n, k, samples, rng, one)
+    mean, err, _, planes = _grassmann_average(n, k, samples, rng, shadows)
     if j == k:
         lhs = body_intrinsic_volume(body, j)
         coeff = flag_coefficient(n, j)

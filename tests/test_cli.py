@@ -7,13 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import funvol
 from funvol.cli import main
-from funvol.weights import MAX_POWER
+from funvol.convex import Quadratic
+from funvol.valuations import ValuationSpec, eval_domain_gradient
+from funvol.weights import MAX_POWER, Tent
 
 
 @pytest.fixture
@@ -809,6 +812,19 @@ class TestGrassmannianAverage:
         # levels 1 and 2 of G(2, 1): 2 + 4 lines; a quadratic is exact there
         assert a["counters"]["subspace_samples"] == 6
 
+    def test_whole_space_is_one_plane(self, tmp_path):
+        # k = n: R^2 itself on the identity frame, evaluated once, with the
+        # domain integral's own error
+        quad = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0],
+                "c": 0.0}
+        a, b = (self._ck(tmp_path, quad, 2, seed) for seed in (0, 5))
+        assert a == b
+        assert a["counters"]["subspace_samples"] == 1
+        exact = eval_domain_gradient(ValuationSpec(2, 2, Tent(1.0)),
+                                     Quadratic(np.diag([1.0, 2.0])))
+        assert math.isfinite(a["error"])
+        assert abs(a["value"] - exact.value) <= a["error"] + exact.error
+
     def test_two_planes_in_four_dimensions_are_sampled(self, tmp_path):
         quad = {"type": "quadratic",
                 "A": [[float(i == k) * (i + 1) for k in range(4)] for i in range(4)],
@@ -820,17 +836,28 @@ class TestGrassmannianAverage:
 
 class TestImport:
     @staticmethod
-    def _loaded_after_import(module):
+    def _run_probe(probe: str) -> str:
+        """The last line a fresh interpreter prints running ``probe``."""
         src = str(Path(funvol.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = f"import sys, funvol, funvol.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True).stdout
-        return out.strip() == "True"
+        return out.strip().splitlines()[-1]
+
+    def _loaded_after_import(self, module):
+        probe = f"import sys, funvol, funvol.cli; print({module!r} in sys.modules)"
+        return self._run_probe(probe) == "True"
 
     def test_scipy_spatial_stays_unloaded(self):
         assert not self._loaded_after_import("scipy.spatial")
+
+    def test_default_suite_stays_off_scipy_spatial(self):
+        # 2-d hulls are numpy's; qhull serves only 3-d polytopes
+        probe = ("import sys; from funvol.cli import main; "
+                 "main(['verify', '--default-suite', '--seed', '7', '--out', "
+                 f"{os.devnull!r}]); print('scipy.spatial' in sys.modules)")
+        assert self._run_probe(probe) == "False"
 
     def test_scipy_linalg_stays_unloaded(self):
         # subspace complements come from numpy's complete QR

@@ -22,9 +22,12 @@ from funvol.convex import (
     discrete_legendre,
     function_from_spec,
     project_body,
+    shadow_intrinsic_volumes,
 )
+from funvol.convex import _hull_2d
 from funvol.errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from funvol.numerics import Rng
+from funvol.subspaces import grassmann_cubature, sample_grassmann
 
 
 def rotation_2d(theta):
@@ -326,6 +329,161 @@ class TestBodies:
             shoelace = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
             assert zonogon.volume() == pytest.approx(shoelace, rel=1e-12)
             assert shoelace == pytest.approx(np.abs(w).sum(), rel=1e-10)
+
+
+CUBE = Box([(0.0, 1.0)] * 3)
+BOX123 = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)])
+# the five-vertex polytope of the benchmark's projection workload
+POLYTOPE = PolytopeV([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+COORDINATE_PLANES = np.stack([np.eye(3)[:, [0, 1]], np.eye(3)[:, [0, 2]],
+                              np.eye(3)[:, [1, 2]]])
+
+
+def _random_frames(n, k, count, seed):
+    return sample_grassmann(n, k, [Rng(seed).stream(i) for i in range(count)]).frames
+
+
+def _cube_cubature_frames():
+    # levels 1-16 of the hyperplane cubature: the 1,364 planes of the cube's
+    # default ck_classical case
+    return np.concatenate([grassmann_cubature(3, 2, level)[0].frames
+                           for level in (1, 2, 4, 8, 16)])
+
+
+class TestShadowKernel:
+    """Stacked shadow intrinsic volumes against qhull, computed plane by plane
+    here: widths from the projected hull vertices, areas and perimeters from
+    2-d hulls, all within 1e-14 relative."""
+
+    @staticmethod
+    def _qhull_reference(body, frames):
+        from scipy.spatial import ConvexHull
+        verts = body.vertices()
+        if frames.shape[2] == 1:
+            ends = verts[ConvexHull(verts).vertices] @ frames[..., 0].T
+            return ends.max(axis=0) - ends.min(axis=0)
+        hulls = [ConvexHull(v) for v in verts @ frames]
+        # scipy: for 2-d hulls 'volume' is the area and 'area' the perimeter
+        return (np.array([h.volume for h in hulls]),
+                np.array([0.5 * h.area for h in hulls]))
+
+    def _check(self, body, frames):
+        if frames.shape[2] == 1:
+            widths = shadow_intrinsic_volumes(body, frames, 1)
+            np.testing.assert_allclose(widths, self._qhull_reference(body, frames),
+                                       rtol=1e-14, atol=0.0)
+            return
+        area, half_perimeter = self._qhull_reference(body, frames)
+        np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 2), area,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 1),
+                                   half_perimeter, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("body", [CUBE, BOX123, POLYTOPE],
+                             ids=["cube", "box123", "polytope"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_planes(self, body, k):
+        self._check(body, _random_frames(3, k, 500, seed=11))
+
+    @pytest.mark.parametrize("body", [CUBE, BOX123], ids=["cube", "box123"])
+    def test_coordinate_planes(self, body):
+        # every shadow vertex repeats, and the shadows' edges hold no other points
+        self._check(body, COORDINATE_PLANES)
+        self._check(body, np.eye(3).T[:, :, None])
+
+    def test_cube_cubature_planes(self):
+        frames = _cube_cubature_frames()
+        x = (CUBE.vertices() @ frames)[..., 0]
+        gap = np.where(x > x.min(axis=1, keepdims=True),
+                       x - x.min(axis=1, keepdims=True), np.inf).min(axis=1)
+        # on some planes rounding puts another vertex within 1e-16 of the
+        # leftmost one: the start of the wrap is nearly inside an edge
+        assert np.any(gap < 1e-16)
+        self._check(CUBE, frames)
+
+    def test_polytope_cubature_planes(self):
+        self._check(POLYTOPE, np.concatenate(
+            [grassmann_cubature(3, 2, level)[0].frames for level in (1, 2, 4)]))
+
+    def test_flat_box_has_zero_area(self):
+        flat = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0)])
+        segment = Box([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
+        # the flat box on the coordinate planes through its normal, and a
+        # segment on any plane
+        for body, frames in ((flat, COORDINATE_PLANES[1:]),
+                             (segment, _random_frames(3, 2, 200, seed=3))):
+            assert np.all(shadow_intrinsic_volumes(body, frames, 2) == 0.0)
+            length = np.ptp(body.vertices() @ frames, axis=1)
+            np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 1),
+                                       np.hypot(length[:, 0], length[:, 1]),
+                                       rtol=1e-14, atol=0.0)
+
+    def test_nearly_collinear_points_close(self):
+        # rounded orientation signs leave such walks open; exact ones close them
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(0.0, 1.0, (2000, 6, 1)) * np.ones(2)
+        pts += 1e-15 * rng.standard_normal(pts.shape)
+        walk, area, perimeter = _hull_2d(pts)
+        assert np.all(walk[:, 0] == walk[:, -1])
+        assert np.all((0.0 <= area) & (area <= 1e-14))
+        extent = np.ptp(pts[..., 0], axis=1) * math.sqrt(2.0)
+        np.testing.assert_allclose(perimeter, 2.0 * extent, rtol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
+    def test_extreme_coordinates(self):
+        # each plane is scaled by a power of two before the products, so the
+        # walk closes and only a true area beyond double precision overflows
+        square = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
+        for scale in (2.0 ** 1000, 2.0 ** -1000):
+            _, area, perimeter = _hull_2d(scale * square)
+            assert area[0] == scale * scale and perimeter[0] == 4.0 * scale
+        _, area, _ = _hull_2d(1.7e308 * np.array([[[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]]))
+        assert area[0] == math.inf
+
+    def test_ball_and_degree_zero(self):
+        frames = _random_frames(4, 2, 5, seed=1)
+        ball = Ball(2.0, [1.0, 0.0, 0.0, 0.0])
+        for j in (1, 2):
+            expect = [body_intrinsic_volume(project_body(ball, f), j) for f in frames]
+            assert np.array_equal(shadow_intrinsic_volumes(ball, frames, j), expect)
+        assert expect[0] == pytest.approx(4.0 * math.pi, rel=1e-15)
+        assert np.all(shadow_intrinsic_volumes(CUBE, frames[:, :3], 0) == 1.0)
+
+    def test_three_planes_use_qhull_polytopes(self):
+        box = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 1.0), (0.0, 1.0)])
+        frames = _random_frames(4, 3, 10, seed=2)
+        for j in (1, 2, 3):
+            expect = [body_intrinsic_volume(project_body(box, f), j) for f in frames]
+            assert np.array_equal(shadow_intrinsic_volumes(box, frames, j), expect)
+
+    def test_four_planes_out_of_catalog(self):
+        with pytest.raises(UnsupportedVariant):
+            shadow_intrinsic_volumes(Box([(0.0, 1.0)] * 5), _random_frames(5, 4, 2, 0), 2)
+
+
+class TestPolygon:
+    """2-d polytopes are the batched hull kernel on a stack of one."""
+
+    def test_hull_vertices_counterclockwise_from_lexicographic_minimum(self):
+        square = PolytopeV([[1.0, 1.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0],
+                            [0.5, 0.0], [1.0, 1.0]])
+        assert square.vertices().tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                              [0.0, 1.0]]
+        assert square.volume() == 1.0 and square.surface() == 4.0
+
+    def test_contains_and_support(self):
+        tri = PolytopeV([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        assert tri.contains([[0.5, 0.5], [1.0, 1.0], [0.0, 0.0]]).tolist() == [True] * 3
+        assert tri.contains([[1.0, 1.1], [-0.1, 0.0], [2.1, 0.0]]).tolist() == [False] * 3
+        assert tri.support([1.0, 1.0]) == 2.0
+
+    @pytest.mark.parametrize("vertices", [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                                          [[1.0, 2.0]] * 4, [[0.0, 0.0], [1.0, 0.0]]],
+                             ids=["collinear", "one_point", "two_points"])
+    def test_flat_raises(self, vertices):
+        with pytest.raises(ValueError, match="full-dimensional|at least 3"):
+            PolytopeV(vertices)
 
 
 QUAD_SPEC = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0}

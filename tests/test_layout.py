@@ -118,3 +118,30 @@ def test_one_closed_form_dispatch():
     callers = _package_callers("closed_form")
     assert callers == Counter({"weights._transformed": 1}), \
         f"closed_form is called from {dict(callers)}"
+
+
+def test_one_2d_hull():
+    """qhull builds only 3-d hulls; every 2-d hull is the batched kernel.
+
+    ``ConvexHull`` is named only in the 3-d branch of ``PolytopeV.__init__``,
+    and the batched ``_hull_2d`` has two callers: the stacked body shadows
+    and the 2-d branch of ``PolytopeV.__init__``, a stack of one.
+    """
+    kernel = _package_callers("_hull_2d")
+    assert kernel == Counter({"convex.shadow_intrinsic_volumes": 1,
+                              "convex.__init__": 1}), f"_hull_2d is called from {dict(kernel)}"
+    qhull = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        qhull[path.stem] = _references(ast.parse(path.read_text()))["ConvexHull"]
+    tree = ast.parse((PACKAGE / "convex.py").read_text())
+    polytope = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "PolytopeV")
+    init = next(node for node in polytope.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    branch = next(node for node in init.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "self.n == 2")
+    in_2d = sum(_references(node)["ConvexHull"] for node in branch.body)
+    in_3d = sum(_references(node)["ConvexHull"] for node in branch.orelse)
+    assert in_2d == 0 and in_3d == sum(qhull.values()) > 0, \
+        f"ConvexHull is named in {dict(+qhull)}, {in_3d} of them in the 3-d branch"
+    assert sum(_callers(node, "_hull_2d")["<module>"] for node in branch.body) == 1
