@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,7 +32,8 @@ __all__ = [
 ]
 
 _CONTAINS_TOL = 1e-12  # slack of a body's membership test
-# Shewchuk's orient2d bound: a floating-point turn larger than this times
+_COLLINEAR = "polytope vertices do not span a full-dimensional hull: they are collinear"
+# Shewchuk's orient2d bound: a floating-point turn at least this times
 # |left product| + |right product| has the exact turn's sign
 _TURN_BOUND = (3.0 + 8.0 * np.finfo(float).eps) * np.finfo(float).eps / 2.0
 
@@ -176,11 +176,33 @@ class Box(ConvexBody):
 
 
 def _turn_sign(p: np.ndarray, c: np.ndarray, r: np.ndarray) -> float:
-    """Exact sign of the turn p -> c -> r in rational arithmetic: +1
-    counterclockwise, -1 clockwise, 0 collinear."""
-    px, py, cx, cy, rx, ry = map(Fraction, (*p, *c, *r))
+    """Exact sign of the turn p -> c -> r: +1 counterclockwise, -1 clockwise,
+    0 collinear.  Each coordinate times 2**1074 is an integer, and the turn
+    is taken in those integers."""
+    px, py, cx, cy, rx, ry = (n << (1075 - d.bit_length())
+                              for n, d in map(float.as_integer_ratio, (*p, *c, *r)))
     det = (cx - px) * (ry - py) - (cy - py) * (rx - px)
     return float((det > 0) - (det < 0))
+
+
+def _exact_turns(pts, planes, current, cand, dx, dy, alive) -> np.ndarray:
+    """Turns current -> cand -> each point, with exact signs.
+
+    Columns run over ``planes`` of the (S, m, 2) stack ``pts``; ``dx`` and
+    ``dy`` hold the points relative to each plane's ``current`` point,
+    ``cand`` is each column's candidate and ``alive`` masks the points to
+    sign.  The floating-point turn is kept where it exceeds Shewchuk's
+    forward error bound (orient2d's ccwerrboundA), so its sign is exact, and
+    replaced by the exact sign where it does not."""
+    cols = np.arange(len(planes))
+    left, right = dx[cand, cols] * dy, dy[cand, cols] * dx
+    turn = left - right
+    unsure = (np.abs(turn) < _TURN_BOUND * (np.abs(left) + np.abs(right))) & alive
+    unsure[cand, cols] = False
+    for r, i in zip(*np.nonzero(unsure)):
+        s = planes[i]
+        turn[r, i] = _turn_sign(pts[s, current[s]], pts[s, cand[i]], pts[s, r])
+    return turn
 
 
 def _hull_2d(pts: np.ndarray):
@@ -190,48 +212,55 @@ def _hull_2d(pts: np.ndarray):
     Returns ``(walk, area, perimeter)``.  Row s of the (S, L) index array
     ``walk`` runs counterclockwise through hull s's vertices from its
     lexicographic minimum back to that start, then repeats the start index.
-    From each vertex the wrap takes the point that no other point lies to
-    the right of, and among collinear ones the farthest, so an edge skips
-    the points inside it.  Every orientation sign is exact, with no
-    tolerance: the floating-point turn is taken where it exceeds Shewchuk's
-    forward error bound (orient2d's ccwerrboundA) and recomputed in rational
-    arithmetic where it does not, and "farthest" compares coordinates.  A
+    Each step weighs every point of every plane at once: rounded angles
+    propose the point at the smallest turn from the edge that came in, exact
+    orientation signs (:func:`_exact_turns`) check that no point lies to its
+    right, and the wrap moves on to one that does until none does.  Of the
+    points on the edge it then takes the farthest, comparing coordinates, so
+    an edge skips the points inside it.  No sign has a tolerance: a
     tolerance, or a rounded sign, can put the start inside an edge, and the
-    wrap then never comes back to it.  Each plane is first scaled by a power
-    of two to coordinates below 1 in magnitude, which keeps the products
-    finite.  A flat set has area 0 and twice its length as perimeter.
+    wrap then never comes back to it.  Repeated points are dropped first,
+    and each plane is scaled by a power of two to coordinates below 1 in
+    magnitude, which keeps the products finite.  A flat set has area 0 and
+    twice its length as perimeter.
     """
     count, m, _ = pts.shape
     rows = np.arange(count)
     _, exponent = np.frexp(np.abs(pts).max(axis=(1, 2)))
     pts = np.ldexp(pts, -exponent[:, None, None])
-    x, y = pts[..., 0], pts[..., 1]
-    start = np.where(x == x.min(axis=1, keepdims=True), y, np.inf).argmin(axis=1)
-    sx, sy = x[rows, start], y[rows, start]
-    walk, current = [start], start
+    # point-major (m, S) coordinates: every reduction runs across the stack
+    x, y = np.ascontiguousarray(pts[..., 0].T), np.ascontiguousarray(pts[..., 1].T)
+    order = np.lexsort((y, x), axis=0)
+    sx, sy = np.take_along_axis(x, order, 0), np.take_along_axis(y, order, 0)
+    alive = np.ones((m, count), dtype=bool)  # the first of each repeated point
+    alive[order[1:], rows] = (np.diff(sx, axis=0) != 0.0) | (np.diff(sy, axis=0) != 0.0)
+    start = current = order[0]
+    ex, ey = np.zeros(count), np.full(count, -1.0)  # the edge in: straight down
+    walk = [start]
     done = np.zeros(count, dtype=bool)
     for _ in range(m):
-        dx = x - x[rows, current][:, None]
-        dy = y - y[rows, current][:, None]
-        cand = np.zeros(count, dtype=np.intp)
-        kx, ky, cx, cy = x[:, 0], y[:, 0], dx[:, 0], dy[:, 0]
-        for r in range(1, m):
-            rx, ry = dx[:, r], dy[:, r]
-            left, right = cx * ry, cy * rx
-            turn = left - right
-            bound = _TURN_BOUND * (np.abs(left) + np.abs(right))
-            for s in np.flatnonzero((np.abs(turn) <= bound) & (bound > 0.0)):
-                turn[s] = _turn_sign(pts[s, current[s]], (kx[s], ky[s]), pts[s, r])
-            better = ((cx == 0.0) & (cy == 0.0)) | (turn < 0.0)
-            ties = turn == 0.0
-            if ties.any():  # r collinear: take it if it lies beyond the candidate
-                beyond = (np.sign(x[:, r] - kx) * np.sign(cx)
-                          + np.sign(y[:, r] - ky) * np.sign(cy)) > 0.0
-                better |= ties & beyond
-            cand = np.where(better, r, cand)
-            kx, ky = np.where(better, x[:, r], kx), np.where(better, y[:, r], ky)
-            cx, cy = np.where(better, rx, cx), np.where(better, ry, cy)
-        closes = (kx == sx) & (ky == sy)
+        dx, dy = x - x[current, rows], y - y[current, rows]
+        others = alive.copy()
+        others[current, rows] = False
+        angle = np.arctan2(ex * dy - ey * dx, ex * dx + ey * dy)
+        cand = np.where(others, angle, np.inf).argmin(axis=0)
+        turn = _exact_turns(pts, rows, current, cand, dx, dy, alive)
+        beyond, wrong = alive & (turn < 0.0), rows
+        while beyond.any():  # move to a point right of the candidate until none is
+            right = beyond.any(axis=0)
+            wrong = wrong[right]
+            cand[wrong] = beyond[:, right].argmax(axis=0)
+            turn[:, wrong] = _exact_turns(pts, wrong, current, cand[wrong], dx[:, wrong],
+                                          dy[:, wrong], alive[:, wrong])
+            beyond = alive[:, wrong] & (turn[:, wrong] < 0.0)
+        on = others & (turn == 0.0)
+        if on.sum(axis=0).max() > 1:
+            # the farthest point on the edge: the largest x along it, or y if
+            # it is vertical (distinct points on a line that is not have distinct x)
+            gx, gy = np.sign(dx[cand, rows]), np.sign(dy[cand, rows])
+            cand = np.where(on, np.where(gx != 0.0, gx * x, gy * y), -np.inf).argmax(axis=0)
+        ex, ey = dx[cand, rows], dy[cand, rows]
+        closes = cand == start
         current = np.where(done | closes, start, cand)
         walk.append(current)
         done |= closes
@@ -268,8 +297,7 @@ class PolytopeV(ConvexBody):
         if self.n == 2:
             walk, area, perimeter = _hull_2d(pts[None])
             if not area[0] > 0.0:
-                raise ValueError("polytope vertices do not span a full-dimensional "
-                                 "hull: they are collinear")
+                raise ValueError(_COLLINEAR)
             walk = walk[0, :1 + int(np.argmax(walk[0, 1:] == walk[0, 0]))]
             self._verts = pts[walk]
             edges = np.roll(self._verts, -1, axis=0) - self._verts
@@ -385,8 +413,10 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
     A ball's shadows are k-balls of its radius, one closed form.  Otherwise
     the vertices are projected on every plane in one product: the shadows
     on lines are intervals, whose widths are V_1; on 2-planes one batched
-    :func:`_hull_2d` gives every area (V_2) and half-perimeter (V_1), and a
-    flat shadow has area 0; on 3-planes qhull builds each shadow in turn.
+    :func:`_hull_2d` gives every area (V_2) and half-perimeter (V_1); on
+    3-planes qhull builds each shadow in turn.  A flat shadow on a 2- or
+    3-plane raises ValueError, as the :class:`PolytopeV` that
+    :func:`project_body` would build of it does.
     """
     count, _, k = frames.shape
     if not 0 <= j <= k:
@@ -400,6 +430,8 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
         return verts[..., 0].max(axis=1) - verts[..., 0].min(axis=1)
     if k == 2:
         _, area, perimeter = _hull_2d(verts)
+        if not np.all(area > 0.0):
+            raise ValueError(_COLLINEAR)
         return area if j == 2 else 0.5 * perimeter
     if k == 3:
         return np.array([body_intrinsic_volume(PolytopeV(v), j) for v in verts])

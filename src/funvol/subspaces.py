@@ -146,9 +146,10 @@ def sample_grassmann(n: int, k: int, streams: Sequence[Rng]) -> _Planes:
 
 
 def cubature_covers(n: int, k: int) -> bool:
-    """Whether :func:`grassmann_cubature` has rules on k-planes in R^n: lines,
-    hyperplanes and the whole space, for 2 <= n <= 4."""
-    return 2 <= n <= 4 and k in (1, n - 1, n)
+    """Whether :func:`grassmann_cubature` has rules on k-planes in R^n: lines
+    and hyperplanes, for 2 <= n <= 4.  The whole space needs no rule: it is
+    the one plane of :func:`whole_space`."""
+    return 2 <= n <= 4 and k in (1, n - 1)
 
 
 def _cubature_size(n: int, level: int) -> int:
@@ -172,13 +173,13 @@ def grassmann_cubature(n: int, k: int, level: int) -> tuple[_Planes, np.ndarray]
     """Planes and weights of the level-``level`` cubature rule on k-planes in R^n.
 
     The nodes come from the directions d of ``sphere_rule(n, level)``: the
-    lines through them for k = 1 (G(2, 1) included; the whole space for
-    k = n), else the hyperplanes normal to them for k = n - 1.  Antipodal
-    directions give the same plane, so only the rule's first half is taken,
-    one direction per pair, with its weights normalized to sum to 1.  A
-    function of the plane that is a polynomial of degree below 4 * level in
-    d is averaged exactly.  (n, k) not covered (see :func:`cubature_covers`),
-    G(4, 2) and every n >= 5 among them, raise :class:`UnsupportedVariant`.
+    lines through them for k = 1 (G(2, 1) included), else the hyperplanes
+    normal to them for k = n - 1.  Antipodal directions give the same
+    plane, so only the rule's first half is taken, one direction per pair,
+    with its weights normalized to sum to 1.  A function of the plane that
+    is a polynomial of degree below 4 * level in d is averaged exactly.
+    (n, k) not covered (see :func:`cubature_covers`), the whole space, G(4, 2)
+    and every n >= 5 among them, raise :class:`UnsupportedVariant`.
     """
     if not cubature_covers(n, k):
         raise UnsupportedVariant(
@@ -187,7 +188,7 @@ def grassmann_cubature(n: int, k: int, level: int) -> tuple[_Planes, np.ndarray]
     dirs, wts = sphere_rule(n, level)
     half = len(wts) // 2  # the second half negates the first
     q = _stacked_frames(dirs[:half, :, None])
-    if k not in (1, n):  # the normal's complement, then the normal
+    if k != 1:  # the normal's complement, then the normal
         q = np.roll(q, -1, axis=2)
     return _Planes(q, k), wts[:half] / wts[:half].sum()
 

@@ -456,11 +456,10 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         return EvalResult(float(xi.value_at_zero()), 0.0, "dual_ck")
 
     def one(e, stream):
-        w = restrict_function(v, e)
-        if j == 0:
+        if j == 0:  # a constant that needs no restriction
             const = kappa(k) * transform_R_power(xi, k).value_at_zero()
             return float(const), 0.0, 0
-        res = _dual_integral(j, xi, w)
+        res = _dual_integral(j, xi, restrict_function(v, e))
         return res.value, res.error, res.evaluations
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, _per_plane(one))

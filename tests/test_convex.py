@@ -24,7 +24,7 @@ from funvol.convex import (
     project_body,
     shadow_intrinsic_volumes,
 )
-from funvol.convex import _hull_2d
+from funvol.convex import _hull_2d, _turn_sign
 from funvol.errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from funvol.numerics import Rng
 from funvol.subspaces import grassmann_cubature, sample_grassmann
@@ -410,14 +410,39 @@ class TestShadowKernel:
         flat = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0)])
         segment = Box([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
         # the flat box on the coordinate planes through its normal, and a
-        # segment on any plane
+        # segment on any plane: the kernel gives area 0 and twice the length
+        # as perimeter, and the shadows, flat polygons, raise as PolytopeV does
         for body, frames in ((flat, COORDINATE_PLANES[1:]),
                              (segment, _random_frames(3, 2, 200, seed=3))):
-            assert np.all(shadow_intrinsic_volumes(body, frames, 2) == 0.0)
+            _, area, perimeter = _hull_2d(body.vertices() @ frames)
+            assert np.all(area == 0.0)
             length = np.ptp(body.vertices() @ frames, axis=1)
-            np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 1),
-                                       np.hypot(length[:, 0], length[:, 1]),
+            np.testing.assert_allclose(perimeter, 2.0 * np.hypot(length[:, 0], length[:, 1]),
                                        rtol=1e-14, atol=0.0)
+            for j in (1, 2):
+                with pytest.raises(ValueError, match="collinear"):
+                    shadow_intrinsic_volumes(body, frames, j)
+            with pytest.raises(ValueError, match="collinear"):
+                project_body(body, frames[0])
+            # its shadows on lines are intervals, flat or not
+            ends = body.vertices() @ frames[:, :, 0].T
+            assert np.array_equal(shadow_intrinsic_volumes(body, frames[:, :, :1], 1),
+                                  ends.max(axis=0) - ends.min(axis=0))
+
+    def test_turn_signs_are_exact(self):
+        # against rational arithmetic, on points spanning the exponent range
+        # and on points rounded onto a line
+        from fractions import Fraction
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            p, c, r = (rng.standard_normal(2) * 10.0 ** rng.integers(-300, 1, 2)
+                       for _ in range(3))
+            if rng.random() < 0.5:
+                r = p + (c - p) * rng.random()
+            px, py, cx, cy, rx, ry = map(Fraction, (*p, *c, *r))
+            det = (cx - px) * (ry - py) - (cy - py) * (rx - px)
+            assert _turn_sign(p, c, r) == (det > 0) - (det < 0)
+        assert _turn_sign(np.zeros(2), np.array([5e-324, 0.0]), np.array([0.0, 5e-324])) == 1.0
 
     def test_nearly_collinear_points_close(self):
         # rounded orientation signs leave such walks open; exact ones close them

@@ -31,6 +31,7 @@ from funvol.subspaces import (
     restrict_function,
     sample_grassmann,
     sample_rotation,
+    whole_space,
 )
 
 
@@ -130,17 +131,27 @@ class TestBatchedDraw:
                 _check_orthonormal(bad[:, :, :2], bad[:, :, 2:])
 
 
-CUBATURE_NK = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 4)]
+CUBATURE_NK = [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+# the Grassmannians the average takes without sampling: the cubature's lines
+# and hyperplanes, and the whole space
+DETERMINISTIC_NK = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 4)]
+
+
+def _deterministic_planes(n, k, level):
+    """The planes and weights the Grassmannian average takes on G(n, k) at a
+    level: the cubature rule, or R^n itself as one plane of weight 1."""
+    return (whole_space(n), np.ones(1)) if k == n else grassmann_cubature(n, k, level)
 
 
 class TestGrassmannCubature:
-    """Lines and hyperplanes from the directions of a sphere rule."""
+    """Lines and hyperplanes from the directions of a sphere rule, and the
+    whole space as one plane."""
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n,k", CUBATURE_NK)
+    @pytest.mark.parametrize("n,k", DETERMINISTIC_NK)
     def test_weights_and_second_moment(self, n, k, level):
         # E |P_E x|^2 = k / n for every unit x under the Haar measure on G(n, k)
-        planes, weights = grassmann_cubature(n, k, level)
+        planes, weights = _deterministic_planes(n, k, level)
         assert len(planes) == len(weights)
         assert abs(weights.sum() - 1.0) <= 1e-14
         assert np.all(weights > 0)
@@ -150,9 +161,9 @@ class TestGrassmannCubature:
             shadow = np.sum((x @ frames) ** 2, axis=1)
             assert abs(weights @ shadow - k / n) <= 1e-14
 
-    @pytest.mark.parametrize("n,k", CUBATURE_NK)
+    @pytest.mark.parametrize("n,k", DETERMINISTIC_NK)
     def test_planes_are_checked_frames(self, n, k):
-        planes, _ = grassmann_cubature(n, k, 2)
+        planes, _ = _deterministic_planes(n, k, 2)
         for e in planes:
             assert (e.n, e.k) == (n, k)
             q = np.concatenate([e.frame, e.complement], axis=1)
@@ -166,7 +177,7 @@ class TestGrassmannCubature:
         dirs, wts = sphere_rule(n, 2)
         half = len(wts) // 2
         lines, weights = grassmann_cubature(n, 1, 2)
-        normals, _ = grassmann_cubature(n, max(n - 1, 2), 2)
+        normals, _ = grassmann_cubature(n, n - 1, 2)
         assert len(lines) == len(normals) == half
         assert np.array_equal(weights, wts[:half] / wts[:half].sum())
         for d, line, normal in zip(dirs, lines, normals):
@@ -175,7 +186,8 @@ class TestGrassmannCubature:
                 assert np.abs(normal.frame.T @ d).max() <= 1e-15
                 assert np.abs(np.abs(normal.complement[:, 0] @ d) - 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 4), (6, 3), (3, 0), (1, 1)])
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 1), (5, 4), (6, 3), (3, 0), (1, 1),
+                                     (2, 2), (3, 3), (4, 4)])
     def test_unsupported(self, n, k):
         assert not cubature_covers(n, k)
         with pytest.raises(UnsupportedVariant, match="cubature"):

@@ -586,6 +586,25 @@ class TestCubatureErrorRule:
         assert (r.value, r.error) == (again.value, again.error)
         assert abs(r.value - expect) <= r.error
 
+    @pytest.mark.parametrize("body", [Box([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0)]),
+                                      Box([(0.0, 1.0), (0.0, 0.0), (0.0, 2.0)])],
+                             ids=["segment", "flat_box"])
+    def test_flat_shadows_raise_on_every_route(self, body):
+        # a segment's 2-d shadows are all flat, and the flat box's are on a
+        # level-1 plane through its normal: no route averages over them, the
+        # stacked shadows of the classical check and of the Cauchy-Kubota
+        # route raise as the per-plane projections of the general route do
+        for route in (lambda: classical_ck_check(body, 1, 2, 20, Rng(0)),
+                      lambda: eval_cauchy_kubota(ValuationSpec(2, 3, TENT), Indicator(body),
+                                                 20, Rng(0)),
+                      lambda: eval_ck_general(ValuationSpec(1, 3, TENT), Indicator(body), 2,
+                                              20, Rng(0))):
+            with pytest.raises(ValueError, match="collinear"):
+                route()
+        # on lines every shadow is an interval
+        lines = classical_ck_check(body, 1, 1, 20, Rng(0))
+        assert lines.difference <= lines.error
+
 
 class TestMonteCarloPins:
     """Monte Carlo averages at a fixed seed, pinned bit for bit (float.hex).
