@@ -90,20 +90,23 @@ def _cmd_compute(args) -> int:
     zeta = weight_from_spec(_load_json(args.zeta))
     rng = Rng(args.seed)
     spec = ValuationSpec(args.j, u.n, zeta)
-    if args.method == "smooth":
-        result = eval_smooth(spec, u)
-    elif args.method == "ck":
-        result = eval_cauchy_kubota(spec, u, args.samples, rng)
-    elif args.method == "ck-general":
-        if args.k is None:
-            raise SchemaError("method ck-general requires --k")
-        result = eval_ck_general(spec, u, args.k, args.samples, rng)
-    elif args.method == "dual":
-        result = eval_dual(spec, u, args.dual_path, args.samples, rng)
-    elif args.method == "domain-gradient":
-        result = eval_domain_gradient(spec, u)
-    else:
-        raise SchemaError(f"unknown method {args.method!r}")
+    # a body the spec accepts may still have shadows no hull measures (a
+    # segment's 2-d shadows are flat): like a verify case, the input is at fault
+    with spec_errors(f"--function for --method {args.method}"):
+        if args.method == "smooth":
+            result = eval_smooth(spec, u)
+        elif args.method == "ck":
+            result = eval_cauchy_kubota(spec, u, args.samples, rng)
+        elif args.method == "ck-general":
+            if args.k is None:
+                raise SchemaError("method ck-general requires --k")
+            result = eval_ck_general(spec, u, args.k, args.samples, rng)
+        elif args.method == "dual":
+            result = eval_dual(spec, u, args.dual_path, args.samples, rng)
+        elif args.method == "domain-gradient":
+            result = eval_domain_gradient(spec, u)
+        else:
+            raise SchemaError(f"unknown method {args.method!r}")
     if not np.isfinite(result.value):
         raise NonConvergedError(f"the {args.method} value is not finite in double precision",
                                 result.value)

@@ -530,7 +530,8 @@ class Quadratic(ConvexFunction):
                              "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
         if eig[-1] > 1e300:  # projections f'Af would overflow
             raise ValueError("A must have eigenvalues below 1e300")
-        self.a = a
+        self.a, self.eig = a, eig
+        self._elem_sym = {}  # e_i(eig) by degree, on first use
         self.b = np.zeros(n) if b is None else _vec(b, n)
         self.c = float(c)
         if not (np.all(np.isfinite(self.b)) and math.isfinite(self.c)):
@@ -548,8 +549,9 @@ class Quadratic(ConvexFunction):
 
     def hessian_elem_sym(self, x, degree):
         pts, scalar = _points(x, self.n)
-        e = float(elem_sym_values(np.linalg.eigvalsh(self.a), degree))
-        out = np.full(len(pts), e)
+        if degree not in self._elem_sym:
+            self._elem_sym[degree] = float(elem_sym_values(self.eig, degree))
+        out = np.full(len(pts), self._elem_sym[degree])
         return float(out[0]) if scalar else out
 
     def conjugate(self):

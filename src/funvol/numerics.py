@@ -6,9 +6,13 @@ deterministic RNG.  Everything here is pure; quadrature routines report an
 error estimate alongside the value and raise :class:`NonConvergedError` when
 the fixed budget (bisection depth, panel count, angular level) runs out
 before the fixed tolerance is met.  One adaptive loop refines the panels of
-both interval and radial quadrature: interval panels carry a 31-point Gauss
-rule checked against a 16-point one, radial panels the Gauss-Kronrod 7/15
-pair with its embedded error.  A singular endpoint is graded, r = t^2, and
+both interval and radial quadrature, and each of its steps evaluates all of
+its new panels in one batch: the panels a refinement starts from, then the
+two halves of each split.  Interval panels carry a 31-point Gauss rule
+checked against a 16-point one, radial panels the Gauss-Kronrod 7/15 pair
+with its embedded error; a radial batch holds every direction of the sphere
+rule for each of its panels and reaches the integrand in calls of at most
+``_MAX_BATCH`` points.  A singular endpoint is graded, r = t^2, and
 refined by the same adaptive panels as the rest of the range.  Polar
 quadrature doubles the angular level from 2 until two consecutive sphere
 rules agree; every level integrates constants exactly, consecutive levels are
@@ -93,7 +97,7 @@ _ABS_TOL = 1e-10       # a refinement stops once its error is at most
 _REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
 _LEVEL = 4             # first fine angular level of polar quadrature
 _MAX_LEVEL = 64        # angular level budget of polar quadrature
-_MAX_BATCH = 1 << 18   # integrand points per call of polar quadrature
+_MAX_BATCH = 1 << 14   # integrand points per call of polar quadrature
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): the nonnegative
 # Kronrod abscissae in decreasing order, their weights, and the weights of
@@ -142,6 +146,9 @@ def _kronrod_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, np.concatenate([wk[:-1], wk[::-1]]), np.concatenate([wg[:-1], wg[::-1]])
 
 
+_KRONROD = _kronrod_pair()  # built once, shared by every polar panel
+
+
 class _CountingFn:
     """Wraps a vectorized integrand and counts the points it is called at."""
 
@@ -154,20 +161,22 @@ class _CountingFn:
         return np.asarray(self.f(x), dtype=float)
 
 
-def _refine(panel, leaves, fn: _CountingFn, what: str):
+def _refine(panels, leaves, fn: _CountingFn, what: str):
     """Adaptive bisection of the panels ``leaves``, a list of (a, b, depth).
 
-    ``panel(a, b)`` returns (estimate, error) on [a, b].  The panel with the
-    largest error is split until the summed error is within tolerance;
-    :class:`NonConvergedError` is raised when that panel sits at
+    ``panels(ends)`` takes a list of panel ends (a, b) and returns the lists
+    of their estimates and errors, as floats: all of ``leaves`` are
+    evaluated in one call, and so are the two halves of each split.  The
+    panel with the largest error is split until the summed error is within
+    tolerance; :class:`NonConvergedError` is raised when that panel sits at
     ``_MAX_DEPTH`` or the panel count reaches ``_MAX_PANELS``.  Returns the
     value, its error and the final panels in increasing order, with their
     depths, so a later pass over the same range can start from them.
     """
     total, total_err = 0.0, 0.0
     heap = []
-    for uid, (a, b, depth) in enumerate(leaves):
-        v, err = panel(a, b)
+    values, errors = panels([(a, b) for a, b, _ in leaves])
+    for uid, ((a, b, depth), v, err) in enumerate(zip(leaves, values, errors)):
         total += v
         total_err += err
         heapq.heappush(heap, (-err, uid, depth, a, b, v, err))
@@ -179,14 +188,20 @@ def _refine(panel, leaves, fn: _CountingFn, what: str):
                 f"{what} did not converge at depth {depth} with {len(heap) + 1} "
                 f"panels (error {total_err:.3e})", total, total_err, fn.count)
         mid = 0.5 * (a + b)
-        lv, le = panel(a, mid)
-        rv, re = panel(mid, b)
+        (lv, rv), (le, re) = panels([(a, mid), (mid, b)])
         total += lv + rv - v
         total_err += le + re - err
         heapq.heappush(heap, (-le, uid, depth + 1, a, mid, lv, le))
         heapq.heappush(heap, (-re, uid + 1, depth + 1, mid, b, rv, re))
         uid += 2
     return total, total_err, sorted((a, b, depth) for _, _, depth, a, b, _, _ in heap)
+
+
+def _panel_nodes(ends, nodes: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """The half-widths of the panels ``ends``, a list of (a, b), and one row
+    per panel of the rule ``nodes`` on [-1, 1] mapped onto it."""
+    halves = [0.5 * (b - a) for a, b in ends]
+    return halves, np.array([[0.5 * (a + b)] for a, b in ends]) + np.array(halves)[:, None] * nodes
 
 
 def integrate_interval(f, a: float, b: float, *,
@@ -207,19 +222,19 @@ def integrate_interval(f, a: float, b: float, *,
     nodes, w_hi, w_lo = _gauss_pair(_INTERVAL_ORDER)
     width = b - a
 
-    def panel(pa: float, pb: float) -> tuple[float, float]:
-        half, mid = 0.5 * (pb - pa), 0.5 * (pa + pb)
-        t = mid + half * nodes
+    def panels(ends):
+        halves, t = _panel_nodes(ends, nodes)
         if singular_left:
-            vals = fn(a + width * t ** _GRADE) * (width * _GRADE * t ** (_GRADE - 1))
+            vals = fn((a + width * t ** _GRADE).ravel()).reshape(t.shape) \
+                * (width * _GRADE * t ** (_GRADE - 1))
         else:
-            vals = fn(t)
-        hi = half * float(vals[:_INTERVAL_ORDER] @ w_hi)
-        lo = half * float(vals[_INTERVAL_ORDER:] @ w_lo)
-        return hi, abs(hi - lo)
+            vals = fn(t.ravel()).reshape(t.shape)
+        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
+        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
+        return hi, [abs(x - y) for x, y in zip(hi, lo)]
 
     leaves = [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)]
-    value, error, _ = _refine(panel, leaves, fn, f"interval quadrature on [{a}, {b}]")
+    value, error, _ = _refine(panels, leaves, fn, f"interval quadrature on [{a}, {b}]")
     return QuadratureResult(value, error, fn.count)
 
 
@@ -304,12 +319,17 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     """Polar quadrature around the origin when the integrand's radial kinks sit
     at shared ratios.
 
-    With r = R(direction) * tau, panels in tau are identical across rays, so a
-    whole sphere rule is evaluated in a handful of batched integrand calls of
-    at most ``_MAX_BATCH`` points each.  With ``singular_center`` the graded substitution tau = t^2 (break ratios
-    mapped to their square roots) clusters the nodes at the center.  Panels
-    carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the embedded
-    error |K15 - G7|, and are refined by the same adaptive loop as
+    With r = R(direction) * tau, panels in tau are identical across rays.
+    Each refinement step evaluates all of its new panels over the whole
+    sphere rule in one bounded batch: its (panel, direction) pairs, panel
+    by panel, reach the integrand in calls of at most ``_MAX_BATCH`` points,
+    and each panel is reduced over its own directions once they are in.
+    ``f`` must not keep the (m, n) point array it is called on: the next
+    call may write over it.
+    With ``singular_center`` the graded substitution tau = t^2 (break
+    ratios mapped to their square roots) clusters the nodes at the center.
+    Panels carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the
+    embedded error |K15 - G7|, and are refined by the same adaptive loop as
     intervals, on the shared grid (aggregated error).  The angular level
     doubles from ``_LEVEL // 2`` until consecutive sphere rules agree; each
     level starts from the radial panels the previous one ended with and
@@ -321,28 +341,41 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     grade = _GRADE if singular_center else 1
     edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
         {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
-    nodes, w_k, w_g = _kronrod_pair()
-    step = max(1, _MAX_BATCH // len(nodes))  # directions per integrand call
+    nodes, w_k, w_g = _KRONROD
+    step = max(1, _MAX_BATCH // len(nodes))  # (panel, direction) pairs per integrand call
 
     def run(lv: int, leaves):
         dirs, wts = sphere_rule(n, lv)
         radii = r_max(dirs) if callable(r_max) else np.full(len(dirs), float(r_max))
         scale = wts * radii ** n  # substitution r = R * tau
+        block = np.empty((len(dirs), len(nodes)))  # one panel's values
 
-        def panel(a: float, b: float) -> tuple[float, float]:
-            half, mid = 0.5 * (b - a), 0.5 * (a + b)
-            t = mid + half * nodes
+        def panels(ends):
+            halves, t = _panel_nodes(ends, nodes)
             tau = t ** grade
-            vals = np.concatenate([
-                fn(((radii[i:i + step, None] * tau)[:, :, None]
-                    * dirs[i:i + step, None, :]).reshape(-1, n))
-                for i in range(0, len(dirs), step)]).reshape(len(dirs), len(t))
-            vals = vals * (tau ** (n - 1) * (grade * t ** (grade - 1)))[None, :]
-            hi = half * float(scale @ (vals @ w_k))
-            lo = half * float(scale @ (vals[:, 1::2] @ w_g))
-            return hi, abs(hi - lo)
+            jac = tau ** (n - 1) * (grade * t ** (grade - 1))
+            hi, lo = [], []
+            # the (panel, direction) pairs, panel-major, in calls of at most
+            # `step` pairs; a panel is reduced once its block is complete
+            d = len(dirs)
+            pts = np.empty((min(step, len(ends) * d), len(nodes), n))  # one call's points
+            for start in range(0, len(ends) * d, step):
+                stop = min(start + step, len(ends) * d)
+                pieces = [(q, max(start - q * d, 0), min(stop - q * d, d))
+                          for q in range(start // d, (stop - 1) // d + 1)]
+                for q, i, j in pieces:
+                    np.multiply((radii[i:j, None] * tau[q])[:, :, None], dirs[i:j, None, :],
+                                out=pts[q * d + i - start:q * d + j - start])
+                vals = fn(pts[:stop - start].reshape(-1, n)).reshape(stop - start, -1)
+                for q, i, j in pieces:
+                    np.multiply(vals[q * d + i - start:q * d + j - start], jac[q],
+                                out=block[i:j])
+                    if j == d:
+                        hi.append(halves[q] * float(scale @ (block @ w_k)))
+                        lo.append(halves[q] * float(scale @ (block[:, 1::2] @ w_g)))
+            return hi, [abs(x - y) for x, y in zip(hi, lo)]
 
-        return _refine(panel, leaves, fn, "radial refinement")
+        return _refine(panels, leaves, fn, "radial refinement")
 
     leaves = [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])]
     if n == 1:

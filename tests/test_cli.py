@@ -787,6 +787,23 @@ class TestSpecFuzz:
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("method,j,k", [("ck", "2", None), ("ck", "3", None),
+                                            ("ck-general", "1", "2")],
+                             ids=["ck_j2", "ck_j3", "ck_general_k2"])
+    def test_segment_shadows_exit_2(self, tmp_path, fuzz_files, method, j, k):
+        # the box spec of a segment is accepted, but its 2- and 3-d shadows are
+        # flat and no hull measures them
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"type": "indicator", "body": {
+            "type": "box", "intervals": [[0, 1], [0, 0], [0, 0]]}}))
+        argv = ["compute", "--function", str(path), "--zeta", fuzz_files["tent"],
+                "--method", method, "--j", j, "--samples", "8"]
+        code, out, err = run_captured(argv + (["--k", k] if k else []))
+        assert code == 2 and "Traceback" not in err
+        payload = json.loads(out)  # all of stdout is one JSON object
+        assert list(payload) == ["error"] and payload["error"]["type"] == "SchemaError"
+        assert "full-dimensional" in payload["error"]["message"]
+
 
 class TestGrassmannianAverage:
     """compute takes the cubature on lines and hyperplanes in n <= 4, and

@@ -19,7 +19,7 @@ from funvol.numerics import (
     sphere_rule_size,
     standard_normals,
 )
-from funvol.valuations import ValuationSpec, eval_smooth
+from funvol.valuations import ValuationSpec, eval_dual, eval_smooth
 from funvol.weights import Bump, Tent
 
 
@@ -205,7 +205,7 @@ class TestAngularAliasing:
         # a rule whose directions alias the harmonic must not report convergence
         def f(x):
             # level 32 at n = 4 holds 524,288 directions; they come in bounded batches
-            assert len(x) <= 1 << 18
+            assert len(x) <= numerics._MAX_BATCH
             return 1.0 + ((x[:, 0] + 1j * x[:, 1]) ** m).real
 
         try:
@@ -237,17 +237,17 @@ class TestKronrodPanels:
     def test_refine_resumes_from_its_panels(self):
         calls = []
 
-        def panel(a, b):
-            calls.append((a, b))
-            return b - a, (b - a) ** 2 * 1e-6
+        def panels(ends):
+            calls.append(ends)
+            return [b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends]
 
         fn = numerics._CountingFn(None)
-        value, _, leaves = numerics._refine(panel, [(0.0, 1.0, 0)], fn, "test")
+        value, _, leaves = numerics._refine(panels, [(0.0, 1.0, 0)], fn, "test")
         assert len(leaves) > 500 and max(d for _, _, d in leaves) == 10
         calls.clear()
-        again, _, resumed = numerics._refine(panel, leaves, fn, "test")
-        # a converged grid is evaluated once more, at its leaves only
-        assert calls == [(a, b) for a, b, _ in leaves]
+        again, _, resumed = numerics._refine(panels, leaves, fn, "test")
+        # a converged grid is evaluated once more, at its leaves only, in one call
+        assert calls == [[(a, b) for a, b, _ in leaves]]
         assert resumed == leaves and again == pytest.approx(value, rel=1e-14)
 
 
@@ -265,6 +265,60 @@ class TestPolarWork:
         first, second = eval_smooth(spec, u), eval_smooth(spec, u)
         assert first.integrand_evals == second.integrand_evals
         assert (first.value, first.error) == (second.value, second.error)
+
+    @staticmethod
+    def _call_sizes(monkeypatch):
+        sizes = []
+        count = numerics._CountingFn.__call__
+
+        def counted(self, x):
+            sizes.append(len(x))
+            return count(self, x)
+
+        monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
+        return sizes
+
+    def test_one_integrand_call_per_refinement_step(self, monkeypatch):
+        # every refinement evaluates its starting leaves in one batch, and the
+        # two halves of each split in one more; a batch takes more than one
+        # call only where its points exceed the _MAX_BATCH budget
+        sizes = self._call_sizes(monkeypatch)
+        batches = []  # the number of calls before each refinement step
+        refine, heappop = numerics._refine, numerics.heapq.heappop
+
+        def counted_refine(*args):
+            batches.append(len(sizes))
+            return refine(*args)
+
+        def counted_heappop(heap):
+            batches.append(len(sizes))
+            return heappop(heap)
+
+        monkeypatch.setattr(numerics, "_refine", counted_refine)
+        monkeypatch.setattr(numerics.heapq, "heappop", counted_heappop)
+        res = eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                          Quadratic(np.diag([1.0, 0.5, 0.25])))
+        # levels 2 and 4, nine splits at level 2, and the 11 panels of level 4
+        # in two calls
+        assert len(batches) == 11 and len(sizes) == 12
+        budget = numerics._MAX_BATCH // 15 * 15
+        for first, last in zip(batches, batches[1:] + [len(sizes)]):
+            assert last - first == math.ceil(sum(sizes[first:last]) / budget)
+        assert sum(sizes) == res.integrand_evals
+        # the value, error and count of the per-panel evaluation, bit for bit
+        assert (res.value.hex(), res.error.hex(), res.integrand_evals) == (
+            "0x1.0d4c4618dfecep+3", "0x1.fd978371d4000p-31", 30720)
+
+    def test_batches_stay_bounded(self, monkeypatch):
+        # the n = 4 Bump dual integral takes 10 radial panels into level 4,
+        # one batch of 153,600 points (1,024 directions x 15 nodes a panel);
+        # its calls of at most _MAX_BATCH points bound the memory it holds,
+        # and are filled across panel boundaries
+        sizes = self._call_sizes(monkeypatch)
+        res = eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)),
+                        Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
+        assert sum(sizes) == res.integrand_evals == 188_160
+        assert 1024 * 15 < max(sizes) <= numerics._MAX_BATCH
 
 
 class TestBudgetsRaise:
