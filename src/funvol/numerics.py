@@ -5,21 +5,24 @@ functions of eigenvalues, unit-ball volumes, and a counter-based
 deterministic RNG.  Everything here is pure; quadrature routines report an
 error estimate alongside the value and raise :class:`NonConvergedError` when
 the fixed budget (bisection depth, panel count, angular level) runs out
-before the fixed tolerance is met.  One adaptive loop refines the panels of
-both interval and radial quadrature, and each of its steps evaluates all of
-its new panels in one batch: the panels a refinement starts from, then the
-two halves of each split.  Interval panels carry a 31-point Gauss rule
-checked against a 16-point one, radial panels the Gauss-Kronrod 7/15 pair
-with its embedded error; a radial batch holds every direction of the sphere
-rule for each of its panels and reaches the integrand in calls of at most
-``_MAX_BATCH`` points.  A singular endpoint is graded, r = t^2, and
-refined by the same adaptive panels as the rest of the range.  Polar
-quadrature doubles the angular level from 2 until two consecutive sphere
-rules agree; every level integrates constants exactly, consecutive levels are
-turned against each other so that they cannot alias together, and each
-level starts from the radial panels the previous one ended with.  Sphere
-rules, and so polar quadrature, cover n <= 4; a larger n is an
-:class:`UnsupportedVariant`.
+before the fixed tolerance is met.  One adaptive loop, :func:`_refine`,
+refines the panels of both interval and radial quadrature, for a stack of
+integrals in lockstep: each step evaluates the new panels of every member
+still refining in one batch, the panels a member starts from or the two
+halves of its split, while each member keeps its own heap, sums and split
+order.  Interval quadrature is a stack of one.  Interval panels carry a
+31-point Gauss rule checked against a 16-point one, radial panels the
+Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds every
+direction of each member's sphere rule for each of its panels and reaches
+the integrand in calls of at most ``_MAX_BATCH`` points.  A singular
+endpoint is graded, r = t^2, and refined by the same adaptive panels as the
+rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
+:func:`integrate_polar_separable` on a stack of one) doubles each member's
+angular level from 2 until two of its consecutive sphere rules agree; every
+level integrates constants exactly, consecutive levels are turned against
+each other so that they cannot alias together, and each level starts from
+the radial panels the previous one ended with.  Sphere rules, and so polar
+quadrature, cover n <= 4; a larger n is an :class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ __all__ = [
     "QuadratureResult",
     "integrate_interval",
     "integrate_polar_separable",
+    "integrate_polar_stack",
     "sphere_rule",
     "sphere_rule_size",
     "Rng",
@@ -150,51 +154,101 @@ _KRONROD = _kronrod_pair()  # built once, shared by every polar panel
 
 
 class _CountingFn:
-    """Wraps a vectorized integrand and counts the points it is called at."""
+    """Wraps a stack integrand ``f(x, owners)`` and counts, per member of the
+    stack, the points it is called at.
 
-    def __init__(self, f):
+    ``owners`` lists the (member, start, stop) row ranges of the points of
+    the next call, in increasing order; the caller sets it before each call.
+    """
+
+    def __init__(self, f, size: int):
         self.f = f
-        self.count = 0
+        self.counts = [0] * size
+        self.owners = []
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.count += len(x)
-        return np.asarray(self.f(x), dtype=float)
+        for m, start, stop in self.owners:
+            self.counts[m] += stop - start
+        return np.asarray(self.f(x, self.owners), dtype=float)
 
 
-def _refine(panels, leaves, fn: _CountingFn, what: str):
-    """Adaptive bisection of the panels ``leaves``, a list of (a, b, depth).
+class _Run:
+    """One member of a lockstep refinement (see :func:`_refine`): its index
+    in the stack, the panels its next pass starts from, and the heap,
+    running sums and pending split of the pass in progress."""
 
-    ``panels(ends)`` takes a list of panel ends (a, b) and returns the lists
-    of their estimates and errors, as floats: all of ``leaves`` are
-    evaluated in one call, and so are the two halves of each split.  The
-    panel with the largest error is split until the summed error is within
-    tolerance; :class:`NonConvergedError` is raised when that panel sits at
-    ``_MAX_DEPTH`` or the panel count reaches ``_MAX_PANELS``.  Returns the
-    value, its error and the final panels in increasing order, with their
-    depths, so a later pass over the same range can start from them.
+    __slots__ = ("index", "leaves", "heap", "total", "total_err", "uid", "split", "failure")
+
+    def __init__(self, index: int, leaves):
+        self.index = index
+        self.leaves = leaves
+        self.failure = None
+
+
+def _refine(panels, runs, fn: _CountingFn, what: str):
+    """Adaptive bisection of the stack ``runs`` in lockstep, until one stops.
+
+    A run that holds ``leaves``, a list of (a, b, depth), starts a pass
+    from them; every other run splits the panel of its pass with the
+    largest error.  Each step hands ``panels`` the new panels of the whole
+    stack in one batch, a list of (run, ends) with ``ends`` a list of panel
+    ends (a, b): the leaves of a starting run, or the two halves of a split.
+    ``panels`` returns, per entry, the lists of their estimates and errors,
+    as floats.
+
+    A run stops once its summed error is within tolerance.  It then holds
+    its value ``total``, its error ``total_err`` and its final panels as
+    ``leaves``, in increasing order and with their depths, so a later pass
+    over the same range starts from them.  A run also stops, with a
+    :class:`NonConvergedError` as ``failure``, when the panel it would
+    split sits at ``_MAX_DEPTH`` or its panel count reaches
+    ``_MAX_PANELS``; the runs after it take no part in that step.  Each
+    run's arithmetic and split order are those of a refinement alone.
+    Returns the runs that stopped, in stack order, at the first step where
+    any did.
     """
-    total, total_err = 0.0, 0.0
-    heap = []
-    values, errors = panels([(a, b) for a, b, _ in leaves])
-    for uid, ((a, b, depth), v, err) in enumerate(zip(leaves, values, errors)):
-        total += v
-        total_err += err
-        heapq.heappush(heap, (-err, uid, depth, a, b, v, err))
-    uid = len(heap)
-    while total_err > max(_ABS_TOL, _REL_TOL * abs(total)):
-        _, _, depth, a, b, v, err = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH or len(heap) >= _MAX_PANELS:
-            raise NonConvergedError(
-                f"{what} did not converge at depth {depth} with {len(heap) + 1} "
-                f"panels (error {total_err:.3e})", total, total_err, fn.count)
-        mid = 0.5 * (a + b)
-        (lv, rv), (le, re) = panels([(a, mid), (mid, b)])
-        total += lv + rv - v
-        total_err += le + re - err
-        heapq.heappush(heap, (-le, uid, depth + 1, a, mid, lv, le))
-        heapq.heappush(heap, (-re, uid + 1, depth + 1, mid, b, rv, re))
-        uid += 2
-    return total, total_err, sorted((a, b, depth) for _, _, depth, a, b, _, _ in heap)
+    while True:
+        stopped = [r for r in runs if r.failure is not None or (
+            r.leaves is None and r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)))]
+        if stopped:
+            for r in stopped:
+                if r.failure is None:
+                    r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _ in r.heap)
+            return stopped
+        batch = []
+        for r in runs:
+            if r.leaves is not None:
+                batch.append((r, [(a, b) for a, b, _ in r.leaves]))
+                continue
+            _, _, depth, a, b, v, err = heapq.heappop(r.heap)
+            if depth >= _MAX_DEPTH or len(r.heap) >= _MAX_PANELS:
+                r.failure = NonConvergedError(
+                    f"{what} did not converge at depth {depth} with {len(r.heap) + 1} "
+                    f"panels (error {r.total_err:.3e})", r.total, r.total_err,
+                    fn.counts[r.index])
+                break
+            r.split = (depth, v, err)
+            mid = 0.5 * (a + b)
+            batch.append((r, [(a, mid), (mid, b)]))
+        if not batch:
+            continue
+        for (r, ends), (values, errors) in zip(batch, panels(batch)):
+            if r.leaves is None:
+                depth, v, err = r.split
+                (a, mid), (_, b) = ends
+                (lv, rv), (le, re) = values, errors
+                r.total += lv + rv - v
+                r.total_err += le + re - err
+                heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, le))
+                heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, re))
+                r.uid += 2
+                continue
+            r.total, r.total_err, r.heap = 0.0, 0.0, []
+            for uid, ((a, b, depth), v, err) in enumerate(zip(r.leaves, values, errors)):
+                r.total += v
+                r.total_err += err
+                heapq.heappush(r.heap, (-err, uid, depth, a, b, v, err))
+            r.uid, r.leaves = len(r.heap), None
 
 
 def _panel_nodes(ends, nodes: np.ndarray) -> tuple[list[float], np.ndarray]:
@@ -218,12 +272,14 @@ def integrate_interval(f, a: float, b: float, *,
         raise ValueError(f"interval quadrature needs finite bounds, got [{a}, {b}]")
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
-    fn = _CountingFn(f)
+    fn = _CountingFn(lambda x, owners: f(x), 1)
     nodes, w_hi, w_lo = _gauss_pair(_INTERVAL_ORDER)
     width = b - a
 
-    def panels(ends):
+    def panels(batch):
+        ((_, ends),) = batch
         halves, t = _panel_nodes(ends, nodes)
+        fn.owners = [(0, 0, t.size)]
         if singular_left:
             vals = fn((a + width * t ** _GRADE).ravel()).reshape(t.shape) \
                 * (width * _GRADE * t ** (_GRADE - 1))
@@ -231,11 +287,13 @@ def integrate_interval(f, a: float, b: float, *,
             vals = fn(t.ravel()).reshape(t.shape)
         hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
         lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
-        return hi, [abs(x - y) for x, y in zip(hi, lo)]
+        return [(hi, [abs(x - y) for x, y in zip(hi, lo)])]
 
-    leaves = [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)]
-    value, error, _ = _refine(panels, leaves, fn, f"interval quadrature on [{a}, {b}]")
-    return QuadratureResult(value, error, fn.count)
+    run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
+    _refine(panels, [run], fn, f"interval quadrature on [{a}, {b}]")
+    if run.failure is not None:
+        raise run.failure
+    return QuadratureResult(run.total, run.total_err, fn.counts[0])
 
 
 # -- sphere rules and polar quadrature --------------------------------------
@@ -314,10 +372,178 @@ def sphere_rule_size(n: int, level: int) -> int:
     return 2 ** n * level ** (n - 1)
 
 
+def _kronrod_sums(values: np.ndarray, scales: np.ndarray, halves) -> tuple[list, list]:
+    """The Kronrod and embedded Gauss estimates of G radial panels on one
+    sphere rule, as lists of floats: ``values`` (G, D, 15) at each panel's
+    directions and nodes, ``scales`` (G, D) each direction's weight times
+    R^n, ``halves`` the panels' half-widths.  Panel g gives ``halves[g] *
+    (scales[g] @ (values[g] @ w))``, as if reduced on its own: numpy's
+    stacked matmul runs the same kernel on each slice."""
+    _, w_k, w_g = _KRONROD
+    kronrod = np.matmul(scales[:, None, :], (values @ w_k)[:, :, None])[:, 0, 0]
+    gauss = np.matmul(scales[:, None, :], (values[:, :, 1::2] @ w_g)[:, :, None])[:, 0, 0]
+    halves = np.array(halves)
+    return (halves * kronrod).tolist(), (halves * gauss).tolist()
+
+
+class _PolarRun(_Run):
+    """A member of a polar stack: a :class:`_Run` in tau with its ray
+    radius ``r_max``, the sphere rule of the angular level of its pass, and
+    the estimate of its previous level."""
+
+    __slots__ = ("r_max", "prev", "level", "dirs", "radii", "scale")
+
+    def __init__(self, index: int, leaves, r_max):
+        super().__init__(index, leaves)
+        self.r_max, self.prev = r_max, None
+
+    def start(self, n: int, level: int) -> None:
+        """Take the sphere rule of ``level`` for the pass from ``leaves``."""
+        self.level = level
+        self.dirs, wts = sphere_rule(n, level)
+        r_max = self.r_max
+        self.radii = r_max(self.dirs) if callable(r_max) else np.full(len(self.dirs), float(r_max))
+        self.scale = wts * self.radii ** n  # substitution r = R * tau
+
+    def settle(self, n: int, evaluations: int) -> QuadratureResult | None:
+        """After a converged pass: the result once two consecutive levels
+        agree (at once for n = 1), else None with the next level started.
+        At ``_MAX_LEVEL`` without agreement, ``failure`` is set instead."""
+        if n == 1:
+            return QuadratureResult(self.total, self.total_err, evaluations)
+        if self.prev is not None:
+            ang_err = abs(self.total - self.prev)
+            if ang_err <= max(_ABS_TOL, _REL_TOL * abs(self.total)):
+                return QuadratureResult(self.total, self.total_err + ang_err, evaluations)
+            if self.level >= _MAX_LEVEL:
+                self.failure = NonConvergedError(
+                    f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
+                    self.total, self.total_err + ang_err, evaluations)
+                return None
+        level = _LEVEL if self.prev is None else 2 * self.level
+        self.prev = self.total
+        self.start(n, level)
+        return None
+
+
+def integrate_polar_stack(f, n: int, members, singular_center: bool) -> list[QuadratureResult]:
+    """Polar quadrature of a stack of integrals over R^n in lockstep, one per
+    member ``(r_max, break_ratios)``, each as :func:`integrate_polar_separable`
+    would give it alone, bit for bit.
+
+    ``f(x, owners)`` evaluates the integrands of the whole stack at once: the
+    points ``x`` are (m, n) rows, and ``owners`` lists the (member, start,
+    stop) row ranges of each member's points, in increasing order.  Each
+    member keeps its own break ratios, radial panels, angular level and
+    sums; every refinement step puts the new panels of every member still
+    refining, a level's starting panels among them, into one batch, which
+    reaches ``f`` in calls of at most ``_MAX_BATCH`` points.  A member drops
+    out once two of its consecutive levels agree.  ``singular_center``
+    holds for every member.  Where a member's budget runs out, the members
+    after it in the stack are dropped, and the :class:`NonConvergedError`
+    of the first member to fail is raised once the members before it are
+    done, as a plane-by-plane loop would raise it.
+    """
+    fn = _CountingFn(f, len(members))
+    grade = _GRADE if singular_center else 1
+    nodes = _KRONROD[0]
+    step = max(1, _MAX_BATCH // len(nodes))  # (panel, direction) pairs per integrand call
+
+    def panels(batch):
+        halves, t = _panel_nodes([e for _, ends in batch for e in ends], nodes)
+        tau = t ** grade
+        jac = tau ** (n - 1) * (grade * t ** (grade - 1))
+        owner = [r for r, ends in batch for _ in ends]  # the run of each panel
+        # the (panel, direction) pairs, panel-major, cut into calls of at
+        # most `step` pairs; a panel is reduced once all its values are in
+        calls, room = [[]], step
+        for q, r in enumerate(owner):
+            d, i = len(r.dirs), 0
+            while i < d:
+                if not room:
+                    calls.append([])
+                    room = step
+                j = min(d, i + room)
+                calls[-1].append((q, r, i, j))
+                room -= j - i
+                i = j
+        pts = np.empty((step - room if len(calls) == 1 else step, len(nodes), n))
+        carry = np.empty((max(len(r.dirs) for r in owner), len(nodes)))  # a panel cut by a call
+        hi, lo = [], []
+
+        def reduce(values, done):  # the complete panels done = [(q, run)]
+            h, g = _kronrod_sums(values, np.stack([r.scale for _, r in done]),
+                                 [halves[q] for q, _ in done])
+            hi.extend(h)
+            lo.extend(g)
+
+        for pieces in calls:
+            rows = np.repeat([q for q, _, _, _ in pieces], [j - i for _, _, i, j in pieces])
+            x = pts[:len(rows)]
+            np.multiply((np.concatenate([r.radii[i:j] for _, r, i, j in pieces])[:, None]
+                         * tau[rows])[:, :, None],
+                        np.concatenate([r.dirs[i:j] for _, r, i, j in pieces])[:, None, :],
+                        out=x)
+            ranges, fill = [], 0
+            for _, r, i, j in pieces:
+                if ranges and ranges[-1][0] == r.index:
+                    ranges[-1][2] = (fill + j - i) * len(nodes)
+                else:
+                    ranges.append([r.index, fill * len(nodes), (fill + j - i) * len(nodes)])
+                fill += j - i
+            fn.owners = ranges
+            vals = fn(x.reshape(-1, n)).reshape(len(rows), -1) * jac[rows]
+            # reduce adjacent whole panels on one sphere rule together, in
+            # place, and a panel cut by a call once carry holds all of it
+            fill, first, whole = 0, 0, []
+            for q, r, i, j in pieces:
+                d = len(r.dirs)
+                if whole and (j - i < d or whole[0][1].dirs is not r.dirs):
+                    reduce(vals[first:fill].reshape(len(whole), -1, len(nodes)), whole)
+                    whole = []
+                if j - i < d:
+                    carry[i:j] = vals[fill:fill + j - i]
+                    if j == d:
+                        reduce(carry[None, :d], [(q, r)])
+                else:
+                    first = first if whole else fill
+                    whole.append((q, r))
+                fill += j - i
+            if whole:
+                reduce(vals[first:fill].reshape(len(whole), -1, len(nodes)), whole)
+        out, q = [], 0
+        for _, ends in batch:
+            h, l = hi[q:q + len(ends)], lo[q:q + len(ends)]
+            out.append((h, [abs(x - y) for x, y in zip(h, l)]))
+            q += len(ends)
+        return out
+
+    runs = []
+    for index, (r_max, break_ratios) in enumerate(members):
+        edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
+            {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
+        run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])], r_max)
+        run.start(n, 1 if n == 1 else _LEVEL // 2)
+        runs.append(run)
+    results, failure = [None] * len(members), None
+    while runs:
+        for r in _refine(panels, runs, fn, "radial refinement"):
+            if r.failure is None:
+                results[r.index] = r.settle(n, fn.counts[r.index])
+            if r.failure is not None:
+                failure, runs = r.failure, runs[:runs.index(r)]
+                break
+            if results[r.index] is not None:
+                runs.remove(r)
+    if failure is not None:
+        raise failure
+    return results
+
+
 def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
                               singular_center: bool = False) -> QuadratureResult:
     """Polar quadrature around the origin when the integrand's radial kinks sit
-    at shared ratios.
+    at shared ratios: :func:`integrate_polar_stack` on a stack of one.
 
     With r = R(direction) * tau, panels in tau are identical across rays.
     Each refinement step evaluates all of its new panels over the whole
@@ -337,63 +563,8 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     reaches ``_MAX_DEPTH`` or the level reaches ``_MAX_LEVEL`` without
     agreement.
     """
-    fn = _CountingFn(f)
-    grade = _GRADE if singular_center else 1
-    edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
-        {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
-    nodes, w_k, w_g = _KRONROD
-    step = max(1, _MAX_BATCH // len(nodes))  # (panel, direction) pairs per integrand call
-
-    def run(lv: int, leaves):
-        dirs, wts = sphere_rule(n, lv)
-        radii = r_max(dirs) if callable(r_max) else np.full(len(dirs), float(r_max))
-        scale = wts * radii ** n  # substitution r = R * tau
-        block = np.empty((len(dirs), len(nodes)))  # one panel's values
-
-        def panels(ends):
-            halves, t = _panel_nodes(ends, nodes)
-            tau = t ** grade
-            jac = tau ** (n - 1) * (grade * t ** (grade - 1))
-            hi, lo = [], []
-            # the (panel, direction) pairs, panel-major, in calls of at most
-            # `step` pairs; a panel is reduced once its block is complete
-            d = len(dirs)
-            pts = np.empty((min(step, len(ends) * d), len(nodes), n))  # one call's points
-            for start in range(0, len(ends) * d, step):
-                stop = min(start + step, len(ends) * d)
-                pieces = [(q, max(start - q * d, 0), min(stop - q * d, d))
-                          for q in range(start // d, (stop - 1) // d + 1)]
-                for q, i, j in pieces:
-                    np.multiply((radii[i:j, None] * tau[q])[:, :, None], dirs[i:j, None, :],
-                                out=pts[q * d + i - start:q * d + j - start])
-                vals = fn(pts[:stop - start].reshape(-1, n)).reshape(stop - start, -1)
-                for q, i, j in pieces:
-                    np.multiply(vals[q * d + i - start:q * d + j - start], jac[q],
-                                out=block[i:j])
-                    if j == d:
-                        hi.append(halves[q] * float(scale @ (block @ w_k)))
-                        lo.append(halves[q] * float(scale @ (block[:, 1::2] @ w_g)))
-            return hi, [abs(x - y) for x, y in zip(hi, lo)]
-
-        return _refine(panels, leaves, fn, "radial refinement")
-
-    leaves = [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])]
-    if n == 1:
-        value, error, _ = run(1, leaves)
-        return QuadratureResult(value, error, fn.count)
-    prev, _, leaves = run(_LEVEL // 2, leaves)
-    lv = _LEVEL
-    while True:
-        fine, rad_err, leaves = run(lv, leaves)
-        ang_err = abs(fine - prev)
-        if ang_err <= max(_ABS_TOL, _REL_TOL * abs(fine)):
-            return QuadratureResult(fine, rad_err + ang_err, fn.count)
-        if lv >= _MAX_LEVEL:
-            raise NonConvergedError(
-                f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
-                fine, rad_err + ang_err, fn.count)
-        prev = fine
-        lv *= 2
+    return integrate_polar_stack(lambda x, owners: f(x), n, [(r_max, break_ratios)],
+                                 singular_center)[0]
 
 
 # ---------------------------------------------------------------------------

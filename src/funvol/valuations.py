@@ -10,15 +10,20 @@ the Grassmannian routes, the error of the subspace average: the Monte Carlo
 standard error, or the level differences of a deterministic cubature.
 Every subspace average runs through :func:`_grassmann_average`, which takes
 the cubature wherever it covers the planes and Monte Carlo elsewhere, and
-hands each level or draw to its caller as one plane stack: the shadows of a
+hands each level or draw to its caller as one plane stack.  The shadows of a
 body, for indicators and the classical check, are evaluated for the whole
-stack in one numpy pass, and every other route maps its plane-by-plane
-evaluation over it.  The Cauchy-Kubota route is the general projection route
-at k = j.
+stack in one numpy pass.  Smooth projections and restrictions are realized
+for every plane of the stack and integrated as one lockstep polar stack
+(:func:`integrate_polar_stack`): gradients and Hessian terms per member,
+|grad u| and the weight once per integrand call for the whole stack.  Only
+the nested G(k, j) average of projections that are not smooth (cones,
+inf-convolutions) goes plane by plane.  The Cauchy-Kubota route is the
+general projection route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
-the weight's kink preimages per ray.
+the weight's kink preimages per ray.  A lone integral goes through
+:func:`integrate_polar_separable`, the same engine on a stack of one.
 """
 from __future__ import annotations
 
@@ -31,7 +36,8 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Rotated, body_intrinsic_volume, shadow_intrinsic_volumes)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, flag_coefficient,
-                       integrate_interval, integrate_polar_separable, kappa)
+                       integrate_interval, integrate_polar_separable, integrate_polar_stack,
+                       kappa)
 from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
                         project_function, restrict_function, sample_grassmann,
                         whole_space)
@@ -119,8 +125,10 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
     level or one Monte Carlo draw (a sequence of subspaces whose ``frames``
     is their (S, n, k) frame stack), with one random stream per plane, and
     returns arrays of the per-plane values, inner errors and integrand
-    evaluations.  :func:`_per_plane` makes one from a plane-by-plane
-    evaluation.
+    evaluations.  The routes evaluate the stack as a whole: body shadows in
+    one numpy pass, smooth projections and restrictions as one polar stack.
+    :func:`_per_plane` maps a plane-by-plane evaluation over it, for the
+    nested averages of projections that are not smooth.
 
     The whole space (k = n) is a single plane: one evaluation on the
     identity frame, with weight 1 and stream ``rng``, whose error is that
@@ -178,13 +186,18 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
     return mean, math.hypot(se, inner), int(np.sum(evals)), samples
 
 
+def _stacked(rows):
+    """A plane-stack callback's result from per-plane (value, error, evals) rows."""
+    values, errors, evals = zip(*rows)
+    return (np.asarray(values, dtype=float), np.asarray(errors, dtype=float),
+            np.asarray(evals))
+
+
 def _per_plane(one):
     """The plane-stack callback of :func:`_grassmann_average` that maps
-    ``one(e, stream) -> (value, error, evals)`` over the stack, plane by plane."""
+    ``one(item, stream) -> (value, error, evals)`` over a stack, item by item."""
     def stack(planes, streams):
-        values, errors, evals = zip(*map(one, planes, streams))
-        return (np.asarray(values, dtype=float), np.asarray(errors, dtype=float),
-                np.asarray(evals))
+        return _stacked(map(one, planes, streams))
     return stack
 
 
@@ -195,6 +208,18 @@ def _exact(values: np.ndarray):
     return values, zeros, zeros
 
 
+def _constant(value: float):
+    """The plane-stack callback of a value that is the same on every plane."""
+    def stack(planes, streams):
+        return _exact(np.full(len(planes), value))
+    return stack
+
+
+def _degree_zero(weight: WeightFunction, k: int) -> float:
+    """The degree-0 valuation in dimension k, a constant: kappa_k T^k(weight)(0)."""
+    return float(kappa(k) * transform_R_power(weight, k).value_at_zero())
+
+
 # ---------------------------------------------------------------------------
 # Smooth-route integrals
 
@@ -202,65 +227,113 @@ def _exact(values: np.ndarray):
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
-def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
-    """Hess u(center)^{-1} when finite and positive definite, else the identity."""
-    try:
-        hess = np.asarray(u.hessian(center), dtype=float)
-    except NotDifferentiable:  # e.g. a radial power with p != 2
-        return np.eye(u.n)
-    if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
-        return np.eye(u.n)
-    return np.linalg.inv(hess)
+def _whitening(funcs, centers) -> np.ndarray:
+    """The (S, n, n) stack of Hess u(c)^{-1} for each u of ``funcs`` at its
+    center c, where finite and positive definite, else the identity; the
+    eigenvalues and inverses of the stack are taken in one call each."""
+    n = funcs[0].n
+    frames = np.broadcast_to(np.eye(n), (len(funcs), n, n)).copy()
+    hess, rows = [], []
+    for i, (u, center) in enumerate(zip(funcs, centers)):
+        try:
+            h = np.asarray(u.hessian(center), dtype=float)
+        except NotDifferentiable:  # e.g. a radial power with p != 2
+            continue
+        if np.all(np.isfinite(h)):
+            hess.append(h)
+            rows.append(i)
+    if rows:
+        hess = np.stack(hess)
+        definite = np.linalg.eigvalsh(hess)[:, 0] > 0.0
+        frames[np.array(rows)[definite]] = np.linalg.inv(hess[definite])
+    return frames
 
 
-def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int):
-    """integral of weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
+def _polar(f, n: int, members, singular: bool):
+    """(value, error, evals) of each polar integral of a stack ``f(x,
+    owners)`` with ``members`` ``(r_max, break_ratios)``, in lockstep; a lone
+    integral goes through :func:`integrate_polar_separable`, with ``f`` of
+    its points alone."""
+    if len(members) > 1:
+        results = integrate_polar_stack(f, n, members, singular)
+    else:
+        ((r_max, ratios),) = members
+        results = [integrate_polar_separable(lambda x: f(x, ((0, 0, len(x)),)), n, r_max,
+                                             break_ratios=ratios, singular_center=singular)]
+    return [(res.value, res.error, res.evaluations) for res in results]
 
-    The polar rule runs in z with x = c + M z, c the minimizer and M from
-    :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a ball in z.
-    The integrand is still evaluated at the primal points x.  A frame whose
-    |det M|, or squared image length |M d|^2 of a rule direction d, falls
-    below the smallest normal double would lose its digits to underflow, so
-    it raises :class:`SchemaError` instead.
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays ``parts`` end to end; a single one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _smooth_integral(funcs, weight: WeightFunction, degree: int):
+    """For each u of the stack ``funcs``, of one dimension: the integral of
+    weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
+
+    Each polar rule runs in z with x = c + M z, c the minimizer of its u and
+    M from :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a
+    ball in z.  The integrand is still evaluated at the primal points x:
+    gradients and Hessian terms per member, |grad u| and the weight once per
+    call for the whole stack.  A frame whose |det M|, or squared image
+    length |M d|^2 of a rule direction d, falls below the smallest normal
+    double would lose its digits to underflow, so it raises
+    :class:`SchemaError` instead.  Returns (value, error, evals) per member.
     """
-    if u.smooth_kind() is None:
-        raise NotDifferentiable(
-            f"{type(u).__name__} is outside the twice-differentiable catalog")
     s_max = weight.support_bound
-    center = u.minimizer()
-    frame = _whitening(u, center)
-    jac = abs(float(np.linalg.det(frame)))
-    if jac < _TINY:
-        raise SchemaError(
-            f"{type(u).__name__} is too steep at its minimizer: the whitening "
-            f"frame's determinant {jac:.3e} underflows")
-    singular = (u.smooth_kind() == "except_center"
-                or weight.singularity.kind != "none")
+    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
+    for u in funcs:
+        if u.smooth_kind() is None:
+            raise NotDifferentiable(
+                f"{type(u).__name__} is outside the twice-differentiable catalog")
+    centers = [u.minimizer() for u in funcs]
+    frames = _whitening(funcs, centers)
+    jacs = np.abs(np.linalg.det(frames))
+    members = []
+    for u, frame, jac in zip(funcs, frames, jacs):
+        if jac < _TINY:
+            raise SchemaError(
+                f"{type(u).__name__} is too steep at its minimizer: the whitening "
+                f"frame's determinant {jac:.3e} underflows")
+        # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
+        # radii sit at shared ratios of the per-ray region radius; rays through
+        # c in z map to rays through c in x, so the ratios carry over
+        ratios = []
+        if knots:
+            probe = np.zeros((1, u.n))
+            probe[0, 0] = 1.0
+            r_probe = float(u.grad_radius(probe, s_max)[0])
+            ratios = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
+        members.append((_frame_radius(u, frame, s_max), ratios))
+    singular = (weight.singularity.kind != "none"
+                or any(u.smooth_kind() == "except_center" for u in funcs))
 
-    def integrand(z):
-        pts = center + np.atleast_2d(z) @ frame.T
-        g = u.gradient(pts)
-        s = np.linalg.norm(np.atleast_2d(g), axis=1)
-        w = jac * np.asarray(weight(np.minimum(s, s_max + 1.0)))
+    def integrand(z, owners):
+        pts = [centers[m] + z[a:b] @ frames[m].T for m, a, b in owners]
+        g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
+        s = np.linalg.norm(g, axis=1)
+        w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
+        w = _joined([jacs[m] * w[a:b] for m, a, b in owners])
         w = np.where(s >= s_max, 0.0, w)
         if degree == 0:
             return w
         active = w != 0.0
+        if active.all():
+            return w * _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
+                                for (m, _, _), x in zip(owners, pts)])
         out = np.zeros_like(w)
-        if active.any():
-            out[active] = w[active] * np.asarray(
-                u.hessian_elem_sym(pts[active], degree))
+        terms = [np.asarray(funcs[m].hessian_elem_sym(x[act], degree))
+                 for (m, a, b), x in zip(owners, pts) if (act := active[a:b]).any()]
+        if terms:
+            out[active] = w[active] * _joined(terms)
         return out
 
-    # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
-    # radii sit at shared ratios of the per-ray region radius; rays through
-    # c in z map to rays through c in x, so the ratios carry over
-    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
-    probe = np.zeros((1, u.n))
-    probe[0, 0] = 1.0
-    r_probe = float(u.grad_radius(probe, s_max)[0])
-    ratios = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
+    return _polar(integrand, funcs[0].n, members, singular)
 
+
+def _frame_radius(u: ConvexFunction, frame: np.ndarray, s_max: float):
+    """The ray radius in z of {|grad u| <= s_max} in the frame x = c + M z."""
     def r_max(dirs):
         img = dirs @ frame.T
         squared = np.sum(img * img, axis=1)
@@ -270,24 +343,22 @@ def _smooth_integral(u: ConvexFunction, weight: WeightFunction, degree: int):
                 f"direction's squared length {squared.min():.3e} underflows")
         length = np.sqrt(squared)
         return u.grad_radius(img / length[:, None], s_max) / length
-
-    return integrate_polar_separable(integrand, u.n, r_max, break_ratios=ratios,
-                                     singular_center=singular)
+    return r_max
 
 
 def eval_smooth(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
     """Direct Hessian-integrand route; needs j >= 1 and a twice-differentiable u."""
     if spec.j < 1:
         raise SchemaError("the smooth route needs j >= 1 (degree 0 is a constant)")
-    res = _smooth_integral(u, spec.zeta, spec.n - spec.j)
-    return EvalResult(res.value, res.error, "smooth", res.evaluations)
+    ((value, error, evals),) = _smooth_integral([u], spec.zeta, spec.n - spec.j)
+    return EvalResult(value, error, "smooth", evals)
 
 
 def eval_domain_gradient(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
     """Top-degree route: integral of weight(|grad u|) over the domain (j = n)."""
     if spec.j != spec.n:
         raise SchemaError("the domain-gradient route is the j = n representation")
-    value, error, evals = _domain_weight_integral(u, spec.zeta)
+    ((value, error, evals),) = _domain_weight_integrals([u], spec.zeta)
     return EvalResult(value, error, "domain_gradient", evals)
 
 
@@ -310,24 +381,37 @@ def _value_at_zero(weight: WeightFunction):
     return v0
 
 
-def _domain_weight_integral(w: ConvexFunction, weight: WeightFunction):
-    """integral over dom(w) of weight(|grad w|), with exact special cases."""
-    if isinstance(w, Indicator):
-        return _value_at_zero(weight) * w.body.volume(), 0.0, 0
-    if isinstance(w, Cone):
-        wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
-        return wt * kappa(w.n) * w.r ** w.n, 0.0, 0
-    if isinstance(w, (EpiTranslated, Rotated)):
-        return _domain_weight_integral(w.inner, weight)
-    if isinstance(w, EpiScaled):
-        value, error, evals = _domain_weight_integral(w.inner, weight)
-        scale = w.lam ** w.n
-        return value * scale, error * scale, evals
-    if w.smooth_kind() is not None:
-        res = _smooth_integral(w, weight, 0)
-        return res.value, res.error, res.evaluations
-    raise UnsupportedVariant(
-        f"domain-gradient integral unsupported for {type(w).__name__}")
+def _domain_weight_integrals(ws, weight: WeightFunction):
+    """(value, error, evals) of the integral over dom(w) of weight(|grad w|)
+    for each w of the stack ``ws``: exact for indicators and cones, through
+    epigraph translations, rotations and scalings, and one smooth-route
+    stack for the smooth ones."""
+    out, smooth = [], []
+    for i, w in enumerate(ws):
+        scales = []
+        while isinstance(w, (EpiTranslated, Rotated, EpiScaled)):
+            if isinstance(w, EpiScaled):
+                scales.append(w.lam ** w.n)
+            w = w.inner
+        if isinstance(w, Indicator):
+            value = _value_at_zero(weight) * w.body.volume()
+        elif isinstance(w, Cone):
+            wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
+            value = wt * kappa(w.n) * w.r ** w.n
+        elif w.smooth_kind() is not None:
+            value = None
+            smooth.append((i, w))
+        else:
+            raise UnsupportedVariant(
+                f"domain-gradient integral unsupported for {type(w).__name__}")
+        out.append([value, 0.0, 0, scales])
+    if smooth:
+        for (i, _), row in zip(smooth, _smooth_integral([w for _, w in smooth], weight, 0)):
+            out[i][:3] = row
+    for row in out:
+        for scale in reversed(row[3]):  # innermost scaling first
+            row[0], row[1] = row[0] * scale, row[1] * scale
+    return [tuple(row[:3]) for row in out]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +441,9 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, method)
 
-    if isinstance(u, Indicator) and j == k:
+    if j == 0:  # a constant that needs no projection
+        stack = _constant(_degree_zero(xi, k))
+    elif isinstance(u, Indicator) and j == k:
         # the domain integral of xi over each shadow, xi(0) V_k(shadow), for
         # the whole stack at once
         v0 = _value_at_zero(xi)
@@ -365,58 +451,50 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
         def stack(planes, streams):
             return _exact(v0 * shadow_intrinsic_volumes(u.body, planes.frames, k))
     else:
-        def one(e, stream):
-            # the degree-0 value is a constant that needs no projection
-            w = project_function(u, e).realized if j > 0 else None
-            return _z_lower_dim(j, k, xi, w, stream, samples)
-        stack = _per_plane(one)
+        def nested(w, stream):
+            # the degree-j valuation of a projection that is not smooth, by
+            # its own average over G(k, j), from the sample's child stream 0
+            inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, stream.stream(0))
+            return inner.value, inner.error, inner.integrand_evals
+
+        def stack(planes, streams):
+            ws = [project_function(u, e).realized for e in planes]
+            if j == k:
+                return _stacked(_domain_weight_integrals(ws, xi))
+            if all(w.smooth_kind() is not None for w in ws):
+                return _stacked(_smooth_integral(ws, xi, k - j))
+            return _per_plane(nested)(ws, streams)
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, method, evals, planes)
 
 
-def _z_lower_dim(j: int, k: int, xi: WeightFunction, w: ConvexFunction | None,
-                 rng: Rng, samples: int):
-    """Degree-j functional intrinsic volume of a k-dimensional projection (None for j = 0).
-
-    ``rng`` is the sample's stream; a nested average draws from its child stream 0.
-    """
-    if j == 0:
-        const = kappa(k) * transform_R_power(xi, k).value_at_zero()
-        return float(const), 0.0, 0
-    if j == k:
-        return _domain_weight_integral(w, xi)
-    if w.smooth_kind() is not None:
-        res = _smooth_integral(w, xi, k - j)
-        return res.value, res.error, res.evaluations
-    inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, rng.stream(0))
-    return inner.value, inner.error, inner.integrand_evals
-
-
 # ---------------------------------------------------------------------------
 # Dual routes
 
 
-def _dual_integral(j: int, weight: WeightFunction, v: ConvexFunction):
-    """integral over {|x| <= s_max} of weight(|x|) * e_j(Hessian of v)."""
+def _dual_integral(j: int, weight: WeightFunction, vs):
+    """For each v of the stack ``vs``, of one dimension: the integral over
+    {|x| <= s_max} of weight(|x|) * e_j(Hessian of v), with |x| and the
+    weight evaluated once per call for the whole stack.  Returns (value,
+    error, evals) per member."""
     s_max = weight.support_bound
-    n = v.n
 
-    def integrand(pts):
-        s = np.linalg.norm(np.atleast_2d(pts), axis=1)
+    def integrand(pts, owners):
+        s = np.linalg.norm(pts, axis=1)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = np.where(s >= s_max, 0.0, w)
         if j == 0:
             return w
-        return w * np.asarray(v.hessian_elem_sym(pts, j))
+        return _joined([w[a:b] * np.asarray(vs[m].hessian_elem_sym(pts[a:b], j))
+                        for m, a, b in owners])
 
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = (weight.singularity.kind != "none"
-                or v.smooth_kind() == "except_center")
-    return integrate_polar_separable(integrand, n, s_max,
-                                     break_ratios=[k / s_max for k in knots],
-                                     singular_center=singular)
+                or any(v.smooth_kind() == "except_center" for v in vs))
+    ratios = [k / s_max for k in knots]
+    return _polar(integrand, vs[0].n, [(s_max, ratios)] * len(vs), singular)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
@@ -430,14 +508,13 @@ def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
     if not v.is_finite:
         raise UnsupportedVariant("dual valuations act on finite-valued functions")
     if path == "integral":
-        res = _dual_integral(spec.j, spec.zeta, v)
-        return EvalResult(res.value, res.error, "dual_integral", res.evaluations)
+        ((value, error, evals),) = _dual_integral(spec.j, spec.zeta, [v])
+        return EvalResult(value, error, "dual_integral", evals)
     if path != "conjugate":
         raise SchemaError(f"unknown dual path {path!r}")
     u = v.conjugate()
     if spec.j == 0:
-        const = kappa(spec.n) * transform_R_power(spec.zeta, spec.n).value_at_zero()
-        return EvalResult(float(const), 0.0, "dual_conjugate")
+        return EvalResult(_degree_zero(spec.zeta, spec.n), 0.0, "dual_conjugate")
     inner = _eval_primal(spec, u, samples, rng)
     return EvalResult(inner.value, inner.error, "dual_conjugate",
                       inner.integrand_evals, inner.subspace_samples)
@@ -455,14 +532,13 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, "dual_ck")
 
-    def one(e, stream):
-        if j == 0:  # a constant that needs no restriction
-            const = kappa(k) * transform_R_power(xi, k).value_at_zero()
-            return float(const), 0.0, 0
-        res = _dual_integral(j, xi, restrict_function(v, e))
-        return res.value, res.error, res.evaluations
+    if j == 0:  # a constant that needs no restriction
+        stack = _constant(_degree_zero(xi, k))
+    else:
+        def stack(planes, streams):
+            return _stacked(_dual_integral(j, xi, [restrict_function(v, e) for e in planes]))
 
-    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, _per_plane(one))
+    mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
     coeff = flag_coefficient(n, k)
     return EvalResult(coeff * mean, coeff * err, "dual_ck", evals, planes)
 
@@ -494,8 +570,7 @@ def retrieval_check(spec: ValuationSpec, body, samples: int = 256,
         rhs = float(v0) * body_intrinsic_volume(body, n)
         lhs = eval_domain_gradient(spec, Indicator(body))
     else:
-        const = kappa(n - j) * transform_R_power(spec.zeta, n - j).value_at_zero()
-        rhs = float(const) * body_intrinsic_volume(body, j)
+        rhs = _degree_zero(spec.zeta, n - j) * body_intrinsic_volume(body, j)
         lhs = eval_cauchy_kubota(spec, Indicator(body), samples, rng)
     return CheckResult(lhs.value, rhs, lhs.error, lhs_result=lhs)
 

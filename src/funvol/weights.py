@@ -323,7 +323,7 @@ class Scaled(WeightFunction):
         self.support_bound = inner.support_bound
 
     def _values(self, s):
-        return self.factor * np.asarray(self.inner(s))
+        return self.factor * np.asarray(self.inner._values(s))
 
     @property
     def singularity(self):
@@ -346,7 +346,7 @@ class SumWeight(WeightFunction):
         self.support_bound = max(t.support_bound for t in terms)
 
     def _values(self, s):
-        return sum(np.asarray(t(s)) for t in self.terms)
+        return sum(np.asarray(t._values(s)) for t in self.terms)
 
     @property
     def singularity(self):
@@ -473,7 +473,7 @@ class TransformedWeight(WeightFunction):
 
     def _values(self, s):
         se = np.maximum(s, self._tail.lo[0])
-        out = (se ** self.power * np.asarray(self.inner(se))
+        out = (se ** self.power * np.asarray(self.inner._values(se))
                + self.power * self._tail(np.minimum(se, self.support_bound)))
         out[s >= self.support_bound] = 0.0
         return out

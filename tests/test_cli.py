@@ -189,6 +189,29 @@ class TestCompute:
         assert code == 4
         assert json.loads(out)["error"]["type"] == "NonConvergedError"
 
+    @pytest.mark.parametrize("budget", ["_MAX_DEPTH", "_MAX_LEVEL"])
+    def test_ck_stack_non_converged_exit_4(self, capsys, tmp_path, monkeypatch, budget):
+        # a member of the projections' plane stack runs out of its budget:
+        # the radial depth on lines, the angular level (no two levels of a
+        # perturbed sphere rule agree) on 2-planes
+        if budget == "_MAX_DEPTH":
+            monkeypatch.setattr("funvol.numerics._MAX_DEPTH", 1)
+            a, j, what = [[1.0, 0.3], [0.3, 2.0]], 1, "radial refinement"
+        else:
+            rule = funvol.numerics.sphere_rule
+            monkeypatch.setattr("funvol.numerics.sphere_rule", lambda n, level: (
+                rule(n, level)[0], rule(n, level)[1] * (1.0 + 1e-6 * level)))
+            monkeypatch.setattr("funvol.numerics._MAX_LEVEL", 8)
+            a, j, what = np.diag([1.0, 2.0, 3.0]).tolist(), 2, "angular refinement"
+        quad, bump = tmp_path / "quad.json", tmp_path / "bump.json"
+        quad.write_text(json.dumps({"type": "quadratic", "A": a}))
+        bump.write_text(json.dumps({"type": "bump", "a": 0.2, "b": 0.8}))
+        code, out, err = run_cli(capsys, "compute", "--function", str(quad), "--zeta",
+                                 str(bump), "--j", str(j), "--method", "ck")
+        assert code == 4 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "NonConvergedError" and what in error["message"]
+
     def test_stdout_stability(self, capsys, specs):
         argv = ("compute", "--function", specs["aniso"], "--zeta", specs["tent"],
                 "--j", "1", "--method", "ck", "--samples", "16", "--seed", "5")

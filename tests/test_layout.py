@@ -145,3 +145,31 @@ def test_one_2d_hull():
     assert in_2d == 0 and in_3d == sum(qhull.values()) > 0, \
         f"ConvexHull is named in {dict(+qhull)}, {in_3d} of them in the 3-d branch"
     assert sum(_callers(node, "_hull_2d")["<module>"] for node in branch.body) == 1
+
+
+def test_one_polar_engine():
+    """Every polar integral runs through one lockstep engine.
+
+    In numerics ``sphere_rule`` is called from one function, where a member
+    of a polar stack takes the rule of its next level, and the refinement
+    loop ``_refine`` serves the interval rule and the polar stack only.  In
+    valuations the plane-by-plane adaptor ``_per_plane`` has one caller, the
+    projection average's stack callback, and hands it only the nested
+    average of projections that are not smooth.
+    """
+    rules = _package_callers("sphere_rule", {"numerics"})
+    assert rules == Counter({"numerics.start": 1}), f"sphere_rule is called from {dict(rules)}"
+    loops = _package_callers("_refine")
+    assert loops == Counter({"numerics.integrate_interval": 1,
+                             "numerics.integrate_polar_stack": 1}), \
+        f"_refine is called from {dict(loops)}"
+    adaptor = _package_callers("_per_plane")
+    assert adaptor == Counter({"valuations._projection_average.stack": 1}), \
+        f"_per_plane is called from {dict(adaptor)}"
+    tree = ast.parse((PACKAGE / "valuations.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_per_plane"]
+    assert [ast.unparse(call) for call in calls] == ["_per_plane(nested)"]
+    nested = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "nested")
+    assert "eval_cauchy_kubota" in _references(nested)

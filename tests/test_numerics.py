@@ -237,15 +237,23 @@ class TestKronrodPanels:
     def test_refine_resumes_from_its_panels(self):
         calls = []
 
-        def panels(ends):
+        def panels(batch):
+            ((_, ends),) = batch
             calls.append(ends)
-            return [b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends]
+            return [([b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends])]
 
-        fn = numerics._CountingFn(None)
-        value, _, leaves = numerics._refine(panels, [(0.0, 1.0, 0)], fn, "test")
+        fn = numerics._CountingFn(None, 1)
+
+        def refine(leaves):
+            # a stack of one, run until it stops
+            run = numerics._Run(0, leaves)
+            assert numerics._refine(panels, [run], fn, "test") == [run]
+            return run.total, run.total_err, run.leaves
+
+        value, _, leaves = refine([(0.0, 1.0, 0)])
         assert len(leaves) > 500 and max(d for _, _, d in leaves) == 10
         calls.clear()
-        again, _, resumed = numerics._refine(panels, leaves, fn, "test")
+        again, _, resumed = refine(leaves)
         # a converged grid is evaluated once more, at its leaves only, in one call
         assert calls == [[(a, b) for a, b, _ in leaves]]
         assert resumed == leaves and again == pytest.approx(value, rel=1e-14)
@@ -319,6 +327,86 @@ class TestPolarWork:
                         Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
         assert sum(sizes) == res.integrand_evals == 188_160
         assert 1024 * 15 < max(sizes) <= numerics._MAX_BATCH
+
+
+def _stacked(fs):
+    """The stack integrand of the plain integrands ``fs``, one per member."""
+    return lambda x, owners: np.concatenate([fs[m](x[a:b]) for m, a, b in owners])
+
+
+def _radius(x):
+    return np.sqrt((x ** 2).sum(axis=1))
+
+
+def _ellipse(dirs):
+    return 1.0 / np.sqrt(dirs[:, 0] ** 2 + 4.0 * dirs[:, 1] ** 2)
+
+
+# members (integrand, r_max, break ratios) that take different numbers of
+# levels, splits and panels
+MEMBERS = [
+    (lambda x: np.maximum(0.0, 1.0 - 3.0 * _radius(x)), 1.0, ()),
+    (lambda x: np.exp(3.0 * x[:, 0]), 1.0, ()),
+    (lambda x: np.ones(len(x)), _ellipse, ()),
+    (lambda x: np.maximum(0.0, 0.5 - _radius(x)) ** 2 + x[:, 1] ** 2, 1.0, (0.5,)),
+    (lambda x: np.cos(4.0 * x[:, 0] * x[:, 1]), _ellipse, (0.25, 0.75)),
+]
+
+
+class TestPolarStack:
+    """A stack integrates each member as ``integrate_polar_separable`` alone."""
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_members_equal_alone(self, singular):
+        fs = [f for f, _, _ in MEMBERS]
+        stacked = numerics.integrate_polar_stack(
+            _stacked(fs), 2, [(r, ratios) for _, r, ratios in MEMBERS], singular)
+        alone = [integrate_polar_separable(f, 2, r, break_ratios=ratios,
+                                           singular_center=singular)
+                 for f, r, ratios in MEMBERS]
+        assert len({res.evaluations for res in alone}) == len(MEMBERS)
+        assert [(r.value.hex(), r.error.hex(), r.evaluations) for r in stacked] == [
+            (r.value.hex(), r.error.hex(), r.evaluations) for r in alone]
+
+    def test_calls_stay_bounded(self, monkeypatch):
+        # a level-4 batch of many members is cut into calls of at most
+        # _MAX_BATCH points, across member and panel boundaries
+        monkeypatch.setattr(numerics, "_MAX_BATCH", 1000)
+        sizes = []
+        fs = [f for f, _, _ in MEMBERS] * 8
+
+        def f(x, owners):
+            sizes.append(len(x))
+            assert owners[0][1] == 0 and owners[-1][2] == len(x)
+            return _stacked(fs)(x, owners)
+
+        stacked = numerics.integrate_polar_stack(
+            f, 2, [(r, ratios) for _, r, ratios in MEMBERS * 8], False)
+        assert max(sizes) <= 1000 < max(sizes) + 15
+        assert sum(sizes) == sum(r.evaluations for r in stacked)
+
+    @pytest.mark.parametrize("order", ["peaked_first", "kink_first"])
+    def test_first_member_to_fail_is_raised(self, order, monkeypatch):
+        # the kink fails its depth budget within a few steps; the peaked
+        # integrand runs to its level budget later; the stack raises the
+        # failure of the first of them in stack order, as a loop would
+        monkeypatch.setattr(numerics, "_MAX_DEPTH", 3)
+        monkeypatch.setattr(numerics, "_MAX_LEVEL", 8)
+        kink = lambda x: np.maximum(0.0, 1.0 - 3.0 * _radius(x))  # noqa: E731
+        peaked = lambda x: np.exp(30.0 * x[:, 0])  # noqa: E731
+        fs = [peaked, kink] if order == "peaked_first" else [kink, peaked]
+        expected = None
+        for f in fs:
+            try:
+                integrate_polar_separable(f, 2, 1.0)
+            except NonConvergedError as exc:
+                expected = expected or exc
+        with pytest.raises(NonConvergedError) as info:
+            numerics.integrate_polar_stack(_stacked(fs), 2, [(1.0, ())] * 2, False)
+        got = info.value
+        assert (str(got), got.value, got.error, got.evaluations) == (
+            str(expected), expected.value, expected.error, expected.evaluations)
+        assert ("angular" if order == "peaked_first" else "radial") in str(got)
 
 
 class TestBudgetsRaise:

@@ -17,8 +17,8 @@ from funvol.convex import (
     RadialPower,
     Rotated,
 )
-from funvol import valuations
-from funvol.errors import SchemaError
+from funvol import numerics, valuations
+from funvol.errors import NonConvergedError, SchemaError
 from funvol.numerics import Rng, kappa
 from funvol.subspaces import sample_rotation
 from funvol.verify import IdentityCase, run_case
@@ -35,7 +35,7 @@ from funvol.valuations import (
     retrieval_check,
     reilly_radial_check,
 )
-from funvol.weights import Bump, LogCap, Scaled, Tent
+from funvol.weights import Bump, LogCap, Scaled, Tent, xi_from_zeta
 
 TENT = Tent(1.0)
 
@@ -765,3 +765,149 @@ class TestDualCrossRoutes:
         d = eval_dual_ck(spec, v, 1, 64, Rng(3))
         g = eval_ck_general(spec, u, 1, 64, Rng(3))
         assert d.value == pytest.approx(g.value, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Plane stacks: one lockstep polar run per stack
+
+
+def _hexes(rows):
+    return [(value.hex(), error.hex(), evals) for value, error, evals in rows]
+
+
+def _alone(route, items, *args):
+    """``route`` on each item of a stack as a stack of one."""
+    return [route([item], *args)[0] for item in items]
+
+
+A3 = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.6]])
+A4 = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
+
+
+class TestPlaneStacks:
+    """A stack integrates each of its members as that member alone, bit for
+    bit: value, error and evaluations."""
+
+    @pytest.mark.parametrize("u,zeta", [
+        (Quadratic(A3, [0.1, -0.2, 0.3]), Bump(0.2, 0.8)),
+        (RadialPower(3, 4.0), LogCap()),
+    ], ids=["quadratic", "radial_power"])
+    def test_projections_of_a_cubature_level(self, u, zeta):
+        planes, _ = valuations.grassmann_cubature(3, 2, 2)
+        ws = [valuations.project_function(u, e).realized for e in planes]
+        xi = xi_from_zeta(zeta, 1, 2, 3)
+        stacked = valuations._smooth_integral(ws, xi, 1)
+        assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 1))
+
+    def test_domain_integrals_at_k_equal_j(self):
+        u = EpiTranslated(Quadratic(A3, [0.1, -0.2, 0.3]), [0.5, 0.0, -0.5], 0.25)
+        lines, _ = valuations.grassmann_cubature(3, 1, 2)
+        ws = [valuations.project_function(u, e).realized for e in lines]
+        xi = xi_from_zeta(Bump(0.2, 0.8), 1, 1, 3)
+        stacked = valuations._domain_weight_integrals(ws, xi)
+        assert _hexes(stacked) == _hexes(_alone(valuations._domain_weight_integrals, ws, xi))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_restrictions_of_a_cubature_level(self, k):
+        v = Quadratic(A3, [0.1, -0.2, 0.3])
+        planes, _ = valuations.grassmann_cubature(3, k, 2)
+        vs = [valuations.restrict_function(v, e) for e in planes]
+        xi = xi_from_zeta(Bump(0.2, 0.8), 1, k, 3)
+        stacked = valuations._dual_integral(1, xi, vs)
+        assert _hexes(stacked) == _hexes(
+            [valuations._dual_integral(1, xi, [w])[0] for w in vs])
+
+    def test_monte_carlo_draw(self):
+        u = Quadratic(A4)
+        streams = [Rng(3).stream(i) for i in range(6)]
+        ws = [valuations.project_function(u, e).realized
+              for e in valuations.sample_grassmann(4, 2, streams)]
+        xi = xi_from_zeta(Tent(1.0), 1, 2, 4)
+        stacked = valuations._smooth_integral(ws, xi, 1)
+        assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 1))
+
+    def test_level_reaches_the_integrand_in_lockstep(self, monkeypatch):
+        # the 16 planes of the level-2 cubature of G(3, 2) reach the
+        # integrand in as many calls as the most refined of them alone
+        calls, stacks = [], []
+        call = numerics._CountingFn.__call__
+
+        def counted(self, x):
+            calls.append(len(x))
+            return call(self, x)
+
+        stack = valuations.integrate_polar_stack
+
+        def recorded(f, n, members, singular):
+            first = len(calls)
+            out = stack(f, n, members, singular)
+            stacks.append((len(members), len(calls) - first))
+            return out
+
+        monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
+        monkeypatch.setattr(valuations, "integrate_polar_stack", recorded)
+        u, zeta = Quadratic(np.eye(3)), Tent(1.0)
+        eval_ck_general(ValuationSpec(1, 3, zeta), u, 2, samples=64, rng=Rng(3))
+        assert [size for size, _ in stacks] == [4, 16]
+        planes, _ = valuations.grassmann_cubature(3, 2, 2)
+        xi = xi_from_zeta(zeta, 1, 2, 3)
+        alone = []
+        for e in planes:
+            first = len(calls)
+            valuations._smooth_integral([valuations.project_function(u, e).realized], xi, 1)
+            alone.append(len(calls) - first)
+        assert stacks[1][1] == max(alone) < 2 * len(planes)
+
+
+class TestStackBudgets:
+    """A member that runs out of its budget raises from a stack what the
+    plane-by-plane loop raised: the first failing member's error."""
+
+    @staticmethod
+    def _spend(budget, monkeypatch):
+        if budget == "_MAX_DEPTH":
+            monkeypatch.setattr(numerics, "_MAX_DEPTH", 1)
+            return "radial refinement"
+        rule = numerics.sphere_rule
+
+        def disagreeing(n, level):  # no two levels agree
+            dirs, wts = rule(n, level)
+            return dirs, wts * (1.0 + 1e-6 * level)
+
+        monkeypatch.setattr(numerics, "sphere_rule", disagreeing)
+        monkeypatch.setattr(numerics, "_MAX_LEVEL", 8)
+        return "angular refinement"
+
+    @staticmethod
+    def _first_failure(route, items):
+        for item in items:
+            try:
+                route([item])
+            except NonConvergedError as exc:
+                return exc
+        raise AssertionError("no member failed alone")
+
+    @pytest.mark.parametrize("budget", ["_MAX_DEPTH", "_MAX_LEVEL"])
+    @pytest.mark.parametrize("route", ["projection", "restriction"])
+    def test_first_failure_is_raised(self, route, budget, monkeypatch):
+        what = self._spend(budget, monkeypatch)
+        spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
+        u = Quadratic(A3, [0.1, -0.2, 0.3])
+        xi = xi_from_zeta(spec.zeta, 1, 2, 3)
+        planes, _ = valuations.grassmann_cubature(3, 2, 1)
+        with pytest.raises(NonConvergedError, match=what) as info:
+            if route == "projection":
+                eval_ck_general(spec, u, 2, samples=64, rng=Rng(3))
+            else:
+                eval_dual_ck(spec, u, 2, samples=64, rng=Rng(3))
+        if route == "projection":
+            alone = self._first_failure(
+                lambda ws: valuations._smooth_integral(ws, xi, 1),
+                [valuations.project_function(u, e).realized for e in planes])
+        else:
+            alone = self._first_failure(
+                lambda vs: valuations._dual_integral(1, xi, vs),
+                [valuations.restrict_function(u, e) for e in planes])
+        got = info.value
+        assert (str(got), got.value, got.error, got.evaluations) == (
+            str(alone), alone.value, alone.error, alone.evaluations)

@@ -13,6 +13,8 @@ from funvol.weights import (
     Singularity,
     SumWeight,
     Tent,
+    TransformedWeight,
+    WeightFunction,
     in_had_class,
     log_grid,
     nonnegativity_check,
@@ -60,6 +62,70 @@ class TestEval:
         assert b(0.5) == pytest.approx(1.0)
         assert b(0.2000001) < 1e-8
         assert b(0.1) == 0.0
+
+
+def _through_calls(w, s):
+    """w(s) with each wrapper evaluating its inner weights through their
+    ``__call__``, the argument checks and masks included: the reference for
+    the wrappers, which call the inner ``_values`` directly."""
+    def values(w, s):
+        if isinstance(w, Scaled):
+            return w.factor * np.asarray(w.inner(s))
+        if isinstance(w, SumWeight):
+            return sum(np.asarray(t(s)) for t in w.terms)
+        if isinstance(w, TransformedWeight):
+            se = np.maximum(s, w._tail.lo[0])
+            out = (se ** w.power * np.asarray(w.inner(se))
+                   + w.power * w._tail(np.minimum(se, w.support_bound)))
+            out[s >= w.support_bound] = 0.0
+            return out
+        return w._values(s)
+
+    out = np.full_like(s, np.nan)
+    out[s > 0] = values(w, s[s > 0])
+    if np.any(s == 0):
+        out[s == 0] = w.value_at_zero()
+    return out
+
+
+WRAPPED = [
+    ("xi_bump", xi_from_zeta(Bump(0.2, 0.8), 1, 2, 3)),    # Scaled(TransformedWeight)
+    ("xi_tent", xi_from_zeta(Tent(1.0), 1, 2, 4)),         # Scaled(closed form)
+    ("inverse_chain", transform_R_inverse(transform_R_power(Bump(0.2, 0.8), 2), 1)),
+    ("sum", SumWeight([Scaled(Tent(0.5), 2.0), transform_R_power(Bump(0.0, 1.5), 1),
+                       Scaled(SumWeight([LogCap(), Bump(0.3, 0.6)]), -0.5)])),
+]
+
+
+class TestWrappedWeights:
+    """Sums, scalings and transforms evaluate their inner weights' values
+    directly, on the positive points their own ``__call__`` has checked."""
+
+    @pytest.mark.parametrize("name,w", WRAPPED, ids=[n for n, _ in WRAPPED])
+    def test_values_bit_identical(self, name, w):
+        s_max = w.support_bound
+        s = np.concatenate([[0.0, 1e-300, 1e-12, s_max, np.nextafter(s_max, 0.0),
+                             np.nextafter(s_max, 10.0), 2.0 * s_max, 50.0],
+                            np.linspace(0.0, 1.2 * s_max, 97)])
+        if w.value_at_zero() is None:  # no finite limit: 0 is not in its domain
+            s = s[s > 0]
+        got = np.asarray(w(s))
+        assert [x.hex() for x in got] == [x.hex() for x in _through_calls(w, s)]
+
+    @pytest.mark.parametrize("name,w", WRAPPED, ids=[n for n, _ in WRAPPED])
+    def test_one_call_per_evaluation(self, name, w, monkeypatch):
+        calls = []
+        call = WeightFunction.__call__
+
+        def counted(self, s):
+            calls.append(type(self).__name__)
+            return call(self, s)
+
+        s = np.linspace(0.0, 1.2 * w.support_bound, 64)[1:]
+        w(s)  # builds any transform's Chebyshev fit first
+        monkeypatch.setattr(WeightFunction, "__call__", counted)
+        w(s)
+        assert calls == [type(w).__name__]
 
 
 class TestHadMembership:
