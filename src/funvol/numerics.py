@@ -193,8 +193,8 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     largest error.  Each step hands ``panels`` the new panels of the whole
     stack in one batch, a list of (run, ends) with ``ends`` a list of panel
     ends (a, b): the leaves of a starting run, or the two halves of a split.
-    ``panels`` returns, per entry, the lists of their estimates and errors,
-    as floats.
+    ``panels`` returns the lists of the estimates and errors of all those
+    panels, as floats, in batch order.
 
     A run stops once its summed error is within tolerance.  It then holds
     its value ``total``, its error ``total_err`` and its final panels as
@@ -207,22 +207,16 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     Returns the runs that stopped, in stack order, at the first step where
     any did.
     """
-    while True:
-        stopped = [r for r in runs if r.failure is not None or (
-            r.leaves is None and r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)))]
-        if stopped:
-            for r in stopped:
-                if r.failure is None:
-                    r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _ in r.heap)
-            return stopped
-        batch = []
+    stopped = []  # no run comes in stopped: each is starting, or refining above tolerance
+    while not stopped:
+        batch, failed = [], None
         for r in runs:
             if r.leaves is not None:
                 batch.append((r, [(a, b) for a, b, _ in r.leaves]))
                 continue
             _, _, depth, a, b, v, err = heapq.heappop(r.heap)
             if depth >= _MAX_DEPTH or len(r.heap) >= _MAX_PANELS:
-                r.failure = NonConvergedError(
+                r.failure = failed = NonConvergedError(
                     f"{what} did not converge at depth {depth} with {len(r.heap) + 1} "
                     f"panels (error {r.total_err:.3e})", r.total, r.total_err,
                     fn.counts[r.index])
@@ -230,32 +224,42 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
             r.split = (depth, v, err)
             mid = 0.5 * (a + b)
             batch.append((r, [(a, mid), (mid, b)]))
-        if not batch:
-            continue
-        for (r, ends), (values, errors) in zip(batch, panels(batch)):
+        values, errors = panels(batch) if batch else ((), ())
+        k = 0
+        for r, ends in batch:
             if r.leaves is None:
                 depth, v, err = r.split
                 (a, mid), (_, b) = ends
-                (lv, rv), (le, re) = values, errors
+                lv, rv, le, re = values[k], values[k + 1], errors[k], errors[k + 1]
                 r.total += lv + rv - v
                 r.total_err += le + re - err
                 heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, le))
                 heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, re))
                 r.uid += 2
-                continue
-            r.total, r.total_err, r.heap = 0.0, 0.0, []
-            for uid, ((a, b, depth), v, err) in enumerate(zip(r.leaves, values, errors)):
-                r.total += v
-                r.total_err += err
-                heapq.heappush(r.heap, (-err, uid, depth, a, b, v, err))
-            r.uid, r.leaves = len(r.heap), None
+                k += 2
+            else:
+                r.total, r.total_err, r.heap = 0.0, 0.0, []
+                for uid, (a, b, depth) in enumerate(r.leaves):
+                    v, err = values[k], errors[k]
+                    r.total += v
+                    r.total_err += err
+                    heapq.heappush(r.heap, (-err, uid, depth, a, b, v, err))
+                    k += 1
+                r.uid, r.leaves = len(r.heap), None
+            if r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)):
+                r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _ in r.heap)
+                stopped.append(r)
+        if failed is not None:
+            stopped.append(runs[len(batch)])
+    return stopped
 
 
 def _panel_nodes(ends, nodes: np.ndarray) -> tuple[list[float], np.ndarray]:
     """The half-widths of the panels ``ends``, a list of (a, b), and one row
     per panel of the rule ``nodes`` on [-1, 1] mapped onto it."""
     halves = [0.5 * (b - a) for a, b in ends]
-    return halves, np.array([[0.5 * (a + b)] for a, b in ends]) + np.array(halves)[:, None] * nodes
+    mids = np.array([0.5 * (a + b) for a, b in ends])
+    return halves, mids[:, None] + np.array(halves)[:, None] * nodes
 
 
 def integrate_interval(f, a: float, b: float, *,
@@ -287,7 +291,7 @@ def integrate_interval(f, a: float, b: float, *,
             vals = fn(t.ravel()).reshape(t.shape)
         hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
         lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
-        return [(hi, [abs(x - y) for x, y in zip(hi, lo)])]
+        return hi, [abs(x - y) for x, y in zip(hi, lo)]
 
     run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
     _refine(panels, [run], fn, f"interval quadrature on [{a}, {b}]")
@@ -372,43 +376,41 @@ def sphere_rule_size(n: int, level: int) -> int:
     return 2 ** n * level ** (n - 1)
 
 
-def _kronrod_sums(values: np.ndarray, scales: np.ndarray, halves) -> tuple[list, list]:
-    """The Kronrod and embedded Gauss estimates of G radial panels on one
-    sphere rule, as lists of floats: ``values`` (G, D, 15) at each panel's
-    directions and nodes, ``scales`` (G, D) each direction's weight times
-    R^n, ``halves`` the panels' half-widths.  Panel g gives ``halves[g] *
-    (scales[g] @ (values[g] @ w))``, as if reduced on its own: numpy's
-    stacked matmul runs the same kernel on each slice."""
+def _reduce(values: np.ndarray, panels, halves, hi: list, lo: list) -> None:
+    """Append to ``hi`` and ``lo`` the Kronrod and embedded Gauss estimates of
+    the complete radial panels ``panels``, a list of (q, run) all on one
+    sphere rule, whose (G * D, 15) values lie in order in ``values``: panel
+    (q, run) gives ``halves[q] * (run.scale @ (its values @ w))``.  numpy's
+    stacked matmul runs the 2-d kernel on each slice, so a panel's bits do
+    not depend on the panels reduced with it; a lone panel takes the 2-d
+    products, which cost less."""
     _, w_k, w_g = _KRONROD
-    kronrod = np.matmul(scales[:, None, :], (values @ w_k)[:, :, None])[:, 0, 0]
-    gauss = np.matmul(scales[:, None, :], (values[:, :, 1::2] @ w_g)[:, :, None])[:, 0, 0]
-    halves = np.array(halves)
-    return (halves * kronrod).tolist(), (halves * gauss).tolist()
+    if len(panels) == 1:
+        ((q, r),) = panels
+        hi.append(halves[q] * float(r.scale @ (values @ w_k)))
+        lo.append(halves[q] * float(r.scale @ (values[:, 1::2] @ w_g)))
+        return
+    first = panels[0][1]
+    scales = (first.scale[None] if all(r is first for _, r in panels)
+              else np.array([r.scale for _, r in panels]))[:, None, :]
+    values = values.reshape(len(panels), -1, values.shape[-1])
+    kronrod = np.matmul(scales, (values @ w_k)[:, :, None]).ravel().tolist()
+    gauss = np.matmul(scales, (values[:, :, 1::2] @ w_g)[:, :, None]).ravel().tolist()
+    hi.extend(halves[q] * x for (q, _), x in zip(panels, kronrod))
+    lo.extend(halves[q] * x for (q, _), x in zip(panels, gauss))
 
 
 class _PolarRun(_Run):
-    """A member of a polar stack: a :class:`_Run` in tau with its ray
-    radius ``r_max``, the sphere rule of the angular level of its pass, and
-    the estimate of its previous level."""
+    """A member of a polar stack: a :class:`_Run` in tau with the angular
+    level of its pass, that level's sphere rule and the member's ray radii
+    and scales on it, and the estimate of its previous level."""
 
-    __slots__ = ("r_max", "prev", "level", "dirs", "radii", "scale")
-
-    def __init__(self, index: int, leaves, r_max):
-        super().__init__(index, leaves)
-        self.r_max, self.prev = r_max, None
-
-    def start(self, n: int, level: int) -> None:
-        """Take the sphere rule of ``level`` for the pass from ``leaves``."""
-        self.level = level
-        self.dirs, wts = sphere_rule(n, level)
-        r_max = self.r_max
-        self.radii = r_max(self.dirs) if callable(r_max) else np.full(len(self.dirs), float(r_max))
-        self.scale = wts * self.radii ** n  # substitution r = R * tau
+    __slots__ = ("level", "prev", "dirs", "radii", "scale")
 
     def settle(self, n: int, evaluations: int) -> QuadratureResult | None:
         """After a converged pass: the result once two consecutive levels
-        agree (at once for n = 1), else None with the next level started.
-        At ``_MAX_LEVEL`` without agreement, ``failure`` is set instead."""
+        agree (at once for n = 1).  Else None, with ``level`` raised to the
+        level of the next pass, or with ``failure`` set at ``_MAX_LEVEL``."""
         if n == 1:
             return QuadratureResult(self.total, self.total_err, evaluations)
         if self.prev is not None:
@@ -420,44 +422,56 @@ class _PolarRun(_Run):
                     f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
                     self.total, self.total_err + ang_err, evaluations)
                 return None
-        level = _LEVEL if self.prev is None else 2 * self.level
+        self.level = _LEVEL if self.prev is None else 2 * self.level
         self.prev = self.total
-        self.start(n, level)
         return None
 
 
-def integrate_polar_stack(f, n: int, members, singular_center: bool) -> list[QuadratureResult]:
+def integrate_polar_stack(f, n: int, radii, break_ratios,
+                          singular_center: bool) -> list[QuadratureResult]:
     """Polar quadrature of a stack of integrals over R^n in lockstep, one per
-    member ``(r_max, break_ratios)``, each as :func:`integrate_polar_separable`
-    would give it alone, bit for bit.
+    member, each as :func:`integrate_polar_separable` would give it alone,
+    bit for bit.
 
     ``f(x, owners)`` evaluates the integrands of the whole stack at once: the
     points ``x`` are (m, n) rows, and ``owners`` lists the (member, start,
-    stop) row ranges of each member's points, in increasing order.  Each
-    member keeps its own break ratios, radial panels, angular level and
+    stop) row ranges of each member's points, in increasing order.
+    ``radii(dirs, members)`` gives the (len(members), len(dirs)) ray radii R
+    of those members (a number is every member's R on every ray), and
+    ``break_ratios`` holds one sequence per member.
+    Each member keeps its own break ratios, radial panels, angular level and
     sums; every refinement step puts the new panels of every member still
     refining, a level's starting panels among them, into one batch, which
-    reaches ``f`` in calls of at most ``_MAX_BATCH`` points.  A member drops
-    out once two of its consecutive levels agree.  ``singular_center``
-    holds for every member.  Where a member's budget runs out, the members
-    after it in the stack are dropped, and the :class:`NonConvergedError`
-    of the first member to fail is raised once the members before it are
-    done, as a plane-by-plane loop would raise it.
+    reaches ``f`` in calls of at most ``_MAX_BATCH`` points.  The members
+    that start a level together take its radii from one ``radii`` call.  A
+    member drops out once two of its consecutive levels agree.
+    ``singular_center`` holds for every member.  Where a member's budget
+    runs out, the members after it in the stack are dropped, and the
+    :class:`NonConvergedError` of the first member to fail is raised once
+    the members before it are done, as a plane-by-plane loop would raise it.
     """
-    fn = _CountingFn(f, len(members))
+    fn = _CountingFn(f, len(break_ratios))
     grade = _GRADE if singular_center else 1
     nodes = _KRONROD[0]
     step = max(1, _MAX_BATCH // len(nodes))  # (panel, direction) pairs per integrand call
+    block = None  # the values of a panel cut by calls, grown as needed
 
     def panels(batch):
+        nonlocal block
         halves, t = _panel_nodes([e for _, ends in batch for e in ends], nodes)
-        tau = t ** grade
-        jac = tau ** (n - 1) * (grade * t ** (grade - 1))
-        owner = [r for r, ends in batch for _ in ends]  # the run of each panel
-        # the (panel, direction) pairs, panel-major, cut into calls of at
-        # most `step` pairs; a panel is reduced once all its values are in
+        # tau = t ** grade and its Jacobian tau ** (n - 1) * grade * t ** (grade - 1),
+        # with x ** 1 = x and 1 * x ** 0 = 1 taken as such: they change no bit
+        if grade == 1:
+            tau = t
+            jac = t if n == 2 else t ** (n - 1)
+        else:
+            tau = t ** grade
+            jac = (tau if n == 2 else tau ** (n - 1)) * (
+                grade * (t if grade == 2 else t ** (grade - 1)))
+        # the (panel, direction) pairs, panel-major, cut into calls of at most
+        # `step` pairs: a call may hold many panels and end inside one
         calls, room = [[]], step
-        for q, r in enumerate(owner):
+        for q, r in enumerate([r for r, ends in batch for _ in ends]):
             d, i = len(r.dirs), 0
             while i < d:
                 if not room:
@@ -467,66 +481,66 @@ def integrate_polar_stack(f, n: int, members, singular_center: bool) -> list[Qua
                 calls[-1].append((q, r, i, j))
                 room -= j - i
                 i = j
-        pts = np.empty((step - room if len(calls) == 1 else step, len(nodes), n))
-        carry = np.empty((max(len(r.dirs) for r in owner), len(nodes)))  # a panel cut by a call
+        size = step if len(calls) > 1 else step - room
+        pts = np.empty((size, len(nodes), n))  # one call's points
+        # and, once the call is back, their values times the Jacobian
+        scaled = pts.reshape(-1)[:size * len(nodes)].reshape(size, len(nodes))
         hi, lo = [], []
-
-        def reduce(values, done):  # the complete panels done = [(q, run)]
-            h, g = _kronrod_sums(values, np.stack([r.scale for _, r in done]),
-                                 [halves[q] for q, _ in done])
-            hi.extend(h)
-            lo.extend(g)
-
         for pieces in calls:
-            rows = np.repeat([q for q, _, _, _ in pieces], [j - i for _, _, i, j in pieces])
-            x = pts[:len(rows)]
-            np.multiply((np.concatenate([r.radii[i:j] for _, r, i, j in pieces])[:, None]
-                         * tau[rows])[:, :, None],
-                        np.concatenate([r.dirs[i:j] for _, r, i, j in pieces])[:, None, :],
-                        out=x)
-            ranges, fill = [], 0
-            for _, r, i, j in pieces:
-                if ranges and ranges[-1][0] == r.index:
-                    ranges[-1][2] = (fill + j - i) * len(nodes)
+            owners, fill = [], 0
+            for q, r, i, j in pieces:
+                np.multiply((r.radii[i:j, None] * tau[q])[:, :, None], r.dirs[i:j, None, :],
+                            out=pts[fill:fill + j - i])
+                if owners and owners[-1][0] == r.index:
+                    owners[-1][2] = (fill + j - i) * len(nodes)
                 else:
-                    ranges.append([r.index, fill * len(nodes), (fill + j - i) * len(nodes)])
+                    owners.append([r.index, fill * len(nodes), (fill + j - i) * len(nodes)])
                 fill += j - i
-            fn.owners = ranges
-            vals = fn(x.reshape(-1, n)).reshape(len(rows), -1) * jac[rows]
-            # reduce adjacent whole panels on one sphere rule together, in
-            # place, and a panel cut by a call once carry holds all of it
-            fill, first, whole = 0, 0, []
+            fn.owners = owners
+            vals = fn(pts[:fill].reshape(-1, n)).reshape(fill, -1)
+            # adjacent whole panels on one sphere rule are reduced together;
+            # a panel cut by calls once block holds all of it
+            fill, first, group = 0, 0, []
             for q, r, i, j in pieces:
                 d = len(r.dirs)
-                if whole and (j - i < d or whole[0][1].dirs is not r.dirs):
-                    reduce(vals[first:fill].reshape(len(whole), -1, len(nodes)), whole)
-                    whole = []
+                if group and (j - i < d or group[0][1].dirs is not r.dirs):
+                    _reduce(scaled[first:fill], group, halves, hi, lo)
+                    group = []
                 if j - i < d:
-                    carry[i:j] = vals[fill:fill + j - i]
+                    if block is None or len(block) < d:
+                        block = np.empty((d, len(nodes)))
+                    np.multiply(vals[fill:fill + j - i], jac[q], out=block[i:j])
                     if j == d:
-                        reduce(carry[None, :d], [(q, r)])
+                        _reduce(block[:d], [(q, r)], halves, hi, lo)
                 else:
-                    first = first if whole else fill
-                    whole.append((q, r))
+                    np.multiply(vals[fill:fill + d], jac[q], out=scaled[fill:fill + d])
+                    first = first if group else fill
+                    group.append((q, r))
                 fill += j - i
-            if whole:
-                reduce(vals[first:fill].reshape(len(whole), -1, len(nodes)), whole)
-        out, q = [], 0
-        for _, ends in batch:
-            h, l = hi[q:q + len(ends)], lo[q:q + len(ends)]
-            out.append((h, [abs(x - y) for x, y in zip(h, l)]))
-            q += len(ends)
-        return out
+            if group:
+                _reduce(scaled[first:fill], group, halves, hi, lo)
+        return hi, [abs(x - y) for x, y in zip(hi, lo)]
+
+    def start(group):
+        """The runs of ``group``, all at one level, take its sphere rule and
+        their ray radii on it."""
+        dirs, wts = sphere_rule(n, group[0].level)
+        rows = (radii(dirs, [r.index for r in group]) if callable(radii)
+                else np.full((len(group), len(dirs)), float(radii)))
+        for r, row, scale in zip(group, rows, wts * rows ** n):  # substitution r = R * tau
+            r.dirs, r.radii, r.scale = dirs, row, scale
 
     runs = []
-    for index, (r_max, break_ratios) in enumerate(members):
+    for index, ratios in enumerate(break_ratios):
         edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
-            {float(t) for t in break_ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
-        run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])], r_max)
-        run.start(n, 1 if n == 1 else _LEVEL // 2)
+            {float(t) for t in ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
+        run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
+        run.level, run.prev = 1 if n == 1 else _LEVEL // 2, None
         runs.append(run)
-    results, failure = [None] * len(members), None
+    start(runs)
+    results, failure = [None] * len(runs), None
     while runs:
+        starting = {}  # the runs that start their next level, by level
         for r in _refine(panels, runs, fn, "radial refinement"):
             if r.failure is None:
                 results[r.index] = r.settle(n, fn.counts[r.index])
@@ -535,6 +549,10 @@ def integrate_polar_stack(f, n: int, members, singular_center: bool) -> list[Qua
                 break
             if results[r.index] is not None:
                 runs.remove(r)
+            else:
+                starting.setdefault(r.level, []).append(r)
+        for group in starting.values():
+            start(group)
     if failure is not None:
         raise failure
     return results
@@ -563,7 +581,8 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     reaches ``_MAX_DEPTH`` or the level reaches ``_MAX_LEVEL`` without
     agreement.
     """
-    return integrate_polar_stack(lambda x, owners: f(x), n, [(r_max, break_ratios)],
+    radii = (lambda dirs, members: r_max(dirs)[None]) if callable(r_max) else r_max
+    return integrate_polar_stack(lambda x, owners: f(x), n, radii, [break_ratios],
                                  singular_center)[0]
 
 

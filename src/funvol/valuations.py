@@ -227,39 +227,29 @@ def _degree_zero(weight: WeightFunction, k: int) -> float:
 _TINY = np.finfo(float).tiny  # smallest normal double
 
 
-def _whitening(funcs, centers) -> np.ndarray:
-    """The (S, n, n) stack of Hess u(c)^{-1} for each u of ``funcs`` at its
-    center c, where finite and positive definite, else the identity; the
-    eigenvalues and inverses of the stack are taken in one call each."""
-    n = funcs[0].n
-    frames = np.broadcast_to(np.eye(n), (len(funcs), n, n)).copy()
-    hess, rows = [], []
-    for i, (u, center) in enumerate(zip(funcs, centers)):
-        try:
-            h = np.asarray(u.hessian(center), dtype=float)
-        except NotDifferentiable:  # e.g. a radial power with p != 2
-            continue
-        if np.all(np.isfinite(h)):
-            hess.append(h)
-            rows.append(i)
-    if rows:
-        hess = np.stack(hess)
-        definite = np.linalg.eigvalsh(hess)[:, 0] > 0.0
-        frames[np.array(rows)[definite]] = np.linalg.inv(hess[definite])
-    return frames
+def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
+    """Hess u(center)^{-1} when finite and positive definite, else the identity."""
+    try:
+        hess = np.asarray(u.hessian(center), dtype=float)
+    except NotDifferentiable:  # e.g. a radial power with p != 2
+        return np.eye(u.n)
+    if not np.all(np.isfinite(hess)) or np.linalg.eigvalsh(hess)[0] <= 0.0:
+        return np.eye(u.n)
+    return np.linalg.inv(hess)
 
 
-def _polar(f, n: int, members, singular: bool):
+def _polar(f, n: int, radii, ratios, singular: bool):
     """(value, error, evals) of each polar integral of a stack ``f(x,
-    owners)`` with ``members`` ``(r_max, break_ratios)``, in lockstep; a lone
-    integral goes through :func:`integrate_polar_separable`, with ``f`` of
-    its points alone."""
-    if len(members) > 1:
-        results = integrate_polar_stack(f, n, members, singular)
+    owners)``, with ray radii ``radii(dirs, members)`` (or one radius for
+    all) and one list of break ``ratios`` per member, in lockstep.  A lone
+    integral goes through :func:`integrate_polar_separable`, which calls
+    ``f`` on its points alone."""
+    if len(ratios) > 1:
+        results = integrate_polar_stack(f, n, radii, ratios, singular)
     else:
-        ((r_max, ratios),) = members
-        results = [integrate_polar_separable(lambda x: f(x, ((0, 0, len(x)),)), n, r_max,
-                                             break_ratios=ratios, singular_center=singular)]
+        r_max = (lambda dirs: radii(dirs, [0])[0]) if callable(radii) else radii
+        results = [integrate_polar_separable(f, n, r_max, break_ratios=ratios[0],
+                                             singular_center=singular)]
     return [(res.value, res.error, res.evaluations) for res in results]
 
 
@@ -288,10 +278,11 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
             raise NotDifferentiable(
                 f"{type(u).__name__} is outside the twice-differentiable catalog")
     centers = [u.minimizer() for u in funcs]
-    frames = _whitening(funcs, centers)
-    jacs = np.abs(np.linalg.det(frames))
-    members = []
-    for u, frame, jac in zip(funcs, frames, jacs):
+    frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
+    transposed = [frame.T for frame in frames]
+    jacs = np.abs(np.linalg.det(frames)).tolist()
+    ratios = []
+    for u, jac in zip(funcs, jacs):
         if jac < _TINY:
             raise SchemaError(
                 f"{type(u).__name__} is too steep at its minimizer: the whitening "
@@ -299,18 +290,16 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
         # radii sit at shared ratios of the per-ray region radius; rays through
         # c in z map to rays through c in x, so the ratios carry over
-        ratios = []
+        ratios.append([])
         if knots:
-            probe = np.zeros((1, u.n))
-            probe[0, 0] = 1.0
+            probe = np.eye(1, u.n)  # the first axis
             r_probe = float(u.grad_radius(probe, s_max)[0])
-            ratios = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
-        members.append((_frame_radius(u, frame, s_max), ratios))
+            ratios[-1] = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
     singular = (weight.singularity.kind != "none"
                 or any(u.smooth_kind() == "except_center" for u in funcs))
 
-    def integrand(z, owners):
-        pts = [centers[m] + z[a:b] @ frames[m].T for m, a, b in owners]
+    def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
+        pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
         g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
         s = np.linalg.norm(g, axis=1)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
@@ -329,21 +318,20 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
             out[active] = w[active] * _joined(terms)
         return out
 
-    return _polar(integrand, funcs[0].n, members, singular)
-
-
-def _frame_radius(u: ConvexFunction, frame: np.ndarray, s_max: float):
-    """The ray radius in z of {|grad u| <= s_max} in the frame x = c + M z."""
-    def r_max(dirs):
-        img = dirs @ frame.T
-        squared = np.sum(img * img, axis=1)
-        if squared.min() < _TINY:
-            raise SchemaError(
-                f"{type(u).__name__} is too steep at its minimizer: a whitened "
-                f"direction's squared length {squared.min():.3e} underflows")
+    def radii(dirs, members):
+        # each member's ray radius in z of {|grad u| <= s_max}, x = c + M z
+        img = np.array([dirs @ transposed[m] for m in members])
+        squared = np.sum(img * img, axis=2)
+        for m, low in zip(members, squared.min(axis=1)):
+            if low < _TINY:
+                raise SchemaError(
+                    f"{type(funcs[m]).__name__} is too steep at its minimizer: a whitened "
+                    f"direction's squared length {low:.3e} underflows")
         length = np.sqrt(squared)
-        return u.grad_radius(img / length[:, None], s_max) / length
-    return r_max
+        unit = img / length[:, :, None]
+        return np.array([funcs[m].grad_radius(d, s_max) for m, d in zip(members, unit)]) / length
+
+    return _polar(integrand, funcs[0].n, radii, ratios, singular)
 
 
 def eval_smooth(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
@@ -481,7 +469,7 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     error, evals) per member."""
     s_max = weight.support_bound
 
-    def integrand(pts, owners):
+    def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
         s = np.linalg.norm(pts, axis=1)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = np.where(s >= s_max, 0.0, w)
@@ -493,8 +481,7 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = (weight.singularity.kind != "none"
                 or any(v.smooth_kind() == "except_center" for v in vs))
-    ratios = [k / s_max for k in knots]
-    return _polar(integrand, vs[0].n, [(s_max, ratios)] * len(vs), singular)
+    return _polar(integrand, vs[0].n, s_max, [[k / s_max for k in knots]] * len(vs), singular)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",

@@ -158,7 +158,8 @@ def test_one_polar_engine():
     average of projections that are not smooth.
     """
     rules = _package_callers("sphere_rule", {"numerics"})
-    assert rules == Counter({"numerics.start": 1}), f"sphere_rule is called from {dict(rules)}"
+    assert rules == Counter({"numerics.integrate_polar_stack.start": 1}), \
+        f"sphere_rule is called from {dict(rules)}"
     loops = _package_callers("_refine")
     assert loops == Counter({"numerics.integrate_interval": 1,
                              "numerics.integrate_polar_stack": 1}), \

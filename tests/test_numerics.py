@@ -240,7 +240,7 @@ class TestKronrodPanels:
         def panels(batch):
             ((_, ends),) = batch
             calls.append(ends)
-            return [([b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends])]
+            return [b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends]
 
         fn = numerics._CountingFn(None, 1)
 
@@ -334,6 +334,12 @@ def _stacked(fs):
     return lambda x, owners: np.concatenate([fs[m](x[a:b]) for m, a, b in owners])
 
 
+def _radii(rs):
+    """The stack's ray radii from one radius per member, a number or a function."""
+    return lambda dirs, members: np.stack([
+        rs[m](dirs) if callable(rs[m]) else np.full(len(dirs), rs[m]) for m in members])
+
+
 def _radius(x):
     return np.sqrt((x ** 2).sum(axis=1))
 
@@ -360,7 +366,8 @@ class TestPolarStack:
     def test_members_equal_alone(self, singular):
         fs = [f for f, _, _ in MEMBERS]
         stacked = numerics.integrate_polar_stack(
-            _stacked(fs), 2, [(r, ratios) for _, r, ratios in MEMBERS], singular)
+            _stacked(fs), 2, _radii([r for _, r, _ in MEMBERS]),
+            [ratios for _, _, ratios in MEMBERS], singular)
         alone = [integrate_polar_separable(f, 2, r, break_ratios=ratios,
                                            singular_center=singular)
                  for f, r, ratios in MEMBERS]
@@ -381,7 +388,8 @@ class TestPolarStack:
             return _stacked(fs)(x, owners)
 
         stacked = numerics.integrate_polar_stack(
-            f, 2, [(r, ratios) for _, r, ratios in MEMBERS * 8], False)
+            f, 2, _radii([r for _, r, _ in MEMBERS * 8]),
+            [ratios for _, _, ratios in MEMBERS * 8], False)
         assert max(sizes) <= 1000 < max(sizes) + 15
         assert sum(sizes) == sum(r.evaluations for r in stacked)
 
@@ -402,7 +410,7 @@ class TestPolarStack:
             except NonConvergedError as exc:
                 expected = expected or exc
         with pytest.raises(NonConvergedError) as info:
-            numerics.integrate_polar_stack(_stacked(fs), 2, [(1.0, ())] * 2, False)
+            numerics.integrate_polar_stack(_stacked(fs), 2, _radii([1.0, 1.0]), [()] * 2, False)
         got = info.value
         assert (str(got), got.value, got.error, got.evaluations) == (
             str(expected), expected.value, expected.error, expected.evaluations)

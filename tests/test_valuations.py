@@ -838,10 +838,10 @@ class TestPlaneStacks:
 
         stack = valuations.integrate_polar_stack
 
-        def recorded(f, n, members, singular):
+        def recorded(f, n, radii, ratios, singular):
             first = len(calls)
-            out = stack(f, n, members, singular)
-            stacks.append((len(members), len(calls) - first))
+            out = stack(f, n, radii, ratios, singular)
+            stacks.append((len(ratios), len(calls) - first))
             return out
 
         monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
