@@ -191,8 +191,11 @@ class WeightFunction:
         s_arr = np.atleast_1d(s_arr)
         if np.any(s_arr < 0):
             raise ValueError("weights are defined for s >= 0")
-        out = np.full_like(s_arr, np.nan)  # a NaN argument stays NaN
         pos = s_arr > 0
+        if pos.all():  # no 0 and no NaN: the values are the weight's own
+            out = np.asarray(self._values(s_arr), dtype=float)
+            return float(out[0]) if scalar else out
+        out = np.full_like(s_arr, np.nan)  # a NaN argument stays NaN
         out[pos] = self._values(s_arr[pos])
         zero = s_arr == 0
         if np.any(zero):

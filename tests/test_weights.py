@@ -101,14 +101,19 @@ class TestWrappedWeights:
     """Sums, scalings and transforms evaluate their inner weights' values
     directly, on the positive points their own ``__call__`` has checked."""
 
-    @pytest.mark.parametrize("name,w", WRAPPED, ids=[n for n, _ in WRAPPED])
-    def test_values_bit_identical(self, name, w):
+    @pytest.mark.parametrize("name,w", WRAPPED + CATALOG, ids=[n for n, _ in WRAPPED + CATALOG])
+    @pytest.mark.parametrize("points", ["with_zero", "positive", "with_nan"])
+    def test_values_bit_identical(self, name, w, points):
+        # every point positive takes the weight's values at once; a 0 or a
+        # NaN among them is set apart first
         s_max = w.support_bound
         s = np.concatenate([[0.0, 1e-300, 1e-12, s_max, np.nextafter(s_max, 0.0),
                              np.nextafter(s_max, 10.0), 2.0 * s_max, 50.0],
                             np.linspace(0.0, 1.2 * s_max, 97)])
-        if w.value_at_zero() is None:  # no finite limit: 0 is not in its domain
-            s = s[s > 0]
+        if points != "with_zero" or w.value_at_zero() is None:
+            s = s[s > 0]  # without a finite limit 0 is not in the domain
+        if points == "with_nan":
+            s[5] = np.nan
         got = np.asarray(w(s))
         assert [x.hex() for x in got] == [x.hex() for x in _through_calls(w, s)]
 
