@@ -371,35 +371,35 @@ def _value_at_zero(weight: WeightFunction):
 
 def _domain_weight_integrals(ws, weight: WeightFunction):
     """(value, error, evals) of the integral over dom(w) of weight(|grad w|)
-    for each w of the stack ``ws``: exact for indicators and cones, through
-    epigraph translations, rotations and scalings, and one smooth-route
-    stack for the smooth ones."""
-    out, smooth = [], []
-    for i, w in enumerate(ws):
+    for each w of the stack ``ws``: through epigraph translations, rotations
+    and scalings to a core that is exact for indicators and cones, and one
+    smooth-route stack for the smooth cores."""
+    cores = []  # (core, the epigraph scalings around it, outermost first)
+    for w in ws:
         scales = []
         while isinstance(w, (EpiTranslated, Rotated, EpiScaled)):
             if isinstance(w, EpiScaled):
                 scales.append(w.lam ** w.n)
             w = w.inner
-        if isinstance(w, Indicator):
-            value = _value_at_zero(weight) * w.body.volume()
-        elif isinstance(w, Cone):
-            wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
-            value = wt * kappa(w.n) * w.r ** w.n
-        elif w.smooth_kind() is not None:
-            value = None
-            smooth.append((i, w))
-        else:
+        if not isinstance(w, (Indicator, Cone)) and w.smooth_kind() is None:
             raise UnsupportedVariant(
                 f"domain-gradient integral unsupported for {type(w).__name__}")
-        out.append([value, 0.0, 0, scales])
-    if smooth:
-        for (i, _), row in zip(smooth, _smooth_integral([w for _, w in smooth], weight, 0)):
-            out[i][:3] = row
-    for row in out:
-        for scale in reversed(row[3]):  # innermost scaling first
-            row[0], row[1] = row[0] * scale, row[1] * scale
-    return [tuple(row[:3]) for row in out]
+        cores.append((w, scales))
+    smooth = [w for w, _ in cores if not isinstance(w, (Indicator, Cone))]
+    integrals = iter(_smooth_integral(smooth, weight, 0) if smooth else ())
+    out = []
+    for w, scales in cores:
+        if isinstance(w, Indicator):
+            value, error, evals = _value_at_zero(weight) * w.body.volume(), 0.0, 0
+        elif isinstance(w, Cone):
+            wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
+            value, error, evals = wt * kappa(w.n) * w.r ** w.n, 0.0, 0
+        else:
+            value, error, evals = next(integrals)
+        for scale in reversed(scales):  # innermost first
+            value, error = value * scale, error * scale
+        out.append((value, error, evals))
+    return out
 
 
 # ---------------------------------------------------------------------------
