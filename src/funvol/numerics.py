@@ -435,7 +435,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
 
     ``f(x, owners)`` evaluates the integrands of the whole stack at once: the
     points ``x`` are (m, n) rows, and ``owners`` lists the (member, start,
-    stop) row ranges of each member's points, in increasing order.
+    stop) row ranges of each member's points, in increasing order.  ``f``
+    must not keep ``x``: its buffer takes the call's scaled values next.
     ``radii(dirs, members)`` gives the (len(members), len(dirs)) ray radii R
     of those members (a number is every member's R on every ray), and
     ``break_ratios`` holds one sequence per member.
