@@ -14,7 +14,8 @@ order.  Interval quadrature is a stack of one.  Interval panels carry a
 31-point Gauss rule checked against a 16-point one, radial panels the
 Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds every
 direction of each member's sphere rule for each of its panels and reaches
-the integrand in calls of at most ``_MAX_BATCH`` points.  A singular
+the integrand in calls of at most ``_MAX_BATCH`` points, and the members
+refining together hold at most ``_MAX_BATCH`` directions.  A singular
 endpoint is graded, r = t^2, and refined by the same adaptive panels as the
 rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
 :func:`integrate_polar_separable` on a stack of one) doubles each member's
@@ -26,6 +27,7 @@ quadrature, cover n <= 4; a larger n is an :class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
@@ -101,7 +103,7 @@ _ABS_TOL = 1e-10       # a refinement stops once its error is at most
 _REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
 _LEVEL = 4             # first fine angular level of polar quadrature
 _MAX_LEVEL = 64        # angular level budget of polar quadrature
-_MAX_BATCH = 1 << 14   # integrand points per call of polar quadrature
+_MAX_BATCH = 1 << 14   # integrand points per call, and directions held, of polar quadrature
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): the nonnegative
 # Kronrod abscissae in decreasing order, their weights, and the weights of
@@ -382,17 +384,9 @@ def _reduce(values: np.ndarray, panels, halves, hi: list, lo: list) -> None:
     sphere rule, whose (G * D, 15) values lie in order in ``values``: panel
     (q, run) gives ``halves[q] * (run.scale @ (its values @ w))``.  numpy's
     stacked matmul runs the 2-d kernel on each slice, so a panel's bits do
-    not depend on the panels reduced with it; a lone panel takes the 2-d
-    products, which cost less."""
+    not depend on the panels reduced with it."""
     _, w_k, w_g = _KRONROD
-    if len(panels) == 1:
-        ((q, r),) = panels
-        hi.append(halves[q] * float(r.scale @ (values @ w_k)))
-        lo.append(halves[q] * float(r.scale @ (values[:, 1::2] @ w_g)))
-        return
-    first = panels[0][1]
-    scales = (first.scale[None] if all(r is first for _, r in panels)
-              else np.array([r.scale for _, r in panels]))[:, None, :]
+    scales = np.array([r.scale for _, r in panels])[:, None, :]
     values = values.reshape(len(panels), -1, values.shape[-1])
     kronrod = np.matmul(scales, (values @ w_k)[:, :, None]).ravel().tolist()
     gauss = np.matmul(scales, (values[:, :, 1::2] @ w_g)[:, :, None]).ravel().tolist()
@@ -444,8 +438,13 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     sums; every refinement step puts the new panels of every member still
     refining, a level's starting panels among them, into one batch, which
     reaches ``f`` in calls of at most ``_MAX_BATCH`` points.  The members
-    that start a level together take its radii from one ``radii`` call.  A
-    member drops out once two of its consecutive levels agree.
+    refining together hold at most ``_MAX_BATCH`` sphere-rule directions
+    between them (a member whose rule is larger refines alone), so neither
+    their radii and scales nor a ``radii`` call grow with the stack; the
+    other members wait, and join in stack order as directions come free.
+    The members that start a level together take its radii from one
+    ``radii`` call.  A member drops out once two of its consecutive levels
+    agree.
     ``singular_center`` holds for every member.  Where a member's budget
     runs out, the members after it in the stack are dropped, and the
     :class:`NonConvergedError` of the first member to fail is raised once
@@ -460,15 +459,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     def panels(batch):
         nonlocal block
         halves, t = _panel_nodes([e for _, ends in batch for e in ends], nodes)
-        # tau = t ** grade and its Jacobian tau ** (n - 1) * grade * t ** (grade - 1),
-        # with x ** 1 = x and 1 * x ** 0 = 1 taken as such: they change no bit
-        if grade == 1:
-            tau = t
-            jac = t if n == 2 else t ** (n - 1)
-        else:
-            tau = t ** grade
-            jac = (tau if n == 2 else tau ** (n - 1)) * (
-                grade * (t if grade == 2 else t ** (grade - 1)))
+        tau = t ** grade
+        jac = tau ** (n - 1) * (grade * t ** (grade - 1))
         # the (panel, direction) pairs, panel-major, cut into calls of at most
         # `step` pairs: a call may hold many panels and end inside one
         calls, room = [[]], step
@@ -528,32 +520,46 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         dirs, wts = sphere_rule(n, group[0].level)
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
-        for r, row, scale in zip(group, rows, wts * rows ** n):  # substitution r = R * tau
-            r.dirs, r.radii, r.scale = dirs, row, scale
+        for r, row in zip(group, rows):  # each its own arrays, freed with its rule
+            r.dirs, r.radii = dirs, np.array(row)
+            r.scale = wts * r.radii ** n  # substitution r = R * tau
 
-    runs = []
+    waiting = []  # the runs that take a sphere rule before their next pass, last index first
     for index, ratios in enumerate(break_ratios):
         edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
             {float(t) for t in ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
         run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
         run.level, run.prev = 1 if n == 1 else _LEVEL // 2, None
-        runs.append(run)
-    start(runs)
-    results, failure = [None] * len(runs), None
-    while runs:
-        starting = {}  # the runs that start their next level, by level
+        waiting.insert(0, run)
+    runs, results, failure = [], [None] * len(waiting), None
+    while runs or waiting:
+        # waiting runs join in stack order while the runs refining together
+        # hold at most _MAX_BATCH directions, or one run holds more alone
+        held, joining = sum(len(r.dirs) for r in runs), {}
+        while waiting:
+            r = waiting[-1]
+            d = sphere_rule_size(n, r.level)
+            if held + d > _MAX_BATCH and (runs or joining):
+                break
+            waiting.pop()
+            held += d
+            joining.setdefault(r.level, []).append(r)
+        for group in joining.values():
+            start(group)
+            runs.extend(group)
+        runs.sort(key=lambda r: r.index)
         for r in _refine(panels, runs, fn, "radial refinement"):
+            runs.remove(r)
+            r.dirs = r.radii = r.scale = None
             if r.failure is None:
                 results[r.index] = r.settle(n, fn.counts[r.index])
             if r.failure is not None:
-                failure, runs = r.failure, runs[:runs.index(r)]
+                failure = r.failure
+                runs = [s for s in runs if s.index < r.index]
+                waiting = [s for s in waiting if s.index < r.index]
                 break
-            if results[r.index] is not None:
-                runs.remove(r)
-            else:
-                starting.setdefault(r.level, []).append(r)
-        for group in starting.values():
-            start(group)
+            if results[r.index] is None:
+                bisect.insort(waiting, r, key=lambda r: -r.index)
     if failure is not None:
         raise failure
     return results

@@ -192,7 +192,7 @@ class WeightFunction:
         if np.any(s_arr < 0):
             raise ValueError("weights are defined for s >= 0")
         pos = s_arr > 0
-        if pos.all():  # no 0 and no NaN: the values are the weight's own
+        if pos.all():  # no 0 and no NaN: no masks (measured faster: BENCH_14.json "fast_paths")
             out = np.asarray(self._values(s_arr), dtype=float)
             return float(out[0]) if scalar else out
         out = np.full_like(s_arr, np.nan)  # a NaN argument stays NaN

@@ -393,6 +393,36 @@ class TestPolarStack:
         assert max(sizes) <= 1000 < max(sizes) + 15
         assert sum(sizes) == sum(r.evaluations for r in stacked)
 
+    def test_held_directions_stay_within_budget(self, monkeypatch):
+        # the members refining together hold at most _MAX_BATCH sphere-rule
+        # directions, and so does each radii call, unless one member's rule
+        # is larger alone; the others wait their turn, which changes no bit
+        budget = 48
+        monkeypatch.setattr(numerics, "_MAX_BATCH", budget)
+        held, asked = [], []
+        refine = numerics._refine
+
+        def recorded_refine(panels, runs, fn, what):
+            held.append((sum(len(r.dirs) for r in runs), len(runs)))
+            return refine(panels, runs, fn, what)
+
+        def radii(dirs, members):
+            asked.append((len(dirs) * len(members), len(members)))
+            return _radii([r for _, r, _ in MEMBERS * 8])(dirs, members)
+
+        monkeypatch.setattr(numerics, "_refine", recorded_refine)
+        fs = [f for f, _, _ in MEMBERS] * 8
+        ratios = [ratios for _, _, ratios in MEMBERS * 8]
+        stacked = numerics.integrate_polar_stack(_stacked(fs), 2, radii, ratios, False)
+        for size, members in held + asked:
+            assert size <= budget or members == 1
+        assert max(size for size, _ in held) > budget      # a rule of 64 directions alone
+        assert max(members for _, members in held) > 1     # and members in lockstep
+        alone = [integrate_polar_separable(f, 2, r, break_ratios=ratios)
+                 for f, r, ratios in MEMBERS]
+        assert [(r.value.hex(), r.error.hex(), r.evaluations) for r in stacked] == [
+            (r.value.hex(), r.error.hex(), r.evaluations) for r in alone * 8]
+
     @pytest.mark.parametrize("order", ["peaked_first", "kink_first"])
     def test_first_member_to_fail_is_raised(self, order, monkeypatch):
         # the kink fails its depth budget within a few steps; the peaked

@@ -826,6 +826,39 @@ class TestPlaneStacks:
         stacked = valuations._smooth_integral(ws, xi, 1)
         assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 1))
 
+    def test_large_draw_holds_a_bounded_stack(self, monkeypatch):
+        # a Monte Carlo draw is one stack however many planes it holds; the
+        # members that refine together, and each radii call, hold at most
+        # _MAX_BATCH directions, and the members still equal each alone
+        budget = 1024  # eight level-4 rules in R^3, of 128 directions each
+        monkeypatch.setattr(numerics, "_MAX_BATCH", budget)
+        held, asked = [], []
+        refine, stack = numerics._refine, valuations.integrate_polar_stack
+
+        def recorded_refine(panels, runs, fn, what):
+            held.append((sum(len(r.dirs) for r in runs), len(runs)))
+            return refine(panels, runs, fn, what)
+
+        def recorded_stack(f, n, radii, ratios, singular):
+            def counted(dirs, members):
+                asked.append((len(dirs) * len(members), len(members)))
+                return radii(dirs, members)
+            return stack(f, n, counted, ratios, singular)
+
+        monkeypatch.setattr(numerics, "_refine", recorded_refine)
+        monkeypatch.setattr(valuations, "integrate_polar_stack", recorded_stack)
+        streams = [Rng(5).stream(i) for i in range(24)]
+        ws = [valuations.project_function(Quadratic(A4), e).realized
+              for e in valuations.sample_grassmann(4, 3, streams)]
+        xi = xi_from_zeta(Tent(1.0), 1, 3, 4)
+        stacked = valuations._smooth_integral(ws, xi, 2)
+        assert len(held) > 1 and asked
+        for size, members in held + asked:
+            assert size <= budget or members == 1
+        # the 24 members take level 4 in three turns of eight
+        assert [members for _, members in held].count(8) == 3
+        assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 2))
+
     def test_level_reaches_the_integrand_in_lockstep(self, monkeypatch):
         # the 16 planes of the level-2 cubature of G(3, 2) reach the
         # integrand in as many calls as the most refined of them alone
