@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (NonConvergedError, NotDifferentiable, SchemaError,
                      UnsupportedVariant, spec_errors)
-from .numerics import MAX_DIM, elem_sym_values, kappa
+from .numerics import MAX_DIM, elem_sym_values, kappa, row_norms
 
 __all__ = [
     "ConvexBody", "Ball", "Box", "PolytopeV",
@@ -113,12 +113,12 @@ class Ball(ConvexBody):
 
     def support(self, y):
         pts, scalar = _points(y, self.n)
-        out = pts @ self.c + self.radius * np.linalg.norm(pts, axis=1)
+        out = pts @ self.c + self.radius * row_norms(pts)
         return float(out[0]) if scalar else out
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        out = np.linalg.norm(pts - self.c, axis=1) <= self.radius + _CONTAINS_TOL
+        out = row_norms(pts - self.c) <= self.radius + _CONTAINS_TOL
         return bool(out[0]) if scalar else out
 
     def volume(self):
@@ -521,7 +521,8 @@ class Quadratic(ConvexFunction):
             raise ValueError("A must be square")
         if not np.all(np.isfinite(a)):
             raise ValueError("A must be finite")
-        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
+        atol = 1e-12 * max(1.0, float(np.abs(a).max()))
+        if not np.all(np.abs(a - a.T) <= atol + 1e-5 * np.abs(a.T)):  # np.allclose(a, a.T, atol)
             raise ValueError("A must be symmetric")
         n = _dimension(a.shape[0])
         eig = np.linalg.eigvalsh(a)
@@ -566,7 +567,7 @@ class Quadratic(ConvexFunction):
         return "everywhere"
 
     def grad_radius(self, dirs, s):
-        return s / np.linalg.norm(dirs @ self.a, axis=1)
+        return s / row_norms(dirs @ self.a)
 
     def radial_profile(self):
         if np.allclose(self.a, self.a[0, 0] * np.eye(self.n)) and not self.b.any():
@@ -592,17 +593,17 @@ class RadialPower(ConvexFunction):
         self.scale = float(scale)
 
     def _eval(self, pts):
-        return self.scale * np.linalg.norm(pts, axis=1) ** self.p / self.p
+        return self.scale * row_norms(pts) ** self.p / self.p
 
     def _gradient(self, pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         fac = np.where(r > 0, self.scale * r ** (self.p - 2.0), 0.0)
         if self.p < 2 and np.any(r == 0):
             raise NotDifferentiable("gradient factor diverges at the origin for p < 2")
         return pts * fac[:, None]
 
     def _hessian(self, pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         if self.p != 2 and np.any(r == 0):
             raise NotDifferentiable("Hessian of a radial power is singular at the origin")
         if self.p == 2:
@@ -616,7 +617,7 @@ class RadialPower(ConvexFunction):
     def hessian_elem_sym(self, x, degree):
         # eigenvalues: scale*(p-1)*r^{p-2} once, scale*r^{p-2} with multiplicity n-1
         pts, scalar = _points(x, self.n)
-        r = np.linalg.norm(pts, axis=1)
+        r = row_norms(pts)
         if self.p != 2 and np.any(r == 0):
             raise NotDifferentiable("Hessian of a radial power is singular at the origin")
         tang = self.scale * r ** (self.p - 2.0)
@@ -660,11 +661,11 @@ class Cone(ConvexFunction):
         self.r = float(r)
 
     def _eval(self, pts):
-        norms = np.linalg.norm(pts, axis=1)
+        norms = row_norms(pts)
         return np.where(norms <= self.r + 1e-14, self.t * norms, np.inf)
 
     def _gradient(self, pts):
-        norms = np.linalg.norm(pts, axis=1)
+        norms = row_norms(pts)
         if np.any(norms == 0) or np.any(norms > self.r + 1e-14):
             raise NotDifferentiable("cone gradient defined for 0 < |x| <= r only")
         return self.t * pts / norms[:, None]
@@ -695,7 +696,7 @@ class RadialHinge(ConvexFunction):
         self.r = float(r)
 
     def _eval(self, pts):
-        return self.r * np.maximum(0.0, np.linalg.norm(pts, axis=1) - self.t)
+        return self.r * np.maximum(0.0, row_norms(pts) - self.t)
 
     def conjugate(self):
         return Cone(self.n, self.t, self.r)

@@ -15,7 +15,10 @@ order.  Interval quadrature is a stack of one.  Interval panels carry a
 Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds every
 direction of each member's sphere rule for each of its panels and reaches
 the integrand in calls of at most ``_MAX_BATCH`` points, and the members
-refining together hold at most ``_MAX_BATCH`` directions.  A singular
+refining together hold at most ``_MAX_BATCH`` directions.  A call's points
+are an (m, n) view of a column-major buffer: each coordinate is one
+contiguous column, so an integrand reads them by coordinate (``row_norms``
+sums their squares column by column), and must not keep them.  A singular
 endpoint is graded, r = t^2, and refined by the same adaptive panels as the
 rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
 :func:`integrate_polar_separable` on a stack of one) doubles each member's
@@ -42,6 +45,7 @@ __all__ = [
     "kappa",
     "flag_coefficient",
     "elem_sym_values",
+    "row_norms",
     "QuadratureResult",
     "integrate_interval",
     "integrate_polar_separable",
@@ -90,6 +94,20 @@ def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
         for d in range(top, 0, -1):
             e[..., d] += v[..., k] * e[..., d - 1]
     return e[..., i]
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each row of an (m, n) array, as
+    ``np.linalg.norm(x, axis=1)`` gives it bit for bit for n <= MAX_DIM.
+
+    The squares are summed over the coordinates in index order, the order in
+    which numpy reduces rows shorter than its pairwise block of 8, but read
+    column by column, which is fast on the contiguous columns of polar points.
+    """
+    total = x[:, 0] * x[:, 0]
+    for k in range(1, x.shape[1]):
+        total += x[:, k] * x[:, k]
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +414,11 @@ def _reduce(values: np.ndarray, panels, halves, hi: list, lo: list) -> None:
 
 class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
-    level of its pass, that level's sphere rule and the member's ray radii
-    and scales on it, and the estimate of its previous level."""
+    level of its pass, that level's sphere-rule directions as rows and as
+    (n, D) contiguous coordinate columns, the member's ray radii and scales
+    on it, and the estimate of its previous level."""
 
-    __slots__ = ("level", "prev", "dirs", "radii", "scale")
+    __slots__ = ("level", "prev", "dirs", "cols", "radii", "scale")
 
     def settle(self, n: int, evaluations: int) -> QuadratureResult | None:
         """After a converged pass: the result once two consecutive levels
@@ -428,9 +447,11 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     bit for bit.
 
     ``f(x, owners)`` evaluates the integrands of the whole stack at once: the
-    points ``x`` are (m, n) rows, and ``owners`` lists the (member, start,
-    stop) row ranges of each member's points, in increasing order.  ``f``
-    must not keep ``x``: its buffer takes the call's scaled values next.
+    points ``x`` are an (m, n) view whose columns are contiguous (``x.T`` is
+    a C-ordered (n, m) block, one row per coordinate), so ``f`` should read
+    them by coordinate, and ``owners`` lists the (member, start, stop) row
+    ranges of each member's points, in increasing order.  ``f`` must not
+    keep ``x``: its buffer takes the call's scaled values next.
     ``radii(dirs, members)`` gives the (len(members), len(dirs)) ray radii R
     of those members (a number is every member's R on every ray), and
     ``break_ratios`` holds one sequence per member.
@@ -475,22 +496,22 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
                 room -= j - i
                 i = j
         size = step if len(calls) > 1 else step - room
-        pts = np.empty((size, len(nodes), n))  # one call's points
+        cols = np.empty((n, size, len(nodes)))  # one call's points, a column per coordinate
         # and, once the call is back, their values times the Jacobian
-        scaled = pts.reshape(-1)[:size * len(nodes)].reshape(size, len(nodes))
+        scaled = cols.reshape(-1)[:size * len(nodes)].reshape(size, len(nodes))
         hi, lo = [], []
         for pieces in calls:
             owners, fill = [], 0
             for q, r, i, j in pieces:
-                np.multiply((r.radii[i:j, None] * tau[q])[:, :, None], r.dirs[i:j, None, :],
-                            out=pts[fill:fill + j - i])
+                np.multiply((r.radii[i:j, None] * tau[q])[None], r.cols[:, i:j, None],
+                            out=cols[:, fill:fill + j - i])
                 if owners and owners[-1][0] == r.index:
                     owners[-1][2] = (fill + j - i) * len(nodes)
                 else:
                     owners.append([r.index, fill * len(nodes), (fill + j - i) * len(nodes)])
                 fill += j - i
             fn.owners = owners
-            vals = fn(pts[:fill].reshape(-1, n)).reshape(fill, -1)
+            vals = fn(cols[:, :fill].reshape(n, -1).T).reshape(fill, -1)
             # adjacent whole panels on one sphere rule are reduced together;
             # a panel cut by calls once block holds all of it
             fill, first, group = 0, 0, []
@@ -520,8 +541,9 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         dirs, wts = sphere_rule(n, group[0].level)
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
+        cols = np.ascontiguousarray(dirs.T)
         for r, row in zip(group, rows):  # each its own arrays, freed with its rule
-            r.dirs, r.radii = dirs, np.array(row)
+            r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
             r.scale = wts * r.radii ** n  # substitution r = R * tau
 
     waiting = []  # the runs that take a sphere rule before their next pass, last index first
@@ -550,7 +572,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         runs.sort(key=lambda r: r.index)
         for r in _refine(panels, runs, fn, "radial refinement"):
             runs.remove(r)
-            r.dirs = r.radii = r.scale = None
+            r.dirs = r.cols = r.radii = r.scale = None
             if r.failure is None:
                 results[r.index] = r.settle(n, fn.counts[r.index])
             if r.failure is not None:
@@ -575,8 +597,9 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     sphere rule in one bounded batch: its (panel, direction) pairs, panel
     by panel, reach the integrand in calls of at most ``_MAX_BATCH`` points,
     and each panel is reduced over its own directions once they are in.
-    ``f`` must not keep the (m, n) point array it is called on: the next
-    call may write over it.
+    ``f`` is called on an (m, n) view of points with contiguous columns,
+    best read by coordinate, and must not keep it: the next call may write
+    over it.
     With ``singular_center`` the graded substitution tau = t^2 (break
     ratios mapped to their square roots) clusters the nodes at the center.
     Panels carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the

@@ -37,7 +37,7 @@ from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, flag_coefficient,
                        integrate_interval, integrate_polar_separable, integrate_polar_stack,
-                       kappa)
+                       kappa, row_norms)
 from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
                         project_function, restrict_function, sample_grassmann,
                         whole_space)
@@ -279,7 +279,7 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                 f"{type(u).__name__} is outside the twice-differentiable catalog")
     centers = [u.minimizer() for u in funcs]
     frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
-    transposed = [frame.T for frame in frames]
+    transposed = [np.ascontiguousarray(frame.T) for frame in frames]
     jacs = np.abs(np.linalg.det(frames)).tolist()
     ratios = []
     for u, jac in zip(funcs, jacs):
@@ -301,10 +301,10 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
         pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
         g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
-        s = np.linalg.norm(g, axis=1)
+        s = row_norms(g)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = _joined([jacs[m] * w[a:b] for m, a, b in owners])
-        w = np.where(s >= s_max, 0.0, w)
+        w[s >= s_max] = 0.0
         if degree == 0:
             return w
         active = w != 0.0
@@ -470,9 +470,9 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     s_max = weight.support_bound
 
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
-        s = np.linalg.norm(pts, axis=1)
+        s = row_norms(pts)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
-        w = np.where(s >= s_max, 0.0, w)
+        w[s >= s_max] = 0.0
         if j == 0:
             return w
         return _joined([w[a:b] * np.asarray(vs[m].hessian_elem_sym(pts[a:b], j))

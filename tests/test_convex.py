@@ -121,6 +121,29 @@ def _subgradient_pair(u, rng):
     return x, u.gradient(x)
 
 
+class TestQuadraticChecks:
+    @pytest.mark.parametrize("scale", [1.0, 3e6])
+    def test_symmetry_tolerance(self, scale):
+        # an off-diagonal pair that differs by about the tolerance is accepted
+        # exactly where np.allclose(a, a.T, atol=1e-12 * max(1, max |a|)) holds
+        base = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+        atol = 1e-12 * max(1.0, 2.0 * scale)
+        edge = atol + 1e-5 * base[0, 1]
+        verdicts = set()
+        for step in np.linspace(0.98, 1.02, 41):
+            for delta in (edge * step, np.nextafter(edge * step, 0.0)):
+                a = base.copy()
+                a[1, 0] += delta
+                symmetric = np.allclose(a, a.T, atol=atol)
+                verdicts.add(symmetric)
+                if symmetric:
+                    assert Quadratic(a).n == 2
+                else:
+                    with pytest.raises(ValueError, match="symmetric"):
+                        Quadratic(a)
+        assert verdicts == {True, False}
+
+
 class TestConjugate:
     def test_half_norm_squared_self_dual(self):
         u = Quadratic(np.eye(2))

@@ -174,3 +174,20 @@ def test_one_polar_engine():
     nested = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "nested")
     assert "eval_cauchy_kubota" in _references(nested)
+
+
+def test_one_row_norm():
+    """Every batched row norm goes through ``numerics.row_norms``.
+
+    No ``linalg.norm`` call with ``axis=1`` is left in the package: numpy
+    reduces rows of a few coordinates far slower than ``row_norms`` sums
+    contiguous columns, with the same bits.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "norm"
+                    and any(kw.arg == "axis" and ast.unparse(kw.value) in ("1", "-1")
+                            for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, "row norms outside numerics.row_norms: " + ", ".join(found)

@@ -15,6 +15,7 @@ from funvol.numerics import (
     integrate_interval,
     integrate_polar_separable,
     kappa,
+    row_norms,
     sphere_rule,
     sphere_rule_size,
     standard_normals,
@@ -62,6 +63,42 @@ class TestElemSym:
         vals = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
         out = elem_sym_values(vals, 2)
         assert out == pytest.approx([11.0, 3.0])
+
+
+class TestRowNorms:
+    """``row_norms`` is ``np.linalg.norm(x, axis=1)``, bit for bit."""
+
+    @staticmethod
+    def _same(x):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got, want = row_norms(x), np.linalg.norm(x, axis=1)
+        return got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_rows(self, n, order):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2_000, n)) * np.exp(rng.uniform(-20.0, 20.0, (2_000, n)))
+        assert self._same(np.asarray(x, order=order))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_special_values(self, n, order):
+        # zeros, subnormals (squares underflow), values whose squares
+        # overflow, NaN, and mixtures of them in one row
+        specials = [0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e155, -3e155, 1.7e308,
+                    np.nan, 1.0, -2.5]
+        rng = np.random.default_rng(100 + n)
+        x = rng.choice(specials, size=(500, n))
+        x[:len(specials)] = np.array(specials)[:, None]
+        assert self._same(np.asarray(x, order=order))
+        with np.errstate(over="ignore", under="ignore"):
+            norms = row_norms(x)
+        assert np.array_equal(np.isnan(norms), np.isnan(x).any(axis=1))
+        assert np.isinf(norms[specials.index(1e155)])
+
+    def test_empty_rows(self):
+        assert row_norms(np.empty((0, 3))).shape == (0,)
 
 
 class TestKappa:
@@ -316,6 +353,22 @@ class TestPolarWork:
         # the value, error and count of the per-panel evaluation, bit for bit
         assert (res.value.hex(), res.error.hex(), res.integrand_evals) == (
             "0x1.0d4c4618dfecep+3", "0x1.fd978371d4000p-31", 30720)
+
+    def test_points_are_contiguous_columns(self, monkeypatch):
+        # the integrand gets (m, n) points whose coordinates are contiguous
+        # columns, a view of the call buffer
+        layouts = []
+        count = numerics._CountingFn.__call__
+
+        def counted(self, x):
+            layouts.append((x.shape, x.strides[0], x.base is not None))
+            return count(self, x)
+
+        monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
+        eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)),
+                  Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
+        assert layouts and all(shape[1] == 4 and stride == 8 and view
+                               for shape, stride, view in layouts)
 
     def test_batches_stay_bounded(self, monkeypatch):
         # the n = 4 Bump dual integral takes 10 radial panels into level 4,
