@@ -97,9 +97,6 @@ class TestRowNorms:
         assert np.array_equal(np.isnan(norms), np.isnan(x).any(axis=1))
         assert np.isinf(norms[specials.index(1e155)])
 
-    def test_empty_rows(self):
-        assert row_norms(np.empty((0, 3))).shape == (0,)
-
 
 class TestKappa:
     def test_values(self):

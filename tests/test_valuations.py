@@ -655,39 +655,36 @@ class TestPolarPins:
     evaluations and planes.  The numbers were recorded before the polar
     points moved from rows to contiguous coordinate columns."""
 
-    PINS = {
-        "dual_bump_j1": ("0x1.4eb2533cb7a05p+3", "0x1.64e1da79e0000p-27", 188160, 0),
-        "dual_bump_j3": ("0x1.a25ee80be5885p+5", "0x1.be1a40e47c000p-25", 188160, 0),
-        "smooth_tent_j1": ("0x1.07307fd73e4e4p+1", "0x1.0000000000000p-51", 17280, 0),
-        "smooth_power_log": ("0x1.e28c731eb694ep+2", "0x1.a76cd80000000p-36", 5280, 0),
-        "dual_power_log": ("0x1.cb91f3bbba13fp+0", "0x1.a2262d8000000p-36", 5280, 0),
-        "ck_general_cubature": ("0x1.eb7c166fdfe3bp+0", "0x1.0f4d8f4612373p-51", 7200, 20),
+    Q4 = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
+    POWER = RadialPower(3, 4.0)
+    CASES = {
+        "dual_bump_j1": (
+            lambda c: eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)), c.Q4, "integral"),
+            ("0x1.4eb2533cb7a05p+3", "0x1.64e1da79e0000p-27", 188160, 0)),
+        "dual_bump_j3": (
+            lambda c: eval_dual(ValuationSpec(3, 4, Bump(0.2, 0.8)), c.Q4, "integral"),
+            ("0x1.a25ee80be5885p+5", "0x1.be1a40e47c000p-25", 188160, 0)),
+        "smooth_tent_j1": (
+            lambda c: eval_smooth(ValuationSpec(1, 4, TENT), c.Q4),
+            ("0x1.07307fd73e4e4p+1", "0x1.0000000000000p-51", 17280, 0)),
+        "smooth_power_log": (
+            lambda c: eval_smooth(ValuationSpec(2, 3, LogCap()), c.POWER),
+            ("0x1.e28c731eb694ep+2", "0x1.a76cd80000000p-36", 5280, 0)),
+        "dual_power_log": (
+            lambda c: eval_dual(ValuationSpec(2, 3, LogCap()), c.POWER, "integral"),
+            ("0x1.cb91f3bbba13fp+0", "0x1.a2262d8000000p-36", 5280, 0)),
+        # a G(3, 2) cubature level: hyperplanes in R^3
+        "ck_general_cubature": (
+            lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
+                                      Quadratic(np.diag([1.0, 2.0, 3.0])), 2, 64, Rng(3)),
+            ("0x1.eb7c166fdfe3bp+0", "0x1.0f4d8f4612373p-51", 7200, 20)),
     }
 
-    @staticmethod
-    def _run(name):
-        q4 = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
-        power = RadialPower(3, 4.0)
-        bump = Bump(0.2, 0.8)
-        if name == "dual_bump_j1":
-            return eval_dual(ValuationSpec(1, 4, bump), q4, "integral")
-        if name == "dual_bump_j3":
-            return eval_dual(ValuationSpec(3, 4, bump), q4, "integral")
-        if name == "smooth_tent_j1":
-            return eval_smooth(ValuationSpec(1, 4, TENT), q4)
-        if name == "smooth_power_log":
-            return eval_smooth(ValuationSpec(2, 3, LogCap()), power)
-        if name == "dual_power_log":
-            return eval_dual(ValuationSpec(2, 3, LogCap()), power, "integral")
-        # a G(3, 2) cubature level: hyperplanes in R^3
-        return eval_ck_general(ValuationSpec(1, 3, TENT),
-                               Quadratic(np.diag([1.0, 2.0, 3.0])), 2, 64, Rng(3))
-
-    @pytest.mark.parametrize("name", sorted(PINS))
+    @pytest.mark.parametrize("name", sorted(CASES))
     def test_pin(self, name):
-        r = self._run(name)
-        assert (r.value.hex(), r.error.hex(), r.integrand_evals,
-                r.subspace_samples) == self.PINS[name]
+        run, pin = self.CASES[name]
+        r = run(self)
+        assert (r.value.hex(), r.error.hex(), r.integrand_evals, r.subspace_samples) == pin
 
 
 class TestHessianMeasures:
