@@ -15,8 +15,8 @@ order.  Interval quadrature is a stack of one.  Interval panels carry a
 Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds every
 direction of each member's sphere rule for each of its panels and reaches
 the integrand in calls of at most ``_MAX_BATCH`` points, and the members
-refining together hold at most ``_MAX_BATCH`` directions.  A call's points
-are an (m, n) view of a column-major buffer: each coordinate is one
+refining together hold at most ``_MAX_BATCH`` directions.  A polar call's
+points are an (m, n) view of a column-major buffer: each coordinate is one
 contiguous column, so an integrand reads them by coordinate (``row_norms``
 sums their squares column by column), and must not keep them.  A singular
 endpoint is graded, r = t^2, and refined by the same adaptive panels as the
