@@ -110,6 +110,9 @@ def _cmd_compute(args) -> int:
     if not np.isfinite(result.value):
         raise NonConvergedError(f"the {args.method} value is not finite in double precision",
                                 result.value)
+    if not np.isfinite(result.error):  # e.g. one Monte Carlo plane: no standard error
+        raise NonConvergedError(f"the {args.method} value has no finite error bound",
+                                result.value, result.error)
     print(canonical_json(result.to_dict()))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ __all__ = [
     "ConvexBody", "Ball", "Box", "PolytopeV",
     "body_intrinsic_volume", "project_body", "shadow_intrinsic_volumes",
     "body_from_spec",
-    "ConvexFunction", "Quadratic", "RadialPower", "Cone", "Indicator",
-    "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
+    "ConvexFunction", "Quadratic", "QuadraticStack", "RadialPower", "Cone",
+    "Indicator", "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
     "EpiScaled", "PointwiseScaled", "PlusAffine", "InfConv", "PointwiseSum",
     "discrete_legendre", "function_from_spec",
 ]
@@ -531,13 +532,16 @@ class Quadratic(ConvexFunction):
                              "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
         if eig[-1] > 1e300:  # projections f'Af would overflow
             raise ValueError("A must have eigenvalues below 1e300")
-        self.a, self.eig = a, eig
-        self._elem_sym = {}  # e_i(eig) by degree, on first use
-        self.b = np.zeros(n) if b is None else _vec(b, n)
-        self.c = float(c)
-        if not (np.all(np.isfinite(self.b)) and math.isfinite(self.c)):
+        b = np.zeros(n) if b is None else _vec(b, n)
+        c = float(c)
+        if not (np.all(np.isfinite(b)) and math.isfinite(c)):
             raise ValueError("b and c must be finite")
-        self.n = n
+        self._set(a, b, c, eig)
+
+    def _set(self, a, b, c: float, eig) -> None:
+        self.a, self.b, self.c, self.eig = a, b, c, eig
+        self._elem_sym = {}  # e_i(eig) by degree, on first use
+        self.n = len(a)
 
     def _eval(self, pts):
         return 0.5 * np.einsum("mi,ij,mj->m", pts, self.a, pts) + pts @ self.b + self.c
@@ -577,6 +581,52 @@ class Quadratic(ConvexFunction):
 
     def to_spec(self):
         return {"type": "quadratic", "A": self.a.tolist(), "b": self.b.tolist(), "c": self.c}
+
+
+class QuadraticStack(Sequence):
+    """S quadratics u_i(x) = x'A_i x/2 + b_i'x + c_i of one dimension n, held
+    as stacked arrays: ``a`` (S, n, n), ``b`` (S, n), ``c`` (S,) and the
+    eigenvalues ``eig`` (S, n).  The checks of :class:`Quadratic` run once
+    over the stack; member i, when indexed, is a Quadratic on views of the
+    arrays, built without a second check."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        # the checks of Quadratic, in its order, over the whole stack
+        if not np.isfinite(a).all():
+            raise ValueError("A must be finite")
+        a_t = np.swapaxes(a, 1, 2)
+        atol = 1e-12 * np.maximum(1.0, abs(a).max(axis=(1, 2)))
+        if not (abs(a - a_t) <= atol[:, None, None] + 1e-5 * abs(a_t)).all():
+            raise ValueError("A must be symmetric")
+        eig = np.linalg.eigvalsh(a)
+        if (eig[:, 0] <= 1e-10 * np.maximum(1.0, eig[:, -1])).any():
+            raise ValueError("A must be positive definite "
+                             "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
+        if (eig[:, -1] > 1e300).any():
+            raise ValueError("A must have eigenvalues below 1e300")
+        if not (np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("b and c must be finite")
+        self._set(a, b, c, eig)
+
+    @classmethod
+    def of(cls, quads) -> "QuadraticStack":
+        """The stack of quadratics already built, without a second check."""
+        s = cls.__new__(cls)
+        s._set(np.array([u.a for u in quads]), np.array([u.b for u in quads]),
+               np.array([u.c for u in quads]), np.array([u.eig for u in quads]))
+        return s
+
+    def _set(self, a, b, c, eig) -> None:
+        self.a, self.b, self.c, self.eig = a, b, c, eig
+        self.n = a.shape[-1]
+
+    def __len__(self):
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> Quadratic:
+        u = Quadratic.__new__(Quadratic)
+        u._set(self.a[i], self.b[i], float(self.c[i]), self.eig[i])
+        return u
 
 
 class RadialPower(ConvexFunction):

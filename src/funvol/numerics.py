@@ -97,16 +97,17 @@ def elem_sym_values(values: np.ndarray, i: int) -> np.ndarray:
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean length of each row of an (m, n) array, as
-    ``np.linalg.norm(x, axis=1)`` gives it bit for bit for n <= MAX_DIM.
+    """The Euclidean length of each row of an (m, n) array, or of a stack of
+    them along the last axis, as ``np.linalg.norm(x, axis=-1)`` gives it bit
+    for bit for n <= MAX_DIM.
 
     The squares are summed over the coordinates in index order, the order in
     which numpy reduces rows shorter than its pairwise block of 8, but read
     column by column, which is fast on the contiguous columns of polar points.
     """
-    total = x[:, 0] * x[:, 0]
-    for k in range(1, x.shape[1]):
-        total += x[:, k] * x[:, k]
+    total = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * x[..., k]
     return np.sqrt(total)
 
 

@@ -8,10 +8,14 @@ Grassmannian average are drawn as one stack of normals, factored by one
 stacked complete QR and checked for orthonormality in one batched pass, and
 each plane is then a view into that stack.  Cubature planes, the lines
 through or the hyperplanes normal to the directions of a sphere rule, are
-framed by the same stacked QR.  Projection functions (minimum
-over the orthogonal fiber) are realized as catalog variants wherever a closed
-form exists; any other source raises UnsupportedVariant, as an unrealized
-restriction does.
+framed by the same stacked QR, the planes of several levels at once.
+Projection functions (minimum over the orthogonal fiber) are realized as
+catalog variants wherever a closed form exists; any other source raises
+UnsupportedVariant, as an unrealized restriction does.  The projections and
+restrictions of a quadratic are realized stack-wide: one Schur complement
+A/A_GG (one stacked solve) or one stacked F'AF gives a
+:class:`QuadraticStack` for every plane of a stack at once, checked once,
+and a single plane's is the same code on a stack of one.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ import numpy as np
 
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      InfConv, MaxAffine, PlusAffine, PointwiseScaled,
-                     PointwiseSum, Quadratic, RadialHinge, RadialPower,
-                     Rotated, SupportFn, project_body)
+                     PointwiseSum, Quadratic, QuadraticStack, RadialHinge,
+                     RadialPower, Rotated, SupportFn, project_body)
 from .errors import UnsupportedVariant
 from .numerics import Rng, sphere_rule, sphere_rule_size, standard_normals
 
@@ -37,7 +41,9 @@ __all__ = [
     "grassmann_cubature",
     "sample_rotation",
     "project_function",
+    "project_quadratics",
     "restrict_function",
+    "restrict_quadratics",
     "check_conjugate_projection",
 ]
 
@@ -114,12 +120,14 @@ def _haar_frames(n: int, k: int, streams) -> np.ndarray:
 class _Planes(Sequence):
     """The subspaces spanned by the first k columns of a checked frame stack;
     each is built, as a view into the stack, when it is indexed, and
-    ``frames`` views the whole (S, n, k) stack of their frames."""
+    ``frames`` and ``complements`` view the whole (S, n, k) and (S, n, n - k)
+    stacks of their frames and complements."""
 
     def __init__(self, q: np.ndarray, k: int):
         self._q = q
         self._k = k
         self.frames = q[:, :, :k]
+        self.complements = q[:, :, k:]
 
     def __len__(self):
         return len(self._q)
@@ -169,15 +177,17 @@ def cubature_levels(n: int, samples: int) -> list[int]:
     return levels
 
 
-def grassmann_cubature(n: int, k: int, level: int) -> tuple[_Planes, np.ndarray]:
-    """Planes and weights of the level-``level`` cubature rule on k-planes in R^n.
+def grassmann_cubature(n: int, k: int,
+                       levels: Sequence[int]) -> list[tuple[_Planes, np.ndarray]]:
+    """Planes and weights of the cubature rules on k-planes in R^n at each of
+    ``levels``, all framed by one stacked QR.
 
-    The nodes come from the directions d of ``sphere_rule(n, level)``: the
-    lines through them for k = 1 (G(2, 1) included), else the hyperplanes
-    normal to them for k = n - 1.  Antipodal directions give the same
-    plane, so only the rule's first half is taken, one direction per pair,
-    with its weights normalized to sum to 1.  A function of the plane that
-    is a polynomial of degree below 4 * level in d is averaged exactly.
+    The nodes of level L come from the directions d of ``sphere_rule(n, L)``:
+    the lines through them for k = 1 (G(2, 1) included), else the
+    hyperplanes normal to them for k = n - 1.  Antipodal directions give the
+    same plane, so only the rule's first half is taken, one direction per
+    pair, with its weights normalized to sum to 1.  A function of the plane
+    that is a polynomial of degree below 4 * L in d is averaged exactly.
     (n, k) not covered (see :func:`cubature_covers`), the whole space, G(4, 2)
     and every n >= 5 among them, raise :class:`UnsupportedVariant`.
     """
@@ -185,12 +195,17 @@ def grassmann_cubature(n: int, k: int, level: int) -> tuple[_Planes, np.ndarray]
         raise UnsupportedVariant(
             f"Grassmannian cubature covers lines and hyperplanes in n <= 4, "
             f"got k={k}, n={n}")
-    dirs, wts = sphere_rule(n, level)
-    half = len(wts) // 2  # the second half negates the first
-    q = _stacked_frames(dirs[:half, :, None])
+    if not levels:
+        return []
+    rules = [sphere_rule(n, level) for level in levels]
+    halves = [len(wts) // 2 for _, wts in rules]  # the second half negates the first
+    q = _stacked_frames(np.concatenate([dirs[:half] for (dirs, _), half
+                                        in zip(rules, halves)])[:, :, None])
     if k != 1:  # the normal's complement, then the normal
         q = np.roll(q, -1, axis=2)
-    return _Planes(q, k), wts[:half] / wts[:half].sum()
+    bounds = np.cumsum([0] + halves).tolist()
+    return [(_Planes(q[start:stop], k), wts[:half] / wts[:half].sum())
+            for (_, wts), half, start, stop in zip(rules, halves, bounds, bounds[1:])]
 
 
 def sample_rotation(n: int, rng: Rng) -> np.ndarray:
@@ -226,24 +241,34 @@ def project_function(u: ConvexFunction, e: Subspace) -> ProjectedFunction:
     return ProjectedFunction(u, e, realized)
 
 
+def project_quadratics(u: Quadratic, frames: np.ndarray,
+                        complements: np.ndarray) -> QuadraticStack:
+    """The projections of u onto the planes of (S, n, k) frames with their
+    (S, n, n - k) complements, in frame coordinates: the Schur complements
+    A/A_GG, with b and c alike, from stacked products and one stacked solve."""
+    if not complements.shape[-1]:  # the whole space: no fiber to minimize over
+        return restrict_quadratics(u, frames)
+    f_t, g_t = np.swapaxes(frames, 1, 2), np.swapaxes(complements, 1, 2)
+    a_ff = f_t @ u.a @ frames
+    a_fg = f_t @ u.a @ complements
+    a_gg = g_t @ u.a @ complements
+    b_f = f_t @ u.b
+    b_g = g_t @ u.b
+    sol = np.linalg.solve(a_gg, np.concatenate([np.swapaxes(a_fg, 1, 2), b_g[:, :, None]],
+                                               axis=2))
+    x_part, w_part = sol[:, :, :-1], sol[:, :, -1:]
+    a_bar = a_ff - a_fg @ x_part
+    a_bar = 0.5 * (a_bar + np.swapaxes(a_bar, 1, 2))
+    b_bar = b_f - (a_fg @ w_part)[:, :, 0]
+    c_bar = u.c - 0.5 * (b_g[:, None, :] @ w_part)[:, 0, 0]
+    return QuadraticStack(a_bar, b_bar, c_bar)
+
+
 def _project(u: ConvexFunction, e: Subspace) -> ConvexFunction:
     f, g = e.frame, e.complement
     k = e.k
     if isinstance(u, Quadratic):
-        if k == u.n:
-            return Quadratic(f.T @ u.a @ f, f.T @ u.b, u.c)
-        a_ff = f.T @ u.a @ f
-        a_fg = f.T @ u.a @ g
-        a_gg = g.T @ u.a @ g
-        b_f = f.T @ u.b
-        b_g = g.T @ u.b
-        sol = np.linalg.solve(a_gg, np.concatenate([a_fg.T, b_g[:, None]], axis=1))
-        x_part, w_part = sol[:, :-1], sol[:, -1]
-        a_bar = a_ff - a_fg @ x_part
-        a_bar = 0.5 * (a_bar + a_bar.T)
-        b_bar = b_f - a_fg @ w_part
-        c_bar = u.c - 0.5 * float(b_g @ w_part)
-        return Quadratic(a_bar, b_bar, c_bar)
+        return project_quadratics(u, f[None], g[None])[0]
     if isinstance(u, RadialPower):
         return RadialPower(k, u.p, u.scale)
     if isinstance(u, Cone):
@@ -271,11 +296,18 @@ def restrict_function(v: ConvexFunction, e: Subspace) -> ConvexFunction:
     return _restrict(v, e)
 
 
+def restrict_quadratics(v: Quadratic, frames: np.ndarray) -> QuadraticStack:
+    """The restrictions x'(F'AF)x/2 + (F'b)'x + c of v to the planes of (S, n,
+    k) frames F, in frame coordinates x."""
+    f_t = np.swapaxes(frames, 1, 2)
+    return QuadraticStack(f_t @ v.a @ frames, f_t @ v.b, np.full(len(frames), v.c))
+
+
 def _restrict(v: ConvexFunction, e: Subspace) -> ConvexFunction:
     f = e.frame
     k = e.k
     if isinstance(v, Quadratic):
-        return Quadratic(f.T @ v.a @ f, f.T @ v.b, v.c)
+        return restrict_quadratics(v, f[None])[0]
     if isinstance(v, RadialPower):
         return RadialPower(k, v.p, v.scale)
     if isinstance(v, RadialHinge):

@@ -15,10 +15,13 @@ body, for indicators and the classical check, are evaluated for the whole
 stack in one numpy pass.  Smooth projections and restrictions are realized
 for every plane of the stack and integrated as one lockstep polar stack
 (:func:`integrate_polar_stack`): gradients and Hessian terms per member,
-|grad u| and the weight once per integrand call for the whole stack.  Only
-the nested G(k, j) average of projections that are not smooth (cones,
-inf-convolutions) goes plane by plane.  The Cauchy-Kubota route is the
-general projection route at k = j.
+|grad u| and the weight once per integrand call for the whole stack.  A
+quadratic's projections and restrictions come as one
+:class:`QuadraticStack`, which takes its centers, whitening frames, Hessian
+terms and ray radii in one operation per stack; lone quadratics run as
+stacks of one.  Only the nested G(k, j) average of projections that are not
+smooth (cones, inf-convolutions) goes plane by plane.  The Cauchy-Kubota
+route is the general projection route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -33,14 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     Rotated, body_intrinsic_volume, shadow_intrinsic_volumes)
+                     Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
+                     shadow_intrinsic_volumes)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
-from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, flag_coefficient,
-                       integrate_interval, integrate_polar_separable, integrate_polar_stack,
-                       kappa, row_norms)
+from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, elem_sym_values,
+                       flag_coefficient, integrate_interval, integrate_polar_separable,
+                       integrate_polar_stack, kappa, row_norms)
 from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
-                        project_function, restrict_function, sample_grassmann,
-                        whole_space)
+                        project_function, project_quadratics, restrict_function,
+                        restrict_quadratics, sample_grassmann, whole_space)
 from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
 
 __all__ = [
@@ -138,7 +142,10 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
     n <= 4) the average is deterministic.  Its levels are those of
     :func:`cubature_levels` for a budget of ``samples`` planes, each plane
     handed ``rng``, and they run in order until two consecutive level
-    estimates agree within the polar tolerance.  The mean is the last
+    estimates agree within the polar tolerance.  Their planes are framed in
+    two batches, one stacked QR each: levels 1 and 2, which every average
+    runs, and then, only once level 2 has not converged, all the remaining
+    levels of the budget.  The mean is the last
     level's, and the error is the larger of the last two level differences
     plus the last level's weighted inner error.  A budget that runs out
     leaves that error bar, not a non-converged result.
@@ -163,9 +170,13 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
         values, errors, evals = stack(whole_space(n), [rng])
         return float(values[0]), float(errors[0]), int(np.sum(evals)), 1
     if cubature_covers(n, k):
+        levels = cubature_levels(n, samples)
+        # levels 1 and 2 framed in one batch; the rest of the budget in a
+        # second, built only when the loop gets past level 2
+        rules = (rule for batch in (levels[:2], levels[2:])
+                 for rule in grassmann_cubature(n, k, batch))
         estimates, total, count = [], 0, 0
-        for level in cubature_levels(n, samples):
-            planes, weights = grassmann_cubature(n, k, level)
+        for planes, weights in rules:
             values, errors, evals = stack(planes, [rng] * len(planes))
             total += int(np.sum(evals))
             count += len(planes)
@@ -253,9 +264,17 @@ def _polar(f, n: int, radii, ratios, singular: bool):
     return [(res.value, res.error, res.evaluations) for res in results]
 
 
-def _joined(parts: list) -> np.ndarray:
-    """The arrays ``parts`` end to end; a single one as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _joined(parts: list, axis: int = 0) -> np.ndarray:
+    """The arrays ``parts`` end to end along ``axis``; a single one as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
+def _quadratic_stack(funcs):
+    """``funcs`` as one :class:`QuadraticStack` when every member is a
+    :class:`Quadratic`, else as it is."""
+    if isinstance(funcs, QuadraticStack) or not all(isinstance(u, Quadratic) for u in funcs):
+        return funcs
+    return QuadraticStack.of(funcs)
 
 
 def _smooth_integral(funcs, weight: WeightFunction, degree: int):
@@ -266,41 +285,63 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     M from :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a
     ball in z.  The integrand is still evaluated at the primal points x:
     gradients and Hessian terms per member, |grad u| and the weight once per
-    call for the whole stack.  A frame whose |det M|, or squared image
-    length |M d|^2 of a rule direction d, falls below the smallest normal
-    double would lose its digits to underflow, so it raises
-    :class:`SchemaError` instead.  Returns (value, error, evals) per member.
+    call for the whole stack.  A stack of quadratics takes its centers from
+    one stacked solve, its frames A^{-1} from one stacked inverse, its
+    Hessian terms e_degree(eig) once per stack, repeated over each call's
+    owner ranges, and its ray radii from one stacked product.  A frame whose
+    |det M|, or squared image length |M d|^2 of a rule direction d, falls
+    below the smallest normal double would lose its digits to underflow, so
+    it raises :class:`SchemaError` instead.  Returns (value, error, evals)
+    per member.
     """
     s_max = weight.support_bound
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
-    for u in funcs:
-        if u.smooth_kind() is None:
-            raise NotDifferentiable(
-                f"{type(u).__name__} is outside the twice-differentiable catalog")
-    centers = [u.minimizer() for u in funcs]
-    frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
-    transposed = [np.ascontiguousarray(frame.T) for frame in frames]
+    funcs = _quadratic_stack(funcs)
+    quads = funcs if isinstance(funcs, QuadraticStack) else None
+    if quads is not None:
+        centers = -np.linalg.solve(quads.a, quads.b[:, :, None])[:, :, 0]
+        # Hess u = A passed the stack's checks: finite, and positive definite
+        # by its eig, so :func:`_whitening` would give A^{-1}
+        frames = np.linalg.inv(quads.a)
+        terms = elem_sym_values(quads.eig, degree)
+        kinds, n = ["everywhere"], quads.n
+    else:
+        for u in funcs:
+            if u.smooth_kind() is None:
+                raise NotDifferentiable(
+                    f"{type(u).__name__} is outside the twice-differentiable catalog")
+        centers = [u.minimizer() for u in funcs]
+        frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
+        kinds, n = [u.smooth_kind() for u in funcs], funcs[0].n
+    transposed = np.ascontiguousarray(np.swapaxes(frames, 1, 2))
     jacs = np.abs(np.linalg.det(frames)).tolist()
-    ratios = []
-    for u, jac in zip(funcs, jacs):
+    for m, jac in enumerate(jacs):
         if jac < _TINY:
             raise SchemaError(
-                f"{type(u).__name__} is too steep at its minimizer: the whitening "
+                f"{type(funcs[m]).__name__} is too steep at its minimizer: the whitening "
                 f"frame's determinant {jac:.3e} underflows")
-        # the catalog's |grad| along rays is separable g(dir) * h(r), so kink
-        # radii sit at shared ratios of the per-ray region radius; rays through
-        # c in z map to rays through c in x, so the ratios carry over
-        ratios.append([])
-        if knots:
-            probe = np.eye(1, u.n)  # the first axis
+    # the catalog's |grad| along rays is separable g(dir) * h(r), so kink radii
+    # sit at shared ratios of the per-ray region radius, probed on the first
+    # axis; rays through c in z map to rays through c in x, so the ratios carry over
+    if not knots:
+        ratios = [[] for _ in jacs]
+    elif quads is not None:
+        norms = row_norms(quads.a[:, 0]).tolist()  # |e_1 A|, as grad_radius takes it
+        ratios = [[(k / norm) / (s_max / norm) for k in knots] for norm in norms]
+    else:
+        probe, ratios = np.eye(1, n), []
+        for u in funcs:
             r_probe = float(u.grad_radius(probe, s_max)[0])
-            ratios[-1] = [float(u.grad_radius(probe, k)[0]) / r_probe for k in knots]
-    singular = (weight.singularity.kind != "none"
-                or any(u.smooth_kind() == "except_center" for u in funcs))
+            ratios.append([float(u.grad_radius(probe, k)[0]) / r_probe for k in knots])
+    singular = weight.singularity.kind != "none" or "except_center" in kinds
 
     def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
         pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
-        g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
+        if quads is not None:  # column-major, the bits of x A + b
+            g = _joined([quads.a[m].T @ x.T + quads.b[m][:, None]
+                         for (m, _, _), x in zip(owners, pts)], axis=1).T
+        else:
+            g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
         s = row_norms(g)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = _joined([jacs[m] * w[a:b] for m, a, b in owners])
@@ -308,19 +349,23 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         if degree == 0:
             return w
         active = w != 0.0
+        if quads is not None:  # zero where w is, as the masked product below
+            out = w * np.repeat(terms[[m for m, _, _ in owners]], [len(x) for x in pts])
+            out[~active] = 0.0
+            return out
         if active.all():  # no masks (measured faster: BENCH_14.json "fast_paths")
             return w * _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
                                 for (m, _, _), x in zip(owners, pts)])
         out = np.zeros_like(w)
-        terms = [np.asarray(funcs[m].hessian_elem_sym(x[act], degree))
+        parts = [np.asarray(funcs[m].hessian_elem_sym(x[act], degree))
                  for (m, a, b), x in zip(owners, pts) if (act := active[a:b]).any()]
-        if terms:
-            out[active] = w[active] * _joined(terms)
+        if parts:
+            out[active] = w[active] * _joined(parts)
         return out
 
     def radii(dirs, members):
         # each member's ray radius in z of {|grad u| <= s_max}, x = c + M z
-        img = np.array([dirs @ transposed[m] for m in members])
+        img = dirs @ transposed[members]
         squared = np.sum(img * img, axis=2)
         for m, low in zip(members, squared.min(axis=1)):
             if low < _TINY:
@@ -329,9 +374,11 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                     f"direction's squared length {low:.3e} underflows")
         length = np.sqrt(squared)
         unit = img / length[:, :, None]
+        if quads is not None:
+            return s_max / row_norms(unit @ quads.a[members]) / length
         return np.array([funcs[m].grad_radius(d, s_max) for m, d in zip(members, unit)]) / length
 
-    return _polar(integrand, funcs[0].n, radii, ratios, singular)
+    return _polar(integrand, n, radii, ratios, singular)
 
 
 def eval_smooth(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
@@ -446,6 +493,9 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
             return inner.value, inner.error, inner.integrand_evals
 
         def stack(planes, streams):
+            if isinstance(u, Quadratic):  # smooth, with its domain integral at j = k
+                ws = project_quadratics(u, planes.frames, planes.complements)
+                return _stacked(_smooth_integral(ws, xi, k - j))
             ws = [project_function(u, e).realized for e in planes]
             if j == k:
                 return _stacked(_domain_weight_integrals(ws, xi))
@@ -465,9 +515,15 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
 def _dual_integral(j: int, weight: WeightFunction, vs):
     """For each v of the stack ``vs``, of one dimension: the integral over
     {|x| <= s_max} of weight(|x|) * e_j(Hessian of v), with |x| and the
-    weight evaluated once per call for the whole stack.  Returns (value,
-    error, evals) per member."""
+    weight evaluated once per call for the whole stack.  A stack of
+    quadratics takes its Hessian terms e_j(eig) once per stack, repeated
+    over each call's owner ranges.  Returns (value, error, evals) per member."""
     s_max = weight.support_bound
+    vs = _quadratic_stack(vs)
+    if isinstance(vs, QuadraticStack):
+        terms, kinds, n = elem_sym_values(vs.eig, j), ["everywhere"], vs.n
+    else:
+        terms, kinds, n = None, [v.smooth_kind() for v in vs], vs[0].n
 
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
         s = row_norms(pts)
@@ -475,13 +531,15 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
         w[s >= s_max] = 0.0
         if j == 0:
             return w
+        if terms is not None:
+            return w * np.repeat(terms[[m for m, _, _ in owners]],
+                                 [len(w[a:b]) for _, a, b in owners])
         return _joined([w[a:b] * np.asarray(vs[m].hessian_elem_sym(pts[a:b], j))
                         for m, a, b in owners])
 
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
-    singular = (weight.singularity.kind != "none"
-                or any(v.smooth_kind() == "except_center" for v in vs))
-    return _polar(integrand, vs[0].n, s_max, [[k / s_max for k in knots]] * len(vs), singular)
+    singular = weight.singularity.kind != "none" or "except_center" in kinds
+    return _polar(integrand, n, s_max, [[k / s_max for k in knots]] * len(vs), singular)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
@@ -523,7 +581,9 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         stack = _constant(_degree_zero(xi, k))
     else:
         def stack(planes, streams):
-            return _stacked(_dual_integral(j, xi, [restrict_function(v, e) for e in planes]))
+            vs = (restrict_quadratics(v, planes.frames) if isinstance(v, Quadratic)
+                  else [restrict_function(v, e) for e in planes])
+            return _stacked(_dual_integral(j, xi, vs))
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
     coeff = flag_coefficient(n, k)

@@ -212,6 +212,21 @@ class TestCompute:
         error = json.loads(out)["error"]
         assert error["type"] == "NonConvergedError" and what in error["message"]
 
+    @pytest.mark.parametrize("method", ["ck", "ck-general"])
+    def test_single_sample_exit_4(self, capsys, tmp_path, specs, method):
+        # one Monte Carlo plane of G(4, 2) has no standard error, so its value
+        # is never printed with exit 0
+        quad = tmp_path / "quad4.json"
+        quad.write_text(json.dumps({"type": "quadratic",
+                                    "A": np.diag([1.0, 2.0, 3.0, 4.0]).tolist()}))
+        degree = ["--j", "2"] if method == "ck" else ["--j", "1", "--k", "2"]
+        code, out, err = run_cli(capsys, "compute", "--function", str(quad), "--zeta",
+                                 specs["tent"], *degree, "--method", method,
+                                 "--samples", "1")
+        assert code == 4 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["type"] == "NonConvergedError" and "no finite error" in error["message"]
+
     def test_stdout_stability(self, capsys, specs):
         argv = ("compute", "--function", specs["aniso"], "--zeta", specs["tent"],
                 "--j", "1", "--method", "ck", "--samples", "16", "--seed", "5")

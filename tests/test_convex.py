@@ -370,7 +370,7 @@ def _random_frames(n, k, count, seed):
 def _cube_cubature_frames():
     # levels 1-16 of the hyperplane cubature: the 1,364 planes of the cube's
     # default ck_classical case
-    return np.concatenate([grassmann_cubature(3, 2, level)[0].frames
+    return np.concatenate([grassmann_cubature(3, 2, [level])[0][0].frames
                            for level in (1, 2, 4, 8, 16)])
 
 
@@ -427,7 +427,7 @@ class TestShadowKernel:
 
     def test_polytope_cubature_planes(self):
         self._check(POLYTOPE, np.concatenate(
-            [grassmann_cubature(3, 2, level)[0].frames for level in (1, 2, 4)]))
+            [grassmann_cubature(3, 2, [level])[0][0].frames for level in (1, 2, 4)]))
 
     def test_flat_box_has_zero_area(self):
         flat = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0)])

@@ -113,6 +113,15 @@ def test_one_haar_draw():
         f"qr is called from {dict(qr)}"
 
 
+def test_one_schur_complement():
+    """Every projection of a quadratic, a stack's or one plane's, is the
+    batched Schur complement: ``subspaces`` has one ``np.linalg.solve`` call
+    site, in ``project_quadratics``."""
+    solves = _package_callers("solve", {"subspaces"})
+    assert solves == Counter({"subspaces.project_quadratics": 1}), \
+        f"solve is called from {dict(solves)}"
+
+
 def test_one_closed_form_dispatch():
     """Sums and scalings are split before a closed form is asked for, in one place."""
     callers = _package_callers("closed_form")

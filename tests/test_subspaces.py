@@ -14,6 +14,7 @@ from funvol.convex import (
     Indicator,
     PointwiseSum,
     Quadratic,
+    QuadraticStack,
     RadialPower,
     Rotated,
 )
@@ -28,7 +29,9 @@ from funvol.subspaces import (
     cubature_levels,
     grassmann_cubature,
     project_function,
+    project_quadratics,
     restrict_function,
+    restrict_quadratics,
     sample_grassmann,
     sample_rotation,
     whole_space,
@@ -140,7 +143,7 @@ DETERMINISTIC_NK = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 3), (4, 
 def _deterministic_planes(n, k, level):
     """The planes and weights the Grassmannian average takes on G(n, k) at a
     level: the cubature rule, or R^n itself as one plane of weight 1."""
-    return (whole_space(n), np.ones(1)) if k == n else grassmann_cubature(n, k, level)
+    return (whole_space(n), np.ones(1)) if k == n else grassmann_cubature(n, k, [level])[0]
 
 
 class TestGrassmannCubature:
@@ -176,8 +179,8 @@ class TestGrassmannCubature:
         from funvol.numerics import sphere_rule
         dirs, wts = sphere_rule(n, 2)
         half = len(wts) // 2
-        lines, weights = grassmann_cubature(n, 1, 2)
-        normals, _ = grassmann_cubature(n, n - 1, 2)
+        lines, weights = grassmann_cubature(n, 1, [2])[0]
+        normals, _ = grassmann_cubature(n, n - 1, [2])[0]
         assert len(lines) == len(normals) == half
         assert np.array_equal(weights, wts[:half] / wts[:half].sum())
         for d, line, normal in zip(dirs, lines, normals):
@@ -191,7 +194,7 @@ class TestGrassmannCubature:
     def test_unsupported(self, n, k):
         assert not cubature_covers(n, k)
         with pytest.raises(UnsupportedVariant, match="cubature"):
-            grassmann_cubature(n, k, 1)
+            grassmann_cubature(n, k, [1])[0]
 
     def test_covers(self):
         assert {nk for nk in itertools.product(range(1, 7), repeat=2)
@@ -201,7 +204,7 @@ class TestGrassmannCubature:
                                          (3, (4, 16, 64, 256)), (4, (8, 64, 512))])
     def test_levels_within_budget(self, n, sizes):
         # levels 1 and 2 always; each further level while the planes fit
-        assert [len(grassmann_cubature(n, 1, 2 ** i)[0]) for i in range(len(sizes))] \
+        assert [len(grassmann_cubature(n, 1, [2 ** i])[0][0]) for i in range(len(sizes))] \
             == list(sizes)
         two = sizes[0] + sizes[1]
         for budget in (1, two, two + sizes[2] - 1):
@@ -347,6 +350,114 @@ class TestRestriction:
         e = sample_grassmann(3, 1, [Rng(63)])[0]
         w = restrict_function(v, e)
         assert w(np.array([[2.0]]))[0] == pytest.approx(1.5)
+
+
+def _schur_reference(u, f, g):
+    """The projection of a quadratic onto one plane as it was realized plane
+    by plane: the Schur complement A/A_GG, with b and c alike."""
+    if g.shape[1] == 0:
+        return _restriction_reference(u, f)
+    a_ff = f.T @ u.a @ f
+    a_fg = f.T @ u.a @ g
+    a_gg = g.T @ u.a @ g
+    b_f = f.T @ u.b
+    b_g = g.T @ u.b
+    sol = np.linalg.solve(a_gg, np.concatenate([a_fg.T, b_g[:, None]], axis=1))
+    x_part, w_part = sol[:, :-1], sol[:, -1]
+    a_bar = a_ff - a_fg @ x_part
+    a_bar = 0.5 * (a_bar + a_bar.T)
+    b_bar = b_f - a_fg @ w_part
+    c_bar = u.c - 0.5 * float(b_g @ w_part)
+    return Quadratic(a_bar, b_bar, c_bar)
+
+
+def _restriction_reference(v, f):
+    return Quadratic(f.T @ v.a @ f, f.T @ v.b, v.c)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _turned(n, seed):
+    """A non-diagonal positive definite A (not exactly symmetric), with
+    nonzero b and c."""
+    q = sample_rotation(n, Rng(seed))
+    a = q @ np.diag(np.linspace(0.5, 4.0, n)) @ q.T
+    return Quadratic(a, np.linspace(-0.3, 0.4, n), 0.7)
+
+
+def _stacks():
+    """(label, quadratic, planes): cubature levels of G(3, 1) and G(3, 2),
+    Monte Carlo draws of G(4, 2), G(5, 3) and G(6, 2), and the whole space."""
+    diag3 = Quadratic(np.diag([1.0, 2.0, 3.0]), [0.1, -0.2, 0.3], -0.4)
+    for k in (1, 2):
+        for level, (planes, _) in zip((1, 2, 4), grassmann_cubature(3, k, [1, 2, 4])):
+            yield f"G(3,{k}) level {level}", diag3, planes
+            yield f"G(3,{k}) level {level} turned", _turned(3, 11), planes
+    for n, k in ((4, 2), (5, 3), (6, 2)):
+        planes = sample_grassmann(n, k, [Rng(n + k).stream(i) for i in range(24)])
+        yield f"G({n},{k})", _turned(n, n), planes
+    yield "whole space", _turned(3, 4), whole_space(3)
+
+
+class TestQuadraticStacks:
+    """The projections and restrictions of a quadratic onto a plane stack,
+    realized in one batched pass, equal the plane-by-plane construction bit
+    for bit: A, b, c and the eigenvalues."""
+
+    @staticmethod
+    def _same(stack, i, ref):
+        assert isinstance(stack, QuadraticStack)
+        assert (_bits(stack.a[i]), _bits(stack.b[i]), _bits(stack.c[i]), _bits(stack.eig[i])) \
+            == (_bits(ref.a), _bits(ref.b), _bits(ref.c), _bits(ref.eig))
+
+    @pytest.mark.parametrize("label,u,planes", list(_stacks()),
+                             ids=[label for label, _, _ in _stacks()])
+    def test_projections(self, label, u, planes):
+        stack = project_quadratics(u, planes.frames, planes.complements)
+        assert len(stack) == len(planes)
+        for i, e in enumerate(planes):
+            self._same(stack, i, _schur_reference(u, e.frame, e.complement))
+
+    @pytest.mark.parametrize("label,v,planes", list(_stacks()),
+                             ids=[label for label, _, _ in _stacks()])
+    def test_restrictions(self, label, v, planes):
+        stack = restrict_quadratics(v, planes.frames)
+        assert len(stack) == len(planes)
+        for i, e in enumerate(planes):
+            self._same(stack, i, _restriction_reference(v, e.frame))
+
+    def test_single_planes_are_stacks_of_one(self):
+        u = _turned(4, 8)
+        for e in sample_grassmann(4, 2, [Rng(9).stream(i) for i in range(4)]):
+            for got, ref in ((project_function(u, e).realized,
+                              _schur_reference(u, e.frame, e.complement)),
+                             (restrict_function(u, e), _restriction_reference(u, e.frame))):
+                assert (_bits(got.a), _bits(got.b), _bits(got.c), _bits(got.eig)) \
+                    == (_bits(ref.a), _bits(ref.b), _bits(ref.c), _bits(ref.eig))
+
+    @pytest.mark.parametrize("defect", ["finite", "symmetric", "positive definite",
+                                        "below 1e300", "b and c"])
+    def test_a_failing_member_raises_its_own_error(self, defect):
+        a = np.stack([np.diag([1.0, 2.0, 3.0])] * 3)
+        b, c = np.zeros((3, 3)), np.zeros(3)
+        if defect == "finite":
+            a[1, 0, 0] = np.inf
+        elif defect == "symmetric":
+            a[1, 0, 1] = 1e-3
+        elif defect == "positive definite":
+            a[1, 2, 2] = -1.0
+        elif defect == "below 1e300":
+            a[1] = np.diag([1e292, 1e295, 1e301])
+        else:
+            b[1, 1] = np.nan
+        with pytest.raises(ValueError) as alone:
+            Quadratic(a[1], b[1], c[1])
+        assert defect in str(alone.value)
+        with pytest.raises(ValueError) as stacked:
+            QuadraticStack(a, b, c)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestConjugateProjection:

@@ -503,7 +503,7 @@ def test_average_takes_cubature_where_it_covers(n, k, monkeypatch):
     if k in (1, n - 1) and n <= 4:
         mean, err, _, planes = valuations._grassmann_average(n, k, 1, Rng(3),
                                                              _first_row_mass)
-        assert planes == sum(len(valuations.grassmann_cubature(n, k, lv)[0])
+        assert planes == sum(len(valuations.grassmann_cubature(n, k, [lv])[0][0])
                              for lv in (1, 2))
         assert abs(mean - k / n) <= 1e-15 and err <= 1e-15
     else:
@@ -830,7 +830,7 @@ class TestPlaneStacks:
         (RadialPower(3, 4.0), LogCap()),
     ], ids=["quadratic", "radial_power"])
     def test_projections_of_a_cubature_level(self, u, zeta):
-        planes, _ = valuations.grassmann_cubature(3, 2, 2)
+        planes, _ = valuations.grassmann_cubature(3, 2, [2])[0]
         ws = [valuations.project_function(u, e).realized for e in planes]
         xi = xi_from_zeta(zeta, 1, 2, 3)
         stacked = valuations._smooth_integral(ws, xi, 1)
@@ -838,7 +838,7 @@ class TestPlaneStacks:
 
     def test_domain_integrals_at_k_equal_j(self):
         u = EpiTranslated(Quadratic(A3, [0.1, -0.2, 0.3]), [0.5, 0.0, -0.5], 0.25)
-        lines, _ = valuations.grassmann_cubature(3, 1, 2)
+        lines, _ = valuations.grassmann_cubature(3, 1, [2])[0]
         ws = [valuations.project_function(u, e).realized for e in lines]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, 1, 3)
         stacked = valuations._domain_weight_integrals(ws, xi)
@@ -847,7 +847,7 @@ class TestPlaneStacks:
     @pytest.mark.parametrize("k", [1, 2])
     def test_restrictions_of_a_cubature_level(self, k):
         v = Quadratic(A3, [0.1, -0.2, 0.3])
-        planes, _ = valuations.grassmann_cubature(3, k, 2)
+        planes, _ = valuations.grassmann_cubature(3, k, [2])[0]
         vs = [valuations.restrict_function(v, e) for e in planes]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, k, 3)
         stacked = valuations._dual_integral(1, xi, vs)
@@ -919,7 +919,7 @@ class TestPlaneStacks:
         u, zeta = Quadratic(np.eye(3)), Tent(1.0)
         eval_ck_general(ValuationSpec(1, 3, zeta), u, 2, samples=64, rng=Rng(3))
         assert [size for size, _ in stacks] == [4, 16]
-        planes, _ = valuations.grassmann_cubature(3, 2, 2)
+        planes, _ = valuations.grassmann_cubature(3, 2, [2])[0]
         xi = xi_from_zeta(zeta, 1, 2, 3)
         alone = []
         for e in planes:
@@ -964,7 +964,7 @@ class TestStackBudgets:
         spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
         u = Quadratic(A3, [0.1, -0.2, 0.3])
         xi = xi_from_zeta(spec.zeta, 1, 2, 3)
-        planes, _ = valuations.grassmann_cubature(3, 2, 1)
+        planes, _ = valuations.grassmann_cubature(3, 2, [1])[0]
         with pytest.raises(NonConvergedError, match=what) as info:
             if route == "projection":
                 eval_ck_general(spec, u, 2, samples=64, rng=Rng(3))
@@ -981,3 +981,53 @@ class TestStackBudgets:
         got = info.value
         assert (str(got), got.value, got.error, got.evaluations) == (
             str(alone), alone.value, alone.error, alone.evaluations)
+
+
+class TestQuadraticStackPins:
+    """Projection and restriction averages of quadratics pinned bit for bit
+    (float.hex): value, error, integrand evaluations and planes.  The numbers
+    were recorded before a plane stack's projections and restrictions of a
+    quadratic were realized in one batched pass.  ``TURNED`` is A3 turned by
+    a Haar rotation: non-diagonal and not exactly symmetric."""
+
+    B, C = [0.1, -0.2, 0.3], 0.7
+    Q = sample_rotation(3, Rng(2))
+    TURNED = Q @ A3 @ Q.T
+    CASES = {
+        "ck_monte_carlo": (
+            lambda c: eval_cauchy_kubota(ValuationSpec(2, 4, TENT),
+                                         Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), 256, Rng(5)),
+            ("0x1.7e81f78088f08p+0", "0x1.f7e3a01e2ce87p-6", 92160, 256)),
+        "dual_ck_rotated": (
+            lambda c: eval_dual_ck(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                   Rotated(Quadratic(A3, c.B, c.C), c.Q),
+                                   2, 64, Rng(3)),
+            ("0x1.14fdfef50394bp+2", "0x1.5d6edca805688p-32", 100800, 20)),
+        "dual_ck_turned": (
+            lambda c: eval_dual_ck(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                   Quadratic(c.TURNED, c.B, c.C), 2, 64, Rng(3)),
+            ("0x1.14fdfef50394bp+2", "0x1.5d6ee8b50830ep-32", 100800, 20)),
+        "ck_general_turned": (
+            lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                      Quadratic(c.TURNED, c.B, c.C), 2, 64, Rng(3)),
+            ("0x1.3ac38a738411ap+2", "0x1.8d15665974e10p-32", 100800, 20)),
+        "ck_general_lines": (
+            lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                      Quadratic(A3, c.B, c.C), 1, 64, Rng(3)),
+            ("0x1.3ac38a7384278p+2", "0x1.03dde21aaec0ep-28", 10800, 20)),
+        "ck_general_epi_translated": (
+            lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                      EpiTranslated(Quadratic(A3, c.B, c.C), [0.5, 0.0, -0.5],
+                                                    0.25), 2, 64, Rng(3)),
+            ("0x1.3ac38a7384119p+2", "0x1.8d15171715256p-32", 100800, 20)),
+        "smooth_turned": (
+            lambda c: eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
+                                  Quadratic(c.TURNED, c.B, c.C)),
+            ("0x1.3ac38a7384119p+2", "0x1.29d01105b5000p-31", 30720, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pin(self, name):
+        run, pin = self.CASES[name]
+        r = run(self)
+        assert (r.value.hex(), r.error.hex(), r.integrand_evals, r.subspace_samples) == pin
