@@ -11,11 +11,17 @@ through or the hyperplanes normal to the directions of a sphere rule, are
 framed by the same stacked QR, the planes of several levels at once.
 Projection functions (minimum over the orthogonal fiber) are realized as
 catalog variants wherever a closed form exists; any other source raises
-UnsupportedVariant, as an unrealized restriction does.  The projections and
-restrictions of a quadratic are realized stack-wide: one Schur complement
-A/A_GG (one stacked solve) or one stacked F'AF gives a
-:class:`QuadraticStack` for every plane of a stack at once, checked once,
-and a single plane's is the same code on a stack of one.
+UnsupportedVariant, as an unrealized restriction does.  A plane stack's
+projections or restrictions are realized in one step,
+:func:`realize_stack`.  A quadratic's are realized stack-wide: one Schur
+complement A/A_GG (one stacked solve) or one stacked F'AF gives a
+:class:`QuadraticStack` for every plane at once, checked once, and a single
+plane's is the same code on a stack of one.  A plane-free source, one whose
+realization reads nothing of the plane but its dimension (radial variants,
+indicators and support functions of balls about the origin, and the
+wrappers built only of them, see :func:`plane_free`), is realized once, as
+the one function every plane of the stack shares.  Any other source is
+realized plane by plane.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
+from .convex import (Ball, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      InfConv, MaxAffine, PlusAffine, PointwiseScaled,
                      PointwiseSum, Quadratic, QuadraticStack, RadialHinge,
                      RadialPower, Rotated, SupportFn, project_body)
@@ -44,6 +50,8 @@ __all__ = [
     "project_quadratics",
     "restrict_function",
     "restrict_quadratics",
+    "plane_free",
+    "realize_stack",
     "check_conjugate_projection",
 ]
 
@@ -326,6 +334,48 @@ def _restrict(v: ConvexFunction, e: Subspace) -> ConvexFunction:
     if isinstance(v, Rotated):
         return _restrict(v.inner, Subspace(v.q.T @ f))
     raise UnsupportedVariant(f"restriction of {type(v).__name__} is not realized")
+
+
+def plane_free(u: ConvexFunction) -> bool:
+    """Whether every branch of :func:`_project` and :func:`_restrict` that
+    realizes u reads nothing of the plane but its dimension k, so u has one
+    projection and one restriction for all k-planes: radial powers, cones,
+    radial hinges, the indicator or support function of a ball about the
+    origin (its shadow's center F'0 is 0), and the wrappers built only of
+    them, epigraph translations and affine terms only with a zero offset.  A
+    quadratic's Schur complements move with the plane, an isotropic one's
+    by rounding."""
+    if isinstance(u, (RadialPower, Cone, RadialHinge)):
+        return True
+    if isinstance(u, (Indicator, SupportFn)):
+        return isinstance(u.body, Ball) and not any(u.body.center)
+    if isinstance(u, (Rotated, EpiScaled, PointwiseScaled)):
+        return plane_free(u.inner)
+    if isinstance(u, (InfConv, PointwiseSum)):
+        return plane_free(u.left) and plane_free(u.right)
+    if isinstance(u, EpiTranslated):
+        return not u.x0.any() and plane_free(u.inner)
+    if isinstance(u, PlusAffine):
+        return not u.slope.any() and plane_free(u.inner)
+    return False
+
+
+def realize_stack(u: ConvexFunction, planes, project: bool):
+    """u's projections (``project``) or restrictions onto every plane of a
+    stack, a sequence of subspaces whose ``frames`` and ``complements`` view
+    their stacked frames: a quadratic's as one :class:`QuadraticStack`, a
+    :func:`plane_free` source's as the one function every plane shares,
+    realized on the first plane, and any other's as a list, plane by plane.
+    A source that cannot be realized raises what the first plane raises."""
+    if isinstance(u, Quadratic):
+        return (project_quadratics(u, planes.frames, planes.complements) if project
+                else restrict_quadratics(u, planes.frames))
+
+    def one(e):
+        return project_function(u, e).realized if project else restrict_function(u, e)
+    if plane_free(u):
+        return one(planes[0])
+    return [one(e) for e in planes]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,20 @@ Every subspace average runs through :func:`_grassmann_average`, which takes
 the cubature wherever it covers the planes and Monte Carlo elsewhere, and
 hands each level or draw to its caller as one plane stack.  The shadows of a
 body, for indicators and the classical check, are evaluated for the whole
-stack in one numpy pass.  Smooth projections and restrictions are realized
-for every plane of the stack and integrated as one lockstep polar stack
-(:func:`integrate_polar_stack`): gradients and Hessian terms per member,
-|grad u| and the weight once per integrand call for the whole stack.  A
-quadratic's projections and restrictions come as one
-:class:`QuadraticStack`, which takes its centers, whitening frames, Hessian
-terms and ray radii in one operation per stack; lone quadratics run as
-stacks of one.  Only the nested G(k, j) average of projections that are not
-smooth (cones, inf-convolutions) goes plane by plane.  The Cauchy-Kubota
-route is the general projection route at k = j.
+stack in one numpy pass.  A stack's projections or restrictions come from
+one realization step, :func:`realize_stack`.  Smooth ones are integrated as
+one lockstep polar stack (:func:`integrate_polar_stack`): gradients and
+Hessian terms per member, |grad u| and the weight once per integrand call
+for the whole stack.  A quadratic's come as one :class:`QuadraticStack`,
+which takes its centers, whitening frames, Hessian terms and ray radii in
+one operation per stack; lone quadratics run as stacks of one.  A
+plane-free source, such as a radial power, a cone or the indicator of a
+ball about the origin, has one projection or restriction for every plane:
+it is integrated once per stack, and every plane gets its value and error.  Only the nested
+G(k, j) average of projections that are not smooth (cones,
+inf-convolutions) goes plane by plane, and a plane-free one's only when
+Monte Carlo draws it.  The Cauchy-Kubota route is the general projection
+route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -43,8 +47,7 @@ from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, elem_sym_values,
                        flag_coefficient, integrate_interval, integrate_polar_separable,
                        integrate_polar_stack, kappa, row_norms)
 from .subspaces import (cubature_covers, cubature_levels, grassmann_cubature,
-                        project_function, project_quadratics, restrict_function,
-                        restrict_quadratics, sample_grassmann, whole_space)
+                        realize_stack, sample_grassmann, whole_space)
 from .weights import WeightFunction, in_had_class, transform_R_power, xi_from_zeta
 
 __all__ = [
@@ -130,9 +133,13 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
     is their (S, n, k) frame stack), with one random stream per plane, and
     returns arrays of the per-plane values, inner errors and integrand
     evaluations.  The routes evaluate the stack as a whole: body shadows in
-    one numpy pass, smooth projections and restrictions as one polar stack.
-    :func:`_per_plane` maps a plane-by-plane evaluation over it, for the
-    nested averages of projections that are not smooth.
+    one numpy pass, smooth projections and restrictions as one polar stack,
+    and the one projection or restriction of a plane-free source once, its
+    value and error repeated for every plane and its evaluations counted on
+    the first (:func:`_shared`), so the reductions below see the numbers of
+    a plane-by-plane evaluation.  :func:`_per_plane` maps a plane-by-plane
+    evaluation over it, for the nested averages of projections that are not
+    smooth.
 
     The whole space (k = n) is a single plane: one evaluation on the
     identity frame, with weight 1 and stream ``rng``, whose error is that
@@ -219,11 +226,14 @@ def _exact(values: np.ndarray):
     return values, zeros, zeros
 
 
-def _constant(value: float):
-    """The plane-stack callback of a value that is the same on every plane."""
-    def stack(planes, streams):
-        return _exact(np.full(len(planes), value))
-    return stack
+def _shared(count: int, value: float, error: float = 0.0, evals: int = 0):
+    """A plane-stack callback's result that is the same on each of ``count``
+    planes: the value and error repeated for every plane, so the average
+    reduces exactly the numbers of a plane-by-plane evaluation, and the
+    evaluations, made once, counted once."""
+    counted = np.zeros(count, dtype=int)
+    counted[0] = evals
+    return np.full(count, value), np.full(count, error), counted
 
 
 def _degree_zero(weight: WeightFunction, k: int) -> float:
@@ -470,14 +480,24 @@ def eval_ck_general(spec: ValuationSpec, u: ConvexFunction, k: int,
 
 def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
                         samples: int, rng: Rng, method: str) -> EvalResult:
-    """Grassmannian average over k-planes of the degree-j valuation of u's projection."""
+    """Grassmannian average over k-planes of the degree-j valuation of u's projection.
+
+    Each plane stack is realized by :func:`realize_stack`.  A plane-free
+    source's one projection is integrated once per stack; when it is not
+    smooth (j < k), its nested G(k, j) average is shared only where a
+    cubature covers G(k, j), which reads no stream.  A Monte Carlo inner
+    average draws from each plane's own child stream, so it runs per plane.
+    """
     j, n = spec.j, spec.n
     xi = xi_from_zeta(spec.zeta, j, k, n)
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, method)
 
     if j == 0:  # a constant that needs no projection
-        stack = _constant(_degree_zero(xi, k))
+        zero = _degree_zero(xi, k)
+
+        def stack(planes, streams):
+            return _shared(len(planes), zero)
     elif isinstance(u, Indicator) and j == k:
         # the domain integral of xi over each shadow, xi(0) V_k(shadow), for
         # the whole stack at once
@@ -493,15 +513,20 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
             return inner.value, inner.error, inner.integrand_evals
 
         def stack(planes, streams):
-            if isinstance(u, Quadratic):  # smooth, with its domain integral at j = k
-                ws = project_quadratics(u, planes.frames, planes.complements)
+            ws = realize_stack(u, planes, project=True)
+            if isinstance(ws, QuadraticStack):  # smooth, with its domain integral at j = k
                 return _stacked(_smooth_integral(ws, xi, k - j))
-            ws = [project_function(u, e).realized for e in planes]
+            shared = isinstance(ws, ConvexFunction)  # one projection for every plane
+            members = [ws] if shared else ws
             if j == k:
-                return _stacked(_domain_weight_integrals(ws, xi))
-            if all(w.smooth_kind() is not None for w in ws):
-                return _stacked(_smooth_integral(ws, xi, k - j))
-            return _per_plane(nested)(ws, streams)
+                rows = _domain_weight_integrals(members, xi)
+            elif all(w.smooth_kind() is not None for w in members):
+                rows = _smooth_integral(members, xi, k - j)
+            elif shared and cubature_covers(k, j):  # the inner cubature reads no stream
+                rows = [nested(ws, streams[0])]
+            else:  # a Monte Carlo inner average draws from each plane's own stream
+                return _per_plane(nested)(members * len(planes) if shared else ws, streams)
+            return _shared(len(planes), *rows[0]) if shared else _stacked(rows)
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
     coeff = flag_coefficient(n, k)
@@ -578,11 +603,15 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
         return EvalResult(float(xi.value_at_zero()), 0.0, "dual_ck")
 
     if j == 0:  # a constant that needs no restriction
-        stack = _constant(_degree_zero(xi, k))
+        zero = _degree_zero(xi, k)
+
+        def stack(planes, streams):
+            return _shared(len(planes), zero)
     else:
         def stack(planes, streams):
-            vs = (restrict_quadratics(v, planes.frames) if isinstance(v, Quadratic)
-                  else [restrict_function(v, e) for e in planes])
+            vs = realize_stack(v, planes, project=False)
+            if isinstance(vs, ConvexFunction):  # one restriction for every plane
+                return _shared(len(planes), *_dual_integral(j, xi, [vs])[0])
             return _stacked(_dual_integral(j, xi, vs))
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)

@@ -293,14 +293,12 @@ class Bump(WeightFunction):
         self.support_bound = self.b
 
     def _values(self, s):
-        out = np.zeros_like(s)
+        # the formula on every point, kept only inside (a, b): no gather or
+        # scatter, and outside its overflows, zero divisions and NaNs are dropped
         inside = (s > self.a) & (s < self.b)
-        if inside.any():
-            si = s[inside]
-            with np.errstate(over="ignore"):
-                out[inside] = np.exp(1.0 - (self.b - self.a) ** 2
-                                     / (4.0 * (si - self.a) * (self.b - si)))
-        return out
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v = np.exp(1.0 - (self.b - self.a) ** 2 / (4.0 * (s - self.a) * (self.b - s)))
+        return np.where(inside, v, 0.0)
 
     @property
     def singularity(self):

@@ -122,6 +122,29 @@ def test_one_schur_complement():
         f"solve is called from {dict(solves)}"
 
 
+def test_one_stack_realization():
+    """Every plane stack's projections or restrictions are realized in one
+    step: ``project_function`` and ``restrict_function`` are called only from
+    ``realize_stack`` (its per-plane helper ``one``) and from
+    ``check_conjugate_projection``, which compares one plane's two sides."""
+    for name in ("project_function", "restrict_function"):
+        callers = _package_callers(name)
+        assert callers == Counter({"subspaces.realize_stack.one": 1,
+                                   "subspaces.check_conjugate_projection": 1}), \
+            f"{name} is called from {dict(callers)}"
+
+
+def test_one_shared_result():
+    """One helper, ``_shared``, builds a plane-stack result that is the same
+    on every plane, for the degree-0 constants and for plane-free sources
+    alike: in ``valuations`` only it calls ``np.full``, and no ``_constant``
+    is left in the package."""
+    fulls = _package_callers("full", {"valuations"})
+    assert set(fulls) == {"valuations._shared"}, f"full is called from {dict(fulls)}"
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not _references(ast.parse(path.read_text()))["_constant"], path.name
+
+
 def test_one_closed_form_dispatch():
     """Sums and scalings are split before a closed form is asked for, in one place."""
     callers = _package_callers("closed_form")

@@ -9,14 +9,21 @@ from funvol.convex import (
     Ball,
     Box,
     Cone,
+    ConvexFunction,
     EpiScaled,
     EpiTranslated,
     Indicator,
+    InfConv,
+    MaxAffine,
+    PlusAffine,
+    PointwiseScaled,
     PointwiseSum,
     Quadratic,
     QuadraticStack,
+    RadialHinge,
     RadialPower,
     Rotated,
+    SupportFn,
 )
 from funvol.numerics import Rng
 from funvol.errors import UnsupportedVariant
@@ -24,12 +31,16 @@ from funvol.subspaces import (
     Subspace,
     _check_orthonormal,
     _haar_frames,
+    _project,
+    _restrict,
     check_conjugate_projection,
     cubature_covers,
     cubature_levels,
     grassmann_cubature,
+    plane_free,
     project_function,
     project_quadratics,
+    realize_stack,
     restrict_function,
     restrict_quadratics,
     sample_grassmann,
@@ -458,6 +469,94 @@ class TestQuadraticStacks:
         with pytest.raises(ValueError) as stacked:
             QuadraticStack(a, b, c)
         assert str(stacked.value) == str(alone.value)
+
+
+def _catalog(n: int) -> dict:
+    """Every catalog source in R^n, each wrapper on a plane-free and on a
+    plane-dependent inner source, and the epigraph translation and affine
+    term with a zero and a nonzero offset."""
+    q = sample_rotation(n, Rng(n))
+    zero, off = np.zeros(n), np.linspace(0.5, -0.25, n)
+    power, cone, hinge = RadialPower(n, 4.0), Cone(n, 0.5, 1.0), RadialHinge(n, 0.5, 1.0)
+    quad = Quadratic(np.diag(np.arange(1.0, n + 1.0)), off, 0.5)
+    ball, shifted, box = Ball(1.0, zero), Ball(1.0, off), Box([(0.0, 1.0)] * n)
+    max_affine = MaxAffine(np.eye(n)[:2], [0.0, 0.5])
+    return {
+        "radial_power": power,
+        "cone": cone,
+        "radial_hinge": hinge,
+        "quadratic": quad,
+        "isotropic_quadratic": Quadratic(np.eye(n)),
+        "ball_indicator": Indicator(ball),
+        "shifted_ball_indicator": Indicator(shifted),
+        "box_indicator": Indicator(box),
+        "ball_support": SupportFn(ball),
+        "shifted_ball_support": SupportFn(shifted),
+        "box_support": SupportFn(box),
+        "max_affine": max_affine,
+        "rotated_power": Rotated(power, q),
+        "rotated_ball_indicator": Rotated(Indicator(ball), q),
+        "rotated_quadratic": Rotated(quad, q),
+        "rotated_shifted_ball_support": Rotated(SupportFn(shifted), q),
+        "epi_scaled_rotated_power": EpiScaled(Rotated(power, q), 1.5),
+        "epi_scaled_rotated_quadratic": EpiScaled(Rotated(quad, q), 1.5),
+        "pointwise_scaled_power": PointwiseScaled(power, 2.0),
+        "pointwise_scaled_hinge": PointwiseScaled(hinge, 2.0),
+        "pointwise_scaled_max_affine": PointwiseScaled(max_affine, 2.0),
+        "inf_conv_power_cone": InfConv(power, cone),
+        "inf_conv_power_shifted_ball": InfConv(power, Indicator(shifted)),
+        "sum_power_hinge": PointwiseSum(power, hinge),
+        "sum_power_max_affine": PointwiseSum(power, max_affine),
+        "epi_translated_power_at_zero": EpiTranslated(power, zero, 0.25),
+        "epi_translated_power": EpiTranslated(power, off, 0.25),
+        "plus_affine_power_at_zero": PlusAffine(power, zero, 0.5),
+        "plus_affine_power": PlusAffine(power, off, 0.5),
+    }
+
+
+class TestPlaneFree:
+    """A source is realized once for a whole plane stack exactly when its
+    projections and restrictions are the same function on every plane."""
+
+    GRASSMANNIANS = ((3, 1), (3, 2), (5, 2))
+
+    @staticmethod
+    def _realizations(u, planes) -> dict:
+        """to_spec() of u's projections (supercoercive u) and restrictions
+        (finite u) onto each plane, for the kinds the catalog realizes."""
+        found = {}
+        for kind, applies, realize in (("projection", u.is_supercoercive, _project),
+                                       ("restriction", u.is_finite, _restrict)):
+            if applies:
+                try:
+                    found[kind] = [realize(u, e).to_spec() for e in planes]
+                except UnsupportedVariant:
+                    pass
+        return found
+
+    @pytest.mark.parametrize("n,k", GRASSMANNIANS)
+    @pytest.mark.parametrize("name", sorted(_catalog(3)))
+    def test_decision_matches_the_realizations(self, name, n, k):
+        u = _catalog(n)[name]
+        planes = sample_grassmann(n, k, [Rng(31 + n + k).stream(i) for i in range(3)])
+        found = self._realizations(u, planes)
+        assert found, f"{name} is neither projected nor restricted"
+        for kind, specs in found.items():
+            same = all(spec == specs[0] for spec in specs[1:])
+            assert plane_free(u) == same, f"{name}: {kind}s equal on every plane: {same}"
+
+    @pytest.mark.parametrize("name", sorted(_catalog(3)))
+    def test_stack_realization(self, name):
+        u = _catalog(3)[name]
+        planes = grassmann_cubature(3, 2, [2])[0][0]
+        for kind, specs in self._realizations(u, planes).items():
+            got = realize_stack(u, planes, project=kind == "projection")
+            if isinstance(u, Quadratic):
+                assert isinstance(got, QuadraticStack)
+            elif plane_free(u):  # one function, realized on the first plane
+                assert isinstance(got, ConvexFunction) and got.to_spec() == specs[0]
+            else:
+                assert [w.to_spec() for w in got] == specs
 
 
 class TestConjugateProjection:

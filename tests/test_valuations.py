@@ -17,7 +17,7 @@ from funvol.convex import (
     RadialPower,
     Rotated,
 )
-from funvol import numerics, valuations
+from funvol import numerics, subspaces, valuations
 from funvol.errors import NonConvergedError, SchemaError
 from funvol.numerics import Rng, kappa
 from funvol.subspaces import sample_rotation
@@ -831,7 +831,7 @@ class TestPlaneStacks:
     ], ids=["quadratic", "radial_power"])
     def test_projections_of_a_cubature_level(self, u, zeta):
         planes, _ = valuations.grassmann_cubature(3, 2, [2])[0]
-        ws = [valuations.project_function(u, e).realized for e in planes]
+        ws = [subspaces.project_function(u, e).realized for e in planes]
         xi = xi_from_zeta(zeta, 1, 2, 3)
         stacked = valuations._smooth_integral(ws, xi, 1)
         assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 1))
@@ -839,7 +839,7 @@ class TestPlaneStacks:
     def test_domain_integrals_at_k_equal_j(self):
         u = EpiTranslated(Quadratic(A3, [0.1, -0.2, 0.3]), [0.5, 0.0, -0.5], 0.25)
         lines, _ = valuations.grassmann_cubature(3, 1, [2])[0]
-        ws = [valuations.project_function(u, e).realized for e in lines]
+        ws = [subspaces.project_function(u, e).realized for e in lines]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, 1, 3)
         stacked = valuations._domain_weight_integrals(ws, xi)
         assert _hexes(stacked) == _hexes(_alone(valuations._domain_weight_integrals, ws, xi))
@@ -848,7 +848,7 @@ class TestPlaneStacks:
     def test_restrictions_of_a_cubature_level(self, k):
         v = Quadratic(A3, [0.1, -0.2, 0.3])
         planes, _ = valuations.grassmann_cubature(3, k, [2])[0]
-        vs = [valuations.restrict_function(v, e) for e in planes]
+        vs = [subspaces.restrict_function(v, e) for e in planes]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, k, 3)
         stacked = valuations._dual_integral(1, xi, vs)
         assert _hexes(stacked) == _hexes(
@@ -857,7 +857,7 @@ class TestPlaneStacks:
     def test_monte_carlo_draw(self):
         u = Quadratic(A4)
         streams = [Rng(3).stream(i) for i in range(6)]
-        ws = [valuations.project_function(u, e).realized
+        ws = [subspaces.project_function(u, e).realized
               for e in valuations.sample_grassmann(4, 2, streams)]
         xi = xi_from_zeta(Tent(1.0), 1, 2, 4)
         stacked = valuations._smooth_integral(ws, xi, 1)
@@ -885,7 +885,7 @@ class TestPlaneStacks:
         monkeypatch.setattr(numerics, "_refine", recorded_refine)
         monkeypatch.setattr(valuations, "integrate_polar_stack", recorded_stack)
         streams = [Rng(5).stream(i) for i in range(24)]
-        ws = [valuations.project_function(Quadratic(A4), e).realized
+        ws = [subspaces.project_function(Quadratic(A4), e).realized
               for e in valuations.sample_grassmann(4, 3, streams)]
         xi = xi_from_zeta(Tent(1.0), 1, 3, 4)
         stacked = valuations._smooth_integral(ws, xi, 2)
@@ -924,7 +924,7 @@ class TestPlaneStacks:
         alone = []
         for e in planes:
             first = len(calls)
-            valuations._smooth_integral([valuations.project_function(u, e).realized], xi, 1)
+            valuations._smooth_integral([subspaces.project_function(u, e).realized], xi, 1)
             alone.append(len(calls) - first)
         assert stacks[1][1] == max(alone) < 2 * len(planes)
 
@@ -973,11 +973,11 @@ class TestStackBudgets:
         if route == "projection":
             alone = self._first_failure(
                 lambda ws: valuations._smooth_integral(ws, xi, 1),
-                [valuations.project_function(u, e).realized for e in planes])
+                [subspaces.project_function(u, e).realized for e in planes])
         else:
             alone = self._first_failure(
                 lambda vs: valuations._dual_integral(1, xi, vs),
-                [valuations.restrict_function(u, e) for e in planes])
+                [subspaces.restrict_function(u, e) for e in planes])
         got = info.value
         assert (str(got), got.value, got.error, got.evaluations) == (
             str(alone), alone.value, alone.error, alone.evaluations)
@@ -1031,3 +1031,119 @@ class TestQuadraticStackPins:
         run, pin = self.CASES[name]
         r = run(self)
         assert (r.value.hex(), r.error.hex(), r.integrand_evals, r.subspace_samples) == pin
+
+
+class TestPlaneFreePins:
+    """Projection and restriction averages of rotation-invariant sources
+    pinned bit for bit (float.hex): value, error, integrand evaluations and
+    planes.  Values, errors and planes were recorded before a plane-free
+    source's projection or restriction was realized and integrated once per
+    plane stack; each comment gives the evaluation count of that per-plane
+    code.  ``ck_general_epi_translated`` is plane-dependent: its
+    projections move with the plane, and each plane is still integrated."""
+
+    POWER = RadialPower(3, 4.0)
+    Q = sample_rotation(3, Rng(2))
+    CASES = {
+        # the default manifest's ck_general case on a radial power, seed 7
+        "ck_general_suite": (  # 7,200
+            lambda c: eval_ck_general(ValuationSpec(1, 3, LogCap()), c.POWER, 2, 48, Rng(7)),
+            ("0x1.58ad76cccb8f2p+2", "0x1.0000000000000p-50", 720, 20)),
+        "ck_j1": (  # 3,000
+            lambda c: eval_cauchy_kubota(ValuationSpec(1, 3, TENT), c.POWER, 256, Rng(3)),
+            ("0x1.e28c731eb6951p+1", "0x1.847a000000000p-36", 300, 20)),
+        "ck_j2": (  # 16,800
+            lambda c: eval_cauchy_kubota(ValuationSpec(2, 3, TENT), c.POWER, 256, Rng(3)),
+            ("0x1.2d97c7f3321d3p+2", "0x1.1e63c00000000p-34", 1680, 20)),
+        "ck_monte_carlo": (  # 21,120
+            lambda c: eval_cauchy_kubota(ValuationSpec(2, 5, TENT), RadialPower(5, 4.0),
+                                         16, Rng(7)),
+            ("0x1.68f20e6904fd9p+3", "0x1.2380b60000001p-30", 1320, 16)),
+        # a nested G(2, 1) cubature average of the same Cone(2) on every plane
+        "ck_general_cone": (  # 0
+            lambda c: eval_ck_general(ValuationSpec(1, 3, TENT), Cone(3, 0.5, 1.0), 2, 64,
+                                      Rng(3)),
+            ("0x1.d524fe24f89efp+1", "0x0.0p+0", 0, 20)),
+        "dual_ck": (  # 7,200
+            lambda c: eval_dual_ck(ValuationSpec(1, 3, TENT), c.POWER, 2, 64, Rng(3)),
+            ("0x1.0c152382d7367p+1", "0x1.0000000000000p-51", 720, 20)),
+        "dual_ck_rotated": (  # 7,200
+            lambda c: eval_dual_ck(ValuationSpec(1, 3, TENT), Rotated(c.POWER, c.Q), 2, 64,
+                                   Rng(3)),
+            ("0x1.0c152382d7367p+1", "0x1.0000000000000p-51", 720, 20)),
+        "ck_general_rotated": (  # 26,400
+            lambda c: eval_ck_general(ValuationSpec(1, 3, TENT), Rotated(c.POWER, c.Q), 2, 64,
+                                      Rng(3)),
+            ("0x1.e28c731eb6952p+1", "0x1.235d540000000p-33", 2640, 20)),
+        "ck_general_epi_scaled": (  # 26,400
+            lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
+                                      EpiScaled(Rotated(c.POWER, c.Q), 1.5), 2, 64, Rng(3)),
+            ("0x1.69e9565708efep+2", "0x1.b50b100000000p-33", 2640, 20)),
+        "ck_general_epi_translated": (  # 26,400
+            lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
+                                      EpiTranslated(c.POWER, [0.5, 0.0, -0.5], 0.25), 2, 64,
+                                      Rng(3)),
+            ("0x1.e28c731eb6951p+1", "0x1.235db5a969213p-33", 26400, 20)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pin(self, name):
+        run, pin = self.CASES[name]
+        r = run(self)
+        assert (r.value.hex(), r.error.hex(), r.integrand_evals, r.subspace_samples) == pin
+
+    @staticmethod
+    def _stack_calls(monkeypatch) -> list:
+        """Record the evaluation counts each plane-stack callback returns."""
+        counts, average = [], valuations._grassmann_average
+
+        def recorded(n, k, samples, rng, stack):
+            def counted(planes, streams):
+                out = stack(planes, streams)
+                counts.append(np.asarray(out[2]).tolist())
+                return out
+            return average(n, k, samples, rng, counted)
+
+        monkeypatch.setattr(valuations, "_grassmann_average", recorded)
+        return counts
+
+    @pytest.mark.parametrize("name,lone", [
+        ("ck_general_suite", lambda: valuations._smooth_integral(
+            [RadialPower(2, 4.0)], xi_from_zeta(LogCap(), 1, 2, 3), 1)),
+        ("ck_j1", lambda: valuations._domain_weight_integrals(
+            [RadialPower(1, 4.0)], xi_from_zeta(TENT, 1, 1, 3))),
+        ("ck_monte_carlo", lambda: valuations._domain_weight_integrals(
+            [RadialPower(2, 4.0)], xi_from_zeta(TENT, 2, 2, 5))),
+        ("dual_ck", lambda: valuations._dual_integral(
+            1, xi_from_zeta(TENT, 1, 2, 3), [RadialPower(2, 4.0)])),
+    ])
+    def test_one_integral_per_stack_call(self, name, lone, monkeypatch):
+        # a plane-free source's one realized function is integrated once per
+        # stack call, and its evaluations are counted on the stack's first plane
+        counts = self._stack_calls(monkeypatch)
+        run, pin = self.CASES[name]
+        r = run(self)
+        ((_, _, evals),) = lone()
+        assert [c[0] for c in counts] == [evals] * len(counts)
+        assert not any(any(c[1:]) for c in counts)
+        assert r.integrand_evals == pin[2] == evals * len(counts)
+        assert sum(len(c) for c in counts) == r.subspace_samples
+
+    def test_nested_average_once_per_stack_under_cubature(self, monkeypatch):
+        # the nested G(k, j) average of a plane-free source's one projection
+        # runs once per stack call when a cubature covers G(k, j), which reads
+        # no stream; a Monte Carlo one runs per plane, from that plane's own
+        # child stream
+        calls, inner = [], valuations.eval_cauchy_kubota
+
+        def recorded(spec, w, samples, rng):
+            calls.append((spec.n, spec.j, rng.seed, rng.counter))
+            return inner(spec, w, samples, rng)
+
+        monkeypatch.setattr(valuations, "eval_cauchy_kubota", recorded)
+        cone = self.CASES["ck_general_cone"][0](self)
+        assert cone.subspace_samples == 20 and calls == [(2, 1, 3, Rng(3).stream(0).counter)] * 2
+        calls.clear()
+        mc = eval_ck_general(ValuationSpec(2, 5, TENT), Cone(5, 0.5, 1.0), 4, 6, Rng(7))
+        assert mc.subspace_samples == 6
+        assert calls == [(4, 2, 7, Rng(7).stream(i).stream(0).counter) for i in range(6)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ class TestEval:
         assert b(0.5) == pytest.approx(1.0)
         assert b(0.2000001) < 1e-8
         assert b(0.1) == 0.0
+
+    @pytest.mark.parametrize("a,b", [(0.2, 0.8), (0.0, 1.5), (0.3, 0.6)])
+    def test_bump_values_match_the_masked_formula(self, a, b):
+        # the formula taken on every point and kept inside (a, b) gives the
+        # bits of the formula taken only on the points inside, and 0 outside,
+        # with no RuntimeWarning from the points outside
+        def masked(s):
+            out = np.zeros_like(s)
+            inside = (s > a) & (s < b)
+            si = s[inside]
+            with np.errstate(over="ignore"):
+                out[inside] = np.exp(1.0 - (b - a) ** 2 / (4.0 * (si - a) * (b - si)))
+            return out
+
+        bump = Bump(a, b)
+        s = np.concatenate([[0.0, a, b, np.nextafter(a, 1.0), np.nextafter(b, 0.0),
+                             b + 1e-300, 1.5 * b + 1.0, 1e200, np.inf],
+                            np.random.default_rng(5).uniform(0.0, 2.0 * b, 4000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bump._values(s)
+        assert got.dtype == float and got.shape == s.shape
+        assert [x.hex() for x in got] == [x.hex() for x in masked(s)]
 
 
 def _through_calls(w, s):
