@@ -21,8 +21,8 @@ which takes its centers, whitening frames, Hessian terms and ray radii in
 one operation per stack; lone quadratics run as stacks of one.  A
 plane-free source, such as a radial power, a cone or the indicator of a
 ball about the origin, has one projection or restriction for every plane:
-it is integrated once per stack, and every plane gets its value and error.  Only the nested
-G(k, j) average of projections that are not smooth (cones,
+it is integrated once per stack, and every plane gets its value and error.
+Only the nested G(k, j) average of projections that are not smooth (cones,
 inf-convolutions) goes plane by plane, and a plane-free one's only when
 Monte Carlo draws it.  The Cauchy-Kubota route is the general projection
 route at k = j.
@@ -525,7 +525,7 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
             elif shared and cubature_covers(k, j):  # the inner cubature reads no stream
                 rows = [nested(ws, streams[0])]
             else:  # a Monte Carlo inner average draws from each plane's own stream
-                return _per_plane(nested)(members * len(planes) if shared else ws, streams)
+                return _per_plane(nested)([ws] * len(planes) if shared else ws, streams)
             return _shared(len(planes), *rows[0]) if shared else _stacked(rows)
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
