@@ -344,21 +344,21 @@ class PolytopeV(ConvexBody):
         return self._surface
 
     def mean_width_sum(self) -> float:
-        """Sum of edge length times exterior dihedral angle (3-d only)."""
+        """Sum of edge length times exterior dihedral angle (3-d only).
+
+        The angle between facet normals is atan2(|n1 x n2|, n1 . n2): acos of
+        the rounded dot product would put about 1e-8 between two coplanar
+        triangles of one facet, where the angle is 0."""
         hull = self._hull
-        total = 0.0
-        for s, simplex in enumerate(hull.simplices):
-            for local, t in enumerate(hull.neighbors[s]):
-                if t <= s:
-                    continue
-                # neighbors[s][local] is the facet opposite simplex[local]
-                shared = np.delete(simplex, local)
-                n1 = hull.equations[s, :-1]
-                n2 = hull.equations[t, :-1]
-                angle = math.acos(float(np.clip(n1 @ n2, -1.0, 1.0)))
-                length = float(np.linalg.norm(hull.points[shared[0]] - hull.points[shared[1]]))
-                total += length * angle
-        return total
+        # each edge once: from the facet s to its neighbor t > s, which is
+        # opposite the vertex simplices[s, local]
+        s, local = np.nonzero(hull.neighbors > np.arange(len(hull.neighbors))[:, None])
+        t = hull.neighbors[s, local]
+        ends = hull.points[hull.simplices[s, (local + 1) % 3]] \
+            - hull.points[hull.simplices[s, (local + 2) % 3]]
+        n1, n2 = hull.equations[s, :-1], hull.equations[t, :-1]
+        angle = np.arctan2(row_norms(np.cross(n1, n2)), np.sum(n1 * n2, axis=1))
+        return float(np.sum(row_norms(ends) * angle))
 
     def to_spec(self):
         return {"type": "polytope", "vertices": self._verts.tolist()}
@@ -381,9 +381,7 @@ def body_intrinsic_volume(body: ConvexBody, j: int) -> float:
     if isinstance(body, PolytopeV):
         if j == n:
             return body.volume()
-        if n == 2:  # j == 1: half the perimeter
-            return 0.5 * body.surface()
-        if j == 2:
+        if j == n - 1:  # half the perimeter or the surface area
             return 0.5 * body.surface()
         if j == 1:
             return body.mean_width_sum() / (2.0 * math.pi)
@@ -406,17 +404,44 @@ def project_body(body: ConvexBody, frame: np.ndarray) -> ConvexBody:
     raise UnsupportedVariant(f"projection to dimension {k} is out of catalog")
 
 
+def _zonotope_volumes(gens: np.ndarray, j: int) -> np.ndarray:
+    """V_j of the zonotopes sum_i [0, g_i] of an (S, n, k) stack of
+    generator rows, k <= 3: the sum over the j-subsets I of the rows of the
+    j-volume of g_I (Shephard 1974; McMullen 1984).  That volume is |det|
+    for j = k, the row norm for j = 1 and |cross| for j = 2 in 3-d."""
+    k = gens.shape[2]
+    subsets = np.array(list(itertools.combinations(range(gens.shape[1]), j)))
+    g = [gens[:, subsets[:, r]] for r in range(j)]  # (S, C, k) each
+    if j == 1 == k:
+        vol = abs(g[0][..., 0])
+    elif j == 2 == k:
+        vol = abs(g[0][..., 0] * g[1][..., 1] - g[0][..., 1] * g[1][..., 0])
+    elif j == 3:
+        vol = abs(np.sum(g[0] * np.cross(g[1], g[2]), axis=2))
+    elif j == 1:
+        vol = row_norms(g[0])
+    else:
+        vol = row_norms(np.cross(g[0], g[1]))
+    return vol.sum(axis=1)
+
+
 def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np.ndarray:
     """V_j of the body's shadow on each plane of an (S, n, k) stack of
     orthonormal frames, as :func:`body_intrinsic_volume` of
     :func:`project_body` gives it plane by plane.
 
-    A ball's shadows are k-balls of its radius, one closed form.  Otherwise
-    the vertices are projected on every plane in one product: the shadows
-    on lines are intervals, whose widths are V_1; on 2-planes one batched
-    :func:`_hull_2d` gives every area (V_2) and half-perimeter (V_1); on
-    3-planes qhull builds each shadow in turn.  A flat shadow on a 2- or
-    3-plane raises ValueError, as the :class:`PolytopeV` that
+    A ball's shadows are k-balls of its radius, one closed form.  A box is
+    a sum of segments along the axes, so its shadows are zonotopes with the
+    generators l_i F[:, i, :] (side lengths l_i, frames F), whose V_j are
+    sums of minors (:func:`_zonotope_volumes`).  The generators are built
+    of the half sides, finite between finite endpoints, and each plane's
+    are scaled by a power of two to entries below 1 in magnitude, which
+    keeps the products finite, as :func:`_hull_2d` does.
+    Otherwise the vertices are projected on every plane in one product: the
+    shadows on lines are intervals, whose widths are V_1; on 2-planes one
+    batched :func:`_hull_2d` gives every area (V_2) and half-perimeter
+    (V_1); on 3-planes qhull builds each shadow in turn.  A flat shadow on a
+    2- or 3-plane raises ValueError, as the :class:`PolytopeV` that
     :func:`project_body` would build of it does.
     """
     count, _, k = frames.shape
@@ -426,6 +451,15 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
         return np.ones(count)
     if isinstance(body, Ball):
         return np.full(count, body_intrinsic_volume(Ball(body.radius, np.zeros(k)), j))
+    if isinstance(body, Box) and k <= 3:
+        gens = frames * (np.ldexp(body.hi, -1) - np.ldexp(body.lo, -1))[:, None]
+        _, exponent = np.frexp(abs(gens).max(axis=(1, 2)))
+        gens = np.ldexp(gens, -exponent[:, None, None])
+        exponent += 1
+        full = np.ldexp(_zonotope_volumes(gens, k), k * exponent)
+        if k > 1 and not np.all(full > 0.0):
+            raise ValueError(_COLLINEAR)
+        return full if j == k else np.ldexp(_zonotope_volumes(gens, j), j * exponent)
     verts = body.vertices() @ frames
     if k == 1:
         return verts[..., 0].max(axis=1) - verts[..., 0].min(axis=1)
@@ -994,12 +1028,22 @@ class EpiScaled(ConvexFunction):
 class PointwiseScaled(ConvexFunction):
     """c * v(x) for c > 0 (dual companion of epigraph scaling)."""
 
-    def __init__(self, inner: ConvexFunction, c: float):
+    def __new__(cls, inner: ConvexFunction, c: float):
         c = float(c)
         if not (math.isfinite(c) and c > 0):
             raise ValueError("pointwise scaling needs a finite c > 0")
+        # exact folds keep the catalog small
+        if isinstance(inner, Quadratic):
+            with np.errstate(over="ignore"):  # an overflow fails Quadratic's checks
+                a, b = c * inner.a, c * inner.b
+            return Quadratic(a, b, c * inner.c)
+        if isinstance(inner, RadialPower):
+            return RadialPower(inner.n, inner.p, c * inner.scale)
+        return object.__new__(cls)
+
+    def __init__(self, inner: ConvexFunction, c: float):
         self.inner = inner
-        self.c = c
+        self.c = float(c)
         self.n = inner.n
         self.is_supercoercive = inner.is_supercoercive
         self.is_finite = inner.is_finite

@@ -726,6 +726,22 @@ class TestSpecFuzz:
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    @pytest.mark.parametrize("method", ["smooth", "ck", "dual"])
+    @pytest.mark.parametrize("inner", [
+        {"type": "radial_power", "n": 2, "p": 4.0, "scale": 1e10},
+        {"type": "quadratic", "A": [[1e9, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0},
+    ], ids=["radial_power", "quadratic"])
+    def test_overflowing_pointwise_factor_exit_2(self, tmp_path, fuzz_files, inner, method):
+        # the factor folds into the inner's scale or matrix, which leaves double precision
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"type": "pointwise_scaled", "factor": 1e300,
+                                    "inner": inner}))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", method,
+                                       "--j", "1", "--samples", "8"])
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
     @pytest.mark.parametrize("function,method,j", BAD_BODY_DIMENSIONS.values(),
                              ids=list(BAD_BODY_DIMENSIONS))
     def test_body_dimension_exit_2(self, tmp_path, fuzz_files, function, method, j):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from funvol.convex import (
     Indicator,
     InfConv,
     MaxAffine,
+    PointwiseScaled,
     PolytopeV,
     Quadratic,
     RadialPower,
@@ -26,7 +28,7 @@ from funvol.convex import (
 )
 from funvol.convex import _hull_2d, _turn_sign
 from funvol.errors import NotDifferentiable, SchemaError, UnsupportedVariant
-from funvol.numerics import Rng
+from funvol.numerics import Rng, elem_sym_values
 from funvol.subspaces import grassmann_cubature, sample_grassmann
 
 
@@ -281,6 +283,26 @@ class TestEpiOperations:
         x = np.array([3.0, 0.0])
         assert u(x) == pytest.approx(0.5 * (3.0 - 1.0) ** 2, abs=1e-6)
 
+    def test_pointwise_scale_folds(self):
+        # c * Quadratic(A, b, c0) is Quadratic(cA, cb, c c0), and c * RadialPower(n, p, s)
+        # is RadialPower(n, p, cs); other inners stay wrapped
+        a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1])
+        u = PointwiseScaled(Quadratic(a, b, 0.7), 3.0)
+        assert isinstance(u, Quadratic)
+        assert u.to_spec() == Quadratic(3.0 * a, 3.0 * b, 3.0 * 0.7).to_spec()
+        v = PointwiseScaled(RadialPower(3, 4.0, 1.5), 2.0)
+        assert isinstance(v, RadialPower) and v.to_spec() == RadialPower(3, 4.0, 3.0).to_spec()
+        cone = PointwiseScaled(Cone(2, 0.5, 1.0), 2.0)
+        assert isinstance(cone, PointwiseScaled) and cone.c == 2.0
+        for c in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite c > 0"):
+                PointwiseScaled(RadialPower(2, 4.0), c)
+        # a product that leaves double precision, or the catalog's range, is refused
+        with pytest.raises(ValueError, match="scale > 0"):
+            PointwiseScaled(RadialPower(2, 4.0, 1e10), 1e300)
+        with pytest.raises(ValueError, match="below 1e300"):
+            PointwiseScaled(Quadratic(np.eye(2)), 1e305)
+
     def test_epi_translate(self):
         u = EpiTranslated(Quadratic(np.eye(2)), [1.0, 0.0], 2.0)
         assert u([1.0, 0.0]) == pytest.approx(2.0)
@@ -320,6 +342,20 @@ class TestBodies:
         for j in range(4):
             assert body_intrinsic_volume(cube, j) == pytest.approx(
                 body_intrinsic_volume(Box([(0.0, 1.0)] * 3), j), rel=1e-10), j
+
+    def test_rotated_box_polytopes_match_box_formulas(self):
+        # coplanar qhull triangles meet at angle 0: every V_j to within 1e-14
+        # (an acos of the normals' dot product put V_1 off by about 1e-8)
+        rng = np.random.default_rng(4)
+        for sides in ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.5, 3.0, 7.0]):
+            box = Box([(0.0, s) for s in sides])
+            for _ in range(5):
+                q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                body = PolytopeV(box.vertices() @ q.T + rng.standard_normal(3))
+                for j in range(4):
+                    expect = float(elem_sym_values(np.array(sides), j))
+                    assert body_intrinsic_volume(body, j) == pytest.approx(
+                        expect, rel=1e-14, abs=0.0), (sides, j)
 
     def test_polygon(self):
         tri = PolytopeV([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -377,31 +413,33 @@ def _cube_cubature_frames():
 class TestShadowKernel:
     """Stacked shadow intrinsic volumes against qhull, computed plane by plane
     here: widths from the projected hull vertices, areas and perimeters from
-    2-d hulls, all within 1e-14 relative."""
+    2-d hulls and every V_j of 3-d hulls from qhull polytopes, all within
+    1e-14 relative.  Boxes take the zonotope sums, so on 2-planes the batched
+    hull kernel is also checked directly on their projected vertices."""
 
     @staticmethod
-    def _qhull_reference(body, frames):
+    def _qhull_reference(body, frames, j):
         from scipy.spatial import ConvexHull
         verts = body.vertices()
         if frames.shape[2] == 1:
             ends = verts[ConvexHull(verts).vertices] @ frames[..., 0].T
             return ends.max(axis=0) - ends.min(axis=0)
+        if frames.shape[2] == 3:
+            return np.array([body_intrinsic_volume(PolytopeV(v), j) for v in verts @ frames])
         hulls = [ConvexHull(v) for v in verts @ frames]
         # scipy: for 2-d hulls 'volume' is the area and 'area' the perimeter
-        return (np.array([h.volume for h in hulls]),
-                np.array([0.5 * h.area for h in hulls]))
+        return np.array([h.volume if j == 2 else 0.5 * h.area for h in hulls])
 
     def _check(self, body, frames):
-        if frames.shape[2] == 1:
-            widths = shadow_intrinsic_volumes(body, frames, 1)
-            np.testing.assert_allclose(widths, self._qhull_reference(body, frames),
-                                       rtol=1e-14, atol=0.0)
-            return
-        area, half_perimeter = self._qhull_reference(body, frames)
-        np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 2), area,
-                                   rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, 1),
-                                   half_perimeter, rtol=1e-14, atol=0.0)
+        k = frames.shape[2]
+        for j in range(1, k + 1):
+            expect = self._qhull_reference(body, frames, j)
+            np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, j), expect,
+                                       rtol=1e-14, atol=0.0, err_msg=f"V_{j}")
+            if k == 2:
+                _, area, perimeter = _hull_2d(body.vertices() @ frames)
+                np.testing.assert_allclose(area if j == 2 else 0.5 * perimeter, expect,
+                                           rtol=1e-14, atol=0.0, err_msg=f"hull V_{j}")
 
     @pytest.mark.parametrize("body", [CUBE, BOX123, POLYTOPE],
                              ids=["cube", "box123", "polytope"])
@@ -424,6 +462,18 @@ class TestShadowKernel:
         # leftmost one: the start of the wrap is nearly inside an edge
         assert np.any(gap < 1e-16)
         self._check(CUBE, frames)
+        self._check(CUBE, np.concatenate([grassmann_cubature(3, 1, [level])[0][0].frames
+                                          for level in (1, 2, 4, 8, 16)]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_box_shadows_are_zonotopes(self, n, k):
+        # random planes, and the coordinate planes, where the minors of the
+        # sides off the plane are exact zeros and every shadow is a box
+        box = Box([(-0.5 * i, 1.0 + 0.25 * i) for i in range(n)])
+        self._check(box, _random_frames(n, k, 40, seed=10 * n + k))
+        self._check(box, np.stack([np.eye(n)[:, list(axes)]
+                                   for axes in itertools.combinations(range(n), k)]))
 
     def test_polytope_cubature_planes(self):
         self._check(POLYTOPE, np.concatenate(
@@ -451,6 +501,34 @@ class TestShadowKernel:
             ends = body.vertices() @ frames[:, :, 0].T
             assert np.array_equal(shadow_intrinsic_volumes(body, frames[:, :, :1], 1),
                                   ends.max(axis=0) - ends.min(axis=0))
+        # a rectangle and a segment in R^4: every shadow on a 3-plane is flat
+        frames = _random_frames(4, 3, 20, seed=5)
+        for body in (Box([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0), (0.0, 0.0)]),
+                     Box([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)])):
+            for j in (1, 2, 3):
+                with pytest.raises(ValueError, match="collinear"):
+                    shadow_intrinsic_volumes(body, frames, j)
+            with pytest.raises(ValueError, match="full-dimensional hull"):
+                project_body(body, frames[0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
+    def test_box_shadows_scale_exactly(self):
+        # the sides are scaled by a power of two before the products: a scaled
+        # cube's shadows are the cube's times the scale, bit for bit
+        frames = _random_frames(3, 2, 50, seed=4)
+        for scale in (2.0 ** 1000, 2.0 ** -1000):
+            box = Box([(0.0, scale)] * 3)
+            for k in ((1, 2) if scale > 1.0 else (1,)):
+                assert np.array_equal(shadow_intrinsic_volumes(box, frames[:, :, :k], 1),
+                                      scale * shadow_intrinsic_volumes(CUBE, frames[:, :, :k], 1))
+        # a side between finite endpoints that overflows, or that is 1e200
+        # times the others, leaves the others' shadows exact
+        for side in ((-1e308, 1e308), (0.0, 1e200)):
+            box = Box([side, (0.0, 1.0), (0.0, 2.0)])
+            widths = shadow_intrinsic_volumes(box, np.eye(3).T[:, :, None], 1)
+            assert widths.tolist() == [side[1] - side[0], 1.0, 2.0]
+            plane = COORDINATE_PLANES[2:]
+            assert [shadow_intrinsic_volumes(box, plane, j)[0] for j in (1, 2)] == [3.0, 2.0]
 
     def test_turn_signs_are_exact(self):
         # against rational arithmetic, on points spanning the exponent range
@@ -499,11 +577,13 @@ class TestShadowKernel:
         assert np.all(shadow_intrinsic_volumes(CUBE, frames[:, :3], 0) == 1.0)
 
     def test_three_planes_use_qhull_polytopes(self):
+        # the zonotope sums agree with the qhull polytopes of project_body
         box = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 1.0), (0.0, 1.0)])
         frames = _random_frames(4, 3, 10, seed=2)
         for j in (1, 2, 3):
             expect = [body_intrinsic_volume(project_body(box, f), j) for f in frames]
-            assert np.array_equal(shadow_intrinsic_volumes(box, frames, j), expect)
+            np.testing.assert_allclose(shadow_intrinsic_volumes(box, frames, j), expect,
+                                       rtol=1e-14, atol=0.0)
 
     def test_four_planes_out_of_catalog(self):
         with pytest.raises(UnsupportedVariant):
