@@ -513,8 +513,8 @@ class TestShadowKernel:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
     def test_box_shadows_scale_exactly(self):
-        # the sides are scaled by a power of two before the products: a scaled
-        # cube's shadows are the cube's times the scale, bit for bit
+        # each plane's generators are scaled by a power of two before the
+        # products: a scaled cube's shadows are the cube's times the scale, bit for bit
         frames = _random_frames(3, 2, 50, seed=4)
         for scale in (2.0 ** 1000, 2.0 ** -1000):
             box = Box([(0.0, scale)] * 3)
