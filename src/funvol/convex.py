@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonConvergedError, NotDifferentiable, SchemaError,
-                     UnsupportedVariant, spec_errors)
+from .errors import NotDifferentiable, SchemaError, UnsupportedVariant, spec_errors
 from .numerics import MAX_DIM, elem_sym_values, kappa, row_norms
 
 __all__ = [
@@ -34,9 +33,6 @@ __all__ = [
 
 _CONTAINS_TOL = 1e-12  # slack of a body's membership test
 _COLLINEAR = "polytope vertices do not span a full-dimensional hull: they are collinear"
-# Shewchuk's orient2d bound: a floating-point turn at least this times
-# |left product| + |right product| has the exact turn's sign
-_TURN_BOUND = (3.0 + 8.0 * np.finfo(float).eps) * np.finfo(float).eps / 2.0
 
 
 def _vec(x, n=None):
@@ -176,113 +172,14 @@ class Box(ConvexBody):
         return {"type": "box", "intervals": [list(iv) for iv in self.intervals]}
 
 
-def _turn_sign(p: np.ndarray, c: np.ndarray, r: np.ndarray) -> float:
-    """Exact sign of the turn p -> c -> r: +1 counterclockwise, -1 clockwise,
-    0 collinear.  Each coordinate times 2**1074 is an integer, and the turn
-    is taken in those integers."""
-    px, py, cx, cy, rx, ry = (n << (1075 - d.bit_length())
-                              for n, d in map(float.as_integer_ratio, (*p, *c, *r)))
-    det = (cx - px) * (ry - py) - (cy - py) * (rx - px)
-    return float((det > 0) - (det < 0))
-
-
-def _exact_turns(pts, planes, current, cand, dx, dy, alive) -> np.ndarray:
-    """Turns current -> cand -> each point, with exact signs.
-
-    Columns run over ``planes`` of the (S, m, 2) stack ``pts``; ``dx`` and
-    ``dy`` hold the points relative to each plane's ``current`` point,
-    ``cand`` is each column's candidate and ``alive`` masks the points to
-    sign.  The floating-point turn is kept where it exceeds Shewchuk's
-    forward error bound (orient2d's ccwerrboundA), so its sign is exact, and
-    replaced by the exact sign where it does not."""
-    cols = np.arange(len(planes))
-    left, right = dx[cand, cols] * dy, dy[cand, cols] * dx
-    turn = left - right
-    unsure = (np.abs(turn) < _TURN_BOUND * (np.abs(left) + np.abs(right))) & alive
-    unsure[cand, cols] = False
-    for r, i in zip(*np.nonzero(unsure)):
-        s = planes[i]
-        turn[r, i] = _turn_sign(pts[s, current[s]], pts[s, cand[i]], pts[s, r])
-    return turn
-
-
-def _hull_2d(pts: np.ndarray):
-    """Convex hulls of an (S, m, 2) stack of planar point sets, by one gift
-    wrap over the whole stack.
-
-    Returns ``(walk, area, perimeter)``.  Row s of the (S, L) index array
-    ``walk`` runs counterclockwise through hull s's vertices from its
-    lexicographic minimum back to that start, then repeats the start index.
-    Each step weighs every point of every plane at once: rounded angles
-    propose the point at the smallest turn from the edge that came in, exact
-    orientation signs (:func:`_exact_turns`) check that no point lies to its
-    right, and the wrap moves on to one that does until none does.  Of the
-    points on the edge it then takes the farthest, comparing coordinates, so
-    an edge skips the points inside it.  No sign has a tolerance: a
-    tolerance, or a rounded sign, can put the start inside an edge, and the
-    wrap then never comes back to it.  Repeated points are dropped first,
-    and each plane is scaled by a power of two to coordinates below 1 in
-    magnitude, which keeps the products finite.  A flat set has area 0 and
-    twice its length as perimeter.
-    """
-    count, m, _ = pts.shape
-    rows = np.arange(count)
-    _, exponent = np.frexp(np.abs(pts).max(axis=(1, 2)))
-    pts = np.ldexp(pts, -exponent[:, None, None])
-    # point-major (m, S) coordinates: every reduction runs across the stack
-    x, y = np.ascontiguousarray(pts[..., 0].T), np.ascontiguousarray(pts[..., 1].T)
-    order = np.lexsort((y, x), axis=0)
-    sx, sy = np.take_along_axis(x, order, 0), np.take_along_axis(y, order, 0)
-    alive = np.ones((m, count), dtype=bool)  # the first of each repeated point
-    alive[order[1:], rows] = (np.diff(sx, axis=0) != 0.0) | (np.diff(sy, axis=0) != 0.0)
-    start = current = order[0]
-    ex, ey = np.zeros(count), np.full(count, -1.0)  # the edge in: straight down
-    walk = [start]
-    done = np.zeros(count, dtype=bool)
-    for _ in range(m):
-        dx, dy = x - x[current, rows], y - y[current, rows]
-        others = alive.copy()
-        others[current, rows] = False
-        angle = np.arctan2(ex * dy - ey * dx, ex * dx + ey * dy)
-        cand = np.where(others, angle, np.inf).argmin(axis=0)
-        turn = _exact_turns(pts, rows, current, cand, dx, dy, alive)
-        beyond, wrong = alive & (turn < 0.0), rows
-        while beyond.any():  # move to a point right of the candidate until none is
-            right = beyond.any(axis=0)
-            wrong = wrong[right]
-            cand[wrong] = beyond[:, right].argmax(axis=0)
-            turn[:, wrong] = _exact_turns(pts, wrong, current, cand[wrong], dx[:, wrong],
-                                          dy[:, wrong], alive[:, wrong])
-            beyond = alive[:, wrong] & (turn[:, wrong] < 0.0)
-        on = others & (turn == 0.0)
-        if on.sum(axis=0).max() > 1:
-            # the farthest point on the edge: the largest x along it, or y if
-            # it is vertical (distinct points on a line that is not have distinct x)
-            gx, gy = np.sign(dx[cand, rows]), np.sign(dy[cand, rows])
-            cand = np.where(on, np.where(gx != 0.0, gx * x, gy * y), -np.inf).argmax(axis=0)
-        ex, ey = dx[cand, rows], dy[cand, rows]
-        closes = cand == start
-        current = np.where(done | closes, start, cand)
-        walk.append(current)
-        done |= closes
-        if done.all():
-            break
-    else:
-        raise NonConvergedError(f"hull walk did not close within {m} steps")
-    walk = np.stack(walk, axis=1)
-    poly = pts[rows[:, None], walk]
-    rel = poly - poly[:, :1]
-    area = 0.5 * np.sum(rel[:, :-1, 0] * rel[:, 1:, 1] - rel[:, :-1, 1] * rel[:, 1:, 0],
-                        axis=1)
-    edges = np.diff(poly, axis=1)
-    perimeter = np.sum(np.hypot(edges[..., 0], edges[..., 1]), axis=1)
-    return walk, np.ldexp(area, 2 * exponent), np.ldexp(perimeter, exponent)
-
-
 class PolytopeV(ConvexBody):
-    """Convex hull of a vertex list, dimension 2 or 3 (1-d sets are boxes).
+    """Convex hull of a vertex list, dimension 2 or 3 (1-d sets are boxes), by qhull.
 
-    A 2-d hull is :func:`_hull_2d` on a stack of one; qhull builds 3-d hulls.
+    The points are scaled by a power of two to coordinates below 1 in
+    magnitude before qhull, as the zonotope generators of box shadows are,
+    and every measure is scaled back exactly: only a measure beyond double
+    precision overflows.  2-d vertices run counterclockwise from their
+    lexicographic minimum.
     """
 
     def __init__(self, vertices):
@@ -295,32 +192,27 @@ class PolytopeV(ConvexBody):
             raise ValueError(f"polytope needs at least {pts.shape[1] + 1} vertices, "
                              f"got {len(pts)}")
         self.n = _dimension(pts.shape[1])
-        if self.n == 2:
-            walk, area, perimeter = _hull_2d(pts[None])
-            if not area[0] > 0.0:
-                raise ValueError(_COLLINEAR)
-            walk = walk[0, :1 + int(np.argmax(walk[0, 1:] == walk[0, 0]))]
-            self._verts = pts[walk]
-            edges = np.roll(self._verts, -1, axis=0) - self._verts
-            normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
-            normals /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
-            self._equations = np.column_stack(
-                [normals, -np.sum(normals * self._verts, axis=1)])
-            self._volume, self._surface = float(area[0]), float(perimeter[0])
-        else:
-            # scipy.spatial, which costs a noticeable share of the package
-            # import time, serves only these 3-d hulls
-            from scipy.spatial import ConvexHull, QhullError
-            try:
-                self._hull = ConvexHull(pts)
-            except QhullError as exc:
-                # flat: qhull needs a full-dimensional hull
-                raise ValueError(f"polytope vertices do not span a full-dimensional "
-                                 f"hull: {str(exc).splitlines()[0]}") from exc
-            self._verts = pts[self._hull.vertices]
-            self._equations = self._hull.equations
-            # scipy: for 3-d hulls 'area' is the surface area
-            self._volume, self._surface = float(self._hull.volume), float(self._hull.area)
+        # scipy.spatial, which costs a noticeable share of the package
+        # import time, is loaded by the first polytope
+        from scipy import spatial
+        _, self._exponent = np.frexp(abs(pts).max())
+        try:
+            self._hull = spatial.ConvexHull(np.ldexp(pts, -self._exponent))
+        except spatial.QhullError as exc:
+            # flat: qhull needs a full-dimensional hull
+            raise ValueError(_COLLINEAR if self.n == 2 else
+                             f"polytope vertices do not span a full-dimensional "
+                             f"hull: {str(exc).splitlines()[0]}") from exc
+        order = self._hull.vertices  # counterclockwise in 2-d
+        if self.n == 2:  # from the least x, and of those the least y
+            order = np.roll(order, -np.lexsort((pts[order, 1], pts[order, 0]))[0])
+        self._verts = pts[order]
+        self._equations = self._hull.equations.copy()
+        self._equations[:, -1] = np.ldexp(self._equations[:, -1], self._exponent)
+        # scipy: 'volume' is the area in 2-d, and 'area' the perimeter in 2-d
+        # and the surface area in 3-d
+        self._volume = float(np.ldexp(self._hull.volume, self.n * self._exponent))
+        self._surface = float(np.ldexp(self._hull.area, (self.n - 1) * self._exponent))
 
     def support(self, y):
         pts, scalar = _points(y, self.n)
@@ -343,12 +235,14 @@ class PolytopeV(ConvexBody):
         """Perimeter in 2-d, surface area in 3-d."""
         return self._surface
 
-    def mean_width_sum(self) -> float:
-        """Sum of edge length times exterior dihedral angle (3-d only).
+    def _edges(self):
+        """Each hull edge once (3-d only), in the scaled coordinates qhull holds.
 
-        The angle between facet normals is atan2(|n1 x n2|, n1 . n2): acos of
-        the rounded dot product would put about 1e-8 between two coplanar
-        triangles of one facet, where the angle is 0."""
+        Returns ``(ends, n1, n2, angle)``: the edge vectors, the unit normals
+        of the two facets that meet there, and the exterior dihedral angle
+        atan2(|n1 x n2|, n1 . n2).  acos of the rounded dot product would put
+        about 1e-8 between two coplanar triangles of one facet, where the
+        angle is 0."""
         hull = self._hull
         # each edge once: from the facet s to its neighbor t > s, which is
         # opposite the vertex simplices[s, local]
@@ -357,8 +251,12 @@ class PolytopeV(ConvexBody):
         ends = hull.points[hull.simplices[s, (local + 1) % 3]] \
             - hull.points[hull.simplices[s, (local + 2) % 3]]
         n1, n2 = hull.equations[s, :-1], hull.equations[t, :-1]
-        angle = np.arctan2(row_norms(np.cross(n1, n2)), np.sum(n1 * n2, axis=1))
-        return float(np.sum(row_norms(ends) * angle))
+        return ends, n1, n2, np.arctan2(row_norms(np.cross(n1, n2)), np.sum(n1 * n2, axis=1))
+
+    def mean_width_sum(self) -> float:
+        """Sum of edge length times exterior dihedral angle (3-d only)."""
+        ends, _, _, angle = self._edges()
+        return float(np.ldexp(np.sum(row_norms(ends) * angle), self._exponent))
 
     def to_spec(self):
         return {"type": "polytope", "vertices": self._verts.tolist()}
@@ -425,6 +323,12 @@ def _zonotope_volumes(gens: np.ndarray, j: int) -> np.ndarray:
     return vol.sum(axis=1)
 
 
+def _abs_cos_integral(z: np.ndarray) -> np.ndarray:
+    """An antiderivative of |cos z|: 2m + sin(z - m pi), m = round(z / pi)."""
+    m = np.round(z / np.pi)
+    return 2.0 * m + np.sin(z - m * np.pi)
+
+
 def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np.ndarray:
     """V_j of the body's shadow on each plane of an (S, n, k) stack of
     orthonormal frames, as :func:`body_intrinsic_volume` of
@@ -436,13 +340,21 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
     sums of minors (:func:`_zonotope_volumes`).  The generators are built
     of the half sides, finite between finite endpoints, and each plane's
     are scaled by a power of two to entries below 1 in magnitude, which
-    keeps the products finite, as :func:`_hull_2d` does.
-    Otherwise the vertices are projected on every plane in one product: the
-    shadows on lines are intervals, whose widths are V_1; on 2-planes one
-    batched :func:`_hull_2d` gives every area (V_2) and half-perimeter
-    (V_1); on 3-planes qhull builds each shadow in turn.  A flat shadow on a
-    2- or 3-plane raises ValueError, as the :class:`PolytopeV` that
-    :func:`project_body` would build of it does.
+    keeps the products finite.  A flat box shadow on a 2- or 3-plane raises
+    ValueError, as the :class:`PolytopeV` that :func:`project_body` would
+    build of it does.
+
+    A 3-d polytope's shadows on 2-planes are read from its own hull by
+    Cauchy's projection formulas, with u = F[:, :, 0] x F[:, :, 1] the unit
+    normal of each plane (Schneider, Convex Bodies, 2nd ed., 2014, 5.3):
+    V_2 = 1/2 sum_F a_F |<n_F, u>| over the facets, and V_1 = 1/4 sum_e l_e
+    int |<n, u>| d theta over the edges, the integral running over the arc
+    of normals from one facet of the edge to the other.  On that arc
+    l_e <n, u> = |e x u| cos(theta - phi), so the integral is
+    |e x u| (P(angle - phi) - P(-phi)) with P :func:`_abs_cos_integral`;
+    coplanar qhull triangles meet at angle 0 and drop out.  The other
+    polytope shadows are the intervals on lines, whose widths are V_1, and
+    the whole space, a :class:`PolytopeV` per plane.
     """
     count, _, k = frames.shape
     if not 0 <= j <= k:
@@ -460,15 +372,26 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
         if k > 1 and not np.all(full > 0.0):
             raise ValueError(_COLLINEAR)
         return full if j == k else np.ldexp(_zonotope_volumes(gens, j), j * exponent)
+    if isinstance(body, PolytopeV) and k == 2 < body.n:
+        u = np.cross(frames[:, :, 0], frames[:, :, 1])
+        if j == 2:
+            tri = body._hull.points[body._hull.simplices]
+            # twice each facet's area times its unit normal
+            facets = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            return np.ldexp(0.25 * abs(u @ facets.T).sum(axis=1), 2 * body._exponent)
+        ends, n1, n2, angle = body._edges()
+        # phi = atan2(<w, u>, <n1, u>) with w the unit normal on the arc that
+        # is orthogonal to n1: |n1 x n2| w = n2 - (n1 . n2) n1
+        first = u @ n1.T
+        phi = np.arctan2(u @ n2.T - np.sum(n1 * n2, axis=1) * first,
+                         row_norms(np.cross(n1, n2)) * first)
+        arcs = _abs_cos_integral(angle - phi) - _abs_cos_integral(-phi)
+        across = row_norms(np.cross(ends, u[:, None]))
+        return np.ldexp(0.25 * np.sum(across * arcs, axis=1), body._exponent)
     verts = body.vertices() @ frames
     if k == 1:
         return verts[..., 0].max(axis=1) - verts[..., 0].min(axis=1)
-    if k == 2:
-        _, area, perimeter = _hull_2d(verts)
-        if not np.all(area > 0.0):
-            raise ValueError(_COLLINEAR)
-        return area if j == 2 else 0.5 * perimeter
-    if k == 3:
+    if k in (2, 3):
         return np.array([body_intrinsic_volume(PolytopeV(v), j) for v in verts])
     raise UnsupportedVariant(f"projection to dimension {k} is out of catalog")
 
@@ -934,7 +857,10 @@ class Rotated(ConvexFunction):
 
     def __init__(self, inner: ConvexFunction, q):
         q = np.asarray(q, dtype=float)
-        if q.shape != (inner.n, inner.n) or not np.allclose(q @ q.T, np.eye(inner.n), atol=1e-10):
+        # an orthogonal Q has no entry above 1 in magnitude, and checking that
+        # first keeps Q Q^T from overflowing
+        if (q.shape != (inner.n, inner.n) or not np.all(abs(q) <= 1.0 + 1e-10)
+                or not np.allclose(q @ q.T, np.eye(inner.n), atol=1e-10)):
             raise ValueError("Q must be orthogonal with matching dimension")
         self.inner = inner
         self.q = q

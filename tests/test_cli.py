@@ -154,6 +154,21 @@ class TestCompute:
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
+    def test_huge_rotation_exit_2_quietly(self, specs, tmp_path):
+        # refused before Q Q^T is formed, which would overflow and warn on
+        # stderr; a fresh interpreter, since pytest captures warnings
+        path = tmp_path / "rotate.json"
+        path.write_text(json.dumps({"type": "rotate", "Q": [[1e200, 0.0], [0.0, 1.0]],
+                                    "inner": json.loads(Path(specs["quad"]).read_text())}))
+        src = str(Path(funvol.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "funvol.cli", "compute", "--function",
+                              str(path), "--zeta", specs["tent"], "--j", "1",
+                              "--method", "smooth"], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (2, "")
+        assert json.loads(run.stdout)["error"]["type"] == "SchemaError"
+
     @pytest.mark.parametrize("method", [("smooth",), ("ck", "--samples", "8")],
                              ids=["smooth", "ck"])
     def test_steep_quadratic_in_range(self, capsys, specs, tmp_path, method):

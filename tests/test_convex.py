@@ -26,7 +26,6 @@ from funvol.convex import (
     project_body,
     shadow_intrinsic_volumes,
 )
-from funvol.convex import _hull_2d, _turn_sign
 from funvol.errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from funvol.numerics import Rng, elem_sym_values
 from funvol.subspaces import grassmann_cubature, sample_grassmann
@@ -362,6 +361,32 @@ class TestBodies:
         assert body_intrinsic_volume(tri, 2) == pytest.approx(0.5)
         assert body_intrinsic_volume(tri, 1) == pytest.approx((2.0 + math.sqrt(2.0)) / 2.0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
+    def test_polytopes_scale_exactly(self):
+        # qhull sees the points scaled by a power of two to coordinates below
+        # 1, so a scaled square or cube has the unit one's measures times the
+        # scale's powers, bit for bit: inf or 0 only beyond double precision
+        square = PolytopeV(Box([(0.0, 1.0)] * 2).vertices())
+        cube = PolytopeV(Box([(0.0, 1.0)] * 3).vertices())
+        frames = _random_frames(3, 2, 20, seed=6)
+        for scale in (2.0 ** 500, 2.0 ** -500, 2.0 ** 1000, 2.0 ** -1000):
+            big = PolytopeV(scale * square.vertices())
+            assert (big.volume(), big.surface()) == (scale * scale, 4.0 * scale)
+            body = PolytopeV(scale * cube.vertices())
+            assert body.volume() == scale * scale * scale
+            assert body.surface() == scale * scale * cube.surface()
+            assert body.mean_width_sum() == scale * cube.mean_width_sum()
+            if scale > 1.0:  # the membership slack is absolute, 1e-12
+                assert body.contains(scale * np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]])
+                                     ).tolist() == [True, False]
+            for j, factor in ((1, scale), (2, scale * scale)):
+                assert np.array_equal(shadow_intrinsic_volumes(body, frames, j),
+                                      factor * shadow_intrinsic_volumes(cube, frames, j))
+            assert not any(map(math.isnan, (big.volume(), body.volume(), body.surface())))
+        # only a true area beyond double precision overflows
+        tri = PolytopeV(1.7e308 * np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]))
+        assert tri.volume() == math.inf
+
     def test_ball_projection(self):
         frame = np.array([[1.0], [0.0], [0.0]])
         shadow = project_body(Ball(2.0, [0.5, 0.0, 0.0]), frame)
@@ -414,8 +439,9 @@ class TestShadowKernel:
     """Stacked shadow intrinsic volumes against qhull, computed plane by plane
     here: widths from the projected hull vertices, areas and perimeters from
     2-d hulls and every V_j of 3-d hulls from qhull polytopes, all within
-    1e-14 relative.  Boxes take the zonotope sums, so on 2-planes the batched
-    hull kernel is also checked directly on their projected vertices."""
+    1e-14 relative.  Boxes take the zonotope sums, and 3-d polytopes on
+    2-planes Cauchy's projection formulas over their own hull's facets and
+    edges, so neither builds a hull per plane."""
 
     @staticmethod
     def _qhull_reference(body, frames, j):
@@ -436,10 +462,6 @@ class TestShadowKernel:
             expect = self._qhull_reference(body, frames, j)
             np.testing.assert_allclose(shadow_intrinsic_volumes(body, frames, j), expect,
                                        rtol=1e-14, atol=0.0, err_msg=f"V_{j}")
-            if k == 2:
-                _, area, perimeter = _hull_2d(body.vertices() @ frames)
-                np.testing.assert_allclose(area if j == 2 else 0.5 * perimeter, expect,
-                                           rtol=1e-14, atol=0.0, err_msg=f"hull V_{j}")
 
     @pytest.mark.parametrize("body", [CUBE, BOX123, POLYTOPE],
                              ids=["cube", "box123", "polytope"])
@@ -479,19 +501,27 @@ class TestShadowKernel:
         self._check(POLYTOPE, np.concatenate(
             [grassmann_cubature(3, 2, [level])[0][0].frames for level in (1, 2, 4)]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_polytopes(self, seed):
+        # 20 random vertices, some inside the hull, on random and cubature planes
+        rng = np.random.default_rng(seed)
+        body = PolytopeV(rng.standard_normal((20, 3)) * [1.0, 2.0, 0.5] + rng.standard_normal(3))
+        self._check(body, _random_frames(3, 2, 200, seed=seed))
+        self._check(body, _cube_cubature_frames())
+
+    def test_cube_polytope_on_coordinate_planes(self):
+        # four edges are parallel to each plane's normal u: |e x u| = 0, and
+        # the coplanar triangles of each face meet at angle 0
+        self._check(PolytopeV(CUBE.vertices()), COORDINATE_PLANES)
+        self._check(PolytopeV(BOX123.vertices()), COORDINATE_PLANES)
+
     def test_flat_box_has_zero_area(self):
         flat = Box([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0)])
         segment = Box([(0.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
         # the flat box on the coordinate planes through its normal, and a
-        # segment on any plane: the kernel gives area 0 and twice the length
-        # as perimeter, and the shadows, flat polygons, raise as PolytopeV does
+        # segment on any plane: the shadows, flat polygons, raise as PolytopeV does
         for body, frames in ((flat, COORDINATE_PLANES[1:]),
                              (segment, _random_frames(3, 2, 200, seed=3))):
-            _, area, perimeter = _hull_2d(body.vertices() @ frames)
-            assert np.all(area == 0.0)
-            length = np.ptp(body.vertices() @ frames, axis=1)
-            np.testing.assert_allclose(perimeter, 2.0 * np.hypot(length[:, 0], length[:, 1]),
-                                       rtol=1e-14, atol=0.0)
             for j in (1, 2):
                 with pytest.raises(ValueError, match="collinear"):
                     shadow_intrinsic_volumes(body, frames, j)
@@ -530,43 +560,6 @@ class TestShadowKernel:
             plane = COORDINATE_PLANES[2:]
             assert [shadow_intrinsic_volumes(box, plane, j)[0] for j in (1, 2)] == [3.0, 2.0]
 
-    def test_turn_signs_are_exact(self):
-        # against rational arithmetic, on points spanning the exponent range
-        # and on points rounded onto a line
-        from fractions import Fraction
-        rng = np.random.default_rng(7)
-        for _ in range(2000):
-            p, c, r = (rng.standard_normal(2) * 10.0 ** rng.integers(-300, 1, 2)
-                       for _ in range(3))
-            if rng.random() < 0.5:
-                r = p + (c - p) * rng.random()
-            px, py, cx, cy, rx, ry = map(Fraction, (*p, *c, *r))
-            det = (cx - px) * (ry - py) - (cy - py) * (rx - px)
-            assert _turn_sign(p, c, r) == (det > 0) - (det < 0)
-        assert _turn_sign(np.zeros(2), np.array([5e-324, 0.0]), np.array([0.0, 5e-324])) == 1.0
-
-    def test_nearly_collinear_points_close(self):
-        # rounded orientation signs leave such walks open; exact ones close them
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0.0, 1.0, (2000, 6, 1)) * np.ones(2)
-        pts += 1e-15 * rng.standard_normal(pts.shape)
-        walk, area, perimeter = _hull_2d(pts)
-        assert np.all(walk[:, 0] == walk[:, -1])
-        assert np.all((0.0 <= area) & (area <= 1e-14))
-        extent = np.ptp(pts[..., 0], axis=1) * math.sqrt(2.0)
-        np.testing.assert_allclose(perimeter, 2.0 * extent, rtol=1e-13)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
-    def test_extreme_coordinates(self):
-        # each plane is scaled by a power of two before the products, so the
-        # walk closes and only a true area beyond double precision overflows
-        square = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
-        for scale in (2.0 ** 1000, 2.0 ** -1000):
-            _, area, perimeter = _hull_2d(scale * square)
-            assert area[0] == scale * scale and perimeter[0] == 4.0 * scale
-        _, area, _ = _hull_2d(1.7e308 * np.array([[[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]]))
-        assert area[0] == math.inf
-
     def test_ball_and_degree_zero(self):
         frames = _random_frames(4, 2, 5, seed=1)
         ball = Ball(2.0, [1.0, 0.0, 0.0, 0.0])
@@ -591,7 +584,7 @@ class TestShadowKernel:
 
 
 class TestPolygon:
-    """2-d polytopes are the batched hull kernel on a stack of one."""
+    """2-d polytopes are qhull's, listed from the lexicographic minimum."""
 
     def test_hull_vertices_counterclockwise_from_lexicographic_minimum(self):
         square = PolytopeV([[1.0, 1.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0],

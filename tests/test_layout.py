@@ -152,31 +152,41 @@ def test_one_closed_form_dispatch():
         f"closed_form is called from {dict(callers)}"
 
 
-def test_one_2d_hull():
-    """qhull builds only 3-d hulls; every 2-d hull is the batched kernel.
+def test_one_hull_engine(monkeypatch):
+    """qhull builds every hull, 2-d and 3-d, in one place.
 
-    ``ConvexHull`` is named only in the 3-d branch of ``PolytopeV.__init__``,
-    and the batched ``_hull_2d`` has two callers: the stacked body shadows
-    and the 2-d branch of ``PolytopeV.__init__``, a stack of one.
+    ``ConvexHull`` is named only in ``PolytopeV.__init__``, no batched
+    ``_hull_2d`` is left in the package, and ``shadow_intrinsic_volumes``
+    reads a 3-d polytope's shadows on 2-planes from its own hull, building
+    no ``PolytopeV`` per plane.
     """
-    kernel = _package_callers("_hull_2d")
-    assert kernel == Counter({"convex.shadow_intrinsic_volumes": 1,
-                              "convex.__init__": 1}), f"_hull_2d is called from {dict(kernel)}"
     qhull = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
-        qhull[path.stem] = _references(ast.parse(path.read_text()))["ConvexHull"]
-    tree = ast.parse((PACKAGE / "convex.py").read_text())
-    polytope = next(node for node in tree.body
+        tree = ast.parse(path.read_text())
+        assert not _references(tree)["_hull_2d"], path.name
+        qhull[path.stem] = _references(tree)["ConvexHull"]
+    polytope = next(node for node in ast.parse((PACKAGE / "convex.py").read_text()).body
                     if isinstance(node, ast.ClassDef) and node.name == "PolytopeV")
     init = next(node for node in polytope.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    branch = next(node for node in init.body
-                  if isinstance(node, ast.If) and ast.unparse(node.test) == "self.n == 2")
-    in_2d = sum(_references(node)["ConvexHull"] for node in branch.body)
-    in_3d = sum(_references(node)["ConvexHull"] for node in branch.orelse)
-    assert in_2d == 0 and in_3d == sum(qhull.values()) > 0, \
-        f"ConvexHull is named in {dict(+qhull)}, {in_3d} of them in the 3-d branch"
-    assert sum(_callers(node, "_hull_2d")["<module>"] for node in branch.body) == 1
+    assert _references(init)["ConvexHull"] == sum(qhull.values()) == 1, \
+        f"ConvexHull is named in {dict(+qhull)}"
+
+    from funvol import convex
+    from funvol.subspaces import grassmann_cubature
+    body = convex.PolytopeV([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    frames = grassmann_cubature(3, 2, [4])[0][0].frames
+    built, build = [], convex.PolytopeV.__init__
+
+    def counted(self, vertices):
+        built.append(vertices)
+        build(self, vertices)
+
+    monkeypatch.setattr(convex.PolytopeV, "__init__", counted)
+    for j in (1, 2):
+        assert convex.shadow_intrinsic_volumes(body, frames, j).shape == (len(frames),)
+    assert not built, f"{len(built)} polytopes built for {len(frames)} shadows"
 
 
 def test_one_polar_engine():
