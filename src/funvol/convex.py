@@ -210,9 +210,10 @@ class PolytopeV(ConvexBody):
         self._equations = self._hull.equations.copy()
         self._equations[:, -1] = np.ldexp(self._equations[:, -1], self._exponent)
         # scipy: 'volume' is the area in 2-d, and 'area' the perimeter in 2-d
-        # and the surface area in 3-d
-        self._volume = float(np.ldexp(self._hull.volume, self.n * self._exponent))
-        self._surface = float(np.ldexp(self._hull.area, (self.n - 1) * self._exponent))
+        # and the surface area in 3-d; a measure beyond double precision is inf
+        with np.errstate(over="ignore"):
+            self._volume = float(np.ldexp(self._hull.volume, self.n * self._exponent))
+            self._surface = float(np.ldexp(self._hull.area, (self.n - 1) * self._exponent))
 
     def support(self, y):
         pts, scalar = _points(y, self.n)

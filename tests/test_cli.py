@@ -154,20 +154,38 @@ class TestCompute:
         assert code == 2 and "Traceback" not in err
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
-    def test_huge_rotation_exit_2_quietly(self, specs, tmp_path):
-        # refused before Q Q^T is formed, which would overflow and warn on
-        # stderr; a fresh interpreter, since pytest captures warnings
-        path = tmp_path / "rotate.json"
-        path.write_text(json.dumps({"type": "rotate", "Q": [[1e200, 0.0], [0.0, 1.0]],
-                                    "inner": json.loads(Path(specs["quad"]).read_text())}))
+    @staticmethod
+    def _fresh_compute(tmp_path, function, *argv):
+        """Exit code, stdout and stderr of ``compute`` in a fresh interpreter,
+        where a warning reaches stderr as it would for a user (pytest
+        captures warnings in-process)."""
+        path = tmp_path / "function.json"
+        path.write_text(json.dumps(function))
         src = str(Path(funvol.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-m", "funvol.cli", "compute", "--function",
-                              str(path), "--zeta", specs["tent"], "--j", "1",
-                              "--method", "smooth"], env=env, capture_output=True, text=True)
-        assert (run.returncode, run.stderr) == (2, "")
-        assert json.loads(run.stdout)["error"]["type"] == "SchemaError"
+                              str(path), *argv], env=env, capture_output=True, text=True)
+        return run.returncode, run.stdout, run.stderr
+
+    def test_huge_rotation_exit_2_quietly(self, specs, tmp_path):
+        # refused before Q Q^T is formed, which would overflow and warn
+        rotate = {"type": "rotate", "Q": [[1e200, 0.0], [0.0, 1.0]],
+                  "inner": json.loads(Path(specs["quad"]).read_text())}
+        code, out, err = self._fresh_compute(tmp_path, rotate, "--zeta", specs["tent"],
+                                             "--j", "1", "--method", "smooth")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    def test_huge_polytope_quietly(self, specs, tmp_path):
+        # qhull sees the vertices scaled to coordinates below 1, and the
+        # volume, beyond double precision, is inf without a warning
+        simplex = {"type": "indicator", "body": {"type": "polytope", "vertices": [
+            [0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]]}}
+        code, out, err = self._fresh_compute(tmp_path, simplex, "--zeta", specs["tent"],
+                                             "--j", "1", "--method", "ck")
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["value"])
 
     @pytest.mark.parametrize("method", [("smooth",), ("ck", "--samples", "8")],
                              ids=["smooth", "ck"])
@@ -939,7 +957,7 @@ class TestImport:
         assert not self._loaded_after_import("scipy.spatial")
 
     def test_default_suite_stays_off_scipy_spatial(self):
-        # 2-d hulls are numpy's; qhull serves only 3-d polytopes
+        # the suite builds no polytope: ball and box shadows need no hull
         probe = ("import sys; from funvol.cli import main; "
                  "main(['verify', '--default-suite', '--seed', '7', '--out', "
                  f"{os.devnull!r}]); print('scipy.spatial' in sys.modules)")

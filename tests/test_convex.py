@@ -481,7 +481,7 @@ class TestShadowKernel:
         gap = np.where(x > x.min(axis=1, keepdims=True),
                        x - x.min(axis=1, keepdims=True), np.inf).min(axis=1)
         # on some planes rounding puts another vertex within 1e-16 of the
-        # leftmost one: the start of the wrap is nearly inside an edge
+        # leftmost one, so the shadow's hull has a nearly flat corner
         assert np.any(gap < 1e-16)
         self._check(CUBE, frames)
         self._check(CUBE, np.concatenate([grassmann_cubature(3, 1, [level])[0][0].frames
