@@ -373,7 +373,7 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
         if k > 1 and not np.all(full > 0.0):
             raise ValueError(_COLLINEAR)
         return full if j == k else np.ldexp(_zonotope_volumes(gens, j), j * exponent)
-    if isinstance(body, PolytopeV) and k == 2 < body.n:
+    if isinstance(body, PolytopeV) and k == 2 and body.n == 3:
         u = np.cross(frames[:, :, 0], frames[:, :, 1])
         if j == 2:
             tri = body._hull.points[body._hull.simplices]
