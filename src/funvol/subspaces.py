@@ -9,22 +9,23 @@ stacked complete QR and checked for orthonormality in one batched pass, and
 each plane is then a view into that stack.  Cubature planes, the lines
 through or the hyperplanes normal to the directions of a sphere rule, are
 framed by the same stacked QR, the planes of several levels at once.
-Projection functions (minimum over the orthogonal fiber) are realized as
-catalog variants wherever a closed form exists; any other source raises
-UnsupportedVariant, as an unrealized restriction does.  A plane stack's
-projections or restrictions are realized in one step,
-:func:`realize_stack`.  A quadratic's are realized stack-wide: one Schur
-complement A/A_GG (one stacked solve) or one stacked F'AF gives a
-:class:`QuadraticStack` for every plane at once, checked once, and a single
-plane's is the same code on a stack of one.  A plane-free source, one whose
-realization reads nothing of the plane but its dimension (radial variants,
-indicators and support functions of balls about the origin, and the
-wrappers built only of them, see :func:`plane_free`), is realized once, as
-the one function every plane of the stack shares.  Any other source is
-realized plane by plane.
+Projection functions (minimum over the orthogonal fiber) and restrictions
+are realized as catalog variants wherever a closed form exists; any other
+source raises UnsupportedVariant.  A plane stack's projections or
+restrictions are realized in one step, :func:`realize_stack`, by one
+recursion over the catalog on the whole (S, n, k) frame stack: a
+quadratic's, a rotated one's too, as one :class:`QuadraticStack` from one
+Schur complement A/A_GG (one stacked solve) or one stacked F'AF, checked
+once; a rotation turns the whole stack; and a wrapper is applied to its
+inner realizations plane by plane.  Where every plane gets the same
+function (radial variants, the indicator or support function of a ball
+about the origin, and the wrappers built only of them with zero offsets)
+the recursion returns that one function.  A single plane's projection or
+restriction is the same code on a stack of one.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,7 +51,6 @@ __all__ = [
     "project_quadratics",
     "restrict_function",
     "restrict_quadratics",
-    "plane_free",
     "realize_stack",
     "check_conjugate_projection",
 ]
@@ -237,16 +237,20 @@ class ProjectedFunction:
 
 
 def project_function(u: ConvexFunction, e: Subspace) -> ProjectedFunction:
-    """Projection function of a super-coercive u onto a subspace.
+    """Projection function of a super-coercive u onto a subspace: the
+    :func:`realize_stack` of a stack of one plane."""
+    return ProjectedFunction(u, e, _on_plane(u, e, project=True))
 
-    Closed forms per variant (Schur complement for quadratics, dimension drop
-    for radial variants, body shadow for indicators, and the wrappers built on
-    them); any other source raises UnsupportedVariant.
-    """
-    if not u.is_supercoercive:
-        raise UnsupportedVariant("projection functions need a super-coercive source")
-    realized = _project(u, e)
-    return ProjectedFunction(u, e, realized)
+
+def restrict_function(v: ConvexFunction, e: Subspace) -> ConvexFunction:
+    """Restriction of a finite-valued v to the subspace, in E-coordinates: the
+    :func:`realize_stack` of a stack of one plane."""
+    return _on_plane(v, e, project=False)
+
+
+def _on_plane(u: ConvexFunction, e: Subspace, project: bool) -> ConvexFunction:
+    w = realize_stack(u, e.frame[None], e.complement[None], project)
+    return w if isinstance(w, ConvexFunction) else w[0]
 
 
 def project_quadratics(u: Quadratic, frames: np.ndarray,
@@ -272,38 +276,6 @@ def project_quadratics(u: Quadratic, frames: np.ndarray,
     return QuadraticStack(a_bar, b_bar, c_bar)
 
 
-def _project(u: ConvexFunction, e: Subspace) -> ConvexFunction:
-    f, g = e.frame, e.complement
-    k = e.k
-    if isinstance(u, Quadratic):
-        return project_quadratics(u, f[None], g[None])[0]
-    if isinstance(u, RadialPower):
-        return RadialPower(k, u.p, u.scale)
-    if isinstance(u, Cone):
-        return Cone(k, u.t, u.r)
-    if isinstance(u, Indicator):
-        return Indicator(project_body(u.body, f))
-    if isinstance(u, EpiTranslated):
-        return EpiTranslated(_project(u.inner, e), f.T @ u.x0, u.alpha)
-    if isinstance(u, Rotated):
-        rotated_e = Subspace(u.q.T @ f, u.q.T @ g if g.size else g)
-        return _project(u.inner, rotated_e)
-    if isinstance(u, EpiScaled):
-        return EpiScaled(_project(u.inner, e), u.lam)
-    if isinstance(u, PointwiseScaled):
-        return PointwiseScaled(_project(u.inner, e), u.c)
-    if isinstance(u, InfConv):
-        return InfConv(_project(u.left, e), _project(u.right, e))
-    raise UnsupportedVariant(f"projection of {type(u).__name__} is not realized")
-
-
-def restrict_function(v: ConvexFunction, e: Subspace) -> ConvexFunction:
-    """Restriction of a finite-valued v to the subspace, in E-coordinates."""
-    if not v.is_finite:
-        raise UnsupportedVariant("restriction is defined for finite-valued functions")
-    return _restrict(v, e)
-
-
 def restrict_quadratics(v: Quadratic, frames: np.ndarray) -> QuadraticStack:
     """The restrictions x'(F'AF)x/2 + (F'b)'x + c of v to the planes of (S, n,
     k) frames F, in frame coordinates x."""
@@ -311,71 +283,92 @@ def restrict_quadratics(v: Quadratic, frames: np.ndarray) -> QuadraticStack:
     return QuadraticStack(f_t @ v.a @ frames, f_t @ v.b, np.full(len(frames), v.c))
 
 
-def _restrict(v: ConvexFunction, e: Subspace) -> ConvexFunction:
-    f = e.frame
-    k = e.k
-    if isinstance(v, Quadratic):
-        return restrict_quadratics(v, f[None])[0]
-    if isinstance(v, RadialPower):
-        return RadialPower(k, v.p, v.scale)
-    if isinstance(v, RadialHinge):
-        return RadialHinge(k, v.t, v.r)
-    if isinstance(v, SupportFn):
-        # h of the shadow agrees with h of the body on the subspace
-        return SupportFn(project_body(v.body, f))
-    if isinstance(v, MaxAffine) and v.domain is None:
-        return MaxAffine(v.slopes @ f, v.offsets)
-    if isinstance(v, PointwiseScaled):
-        return PointwiseScaled(_restrict(v.inner, e), v.c)
-    if isinstance(v, PlusAffine):
-        return PlusAffine(_restrict(v.inner, e), f.T @ v.slope, v.const)
-    if isinstance(v, PointwiseSum):
-        return PointwiseSum(_restrict(v.left, e), _restrict(v.right, e))
-    if isinstance(v, Rotated):
-        return _restrict(v.inner, Subspace(v.q.T @ f))
-    raise UnsupportedVariant(f"restriction of {type(v).__name__} is not realized")
+def realize_stack(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
+                  project: bool):
+    """u's projections (``project``: min over the fiber x + span(G)) or
+    restrictions onto every plane of an (S, n, k) stack of frames F with their
+    (S, n, n - k) complements G, in frame coordinates.
+
+    A quadratic's, a rotated one's too, come as one :class:`QuadraticStack`;
+    a source whose every plane gets the same function as one function; any
+    other's as a list, one function per plane.  Only super-coercive sources
+    are projected and only finite ones restricted, by closed forms
+    (:func:`_realize`); anything else raises UnsupportedVariant."""
+    if project and not u.is_supercoercive:
+        raise UnsupportedVariant("projection functions need a super-coercive source")
+    if not project and not u.is_finite:
+        raise UnsupportedVariant("restriction is defined for finite-valued functions")
+    return _realize(u, frames, complements, project)
 
 
-def plane_free(u: ConvexFunction) -> bool:
-    """Whether every branch of :func:`_project` and :func:`_restrict` that
-    realizes u reads nothing of the plane but its dimension k, so u has one
-    projection and one restriction for all k-planes: radial powers, cones,
-    radial hinges, the indicator or support function of a ball about the
-    origin (its shadow's center F'0 is 0), and the wrappers built only of
-    them, epigraph translations and affine terms only with a zero offset.  A
-    quadratic's Schur complements move with the plane, an isotropic one's
-    by rounding."""
-    if isinstance(u, (RadialPower, Cone, RadialHinge)):
-        return True
-    if isinstance(u, (Indicator, SupportFn)):
-        return isinstance(u.body, Ball) and not any(u.body.center)
-    if isinstance(u, (Rotated, EpiScaled, PointwiseScaled)):
-        return plane_free(u.inner)
-    if isinstance(u, (InfConv, PointwiseSum)):
-        return plane_free(u.left) and plane_free(u.right)
-    if isinstance(u, EpiTranslated):
-        return not u.x0.any() and plane_free(u.inner)
-    if isinstance(u, PlusAffine):
-        return not u.slope.any() and plane_free(u.inner)
-    return False
+def _realize(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
+             project: bool):
+    """The closed forms of :func:`realize_stack`, one recursion over the
+    catalog for the whole stack: Schur complements or F'AF for quadratics,
+    the dimension drop for radial variants, body shadows for indicators and
+    support functions, and the wrappers over their inner realizations
+    (:func:`_each`).  A rotation turns the whole stack, Q'F and Q'G.  Every
+    plane gets the same function from a radial variant, the indicator or
+    support function of a ball about the origin, and the wrappers built only
+    of them whose offsets F'x0 or F'a are zero on every plane."""
+    k = frames.shape[-1]
+    f_t = np.swapaxes(frames, 1, 2)
 
-
-def realize_stack(u: ConvexFunction, planes, project: bool):
-    """u's projections (``project``) or restrictions onto every plane of a
-    stack, a sequence of subspaces whose ``frames`` and ``complements`` view
-    their stacked frames: a quadratic's as one :class:`QuadraticStack`, a
-    :func:`plane_free` source's as the one function every plane shares,
-    realized on the first plane, and any other's as a list, plane by plane.
-    A source that cannot be realized raises what the first plane raises."""
+    def inner(w):
+        return _realize(w, frames, complements, project)
     if isinstance(u, Quadratic):
-        return (project_quadratics(u, planes.frames, planes.complements) if project
-                else restrict_quadratics(u, planes.frames))
+        return (project_quadratics(u, frames, complements) if project
+                else restrict_quadratics(u, frames))
+    if isinstance(u, RadialPower):
+        return RadialPower(k, u.p, u.scale)
+    if isinstance(u, Cone if project else RadialHinge):
+        return type(u)(k, u.t, u.r)
+    if isinstance(u, Indicator if project else SupportFn):
+        # h of the shadow agrees with h of the body on the subspace
+        if isinstance(u.body, Ball) and not any(u.body.center):  # the same ball on every plane
+            return type(u)(project_body(u.body, frames[0]))
+        return [type(u)(project_body(u.body, f)) for f in frames]
+    if isinstance(u, Rotated):  # u(Q'x): the planes turned by Q'
+        frames, complements = u.q.T @ frames, u.q.T @ complements
+        _check_orthonormal(frames, complements)
+        return _realize(u.inner, frames, complements, project)
+    if isinstance(u, PointwiseScaled):
+        return _each(lambda w: PointwiseScaled(w, u.c), inner(u.inner))
+    if project and isinstance(u, EpiTranslated):
+        return _each(lambda w, x0: EpiTranslated(w, x0, u.alpha), inner(u.inner),
+                     _rows(f_t @ u.x0))
+    if project and isinstance(u, EpiScaled):
+        return _each(lambda w: EpiScaled(w, u.lam), inner(u.inner))
+    if project and isinstance(u, InfConv):
+        return _each(InfConv, inner(u.left), inner(u.right))
+    if not project and isinstance(u, MaxAffine) and u.domain is None:
+        return _each(lambda slopes: MaxAffine(slopes, u.offsets), _rows(u.slopes @ frames))
+    if not project and isinstance(u, PlusAffine):
+        return _each(lambda w, slope: PlusAffine(w, slope, u.const), inner(u.inner),
+                     _rows(f_t @ u.slope))
+    if not project and isinstance(u, PointwiseSum):
+        return _each(PointwiseSum, inner(u.left), inner(u.right))
+    kind = "projection" if project else "restriction"
+    raise UnsupportedVariant(f"{kind} of {type(u).__name__} is not realized")
 
-    def one(e):
-        return project_function(u, e).realized if project else restrict_function(u, e)
-    if plane_free(u):
-        return one(planes[0])
-    return [one(e) for e in planes]
+
+def _rows(x: np.ndarray):
+    """A per-plane array, such as the offsets F'x0, as a part of
+    :func:`_each`: its first row, shared, when every row is zero, else the
+    list of its rows."""
+    return list(x) if x.any() else x[0]
+
+
+def _each(make, *parts):
+    """``make`` over the planes of a stack whose ``parts`` are each shared
+    by every plane or a list (or :class:`QuadraticStack`) with one member
+    per plane: called once, its function shared, when every part is shared,
+    else plane by plane into a list."""
+    stacked = [isinstance(p, (list, QuadraticStack)) for p in parts]
+    if not any(stacked):
+        return make(*parts)
+    return [make(*members) for members in
+            zip(*(p if each else itertools.repeat(p) for p, each in zip(parts, stacked)))]
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,19 @@ the cubature wherever it covers the planes and Monte Carlo elsewhere, and
 hands each level or draw to its caller as one plane stack.  The shadows of a
 body, for indicators and the classical check, are evaluated for the whole
 stack in one numpy pass.  A stack's projections or restrictions come from
-one realization step, :func:`realize_stack`.  Smooth ones are integrated as
-one lockstep polar stack (:func:`integrate_polar_stack`): gradients and
-Hessian terms per member, |grad u| and the weight once per integrand call
-for the whole stack.  A quadratic's come as one :class:`QuadraticStack`,
+one realization step, :func:`realize_stack`, in one of three shapes.  A
+quadratic's, a rotated one's too, come as one :class:`QuadraticStack`,
 which takes its centers, whitening frames, Hessian terms and ray radii in
-one operation per stack; lone quadratics run as stacks of one.  A
-plane-free source, such as a radial power, a cone or the indicator of a
-ball about the origin, has one projection or restriction for every plane:
-it is integrated once per stack, and every plane gets its value and error.
+one operation per stack; lone quadratics run as stacks of one.  Where every
+plane gets the same function, as from a radial power, a cone or the
+indicator of a ball about the origin, it comes once: it is integrated once
+per stack, and every plane gets its value and error.  Any other stack comes
+as a list, and its smooth members are integrated as one lockstep polar
+stack (:func:`integrate_polar_stack`): gradients and Hessian terms per
+member, |grad u| and the weight once per integrand call for the whole stack.
 Only the nested G(k, j) average of projections that are not smooth (cones,
-inf-convolutions) goes plane by plane, and a plane-free one's only when
-Monte Carlo draws it.  The Cauchy-Kubota route is the general projection
+inf-convolutions) goes plane by plane, and a shared one's only when Monte
+Carlo draws it.  The Cauchy-Kubota route is the general projection
 route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
@@ -134,7 +135,7 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
     returns arrays of the per-plane values, inner errors and integrand
     evaluations.  The routes evaluate the stack as a whole: body shadows in
     one numpy pass, smooth projections and restrictions as one polar stack,
-    and the one projection or restriction of a plane-free source once, its
+    and a projection or restriction that every plane shares once, its
     value and error repeated for every plane and its evaluations counted on
     the first (:func:`_shared`), so the reductions below see the numbers of
     a plane-by-plane evaluation.  :func:`_per_plane` maps a plane-by-plane
@@ -482,8 +483,8 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
                         samples: int, rng: Rng, method: str) -> EvalResult:
     """Grassmannian average over k-planes of the degree-j valuation of u's projection.
 
-    Each plane stack is realized by :func:`realize_stack`.  A plane-free
-    source's one projection is integrated once per stack; when it is not
+    Each plane stack is realized by :func:`realize_stack`.  A projection
+    that every plane shares is integrated once per stack; when it is not
     smooth (j < k), its nested G(k, j) average is shared only where a
     cubature covers G(k, j), which reads no stream.  A Monte Carlo inner
     average draws from each plane's own child stream, so it runs per plane.
@@ -513,7 +514,7 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
             return inner.value, inner.error, inner.integrand_evals
 
         def stack(planes, streams):
-            ws = realize_stack(u, planes, project=True)
+            ws = realize_stack(u, planes.frames, planes.complements, project=True)
             if isinstance(ws, QuadraticStack):  # smooth, with its domain integral at j = k
                 return _stacked(_smooth_integral(ws, xi, k - j))
             shared = isinstance(ws, ConvexFunction)  # one projection for every plane
@@ -609,7 +610,7 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
             return _shared(len(planes), zero)
     else:
         def stack(planes, streams):
-            vs = realize_stack(v, planes, project=False)
+            vs = realize_stack(v, planes.frames, planes.complements, project=False)
             if isinstance(vs, ConvexFunction):  # one restriction for every plane
                 return _shared(len(planes), *_dual_integral(j, xi, [vs])[0])
             return _stacked(_dual_integral(j, xi, vs))

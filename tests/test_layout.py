@@ -123,15 +123,29 @@ def test_one_schur_complement():
 
 
 def test_one_stack_realization():
-    """Every plane stack's projections or restrictions are realized in one
-    step: ``project_function`` and ``restrict_function`` are called only from
-    ``realize_stack`` (its per-plane helper ``one``) and from
-    ``check_conjugate_projection``, which compares one plane's two sides."""
+    """Every projection or restriction, a plane stack's or one plane's, is
+    realized by one recursion over the stack: ``realize_stack`` is called by
+    the two stack callbacks of ``valuations`` and by ``_on_plane``, the stack
+    of one behind ``project_function`` and ``restrict_function``, which only
+    ``check_conjugate_projection`` calls; ``_realize`` is called by
+    ``realize_stack`` and by itself; and no ``Subspace`` is built inside it."""
+    assert _package_callers("realize_stack") == Counter({
+        "valuations._projection_average.stack": 1, "valuations.eval_dual_ck.stack": 1,
+        "subspaces._on_plane": 1})
+    assert _package_callers("_on_plane") == Counter({"subspaces.project_function": 1,
+                                                     "subspaces.restrict_function": 1})
     for name in ("project_function", "restrict_function"):
         callers = _package_callers(name)
-        assert callers == Counter({"subspaces.realize_stack.one": 1,
-                                   "subspaces.check_conjugate_projection": 1}), \
+        assert callers == Counter({"subspaces.check_conjugate_projection": 1}), \
             f"{name} is called from {dict(callers)}"
+    assert _package_callers("_realize") == Counter({
+        "subspaces.realize_stack": 1, "subspaces._realize": 1, "subspaces._realize.inner": 1})
+    tree = ast.parse((PACKAGE / "subspaces.py").read_text())
+    realize = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_realize")
+    assert not _references(realize)["Subspace"]
+    assert not any(_references(ast.parse(path.read_text()))["plane_free"]
+                   for path in PACKAGE.glob("*.py"))
 
 
 def test_one_shared_result():

@@ -24,6 +24,7 @@ from funvol.convex import (
     RadialPower,
     Rotated,
     SupportFn,
+    project_body,
 )
 from funvol.numerics import Rng
 from funvol.errors import UnsupportedVariant
@@ -31,13 +32,10 @@ from funvol.subspaces import (
     Subspace,
     _check_orthonormal,
     _haar_frames,
-    _project,
-    _restrict,
     check_conjugate_projection,
     cubature_covers,
     cubature_levels,
     grassmann_cubature,
-    plane_free,
     project_function,
     project_quadratics,
     realize_stack,
@@ -514,49 +512,138 @@ def _catalog(n: int) -> dict:
     }
 
 
-class TestPlaneFree:
-    """A source is realized once for a whole plane stack exactly when its
-    projections and restrictions are the same function on every plane."""
+def _project_oracle(u, e):
+    """u's projection onto one plane, realized plane by plane: the reference
+    the stacked realization must reproduce."""
+    f, g = e.frame, e.complement
+    if isinstance(u, Quadratic):
+        return _schur_reference(u, f, g)
+    if isinstance(u, RadialPower):
+        return RadialPower(e.k, u.p, u.scale)
+    if isinstance(u, Cone):
+        return Cone(e.k, u.t, u.r)
+    if isinstance(u, Indicator):
+        return Indicator(project_body(u.body, f))
+    if isinstance(u, EpiTranslated):
+        return EpiTranslated(_project_oracle(u.inner, e), f.T @ u.x0, u.alpha)
+    if isinstance(u, Rotated):
+        return _project_oracle(u.inner, Subspace(u.q.T @ f, u.q.T @ g))
+    if isinstance(u, EpiScaled):
+        return EpiScaled(_project_oracle(u.inner, e), u.lam)
+    if isinstance(u, PointwiseScaled):
+        return PointwiseScaled(_project_oracle(u.inner, e), u.c)
+    if isinstance(u, InfConv):
+        return InfConv(_project_oracle(u.left, e), _project_oracle(u.right, e))
+    raise UnsupportedVariant(f"projection of {type(u).__name__} is not realized")
+
+
+def _restrict_oracle(v, e):
+    """v's restriction to one plane, realized plane by plane."""
+    f = e.frame
+    if isinstance(v, Quadratic):
+        return _restriction_reference(v, f)
+    if isinstance(v, RadialPower):
+        return RadialPower(e.k, v.p, v.scale)
+    if isinstance(v, RadialHinge):
+        return RadialHinge(e.k, v.t, v.r)
+    if isinstance(v, SupportFn):
+        return SupportFn(project_body(v.body, f))
+    if isinstance(v, MaxAffine) and v.domain is None:
+        return MaxAffine(v.slopes @ f, v.offsets)
+    if isinstance(v, PointwiseScaled):
+        return PointwiseScaled(_restrict_oracle(v.inner, e), v.c)
+    if isinstance(v, PlusAffine):
+        return PlusAffine(_restrict_oracle(v.inner, e), f.T @ v.slope, v.const)
+    if isinstance(v, PointwiseSum):
+        return PointwiseSum(_restrict_oracle(v.left, e), _restrict_oracle(v.right, e))
+    if isinstance(v, Rotated):
+        return _restrict_oracle(v.inner, Subspace(v.q.T @ f))
+    raise UnsupportedVariant(f"restriction of {type(v).__name__} is not realized")
+
+
+class TestStackRealization:
+    """``realize_stack`` gives every plane of a stack the function that the
+    plane-by-plane oracle realizes for it, and returns one function exactly
+    when those functions are all the same."""
 
     GRASSMANNIANS = ((3, 1), (3, 2), (5, 2))
+    KINDS = (("projection", "is_supercoercive", _project_oracle),
+             ("restriction", "is_finite", _restrict_oracle))
 
-    @staticmethod
-    def _realizations(u, planes) -> dict:
+    @classmethod
+    def _realizations(cls, u, planes) -> dict:
         """to_spec() of u's projections (supercoercive u) and restrictions
-        (finite u) onto each plane, for the kinds the catalog realizes."""
+        (finite u) onto each plane by the oracle, for the kinds it realizes."""
         found = {}
-        for kind, applies, realize in (("projection", u.is_supercoercive, _project),
-                                       ("restriction", u.is_finite, _restrict)):
-            if applies:
+        for kind, applies, realize in cls.KINDS:
+            if getattr(u, applies):
                 try:
                     found[kind] = [realize(u, e).to_spec() for e in planes]
                 except UnsupportedVariant:
                     pass
         return found
 
+    @staticmethod
+    def _check(u, planes, found):
+        for kind, specs in found.items():
+            got = realize_stack(u, planes.frames, planes.complements,
+                                project=kind == "projection")
+            same = all(spec == specs[0] for spec in specs[1:])
+            assert isinstance(got, ConvexFunction) == same, \
+                f"{kind}: one function {isinstance(got, ConvexFunction)}, equal specs {same}"
+            members = [got] * len(planes) if same else list(got)
+            assert [w.to_spec() for w in members] == specs, kind
+
     @pytest.mark.parametrize("n,k", GRASSMANNIANS)
     @pytest.mark.parametrize("name", sorted(_catalog(3)))
-    def test_decision_matches_the_realizations(self, name, n, k):
+    def test_every_plane_matches_the_oracle(self, name, n, k):
         u = _catalog(n)[name]
         planes = sample_grassmann(n, k, [Rng(31 + n + k).stream(i) for i in range(3)])
         found = self._realizations(u, planes)
         assert found, f"{name} is neither projected nor restricted"
-        for kind, specs in found.items():
-            same = all(spec == specs[0] for spec in specs[1:])
-            assert plane_free(u) == same, f"{name}: {kind}s equal on every plane: {same}"
+        self._check(u, planes, found)
 
     @pytest.mark.parametrize("name", sorted(_catalog(3)))
-    def test_stack_realization(self, name):
+    def test_cubature_stack(self, name):
         u = _catalog(3)[name]
         planes = grassmann_cubature(3, 2, [2])[0][0]
-        for kind, specs in self._realizations(u, planes).items():
-            got = realize_stack(u, planes, project=kind == "projection")
-            if isinstance(u, Quadratic):
-                assert isinstance(got, QuadraticStack)
-            elif plane_free(u):  # one function, realized on the first plane
-                assert isinstance(got, ConvexFunction) and got.to_spec() == specs[0]
-            else:
-                assert [w.to_spec() for w in got] == specs
+        self._check(u, planes, self._realizations(u, planes))
+
+    @pytest.mark.parametrize("name", ["quadratic", "rotated_quadratic"])
+    def test_rotated_quadratics_are_one_stack(self, name):
+        # a rotation turns the planes, so a rotated quadratic's projections
+        # and restrictions are one QuadraticStack, bit for bit the oracle's
+        u = _catalog(4)[name]
+        planes = sample_grassmann(4, 2, [Rng(5).stream(i) for i in range(6)])
+        for kind, _, realize in self.KINDS:
+            got = realize_stack(u, planes.frames, planes.complements,
+                                project=kind == "projection")
+            assert isinstance(got, QuadraticStack)
+            for w, e in zip(got, planes):
+                ref = realize(u, e)
+                assert (_bits(w.a), _bits(w.b), _bits(w.c), _bits(w.eig)) \
+                    == (_bits(ref.a), _bits(ref.b), _bits(ref.c), _bits(ref.eig)), kind
+
+    def test_a_rotation_checks_the_turned_stack(self):
+        # a Q orthogonal only to 1e-10 turns the frames out of orthonormality
+        q = np.eye(3)
+        q[0, 0] += 5e-11
+        u = Rotated(RadialPower(3, 4.0), q)
+        planes = sample_grassmann(3, 2, [Rng(1).stream(i) for i in range(2)])
+        with pytest.raises(ValueError, match="orthonormal"):
+            realize_stack(u, planes.frames, planes.complements, project=True)
+
+    def test_unrealized_sources_raise(self):
+        planes = sample_grassmann(3, 2, [Rng(2).stream(i) for i in range(2)])
+        cases = ((Cone(3, 0.5), False, "restriction is defined"),
+                 (MaxAffine(np.eye(3), np.zeros(3)), True, "super-coercive"),
+                 (EpiTranslated(RadialPower(3, 4.0), [0.5, 0.0, 0.0]), False,
+                  "restriction of EpiTranslated"),
+                 (MaxAffine(np.eye(3), np.zeros(3), Box([(0.0, 1.0)] * 3)), True,
+                  "projection of MaxAffine"))
+        for u, project, message in cases:
+            with pytest.raises(UnsupportedVariant, match=message):
+                realize_stack(u, planes.frames, planes.complements, project)
 
 
 class TestConjugateProjection:
