@@ -31,7 +31,7 @@ __all__ = [
     "discrete_legendre", "function_from_spec",
 ]
 
-_CONTAINS_TOL = 1e-12  # slack of a body's membership test
+_CONTAINS_TOL = 1e-12  # membership slack, in units of 2^e > a body's coordinates
 _COLLINEAR = "polytope vertices do not span a full-dimensional hull: they are collinear"
 
 
@@ -115,7 +115,10 @@ class Ball(ConvexBody):
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        out = row_norms(pts - self.c) <= self.radius + _CONTAINS_TOL
+        # lengths in units of 2^e, so that their squares neither overflow nor underflow
+        _, e = math.frexp(max(self.radius, *map(abs, self.center)))
+        radius = math.ldexp(self.radius, -e)
+        out = row_norms(np.ldexp(pts - self.c, -e)) <= radius + _CONTAINS_TOL
         return bool(out[0]) if scalar else out
 
     def volume(self):
@@ -158,8 +161,9 @@ class Box(ConvexBody):
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        out = np.all((pts >= self.lo - _CONTAINS_TOL) & (pts <= self.hi + _CONTAINS_TOL),
-                     axis=1)
+        lo, hi = self.lo, self.hi
+        slack = math.ldexp(_CONTAINS_TOL, math.frexp(max(abs(lo).max(), abs(hi).max()))[1])
+        out = np.all((pts >= lo - slack) & (pts <= hi + slack), axis=1)
         return bool(out[0]) if scalar else out
 
     def vertices(self):
@@ -222,8 +226,8 @@ class PolytopeV(ConvexBody):
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        eq = self._equations
-        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= _CONTAINS_TOL, axis=1)
+        eq, slack = self._equations, np.ldexp(_CONTAINS_TOL, self._exponent)
+        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= slack, axis=1)
         return bool(out[0]) if scalar else out
 
     def vertices(self):
@@ -369,17 +373,19 @@ def shadow_intrinsic_volumes(body: ConvexBody, frames: np.ndarray, j: int) -> np
         _, exponent = np.frexp(abs(gens).max(axis=(1, 2)))
         gens = np.ldexp(gens, -exponent[:, None, None])
         exponent += 1
-        full = np.ldexp(_zonotope_volumes(gens, k), k * exponent)
-        if k > 1 and not np.all(full > 0.0):
-            raise ValueError(_COLLINEAR)
-        return full if j == k else np.ldexp(_zonotope_volumes(gens, j), j * exponent)
+        with np.errstate(over="ignore"):  # a measure beyond double precision is inf
+            full = np.ldexp(_zonotope_volumes(gens, k), k * exponent)
+            if k > 1 and not np.all(full > 0.0):
+                raise ValueError(_COLLINEAR)
+            return full if j == k else np.ldexp(_zonotope_volumes(gens, j), j * exponent)
     if isinstance(body, PolytopeV) and k == 2 and body.n == 3:
         u = np.cross(frames[:, :, 0], frames[:, :, 1])
         if j == 2:
             tri = body._hull.points[body._hull.simplices]
             # twice each facet's area times its unit normal
             facets = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-            return np.ldexp(0.25 * abs(u @ facets.T).sum(axis=1), 2 * body._exponent)
+            with np.errstate(over="ignore"):  # an area beyond double precision is inf
+                return np.ldexp(0.25 * abs(u @ facets.T).sum(axis=1), 2 * body._exponent)
         ends, n1, n2, angle = body._edges()
         # phi = atan2(<w, u>, <n1, u>) with w the unit normal on the arc that
         # is orthogonal to n1: |n1 x n2| w = n2 - (n1 . n2) n1
@@ -478,23 +484,11 @@ class Quadratic(ConvexFunction):
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("A must be square")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("A must be finite")
-        atol = 1e-12 * max(1.0, float(np.abs(a).max()))
-        if not np.all(np.abs(a - a.T) <= atol + 1e-5 * np.abs(a.T)):  # np.allclose(a, a.T, atol)
-            raise ValueError("A must be symmetric")
         n = _dimension(a.shape[0])
-        eig = np.linalg.eigvalsh(a)
-        if eig[0] <= 1e-10 * max(1.0, eig[-1]):
-            raise ValueError("A must be positive definite "
-                             "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
-        if eig[-1] > 1e300:  # projections f'Af would overflow
-            raise ValueError("A must have eigenvalues below 1e300")
         b = np.zeros(n) if b is None else _vec(b, n)
         c = float(c)
-        if not (np.all(np.isfinite(b)) and math.isfinite(c)):
-            raise ValueError("b and c must be finite")
-        self._set(a, b, c, eig)
+        # the checks of a stack of one
+        self._set(a, b, c, QuadraticStack(a[None], b[None], np.array([c])).eig[0])
 
     def _set(self, a, b, c: float, eig) -> None:
         self.a, self.b, self.c, self.eig = a, b, c, eig
@@ -544,12 +538,11 @@ class Quadratic(ConvexFunction):
 class QuadraticStack(Sequence):
     """S quadratics u_i(x) = x'A_i x/2 + b_i'x + c_i of one dimension n, held
     as stacked arrays: ``a`` (S, n, n), ``b`` (S, n), ``c`` (S,) and the
-    eigenvalues ``eig`` (S, n).  The checks of :class:`Quadratic` run once
-    over the stack; member i, when indexed, is a Quadratic on views of the
-    arrays, built without a second check."""
+    eigenvalues ``eig`` (S, n).  Its checks, which a :class:`Quadratic` runs
+    as a stack of one, run once over the stack; member i, when indexed, is a
+    Quadratic on views of the arrays, built without a second check."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-        # the checks of Quadratic, in its order, over the whole stack
         if not np.isfinite(a).all():
             raise ValueError("A must be finite")
         a_t = np.swapaxes(a, 1, 2)
@@ -557,11 +550,13 @@ class QuadraticStack(Sequence):
         if not (abs(a - a_t) <= atol[:, None, None] + 1e-5 * abs(a_t)).all():
             raise ValueError("A must be symmetric")
         eig = np.linalg.eigvalsh(a)
-        if (eig[:, 0] <= 1e-10 * np.maximum(1.0, eig[:, -1])).any():
+        if (eig[:, 0] <= 1e-10 * eig[:, -1]).any():
             raise ValueError("A must be positive definite "
-                             "(min eigenvalue > 1e-10 * max(1, max eigenvalue))")
+                             "(min eigenvalue > 1e-10 * max eigenvalue)")
         if (eig[:, -1] > 1e300).any():
             raise ValueError("A must have eigenvalues below 1e300")
+        if (eig[:, 0] < np.finfo(float).tiny).any():  # so that A^-1 is finite
+            raise ValueError("A must have eigenvalues above the smallest normal double")
         if not (np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("b and c must be finite")
         self._set(a, b, c, eig)

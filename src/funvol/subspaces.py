@@ -285,15 +285,10 @@ def restrict_quadratics(v: Quadratic, frames: np.ndarray) -> QuadraticStack:
 
 def realize_stack(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
                   project: bool):
-    """u's projections (``project``: min over the fiber x + span(G)) or
-    restrictions onto every plane of an (S, n, k) stack of frames F with their
-    (S, n, n - k) complements G, in frame coordinates.
-
-    A quadratic's, a rotated one's too, come as one :class:`QuadraticStack`;
-    a source whose every plane gets the same function as one function; any
-    other's as a list, one function per plane.  Only super-coercive sources
-    are projected and only finite ones restricted, by closed forms
-    (:func:`_realize`); anything else raises UnsupportedVariant."""
+    """u's projections (``project``) or restrictions onto every plane of an
+    (S, n, k) stack of frames with their (S, n, n - k) complements, in frame
+    coordinates, by :func:`_realize`.  Only a super-coercive u is projected
+    and only a finite one restricted."""
     if project and not u.is_supercoercive:
         raise UnsupportedVariant("projection functions need a super-coercive source")
     if not project and not u.is_finite:
@@ -304,13 +299,10 @@ def realize_stack(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray
 def _realize(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
              project: bool):
     """The closed forms of :func:`realize_stack`, one recursion over the
-    catalog for the whole stack: Schur complements or F'AF for quadratics,
-    the dimension drop for radial variants, body shadows for indicators and
-    support functions, and the wrappers over their inner realizations
-    (:func:`_each`).  A rotation turns the whole stack, Q'F and Q'G.  Every
-    plane gets the same function from a radial variant, the indicator or
-    support function of a ball about the origin, and the wrappers built only
-    of them whose offsets F'x0 or F'a are zero on every plane."""
+    catalog for the whole stack: a :class:`QuadraticStack` for a quadratic,
+    a rotated one's too; one function when every plane gets the same one;
+    else a list, one function per plane.  Anything else raises
+    UnsupportedVariant."""
     k = frames.shape[-1]
     f_t = np.swapaxes(frames, 1, 2)
 
@@ -353,17 +345,15 @@ def _realize(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
 
 
 def _rows(x: np.ndarray):
-    """A per-plane array, such as the offsets F'x0, as a part of
-    :func:`_each`: its first row, shared, when every row is zero, else the
-    list of its rows."""
+    """Per-plane offsets as a part of :func:`_each`: the first row, shared,
+    when every row is zero, else the list of rows."""
     return list(x) if x.any() else x[0]
 
 
 def _each(make, *parts):
-    """``make`` over the planes of a stack whose ``parts`` are each shared
-    by every plane or a list (or :class:`QuadraticStack`) with one member
-    per plane: called once, its function shared, when every part is shared,
-    else plane by plane into a list."""
+    """``make`` over the planes, each part shared or a list (or
+    :class:`QuadraticStack`) of one per plane: once, shared, when every part
+    is shared, else plane by plane into a list."""
     stacked = [isinstance(p, (list, QuadraticStack)) for p in parts]
     if not any(stacked):
         return make(*parts)

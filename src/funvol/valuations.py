@@ -121,8 +121,10 @@ class CheckResult:
 
 def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
     """sum_i weights_i x_i for weights summing to 1, taken about x_0, so a
-    constant x gives x_0 exactly whatever the rounding of the weights' sum."""
-    return float(x[0] + weights @ (x - x[0]))
+    constant x gives x_0 exactly whatever the rounding of the weights' sum.
+    An x beyond double precision gives a mean that is not finite, quietly."""
+    with np.errstate(invalid="ignore"):
+        return float(x[0] + weights @ (x - x[0]))
 
 
 def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
@@ -288,6 +290,15 @@ def _quadratic_stack(funcs):
     return QuadraticStack.of(funcs)
 
 
+def _support_bound(weight: WeightFunction) -> float:
+    """The weight's support bound s_max, refused where |grad u|^2 or |x|^2,
+    which reach s_max^2 in the smooth and dual integrands, would overflow."""
+    s_max = weight.support_bound
+    if not math.isfinite(s_max * s_max):
+        raise SchemaError(f"the weight's support bound {s_max:.3e} has no finite square")
+    return s_max
+
+
 def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     """For each u of the stack ``funcs``, of one dimension: the integral of
     weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
@@ -302,10 +313,10 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     owner ranges, and its ray radii from one stacked product.  A frame whose
     |det M|, or squared image length |M d|^2 of a rule direction d, falls
     below the smallest normal double would lose its digits to underflow, so
-    it raises :class:`SchemaError` instead.  Returns (value, error, evals)
-    per member.
+    it raises :class:`SchemaError` instead, as does one whose |det M| or
+    |M|_F^2 overflows.  Returns (value, error, evals) per member.
     """
-    s_max = weight.support_bound
+    s_max = _support_bound(weight)
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     funcs = _quadratic_stack(funcs)
     quads = funcs if isinstance(funcs, QuadraticStack) else None
@@ -314,7 +325,8 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         # Hess u = A passed the stack's checks: finite, and positive definite
         # by its eig, so :func:`_whitening` would give A^{-1}
         frames = np.linalg.inv(quads.a)
-        terms = elem_sym_values(quads.eig, degree)
+        with np.errstate(over="ignore"):  # where e_degree overflows, so does 1/|det A|
+            terms = elem_sym_values(quads.eig, degree)
         kinds, n = ["everywhere"], quads.n
     else:
         for u in funcs:
@@ -325,12 +337,15 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
         kinds, n = [u.smooth_kind() for u in funcs], funcs[0].n
     transposed = np.ascontiguousarray(np.swapaxes(frames, 1, 2))
-    jacs = np.abs(np.linalg.det(frames)).tolist()
-    for m, jac in enumerate(jacs):
-        if jac < _TINY:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        jacs = np.abs(np.linalg.det(frames)).tolist()
+        sizes = np.sum(frames * frames, axis=(1, 2)).tolist()
+    for m, (jac, size) in enumerate(zip(jacs, sizes)):
+        if not (_TINY <= jac < math.inf and size < math.inf):
             raise SchemaError(
-                f"{type(funcs[m]).__name__} is too steep at its minimizer: the whitening "
-                f"frame's determinant {jac:.3e} underflows")
+                f"{type(funcs[m]).__name__} is too steep or too flat at its minimizer: the "
+                f"whitening frame's determinant {jac:.3e} or squared size {size:.3e} is "
+                f"beyond double precision")
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink radii
     # sit at shared ratios of the per-ray region radius, probed on the first
     # axis; rays through c in z map to rays through c in x, so the ratios carry over
@@ -544,7 +559,7 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     weight evaluated once per call for the whole stack.  A stack of
     quadratics takes its Hessian terms e_j(eig) once per stack, repeated
     over each call's owner ranges.  Returns (value, error, evals) per member."""
-    s_max = weight.support_bound
+    s_max = _support_bound(weight)
     vs = _quadratic_stack(vs)
     if isinstance(vs, QuadraticStack):
         terms, kinds, n = elem_sym_values(vs.eig, j), ["everywhere"], vs.n

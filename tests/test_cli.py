@@ -187,6 +187,57 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert math.isfinite(json.loads(out)["value"])
 
+    @pytest.mark.parametrize("function,method", [
+        ({"type": "quadratic", "A": [[1.0]]}, "domain-gradient"),
+        ({"type": "radial_power", "n": 2, "p": 4.0}, "smooth")], ids=["quadratic", "power"])
+    def test_overflowing_support_bound_exit_2_quietly(self, tmp_path, function, method):
+        # |grad u|^2 reaches s0^2 = 1e400: refused, never a silent 0.0
+        zeta = tmp_path / "tent.json"
+        zeta.write_text(json.dumps({"type": "tent", "s0": 1e200}))
+        code, out, err = self._fresh_compute(tmp_path, function, "--zeta", str(zeta),
+                                             "--j", "1", "--method", method)
+        assert (code, err) == (2, "")
+        assert "support bound" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("body", [
+        {"type": "box", "intervals": [[0.0, 1e200], [0.0, 1e200], [0.0, 1.0]]},
+        {"type": "polytope", "vertices": [[0.0, 0.0, 0.0], [1e200, 0.0, 0.0],
+                                          [0.0, 1e200, 0.0], [0.0, 0.0, 1e200]]}],
+        ids=["box", "simplex"])
+    def test_overflowing_shadow_areas_exit_4_quietly(self, specs, tmp_path, body):
+        # shadow areas beyond double precision are inf without a warning
+        code, out, err = self._fresh_compute(tmp_path, {"type": "indicator", "body": body},
+                                             "--zeta", specs["tent"], "--j", "2",
+                                             "--method", "ck")
+        assert (code, err) == (4, "")
+        assert json.loads(out)["error"]["type"] == "NonConvergedError"
+
+    @pytest.mark.parametrize("lam,method", [(1e-160, "smooth"), (1e-160, "ck"),
+                                            (1e-310, "ck")])
+    def test_overflowing_frame_exit_2_quietly(self, specs, tmp_path, lam, method):
+        # A^-1 = I / lam: its determinant or squared size overflows, and a
+        # subnormal lam has no finite inverse at all
+        quad = {"type": "quadratic", "A": [[lam, 0.0], [0.0, lam]]}
+        code, out, err = self._fresh_compute(tmp_path, quad, "--zeta", specs["tent"],
+                                             "--j", "1", "--method", method, "--samples", "8")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize("function", [
+        {"type": "quadratic", "A": [[1e-20, 0.0], [0.0, 1e-20]]},
+        {"type": "pointwise_scaled", "factor": 1e-20,
+         "inner": {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]]}}],
+        ids=["quadratic", "pointwise_scaled"])
+    def test_small_quadratic_dual(self, capsys, specs, tmp_path, function):
+        # positive definite relative to its largest eigenvalue: |x|^2 / 2e20
+        # has dual valuation 1e-20 * 2 pi / 3
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(function))
+        code, out, _ = run_cli(capsys, "compute", "--function", str(path),
+                               "--zeta", specs["tent"], "--j", "1", "--method", "dual")
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(2e-20 * math.pi / 3, rel=1e-12)
+
     @pytest.mark.parametrize("method", [("smooth",), ("ck", "--samples", "8")],
                              ids=["smooth", "ck"])
     def test_steep_quadratic_in_range(self, capsys, specs, tmp_path, method):

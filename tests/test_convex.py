@@ -361,7 +361,7 @@ class TestBodies:
         assert body_intrinsic_volume(tri, 2) == pytest.approx(0.5)
         assert body_intrinsic_volume(tri, 1) == pytest.approx((2.0 + math.sqrt(2.0)) / 2.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
     def test_polytopes_scale_exactly(self):
         # qhull sees the points scaled by a power of two to coordinates below
         # 1, so a scaled square or cube has the unit one's measures times the
@@ -376,9 +376,8 @@ class TestBodies:
             assert body.volume() == scale * scale * scale
             assert body.surface() == scale * scale * cube.surface()
             assert body.mean_width_sum() == scale * cube.mean_width_sum()
-            if scale > 1.0:  # the membership slack is absolute, 1e-12
-                assert body.contains(scale * np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]])
-                                     ).tolist() == [True, False]
+            assert body.contains(scale * np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 1.5]])
+                                 ).tolist() == [True, False]
             for j, factor in ((1, scale), (2, scale * scale)):
                 assert np.array_equal(shadow_intrinsic_volumes(body, frames, j),
                                       factor * shadow_intrinsic_volumes(cube, frames, j))
@@ -386,6 +385,22 @@ class TestBodies:
         # only a true area beyond double precision overflows
         tri = PolytopeV(1.7e308 * np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]))
         assert tri.volume() == math.inf
+
+    @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+    def test_membership_slack_is_relative(self, scale):
+        # a point 1e-13 of the body's scale outside is in, 1e-11 is out, at
+        # every scale: the slack is 1e-12 of a power of two near the scale
+        outside = np.array([0.0, 1e-13, 1e-11, 0.5])
+        bodies = {"ball": (Ball(scale, [0.0, 0.0, 0.0]), [0.0, 0.0, 1.0]),
+                  "shifted ball": (Ball(scale, [scale, 0.0, 0.0]), [1.0, 0.0, 1.0]),
+                  "box": (Box([(0.0, scale)] * 3), [0.5, 0.5, 1.0]),
+                  "polytope": (PolytopeV(scale * Box([(0.0, 1.0)] * 3).vertices()),
+                               [0.5, 0.5, 1.0])}
+        for name, (body, boundary) in bodies.items():
+            pts = scale * (np.array(boundary) + outside[:, None] * [0.0, 0.0, 1.0])
+            assert body.contains(pts).tolist() == [True, True, False, False], name
+        # a box far smaller than the old absolute slack of 1e-12
+        assert not Box([(0.0, 1e-14)] * 3).contains([0.0, 0.0, 5e-13])
 
     def test_ball_projection(self):
         frame = np.array([[1.0], [0.0], [0.0]])
@@ -541,7 +556,7 @@ class TestShadowKernel:
             with pytest.raises(ValueError, match="full-dimensional hull"):
                 project_body(body, frames[0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
     def test_box_shadows_scale_exactly(self):
         # each plane's generators are scaled by a power of two before the
         # products: a scaled cube's shadows are the cube's times the scale, bit for bit

@@ -447,7 +447,7 @@ class TestQuadraticStacks:
                     == (_bits(ref.a), _bits(ref.b), _bits(ref.c), _bits(ref.eig))
 
     @pytest.mark.parametrize("defect", ["finite", "symmetric", "positive definite",
-                                        "below 1e300", "b and c"])
+                                        "below 1e300", "smallest normal", "b and c"])
     def test_a_failing_member_raises_its_own_error(self, defect):
         a = np.stack([np.diag([1.0, 2.0, 3.0])] * 3)
         b, c = np.zeros((3, 3)), np.zeros(3)
@@ -459,6 +459,8 @@ class TestQuadraticStacks:
             a[1, 2, 2] = -1.0
         elif defect == "below 1e300":
             a[1] = np.diag([1e292, 1e295, 1e301])
+        elif defect == "smallest normal":  # positive definite relative to 3e-310
+            a[1] = np.diag([1e-310, 2e-310, 3e-310])
         else:
             b[1, 1] = np.nan
         with pytest.raises(ValueError) as alone:
@@ -561,10 +563,10 @@ def _restrict_oracle(v, e):
     raise UnsupportedVariant(f"restriction of {type(v).__name__} is not realized")
 
 
-class TestStackRealization:
+class TestPlaneFree:
     """``realize_stack`` gives every plane of a stack the function that the
-    plane-by-plane oracle realizes for it, and returns one function exactly
-    when those functions are all the same."""
+    plane-by-plane oracle realizes for it, and returns one function, shared
+    by the whole stack, exactly when those functions are all the same."""
 
     GRASSMANNIANS = ((3, 1), (3, 2), (5, 2))
     KINDS = (("projection", "is_supercoercive", _project_oracle),
@@ -596,7 +598,7 @@ class TestStackRealization:
 
     @pytest.mark.parametrize("n,k", GRASSMANNIANS)
     @pytest.mark.parametrize("name", sorted(_catalog(3)))
-    def test_every_plane_matches_the_oracle(self, name, n, k):
+    def test_decision_matches_the_realizations(self, name, n, k):
         u = _catalog(n)[name]
         planes = sample_grassmann(n, k, [Rng(31 + n + k).stream(i) for i in range(3)])
         found = self._realizations(u, planes)
@@ -604,7 +606,7 @@ class TestStackRealization:
         self._check(u, planes, found)
 
     @pytest.mark.parametrize("name", sorted(_catalog(3)))
-    def test_cubature_stack(self, name):
+    def test_stack_realization(self, name):
         u = _catalog(3)[name]
         planes = grassmann_cubature(3, 2, [2])[0][0]
         self._check(u, planes, self._realizations(u, planes))
