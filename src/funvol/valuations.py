@@ -122,9 +122,11 @@ class CheckResult:
 def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
     """sum_i weights_i x_i for weights summing to 1, taken about x_0, so a
     constant x gives x_0 exactly whatever the rounding of the weights' sum.
-    An x beyond double precision gives a mean that is not finite, quietly."""
-    with np.errstate(invalid="ignore"):
-        return float(x[0] + weights @ (x - x[0]))
+    An x_0 beyond double precision is the mean, as no difference from it is
+    finite."""
+    if not math.isfinite(x[0]):
+        return float(x[0])
+    return float(x[0] + weights @ (x - x[0]))
 
 
 def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
@@ -195,7 +197,8 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
             if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
                     _ABS_TOL, _REL_TOL * abs(estimates[-1])):
                 break
-        spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
+        with np.errstate(invalid="ignore"):  # estimates beyond double precision
+            spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
         return estimates[-1], spread + inner, total, count
     streams = [rng.stream(i) for i in range(samples)]
     values, errors, evals = stack(sample_grassmann(n, k, streams), streams)
@@ -325,8 +328,6 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         # Hess u = A passed the stack's checks: finite, and positive definite
         # by its eig, so :func:`_whitening` would give A^{-1}
         frames = np.linalg.inv(quads.a)
-        with np.errstate(over="ignore"):  # where e_degree overflows, so does 1/|det A|
-            terms = elem_sym_values(quads.eig, degree)
         kinds, n = ["everywhere"], quads.n
     else:
         for u in funcs:
@@ -346,6 +347,8 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                 f"{type(funcs[m]).__name__} is too steep or too flat at its minimizer: the "
                 f"whitening frame's determinant {jac:.3e} or squared size {size:.3e} is "
                 f"beyond double precision")
+    if quads is not None:  # e_degree(eig) is finite where |det A^-1| did not underflow
+        terms = elem_sym_values(quads.eig, degree)
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink radii
     # sit at shared ratios of the per-ray region radius, probed on the first
     # axis; rays through c in z map to rays through c in x, so the ratios carry over
