@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _CONTAINS_TOL = 1e-12  # membership slack, in units of 2^e > a body's coordinates
+_TINY = np.finfo(float).tiny  # smallest normal double
 _COLLINEAR = "polytope vertices do not span a full-dimensional hull: they are collinear"
 
 
@@ -545,18 +546,18 @@ class QuadraticStack(Sequence):
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
         if not np.isfinite(a).all():
             raise ValueError("A must be finite")
-        a_t = np.swapaxes(a, 1, 2)
-        atol = 1e-12 * np.maximum(1.0, abs(a).max(axis=(1, 2)))
-        if not (abs(a - a_t) <= atol[:, None, None] + 1e-5 * abs(a_t)).all():
+        mag = abs(a)
+        atol = 1e-12 * np.maximum(1.0, mag.max(axis=(1, 2)))
+        if not (abs(a - np.swapaxes(a, 1, 2))
+                <= atol[:, None, None] + 1e-5 * np.swapaxes(mag, 1, 2)).all():
             raise ValueError("A must be symmetric")
         eig = np.linalg.eigvalsh(a)
         if (eig[:, 0] <= 1e-10 * eig[:, -1]).any():
             raise ValueError("A must be positive definite "
                              "(min eigenvalue > 1e-10 * max eigenvalue)")
-        if (eig[:, -1] > 1e300).any():
-            raise ValueError("A must have eigenvalues below 1e300")
-        if (eig[:, 0] < np.finfo(float).tiny).any():  # so that A^-1 is finite
-            raise ValueError("A must have eigenvalues above the smallest normal double")
+        if not _TINY <= eig.min() <= eig.max() <= 1e300:  # A^-1 and F'AF finite
+            raise ValueError("A must have eigenvalues below 1e300 and at least the "
+                             "smallest normal double")
         if not (np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("b and c must be finite")
         self._set(a, b, c, eig)

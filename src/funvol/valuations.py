@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
+from .convex import (_TINY, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
                      shadow_intrinsic_volumes)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
@@ -197,8 +197,8 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
             if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
                     _ABS_TOL, _REL_TOL * abs(estimates[-1])):
                 break
-        with np.errstate(invalid="ignore"):  # estimates beyond double precision
-            spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
+        last = estimates[-3:]  # floats, so estimates beyond double precision differ quietly
+        spread = max(abs(b - a) for a, b in zip(last, last[1:]))
         return estimates[-1], spread + inner, total, count
     streams = [rng.stream(i) for i in range(samples)]
     values, errors, evals = stack(sample_grassmann(n, k, streams), streams)
@@ -249,9 +249,6 @@ def _degree_zero(weight: WeightFunction, k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Smooth-route integrals
-
-
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
