@@ -575,19 +575,24 @@ class TestPlaneFree:
     @classmethod
     def _realizations(cls, u, planes) -> dict:
         """to_spec() of u's projections (supercoercive u) and restrictions
-        (finite u) onto each plane by the oracle, for the kinds it realizes."""
+        (finite u) onto each plane by the oracle, or None for a kind the
+        oracle does not realize."""
         found = {}
         for kind, applies, realize in cls.KINDS:
             if getattr(u, applies):
                 try:
                     found[kind] = [realize(u, e).to_spec() for e in planes]
                 except UnsupportedVariant:
-                    pass
+                    found[kind] = None
         return found
 
     @staticmethod
     def _check(u, planes, found):
         for kind, specs in found.items():
+            if specs is None:  # unrealized plane by plane, so for the stack
+                with pytest.raises(UnsupportedVariant):
+                    realize_stack(u, planes.frames, planes.complements, kind == "projection")
+                continue
             got = realize_stack(u, planes.frames, planes.complements,
                                 project=kind == "projection")
             same = all(spec == specs[0] for spec in specs[1:])
@@ -602,7 +607,7 @@ class TestPlaneFree:
         u = _catalog(n)[name]
         planes = sample_grassmann(n, k, [Rng(31 + n + k).stream(i) for i in range(3)])
         found = self._realizations(u, planes)
-        assert found, f"{name} is neither projected nor restricted"
+        assert any(found.values()), f"{name} is neither projected nor restricted"
         self._check(u, planes, found)
 
     @pytest.mark.parametrize("name", sorted(_catalog(3)))
