@@ -31,9 +31,14 @@ __all__ = [
     "discrete_legendre", "function_from_spec",
 ]
 
-_CONTAINS_TOL = 1e-12  # membership slack, in units of 2^e > a body's coordinates
 _TINY = np.finfo(float).tiny  # smallest normal double
 _COLLINEAR = "polytope vertices do not span a full-dimensional hull: they are collinear"
+
+
+def _slack(radius, reach):
+    """Membership slack of a body of half-width ``radius``: 1e-12 of its width, and
+    a few ulps of its farthest coordinate ``reach`` for points rounded that far out."""
+    return 2e-12 * radius + 8 * math.ulp(reach)
 
 
 def _vec(x, n=None):
@@ -117,9 +122,9 @@ class Ball(ConvexBody):
     def contains(self, x):
         pts, scalar = _points(x, self.n)
         # lengths in units of 2^e, so that their squares neither overflow nor underflow
-        _, e = math.frexp(max(self.radius, *map(abs, self.center)))
-        radius = math.ldexp(self.radius, -e)
-        out = row_norms(np.ldexp(pts - self.c, -e)) <= radius + _CONTAINS_TOL
+        _, e = math.frexp(reach := max(self.radius, *map(abs, self.center)))
+        slack = _slack(self.radius, reach)
+        out = row_norms(np.ldexp(pts - self.c, -e)) <= math.ldexp(self.radius + slack, -e)
         return bool(out[0]) if scalar else out
 
     def volume(self):
@@ -163,7 +168,7 @@ class Box(ConvexBody):
     def contains(self, x):
         pts, scalar = _points(x, self.n)
         lo, hi = self.lo, self.hi
-        slack = math.ldexp(_CONTAINS_TOL, math.frexp(max(abs(lo).max(), abs(hi).max()))[1])
+        slack = _slack((hi / 2 - lo / 2).max(), max(abs(lo).max(), abs(hi).max()))
         out = np.all((pts >= lo - slack) & (pts <= hi + slack), axis=1)
         return bool(out[0]) if scalar else out
 
@@ -201,6 +206,7 @@ class PolytopeV(ConvexBody):
         # import time, is loaded by the first polytope
         from scipy import spatial
         _, self._exponent = np.frexp(abs(pts).max())
+        self._slack = _slack(np.max(pts.max(axis=0) / 2 - pts.min(axis=0) / 2), abs(pts).max())
         try:
             self._hull = spatial.ConvexHull(np.ldexp(pts, -self._exponent))
         except spatial.QhullError as exc:
@@ -227,8 +233,8 @@ class PolytopeV(ConvexBody):
 
     def contains(self, x):
         pts, scalar = _points(x, self.n)
-        eq, slack = self._equations, np.ldexp(_CONTAINS_TOL, self._exponent)
-        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= slack, axis=1)
+        eq = self._equations
+        out = np.all(pts @ eq[:, :-1].T + eq[:, -1] <= self._slack, axis=1)
         return bool(out[0]) if scalar else out
 
     def vertices(self):

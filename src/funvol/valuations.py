@@ -122,11 +122,9 @@ class CheckResult:
 def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
     """sum_i weights_i x_i for weights summing to 1, taken about x_0, so a
     constant x gives x_0 exactly whatever the rounding of the weights' sum.
-    An x_0 beyond double precision is the mean, as no difference from it is
-    finite."""
-    if not math.isfinite(x[0]):
-        return float(x[0])
-    return float(x[0] + weights @ (x - x[0]))
+    An x beyond double precision gives a non-finite mean quietly."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(x[0] + weights @ (x - x[0]))
 
 
 def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
@@ -197,8 +195,8 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
             if len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= max(
                     _ABS_TOL, _REL_TOL * abs(estimates[-1])):
                 break
-        last = estimates[-3:]  # floats, so estimates beyond double precision differ quietly
-        spread = max(abs(b - a) for a, b in zip(last, last[1:]))
+        with np.errstate(invalid="ignore", over="ignore"):  # estimates beyond double precision
+            spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
         return estimates[-1], spread + inner, total, count
     streams = [rng.stream(i) for i in range(samples)]
     values, errors, evals = stack(sample_grassmann(n, k, streams), streams)

@@ -386,10 +386,11 @@ class TestBodies:
         tri = PolytopeV(1.7e308 * np.array([[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0]]))
         assert tri.volume() == math.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
     @pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
     def test_membership_slack_is_relative(self, scale):
         # a point 1e-13 of the body's scale outside is in, 1e-11 is out, at
-        # every scale: the slack is 1e-12 of a power of two near the scale
+        # every scale: the slack is 1e-12 of the body's extent
         outside = np.array([0.0, 1e-13, 1e-11, 0.5])
         bodies = {"ball": (Ball(scale, [0.0, 0.0, 0.0]), [0.0, 0.0, 1.0]),
                   "shifted ball": (Ball(scale, [scale, 0.0, 0.0]), [1.0, 0.0, 1.0]),
@@ -401,6 +402,31 @@ class TestBodies:
             assert body.contains(pts).tolist() == [True, True, False, False], name
         # a box far smaller than the old absolute slack of 1e-12
         assert not Box([(0.0, 1e-14)] * 3).contains([0.0, 0.0, 5e-13])
+        # a width beyond double precision keeps a finite slack
+        wide = Box([(-1.7e308, 1.7e308)] * 3)
+        edge = [[1.7e308, 0.0, 0.0], [math.inf, 0.0, 0.0]]
+        assert wide.contains(edge).tolist() == [True, False]
+
+    @pytest.mark.parametrize("offset", [1e6, 1e12, 2.0 ** 600])
+    def test_membership_slack_follows_extent_not_offset(self, offset):
+        # a body about 1e-12 of its offset wide (unit-wide at 1e12) keeps a
+        # slack near its own width plus a few ulps of its coordinates: its
+        # boundary is in, a point one width outside is out, and so is an
+        # indicator's value there
+        width = offset * 2.0 ** -40
+        corner = np.full(3, offset)
+        cube = Box([(offset, offset + width)] * 3)
+        bodies = {"ball": (Ball(width, corner), [0.0, 0.0, 1.0]),
+                  "box": (cube, [0.5, 0.5, 1.0]),
+                  "polytope": (PolytopeV(cube.vertices()), [0.5, 0.5, 1.0])}
+        for name, (body, boundary) in bodies.items():
+            pts = corner + width * (np.array(boundary) + [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+            assert body.contains(pts).tolist() == [True, False], name
+            assert Indicator(body)(pts).tolist() == [0.0, math.inf], name
+        # points rounded onto the ball's sphere count as inside
+        u = Rng(4).generator().standard_normal((200, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        assert bodies["ball"][0].contains(corner + width * u).all()
 
     def test_ball_projection(self):
         frame = np.array([[1.0], [0.0], [0.0]])
