@@ -1111,6 +1111,7 @@ class InfConv(ConvexFunction):
         return {"type": "inf_conv", "left": self.left.to_spec(), "right": self.right.to_spec()}
 
 
+@np.errstate(over="ignore")  # a body beyond double precision fails its constructor's checks
 def _scale_body(body: ConvexBody, lam: float) -> ConvexBody:
     if isinstance(body, Ball):
         return Ball(lam * body.radius, lam * body.c)

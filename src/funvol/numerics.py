@@ -407,8 +407,9 @@ def _reduce(values: np.ndarray, panels, halves, hi: list, lo: list) -> None:
     _, w_k, w_g = _KRONROD
     scales = np.array([r.scale for _, r in panels])[:, None, :]
     values = values.reshape(len(panels), -1, values.shape[-1])
-    kronrod = np.matmul(scales, (values @ w_k)[:, :, None]).ravel().tolist()
-    gauss = np.matmul(scales, (values[:, :, 1::2] @ w_g)[:, :, None]).ravel().tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite beyond double precision
+        kronrod = np.matmul(scales, (values @ w_k)[:, :, None]).ravel().tolist()
+        gauss = np.matmul(scales, (values[:, :, 1::2] @ w_g)[:, :, None]).ravel().tolist()
     hi.extend(halves[q] * x for (q, _), x in zip(panels, kronrod))
     lo.extend(halves[q] * x for (q, _), x in zip(panels, gauss))
 
@@ -543,9 +544,10 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
         cols = np.ascontiguousarray(dirs.T)
-        for r, row in zip(group, rows):  # each its own arrays, freed with its rule
-            r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
-            r.scale = wts * r.radii ** n  # substitution r = R * tau
+        with np.errstate(over="ignore"):  # a scale beyond double precision is inf
+            for r, row in zip(group, rows):  # each its own arrays, freed with its rule
+                r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
+                r.scale = wts * r.radii ** n  # substitution r = R * tau
 
     waiting = []  # the runs that take a sphere rule before their next pass, last index first
     for index, ratios in enumerate(break_ratios):

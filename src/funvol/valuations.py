@@ -23,10 +23,10 @@ per stack, and every plane gets its value and error.  Any other stack comes
 as a list, and its smooth members are integrated as one lockstep polar
 stack (:func:`integrate_polar_stack`): gradients and Hessian terms per
 member, |grad u| and the weight once per integrand call for the whole stack.
-Only the nested G(k, j) average of projections that are not smooth (cones,
-inf-convolutions) goes plane by plane, and a shared one's only when Monte
-Carlo draws it.  The Cauchy-Kubota route is the general projection
-route at k = j.
+A projection that is not smooth takes its degree-j valuation in closed form:
+an indicator's from the V_j of its shadow, a cone's from the cone formula in
+the projected dimension, so no Grassmannian average runs inside another.
+The Cauchy-Kubota route is the general projection route at k = j.
 
 Smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import (_TINY, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
+                     InfConv, Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
                      shadow_intrinsic_volumes)
 from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, elem_sym_values,
@@ -128,31 +128,28 @@ def _weighted_mean(weights: np.ndarray, x: np.ndarray) -> float:
 
 
 def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
-    """(mean, error, evals, planes) of ``stack(planes, streams) -> (values,
-    errors, evals)`` over k-planes in R^n, with the number of planes evaluated.
+    """(mean, error, evals, planes) of ``stack(planes) -> (values, errors,
+    evals)`` over k-planes in R^n, with the number of planes evaluated.
 
     ``stack`` takes a whole plane stack at once, the planes of one cubature
     level or one Monte Carlo draw (a sequence of subspaces whose ``frames``
-    is their (S, n, k) frame stack), with one random stream per plane, and
-    returns arrays of the per-plane values, inner errors and integrand
-    evaluations.  The routes evaluate the stack as a whole: body shadows in
-    one numpy pass, smooth projections and restrictions as one polar stack,
-    and a projection or restriction that every plane shares once, its
-    value and error repeated for every plane and its evaluations counted on
-    the first (:func:`_shared`), so the reductions below see the numbers of
-    a plane-by-plane evaluation.  :func:`_per_plane` maps a plane-by-plane
-    evaluation over it, for the nested averages of projections that are not
-    smooth.
+    is their (S, n, k) frame stack), and returns arrays of the per-plane
+    values, inner errors and integrand evaluations.  The routes evaluate
+    the stack as a whole: body shadows in one numpy pass, smooth
+    projections and restrictions as one polar stack, and a projection or
+    restriction that every plane shares once, its value and error repeated
+    for every plane and its evaluations counted on the first
+    (:func:`_shared`), so the reductions below see the numbers of a
+    plane-by-plane evaluation.
 
     The whole space (k = n) is a single plane: one evaluation on the
-    identity frame, with weight 1 and stream ``rng``, whose error is that
-    evaluation's inner error.
+    identity frame, with weight 1, whose error is its inner error.
 
     Where :func:`grassmann_cubature` covers G(n, k) (lines and hyperplanes,
     n <= 4) the average is deterministic.  Its levels are those of
-    :func:`cubature_levels` for a budget of ``samples`` planes, each plane
-    handed ``rng``, and they run in order until two consecutive level
-    estimates agree within the polar tolerance.  Their planes are framed in
+    :func:`cubature_levels` for a budget of ``samples`` planes, and they run
+    in order until two consecutive level estimates agree within the polar
+    tolerance.  Their planes are framed in
     two batches, one stacked QR each: levels 1 and 2, which every average
     runs, and then, only once level 2 has not converged, all the remaining
     levels of the budget.  The mean is the last
@@ -177,7 +174,7 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
         raise SchemaError(f"at most {_STREAM_FANOUT - 1} subspace samples per average, "
                           f"got {samples}")
     if k == n:
-        values, errors, evals = stack(whole_space(n), [rng])
+        values, errors, evals = stack(whole_space(n))
         return float(values[0]), float(errors[0]), int(np.sum(evals)), 1
     if cubature_covers(n, k):
         levels = cubature_levels(n, samples)
@@ -187,7 +184,7 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
                  for rule in grassmann_cubature(n, k, batch))
         estimates, total, count = [], 0, 0
         for planes, weights in rules:
-            values, errors, evals = stack(planes, [rng] * len(planes))
+            values, errors, evals = stack(planes)
             total += int(np.sum(evals))
             count += len(planes)
             estimates.append(_weighted_mean(weights, values))
@@ -199,7 +196,7 @@ def _grassmann_average(n: int, k: int, samples: int, rng: Rng, stack):
             spread = float(np.max(np.abs(np.diff(estimates[-3:]))))
         return estimates[-1], spread + inner, total, count
     streams = [rng.stream(i) for i in range(samples)]
-    values, errors, evals = stack(sample_grassmann(n, k, streams), streams)
+    values, errors, evals = stack(sample_grassmann(n, k, streams))
     mean = float(np.sum(values)) / samples  # pairwise summation: bit-stable order
     if samples == 1:
         return mean, float("nan"), int(np.sum(evals)), samples
@@ -213,14 +210,6 @@ def _stacked(rows):
     values, errors, evals = zip(*rows)
     return (np.asarray(values, dtype=float), np.asarray(errors, dtype=float),
             np.asarray(evals))
-
-
-def _per_plane(one):
-    """The plane-stack callback of :func:`_grassmann_average` that maps
-    ``one(item, stream) -> (value, error, evals)`` over a stack, item by item."""
-    def stack(planes, streams):
-        return _stacked(map(one, planes, streams))
-    return stack
 
 
 def _exact(values: np.ndarray):
@@ -242,7 +231,7 @@ def _shared(count: int, value: float, error: float = 0.0, evals: int = 0):
 
 def _degree_zero(weight: WeightFunction, k: int) -> float:
     """The degree-0 valuation in dimension k, a constant: kappa_k T^k(weight)(0)."""
-    return float(kappa(k) * transform_R_power(weight, k).value_at_zero())
+    return float(kappa(k) * _value_at_zero(transform_R_power(weight, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +406,7 @@ def eval_domain_gradient(spec: ValuationSpec, u: ConvexFunction) -> EvalResult:
     """Top-degree route: integral of weight(|grad u|) over the domain (j = n)."""
     if spec.j != spec.n:
         raise SchemaError("the domain-gradient route is the j = n representation")
-    ((value, error, evals),) = _domain_weight_integrals([u], spec.zeta)
+    ((value, error, evals),) = _domain_weight_integrals([u], spec.zeta, spec.j)
     return EvalResult(value, error, "domain_gradient", evals)
 
 
@@ -440,33 +429,43 @@ def _value_at_zero(weight: WeightFunction):
     return v0
 
 
-def _domain_weight_integrals(ws, weight: WeightFunction):
-    """(value, error, evals) of the integral over dom(w) of weight(|grad w|)
-    for each w of the stack ``ws``: through epigraph translations, rotations
-    and scalings to a core that is exact for indicators and cones, and one
-    smooth-route stack for the smooth cores."""
-    cores = []  # (core, the epigraph scalings around it, outermost first)
+def _domain_weight_integrals(ws, weight: WeightFunction, j: int):
+    """(value, error, evals) of the degree-j valuation of each w of the stack
+    ``ws``, of one dimension k (at j = k the integral over dom(w) of
+    weight(|grad w|)): through epigraph translations, rotations and
+    scalings (a factor lam^j) to a core.  An indicator's is kappa_{k-j}
+    T^{k-j}weight(0) V_j(body), a cone's kappa_k C(k, j) T^{k-j}weight(t) r^j,
+    and at j = 1 an inf-convolution of two indicators takes the sum of their
+    V_1; the smooth cores run as one smooth-route stack."""
+    k = ws[0].n
+    cores = []  # (core, closed form, the epigraph scalings around it, outermost first)
     for w in ws:
         scales = []
         while isinstance(w, (EpiTranslated, Rotated, EpiScaled)):
             if isinstance(w, EpiScaled):
-                scales.append(w.lam ** w.n)
+                scales.append(w.lam ** j)
             w = w.inner
-        if not isinstance(w, (Indicator, Cone)) and w.smooth_kind() is None:
+        closed = isinstance(w, (Indicator, Cone)) or (
+            j == 1 and isinstance(w, InfConv)
+            and isinstance(w.left, Indicator) and isinstance(w.right, Indicator))
+        if not closed and w.smooth_kind() is None:
             raise UnsupportedVariant(
-                f"domain-gradient integral unsupported for {type(w).__name__}")
-        cores.append((w, scales))
-    smooth = [w for w, _ in cores if not isinstance(w, (Indicator, Cone))]
-    integrals = iter(_smooth_integral(smooth, weight, 0) if smooth else ())
+                f"degree-{j} valuation unsupported for {type(w).__name__}")
+        cores.append((w, closed, scales))
+    smooth = [w for w, closed, _ in cores if not closed]
+    integrals = iter(_smooth_integral(smooth, weight, k - j) if smooth else ())
+    transformed = transform_R_power(weight, k - j) if len(smooth) < len(cores) else None
     out = []
-    for w, scales in cores:
-        if isinstance(w, Indicator):
-            value, error, evals = _value_at_zero(weight) * w.body.volume(), 0.0, 0
-        elif isinstance(w, Cone):
-            wt = _value_at_zero(weight) if w.t == 0 else float(weight(w.t))
-            value, error, evals = wt * kappa(w.n) * w.r ** w.n, 0.0, 0
-        else:
+    for w, closed, scales in cores:
+        if not closed:
             value, error, evals = next(integrals)
+        elif isinstance(w, Cone):
+            wt = _value_at_zero(transformed) if w.t == 0 else float(transformed(w.t))
+            value, error, evals = wt * kappa(k) * math.comb(k, j) * w.r ** j, 0.0, 0
+        else:  # an indicator, or at j = 1 that of a Minkowski sum: V_1 is additive
+            bodies = [w.body] if isinstance(w, Indicator) else [w.left.body, w.right.body]
+            measure = sum(b.volume() if j == k else body_intrinsic_volume(b, j) for b in bodies)
+            value, error, evals = _value_at_zero(transformed) * kappa(k - j) * measure, 0.0, 0
         for scale in reversed(scales):  # innermost first
             value, error = value * scale, error * scale
         out.append((value, error, evals))
@@ -496,11 +495,13 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
                         samples: int, rng: Rng, method: str) -> EvalResult:
     """Grassmannian average over k-planes of the degree-j valuation of u's projection.
 
-    Each plane stack is realized by :func:`realize_stack`.  A projection
-    that every plane shares is integrated once per stack; when it is not
-    smooth (j < k), its nested G(k, j) average is shared only where a
-    cubature covers G(k, j), which reads no stream.  A Monte Carlo inner
-    average draws from each plane's own child stream, so it runs per plane.
+    An indicator's are its shadows' V_j times a constant, for the whole
+    stack at once.  Any other plane stack is realized by
+    :func:`realize_stack`: smooth projections at j < k run as one
+    smooth-route stack, and every other one through
+    :func:`_domain_weight_integrals`, in closed form where it is not
+    smooth.  A projection that every plane shares is evaluated once per
+    stack.
     """
     j, n = spec.j, spec.n
     xi = xi_from_zeta(spec.zeta, j, k, n)
@@ -510,36 +511,25 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
     if j == 0:  # a constant that needs no projection
         zero = _degree_zero(xi, k)
 
-        def stack(planes, streams):
+        def stack(planes):
             return _shared(len(planes), zero)
-    elif isinstance(u, Indicator) and j == k:
-        # the domain integral of xi over each shadow, xi(0) V_k(shadow), for
-        # the whole stack at once
-        v0 = _value_at_zero(xi)
+    elif isinstance(u, Indicator):
+        # kappa_{k-j} T^{k-j}xi(0) V_j(shadow), for the whole stack at once
+        constant = _degree_zero(xi, k - j)
 
-        def stack(planes, streams):
-            return _exact(v0 * shadow_intrinsic_volumes(u.body, planes.frames, k))
+        def stack(planes):
+            return _exact(constant * shadow_intrinsic_volumes(u.body, planes.frames, j))
     else:
-        def nested(w, stream):
-            # the degree-j valuation of a projection that is not smooth, by
-            # its own average over G(k, j), from the sample's child stream 0
-            inner = eval_cauchy_kubota(ValuationSpec(j, k, xi), w, samples, stream.stream(0))
-            return inner.value, inner.error, inner.integrand_evals
-
-        def stack(planes, streams):
+        def stack(planes):
             ws = realize_stack(u, planes.frames, planes.complements, project=True)
             if isinstance(ws, QuadraticStack):  # smooth, with its domain integral at j = k
                 return _stacked(_smooth_integral(ws, xi, k - j))
             shared = isinstance(ws, ConvexFunction)  # one projection for every plane
             members = [ws] if shared else ws
-            if j == k:
-                rows = _domain_weight_integrals(members, xi)
-            elif all(w.smooth_kind() is not None for w in members):
+            if j < k and all(w.smooth_kind() is not None for w in members):
                 rows = _smooth_integral(members, xi, k - j)
-            elif shared and cubature_covers(k, j):  # the inner cubature reads no stream
-                rows = [nested(ws, streams[0])]
-            else:  # a Monte Carlo inner average draws from each plane's own stream
-                return _per_plane(nested)([ws] * len(planes) if shared else ws, streams)
+            else:
+                rows = _domain_weight_integrals(members, xi, j)
             return _shared(len(planes), *rows[0]) if shared else _stacked(rows)
 
     mean, err, evals, planes = _grassmann_average(n, k, samples, rng, stack)
@@ -619,10 +609,10 @@ def eval_dual_ck(spec: ValuationSpec, v: ConvexFunction, k: int,
     if j == 0:  # a constant that needs no restriction
         zero = _degree_zero(xi, k)
 
-        def stack(planes, streams):
+        def stack(planes):
             return _shared(len(planes), zero)
     else:
-        def stack(planes, streams):
+        def stack(planes):
             vs = realize_stack(v, planes.frames, planes.complements, project=False)
             if isinstance(vs, ConvexFunction):  # one restriction for every plane
                 return _shared(len(planes), *_dual_integral(j, xi, [vs])[0])
@@ -680,7 +670,7 @@ def classical_ck_check(body, j: int, k: int, samples: int = 10_000,
     if k == 0:
         return CheckResult(1.0, 1.0, 0.0)
 
-    def shadows(planes, streams):
+    def shadows(planes):
         return _exact(shadow_intrinsic_volumes(body, planes.frames, j))
 
     mean, err, _, planes = _grassmann_average(n, k, samples, rng, shadows)

@@ -91,6 +91,7 @@ def _combine(terms) -> tuple[_Term, ...]:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite beyond double precision
 def _eval_terms(terms, s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s, dtype=float)
     if len(terms) == 0:
@@ -323,6 +324,7 @@ class Scaled(WeightFunction):
             raise ValueError("scaled needs a finite factor")
         self.support_bound = inner.support_bound
 
+    @np.errstate(over="ignore")  # a product beyond double precision is inf
     def _values(self, s):
         return self.factor * np.asarray(self.inner._values(s))
 
@@ -346,6 +348,7 @@ class SumWeight(WeightFunction):
         self.terms = terms
         self.support_bound = max(t.support_bound for t in terms)
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf, or nan for inf - inf
     def _values(self, s):
         return sum(np.asarray(t._values(s)) for t in self.terms)
 

@@ -19,6 +19,12 @@ from funvol.valuations import ValuationSpec, eval_domain_gradient
 from funvol.weights import MAX_POWER, Tent
 
 
+# a product and a sum beyond double precision used to warn before their exit 4
+OVERFLOWING_SCALED = {"type": "scaled", "factor": 1e300, "inner": {"type": "tent", "s0": 1e10}}
+OVERFLOWING_SUM = {"type": "sum", "terms": [
+    {"type": "scaled", "factor": 1e308, "inner": {"type": "tent", "s0": 1.0}}] * 2}
+
+
 @pytest.fixture
 def specs(tmp_path):
     paths = {}
@@ -212,6 +218,20 @@ class TestCompute:
         assert (code, err) == (4, "")
         assert json.loads(out)["error"]["type"] == "NonConvergedError"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
+    @pytest.mark.parametrize("method", ["smooth", "dual", "ck"])
+    def test_overflowing_polar_integral_exit_4_quietly(self, tmp_path, method):
+        # tent(1e150) on |x|^2 / 2 in R^3: the polar scales R^3 and the panel
+        # sums leave double precision, and the refinement reports it
+        quad = tmp_path / "quad.json"
+        quad.write_text(json.dumps({"type": "quadratic", "A": np.eye(3).tolist()}))
+        zeta = tmp_path / "tent.json"
+        zeta.write_text(json.dumps({"type": "tent", "s0": 1e150}))
+        code, out, err = run_captured(["compute", "--function", str(quad), "--zeta", str(zeta),
+                                       "--j", "1", "--method", method])
+        assert (code, err) == (4, "")
+        assert json.loads(out)["error"]["type"] == "NonConvergedError"
+
     @pytest.mark.parametrize("lam,method", [(1e-160, "smooth"), (1e-160, "ck"),
                                             (1e-310, "ck")])
     def test_overflowing_frame_exit_2_quietly(self, specs, tmp_path, lam, method):
@@ -400,6 +420,17 @@ class TestTransform:
         code, out, _ = run_cli(capsys, "transform", "--zeta", specs["tent"],
                                "--power", "1", "--grid", "nope")
         assert code == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
+    @pytest.mark.parametrize("zeta,power", [(OVERFLOWING_SCALED, "3"), (OVERFLOWING_SUM, "0")],
+                             ids=["scaled", "sum"])
+    def test_overflowing_weight_exit_4_quietly(self, tmp_path, zeta, power):
+        path = tmp_path / "zeta.json"
+        path.write_text(json.dumps(zeta))
+        code, out, err = run_captured(["transform", "--zeta", str(path), "--power", power,
+                                       "--grid", "0.1:1:3"])
+        assert (code, err) == (4, "")
+        assert json.loads(out)["error"]["type"] == "NonConvergedError"
 
 
 class TestConjugate:
@@ -724,6 +755,7 @@ class TestSpecFuzz:
     @example(zeta=INFINITE_TENT, power=1, inverse=False)
     @example(zeta=INFINITE_POWER, power=1, inverse=False)
     @example(zeta=FRACTIONAL_POWER, power=0, inverse=False)
+    @example(zeta=OVERFLOWING_SCALED, power=3, inverse=False)
     @example(zeta={"type": "transform", "l": 10 ** 400,
                    "inner": {"type": "bump", "a": 0.2, "b": 0.8}}, power=1, inverse=False)
     @example(zeta=TENT, power=10 ** 400, inverse=False)
@@ -824,6 +856,23 @@ class TestSpecFuzz:
                                        "--zeta", fuzz_files["tent"], "--method", method,
                                        "--j", "1", "--samples", "8"])
         assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
+    @pytest.mark.parametrize("body", [
+        {"type": "ball", "r": 1e10, "center": [1e10, 0.0]},
+        {"type": "box", "intervals": [[0.0, 1e10], [0.0, 1.0]]},
+        {"type": "polytope", "vertices": [[0.0, 0.0], [1e10, 0.0], [0.0, 1.0]]},
+    ], ids=["ball", "box", "polytope"])
+    def test_overflowing_epi_scaled_body_exit_2(self, tmp_path, fuzz_files, body):
+        # an indicator's epigraph scaling scales its body, which leaves double precision
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"type": "epi_scale", "lambda": 1e300,
+                                    "inner": {"type": "indicator", "body": body}}))
+        code, out, err = run_captured(["compute", "--function", str(path),
+                                       "--zeta", fuzz_files["tent"], "--method", "ck",
+                                       "--j", "1", "--samples", "8"])
+        assert (code, err) == (2, "")
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
     @pytest.mark.parametrize("function,method,j", BAD_BODY_DIMENSIONS.values(),

@@ -204,14 +204,15 @@ def test_one_hull_engine(monkeypatch):
 
 
 def test_one_polar_engine():
-    """Every polar integral runs through one lockstep engine.
+    """Every polar integral runs through one lockstep engine, and no
+    Grassmannian average runs inside another.
 
     In numerics ``sphere_rule`` is called from one function, where a member
     of a polar stack takes the rule of its next level, and the refinement
     loop ``_refine`` serves the interval rule and the polar stack only.  In
-    valuations the plane-by-plane adaptor ``_per_plane`` has one caller, the
-    projection average's stack callback, and hands it only the nested
-    average of projections that are not smooth.
+    valuations no function nested in an averaging route, the plane-stack
+    callbacks among them, names a projection average or the Grassmannian
+    average itself.
     """
     rules = _package_callers("sphere_rule", {"numerics"})
     assert rules == Counter({"numerics.integrate_polar_stack.start": 1}), \
@@ -220,16 +221,15 @@ def test_one_polar_engine():
     assert loops == Counter({"numerics.integrate_interval": 1,
                              "numerics.integrate_polar_stack": 1}), \
         f"_refine is called from {dict(loops)}"
-    adaptor = _package_callers("_per_plane")
-    assert adaptor == Counter({"valuations._projection_average.stack": 1}), \
-        f"_per_plane is called from {dict(adaptor)}"
     tree = ast.parse((PACKAGE / "valuations.py").read_text())
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "_per_plane"]
-    assert [ast.unparse(call) for call in calls] == ["_per_plane(nested)"]
-    nested = next(node for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef) and node.name == "nested")
-    assert "eval_cauchy_kubota" in _references(nested)
+    routes = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("_projection_average", "eval_dual_ck", "classical_ck_check")]
+    assert len(routes) == 3
+    averages = {"eval_cauchy_kubota", "eval_ck_general", "_grassmann_average"}
+    inner = {f"{route.name}.{node.name}": sorted(averages & set(_references(node)))
+             for route in routes for node in ast.walk(route)
+             if isinstance(node, ast.FunctionDef) and node is not route}
+    assert inner and not any(inner.values()), f"averages inside averages: {inner}"
 
 
 def test_one_row_norm():

@@ -471,6 +471,7 @@ class TestJsonSpecs:
         with pytest.raises(SchemaError):
             weight_from_spec(spec)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # beyond double precision is quiet
     def test_overflowing_transform(self):
         # finite parameters whose transform leaves double precision
         with pytest.raises(SchemaError):
