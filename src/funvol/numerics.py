@@ -21,12 +21,18 @@ contiguous column, so an integrand reads them by coordinate (``row_norms``
 sums their squares column by column), and must not keep them.  A singular
 endpoint is graded, r = t^2, and refined by the same adaptive panels as the
 rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
-:func:`integrate_polar_separable` on a stack of one) doubles each member's
-angular level from 2 until two of its consecutive sphere rules agree; every
-level integrates constants exactly, consecutive levels are turned against
-each other so that they cannot alias together, and each level starts from
-the radial panels the previous one ended with.  Sphere rules, and so polar
-quadrature, cover n <= 4; a larger n is an :class:`UnsupportedVariant`.
+:func:`integrate_polar_separable` on a stack of one) refines each member's
+radial panels at angular level 2, then checks that pass at level 4 by the
+7 embedded Gauss nodes of its final panels alone: the 7-point sums of the
+two levels on the same panels differ by the angular error, which the
+member adds to its radial error when it is within tolerance, keeping the
+15-point value of the checked level.  A check that disagrees runs a full
+pass at its own level, from the same panels, which the next level checks,
+and so on up to ``_MAX_LEVEL``.  Every level integrates constants exactly,
+consecutive levels are turned against each other so that they cannot
+alias together, and each pass or check starts from the radial panels the
+last pass ended with.  Sphere rules, and so polar quadrature, cover n <= 4;
+a larger n is an :class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
@@ -120,7 +126,7 @@ _MAX_PANELS = 400_000  # panel budget of one adaptive refinement
 _MAX_DEPTH = 40        # bisection depth budget of one panel
 _ABS_TOL = 1e-10       # a refinement stops once its error is at most
 _REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
-_LEVEL = 4             # first fine angular level of polar quadrature
+_LEVEL = 4             # first check level of polar quadrature, twice its first level
 _MAX_LEVEL = 64        # angular level budget of polar quadrature
 _MAX_BATCH = 1 << 14   # integrand points per call, and directions held, of polar quadrature
 
@@ -198,7 +204,8 @@ class _Run:
     in the stack, the panels its next pass starts from, and the heap,
     running sums and pending split of the pass in progress."""
 
-    __slots__ = ("index", "leaves", "heap", "total", "total_err", "uid", "split", "failure")
+    __slots__ = ("index", "leaves", "heap", "total", "total_err", "gauss", "uid", "split",
+                 "failure")
 
     def __init__(self, index: int, leaves):
         self.index = index
@@ -214,13 +221,14 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     largest error.  Each step hands ``panels`` the new panels of the whole
     stack in one batch, a list of (run, ends) with ``ends`` a list of panel
     ends (a, b): the leaves of a starting run, or the two halves of a split.
-    ``panels`` returns the lists of the estimates and errors of all those
-    panels, as floats, in batch order.
+    ``panels`` returns the lists of the estimates, errors and lower-rule
+    estimates of all those panels, as floats, in batch order.
 
     A run stops once its summed error is within tolerance.  It then holds
-    its value ``total``, its error ``total_err`` and its final panels as
-    ``leaves``, in increasing order and with their depths, so a later pass
-    over the same range starts from them.  A run also stops, with a
+    its value ``total``, its error ``total_err``, the sum ``gauss`` of its
+    panels' lower-rule estimates and its final panels as ``leaves``, in
+    increasing order and with their depths, so a later pass over the same
+    range starts from them.  A run also stops, with a
     :class:`NonConvergedError` as ``failure``, when the panel it would
     split sits at ``_MAX_DEPTH`` or its panel count reaches
     ``_MAX_PANELS``; the runs after it take no part in that step.  Each
@@ -235,40 +243,43 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
             if r.leaves is not None:
                 batch.append((r, [(a, b) for a, b, _ in r.leaves]))
                 continue
-            _, _, depth, a, b, v, err = heapq.heappop(r.heap)
+            _, _, depth, a, b, v, g, err = heapq.heappop(r.heap)
             if depth >= _MAX_DEPTH or len(r.heap) >= _MAX_PANELS:
                 r.failure = failed = NonConvergedError(
                     f"{what} did not converge at depth {depth} with {len(r.heap) + 1} "
                     f"panels (error {r.total_err:.3e})", r.total, r.total_err,
                     fn.counts[r.index])
                 break
-            r.split = (depth, v, err)
+            r.split = (depth, v, g, err)
             mid = 0.5 * (a + b)
             batch.append((r, [(a, mid), (mid, b)]))
-        values, errors = panels(batch) if batch else ((), ())
+        values, errors, lower = panels(batch) if batch else ((), (), ())
         k = 0
         for r, ends in batch:
             if r.leaves is None:
-                depth, v, err = r.split
+                depth, v, g, err = r.split
                 (a, mid), (_, b) = ends
                 lv, rv, le, re = values[k], values[k + 1], errors[k], errors[k + 1]
+                lg, rg = lower[k], lower[k + 1]
                 r.total += lv + rv - v
                 r.total_err += le + re - err
-                heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, le))
-                heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, re))
+                r.gauss += lg + rg - g
+                heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, lg, le))
+                heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, rg, re))
                 r.uid += 2
                 k += 2
             else:
-                r.total, r.total_err, r.heap = 0.0, 0.0, []
+                r.total, r.total_err, r.gauss, r.heap = 0.0, 0.0, 0.0, []
                 for uid, (a, b, depth) in enumerate(r.leaves):
-                    v, err = values[k], errors[k]
+                    v, err, g = values[k], errors[k], lower[k]
                     r.total += v
                     r.total_err += err
-                    heapq.heappush(r.heap, (-err, uid, depth, a, b, v, err))
+                    r.gauss += g
+                    heapq.heappush(r.heap, (-err, uid, depth, a, b, v, g, err))
                     k += 1
                 r.uid, r.leaves = len(r.heap), None
             if r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)):
-                r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _ in r.heap)
+                r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _, _ in r.heap)
                 stopped.append(r)
         if failed is not None:
             stopped.append(runs[len(batch)])
@@ -312,7 +323,7 @@ def integrate_interval(f, a: float, b: float, *,
             vals = fn(t.ravel()).reshape(t.shape)
         hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
         lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
-        return hi, [abs(x - y) for x, y in zip(hi, lo)]
+        return hi, [abs(x - y) for x, y in zip(hi, lo)], lo
 
     run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
     _refine(panels, [run], fn, f"interval quadrature on [{a}, {b}]")
@@ -397,48 +408,61 @@ def sphere_rule_size(n: int, level: int) -> int:
     return 2 ** n * level ** (n - 1)
 
 
-def _reduce(values: np.ndarray, panels, halves, hi: list, lo: list) -> None:
-    """Append to ``hi`` and ``lo`` the Kronrod and embedded Gauss estimates of
-    the complete radial panels ``panels``, a list of (q, run) all on one
-    sphere rule, whose (G * D, 15) values lie in order in ``values``: panel
-    (q, run) gives ``halves[q] * (run.scale @ (its values @ w))``.  numpy's
-    stacked matmul runs the 2-d kernel on each slice, so a panel's bits do
-    not depend on the panels reduced with it."""
+def _reduce(values: np.ndarray, panels, halves, hi: list, err: list, lo: list) -> None:
+    """Append to ``hi``, ``err`` and ``lo`` the estimates, errors and
+    embedded Gauss estimates of the complete radial panels ``panels``, a
+    list of (q, run) all on one sphere rule and of one kind, whose values,
+    D directions by the run's nodes each, lie in order in ``values``: a
+    panel (q, run) gives ``halves[q] * (run.scale @ (its values @ w))``.  A
+    panel on the 15 Kronrod nodes gives its Kronrod estimate, the Gauss
+    estimate of its 7 embedded nodes and their difference; a check panel on
+    the 7 Gauss nodes alone gives its Gauss estimate as both, with no
+    error.  numpy's stacked matmul runs the 2-d kernel on each slice, so a
+    panel's bits do not depend on the panels reduced with it."""
     _, w_k, w_g = _KRONROD
+    check = panels[0][1].check
     scales = np.array([r.scale for _, r in panels])[:, None, :]
-    values = values.reshape(len(panels), -1, values.shape[-1])
+    values = values.reshape(len(panels), scales.shape[-1], len(w_g if check else w_k))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite beyond double precision
-        kronrod = np.matmul(scales, (values @ w_k)[:, :, None]).ravel().tolist()
-        gauss = np.matmul(scales, (values[:, :, 1::2] @ w_g)[:, :, None]).ravel().tolist()
-    hi.extend(halves[q] * x for (q, _), x in zip(panels, kronrod))
-    lo.extend(halves[q] * x for (q, _), x in zip(panels, gauss))
+        gauss = np.matmul(scales, ((values if check else values[:, :, 1::2]) @ w_g)[:, :, None])
+        kronrod = gauss if check else np.matmul(scales, (values @ w_k)[:, :, None])
+    gauss = [halves[q] * x for (q, _), x in zip(panels, gauss.ravel().tolist())]
+    kronrod = [halves[q] * x for (q, _), x in zip(panels, kronrod.ravel().tolist())]
+    hi.extend(kronrod)
+    err.extend([0.0] * len(panels) if check else [abs(x - y) for x, y in zip(kronrod, gauss)])
+    lo.extend(gauss)
 
 
 class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
-    level of its pass, that level's sphere-rule directions as rows and as
-    (n, D) contiguous coordinate columns, the member's ray radii and scales
-    on it, and the estimate of its previous level."""
+    level of its pass, whether that pass is a check, the value, error and
+    Gauss sum of its last full pass, that level's sphere-rule directions as
+    rows and as (n, D) contiguous coordinate columns, and the member's ray
+    radii and scales on it."""
 
-    __slots__ = ("level", "prev", "dirs", "cols", "radii", "scale")
+    __slots__ = ("level", "check", "full", "dirs", "cols", "radii", "scale")
 
-    def settle(self, n: int, evaluations: int) -> QuadratureResult | None:
-        """After a converged pass: the result once two consecutive levels
-        agree (at once for n = 1).  Else None, with ``level`` raised to the
-        level of the next pass, or with ``failure`` set at ``_MAX_LEVEL``."""
+    def advance(self, n: int, evaluations: int) -> QuadratureResult | None:
+        """After a pass that stopped within tolerance: the result once a check
+        agrees with the full pass before it (at once for n = 1).  Else None,
+        with the run set for its next pass: the check of a full pass at twice
+        its level, or a full pass at the level of a check that disagreed; or
+        with ``failure`` set where that check was at ``_MAX_LEVEL``."""
         if n == 1:
             return QuadratureResult(self.total, self.total_err, evaluations)
-        if self.prev is not None:
-            ang_err = abs(self.total - self.prev)
-            if ang_err <= max(_ABS_TOL, _REL_TOL * abs(self.total)):
-                return QuadratureResult(self.total, self.total_err + ang_err, evaluations)
-            if self.level >= _MAX_LEVEL:
-                self.failure = NonConvergedError(
-                    f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
-                    self.total, self.total_err + ang_err, evaluations)
-                return None
-        self.level = _LEVEL if self.prev is None else 2 * self.level
-        self.prev = self.total
+        if not self.check:
+            self.full = (self.total, self.total_err, self.gauss)
+            self.level, self.check = 2 * self.level, True
+            return None
+        value, error, gauss = self.full
+        ang_err = abs(self.total - gauss)
+        if ang_err <= max(_ABS_TOL, _REL_TOL * abs(value)):
+            return QuadratureResult(value, error + ang_err, evaluations)
+        if self.level >= _MAX_LEVEL:
+            self.failure = NonConvergedError(
+                f"angular refinement hit level {_MAX_LEVEL} (error {ang_err:.3e})",
+                value, error + ang_err, evaluations)
+        self.check = False
         return None
 
 
@@ -459,15 +483,15 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     ``break_ratios`` holds one sequence per member.
     Each member keeps its own break ratios, radial panels, angular level and
     sums; every refinement step puts the new panels of every member still
-    refining, a level's starting panels among them, into one batch, which
-    reaches ``f`` in calls of at most ``_MAX_BATCH`` points.  The members
-    refining together hold at most ``_MAX_BATCH`` sphere-rule directions
-    between them (a member whose rule is larger refines alone), so neither
-    their radii and scales nor a ``radii`` call grow with the stack; the
-    other members wait, and join in stack order as directions come free.
-    The members that start a level together take its radii from one
-    ``radii`` call.  A member drops out once two of its consecutive levels
-    agree.
+    refining, a level's starting panels and the panels of a check among
+    them, into one batch, which reaches ``f`` in calls of at most
+    ``_MAX_BATCH`` points.  The members refining or checking together hold
+    at most ``_MAX_BATCH`` sphere-rule directions between them (a member
+    whose rule is larger goes alone), so neither their radii and scales nor
+    a ``radii`` call grow with the stack; the other members wait, and join
+    in stack order as directions come free.  The members that start a level
+    together take its radii from one ``radii`` call.  A member drops out
+    once a check confirms its last full pass.
     ``singular_center`` holds for every member.  Where a member's budget
     runs out, the members after it in the stack are dropped, and the
     :class:`NonConvergedError` of the first member to fail is raised once
@@ -476,7 +500,6 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     fn = _CountingFn(f, len(break_ratios))
     grade = _GRADE if singular_center else 1
     nodes = _KRONROD[0]
-    step = max(1, _MAX_BATCH // len(nodes))  # (panel, direction) pairs per integrand call
     block = None  # the values of a panel cut by calls, grown as needed
 
     def panels(batch):
@@ -485,57 +508,63 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         tau = t ** grade
         jac = tau ** (n - 1) * (grade * t ** (grade - 1))
         # the (panel, direction) pairs, panel-major, cut into calls of at most
-        # `step` pairs: a call may hold many panels and end inside one
-        calls, room = [[]], step
+        # _MAX_BATCH points: a call may hold many panels and end inside one;
+        # a pair holds 15 Kronrod nodes, or 7 Gauss nodes in a check
+        calls, room, size = [[]], _MAX_BATCH, 0
         for q, r in enumerate([r for r, ends in batch for _ in ends]):
+            # the nodes of the panel, of the 15, and their number
+            pick, p = (slice(1, None, 2), 7) if r.check else (slice(None), 15)
             d, i = len(r.dirs), 0
             while i < d:
-                if not room:
+                if room < p and calls[-1]:
                     calls.append([])
-                    room = step
-                j = min(d, i + room)
-                calls[-1].append((q, r, i, j))
-                room -= j - i
+                    room = _MAX_BATCH
+                j = min(d, i + max(1, room // p))
+                calls[-1].append((q, r, i, j, pick, p))
+                room -= (j - i) * p
                 i = j
-        size = step if len(calls) > 1 else step - room
-        cols = np.empty((n, size, len(nodes)))  # one call's points, a column per coordinate
-        # and, once the call is back, their values times the Jacobian
-        scaled = cols.reshape(-1)[:size * len(nodes)].reshape(size, len(nodes))
-        hi, lo = [], []
+                size = max(size, _MAX_BATCH - room)
+        cols = np.empty((n, size))  # one call's points, a row per coordinate,
+        scaled = cols[0]  # and, once the call is back, their values times the Jacobian
+        hi, err, lo = [], [], []
         for pieces in calls:
             owners, fill = [], 0
-            for q, r, i, j in pieces:
-                np.multiply((r.radii[i:j, None] * tau[q])[None], r.cols[:, i:j, None],
-                            out=cols[:, fill:fill + j - i])
+            for q, r, i, j, pick, p in pieces:
+                stop = fill + (j - i) * p
+                np.multiply((r.radii[i:j, None] * tau[q, pick])[None], r.cols[:, i:j, None],
+                            out=cols[:, fill:stop].reshape(n, j - i, p))
                 if owners and owners[-1][0] == r.index:
-                    owners[-1][2] = (fill + j - i) * len(nodes)
+                    owners[-1][2] = stop
                 else:
-                    owners.append([r.index, fill * len(nodes), (fill + j - i) * len(nodes)])
-                fill += j - i
+                    owners.append([r.index, fill, stop])
+                fill = stop
             fn.owners = owners
-            vals = fn(cols[:, :fill].reshape(n, -1).T).reshape(fill, -1)
-            # adjacent whole panels on one sphere rule are reduced together;
-            # a panel cut by calls once block holds all of it
+            vals = fn(cols[:, :fill].T)
+            # adjacent whole panels of one kind on one sphere rule are reduced
+            # together; a panel cut by calls once block holds all of it
             fill, first, group = 0, 0, []
-            for q, r, i, j in pieces:
-                d = len(r.dirs)
-                if group and (j - i < d or group[0][1].dirs is not r.dirs):
-                    _reduce(scaled[first:fill], group, halves, hi, lo)
+            for q, r, i, j, pick, p in pieces:
+                d, stop = len(r.dirs), fill + (j - i) * p
+                if group and (j - i < d or group[0][1].dirs is not r.dirs
+                              or group[0][1].check != r.check):
+                    _reduce(scaled[first:fill], group, halves, hi, err, lo)
                     group = []
                 if j - i < d:
-                    if block is None or len(block) < d:
-                        block = np.empty((d, len(nodes)))
-                    np.multiply(vals[fill:fill + j - i], jac[q], out=block[i:j])
+                    if block is None or len(block) < d * p:
+                        block = np.empty(d * p)
+                    np.multiply(vals[fill:stop].reshape(j - i, p), jac[q, pick],
+                                out=block[i * p:j * p].reshape(j - i, p))
                     if j == d:
-                        _reduce(block[:d], [(q, r)], halves, hi, lo)
+                        _reduce(block[:d * p], [(q, r)], halves, hi, err, lo)
                 else:
-                    np.multiply(vals[fill:fill + d], jac[q], out=scaled[fill:fill + d])
+                    np.multiply(vals[fill:stop].reshape(d, p), jac[q, pick],
+                                out=scaled[fill:stop].reshape(d, p))
                     first = first if group else fill
                     group.append((q, r))
-                fill += j - i
+                fill = stop
             if group:
-                _reduce(scaled[first:fill], group, halves, hi, lo)
-        return hi, [abs(x - y) for x, y in zip(hi, lo)]
+                _reduce(scaled[first:fill], group, halves, hi, err, lo)
+        return hi, err, lo
 
     def start(group):
         """The runs of ``group``, all at one level, take its sphere rule and
@@ -554,7 +583,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
             {float(t) for t in ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
         run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
-        run.level, run.prev = 1 if n == 1 else _LEVEL // 2, None
+        run.level, run.check = 1 if n == 1 else _LEVEL // 2, False
         waiting.insert(0, run)
     runs, results, failure = [], [None] * len(waiting), None
     while runs or waiting:
@@ -577,7 +606,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
             runs.remove(r)
             r.dirs = r.cols = r.radii = r.scale = None
             if r.failure is None:
-                results[r.index] = r.settle(n, fn.counts[r.index])
+                results[r.index] = r.advance(n, fn.counts[r.index])
             if r.failure is not None:
                 failure = r.failure
                 runs = [s for s in runs if s.index < r.index]
@@ -607,12 +636,14 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     ratios mapped to their square roots) clusters the nodes at the center.
     Panels carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the
     embedded error |K15 - G7|, and are refined by the same adaptive loop as
-    intervals, on the shared grid (aggregated error).  The angular level
-    doubles from ``_LEVEL // 2`` until consecutive sphere rules agree; each
-    level starts from the radial panels the previous one ended with and
-    evaluates only those.  Raises :class:`NonConvergedError` when a panel
-    reaches ``_MAX_DEPTH`` or the level reaches ``_MAX_LEVEL`` without
-    agreement.
+    intervals, on the shared grid (aggregated error).  A pass at angular
+    level L, from ``_LEVEL // 2`` on, is checked at level 2L by the 7
+    Gauss nodes of its final panels alone: where the 7-point sums G7 of the
+    two levels agree, the result is the 15-point value of level L with
+    error its radial error plus |G7(2L) - G7(L)|; else a full pass at level
+    2L starts from those panels and level 4L checks it.  Raises
+    :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH`` or a
+    check at ``_MAX_LEVEL`` disagrees.
     """
     radii = (lambda dirs, members: r_max(dirs)[None]) if callable(r_max) else r_max
     return integrate_polar_stack(lambda x, owners: f(x), n, radii, [break_ratios],

@@ -455,13 +455,15 @@ def _domain_weight_integrals(ws, weight: WeightFunction, j: int):
     smooth = [w for w, closed, _ in cores if not closed]
     integrals = iter(_smooth_integral(smooth, weight, k - j) if smooth else ())
     transformed = transform_R_power(weight, k - j) if len(smooth) < len(cores) else None
+    at = {}  # T^{k-j}weight at each distinct cone offset t of the stack
     out = []
     for w, closed, scales in cores:
         if not closed:
             value, error, evals = next(integrals)
         elif isinstance(w, Cone):
-            wt = _value_at_zero(transformed) if w.t == 0 else float(transformed(w.t))
-            value, error, evals = wt * kappa(k) * math.comb(k, j) * w.r ** j, 0.0, 0
+            if w.t not in at:
+                at[w.t] = _value_at_zero(transformed) if w.t == 0 else float(transformed(w.t))
+            value, error, evals = at[w.t] * kappa(k) * math.comb(k, j) * w.r ** j, 0.0, 0
         else:  # an indicator, or at j = 1 that of a Minkowski sum: V_1 is additive
             bodies = [w.body] if isinstance(w, Indicator) else [w.left.body, w.right.body]
             measure = sum(b.volume() if j == k else body_intrinsic_volume(b, j) for b in bodies)
@@ -495,9 +497,9 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
                         samples: int, rng: Rng, method: str) -> EvalResult:
     """Grassmannian average over k-planes of the degree-j valuation of u's projection.
 
-    An indicator's are its shadows' V_j times a constant, for the whole
-    stack at once.  Any other plane stack is realized by
-    :func:`realize_stack`: smooth projections at j < k run as one
+    An indicator's, epigraph-translated or not, are its shadows' V_j times
+    a constant, for the whole stack at once.  Any other plane stack is
+    realized by :func:`realize_stack`: smooth projections at j < k run as one
     smooth-route stack, and every other one through
     :func:`_domain_weight_integrals`, in closed form where it is not
     smooth.  A projection that every plane shares is evaluated once per
@@ -507,18 +509,21 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
     xi = xi_from_zeta(spec.zeta, j, k, n)
     if k == 0:
         return EvalResult(float(xi.value_at_zero()), 0.0, method)
+    core = u
+    while isinstance(core, EpiTranslated):  # V_j ignores translations, in x and in height
+        core = core.inner
 
     if j == 0:  # a constant that needs no projection
         zero = _degree_zero(xi, k)
 
         def stack(planes):
             return _shared(len(planes), zero)
-    elif isinstance(u, Indicator):
+    elif isinstance(core, Indicator):
         # kappa_{k-j} T^{k-j}xi(0) V_j(shadow), for the whole stack at once
         constant = _degree_zero(xi, k - j)
 
         def stack(planes):
-            return _exact(constant * shadow_intrinsic_volumes(u.body, planes.frames, j))
+            return _exact(constant * shadow_intrinsic_volumes(core.body, planes.frames, j))
     else:
         def stack(planes):
             ws = realize_stack(u, planes.frames, planes.complements, project=True)

@@ -249,6 +249,57 @@ class TestAngularAliasing:
         assert abs(r.value - kappa(n)) <= r.error + 8 * math.ulp(kappa(n))
 
 
+def _haar_pair(n: int, rng: np.random.Generator):
+    """An orthonormal pair (a, b) of R^n: two columns of a Haar rotation."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return q[:, 0], q[:, 1]
+
+
+def _turned_harmonic(a, b, m: int):
+    """1 + Re((x.a + i x.b)^m) e^{-|x|^2}: a harmonic of degree m in a generic
+    orientation times a radial factor, so its integral over the unit ball is
+    kappa_n, but no sphere rule of degree below m and no radial rule
+    integrates it exactly."""
+    def f(x):
+        z = x @ a + 1j * (x @ b)
+        return 1.0 + (z ** m).real * np.exp(-row_norms(x) ** 2)
+    return f
+
+
+HARD_CASES = [(n, m) for n in (2, 3, 4) for m in (6, 10, 14, 22)]
+
+
+class TestAngularlyHard:
+    @pytest.mark.parametrize("n,m", HARD_CASES, ids=[f"n{n}-m{m}" for n, m in HARD_CASES])
+    def test_turned_harmonic_over_the_ball(self, n, m, monkeypatch):
+        levels, rule = [], numerics.sphere_rule
+
+        def recorded(n, level):
+            levels.append(level)
+            return rule(n, level)
+
+        monkeypatch.setattr(numerics, "sphere_rule", recorded)
+        a, b = _haar_pair(n, np.random.default_rng(100 * n + m))
+        r = integrate_polar_separable(_turned_harmonic(a, b, m), n, 1.0)
+        assert abs(r.value - kappa(n)) <= r.error + 8 * math.ulp(kappa(n))
+        # levels 2 and 4 are exact below degrees 8 and 16 in n = 3 and 4, so
+        # degree 22 needs a level past the first check; in n = 2 the
+        # trapezoidal rules integrate cos(m theta) exactly for these m
+        if m == 22 and n > 2:
+            assert max(levels) >= 8
+
+    @given(n=st.integers(2, 4), m=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_haar_pairs(self, n, m, seed):
+        a, b = _haar_pair(n, np.random.default_rng(seed))
+        try:
+            r = integrate_polar_separable(_turned_harmonic(a, b, m), n, 1.0)
+        except NonConvergedError:
+            return
+        assert abs(r.value - kappa(n)) <= r.error + 8 * math.ulp(kappa(n))
+
+
 class TestKronrodPanels:
     @staticmethod
     def _moment_misses(nodes, weights, degrees):
@@ -274,7 +325,8 @@ class TestKronrodPanels:
         def panels(batch):
             ((_, ends),) = batch
             calls.append(ends)
-            return [b - a for a, b in ends], [(b - a) ** 2 * 1e-6 for a, b in ends]
+            values = [b - a for a, b in ends]
+            return values, [(b - a) ** 2 * 1e-6 for a, b in ends], values
 
         fn = numerics._CountingFn(None, 1)
 
@@ -294,12 +346,13 @@ class TestKronrodPanels:
 
 
 class TestPolarWork:
-    def test_radial_tent_costs_two_levels_of_one_panel(self):
-        # whitened, the tent integrand of a quadratic is radial: levels 2 and 4
-        # (128 + 1,024 directions) of one 15-point panel each
+    def test_radial_tent_costs_one_level_and_its_check(self):
+        # whitened, the tent integrand of a quadratic is radial: one 15-point
+        # panel on the 128 directions of level 2, checked by its 7 Gauss
+        # nodes on the 1,024 directions of level 4
         spec = ValuationSpec(1, 4, Tent(1.0))
         res = eval_smooth(spec, Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])))
-        assert res.integrand_evals == (128 + 1024) * 15
+        assert res.integrand_evals == 128 * 15 + 1024 * 7
 
     def test_counts_repeat(self):
         spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
@@ -322,8 +375,9 @@ class TestPolarWork:
 
     def test_one_integrand_call_per_refinement_step(self, monkeypatch):
         # every refinement evaluates its starting leaves in one batch, and the
-        # two halves of each split in one more; a batch takes more than one
-        # call only where its points exceed the _MAX_BATCH budget
+        # two halves of each split in one more, and a check its leaves in
+        # one; a batch takes more than one call only where its points exceed
+        # the _MAX_BATCH budget
         sizes = self._call_sizes(monkeypatch)
         batches = []  # the number of calls before each refinement step
         refine, heappop = numerics._refine, numerics.heapq.heappop
@@ -340,16 +394,16 @@ class TestPolarWork:
         monkeypatch.setattr(numerics.heapq, "heappop", counted_heappop)
         res = eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                           Quadratic(np.diag([1.0, 0.5, 0.25])))
-        # levels 2 and 4, nine splits at level 2, and the 11 panels of level 4
-        # in two calls
-        assert len(batches) == 11 and len(sizes) == 12
-        budget = numerics._MAX_BATCH // 15 * 15
+        # level 2, its nine splits, and the check of its 11 panels at level 4,
+        # 11 x 128 x 7 = 9,856 points in one call
+        assert len(batches) == 11 and len(sizes) == 11 and sizes[-1] == 9856
+        budget = numerics._MAX_BATCH // 15 * 15  # and // 7 * 7
         for first, last in zip(batches, batches[1:] + [len(sizes)]):
             assert last - first == math.ceil(sum(sizes[first:last]) / budget)
         assert sum(sizes) == res.integrand_evals
         # the value, error and count of the per-panel evaluation, bit for bit
         assert (res.value.hex(), res.error.hex(), res.integrand_evals) == (
-            "0x1.0d4c4618dfecep+3", "0x1.fd978371d4000p-31", 30720)
+            "0x1.0d4c4618dfecdp+3", "0x1.fd973fe636000p-31", 19456)
 
     def test_points_are_contiguous_columns(self, monkeypatch):
         # the integrand gets (m, n) points whose coordinates are contiguous
@@ -368,15 +422,16 @@ class TestPolarWork:
                                for shape, stride, view in layouts)
 
     def test_batches_stay_bounded(self, monkeypatch):
-        # the n = 4 Bump dual integral takes 10 radial panels into level 4,
-        # one batch of 153,600 points (1,024 directions x 15 nodes a panel);
+        # the n = 4 Bump dual integral checks its 10 radial panels at level 4,
+        # one batch of 71,680 points (1,024 directions x 7 nodes a panel);
         # its calls of at most _MAX_BATCH points bound the memory it holds,
         # and are filled across panel boundaries
         sizes = self._call_sizes(monkeypatch)
         res = eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)),
                         Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
-        assert sum(sizes) == res.integrand_evals == 188_160
+        assert sum(sizes) == res.integrand_evals == 106_240
         assert 1024 * 15 < max(sizes) <= numerics._MAX_BATCH
+        assert sizes[-5:] == [16_380] * 4 + [71_680 - 4 * 16_380]
 
 
 def _stacked(fs):
