@@ -400,7 +400,8 @@ class _ChebTail:
     :class:`SchemaError`.
     """
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow fails the final check
+    # overflow, or a pole of g at a node that underflowed to 0, fails the finiteness check
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def __init__(self, g, edges):
         a, b = np.asarray(edges[:-1], dtype=float), np.asarray(edges[1:], dtype=float)
         root, scale, done = np.arange(len(a)), None, []

@@ -760,6 +760,7 @@ class TestSpecFuzz:
                    "inner": {"type": "bump", "a": 0.2, "b": 0.8}}, power=1, inverse=False)
     @example(zeta=TENT, power=10 ** 400, inverse=False)
     @example(zeta=TENT, power=10 ** 400, inverse=True)
+    @example(zeta={"type": "bump", "a": 0.0, "b": 5e-324}, power=1, inverse=True)
     @settings(max_examples=150, deadline=None)
     def test_transform(self, tmp_path_factory, zeta, power, inverse):
         path = tmp_path_factory.mktemp("spec") / "zeta.json"
