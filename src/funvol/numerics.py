@@ -9,13 +9,18 @@ before the fixed tolerance is met.  One adaptive loop, :func:`_refine`,
 refines the panels of both interval and radial quadrature, for a stack of
 integrals in lockstep: each step evaluates the new panels of every member
 still refining in one batch, the panels a member starts from or the two
-halves of its split, while each member keeps its own heap, sums and split
-order.  Interval quadrature is a stack of one.  Interval panels carry a
-31-point Gauss rule checked against a 16-point one, radial panels the
-Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds every
-direction of each member's sphere rule for each of its panels and reaches
-the integrand in calls of at most ``_MAX_BATCH`` points, and the members
-refining together hold at most ``_MAX_BATCH`` directions.  A polar call's
+halves of each panel it splits, while each member keeps its own heap, sums
+and split order.  A step splits at once the fewest of a member's
+largest-error panels that leave the error of the rest within tolerance,
+the panels a refinement of one split a step would split as long as no
+child outgrows the panels left.  Interval quadrature is a stack of one.
+Interval panels carry a 31-point Gauss rule checked against a 16-point
+one, radial panels the Gauss-Kronrod 7/15 pair with its embedded error; a
+radial batch holds every direction of each member's sphere rule for each
+of its panels, node-major, and reaches the integrand in calls of at most
+``_MAX_BATCH`` points, and the members refining together hold at most
+``_MAX_BATCH`` directions.  A radial panel is reduced over its directions
+first, one angular sum per node, and then over its nodes.  A polar call's
 points are an (m, n) view of a column-major buffer: each coordinate is one
 contiguous column, so an integrand reads them by coordinate (``row_norms``
 sums their squares column by column), and must not keep them.  A singular
@@ -27,8 +32,10 @@ radial panels at angular level 2, then checks that pass at level 4 by the
 two levels on the same panels differ by the angular error, which the
 member adds to its radial error when it is within tolerance, keeping the
 15-point value of the checked level.  A check that disagrees runs a full
-pass at its own level, from the same panels, which the next level checks,
-and so on up to ``_MAX_LEVEL``.  Every level integrates constants exactly,
+pass at its own level, from the same panels, whose first step takes the
+check's angular sums at the 7 Gauss nodes and evaluates only the 8 other
+Kronrod nodes; the next level checks that pass, and so on up to
+``_MAX_LEVEL``.  Every level integrates constants exactly,
 consecutive levels are turned against each other so that they cannot
 alias together, and each pass or check starts from the radial panels the
 last pass ended with.  Sphere rules, and so polar quadrature, cover n <= 4;
@@ -217,10 +224,17 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     """Adaptive bisection of the stack ``runs`` in lockstep, until one stops.
 
     A run that holds ``leaves``, a list of (a, b, depth), starts a pass
-    from them; every other run splits the panel of its pass with the
-    largest error.  Each step hands ``panels`` the new panels of the whole
-    stack in one batch, a list of (run, ends) with ``ends`` a list of panel
-    ends (a, b): the leaves of a starting run, or the two halves of a split.
+    from them; every other run splits, in one step, the fewest of its
+    largest-error panels that leave the error of the rest within tolerance.
+    It pops the panel of largest error, then the next largest while the
+    error left on its heap exceeds max(``_ABS_TOL``, ``_REL_TOL`` * |total|),
+    and stops before a panel at ``_MAX_DEPTH``, which stays on the heap, and
+    before its panel count would pass ``_MAX_PANELS``.  These are the panels
+    a refinement splitting one panel a step would split, in the same order,
+    as long as no child of a split outgrows the panels left.  Each step
+    hands ``panels`` the new panels of the whole stack in one batch, a list
+    of (run, ends) with ``ends`` a list of panel ends (a, b): the leaves of
+    a starting run, or the two halves of each of its splits in turn.
     ``panels`` returns the lists of the estimates, errors and lower-rule
     estimates of all those panels, as floats, in batch order.
 
@@ -229,10 +243,11 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     panels' lower-rule estimates and its final panels as ``leaves``, in
     increasing order and with their depths, so a later pass over the same
     range starts from them.  A run also stops, with a
-    :class:`NonConvergedError` as ``failure``, when the panel it would
-    split sits at ``_MAX_DEPTH`` or its panel count reaches
+    :class:`NonConvergedError` as ``failure``, when its panel of largest
+    error sits at ``_MAX_DEPTH`` or its panel count exceeds
     ``_MAX_PANELS``; the runs after it take no part in that step.  Each
-    run's arithmetic and split order are those of a refinement alone.
+    run's arithmetic and split order are those of the same run refined
+    alone, outside a stack.
     Returns the runs that stopped, in stack order, at the first step where
     any did.
     """
@@ -243,31 +258,39 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
             if r.leaves is not None:
                 batch.append((r, [(a, b) for a, b, _ in r.leaves]))
                 continue
-            _, _, depth, a, b, v, g, err = heapq.heappop(r.heap)
-            if depth >= _MAX_DEPTH or len(r.heap) >= _MAX_PANELS:
+            # the j-th split of a step needs count + j <= _MAX_PANELS, as when
+            # each split is a step of its own
+            tol, left, count = max(_ABS_TOL, _REL_TOL * abs(r.total)), r.total_err, len(r.heap)
+            r.split, ends = [], []
+            while r.heap and (not r.split or left > tol):
+                if r.heap[0][2] >= _MAX_DEPTH or count + len(r.split) > _MAX_PANELS:
+                    break
+                _, _, depth, a, b, v, g, err = heapq.heappop(r.heap)
+                mid = 0.5 * (a + b)
+                r.split.append((depth, a, mid, b, v, g, err))
+                ends += [(a, mid), (mid, b)]
+                left -= err
+            if not r.split:
                 r.failure = failed = NonConvergedError(
-                    f"{what} did not converge at depth {depth} with {len(r.heap) + 1} "
+                    f"{what} did not converge at depth {r.heap[0][2]} with {count} "
                     f"panels (error {r.total_err:.3e})", r.total, r.total_err,
                     fn.counts[r.index])
                 break
-            r.split = (depth, v, g, err)
-            mid = 0.5 * (a + b)
-            batch.append((r, [(a, mid), (mid, b)]))
+            batch.append((r, ends))
         values, errors, lower = panels(batch) if batch else ((), (), ())
         k = 0
         for r, ends in batch:
             if r.leaves is None:
-                depth, v, g, err = r.split
-                (a, mid), (_, b) = ends
-                lv, rv, le, re = values[k], values[k + 1], errors[k], errors[k + 1]
-                lg, rg = lower[k], lower[k + 1]
-                r.total += lv + rv - v
-                r.total_err += le + re - err
-                r.gauss += lg + rg - g
-                heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, lg, le))
-                heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, rg, re))
-                r.uid += 2
-                k += 2
+                for depth, a, mid, b, v, g, err in r.split:
+                    lv, rv, le, re = values[k], values[k + 1], errors[k], errors[k + 1]
+                    lg, rg = lower[k], lower[k + 1]
+                    r.total += lv + rv - v
+                    r.total_err += le + re - err
+                    r.gauss += lg + rg - g
+                    heapq.heappush(r.heap, (-le, r.uid, depth + 1, a, mid, lv, lg, le))
+                    heapq.heappush(r.heap, (-re, r.uid + 1, depth + 1, mid, b, rv, rg, re))
+                    r.uid += 2
+                    k += 2
             else:
                 r.total, r.total_err, r.gauss, r.heap = 0.0, 0.0, 0.0, []
                 for uid, (a, b, depth) in enumerate(r.leaves):
@@ -286,12 +309,12 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     return stopped
 
 
-def _panel_nodes(ends, nodes: np.ndarray) -> tuple[list[float], np.ndarray]:
+def _panel_nodes(ends, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The half-widths of the panels ``ends``, a list of (a, b), and one row
     per panel of the rule ``nodes`` on [-1, 1] mapped onto it."""
-    halves = [0.5 * (b - a) for a, b in ends]
-    mids = np.array([0.5 * (a + b) for a, b in ends])
-    return halves, mids[:, None] + np.array(halves)[:, None] * nodes
+    a, b = np.array(ends).T
+    halves = 0.5 * (b - a)
+    return halves, (0.5 * (a + b))[:, None] + halves[:, None] * nodes
 
 
 def integrate_interval(f, a: float, b: float, *,
@@ -321,8 +344,8 @@ def integrate_interval(f, a: float, b: float, *,
                 * (width * _GRADE * t ** (_GRADE - 1))
         else:
             vals = fn(t.ravel()).reshape(t.shape)
-        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
-        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
+        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves.tolist(), vals)]
+        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves.tolist(), vals)]
         return hi, [abs(x - y) for x, y in zip(hi, lo)], lo
 
     run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
@@ -408,46 +431,43 @@ def sphere_rule_size(n: int, level: int) -> int:
     return 2 ** n * level ** (n - 1)
 
 
-def _reduce(values: np.ndarray, panels, halves, hi: list, err: list, lo: list) -> None:
-    """Append to ``hi``, ``err`` and ``lo`` the estimates, errors and
-    embedded Gauss estimates of the complete radial panels ``panels``, a
-    list of (q, run) all on one sphere rule and of one kind, whose values,
-    D directions by the run's nodes each, lie in order in ``values``: a
-    panel (q, run) gives ``halves[q] * (run.scale @ (its values @ w))``.  A
-    panel on the 15 Kronrod nodes gives its Kronrod estimate, the Gauss
-    estimate of its 7 embedded nodes and their difference; a check panel on
-    the 7 Gauss nodes alone gives its Gauss estimate as both, with no
-    error.  numpy's stacked matmul runs the 2-d kernel on each slice, so a
-    panel's bits do not depend on the panels reduced with it."""
-    _, w_k, w_g = _KRONROD
-    check = panels[0][1].check
-    scales = np.array([r.scale for _, r in panels])[:, None, :]
-    values = values.reshape(len(panels), scales.shape[-1], len(w_g if check else w_k))
+def _reduce(values: np.ndarray, group, ang: np.ndarray) -> None:
+    """Write to ``ang`` the angular sums of the radial panels of ``group``
+    at each of their nodes.  ``group`` lists pieces (run, q0, q1, 0, D,
+    pick, p): the whole panels q0 <= q < q1 of a run, all pieces on one
+    sphere rule of D directions and of one kind, their panels adjacent, and
+    evaluated at the p nodes ``pick`` of the 15.  Their values, p nodes by
+    D directions a panel, lie in order in ``values``; panel q of run r gets
+    ``ang[q, pick] = values (p, D) @ r.scale``.  numpy's stacked matmul
+    runs the 2-d kernel on each slice, so a panel's bits do not depend on
+    the panels reduced with it."""
+    _, first, _, _, d, pick, p = group[0]
+    last = group[-1][2]
+    # one member's panels share its scales; several members' are stacked
+    scales = group[0][0].scale if len(group) == 1 else np.array(
+        [r.scale for r, q0, q1, *_ in group for _ in range(q1 - q0)])[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite beyond double precision
-        gauss = np.matmul(scales, ((values if check else values[:, :, 1::2]) @ w_g)[:, :, None])
-        kronrod = gauss if check else np.matmul(scales, (values @ w_k)[:, :, None])
-    gauss = [halves[q] * x for (q, _), x in zip(panels, gauss.ravel().tolist())]
-    kronrod = [halves[q] * x for (q, _), x in zip(panels, kronrod.ravel().tolist())]
-    hi.extend(kronrod)
-    err.extend([0.0] * len(panels) if check else [abs(x - y) for x, y in zip(kronrod, gauss)])
-    lo.extend(gauss)
+        ang[first:last, pick] = np.matmul(values.reshape(last - first, p, d), scales).reshape(
+            last - first, p)
 
 
 class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
     level of its pass, whether that pass is a check, the value, error and
-    Gauss sum of its last full pass, that level's sphere-rule directions as
-    rows and as (n, D) contiguous coordinate columns, and the member's ray
-    radii and scales on it."""
+    Gauss sum of its last full pass, the (panels, 7) angular sums at the
+    Gauss nodes of a check that disagreed, which the next pass starts from,
+    that level's sphere-rule directions as rows and as (n, D) contiguous
+    coordinate columns, and the member's ray radii and scales on it."""
 
-    __slots__ = ("level", "check", "full", "dirs", "cols", "radii", "scale")
+    __slots__ = ("level", "check", "full", "sums", "dirs", "cols", "radii", "scale")
 
     def advance(self, n: int, evaluations: int) -> QuadratureResult | None:
         """After a pass that stopped within tolerance: the result once a check
         agrees with the full pass before it (at once for n = 1).  Else None,
         with the run set for its next pass: the check of a full pass at twice
         its level, or a full pass at the level of a check that disagreed; or
-        with ``failure`` set where that check was at ``_MAX_LEVEL``."""
+        with ``failure`` set where that check was at ``_MAX_LEVEL``.  A
+        check that disagreed keeps its Gauss sums for that pass."""
         if n == 1:
             return QuadratureResult(self.total, self.total_err, evaluations)
         if not self.check:
@@ -457,6 +477,7 @@ class _PolarRun(_Run):
         value, error, gauss = self.full
         ang_err = abs(self.total - gauss)
         if ang_err <= max(_ABS_TOL, _REL_TOL * abs(value)):
+            self.sums = None
             return QuadratureResult(value, error + ang_err, evaluations)
         if self.level >= _MAX_LEVEL:
             self.failure = NonConvergedError(
@@ -477,7 +498,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     a C-ordered (n, m) block, one row per coordinate), so ``f`` should read
     them by coordinate, and ``owners`` lists the (member, start, stop) row
     ranges of each member's points, in increasing order.  ``f`` must not
-    keep ``x``: its buffer takes the call's scaled values next.
+    keep ``x``: its buffer takes the next call's points.
     ``radii(dirs, members)`` gives the (len(members), len(dirs)) ray radii R
     of those members (a number is every member's R on every ray), and
     ``break_ratios`` holds one sequence per member.
@@ -485,7 +506,13 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     sums; every refinement step puts the new panels of every member still
     refining, a level's starting panels and the panels of a check among
     them, into one batch, which reaches ``f`` in calls of at most
-    ``_MAX_BATCH`` points.  The members refining or checking together hold
+    ``_MAX_BATCH`` points; adjacent whole panels of one kind on one sphere
+    rule are reduced together, across members, one 2-d product per panel,
+    so that no panel's bits depend on the panels reduced with it.  A member
+    whose check disagreed keeps that check's (panels, 7) angular sums at
+    the Gauss nodes while it waits, and the first step of its next pass
+    evaluates only the 8 other Kronrod nodes.  The members refining or
+    checking together hold
     at most ``_MAX_BATCH`` sphere-rule directions between them (a member
     whose rule is larger goes alone), so neither their radii and scales nor
     a ``radii`` call grow with the stack; the other members wait, and join
@@ -499,40 +526,52 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     """
     fn = _CountingFn(f, len(break_ratios))
     grade = _GRADE if singular_center else 1
-    nodes = _KRONROD[0]
+    nodes, w_k, w_g = _KRONROD
     block = None  # the values of a panel cut by calls, grown as needed
 
     def panels(batch):
         nonlocal block
         halves, t = _panel_nodes([e for _, ends in batch for e in ends], nodes)
         tau = t ** grade
-        jac = tau ** (n - 1) * (grade * t ** (grade - 1))
-        # the (panel, direction) pairs, panel-major, cut into calls of at most
-        # _MAX_BATCH points: a call may hold many panels and end inside one;
-        # a pair holds 15 Kronrod nodes, or 7 Gauss nodes in a check
-        calls, room, size = [[]], _MAX_BATCH, 0
-        for q, r in enumerate([r for r, ends in batch for _ in ends]):
-            # the nodes of the panel, of the 15, and their number
-            pick, p = (slice(1, None, 2), 7) if r.check else (slice(None), 15)
-            d, i = len(r.dirs), 0
-            while i < d:
-                if room < p and calls[-1]:
-                    calls.append([])
-                    room = _MAX_BATCH
-                j = min(d, i + max(1, room // p))
-                calls[-1].append((q, r, i, j, pick, p))
-                room -= (j - i) * p
-                i = j
-                size = max(size, _MAX_BATCH - room)
-        cols = np.empty((n, size))  # one call's points, a row per coordinate,
-        scaled = cols[0]  # and, once the call is back, their values times the Jacobian
-        hi, err, lo = [], [], []
+        ang = np.zeros(t.shape)  # each panel's angular sum at each of its nodes
+        # a run's panels are evaluated at the 15 Kronrod nodes, at the 7
+        # Gauss nodes in a check, or at the 8 others where a pass resumes
+        # the Gauss sums of a check; each panel's points are node-major,
+        # (p, D).  The panels in batch order are cut into calls of at most
+        # _MAX_BATCH points, whole (node, direction) pairs: a call may hold
+        # many panels and end inside one.  A piece [run, q0, q1, i, j, pick,
+        # p] of a call is the whole panels q0 <= q < q1 of a run (i, j = 0, D)
+        # or the directions i <= k < j of a panel cut by calls
+        calls, room, size, spans, q = [[]], _MAX_BATCH, 0, [], 0
+        for r, ends in batch:
+            pick, p = ((slice(1, None, 2), 7) if r.check else
+                       (slice(0, None, 2), 8) if r.sums is not None else (slice(None), 15))
+            d = len(r.dirs)
+            spans.append((r, q, q + len(ends)))
+            for _ in ends:
+                i = 0
+                while i < d:
+                    if room < p and calls[-1]:
+                        calls.append([])
+                        room = _MAX_BATCH
+                    j = min(d, i + max(1, room // p))
+                    last = calls[-1][-1] if calls[-1] else None
+                    if j - i == d and last and last[0] is r and last[4] - last[3] == d:
+                        last[2] += 1  # the run's next whole panel
+                    else:
+                        calls[-1].append([r, q, q + 1, i, j, pick, p])
+                    room -= (j - i) * p
+                    size = max(size, _MAX_BATCH - room)
+                    i = j
+                q += 1
+        cols = np.empty((n, size))  # one call's points, a row per coordinate
         for pieces in calls:
             owners, fill = [], 0
-            for q, r, i, j, pick, p in pieces:
-                stop = fill + (j - i) * p
-                np.multiply((r.radii[i:j, None] * tau[q, pick])[None], r.cols[:, i:j, None],
-                            out=cols[:, fill:stop].reshape(n, j - i, p))
+            for r, q0, q1, i, j, pick, p in pieces:
+                stop = fill + (q1 - q0) * p * (j - i)
+                np.multiply((tau[q0:q1, pick, None] * r.radii[i:j])[None],
+                            r.cols[:, None, None, i:j],
+                            out=cols[:, fill:stop].reshape(n, q1 - q0, p, j - i))
                 if owners and owners[-1][0] == r.index:
                     owners[-1][2] = stop
                 else:
@@ -541,30 +580,47 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
             fn.owners = owners
             vals = fn(cols[:, :fill].T)
             # adjacent whole panels of one kind on one sphere rule are reduced
-            # together; a panel cut by calls once block holds all of it
+            # together, across runs; a panel cut by calls once block holds all of it
             fill, first, group = 0, 0, []
-            for q, r, i, j, pick, p in pieces:
-                d, stop = len(r.dirs), fill + (j - i) * p
-                if group and (j - i < d or group[0][1].dirs is not r.dirs
-                              or group[0][1].check != r.check):
-                    _reduce(scaled[first:fill], group, halves, hi, err, lo)
+            for piece in pieces:
+                r, q0, q1, i, j, pick, p = piece
+                d, stop = len(r.dirs), fill + (q1 - q0) * p * (j - i)
+                if group and (j - i < d or group[0][0].dirs is not r.dirs or group[0][6] != p):
+                    _reduce(vals[first:fill], group, ang)
                     group = []
                 if j - i < d:
-                    if block is None or len(block) < d * p:
-                        block = np.empty(d * p)
-                    np.multiply(vals[fill:stop].reshape(j - i, p), jac[q, pick],
-                                out=block[i * p:j * p].reshape(j - i, p))
+                    if block is None or len(block) < p * d:
+                        block = np.empty(p * d)
+                    block[:p * d].reshape(p, d)[:, i:j] = vals[fill:stop].reshape(p, j - i)
                     if j == d:
-                        _reduce(block[:d * p], [(q, r)], halves, hi, err, lo)
+                        _reduce(block[:p * d], [(r, q0, q1, 0, d, pick, p)], ang)
                 else:
-                    np.multiply(vals[fill:stop].reshape(d, p), jac[q, pick],
-                                out=scaled[fill:stop].reshape(d, p))
                     first = first if group else fill
-                    group.append((q, r))
+                    group.append(piece)
                 fill = stop
             if group:
-                _reduce(scaled[first:fill], group, halves, hi, err, lo)
-        return hi, err, lo
+                _reduce(vals[first:fill], group, ang)
+        # a check keeps the Gauss sums of its panels, and a pass that resumes
+        # a check takes them back
+        for r, q0, q1 in spans:
+            if r.check:
+                r.sums = ang[q0:q1, 1::2].copy()
+            elif r.sums is not None:
+                ang[q0:q1, 1::2] = r.sums
+                r.sums = None
+        # each node's angular sum times its Jacobian, then the radial rules
+        jac = tau ** (n - 1)
+        if grade > 1:
+            jac *= grade * t ** (grade - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite beyond double precision
+            ang *= jac
+            kronrod = halves * (ang[:, None, :] @ w_k)[:, 0]
+            gauss = halves * (ang[:, None, 1::2] @ w_g)[:, 0]
+            err = np.abs(kronrod - gauss)
+        for r, q0, q1 in spans:
+            if r.check:  # its Gauss estimate stands for both, with no error
+                kronrod[q0:q1], err[q0:q1] = gauss[q0:q1], 0.0
+        return kronrod.tolist(), err.tolist(), gauss.tolist()
 
     def start(group):
         """The runs of ``group``, all at one level, take its sphere rule and
@@ -583,7 +639,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
             {float(t) for t in ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
         run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
-        run.level, run.check = 1 if n == 1 else _LEVEL // 2, False
+        run.level, run.check, run.sums = 1 if n == 1 else _LEVEL // 2, False, None
         waiting.insert(0, run)
     runs, results, failure = [], [None] * len(waiting), None
     while runs or waiting:
@@ -625,10 +681,15 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     at shared ratios: :func:`integrate_polar_stack` on a stack of one.
 
     With r = R(direction) * tau, panels in tau are identical across rays.
-    Each refinement step evaluates all of its new panels over the whole
-    sphere rule in one bounded batch: its (panel, direction) pairs, panel
-    by panel, reach the integrand in calls of at most ``_MAX_BATCH`` points,
-    and each panel is reduced over its own directions once they are in.
+    Each refinement step splits every panel it needs at once (see
+    :func:`_refine`) and evaluates all of its new panels over the whole
+    sphere rule in one bounded batch: each panel's points, node-major (its
+    nodes by the rule's directions), reach the integrand in calls of at
+    most ``_MAX_BATCH`` points, whole panels together and a panel too large
+    for a call cut by directions.  Once all of a panel's values are in, it
+    is reduced over its directions first, values (p, D) @ scales, one
+    angular sum per node; those sums times the nodes' Jacobians then take
+    the Kronrod and Gauss weights.
     ``f`` is called on an (m, n) view of points with contiguous columns,
     best read by coordinate, and must not keep it: the next call may write
     over it.
@@ -641,7 +702,9 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     Gauss nodes of its final panels alone: where the 7-point sums G7 of the
     two levels agree, the result is the 15-point value of level L with
     error its radial error plus |G7(2L) - G7(L)|; else a full pass at level
-    2L starts from those panels and level 4L checks it.  Raises
+    2L starts from those panels, keeping the check's angular sums at the 7
+    Gauss nodes so that its first step evaluates only the 8 other nodes,
+    and level 4L checks it.  Raises
     :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH`` or a
     check at ``_MAX_LEVEL`` disagrees.
     """

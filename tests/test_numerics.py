@@ -269,6 +269,16 @@ def _turned_harmonic(a, b, m: int):
 
 HARD_CASES = [(n, m) for n in (2, 3, 4) for m in (6, 10, 14, 22)]
 
+# the evaluations of each case: a pass that follows a check that disagreed
+# takes the check's sums at the 7 Gauss nodes of its panels and evaluates
+# only the 8 other Kronrod nodes there (1,498,208 in all; 1,659,488 when
+# such a pass evaluated all 15)
+HARD_EVALUATIONS = {
+    (2, 6): 232, (2, 10): 232, (2, 14): 232, (2, 22): 232,
+    (3, 6): 1_376, (3, 10): 5_984, (3, 14): 5_984, (3, 22): 49_312,
+    (4, 6): 9_088, (4, 10): 74_624, (4, 14): 151_168, (4, 22): 1_199_744,
+}
+
 
 class TestAngularlyHard:
     @pytest.mark.parametrize("n,m", HARD_CASES, ids=[f"n{n}-m{m}" for n, m in HARD_CASES])
@@ -283,6 +293,7 @@ class TestAngularlyHard:
         a, b = _haar_pair(n, np.random.default_rng(100 * n + m))
         r = integrate_polar_separable(_turned_harmonic(a, b, m), n, 1.0)
         assert abs(r.value - kappa(n)) <= r.error + 8 * math.ulp(kappa(n))
+        assert r.evaluations == HARD_EVALUATIONS[n, m]
         # levels 2 and 4 are exact below degrees 8 and 16 in n = 3 and 4, so
         # degree 22 needs a level past the first check; in n = 2 the
         # trapezoidal rules integrate cos(m theta) exactly for these m
@@ -345,6 +356,69 @@ class TestKronrodPanels:
         assert resumed == leaves and again == pytest.approx(value, rel=1e-14)
 
 
+
+class TestSplitRule:
+    """A refinement step splits the fewest of a run's largest-error panels
+    that leave the error of the rest within tolerance, in one batch."""
+
+    # six unit panels of value 0, so the tolerance is _ABS_TOL = 1e-10,
+    # with errors (in 1e-11) 4, 32, 1, 16, 2, 8; every half has error 1e-13
+    ERRORS = {(0.0, 1.0): 4e-11, (1.0, 2.0): 32e-11, (2.0, 3.0): 1e-11,
+              (3.0, 4.0): 16e-11, (4.0, 5.0): 2e-11, (5.0, 6.0): 8e-11}
+
+    def _refine(self, depths=None):
+        """The batches of a stack of one over the six panels, and the run."""
+        batches = []
+
+        def panels(batch):
+            ((_, ends),) = batch
+            batches.append(ends)
+            zeros = [0.0] * len(ends)
+            return zeros, [self.ERRORS.get(e, 1e-13) for e in ends], zeros
+
+        depths = depths or {}
+        run = numerics._Run(0, [(a, b, depths.get(a, 0)) for a, b in sorted(self.ERRORS)])
+        numerics._refine(panels, [run], numerics._CountingFn(None, 1), "test")
+        return batches, run
+
+    @staticmethod
+    def _halves(*panels):
+        return [half for a in panels for half in ((a, a + 0.5), (a + 0.5, a + 1.0))]
+
+    def test_splits_the_fewest_largest_panels_at_once(self):
+        # 63 above a tolerance of 10: splitting 32, 16 and 8 leaves 7
+        batches, run = self._refine()
+        assert batches[1:] == [self._halves(1.0, 3.0, 5.0)]
+        assert run.failure is None and run.total_err <= 1e-10
+        assert len(run.leaves) == 9
+
+    def test_panel_at_depth_budget_stays(self):
+        # 16 sits at _MAX_DEPTH: the step splits 32 alone, and the next one,
+        # whose largest panel is 16, fails as a refinement one panel a step
+        # would; the failure reports the sums after the first split
+        batches, run = self._refine({3.0: numerics._MAX_DEPTH})
+        assert batches[1:] == [self._halves(1.0)]
+        failure = run.failure
+        assert isinstance(failure, NonConvergedError)
+        assert str(failure) == (f"test did not converge at depth {numerics._MAX_DEPTH} "
+                                f"with 7 panels (error {run.total_err:.3e})")
+        assert (failure.value, failure.error) == (run.total, run.total_err)
+
+    def test_largest_panel_at_depth_budget_fails_at_once(self):
+        batches, run = self._refine({1.0: numerics._MAX_DEPTH})
+        assert len(batches) == 1
+        assert str(run.failure) == (f"test did not converge at depth {numerics._MAX_DEPTH} "
+                                    f"with 6 panels (error {run.total_err:.3e})")
+
+    def test_panel_budget(self, monkeypatch):
+        # with 6 panels and a budget of 7, a refinement one panel a step
+        # splits twice (6 -> 7 -> 8 panels) and fails at the third: so does
+        # a step, which splits 32 and 16 and stops before 8
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 7)
+        batches, run = self._refine()
+        assert batches[1:] == [self._halves(1.0, 3.0)]
+        assert "with 8 panels" in str(run.failure)
+
 class TestPolarWork:
     def test_radial_tent_costs_one_level_and_its_check(self):
         # whitened, the tent integrand of a quadratic is radial: one 15-point
@@ -374,36 +448,34 @@ class TestPolarWork:
         return sizes
 
     def test_one_integrand_call_per_refinement_step(self, monkeypatch):
-        # every refinement evaluates its starting leaves in one batch, and the
-        # two halves of each split in one more, and a check its leaves in
-        # one; a batch takes more than one call only where its points exceed
-        # the _MAX_BATCH budget
+        # every refinement step evaluates its new panels in one batch: the
+        # starting leaves, or the halves of every panel the step splits, or
+        # a check's leaves; a batch takes more than one call only where its
+        # points exceed the _MAX_BATCH budget
         sizes = self._call_sizes(monkeypatch)
         batches = []  # the number of calls before each refinement step
-        refine, heappop = numerics._refine, numerics.heapq.heappop
+        refine = numerics._refine
 
-        def counted_refine(*args):
-            batches.append(len(sizes))
-            return refine(*args)
-
-        def counted_heappop(heap):
-            batches.append(len(sizes))
-            return heappop(heap)
+        def counted_refine(panels, *args):
+            def counted_panels(batch):
+                batches.append(len(sizes))
+                return panels(batch)
+            return refine(counted_panels, *args)
 
         monkeypatch.setattr(numerics, "_refine", counted_refine)
-        monkeypatch.setattr(numerics.heapq, "heappop", counted_heappop)
         res = eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                           Quadratic(np.diag([1.0, 0.5, 0.25])))
-        # level 2, its nine splits, and the check of its 11 panels at level 4,
-        # 11 x 128 x 7 = 9,856 points in one call
-        assert len(batches) == 11 and len(sizes) == 11 and sizes[-1] == 9856
+        # level 2 (32 directions) from its 2 panels, one step of one split
+        # and four of two, so 11 panels, and the check of those 11 panels at
+        # level 4, 11 x 128 x 7 = 9,856 points in one call
+        assert len(batches) == 7 and sizes == [960, 960] + [1920] * 4 + [9856]
         budget = numerics._MAX_BATCH // 15 * 15  # and // 7 * 7
         for first, last in zip(batches, batches[1:] + [len(sizes)]):
             assert last - first == math.ceil(sum(sizes[first:last]) / budget)
         assert sum(sizes) == res.integrand_evals
         # the value, error and count of the per-panel evaluation, bit for bit
         assert (res.value.hex(), res.error.hex(), res.integrand_evals) == (
-            "0x1.0d4c4618dfecdp+3", "0x1.fd973fe636000p-31", 19456)
+            "0x1.0d4c4618dfecdp+3", "0x1.fd97cfe614000p-31", 19456)
 
     def test_points_are_contiguous_columns(self, monkeypatch):
         # the integrand gets (m, n) points whose coordinates are contiguous
@@ -464,19 +536,62 @@ MEMBERS = [
 ]
 
 
+def _bump(x):
+    """A smooth bump of radius 0.8, flat to every order at its edge."""
+    s = np.minimum(_radius(x) ** 2 / 0.64, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.exp(-1.0 / (1.0 - s))
+
+
+def _harmonic(a, b, m: int):
+    """1 + Re((x.a + i x.b)^m) e^{-|x|^2}, point by point (``x @ a`` is a
+    matrix-vector product whose bits may depend on a row's position)."""
+    def f(x):
+        z = sum(x[:, k] * a[k] for k in range(len(a))) + 1j * sum(
+            x[:, k] * b[k] for k in range(len(b)))
+        return 1.0 + (z ** m).real * np.exp(-_radius(x) ** 2)
+    return f
+
+
+def _ellipsoid(dirs):
+    return 1.0 / np.sqrt((dirs ** 2).sum(axis=1) + 0.5 * dirs[:, 1] ** 2)
+
+
+def _members(n: int):
+    """MEMBERS, and in n > 2 a bump, a member singular at the center and a
+    harmonic of degree 10, whose check at level 4 disagrees; the ellipse's
+    members take an ellipsoid."""
+    if n == 2:
+        return MEMBERS
+    a, b = _haar_pair(n, np.random.default_rng(n))
+    return [(f, _ellipsoid if r is _ellipse else r, ratios) for f, r, ratios in MEMBERS] + [
+        (_bump, 1.0, ()), (lambda x: 1.0 / np.sqrt(_radius(x)), 1.0, (0.5,)),
+        (_harmonic(a, b, 10), 1.0, ())]
+
+
 class TestPolarStack:
     """A stack integrates each member as ``integrate_polar_separable`` alone."""
 
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_members_equal_alone(self, singular):
-        fs = [f for f, _, _ in MEMBERS]
+    @pytest.mark.parametrize("singular", [False, True], ids=["plain", "graded"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_members_equal_alone(self, n, singular, monkeypatch):
+        # in n > 2, a budget of 1,000 points a call cuts every panel of 128
+        # or more directions across calls, the stack's at other places than
+        # each member's own; the passes at level 4 of the harmonic and of
+        # exp(3 x_0) resume the Gauss sums of their checks, 8 x 128 points
+        # a panel, also cut
+        if n > 2:
+            monkeypatch.setattr(numerics, "_MAX_BATCH", 1000)
+        members = _members(n)
+        fs = [f for f, _, _ in members]
         stacked = numerics.integrate_polar_stack(
-            _stacked(fs), 2, _radii([r for _, r, _ in MEMBERS]),
-            [ratios for _, _, ratios in MEMBERS], singular)
-        alone = [integrate_polar_separable(f, 2, r, break_ratios=ratios,
+            _stacked(fs), n, _radii([r for _, r, _ in members]),
+            [ratios for _, _, ratios in members], singular)
+        alone = [integrate_polar_separable(f, n, r, break_ratios=ratios,
                                            singular_center=singular)
-                 for f, r, ratios in MEMBERS]
-        assert len({res.evaluations for res in alone}) == len(MEMBERS)
+                 for f, r, ratios in members]
+        # the members take different numbers of levels, splits and panels
+        assert len({res.evaluations for res in alone}) >= len(MEMBERS)
         assert [(r.value.hex(), r.error.hex(), r.evaluations) for r in stacked] == [
             (r.value.hex(), r.error.hex(), r.evaluations) for r in alone]
 
