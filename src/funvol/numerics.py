@@ -344,8 +344,9 @@ def integrate_interval(f, a: float, b: float, *,
                 * (width * _GRADE * t ** (_GRADE - 1))
         else:
             vals = fn(t.ravel()).reshape(t.shape)
-        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves.tolist(), vals)]
-        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves.tolist(), vals)]
+        halves = halves.tolist()
+        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
+        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
         return hi, [abs(x - y) for x, y in zip(hi, lo)], lo
 
     run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
@@ -433,19 +434,20 @@ def sphere_rule_size(n: int, level: int) -> int:
 
 def _reduce(values: np.ndarray, group, ang: np.ndarray) -> None:
     """Write to ``ang`` the angular sums of the radial panels of ``group``
-    at each of their nodes.  ``group`` lists pieces (run, q0, q1, 0, D,
-    pick, p): the whole panels q0 <= q < q1 of a run, all pieces on one
-    sphere rule of D directions and of one kind, their panels adjacent, and
-    evaluated at the p nodes ``pick`` of the 15.  Their values, p nodes by
-    D directions a panel, lie in order in ``values``; panel q of run r gets
-    ``ang[q, pick] = values (p, D) @ r.scale``.  numpy's stacked matmul
-    runs the 2-d kernel on each slice, so a panel's bits do not depend on
-    the panels reduced with it."""
-    _, first, _, _, d, pick, p = group[0]
-    last = group[-1][2]
+    at each of their nodes.  ``group`` lists pieces (run, q0, q1, i, j,
+    pick, p), each the panels q0 <= q < q1 of a run with all their values
+    (a panel cut by calls comes alone, once its block is complete).  The
+    pieces share one sphere rule of D directions and one kind, evaluated
+    at the p nodes ``pick`` of the 15, and their panels are adjacent.  The
+    values, p nodes by D directions a panel, lie in order in ``values``;
+    panel q of run r gets ``ang[q, pick] = values (p, D) @ r.scale``.
+    numpy's stacked matmul runs the 2-d kernel on each slice, so a panel's
+    bits do not depend on the panels reduced with it."""
+    r, first, _, _, _, pick, p = group[0]
+    last, d = group[-1][2], len(r.dirs)
     # one member's panels share its scales; several members' are stacked
-    scales = group[0][0].scale if len(group) == 1 else np.array(
-        [r.scale for r, q0, q1, *_ in group for _ in range(q1 - q0)])[:, :, None]
+    scales = r.scale if len(group) == 1 else np.array(
+        [s.scale for s, q0, q1, *_ in group for _ in range(q1 - q0)])[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite beyond double precision
         ang[first:last, pick] = np.matmul(values.reshape(last - first, p, d), scales).reshape(
             last - first, p)
@@ -593,7 +595,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
                         block = np.empty(p * d)
                     block[:p * d].reshape(p, d)[:, i:j] = vals[fill:stop].reshape(p, j - i)
                     if j == d:
-                        _reduce(block[:p * d], [(r, q0, q1, 0, d, pick, p)], ang)
+                        _reduce(block[:p * d], [piece], ang)
                 else:
                     first = first if group else fill
                     group.append(piece)
