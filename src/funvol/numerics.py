@@ -15,11 +15,13 @@ largest-error panels that leave the error of the rest within tolerance,
 the panels a refinement of one split a step would split as long as no
 child outgrows the panels left.  Interval quadrature is a stack of one.
 Interval panels carry a 31-point Gauss rule checked against a 16-point
-one, radial panels the Gauss-Kronrod 7/15 pair with its embedded error; a
-radial batch holds every direction of each member's sphere rule for each
-of its panels, node-major, and reaches the integrand in calls of at most
-``_MAX_BATCH`` points, and the members refining together hold at most
-``_MAX_BATCH`` directions.  A radial panel is reduced over its directions
+one, and an interval batch reaches the integrand in calls of the whole
+panels that fit in ``_MAX_BATCH`` points.  Radial panels carry the
+Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds
+every direction of each member's sphere rule for each of its panels,
+node-major, and reaches the integrand in calls of at most ``_MAX_BATCH``
+points, and the members refining together hold at most ``_MAX_BATCH``
+directions.  A radial panel is reduced over its directions
 first, one angular sum per node, and then over its nodes.  A polar call's
 points are an (m, n) view of a column-major buffer: each coordinate is one
 contiguous column, so an integrand reads them by coordinate (``row_norms``
@@ -32,10 +34,8 @@ radial panels at angular level 2, then checks that pass at level 4 by the
 two levels on the same panels differ by the angular error, which the
 member adds to its radial error when it is within tolerance, keeping the
 15-point value of the checked level.  A check that disagrees runs a full
-pass at its own level, from the same panels, whose first step takes the
-check's angular sums at the 7 Gauss nodes and evaluates only the 8 other
-Kronrod nodes; the next level checks that pass, and so on up to
-``_MAX_LEVEL``.  Every level integrates constants exactly,
+pass at its own level, from the same panels, which the next level checks,
+and so on up to ``_MAX_LEVEL``.  Every level integrates constants exactly,
 consecutive levels are turned against each other so that they cannot
 alias together, and each pass or check starts from the radial panels the
 last pass ended with.  Sphere rules, and so polar quadrature, cover n <= 4;
@@ -135,7 +135,7 @@ _ABS_TOL = 1e-10       # a refinement stops once its error is at most
 _REL_TOL = 1e-9        # max(_ABS_TOL, _REL_TOL * |value|)
 _LEVEL = 4             # first check level of polar quadrature, twice its first level
 _MAX_LEVEL = 64        # angular level budget of polar quadrature
-_MAX_BATCH = 1 << 14   # integrand points per call, and directions held, of polar quadrature
+_MAX_BATCH = 1 << 14   # integrand points per quadrature call, and directions held by a polar stack
 
 # Gauss-Kronrod 7/15 pair on [-1, 1] (QUADPACK qk15): the nonnegative
 # Kronrod abscissae in decreasing order, their weights, and the weights of
@@ -322,7 +322,8 @@ def integrate_interval(f, a: float, b: float, *,
     """Adaptive Gauss estimate of the integral of ``f`` over a finite (a, b).
 
     Panels carry a 31-point rule checked against a 16-point one and are
-    bisected in x.  With ``singular_left`` the graded substitution
+    bisected in x, and a refinement step's panels reach ``f`` in calls of
+    at most ``_MAX_BATCH`` points, whole panels.  With ``singular_left`` the graded substitution
     x = a + (b-a) t^2 clusters the nodes at ``a`` and the panels are bisected
     in t, so integrable endpoint singularities (log, or power of exponent
     > -1) converge; x^(-1/2) becomes smooth.
@@ -333,20 +334,23 @@ def integrate_interval(f, a: float, b: float, *,
         return QuadratureResult(0.0, 0.0, 0)
     fn = _CountingFn(lambda x, owners: f(x), 1)
     nodes, w_hi, w_lo = _gauss_pair(_INTERVAL_ORDER)
-    width = b - a
+    width, per_call = b - a, max(1, _MAX_BATCH // len(nodes))
 
     def panels(batch):
         ((_, ends),) = batch
-        halves, t = _panel_nodes(ends, nodes)
-        fn.owners = [(0, 0, t.size)]
-        if singular_left:
-            vals = fn((a + width * t ** _GRADE).ravel()).reshape(t.shape) \
-                * (width * _GRADE * t ** (_GRADE - 1))
-        else:
-            vals = fn(t.ravel()).reshape(t.shape)
-        halves = halves.tolist()
-        hi = [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
-        lo = [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
+        hi, lo = [], []
+        # the whole panels that fit in _MAX_BATCH points make one call
+        for k in range(0, len(ends), per_call):
+            halves, t = _panel_nodes(ends[k:k + per_call], nodes)
+            fn.owners = [(0, 0, t.size)]
+            if singular_left:
+                vals = fn((a + width * t ** _GRADE).ravel()).reshape(t.shape) \
+                    * (width * _GRADE * t ** (_GRADE - 1))
+            else:
+                vals = fn(t.ravel()).reshape(t.shape)
+            halves = halves.tolist()
+            hi += [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
+            lo += [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
         return hi, [abs(x - y) for x, y in zip(hi, lo)], lo
 
     run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
@@ -456,20 +460,18 @@ def _reduce(values: np.ndarray, group, ang: np.ndarray) -> None:
 class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
     level of its pass, whether that pass is a check, the value, error and
-    Gauss sum of its last full pass, the (panels, 7) angular sums at the
-    Gauss nodes of a check that disagreed, which the next pass starts from,
-    that level's sphere-rule directions as rows and as (n, D) contiguous
-    coordinate columns, and the member's ray radii and scales on it."""
+    Gauss sum of its last full pass, that level's sphere-rule directions as
+    rows and as (n, D) contiguous coordinate columns, and the member's ray
+    radii and scales on it."""
 
-    __slots__ = ("level", "check", "full", "sums", "dirs", "cols", "radii", "scale")
+    __slots__ = ("level", "check", "full", "dirs", "cols", "radii", "scale")
 
     def advance(self, n: int, evaluations: int) -> QuadratureResult | None:
         """After a pass that stopped within tolerance: the result once a check
         agrees with the full pass before it (at once for n = 1).  Else None,
         with the run set for its next pass: the check of a full pass at twice
         its level, or a full pass at the level of a check that disagreed; or
-        with ``failure`` set where that check was at ``_MAX_LEVEL``.  A
-        check that disagreed keeps its Gauss sums for that pass."""
+        with ``failure`` set where that check was at ``_MAX_LEVEL``."""
         if n == 1:
             return QuadratureResult(self.total, self.total_err, evaluations)
         if not self.check:
@@ -479,7 +481,6 @@ class _PolarRun(_Run):
         value, error, gauss = self.full
         ang_err = abs(self.total - gauss)
         if ang_err <= max(_ABS_TOL, _REL_TOL * abs(value)):
-            self.sums = None
             return QuadratureResult(value, error + ang_err, evaluations)
         if self.level >= _MAX_LEVEL:
             self.failure = NonConvergedError(
@@ -510,12 +511,9 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     them, into one batch, which reaches ``f`` in calls of at most
     ``_MAX_BATCH`` points; adjacent whole panels of one kind on one sphere
     rule are reduced together, across members, one 2-d product per panel,
-    so that no panel's bits depend on the panels reduced with it.  A member
-    whose check disagreed keeps that check's (panels, 7) angular sums at
-    the Gauss nodes while it waits, and the first step of its next pass
-    evaluates only the 8 other Kronrod nodes.  The members refining or
-    checking together hold
-    at most ``_MAX_BATCH`` sphere-rule directions between them (a member
+    so that no panel's bits depend on the panels reduced with it.  The
+    members refining or checking together hold at most ``_MAX_BATCH``
+    sphere-rule directions between them (a member
     whose rule is larger goes alone), so neither their radii and scales nor
     a ``radii`` call grow with the stack; the other members wait, and join
     in stack order as directions come free.  The members that start a level
@@ -536,20 +534,19 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         halves, t = _panel_nodes([e for _, ends in batch for e in ends], nodes)
         tau = t ** grade
         ang = np.zeros(t.shape)  # each panel's angular sum at each of its nodes
-        # a run's panels are evaluated at the 15 Kronrod nodes, at the 7
-        # Gauss nodes in a check, or at the 8 others where a pass resumes
-        # the Gauss sums of a check; each panel's points are node-major,
-        # (p, D).  The panels in batch order are cut into calls of at most
-        # _MAX_BATCH points, whole (node, direction) pairs: a call may hold
-        # many panels and end inside one.  A piece [run, q0, q1, i, j, pick,
+        # a run's panels are evaluated at the 15 Kronrod nodes, or at the 7
+        # Gauss nodes in a check; each panel's points are node-major, (p, D).
+        # The panels in batch order are cut into calls of at most _MAX_BATCH
+        # points, whole (node, direction) pairs: a call may hold many panels
+        # and end inside one.  A piece [run, q0, q1, i, j, pick,
         # p] of a call is the whole panels q0 <= q < q1 of a run (i, j = 0, D)
         # or the directions i <= k < j of a panel cut by calls
-        calls, room, size, spans, q = [[]], _MAX_BATCH, 0, [], 0
+        calls, room, size, checks, q = [[]], _MAX_BATCH, 0, [], 0
         for r, ends in batch:
-            pick, p = ((slice(1, None, 2), 7) if r.check else
-                       (slice(0, None, 2), 8) if r.sums is not None else (slice(None), 15))
+            pick, p = (slice(1, None, 2), 7) if r.check else (slice(None), 15)
             d = len(r.dirs)
-            spans.append((r, q, q + len(ends)))
+            if r.check:
+                checks.append((q, q + len(ends)))
             for _ in ends:
                 i = 0
                 while i < d:
@@ -602,14 +599,6 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
                 fill = stop
             if group:
                 _reduce(vals[first:fill], group, ang)
-        # a check keeps the Gauss sums of its panels, and a pass that resumes
-        # a check takes them back
-        for r, q0, q1 in spans:
-            if r.check:
-                r.sums = ang[q0:q1, 1::2].copy()
-            elif r.sums is not None:
-                ang[q0:q1, 1::2] = r.sums
-                r.sums = None
         # each node's angular sum times its Jacobian, then the radial rules
         jac = tau ** (n - 1)
         if grade > 1:
@@ -619,9 +608,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
             kronrod = halves * (ang[:, None, :] @ w_k)[:, 0]
             gauss = halves * (ang[:, None, 1::2] @ w_g)[:, 0]
             err = np.abs(kronrod - gauss)
-        for r, q0, q1 in spans:
-            if r.check:  # its Gauss estimate stands for both, with no error
-                kronrod[q0:q1], err[q0:q1] = gauss[q0:q1], 0.0
+        for q0, q1 in checks:  # a check's Gauss estimate stands for both, with no error
+            kronrod[q0:q1], err[q0:q1] = gauss[q0:q1], 0.0
         return kronrod.tolist(), err.tolist(), gauss.tolist()
 
     def start(group):
@@ -641,7 +629,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         edges = [0.0] + [e ** (1.0 / grade) for e in sorted(
             {float(t) for t in ratios if 1e-14 < t < 1.0 - 1e-14} | {1.0})]
         run = _PolarRun(index, [(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
-        run.level, run.check, run.sums = 1 if n == 1 else _LEVEL // 2, False, None
+        run.level, run.check = 1 if n == 1 else _LEVEL // 2, False
         waiting.insert(0, run)
     runs, results, failure = [], [None] * len(waiting), None
     while runs or waiting:
@@ -704,9 +692,7 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     Gauss nodes of its final panels alone: where the 7-point sums G7 of the
     two levels agree, the result is the 15-point value of level L with
     error its radial error plus |G7(2L) - G7(L)|; else a full pass at level
-    2L starts from those panels, keeping the check's angular sums at the 7
-    Gauss nodes so that its first step evaluates only the 8 other nodes,
-    and level 4L checks it.  Raises
+    2L starts from those panels and level 4L checks it.  Raises
     :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH`` or a
     check at ``_MAX_LEVEL`` disagrees.
     """

@@ -150,6 +150,32 @@ class TestIntervalQuadrature:
         with pytest.raises(NonConvergedError, match="interval quadrature"):
             integrate_interval(lambda t: np.abs(np.sin(40.0 * t)) ** 0.3, 0.0, 3.0)
 
+    def test_calls_hold_at_most_max_batch_points(self, monkeypatch):
+        # a step splits every panel the tolerance needs, so a refinement that
+        # does not converge splits about all of its panels a step; they reach
+        # the integrand in calls of whole panels, at most _MAX_BATCH points
+        budget = 20 * 47
+        monkeypatch.setattr(numerics, "_MAX_BATCH", budget + 46)
+        monkeypatch.setattr(numerics, "_MAX_PANELS", 5000)
+        sizes = []
+
+        def noise(t):
+            sizes.append(t.size)
+            return np.sin(1e9 * t)
+
+        with pytest.raises(NonConvergedError, match="with 5001 panels"):
+            integrate_interval(noise, 0.0, 1.0)
+        assert max(sizes) == budget and sum(sizes) > 100 * budget
+
+    def test_calls_keep_values(self, monkeypatch):
+        # cutting a step into calls changes no panel's bits
+        f = lambda t: np.abs(np.sin(40.0 * t)) ** 0.3
+        whole = integrate_interval(f, 0.0, 3.0)
+        monkeypatch.setattr(numerics, "_MAX_BATCH", 100)
+        cut = integrate_interval(f, 0.0, 3.0)
+        assert (cut.value.hex(), cut.error.hex(), cut.evaluations) == (
+            whole.value.hex(), whole.error.hex(), whole.evaluations)
+
     @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
     def test_rejects_non_finite_bound(self, a, b):
         with pytest.raises(ValueError, match="finite bounds"):
@@ -269,14 +295,12 @@ def _turned_harmonic(a, b, m: int):
 
 HARD_CASES = [(n, m) for n in (2, 3, 4) for m in (6, 10, 14, 22)]
 
-# the evaluations of each case: a pass that follows a check that disagreed
-# takes the check's sums at the 7 Gauss nodes of its panels and evaluates
-# only the 8 other Kronrod nodes there (1,498,208 in all; 1,659,488 when
-# such a pass evaluated all 15)
+# the evaluations of each case, 1,659,488 in all: the same whether a step
+# splits one panel or every panel the tolerance needs
 HARD_EVALUATIONS = {
     (2, 6): 232, (2, 10): 232, (2, 14): 232, (2, 22): 232,
-    (3, 6): 1_376, (3, 10): 5_984, (3, 14): 5_984, (3, 22): 49_312,
-    (4, 6): 9_088, (4, 10): 74_624, (4, 14): 151_168, (4, 22): 1_199_744,
+    (3, 6): 1_376, (3, 10): 6_880, (3, 14): 6_880, (3, 22): 58_272,
+    (4, 6): 9_088, (4, 10): 81_792, (4, 14): 165_504, (4, 22): 1_328_768,
 }
 
 
@@ -577,9 +601,8 @@ class TestPolarStack:
     def test_members_equal_alone(self, n, singular, monkeypatch):
         # in n > 2, a budget of 1,000 points a call cuts every panel of 128
         # or more directions across calls, the stack's at other places than
-        # each member's own; the passes at level 4 of the harmonic and of
-        # exp(3 x_0) resume the Gauss sums of their checks, 8 x 128 points
-        # a panel, also cut
+        # each member's own; the checks of the harmonic and of exp(3 x_0)
+        # at level 4 disagree, and their passes at level 4 follow
         if n > 2:
             monkeypatch.setattr(numerics, "_MAX_BATCH", 1000)
         members = _members(n)
