@@ -5,12 +5,12 @@ functions of eigenvalues, unit-ball volumes, and a counter-based
 deterministic RNG.  Everything here is pure; quadrature routines report an
 error estimate alongside the value and raise :class:`NonConvergedError` when
 the fixed budget (bisection depth, panel count, angular level) runs out
-before the fixed tolerance is met.  One adaptive loop, :func:`_refine`,
-refines the panels of both interval and radial quadrature, for a stack of
-integrals in lockstep: each step evaluates the new panels of every member
-still refining in one batch, the panels a member starts from or the two
-halves of each panel it splits, while each member keeps its own heap, sums
-and split order.  A step splits at once the fewest of a member's
+before the fixed tolerance is met, or once a value or error leaves double
+precision.  One adaptive loop, :func:`_refine`, refines the panels of both
+interval and radial quadrature, for a stack of integrals in lockstep: each
+step evaluates the new panels of every member still refining in one batch,
+the panels a member starts from or the two halves of each panel it splits,
+while each member keeps its own heap, sums and split order.  A step splits at once the fewest of a member's
 largest-error panels that leave the error of the rest within tolerance,
 the panels a refinement of one split a step would split as long as no
 child outgrows the panels left.  Interval quadrature is a stack of one.
@@ -18,11 +18,19 @@ Interval panels carry a 31-point Gauss rule checked against a 16-point
 one, and an interval batch reaches the integrand in calls of the whole
 panels that fit in ``_MAX_BATCH`` points.  Radial panels carry the
 Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds
-every direction of each member's sphere rule for each of its panels,
-node-major, and reaches the integrand in calls of at most ``_MAX_BATCH``
-points, and the members refining together hold at most ``_MAX_BATCH``
-directions.  A radial panel is reduced over its directions
-first, one angular sum per node, and then over its nodes.  A polar call's
+every direction of each member's sphere rule (but see ray-invariant
+members below) for each of its panels, node-major, and reaches the
+integrand in calls of at most ``_MAX_BATCH`` points, and the members
+refining together hold at most ``_MAX_BATCH`` directions.  A radial panel
+is reduced over its directions first, one angular sum per node, and then
+over its nodes.  A stack whose integrands take the same value at the same
+radius fraction on every ray, as the dual integrand of a quadratic,
+weight(|x|) e_j(eig) over a ball, is ray-invariant: each level evaluates
+it on its rule's first direction alone, scaled by the sum of the whole
+rule's scales, and it counts one direction against ``_MAX_BATCH``.  The
+smooth integrand of a quadratic is not: it is radial in its whitened frame
+only in exact arithmetic, and one ray keeps the rounding of A A^{-1} that
+the whole rule averages out.  A polar call's
 points are an (m, n) view of a column-major buffer: each coordinate is one
 contiguous column, so an integrand reads them by coordinate (``row_norms``
 sums their squares column by column), and must not keep them.  A singular
@@ -245,7 +253,9 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
     range starts from them.  A run also stops, with a
     :class:`NonConvergedError` as ``failure``, when its panel of largest
     error sits at ``_MAX_DEPTH`` or its panel count exceeds
-    ``_MAX_PANELS``; the runs after it take no part in that step.  Each
+    ``_MAX_PANELS``, and the runs after it take no part in that step; or
+    once its value or error is not finite, which no split can mend, since
+    the running sums subtract each split panel's value.  Each
     run's arithmetic and split order are those of the same run refined
     alone, outside a stack.
     Returns the runs that stopped, in stack order, at the first step where
@@ -301,7 +311,12 @@ def _refine(panels, runs, fn: _CountingFn, what: str):
                     heapq.heappush(r.heap, (-err, uid, depth, a, b, v, g, err))
                     k += 1
                 r.uid, r.leaves = len(r.heap), None
-            if r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)):
+            if not (math.isfinite(r.total) and math.isfinite(r.total_err)):
+                r.failure = NonConvergedError(
+                    f"{what} left double precision (value {r.total:.3e}, error "
+                    f"{r.total_err:.3e})", r.total, r.total_err, fn.counts[r.index])
+                stopped.append(r)
+            elif r.total_err <= max(_ABS_TOL, _REL_TOL * abs(r.total)):
                 r.leaves = sorted((a, b, depth) for _, _, depth, a, b, _, _, _ in r.heap)
                 stopped.append(r)
         if failed is not None:
@@ -441,7 +456,8 @@ def _reduce(values: np.ndarray, group, ang: np.ndarray) -> None:
     at each of their nodes.  ``group`` lists pieces (run, q0, q1, i, j,
     pick, p), each the panels q0 <= q < q1 of a run with all their values
     (a panel cut by calls comes alone, once its block is complete).  The
-    pieces share one sphere rule of D directions and one kind, evaluated
+    pieces share one count D of directions, a level's sphere rule or the
+    first direction of ray-invariant runs' rules, and one kind, evaluated
     at the p nodes ``pick`` of the 15, and their panels are adjacent.  The
     values, p nodes by D directions a panel, lie in order in ``values``;
     panel q of run r gets ``ang[q, pick] = values (p, D) @ r.scale``.
@@ -461,8 +477,9 @@ class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
     level of its pass, whether that pass is a check, the value, error and
     Gauss sum of its last full pass, that level's sphere-rule directions as
-    rows and as (n, D) contiguous coordinate columns, and the member's ray
-    radii and scales on it."""
+    rows and as (n, D) contiguous coordinate columns (a ray-invariant
+    member's first direction alone), and the member's ray radii and scales
+    on them."""
 
     __slots__ = ("level", "check", "full", "dirs", "cols", "radii", "scale")
 
@@ -490,8 +507,8 @@ class _PolarRun(_Run):
         return None
 
 
-def integrate_polar_stack(f, n: int, radii, break_ratios,
-                          singular_center: bool) -> list[QuadratureResult]:
+def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool, *,
+                          ray_invariant: bool = False) -> list[QuadratureResult]:
     """Polar quadrature of a stack of integrals over R^n in lockstep, one per
     member, each as :func:`integrate_polar_separable` would give it alone,
     bit for bit.
@@ -519,7 +536,18 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
     in stack order as directions come free.  The members that start a level
     together take its radii from one ``radii`` call.  A member drops out
     once a check confirms its last full pass.
-    ``singular_center`` holds for every member.  Where a member's budget
+    ``singular_center`` holds for every member.  With ``ray_invariant``
+    every member's integrand must take the same value at the same tau on
+    every ray, as weight(|x|) times a constant does on a ball about the
+    origin: then each level evaluates a member on the first direction of
+    its sphere rule alone, 15 points a panel in a pass and 7 in a check,
+    with the single scale sum_d w_d R_d^n of the whole rule, and it holds
+    one direction of the ``_MAX_BATCH`` budget.  Its levels, passes, checks
+    and errors are those of the full rule; its value differs from the full
+    rule's by the rounding of the angular sums.  An integrand that is
+    radial only in exact arithmetic, as a whitened quadratic's smooth one,
+    is not ray-invariant: its rays differ by rounding that the full rule
+    averages out and one ray keeps.  Where a member's budget
     runs out, the members after it in the stack are dropped, and the
     :class:`NonConvergedError` of the first member to fail is raised once
     the members before it are done, as a plane-by-plane loop would raise it.
@@ -584,7 +612,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
             for piece in pieces:
                 r, q0, q1, i, j, pick, p = piece
                 d, stop = len(r.dirs), fill + (q1 - q0) * p * (j - i)
-                if group and (j - i < d or group[0][0].dirs is not r.dirs or group[0][6] != p):
+                if group and (j - i < d or len(group[0][0].dirs) != d or group[0][6] != p):
                     _reduce(vals[first:fill], group, ang)
                     group = []
                 if j - i < d:
@@ -614,15 +642,20 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
 
     def start(group):
         """The runs of ``group``, all at one level, take its sphere rule and
-        their ray radii on it."""
+        their ray radii on it; ray-invariant runs take its first direction
+        alone, with the scale of the whole rule."""
         dirs, wts = sphere_rule(n, group[0].level)
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
+        if ray_invariant:
+            dirs = dirs[:1]
         cols = np.ascontiguousarray(dirs.T)
         with np.errstate(over="ignore"):  # a scale beyond double precision is inf
             for r, row in zip(group, rows):  # each its own arrays, freed with its rule
-                r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
-                r.scale = wts * r.radii ** n  # substitution r = R * tau
+                r.dirs, r.cols, r.radii = dirs, cols, np.array(row[:len(dirs)])
+                r.scale = wts * row ** n  # substitution r = R * tau
+                if ray_invariant:  # every ray's values are the first ray's
+                    r.scale = np.array([np.sum(r.scale)])
 
     waiting = []  # the runs that take a sphere rule before their next pass, last index first
     for index, ratios in enumerate(break_ratios):
@@ -638,7 +671,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
         held, joining = sum(len(r.dirs) for r in runs), {}
         while waiting:
             r = waiting[-1]
-            d = sphere_rule_size(n, r.level)
+            d = 1 if ray_invariant else sphere_rule_size(n, r.level)
             if held + d > _MAX_BATCH and (runs or joining):
                 break
             waiting.pop()
@@ -666,7 +699,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios,
 
 
 def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
-                              singular_center: bool = False) -> QuadratureResult:
+                              singular_center: bool = False,
+                              ray_invariant: bool = False) -> QuadratureResult:
     """Polar quadrature around the origin when the integrand's radial kinks sit
     at shared ratios: :func:`integrate_polar_stack` on a stack of one.
 
@@ -693,12 +727,13 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     two levels agree, the result is the 15-point value of level L with
     error its radial error plus |G7(2L) - G7(L)|; else a full pass at level
     2L starts from those panels and level 4L checks it.  Raises
-    :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH`` or a
-    check at ``_MAX_LEVEL`` disagrees.
+    :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH``, the
+    value or error is not finite, or a check at ``_MAX_LEVEL`` disagrees.
+    ``ray_invariant`` is as in :func:`integrate_polar_stack`.
     """
     radii = (lambda dirs, members: r_max(dirs)[None]) if callable(r_max) else r_max
     return integrate_polar_stack(lambda x, owners: f(x), n, radii, [break_ratios],
-                                 singular_center)[0]
+                                 singular_center, ray_invariant=ray_invariant)[0]
 
 
 # ---------------------------------------------------------------------------

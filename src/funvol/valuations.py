@@ -249,18 +249,22 @@ def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
     return np.linalg.inv(hess)
 
 
-def _polar(f, n: int, radii, ratios, singular: bool):
+def _polar(f, n: int, radii, ratios, singular: bool, ray_invariant: bool = False):
     """(value, error, evals) of each polar integral of a stack ``f(x,
     owners)``, with ray radii ``radii(dirs, members)`` (or one radius for
-    all) and one list of break ``ratios`` per member, in lockstep.  A lone
-    integral goes through :func:`integrate_polar_separable`, which calls
-    ``f`` on its points alone."""
+    all) and one list of break ``ratios`` per member, in lockstep, on one
+    ray per radial node where ``ray_invariant`` (see
+    :func:`integrate_polar_stack`).  A lone integral goes through
+    :func:`integrate_polar_separable`, which calls ``f`` on its points
+    alone."""
     if len(ratios) > 1:
-        results = integrate_polar_stack(f, n, radii, ratios, singular)
+        results = integrate_polar_stack(f, n, radii, ratios, singular,
+                                        ray_invariant=ray_invariant)
     else:
         r_max = (lambda dirs: radii(dirs, [0])[0]) if callable(radii) else radii
         results = [integrate_polar_separable(f, n, r_max, break_ratios=ratios[0],
-                                             singular_center=singular)]
+                                             singular_center=singular,
+                                             ray_invariant=ray_invariant)]
     return [(res.value, res.error, res.evaluations) for res in results]
 
 
@@ -301,7 +305,10 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     |det M|, or squared image length |M d|^2 of a rule direction d, falls
     below the smallest normal double would lose its digits to underflow, so
     it raises :class:`SchemaError` instead, as does one whose |det M| or
-    |M|_F^2 overflows.  Returns (value, error, evals) per member.
+    |M|_F^2 overflows.  A quadratic's integrand is radial in z only in
+    exact arithmetic: its rays differ by the rounding of A A^{-1}, which
+    the full sphere rule averages out, so unlike the dual route's it is not
+    integrated ray-invariant.  Returns (value, error, evals) per member.
     """
     s_max = _support_bound(weight)
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
@@ -348,6 +355,7 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
             ratios.append([float(u.grad_radius(probe, k)[0]) / r_probe for k in knots])
     singular = weight.singularity.kind != "none" or "except_center" in kinds
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite beyond double precision
     def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
         pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
         if quads is not None:  # column-major, the bits of x A + b
@@ -551,7 +559,13 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     {|x| <= s_max} of weight(|x|) * e_j(Hessian of v), with |x| and the
     weight evaluated once per call for the whole stack.  A stack of
     quadratics takes its Hessian terms e_j(eig) once per stack, repeated
-    over each call's owner ranges.  Returns (value, error, evals) per member."""
+    over each call's owner ranges.  Its integrand, weight(|x|) times a
+    constant over a ball about the origin with the one ray radius s_max, is
+    the same on every ray, so its polar integrals run ray-invariant (see
+    :func:`integrate_polar_stack`): on one direction per radial node, scaled
+    by the whole sphere rule.  The smooth route's quadratics are radial in
+    their whitened frame only in exact arithmetic and keep the full rule
+    (see :func:`_smooth_integral`).  Returns (value, error, evals) per member."""
     s_max = _support_bound(weight)
     vs = _quadratic_stack(vs)
     if isinstance(vs, QuadraticStack):
@@ -559,6 +573,7 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     else:
         terms, kinds, n = None, [v.smooth_kind() for v in vs], vs[0].n
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite beyond double precision
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
         s = row_norms(pts)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
@@ -573,7 +588,8 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
 
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = weight.singularity.kind != "none" or "except_center" in kinds
-    return _polar(integrand, n, s_max, [[k / s_max for k in knots]] * len(vs), singular)
+    return _polar(integrand, n, s_max, [[k / s_max for k in knots]] * len(vs), singular,
+                  ray_invariant=terms is not None)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",

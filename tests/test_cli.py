@@ -736,6 +736,9 @@ BAD_BODY_DIMENSIONS = {
 }
 TENT = {"type": "tent", "s0": 1.0}
 INFINITE_POWER = {"type": "transform", "l": math.inf, "inner": TENT}
+# a finite weight whose product with a Hessian term e_1 = 3 overflows
+HUGE_TENT = {"type": "scaled", "factor": 1e308, "inner": TENT}
+QUAD12 = {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 2.0]]}
 FRACTIONAL_POWER = {"type": "transform", "l": 1.5, "inner": TENT}
 
 
@@ -789,6 +792,8 @@ class TestSpecFuzz:
     @example(function=BALL_7, zeta=TENT, method="ck")
     @example(function=BOX_8, zeta=TENT, method="ck")
     @example(function=MAX_AFFINE_7, zeta=TENT, method="dual")
+    @example(function=QUAD12, zeta=HUGE_TENT, method="dual")
+    @example(function=QUAD12, zeta=HUGE_TENT, method="smooth")
     @settings(max_examples=100, deadline=None)
     def test_compute(self, tmp_path_factory, function, zeta, method):
         root = tmp_path_factory.mktemp("spec")

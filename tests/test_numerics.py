@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funvol import numerics
+from funvol import numerics, valuations
 from funvol.convex import Quadratic
 from funvol.errors import NonConvergedError, SchemaError, UnsupportedVariant
 from funvol.numerics import (
@@ -21,7 +21,7 @@ from funvol.numerics import (
     standard_normals,
 )
 from funvol.valuations import ValuationSpec, eval_dual, eval_smooth
-from funvol.weights import Bump, Tent
+from funvol.weights import Bump, LogCap, Tent
 
 
 def elem_sym(a, i):
@@ -175,6 +175,18 @@ class TestIntervalQuadrature:
         cut = integrate_interval(f, 0.0, 3.0)
         assert (cut.value.hex(), cut.error.hex(), cut.evaluations) == (
             whole.value.hex(), whole.error.hex(), whole.evaluations)
+
+    def test_non_finite_total_raises(self):
+        # x = a + (b - a) t^2 rounds to a at the deepest graded nodes, where
+        # |x - a|^p is inf: the total turns -inf, which no split can mend,
+        # and the refinement stops there as non-converged, not as converged
+        # with an infinite tolerance
+        a, b, p, w = -1.3111, 1.1107, -0.6149, 17.415
+        with np.errstate(divide="ignore"), pytest.raises(
+                NonConvergedError, match="interval quadrature .* left double precision") as info:
+            integrate_interval(lambda x: np.abs(x - a) ** p * np.cos(w * x), a, b,
+                               singular_left=True)
+        assert info.value.value == -math.inf and info.value.evaluations > 0
 
     @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
     def test_rejects_non_finite_bound(self, a, b):
@@ -518,13 +530,13 @@ class TestPolarWork:
                                for shape, stride, view in layouts)
 
     def test_batches_stay_bounded(self, monkeypatch):
-        # the n = 4 Bump dual integral checks its 10 radial panels at level 4,
-        # one batch of 71,680 points (1,024 directions x 7 nodes a panel);
-        # its calls of at most _MAX_BATCH points bound the memory it holds,
-        # and are filled across panel boundaries
+        # the n = 4 Bump smooth integral checks its 10 radial panels at
+        # level 4, one batch of 71,680 points (1,024 directions x 7 nodes a
+        # panel); its calls of at most _MAX_BATCH points bound the memory it
+        # holds, and are filled across panel boundaries
         sizes = self._call_sizes(monkeypatch)
-        res = eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)),
-                        Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
+        res = eval_smooth(ValuationSpec(1, 4, Bump(0.2, 0.8)),
+                          Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])))
         assert sum(sizes) == res.integrand_evals == 106_240
         assert 1024 * 15 < max(sizes) <= numerics._MAX_BATCH
         assert sizes[-5:] == [16_380] * 4 + [71_680 - 4 * 16_380]
@@ -690,6 +702,87 @@ class TestPolarStack:
         assert ("angular" if order == "peaked_first" else "radial") in str(got)
 
 
+def _dual_polar(j: int, weight, vs):
+    """The arguments and keywords with which the dual route hands the
+    polar integrals of the stack ``vs`` to ``_polar``."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(valuations, "_polar", lambda *args, **kw: got.append((args, kw)) or [])
+        valuations._dual_integral(j, weight, vs)
+    return got[0]
+
+
+WEIGHTS = {"tent": Tent(1.0), "log_cap": LogCap(), "bump": Bump(0.2, 0.8)}
+
+
+class TestRayInvariant:
+    """The dual integrand of a quadratic stack, weight(|x|) e_j(eig) over the
+    ball |x| <= s_max, is the same on every ray: it is integrated on one ray
+    per radial node, with the scale of the whole sphere rule."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), j=st.integers(0, 4), weight=st.sampled_from(sorted(WEIGHTS)),
+           singular=st.booleans(), size=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_the_full_rule(self, n, j, weight, singular, size, seed):
+        # on the same integrand, within the full rule's error + 8 ulp, with
+        # the center plain or graded whatever the weight
+        rng = np.random.default_rng(seed)
+        vs = []
+        for _ in range(size):
+            m = rng.standard_normal((n, n))
+            vs.append(Quadratic(m @ m.T + 0.1 * np.eye(n), rng.standard_normal(n)))
+        (f, _, radius, ratios, _), kw = _dual_polar(min(j, n), WEIGHTS[weight], vs)
+        assert kw == {"ray_invariant": True}
+        full = numerics.integrate_polar_stack(f, n, radius, ratios, singular)
+        one = numerics.integrate_polar_stack(f, n, radius, ratios, singular, ray_invariant=True)
+        for a, b in zip(one, full):
+            assert abs(a.value - b.value) <= b.error + 8 * math.ulp(b.value)
+            assert a.evaluations < b.evaluations
+
+    def test_calls_hold_one_direction_a_node(self, monkeypatch):
+        # the n = 4 Bump dual of a quadratic: its level-2 pass evaluates 18
+        # panels at 15 nodes on the first direction of level 2's rule, and
+        # the check of its 10 final panels 7 nodes on the first of level
+        # 4's; on the full rule the same schedule takes 106,240 points
+        rays = []
+        count = numerics._CountingFn.__call__
+
+        def counted(self, x):
+            rays.append(x / row_norms(x)[:, None])
+            return count(self, x)
+
+        monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
+        res = eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)),
+                        Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), "integral")
+        assert res.integrand_evals == sum(map(len, rays)) == 18 * 15 + 10 * 7
+        assert len(rays[-1]) == 10 * 7
+        for level, calls in ((2, rays[:-1]), (4, rays[-1:])):
+            first = sphere_rule(4, level)[0][0]
+            for x in calls:
+                assert np.abs(x - first).max() <= 1e-15
+
+    def test_holds_one_direction_of_the_budget(self, monkeypatch):
+        # forty dual quadratics of R^3 refine together under a budget of 48
+        # directions, one each, where the full rule's 32 and 128 directions
+        # would take them one at a time; the values keep every bit
+        rng = np.random.default_rng(3)
+        vs = [Quadratic(np.diag(rng.uniform(0.5, 2.0, 3)), rng.standard_normal(3))
+              for _ in range(40)]
+        zeta = Bump(0.2, 0.8)
+        free = valuations._dual_integral(1, zeta, vs)
+        held = []
+        refine = numerics._refine
+
+        def recorded_refine(panels, runs, fn, what):
+            held.append((sum(len(r.dirs) for r in runs), len(runs)))
+            return refine(panels, runs, fn, what)
+
+        monkeypatch.setattr(numerics, "_MAX_BATCH", 48)
+        monkeypatch.setattr(numerics, "_refine", recorded_refine)
+        assert valuations._dual_integral(1, zeta, vs) == free
+        assert held[0] == (40, 40) and all(size == members for size, members in held)
+
+
 class TestBudgetsRaise:
     """Every refinement loop raises once its depth budget is spent."""
 
@@ -723,6 +816,14 @@ class TestBudgetsRaise:
         with pytest.raises(NonConvergedError, match="interval quadrature") as info:
             integrate_interval(lambda t: -np.log(t), 0.0, 1.0, singular_left=True)
         assert math.isfinite(info.value.value)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_polar_non_finite_total(self, value):
+        # a pass whose sums leave double precision stops at its first step,
+        # the 15 nodes of one panel on the 8 directions of level 2
+        with pytest.raises(NonConvergedError, match="radial refinement left") as info:
+            integrate_polar_separable(lambda x: np.full(len(x), value), 2, 1.0)
+        assert info.value.evaluations == 15 * 8
 
     def test_polar_angular_cap(self, monkeypatch):
         # peaked toward direction (1, 0): 8 and 16 directions disagree
