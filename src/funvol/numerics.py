@@ -3,51 +3,51 @@
 Quadrature on intervals and in polar coordinates, elementary symmetric
 functions of eigenvalues, unit-ball volumes, and a counter-based
 deterministic RNG.  Everything here is pure; quadrature routines report an
-error estimate alongside the value and raise :class:`NonConvergedError` when
-the fixed budget (bisection depth, panel count, angular level) runs out
-before the fixed tolerance is met, or once a value or error leaves double
-precision.  One adaptive loop, :func:`_refine`, refines the panels of both
-interval and radial quadrature, for a stack of integrals in lockstep: each
-step evaluates the new panels of every member still refining in one batch,
-the panels a member starts from or the two halves of each panel it splits,
-while each member keeps its own heap, sums and split order.  A step splits at once the fewest of a member's
-largest-error panels that leave the error of the rest within tolerance,
-the panels a refinement of one split a step would split as long as no
-child outgrows the panels left.  Interval quadrature is a stack of one.
-Interval panels carry a 31-point Gauss rule checked against a 16-point
-one, and an interval batch reaches the integrand in calls of the whole
-panels that fit in ``_MAX_BATCH`` points.  Radial panels carry the
-Gauss-Kronrod 7/15 pair with its embedded error; a radial batch holds
-every direction of each member's sphere rule (but see ray-invariant
-members below) for each of its panels, node-major, and reaches the
-integrand in calls of at most ``_MAX_BATCH`` points, and the members
-refining together hold at most ``_MAX_BATCH`` directions.  A radial panel
-is reduced over its directions first, one angular sum per node, and then
-over its nodes.  A stack whose integrands take the same value at the same
-radius fraction on every ray, as the dual integrand of a quadratic,
-weight(|x|) e_j(eig) over a ball, is ray-invariant: each level evaluates
-it on its rule's first direction alone, scaled by the sum of the whole
-rule's scales, and it counts one direction against ``_MAX_BATCH``.  The
-smooth integrand of a quadratic is not: it is radial in its whitened frame
-only in exact arithmetic, and one ray keeps the rounding of A A^{-1} that
-the whole rule averages out.  A polar call's
+error estimate alongside the value and raise :class:`NonConvergedError`
+when the fixed budget (bisection depth, panel count, angular level) runs
+out before the fixed tolerance is met, or once a value or error leaves
+double precision.  One adaptive loop, :func:`_refine`, refines the panels
+of both interval and radial quadrature, for a stack of integrals in
+lockstep: each step evaluates the new panels of every member still refining
+in one batch, the panels a member starts from or the two halves of each
+panel it splits, while each member keeps its own heap, sums and split
+order.  A step splits at once the fewest of a member's largest-error panels
+that leave the error of the rest within tolerance, the panels a refinement
+of one split a step would split as long as no child outgrows the panels
+left.  Interval quadrature is a stack of one.  Interval panels carry a
+31-point Gauss rule checked against a 16-point one, and an interval batch
+reaches the integrand in calls of the whole panels that fit in
+``_MAX_BATCH`` points.  Radial panels carry the Gauss-Kronrod 7/15 pair
+with its embedded error; a radial batch holds every direction of each
+member's sphere rule (but see ray-invariant members below) for each of its
+panels, node-major, and reaches the integrand in calls of at most
+``_MAX_BATCH`` points, and the members refining together hold at most
+``_MAX_BATCH`` directions.  A radial panel is reduced over its directions
+first, one angular sum per node, and then over its nodes.  A stack whose
+integrands take the same value at the same radius fraction on every ray, as
+the dual integrand of a quadratic, weight(|x|) e_j(eig) over a ball, is
+ray-invariant: each level evaluates it on its rule's first direction alone,
+scaled by the sum of the whole rule's scales, and it counts one direction
+against ``_MAX_BATCH``.  The smooth integrand of a quadratic is not: it is
+radial in its whitened frame only in exact arithmetic, and one ray keeps
+the rounding of A A^{-1} that the whole rule averages out.  A polar call's
 points are an (m, n) view of a column-major buffer: each coordinate is one
 contiguous column, so an integrand reads them by coordinate (``row_norms``
 sums their squares column by column), and must not keep them.  A singular
 endpoint is graded, r = t^2, and refined by the same adaptive panels as the
 rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
 :func:`integrate_polar_separable` on a stack of one) refines each member's
-radial panels at angular level 2, then checks that pass at level 4 by the
-7 embedded Gauss nodes of its final panels alone: the 7-point sums of the
-two levels on the same panels differ by the angular error, which the
-member adds to its radial error when it is within tolerance, keeping the
-15-point value of the checked level.  A check that disagrees runs a full
-pass at its own level, from the same panels, which the next level checks,
-and so on up to ``_MAX_LEVEL``.  Every level integrates constants exactly,
-consecutive levels are turned against each other so that they cannot
-alias together, and each pass or check starts from the radial panels the
-last pass ended with.  Sphere rules, and so polar quadrature, cover n <= 4;
-a larger n is an :class:`UnsupportedVariant`.
+radial panels at angular level 2, then checks that pass at level 4 by the 7
+embedded Gauss nodes of its final panels alone: the 7-point sums of the two
+levels on the same panels differ by the angular error, which the member
+adds to its radial error when it is within tolerance, keeping the 15-point
+value of the checked level.  A check that disagrees runs a full pass at its
+own level, from the same panels, which the next level checks, and so on up
+to ``_MAX_LEVEL``.  Every level integrates constants exactly, consecutive
+levels are turned against each other so that they cannot alias together,
+and each pass or check starts from the radial panels the last pass ended
+with.  Sphere rules, and so polar quadrature, cover n <= 4; a larger n is
+an :class:`UnsupportedVariant`.
 """
 from __future__ import annotations
 
@@ -547,8 +547,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
     rule's by the rounding of the angular sums.  An integrand that is
     radial only in exact arithmetic, as a whitened quadratic's smooth one,
     is not ray-invariant: its rays differ by rounding that the full rule
-    averages out and one ray keeps.  Where a member's budget
-    runs out, the members after it in the stack are dropped, and the
+    averages out and one ray keeps.  Where a member's budget runs out, the
+    members after it in the stack are dropped, and the
     :class:`NonConvergedError` of the first member to fail is raised once
     the members before it are done, as a plane-by-plane loop would raise it.
     """
@@ -647,15 +647,16 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
         dirs, wts = sphere_rule(n, group[0].level)
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
-        if ray_invariant:
-            dirs = dirs[:1]
-        cols = np.ascontiguousarray(dirs.T)
         with np.errstate(over="ignore"):  # a scale beyond double precision is inf
-            for r, row in zip(group, rows):  # each its own arrays, freed with its rule
-                r.dirs, r.cols, r.radii = dirs, cols, np.array(row[:len(dirs)])
-                r.scale = wts * row ** n  # substitution r = R * tau
-                if ray_invariant:  # every ray's values are the first ray's
-                    r.scale = np.array([np.sum(r.scale)])
+            if ray_invariant:  # every ray's values are the first ray's: one 2-d
+                # product per run, whose bits do not depend on the group
+                sums = np.matmul((rows ** n)[:, None], wts[:, None])[:, 0]
+                dirs, rows = dirs[:1], rows[:, :1]
+            cols = np.ascontiguousarray(dirs.T)
+            for k, (r, row) in enumerate(zip(group, rows)):  # each its own radii
+                r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
+                # substitution r = R * tau
+                r.scale = sums[k] if ray_invariant else wts * r.radii ** n
 
     waiting = []  # the runs that take a sphere rule before their next pass, last index first
     for index, ratios in enumerate(break_ratios):

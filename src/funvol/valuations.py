@@ -256,15 +256,17 @@ def _polar(f, n: int, radii, ratios, singular: bool, ray_invariant: bool = False
     ray per radial node where ``ray_invariant`` (see
     :func:`integrate_polar_stack`).  A lone integral goes through
     :func:`integrate_polar_separable`, which calls ``f`` on its points
-    alone."""
-    if len(ratios) > 1:
-        results = integrate_polar_stack(f, n, radii, ratios, singular,
-                                        ray_invariant=ray_invariant)
-    else:
-        r_max = (lambda dirs: radii(dirs, [0])[0]) if callable(radii) else radii
-        results = [integrate_polar_separable(f, n, r_max, break_ratios=ratios[0],
-                                             singular_center=singular,
-                                             ray_invariant=ray_invariant)]
+    alone.  Overflow is quiet: a value beyond double precision makes the
+    refinement raise :class:`NonConvergedError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(ratios) > 1:
+            results = integrate_polar_stack(f, n, radii, ratios, singular,
+                                            ray_invariant=ray_invariant)
+        else:
+            r_max = (lambda dirs: radii(dirs, [0])[0]) if callable(radii) else radii
+            results = [integrate_polar_separable(f, n, r_max, break_ratios=ratios[0],
+                                                 singular_center=singular,
+                                                 ray_invariant=ray_invariant)]
     return [(res.value, res.error, res.evaluations) for res in results]
 
 
@@ -355,7 +357,6 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
             ratios.append([float(u.grad_radius(probe, k)[0]) / r_probe for k in knots])
     singular = weight.singularity.kind != "none" or "except_center" in kinds
 
-    @np.errstate(over="ignore", invalid="ignore")  # non-finite beyond double precision
     def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
         pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
         if quads is not None:  # column-major, the bits of x A + b
@@ -573,7 +574,6 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     else:
         terms, kinds, n = None, [v.smooth_kind() for v in vs], vs[0].n
 
-    @np.errstate(over="ignore", invalid="ignore")  # non-finite beyond double precision
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
         s = row_norms(pts)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
