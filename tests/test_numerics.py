@@ -784,7 +784,8 @@ class TestRayInvariant:
 
 
 class TestBudgetsRaise:
-    """Every refinement loop raises once its depth budget is spent."""
+    """Every refinement loop raises once its depth budget is spent, or once
+    its sums leave double precision."""
 
     @pytest.fixture
     def depth(self, monkeypatch):
