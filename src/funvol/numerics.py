@@ -14,28 +14,20 @@ panel it splits, while each member keeps its own heap, sums and split
 order.  A step splits at once the fewest of a member's largest-error panels
 that leave the error of the rest within tolerance, the panels a refinement
 of one split a step would split as long as no child outgrows the panels
-left.  Interval quadrature is a stack of one.  Interval panels carry a
-31-point Gauss rule checked against a 16-point one, and an interval batch
-reaches the integrand in calls of the whole panels that fit in
-``_MAX_BATCH`` points.  Radial panels carry the Gauss-Kronrod 7/15 pair
-with its embedded error; a radial batch holds every direction of each
-member's sphere rule (but see ray-invariant members below) for each of its
-panels, node-major, and reaches the integrand in calls of at most
-``_MAX_BATCH`` points, and the members refining together hold at most
-``_MAX_BATCH`` directions.  A radial panel is reduced over its directions
-first, one angular sum per node, and then over its nodes.  A stack whose
-integrands take the same value at the same radius fraction on every ray, as
-the dual integrand of a quadratic, weight(|x|) e_j(eig) over a ball, is
-ray-invariant: each level evaluates it on its rule's first direction alone,
-scaled by the sum of the whole rule's scales, and it counts one direction
-against ``_MAX_BATCH``.  The smooth integrand of a quadratic is not: it is
-radial in its whitened frame only in exact arithmetic, and one ray keeps
-the rounding of A A^{-1} that the whole rule averages out.  A polar call's
-points are an (m, n) view of a column-major buffer: each coordinate is one
-contiguous column, so an integrand reads them by coordinate (``row_norms``
-sums their squares column by column), and must not keep them.  A singular
-endpoint is graded, r = t^2, and refined by the same adaptive panels as the
-rest of the range.  Polar quadrature (:func:`integrate_polar_stack`, and
+left.  Interval quadrature is a stack of one.  Every panel, interval or
+radial, carries the one Gauss-Kronrod 7/15 pair with its embedded error.
+An interval batch reaches the integrand in calls of the whole panels that
+fit in ``_MAX_BATCH`` points.  A radial batch holds every direction of each
+member's sphere rule for each of its panels, node-major, and reaches the
+integrand in calls of at most ``_MAX_BATCH`` points, and the members
+refining together hold at most ``_MAX_BATCH`` directions.  A radial panel
+is reduced over its directions first, one angular sum per node, and then
+over its nodes.  A polar call's points are an (m, n) view of a
+column-major buffer: each coordinate is one contiguous column, so an
+integrand reads them by coordinate (``row_norms`` sums their squares column
+by column), and must not keep them.  A singular endpoint is graded,
+r = t^2, and refined by the same adaptive panels as the rest of the
+range.  Polar quadrature (:func:`integrate_polar_stack`, and
 :func:`integrate_polar_separable` on a stack of one) refines each member's
 radial panels at angular level 2, then checks that pass at level 4 by the 7
 embedded Gauss nodes of its final panels alone: the 7-point sums of the two
@@ -136,7 +128,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 # Quadrature
 
 
-_INTERVAL_ORDER = 31   # Gauss order of an interval panel
 _MAX_PANELS = 400_000  # panel budget of one adaptive refinement
 _MAX_DEPTH = 40        # bisection depth budget of one panel
 _ABS_TOL = 1e-10       # a refinement stops once its error is at most
@@ -167,23 +158,6 @@ class QuadratureResult:
     evaluations: int
 
 
-_LEG_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _LEG_CACHE:
-        _LEG_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEG_CACHE[order]
-
-
-def _gauss_pair(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of the order-point Gauss rule followed by those of its lower
-    companion on [-1, 1], with the two weight vectors."""
-    x_hi, w_hi = _leggauss(order)
-    x_lo, w_lo = _leggauss(max(3, (order + 1) // 2))
-    return np.concatenate([x_hi, x_lo]), w_hi, w_lo
-
-
 def _kronrod_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 15 Kronrod nodes on [-1, 1] in increasing order, their weights, and
     the 7-point Gauss weights of the embedded nodes ``nodes[1::2]``."""
@@ -192,7 +166,7 @@ def _kronrod_pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, np.concatenate([wk[:-1], wk[::-1]]), np.concatenate([wg[:-1], wg[::-1]])
 
 
-_KRONROD = _kronrod_pair()  # built once, shared by every polar panel
+_KRONROD = _kronrod_pair()  # built once, shared by every interval and polar panel
 
 
 class _CountingFn:
@@ -332,28 +306,32 @@ def _panel_nodes(ends, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return halves, (0.5 * (a + b))[:, None] + halves[:, None] * nodes
 
 
-def integrate_interval(f, a: float, b: float, *,
-                       singular_left: bool = False) -> QuadratureResult:
-    """Adaptive Gauss estimate of the integral of ``f`` over a finite (a, b).
+def integrate_interval(f, a: float, b: float, *, singular_left: bool = False,
+                       breaks=()) -> QuadratureResult:
+    """Adaptive Gauss-Kronrod estimate of the integral of ``f`` over a finite (a, b).
 
-    Panels carry a 31-point rule checked against a 16-point one and are
-    bisected in x, and a refinement step's panels reach ``f`` in calls of
-    at most ``_MAX_BATCH`` points, whole panels.  With ``singular_left`` the graded substitution
-    x = a + (b-a) t^2 clusters the nodes at ``a`` and the panels are bisected
-    in t, so integrable endpoint singularities (log, or power of exponent
-    > -1) converge; x^(-1/2) becomes smooth.
+    Panels carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the
+    embedded error |K15 - G7|, and are bisected in x, and a refinement
+    step's panels reach ``f`` in calls of at most ``_MAX_BATCH`` points,
+    whole panels.  The first panels are cut at the ``breaks`` inside (a, b),
+    the points where ``f`` may lose smoothness; breaks elsewhere are
+    ignored.  With ``singular_left`` the graded substitution x = a + (b-a) t^2
+    clusters the nodes at ``a``, the panels are bisected in t and a break x
+    cuts them at t = sqrt((x-a) / (b-a)), so integrable endpoint
+    singularities (log, or power of exponent > -1) converge; x^(-1/2)
+    becomes smooth.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval quadrature needs finite bounds, got [{a}, {b}]")
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
     fn = _CountingFn(lambda x, owners: f(x), 1)
-    nodes, w_hi, w_lo = _gauss_pair(_INTERVAL_ORDER)
+    nodes, w_k, w_g = _KRONROD
     width, per_call = b - a, max(1, _MAX_BATCH // len(nodes))
 
     def panels(batch):
         ((_, ends),) = batch
-        hi, lo = [], []
+        kronrod, gauss = [], []
         # the whole panels that fit in _MAX_BATCH points make one call
         for k in range(0, len(ends), per_call):
             halves, t = _panel_nodes(ends[k:k + per_call], nodes)
@@ -363,12 +341,16 @@ def integrate_interval(f, a: float, b: float, *,
                     * (width * _GRADE * t ** (_GRADE - 1))
             else:
                 vals = fn(t.ravel()).reshape(t.shape)
-            halves = halves.tolist()
-            hi += [h * float(v[:_INTERVAL_ORDER] @ w_hi) for h, v in zip(halves, vals)]
-            lo += [h * float(v[_INTERVAL_ORDER:] @ w_lo) for h, v in zip(halves, vals)]
-        return hi, [abs(x - y) for x, y in zip(hi, lo)], lo
+            # one 2-d product per panel, whose bits do not depend on the call
+            kronrod += (halves * (vals[:, None, :] @ w_k)[:, 0]).tolist()
+            gauss += (halves * (vals[:, None, 1::2] @ w_g)[:, 0]).tolist()
+        return kronrod, [abs(x - y) for x, y in zip(kronrod, gauss)], gauss
 
-    run = _Run(0, [(0.0, 1.0, 0)] if singular_left else [(a, b, 0)])
+    lo, hi = (0.0, 1.0) if singular_left else (a, b)
+    cuts = {math.sqrt((x - a) / width) if singular_left else x
+            for x in map(float, breaks) if a < x < b}
+    edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    run = _Run(0, [(u, v, 0) for u, v in zip(edges[:-1], edges[1:])])
     _refine(panels, [run], fn, f"interval quadrature on [{a}, {b}]")
     if run.failure is not None:
         raise run.failure
@@ -415,7 +397,7 @@ def sphere_rule(n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         wts = np.full(m, 2.0 * math.pi / m)
     elif n in (3, 4):
-        z, wz = _leggauss(2 * level)
+        z, wz = np.polynomial.legendre.leggauss(2 * level)
         mphi = 4 * level
         phi = 2.0 * math.pi * np.arange(mphi) / mphi
         s = np.sqrt(1.0 - z ** 2)
@@ -456,13 +438,12 @@ def _reduce(values: np.ndarray, group, ang: np.ndarray) -> None:
     at each of their nodes.  ``group`` lists pieces (run, q0, q1, i, j,
     pick, p), each the panels q0 <= q < q1 of a run with all their values
     (a panel cut by calls comes alone, once its block is complete).  The
-    pieces share one count D of directions, a level's sphere rule or the
-    first direction of ray-invariant runs' rules, and one kind, evaluated
-    at the p nodes ``pick`` of the 15, and their panels are adjacent.  The
-    values, p nodes by D directions a panel, lie in order in ``values``;
-    panel q of run r gets ``ang[q, pick] = values (p, D) @ r.scale``.
-    numpy's stacked matmul runs the 2-d kernel on each slice, so a panel's
-    bits do not depend on the panels reduced with it."""
+    pieces share one count D of directions, that of a level's sphere rule,
+    and one kind, evaluated at the p nodes ``pick`` of the 15, and their
+    panels are adjacent.  The values, p nodes by D directions a panel, lie
+    in order in ``values``; panel q of run r gets ``ang[q, pick] = values
+    (p, D) @ r.scale``.  numpy's stacked matmul runs the 2-d kernel on each
+    slice, so a panel's bits do not depend on the panels reduced with it."""
     r, first, _, _, _, pick, p = group[0]
     last, d = group[-1][2], len(r.dirs)
     # one member's panels share its scales; several members' are stacked
@@ -477,9 +458,8 @@ class _PolarRun(_Run):
     """A member of a polar stack: a :class:`_Run` in tau with the angular
     level of its pass, whether that pass is a check, the value, error and
     Gauss sum of its last full pass, that level's sphere-rule directions as
-    rows and as (n, D) contiguous coordinate columns (a ray-invariant
-    member's first direction alone), and the member's ray radii and scales
-    on them."""
+    rows and as (n, D) contiguous coordinate columns, and the member's ray
+    radii and scales on them."""
 
     __slots__ = ("level", "check", "full", "dirs", "cols", "radii", "scale")
 
@@ -507,8 +487,8 @@ class _PolarRun(_Run):
         return None
 
 
-def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool, *,
-                          ray_invariant: bool = False) -> list[QuadratureResult]:
+def integrate_polar_stack(f, n: int, radii, break_ratios,
+                          singular_center: bool) -> list[QuadratureResult]:
     """Polar quadrature of a stack of integrals over R^n in lockstep, one per
     member, each as :func:`integrate_polar_separable` would give it alone,
     bit for bit.
@@ -536,19 +516,8 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
     in stack order as directions come free.  The members that start a level
     together take its radii from one ``radii`` call.  A member drops out
     once a check confirms its last full pass.
-    ``singular_center`` holds for every member.  With ``ray_invariant``
-    every member's integrand must take the same value at the same tau on
-    every ray, as weight(|x|) times a constant does on a ball about the
-    origin: then each level evaluates a member on the first direction of
-    its sphere rule alone, 15 points a panel in a pass and 7 in a check,
-    with the single scale sum_d w_d R_d^n of the whole rule, and it holds
-    one direction of the ``_MAX_BATCH`` budget.  Its levels, passes, checks
-    and errors are those of the full rule; its value differs from the full
-    rule's by the rounding of the angular sums.  An integrand that is
-    radial only in exact arithmetic, as a whitened quadratic's smooth one,
-    is not ray-invariant: its rays differ by rounding that the full rule
-    averages out and one ray keeps.  Where a member's budget runs out, the
-    members after it in the stack are dropped, and the
+    ``singular_center`` holds for every member.  Where a member's budget
+    runs out, the members after it in the stack are dropped, and the
     :class:`NonConvergedError` of the first member to fail is raised once
     the members before it are done, as a plane-by-plane loop would raise it.
     """
@@ -642,21 +611,15 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
 
     def start(group):
         """The runs of ``group``, all at one level, take its sphere rule and
-        their ray radii on it; ray-invariant runs take its first direction
-        alone, with the scale of the whole rule."""
+        their ray radii on it."""
         dirs, wts = sphere_rule(n, group[0].level)
         rows = (radii(dirs, [r.index for r in group]) if callable(radii)
                 else np.full((len(group), len(dirs)), float(radii)))
+        cols = np.ascontiguousarray(dirs.T)
         with np.errstate(over="ignore"):  # a scale beyond double precision is inf
-            if ray_invariant:  # every ray's values are the first ray's: one 2-d
-                # product per run, whose bits do not depend on the group
-                sums = np.matmul((rows ** n)[:, None], wts[:, None])[:, 0]
-                dirs, rows = dirs[:1], rows[:, :1]
-            cols = np.ascontiguousarray(dirs.T)
-            for k, (r, row) in enumerate(zip(group, rows)):  # each its own radii
+            for r, row in zip(group, rows):  # each its own arrays, freed with its rule
                 r.dirs, r.cols, r.radii = dirs, cols, np.array(row)
-                # substitution r = R * tau
-                r.scale = sums[k] if ray_invariant else wts * r.radii ** n
+                r.scale = wts * r.radii ** n  # substitution r = R * tau
 
     waiting = []  # the runs that take a sphere rule before their next pass, last index first
     for index, ratios in enumerate(break_ratios):
@@ -672,7 +635,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
         held, joining = sum(len(r.dirs) for r in runs), {}
         while waiting:
             r = waiting[-1]
-            d = 1 if ray_invariant else sphere_rule_size(n, r.level)
+            d = sphere_rule_size(n, r.level)
             if held + d > _MAX_BATCH and (runs or joining):
                 break
             waiting.pop()
@@ -700,8 +663,7 @@ def integrate_polar_stack(f, n: int, radii, break_ratios, singular_center: bool,
 
 
 def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
-                              singular_center: bool = False,
-                              ray_invariant: bool = False) -> QuadratureResult:
+                              singular_center: bool = False) -> QuadratureResult:
     """Polar quadrature around the origin when the integrand's radial kinks sit
     at shared ratios: :func:`integrate_polar_stack` on a stack of one.
 
@@ -721,20 +683,20 @@ def integrate_polar_separable(f, n: int, r_max, *, break_ratios=(),
     With ``singular_center`` the graded substitution tau = t^2 (break
     ratios mapped to their square roots) clusters the nodes at the center.
     Panels carry the Gauss-Kronrod 7/15 pair, 15 evaluations with the
-    embedded error |K15 - G7|, and are refined by the same adaptive loop as
-    intervals, on the shared grid (aggregated error).  A pass at angular
-    level L, from ``_LEVEL // 2`` on, is checked at level 2L by the 7
-    Gauss nodes of its final panels alone: where the 7-point sums G7 of the
-    two levels agree, the result is the 15-point value of level L with
-    error its radial error plus |G7(2L) - G7(L)|; else a full pass at level
-    2L starts from those panels and level 4L checks it.  Raises
+    embedded error |K15 - G7|, as interval panels do, and are refined by
+    the same adaptive loop as intervals, on the shared grid (aggregated
+    error).  A pass at angular level L, from ``_LEVEL // 2`` on, is checked
+    at level 2L by the 7 Gauss nodes of its final panels alone: where the
+    7-point sums G7 of the two levels agree, the result is the 15-point
+    value of level L with error its radial error plus |G7(2L) - G7(L)|;
+    else a full pass at level 2L starts from those panels and level 4L
+    checks it.  Raises
     :class:`NonConvergedError` when a panel reaches ``_MAX_DEPTH``, the
     value or error is not finite, or a check at ``_MAX_LEVEL`` disagrees.
-    ``ray_invariant`` is as in :func:`integrate_polar_stack`.
     """
     radii = (lambda dirs, members: r_max(dirs)[None]) if callable(r_max) else r_max
     return integrate_polar_stack(lambda x, owners: f(x), n, radii, [break_ratios],
-                                 singular_center, ray_invariant=ray_invariant)[0]
+                                 singular_center)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ import numpy as np
 from .convex import (_TINY, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
                      InfConv, Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
                      shadow_intrinsic_volumes)
-from .errors import NotDifferentiable, SchemaError, UnsupportedVariant
+from .errors import NonConvergedError, NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, elem_sym_values,
                        flag_coefficient, integrate_interval, integrate_polar_separable,
                        integrate_polar_stack, kappa, row_norms)
@@ -249,24 +249,21 @@ def _whitening(u: ConvexFunction, center: np.ndarray) -> np.ndarray:
     return np.linalg.inv(hess)
 
 
-def _polar(f, n: int, radii, ratios, singular: bool, ray_invariant: bool = False):
+def _polar(f, n: int, radii, ratios, singular: bool):
     """(value, error, evals) of each polar integral of a stack ``f(x,
     owners)``, with ray radii ``radii(dirs, members)`` (or one radius for
-    all) and one list of break ``ratios`` per member, in lockstep, on one
-    ray per radial node where ``ray_invariant`` (see
+    all) and one list of break ``ratios`` per member, in lockstep (see
     :func:`integrate_polar_stack`).  A lone integral goes through
     :func:`integrate_polar_separable`, which calls ``f`` on its points
     alone.  Overflow is quiet: a value beyond double precision makes the
     refinement raise :class:`NonConvergedError`."""
     with np.errstate(over="ignore", invalid="ignore"):
         if len(ratios) > 1:
-            results = integrate_polar_stack(f, n, radii, ratios, singular,
-                                            ray_invariant=ray_invariant)
+            results = integrate_polar_stack(f, n, radii, ratios, singular)
         else:
             r_max = (lambda dirs: radii(dirs, [0])[0]) if callable(radii) else radii
             results = [integrate_polar_separable(f, n, r_max, break_ratios=ratios[0],
-                                                 singular_center=singular,
-                                                 ray_invariant=ray_invariant)]
+                                                 singular_center=singular)]
     return [(res.value, res.error, res.evaluations) for res in results]
 
 
@@ -307,10 +304,7 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     |det M|, or squared image length |M d|^2 of a rule direction d, falls
     below the smallest normal double would lose its digits to underflow, so
     it raises :class:`SchemaError` instead, as does one whose |det M| or
-    |M|_F^2 overflows.  A quadratic's integrand is radial in z only in
-    exact arithmetic: its rays differ by the rounding of A A^{-1}, which
-    the full sphere rule averages out, so unlike the dual route's it is not
-    integrated ray-invariant.  Returns (value, error, evals) per member.
+    |M|_F^2 overflows.  Returns (value, error, evals) per member.
     """
     s_max = _support_bound(weight)
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
@@ -556,23 +550,40 @@ def _projection_average(spec: ValuationSpec, u: ConvexFunction, k: int,
 
 
 def _dual_integral(j: int, weight: WeightFunction, vs):
-    """For each v of the stack ``vs``, of one dimension: the integral over
-    {|x| <= s_max} of weight(|x|) * e_j(Hessian of v), with |x| and the
-    weight evaluated once per call for the whole stack.  A stack of
-    quadratics takes its Hessian terms e_j(eig) once per stack, repeated
-    over each call's owner ranges.  Its integrand, weight(|x|) times a
-    constant over a ball about the origin with the one ray radius s_max, is
-    the same on every ray, so its polar integrals run ray-invariant (see
-    :func:`integrate_polar_stack`): on one direction per radial node, scaled
-    by the whole sphere rule.  The smooth route's quadratics are radial in
-    their whitened frame only in exact arithmetic and keep the full rule
-    (see :func:`_smooth_integral`).  Returns (value, error, evals) per member."""
+    """For each v of the stack ``vs``, of one dimension n: the integral over
+    {|x| <= s_max} of weight(|x|) * e_j(Hessian of v).
+
+    A stack of quadratics has constant Hessian terms e_j(eig), so member m
+    gets e_j(eig_m) n kappa_n s_max^n I, with error |e_j(eig_m)| n kappa_n
+    s_max^n err, from the one radial moment I = int_0^1 weight(s_max t)
+    t^(n-1) dt that the whole stack shares: a single
+    :func:`integrate_interval`, graded toward 0 for a singular weight and
+    cut at the weight's knots, whose evaluations count once, on the first
+    member, as :func:`_shared` counts them.  A member whose value or error
+    leaves double precision raises :class:`NonConvergedError`.  Any other
+    stack runs as one polar stack, with |x| and the weight evaluated once
+    per call for the whole stack.  Returns (value, error, evals) per member."""
     s_max = _support_bound(weight)
+    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     vs = _quadratic_stack(vs)
     if isinstance(vs, QuadraticStack):
-        terms, kinds, n = elem_sym_values(vs.eig, j), ["everywhere"], vs.n
-    else:
-        terms, kinds, n = None, [v.smooth_kind() for v in vs], vs[0].n
+        n = vs.n
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            moment = integrate_interval(
+                lambda t: np.asarray(weight(s_max * t)) * t ** (n - 1), 0.0, 1.0,
+                singular_left=weight.singularity.kind != "none",
+                breaks=[k / s_max for k in knots])
+            terms = elem_sym_values(vs.eig, j) * (n * kappa(n) * np.float64(s_max) ** n)
+            values = (terms * moment.value).tolist()
+            errors = (np.abs(terms) * moment.error).tolist()
+        for value, error in zip(values, errors):
+            if not (math.isfinite(value) and math.isfinite(error)):
+                raise NonConvergedError(
+                    f"dual integral left double precision (value {value:.3e}, error "
+                    f"{error:.3e})", value, error, moment.evaluations)
+        return [(value, error, moment.evaluations if m == 0 else 0)
+                for m, (value, error) in enumerate(zip(values, errors))]
+    n, kinds = vs[0].n, [v.smooth_kind() for v in vs]
 
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone
         s = row_norms(pts)
@@ -580,16 +591,11 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
         w[s >= s_max] = 0.0
         if j == 0:
             return w
-        if terms is not None:
-            return w * np.repeat(terms[[m for m, _, _ in owners]],
-                                 [len(w[a:b]) for _, a, b in owners])
         return _joined([w[a:b] * np.asarray(vs[m].hessian_elem_sym(pts[a:b], j))
                         for m, a, b in owners])
 
-    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     singular = weight.singularity.kind != "none" or "except_center" in kinds
-    return _polar(integrand, n, s_max, [[k / s_max for k in knots]] * len(vs), singular,
-                  ray_invariant=terms is not None)
+    return _polar(integrand, n, s_max, [[k / s_max for k in knots]] * len(vs), singular)
 
 
 def eval_dual(spec: ValuationSpec, v: ConvexFunction, path: str = "integral",
@@ -715,7 +721,9 @@ def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
 
     The source is u(x) = scale * |x|^p / p (convex, increasing profile,
     gradient 0 at the origin); level sets are spheres, whose curvature
-    symmetric functions are binomial powers of 1/r.
+    symmetric functions are binomial powers of 1/r.  Both integrals start
+    from panels cut at the radii (k / scale)^(1/(p-1)) where the gradient
+    meets a knot k of the weight.
     """
     if not 1 <= j <= n - 1:
         raise SchemaError("the radial identity needs 1 <= j <= n-1")
@@ -745,8 +753,9 @@ def reilly_radial_check(n: int, j: int, zeta: WeightFunction, p: float = 2.0,
         return (math.comb(n - 1, i) * np.asarray(transformed(grad(r)))
                 * r ** (j - 1))
 
-    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, singular_left=singular)
-    rhs = integrate_interval(rhs_integrand, 0.0, r_bound)
+    breaks = [(k / scale) ** (1.0 / (p - 1.0)) for k in zeta.knots() if 0.0 < k < s_max]
+    lhs = integrate_interval(lhs_integrand, 0.0, r_bound, singular_left=singular, breaks=breaks)
+    rhs = integrate_interval(rhs_integrand, 0.0, r_bound, breaks=breaks)
     lv, rv = surf * lhs.value, surf * rhs.value
     err = surf * (lhs.error + rhs.error)
     return CheckResult(lv, rv, err,

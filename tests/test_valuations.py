@@ -14,6 +14,7 @@ from funvol.convex import (
     Indicator,
     InfConv,
     PointwiseScaled,
+    PointwiseSum,
     PolytopeV,
     Quadratic,
     RadialPower,
@@ -37,7 +38,7 @@ from funvol.valuations import (
     retrieval_check,
     reilly_radial_check,
 )
-from funvol.weights import Bump, LogCap, Scaled, Tent, xi_from_zeta
+from funvol.weights import Bump, LogCap, Scaled, SumWeight, Tent, xi_from_zeta
 
 TENT = Tent(1.0)
 
@@ -632,6 +633,10 @@ class TestMonteCarloPins:
     kept every bit.  ``dual_ck`` was re-recorded when a quadratic's dual
     integrals moved to one ray per radial node: its value kept every bit,
     its error moved in its last bits and its count fell from 1,856 to 176.
+    It was re-recorded again when a quadratic stack's dual integrals became
+    one interval integral of its radial moment, counted once per stack: its
+    value moved by 3.6e-15 (2 ulp), within its old error, and its count fell
+    to 15.
     """
 
     def test_projection_routes(self):
@@ -648,7 +653,7 @@ class TestMonteCarloPins:
             "ck": ("0x1.756b29ff62f2ep+0", "0x1.f990db040e468p-4", 3712, 16),
             "ck_general": ("0x1.f6f713d311ad9p+0", "0x1.98eb5e11c8e1dp-3", 1856, 8),
             "ck_general_ball": ("0x1.a51a6625307d5p+3", "0x1.314c3d92a9e91p-50", 0, 6),
-            "dual_ck": ("0x1.40c3f675273acp+3", "0x1.3e096d5bbe032p-1", 176, 8),
+            "dual_ck": ("0x1.40c3f675273aap+3", "0x1.3e096d5bbe02fp-1", 15, 8),
         }
         for name, r in got.items():
             assert (r.value.hex(), r.error.hex(), r.integrand_evals,
@@ -678,17 +683,20 @@ class TestPolarPins:
     moved by at most 7.1e-15 (4 ulp), each within its old error + 8 ulp.
     The two dual pins were re-recorded when a quadratic's dual integrals
     moved to one ray per radial node: counts fell from 106,240 to 340,
-    values moved by at most 1.4e-14 (5 ulp), within their old errors."""
+    values moved by at most 1.4e-14 (5 ulp), within their old errors, and
+    again when they became one interval integral of the radial moment:
+    counts fell to 270, values moved by at most 3.6e-14 (5 ulp), within
+    their old errors."""
 
     Q4 = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
     POWER = RadialPower(3, 4.0)
     CASES = {
         "dual_bump_j1": (
             lambda c: eval_dual(ValuationSpec(1, 4, Bump(0.2, 0.8)), c.Q4, "integral"),
-            ("0x1.4eb2533cb7a02p+3", "0x1.64e1cd96bc000p-27", 340, 0)),
+            ("0x1.4eb2533cb7a05p+3", "0x1.64e1cc0709072p-27", 270, 0)),
         "dual_bump_j3": (
             lambda c: eval_dual(ValuationSpec(3, 4, Bump(0.2, 0.8)), c.Q4, "integral"),
-            ("0x1.a25ee80be5882p+5", "0x1.be1a53a954000p-25", 340, 0)),
+            ("0x1.a25ee80be5887p+5", "0x1.be1a3f08cb48fp-25", 270, 0)),
         "smooth_tent_j1": (
             lambda c: eval_smooth(ValuationSpec(1, 4, TENT), c.Q4),
             ("0x1.07307fd73e4e4p+1", "0x1.0000000000000p-50", 9088, 0)),
@@ -759,6 +767,22 @@ class TestReillyRadial:
         from funvol.weights import PolyCapped
         res = reilly_radial_check(2, 1, PolyCapped([0.0], 1.0), p=2.0)
         assert res.lhs == 0.0 and res.rhs == 0.0
+
+    def test_interior_knot_cuts_the_panels(self, monkeypatch):
+        # tent(1) + tent(0.3) in n = 3, j = 1, p = 2: 12 pi int_0^1 zeta(r) r^2 dr
+        # = 1.027 pi; both sides start from panels cut at the kink r = 0.3,
+        # and take fewer evaluations than from the whole range
+        zeta, exact = SumWeight([TENT, Tent(0.3)]), 1.027 * math.pi
+        cut = reilly_radial_check(3, 1, zeta, p=2.0)
+        for side in (cut.lhs_result, cut.rhs_result):
+            assert abs(side.value - exact) <= side.error + 8 * math.ulp(exact)
+        interval = valuations.integrate_interval
+        monkeypatch.setattr(valuations, "integrate_interval",
+                            lambda f, a, b, breaks=(), **kw: interval(f, a, b, **kw))
+        whole = reilly_radial_check(3, 1, zeta, p=2.0)
+        for side, unbroken in ((cut.lhs_result, whole.lhs_result),
+                               (cut.rhs_result, whole.rhs_result)):
+            assert side.integrand_evals < unbroken.integrand_evals
 
 
 class TestValuationProperty:
@@ -950,9 +974,13 @@ class TestPlaneStacks:
         planes, _ = valuations.grassmann_cubature(3, k, [2])[0]
         vs = [subspaces.restrict_function(v, e) for e in planes]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, k, 3)
+        # values and errors bit for bit; the stack's one radial moment
+        # counts its evaluations once, on the first plane
         stacked = valuations._dual_integral(1, xi, vs)
+        alone = [valuations._dual_integral(1, xi, [w])[0] for w in vs]
         assert _hexes(stacked) == _hexes(
-            [valuations._dual_integral(1, xi, [w])[0] for w in vs])
+            [(value, error, evals if m == 0 else 0)
+             for m, (value, error, evals) in enumerate(alone)])
 
     def test_monte_carlo_draw(self):
         u = Quadratic(A4)
@@ -1060,9 +1088,13 @@ class TestStackBudgets:
     @pytest.mark.parametrize("budget", ["_MAX_DEPTH", "_MAX_LEVEL"])
     @pytest.mark.parametrize("route", ["projection", "restriction"])
     def test_first_failure_is_raised(self, route, budget, monkeypatch):
+        # a quadratic's restrictions take one interval integral, so the
+        # restriction route runs on a sum whose restrictions are a polar list
         what = self._spend(budget, monkeypatch)
         spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
         u = Quadratic(A3, [0.1, -0.2, 0.3])
+        if route == "restriction":
+            u = PointwiseSum(u, RadialPower(3, 4.0))
         xi = xi_from_zeta(spec.zeta, 1, 2, 3)
         planes, _ = valuations.grassmann_cubature(3, 2, [1])[0]
         with pytest.raises(NonConvergedError, match=what) as info:
@@ -1097,6 +1129,9 @@ class TestQuadraticStackPins:
     error.  The two dual pins were re-recorded when a quadratic's dual
     integrals moved to one ray per radial node: counts fell from 72,640 to
     7,540, values moved by at most 8.9e-16 (1 ulp), within their old
+    errors, and again when a quadratic stack's dual integrals became one
+    interval integral of its radial moment, counted once per stack: counts
+    fell to 600, values moved by at most 8.9e-16 (1 ulp), within their old
     errors."""
 
     B, C = [0.1, -0.2, 0.3], 0.7
@@ -1111,11 +1146,11 @@ class TestQuadraticStackPins:
             lambda c: eval_dual_ck(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                    Rotated(Quadratic(A3, c.B, c.C), c.Q),
                                    2, 64, Rng(3)),
-            ("0x1.14fdfef50394ap+2", "0x1.5d6ee89a54609p-32", 7540, 20)),
+            ("0x1.14fdfef503949p+2", "0x1.5d6ed5fefd5b4p-32", 600, 20)),
         "dual_ck_turned": (
             lambda c: eval_dual_ck(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                    Quadratic(c.TURNED, c.B, c.C), 2, 64, Rng(3)),
-            ("0x1.14fdfef50394ap+2", "0x1.5d6ef594b9816p-32", 7540, 20)),
+            ("0x1.14fdfef50394ap+2", "0x1.5d6e95fefd5b4p-32", 600, 20)),
         "ck_general_turned": (
             lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                       Quadratic(c.TURNED, c.B, c.C), 2, 64, Rng(3)),
