@@ -782,7 +782,7 @@ class TestQuadraticDual:
         ratios = [[k / s_max for k in zeta.knots() if 0.0 < k < s_max]] * size
         full = numerics.integrate_polar_stack(f, n, s_max, ratios, singular)
         one = valuations._dual_integral(j, zeta, vs)
-        for (value, _, evals), b in zip(one, full):
+        for (value, _, _), b in zip(one, full):
             assert abs(value - b.value) <= b.error + 8 * math.ulp(b.value)
         assert 0 < one[0][2] < full[0].evaluations and not any(e for _, _, e in one[1:])
 
