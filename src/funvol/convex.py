@@ -3,11 +3,15 @@
 Every variant carries exact evaluation; gradients, Hessians and
 Legendre-Fenchel conjugates (the ``conjugate`` method) are closed
 catalog-to-catalog maps wherever they exist, and raise rather than
-approximate silently when they do not.  Epigraph operations are the wrapper
-classes themselves (:class:`EpiTranslated`, :class:`EpiScaled`,
-:class:`InfConv`).  Quadratic and radial variants live in an integral
-dimension 1 <= n <= MAX_DIM.  The discrete Legendre transform lives here
-solely as an independent numerical oracle for the analytic conjugates.
+approximate silently when they do not.  Epigraph translation and infimal
+convolution are wrapper classes (:class:`EpiTranslated`, :class:`InfConv`).
+Epigraph and pointwise scaling are not: every variant is closed under both
+by a map on its own parameters, and :func:`epi_scale` and
+:func:`pointwise_scale` return the scaled function as the variant it
+already was, so no other module needs to know about scaling.  Quadratic
+and radial variants live in an integral dimension 1 <= n <= MAX_DIM.  The
+discrete Legendre transform lives here solely as an independent numerical
+oracle for the analytic conjugates.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ __all__ = [
     "body_from_spec",
     "ConvexFunction", "Quadratic", "QuadraticStack", "RadialPower", "Cone",
     "Indicator", "SupportFn", "MaxAffine", "RadialHinge", "EpiTranslated", "Rotated",
-    "EpiScaled", "PointwiseScaled", "PlusAffine", "InfConv", "PointwiseSum",
+    "PlusAffine", "InfConv", "PointwiseSum", "epi_scale", "pointwise_scale",
     "discrete_legendre", "function_from_spec",
 ]
 
@@ -903,96 +907,6 @@ class Rotated(ConvexFunction):
         return {"type": "rotate", "Q": self.q.tolist(), "inner": self.inner.to_spec()}
 
 
-class EpiScaled(ConvexFunction):
-    """lam * u(x / lam): epigraph scaling by lam > 0."""
-
-    def __new__(cls, inner: ConvexFunction, lam: float):
-        lam = float(lam)
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError("epigraph scaling needs a finite lam > 0")
-        # exact folds keep the catalog small
-        if isinstance(inner, Quadratic):
-            return Quadratic(inner.a / lam, inner.b, lam * inner.c)
-        if isinstance(inner, RadialPower):
-            return RadialPower(inner.n, inner.p, inner.scale * lam ** (1.0 - inner.p))
-        if isinstance(inner, Cone):
-            return Cone(inner.n, inner.t, lam * inner.r)
-        if isinstance(inner, Indicator):
-            return Indicator(_scale_body(inner.body, lam))
-        return object.__new__(cls)
-
-    def __init__(self, inner: ConvexFunction, lam: float):
-        self.inner = inner
-        self.lam = float(lam)
-        self.n = inner.n
-        self.is_supercoercive = inner.is_supercoercive
-        self.is_finite = inner.is_finite
-
-    def _eval(self, pts):
-        return self.lam * self.inner._eval(pts / self.lam)
-
-    def _gradient(self, pts):
-        return self.inner._gradient(pts / self.lam)
-
-    def _hessian(self, pts):
-        return self.inner._hessian(pts / self.lam) / self.lam
-
-    def conjugate(self):
-        return PointwiseScaled(self.inner.conjugate(), self.lam)
-
-    def minimizer(self):
-        m = self.inner.minimizer()
-        return None if m is None else self.lam * m
-
-    def smooth_kind(self):
-        return self.inner.smooth_kind()
-
-    def grad_radius(self, dirs, s):
-        return self.lam * self.inner.grad_radius(dirs, s)
-
-    def to_spec(self):
-        return {"type": "epi_scale", "lambda": self.lam, "inner": self.inner.to_spec()}
-
-
-class PointwiseScaled(ConvexFunction):
-    """c * v(x) for c > 0 (dual companion of epigraph scaling)."""
-
-    def __new__(cls, inner: ConvexFunction, c: float):
-        c = float(c)
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError("pointwise scaling needs a finite c > 0")
-        # exact folds keep the catalog small
-        if isinstance(inner, Quadratic):
-            with np.errstate(over="ignore"):  # an overflow fails Quadratic's checks
-                a, b = c * inner.a, c * inner.b
-            return Quadratic(a, b, c * inner.c)
-        if isinstance(inner, RadialPower):
-            return RadialPower(inner.n, inner.p, c * inner.scale)
-        return object.__new__(cls)
-
-    def __init__(self, inner: ConvexFunction, c: float):
-        self.inner = inner
-        self.c = float(c)
-        self.n = inner.n
-        self.is_supercoercive = inner.is_supercoercive
-        self.is_finite = inner.is_finite
-
-    def _eval(self, pts):
-        return self.c * self.inner._eval(pts)
-
-    def _gradient(self, pts):
-        return self.c * self.inner._gradient(pts)
-
-    def _hessian(self, pts):
-        return self.c * self.inner._hessian(pts)
-
-    def conjugate(self):
-        return EpiScaled(self.inner.conjugate(), self.c)
-
-    def to_spec(self):
-        return {"type": "pointwise_scaled", "factor": self.c, "inner": self.inner.to_spec()}
-
-
 class PlusAffine(ConvexFunction):
     """v(x) + <slope, x> + const (dual companion of epi-translation)."""
 
@@ -1111,6 +1025,77 @@ class InfConv(ConvexFunction):
         return {"type": "inf_conv", "left": self.left.to_spec(), "right": self.right.to_spec()}
 
 
+@np.errstate(over="ignore")  # a product beyond double precision fails its variant's checks
+def epi_scale(u: ConvexFunction, lam: float) -> ConvexFunction:
+    """lam * u(x / lam), the epigraph of u scaled by lam > 0, as the variant u
+    already is: A/lam and lam*c of a quadratic, lam*r of a cone, lam*t of a
+    radial hinge, lam*K of an indicator, lam times a translate or an offset.
+    A support function is 1-homogeneous and stays as it is.  The conjugate
+    is :func:`pointwise_scale` of u's by lam."""
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("epigraph scaling needs a finite lam > 0")
+    if isinstance(u, Quadratic):
+        return Quadratic(u.a / lam, u.b, lam * u.c)
+    if isinstance(u, RadialPower):
+        return RadialPower(u.n, u.p, u.scale * np.float64(lam) ** (1.0 - u.p))
+    if isinstance(u, Cone):
+        return Cone(u.n, u.t, lam * u.r)
+    if isinstance(u, RadialHinge):
+        return RadialHinge(u.n, lam * u.t, u.r)
+    if isinstance(u, Indicator):
+        return Indicator(_scale_body(u.body, lam))
+    if isinstance(u, SupportFn):
+        return u
+    if isinstance(u, MaxAffine):
+        return MaxAffine(u.slopes, lam * u.offsets,
+                         None if u.domain is None else _scale_body(u.domain, lam))
+    if isinstance(u, EpiTranslated):
+        return EpiTranslated(epi_scale(u.inner, lam), lam * u.x0, lam * u.alpha)
+    if isinstance(u, Rotated):
+        return Rotated(epi_scale(u.inner, lam), u.q)
+    if isinstance(u, PlusAffine):
+        return PlusAffine(epi_scale(u.inner, lam), u.slope, lam * u.const)
+    if isinstance(u, (PointwiseSum, InfConv)):
+        return type(u)(epi_scale(u.left, lam), epi_scale(u.right, lam))
+    raise UnsupportedVariant(f"epigraph scaling of {type(u).__name__} leaves the catalog")
+
+
+@np.errstate(over="ignore")  # a product beyond double precision fails its variant's checks
+def pointwise_scale(v: ConvexFunction, c: float) -> ConvexFunction:
+    """c * v(x) for c > 0, as the variant v already is: c times a quadratic's
+    A, b and c0, a radial power's scale, a cone's slope, a radial hinge's
+    rate, a support function's body, a max-affine's slopes and offsets, and
+    a height or an affine term.  An indicator stays as it is.  The conjugate
+    is :func:`epi_scale` of v's by c."""
+    c = float(c)
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError("pointwise scaling needs a finite c > 0")
+    if isinstance(v, Quadratic):
+        return Quadratic(c * v.a, c * v.b, c * v.c)
+    if isinstance(v, RadialPower):
+        return RadialPower(v.n, v.p, c * v.scale)
+    if isinstance(v, Cone):
+        return Cone(v.n, c * v.t, v.r)
+    if isinstance(v, RadialHinge):
+        return RadialHinge(v.n, v.t, c * v.r)
+    if isinstance(v, Indicator):
+        return v
+    if isinstance(v, SupportFn):
+        return SupportFn(_scale_body(v.body, c))
+    if isinstance(v, MaxAffine):
+        return MaxAffine(c * v.slopes, c * v.offsets, v.domain)
+    if isinstance(v, EpiTranslated):
+        return EpiTranslated(pointwise_scale(v.inner, c), v.x0, c * v.alpha)
+    if isinstance(v, Rotated):
+        return Rotated(pointwise_scale(v.inner, c), v.q)
+    if isinstance(v, PlusAffine):
+        return PlusAffine(pointwise_scale(v.inner, c), c * v.slope, c * v.const)
+    if isinstance(v, (PointwiseSum, InfConv)):
+        return type(v)(pointwise_scale(v.left, c), pointwise_scale(v.right, c))
+    raise UnsupportedVariant(f"pointwise scaling of {type(v).__name__} leaves the catalog")
+
+
 @np.errstate(over="ignore")  # a body beyond double precision fails its constructor's checks
 def _scale_body(body: ConvexBody, lam: float) -> ConvexBody:
     if isinstance(body, Ball):
@@ -1225,9 +1210,9 @@ def function_from_spec(spec: dict) -> ConvexFunction:
         if t == "rotate":
             return Rotated(function_from_spec(spec["inner"]), spec["Q"])
         if t == "epi_scale":
-            return EpiScaled(function_from_spec(spec["inner"]), spec["lambda"])
+            return epi_scale(function_from_spec(spec["inner"]), spec["lambda"])
         if t == "pointwise_scaled":
-            return PointwiseScaled(function_from_spec(spec["inner"]), spec["factor"])
+            return pointwise_scale(function_from_spec(spec["inner"]), spec["factor"])
         if t == "plus_affine":
             return PlusAffine(function_from_spec(spec["inner"]), spec["slope"],
                               spec.get("const", 0.0))

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (Ball, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     InfConv, MaxAffine, PlusAffine, PointwiseScaled,
-                     PointwiseSum, Quadratic, QuadraticStack, RadialHinge,
-                     RadialPower, Rotated, SupportFn, project_body)
+from .convex import (Ball, Cone, ConvexFunction, EpiTranslated, Indicator, InfConv,
+                     MaxAffine, PlusAffine, PointwiseSum, Quadratic, QuadraticStack,
+                     RadialHinge, RadialPower, Rotated, SupportFn, project_body)
 from .errors import UnsupportedVariant
 from .numerics import Rng, sphere_rule, sphere_rule_size, standard_normals
 
@@ -324,13 +323,9 @@ def _realize(u: ConvexFunction, frames: np.ndarray, complements: np.ndarray,
         frames, complements = u.q.T @ frames, u.q.T @ complements
         _check_orthonormal(frames, complements)
         return _realize(u.inner, frames, complements, project)
-    if isinstance(u, PointwiseScaled):
-        return _each(lambda w: PointwiseScaled(w, u.c), inner(u.inner))
     if project and isinstance(u, EpiTranslated):
         return _each(lambda w, x0: EpiTranslated(w, x0, u.alpha), inner(u.inner),
                      _rows(f_t @ u.x0))
-    if project and isinstance(u, EpiScaled):
-        return _each(lambda w: EpiScaled(w, u.lam), inner(u.inner))
     if project and isinstance(u, InfConv):
         return _each(InfConv, inner(u.left), inner(u.right))
     if not project and isinstance(u, MaxAffine) and u.domain is None:

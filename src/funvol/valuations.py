@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (_TINY, Cone, ConvexFunction, EpiScaled, EpiTranslated, Indicator,
-                     InfConv, Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
+from .convex import (_TINY, Cone, ConvexFunction, EpiTranslated, Indicator, InfConv,
+                     Quadratic, QuadraticStack, Rotated, body_intrinsic_volume,
                      shadow_intrinsic_volumes)
 from .errors import NonConvergedError, NotDifferentiable, SchemaError, UnsupportedVariant
 from .numerics import (_ABS_TOL, _REL_TOL, _STREAM_FANOUT, Rng, elem_sym_values,
@@ -364,19 +364,13 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         w[s >= s_max] = 0.0
         if degree == 0:
             return w
-        active = w != 0.0
-        if quads is not None:  # zero where w is, as the masked product below
-            out = w * np.repeat(terms[[m for m, _, _ in owners]], [len(x) for x in pts])
-            out[~active] = 0.0
-            return out
-        if active.all():  # no masks (measured faster: BENCH_14.json "fast_paths")
-            return w * _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
-                                for (m, _, _), x in zip(owners, pts)])
-        out = np.zeros_like(w)
-        parts = [np.asarray(funcs[m].hessian_elem_sym(x[act], degree))
-                 for (m, a, b), x in zip(owners, pts) if (act := active[a:b]).any()]
-        if parts:
-            out[active] = w[active] * _joined(parts)
+        if quads is not None:
+            hess = np.repeat(terms[[m for m, _, _ in owners]], [len(x) for x in pts])
+        else:
+            hess = _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
+                            for (m, _, _), x in zip(owners, pts)])
+        out = w * hess
+        out[w == 0.0] = 0.0  # outside the weight's support, where hess may be inf
         return out
 
     def radii(dirs, members):
@@ -435,18 +429,16 @@ def _value_at_zero(weight: WeightFunction):
 def _domain_weight_integrals(ws, weight: WeightFunction, j: int):
     """(value, error, evals) of the degree-j valuation of each w of the stack
     ``ws``, of one dimension k (at j = k the integral over dom(w) of
-    weight(|grad w|)): through epigraph translations, rotations and
-    scalings (a factor lam^j) to a core.  An indicator's is kappa_{k-j}
-    T^{k-j}weight(0) V_j(body), a cone's kappa_k C(k, j) T^{k-j}weight(t) r^j,
-    and at j = 1 an inf-convolution of two indicators takes the sum of their
-    V_1; the smooth cores run as one smooth-route stack."""
+    weight(|grad w|)): through epigraph translations and rotations to a
+    core, whose own parameters hold any epigraph scaling (:func:`epi_scale`
+    folds it there).  An indicator's is kappa_{k-j} T^{k-j}weight(0)
+    V_j(body), a cone's kappa_k C(k, j) T^{k-j}weight(t) r^j, and at j = 1
+    an inf-convolution of two indicators takes the sum of their V_1; the
+    smooth cores run as one smooth-route stack."""
     k = ws[0].n
-    cores = []  # (core, closed form, the epigraph scalings around it, outermost first)
+    cores = []  # (core, closed form)
     for w in ws:
-        scales = []
-        while isinstance(w, (EpiTranslated, Rotated, EpiScaled)):
-            if isinstance(w, EpiScaled):
-                scales.append(w.lam ** j)
+        while isinstance(w, (EpiTranslated, Rotated)):
             w = w.inner
         closed = isinstance(w, (Indicator, Cone)) or (
             j == 1 and isinstance(w, InfConv)
@@ -454,13 +446,13 @@ def _domain_weight_integrals(ws, weight: WeightFunction, j: int):
         if not closed and w.smooth_kind() is None:
             raise UnsupportedVariant(
                 f"degree-{j} valuation unsupported for {type(w).__name__}")
-        cores.append((w, closed, scales))
-    smooth = [w for w, closed, _ in cores if not closed]
+        cores.append((w, closed))
+    smooth = [w for w, closed in cores if not closed]
     integrals = iter(_smooth_integral(smooth, weight, k - j) if smooth else ())
     transformed = transform_R_power(weight, k - j) if len(smooth) < len(cores) else None
     at = {}  # T^{k-j}weight at each distinct cone offset t of the stack
     out = []
-    for w, closed, scales in cores:
+    for w, closed in cores:
         if not closed:
             value, error, evals = next(integrals)
         elif isinstance(w, Cone):
@@ -471,8 +463,6 @@ def _domain_weight_integrals(ws, weight: WeightFunction, j: int):
             bodies = [w.body] if isinstance(w, Indicator) else [w.left.body, w.right.body]
             measure = sum(b.volume() if j == k else body_intrinsic_volume(b, j) for b in bodies)
             value, error, evals = _value_at_zero(transformed) * kappa(k - j) * measure, 0.0, 0
-        for scale in reversed(scales):  # innermost first
-            value, error = value * scale, error * scale
         out.append((value, error, evals))
     return out
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import (Box, EpiScaled, EpiTranslated, Indicator, Rotated,
-                     body_from_spec, function_from_spec)
+from .convex import (Box, EpiTranslated, Indicator, Rotated, body_from_spec,
+                     epi_scale, function_from_spec)
 from .errors import NonConvergedError, SchemaError, spec_errors
 from .numerics import Rng
 from .subspaces import (check_conjugate_projection, sample_grassmann,
@@ -41,13 +41,6 @@ __all__ = [
     "canonical_json",
     "report_csv",
 ]
-
-IDENTITY_IDS = (
-    "ck_functional", "ck_general", "ck_classical", "cone", "retrieval",
-    "r_roundtrip", "r_closed_form", "reilly_radial", "duality",
-    "dual_restriction", "conj_projection", "valuation_property", "invariance",
-    "homogeneity", "nonnegativity", "j0_constancy",
-)
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,7 @@ def _run_homogeneity(p):
     lam = float(p.get("lambda", 2.0))
     stream = _rng(p).stream(0)
     base = _eval_primal(spec, u, _samples(p), stream)
-    scaled = _eval_primal(spec, EpiScaled(u, lam), _samples(p), stream)
+    scaled = _eval_primal(spec, epi_scale(u, lam), _samples(p), stream)
     return scaled.value, lam ** spec.j * base.value, \
         scaled.error + lam ** spec.j * base.error, {
             "integrand_evals": base.integrand_evals + scaled.integrand_evals}
@@ -364,6 +357,7 @@ _RUNNERS = {
     "nonnegativity": _run_nonnegativity,
     "j0_constancy": _run_j0_constancy,
 }
+IDENTITY_IDS = tuple(_RUNNERS)
 
 
 def run_case(case: IdentityCase) -> VerificationReport:

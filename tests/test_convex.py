@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,21 +9,24 @@ from funvol.convex import (
     Ball,
     Box,
     Cone,
-    EpiScaled,
     EpiTranslated,
     Indicator,
     InfConv,
     MaxAffine,
-    PointwiseScaled,
+    PlusAffine,
+    PointwiseSum,
     PolytopeV,
     Quadratic,
+    RadialHinge,
     RadialPower,
     Rotated,
     SupportFn,
     body_from_spec,
     body_intrinsic_volume,
     discrete_legendre,
+    epi_scale,
     function_from_spec,
+    pointwise_scale,
     project_body,
     shadow_intrinsic_volumes,
 )
@@ -172,7 +176,7 @@ class TestConjugate:
             Indicator(Box([(0.0, 1.0), (-1.0, 2.0)])),
             EpiTranslated(Quadratic(np.eye(2)), [0.4, -0.2], 0.3),
             Rotated(Quadratic(np.diag([1.0, 3.0])), q),
-            EpiScaled(EpiTranslated(RadialPower(2, 4.0), [0.1, 0.0]), 2.0),
+            epi_scale(EpiTranslated(RadialPower(2, 4.0), [0.1, 0.0]), 2.0),
         ]
         for u in cases:
             uu = u.conjugate().conjugate()
@@ -255,7 +259,7 @@ class TestDiscreteLegendre:
 
 class TestEpiOperations:
     def test_epi_scale_quadratic(self):
-        u = EpiScaled(Quadratic(np.eye(2)), 2.0)
+        u = epi_scale(Quadratic(np.eye(2)), 2.0)
         x = np.array([1.0, 1.0])
         assert u(x) == pytest.approx(np.dot(x, x) / 4.0)
 
@@ -283,29 +287,138 @@ class TestEpiOperations:
         assert u(x) == pytest.approx(0.5 * (3.0 - 1.0) ** 2, abs=1e-6)
 
     def test_pointwise_scale_folds(self):
-        # c * Quadratic(A, b, c0) is Quadratic(cA, cb, c c0), and c * RadialPower(n, p, s)
-        # is RadialPower(n, p, cs); other inners stay wrapped
+        # c * Quadratic(A, b, c0) is Quadratic(cA, cb, c c0), c * RadialPower(n, p, s)
+        # is RadialPower(n, p, cs), and c * Cone(n, t, r) is Cone(n, ct, r)
         a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.1])
-        u = PointwiseScaled(Quadratic(a, b, 0.7), 3.0)
+        u = pointwise_scale(Quadratic(a, b, 0.7), 3.0)
         assert isinstance(u, Quadratic)
         assert u.to_spec() == Quadratic(3.0 * a, 3.0 * b, 3.0 * 0.7).to_spec()
-        v = PointwiseScaled(RadialPower(3, 4.0, 1.5), 2.0)
+        v = pointwise_scale(RadialPower(3, 4.0, 1.5), 2.0)
         assert isinstance(v, RadialPower) and v.to_spec() == RadialPower(3, 4.0, 3.0).to_spec()
-        cone = PointwiseScaled(Cone(2, 0.5, 1.0), 2.0)
-        assert isinstance(cone, PointwiseScaled) and cone.c == 2.0
+        cone = pointwise_scale(Cone(2, 0.5, 1.0), 2.0)
+        assert isinstance(cone, Cone) and cone.to_spec() == Cone(2, 1.0, 1.0).to_spec()
         for c in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite c > 0"):
-                PointwiseScaled(RadialPower(2, 4.0), c)
+                pointwise_scale(RadialPower(2, 4.0), c)
         # a product that leaves double precision, or the catalog's range, is refused
         with pytest.raises(ValueError, match="scale > 0"):
-            PointwiseScaled(RadialPower(2, 4.0, 1e10), 1e300)
+            pointwise_scale(RadialPower(2, 4.0, 1e10), 1e300)
         with pytest.raises(ValueError, match="below 1e300"):
-            PointwiseScaled(Quadratic(np.eye(2)), 1e305)
+            pointwise_scale(Quadratic(np.eye(2)), 1e305)
 
     def test_epi_translate(self):
         u = EpiTranslated(Quadratic(np.eye(2)), [1.0, 0.0], 2.0)
         assert u([1.0, 0.0]) == pytest.approx(2.0)
         assert u([2.0, 1.0]) == pytest.approx(1.0 + 2.0)
+
+
+# one function of each catalog variant, in R^2
+SCALING_VARIANTS = {
+    "quadratic": Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]), [0.3, -0.1], 0.7),
+    "radial_power": RadialPower(2, 3.0, 1.3),
+    "cone": Cone(2, 0.5, 1.5),
+    "radial_hinge": RadialHinge(2, 0.5, 1.5),
+    "box_indicator": Indicator(Box([(-1.0, 0.5), (-0.25, 1.0)])),
+    "ball_indicator": Indicator(Ball(1.2, [0.3, -0.2])),
+    "polytope_indicator": Indicator(PolytopeV([[-1.0, -1.0], [1.0, -0.5], [0.0, 1.0]])),
+    "ball_support": SupportFn(Ball(1.2, [0.3, -0.2])),
+    "box_support": SupportFn(Box([(-1.0, 0.5), (-0.25, 1.0)])),
+    "max_affine": MaxAffine([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, 0.0]),
+    "max_affine_on_domain": MaxAffine([[1.0, 0.5], [-0.5, 1.0]], [0.2, -0.3],
+                                      Ball(1.5, [0.1, 0.0])),
+    "epi_translated": EpiTranslated(Quadratic(np.diag([1.0, 2.0])), [0.4, -0.2], 0.3),
+    "rotated": Rotated(Quadratic(np.diag([1.0, 3.0])), rotation_2d(0.7)),
+    "plus_affine": PlusAffine(RadialPower(2, 4.0), [0.2, -0.5], 0.25),
+    "pointwise_sum": PointwiseSum(RadialPower(2, 4.0), RadialPower(2, 3.0, 0.5)),
+    "inf_conv": InfConv(RadialPower(2, 2.0), RadialPower(2, 3.0, 2.0)),
+}
+# the conjugate of a max-affine function with offsets or a domain leaves the catalog
+SCALING_CONJUGATES = [name for name in SCALING_VARIANTS if name != "max_affine_on_domain"]
+SCALINGS = {"epi_scale": epi_scale, "pointwise_scale": pointwise_scale}
+
+
+def _assert_same_values(got, want):
+    """Equal +inf patterns, and the finite values equal to 1e-12 relative."""
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=1e-14)
+
+
+class TestScalingFolds:
+    """Epigraph and pointwise scaling return the scaled function as the
+    variant it already was: lam * u(x / lam) and c * v(x), by a map on the
+    variant's own parameters."""
+
+    PTS = Rng(61).generator().uniform(-1.5, 1.5, size=(40, 2))
+
+    @pytest.mark.parametrize("lam", [0.4, 2.5])
+    @pytest.mark.parametrize("name", sorted(SCALING_VARIANTS))
+    def test_epi_scale(self, name, lam):
+        u = SCALING_VARIANTS[name]
+        scaled = epi_scale(u, lam)
+        assert type(scaled) is type(u)
+        _assert_same_values(scaled(self.PTS), lam * u(self.PTS / lam))
+
+    @pytest.mark.parametrize("c", [0.4, 2.5])
+    @pytest.mark.parametrize("name", sorted(SCALING_VARIANTS))
+    def test_pointwise_scale(self, name, c):
+        v = SCALING_VARIANTS[name]
+        scaled = pointwise_scale(v, c)
+        assert type(scaled) is type(v)
+        _assert_same_values(scaled(self.PTS), c * v(self.PTS))
+
+    @pytest.mark.parametrize("name", SCALING_CONJUGATES)
+    def test_conjugate_of_epi_scale_is_pointwise_scale(self, name):
+        # (lam u(./lam))^* = lam u^*
+        u, lam = SCALING_VARIANTS[name], 2.5
+        grid = np.stack(np.meshgrid(*[np.linspace(-2.0, 2.0, 9)] * 2), axis=-1).reshape(-1, 2)
+        _assert_same_values(epi_scale(u, lam).conjugate()(grid),
+                            pointwise_scale(u.conjugate(), lam)(grid))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("scaling", sorted(SCALINGS))
+    @pytest.mark.parametrize("name", sorted(SCALING_VARIANTS))
+    def test_factor_must_be_finite_and_positive(self, name, scaling, factor):
+        with pytest.raises(ValueError, match=r"finite (lam|c) > 0"):
+            SCALINGS[scaling](SCALING_VARIANTS[name], factor)
+
+    @pytest.mark.parametrize("scaling,u,factor", [
+        ("epi_scale", Quadratic(1e10 * np.eye(2)), 1e-300),
+        ("epi_scale", Quadratic(np.eye(2), None, 1e10), 1e300),
+        ("epi_scale", RadialPower(2, 4.0), 1e-200),
+        ("epi_scale", Cone(2, 0.5, 1e10), 1e300),
+        ("epi_scale", RadialHinge(2, 1e10, 1.0), 1e300),
+        ("epi_scale", Indicator(Ball(1e10, [0.0, 0.0])), 1e300),
+        ("epi_scale", Indicator(Box([(0.0, 1e10), (0.0, 1.0)])), 1e300),
+        ("epi_scale", MaxAffine([[1.0, 0.0]], [1e10]), 1e300),
+        ("epi_scale", EpiTranslated(Cone(2, 0.5), [1e10, 0.0]), 1e300),
+        ("epi_scale", PlusAffine(SupportFn(Ball(1.0, [0.0, 0.0])), [0.0, 0.0], 1e10), 1e300),
+        ("epi_scale", Rotated(Cone(2, 0.5, 1e10), rotation_2d(0.7)), 1e300),
+        ("epi_scale", InfConv(Cone(2, 0.5, 1e10), Cone(2, 0.5)), 1e300),
+        ("pointwise_scale", Quadratic(np.eye(2)), 1e305),
+        ("pointwise_scale", Quadratic(1e10 * np.eye(2)), 1e300),
+        ("pointwise_scale", RadialPower(2, 4.0, 1e10), 1e300),
+        ("pointwise_scale", Cone(2, 1e10), 1e300),
+        ("pointwise_scale", RadialHinge(2, 0.5, 1e10), 1e300),
+        ("pointwise_scale", SupportFn(Ball(1e10, [0.0, 0.0])), 1e300),
+        ("pointwise_scale", SupportFn(Box([(0.0, 1e10), (0.0, 1.0)])), 1e300),
+        ("pointwise_scale", MaxAffine([[1e10, 0.0]], [0.0]), 1e300),
+        ("pointwise_scale", EpiTranslated(Cone(2, 0.5), [0.0, 0.0], 1e10), 1e300),
+        ("pointwise_scale", PlusAffine(Cone(2, 1e-10), [1e10, 0.0]), 1e300),
+        ("pointwise_scale", PointwiseSum(Cone(2, 0.5), Cone(2, 1e10)), 1e300),
+    ], ids=["epi-quadratic_a", "epi-quadratic_c", "epi-radial_power", "epi-cone",
+            "epi-radial_hinge", "epi-ball_indicator", "epi-box_indicator", "epi-max_affine",
+            "epi-epi_translated", "epi-plus_affine", "epi-rotated", "epi-inf_conv",
+            "pointwise-quadratic_range", "pointwise-quadratic_a", "pointwise-radial_power",
+            "pointwise-cone", "pointwise-radial_hinge", "pointwise-ball_support",
+            "pointwise-box_support", "pointwise-max_affine", "pointwise-epi_translated",
+            "pointwise-plus_affine", "pointwise-pointwise_sum"])
+    def test_overflowing_product_raises(self, scaling, u, factor):
+        # a parameter beyond double precision fails its variant's checks, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError):
+                SCALINGS[scaling](u, factor)
 
 
 class TestSuperCoercivity:

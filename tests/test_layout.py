@@ -247,3 +247,26 @@ def test_one_row_norm():
                             for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, "row norms outside numerics.row_norms: " + ", ".join(found)
+
+
+def test_scalings_are_parameters():
+    """Only ``convex`` knows how scaling works: every variant folds an
+    epigraph or pointwise scaling into its own parameters.
+
+    No package module defines a class ``EpiScaled`` or ``PointwiseScaled``,
+    and neither ``subspaces._realize`` nor ``valuations._domain_weight_integrals``
+    names a scaling.
+    """
+    wrappers = {"EpiScaled", "PointwiseScaled"}
+    defined = [f"{path.name}:{node.lineno} {node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef) and node.name in wrappers]
+    assert not defined, "scaling wrapper classes: " + ", ".join(defined)
+    scalings = wrappers | {"epi_scale", "pointwise_scale"}
+    for module, name in (("subspaces", "_realize"), ("valuations", "_domain_weight_integrals")):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        named = scalings & set(_references(func))
+        assert not named, f"{module}.{name} names {sorted(named)}"

@@ -10,13 +10,11 @@ from funvol.convex import (
     Box,
     Cone,
     ConvexFunction,
-    EpiScaled,
     EpiTranslated,
     Indicator,
     InfConv,
     MaxAffine,
     PlusAffine,
-    PointwiseScaled,
     PointwiseSum,
     Quadratic,
     QuadraticStack,
@@ -24,6 +22,8 @@ from funvol.convex import (
     RadialPower,
     Rotated,
     SupportFn,
+    epi_scale,
+    pointwise_scale,
     project_body,
 )
 from funvol.numerics import Rng
@@ -262,7 +262,7 @@ class TestProjection:
             Indicator(Ball(1.0, [0.0, 0.0, 0.0])),
             EpiTranslated(Quadratic(np.eye(3)), [0.5, -0.5, 0.2], 1.0),
             Rotated(Quadratic(np.diag([1.0, 2.0, 4.0])), sample_rotation(3, Rng(77))),
-            EpiScaled(EpiTranslated(RadialPower(3, 4.0), [0.2, 0.0, 0.0]), 2.0),
+            epi_scale(EpiTranslated(RadialPower(3, 4.0), [0.2, 0.0, 0.0]), 2.0),
         ]
         planes = sample_grassmann(3, 1, [rng.stream(idx) for idx in range(len(cases))])
         for idx, (u, e) in enumerate(zip(cases, planes)):
@@ -318,8 +318,8 @@ class TestProjectionProperties:
         u = EpiTranslated(RadialPower(3, 4.0), [0.1, 0.2, -0.1])
         e = sample_grassmann(3, 2, [Rng(41)])[0]
         lam = 2.0
-        lhs = project_function(EpiScaled(u, lam), e).realized
-        rhs = EpiScaled(project_function(u, e).realized, lam)
+        lhs = project_function(epi_scale(u, lam), e).realized
+        rhs = epi_scale(project_function(u, e).realized, lam)
         pts = Rng(42).generator().uniform(-1.0, 1.0, size=(30, 2))
         assert np.allclose(lhs(pts), rhs(pts), atol=1e-10)
 
@@ -498,11 +498,11 @@ def _catalog(n: int) -> dict:
         "rotated_ball_indicator": Rotated(Indicator(ball), q),
         "rotated_quadratic": Rotated(quad, q),
         "rotated_shifted_ball_support": Rotated(SupportFn(shifted), q),
-        "epi_scaled_rotated_power": EpiScaled(Rotated(power, q), 1.5),
-        "epi_scaled_rotated_quadratic": EpiScaled(Rotated(quad, q), 1.5),
-        "pointwise_scaled_power": PointwiseScaled(power, 2.0),
-        "pointwise_scaled_hinge": PointwiseScaled(hinge, 2.0),
-        "pointwise_scaled_max_affine": PointwiseScaled(max_affine, 2.0),
+        "epi_scaled_rotated_power": epi_scale(Rotated(power, q), 1.5),
+        "epi_scaled_rotated_quadratic": epi_scale(Rotated(quad, q), 1.5),
+        "pointwise_scaled_power": pointwise_scale(power, 2.0),
+        "pointwise_scaled_hinge": pointwise_scale(hinge, 2.0),
+        "pointwise_scaled_max_affine": pointwise_scale(max_affine, 2.0),
         "inf_conv_power_cone": InfConv(power, cone),
         "inf_conv_power_shifted_ball": InfConv(power, Indicator(shifted)),
         "sum_power_hinge": PointwiseSum(power, hinge),
@@ -530,10 +530,6 @@ def _project_oracle(u, e):
         return EpiTranslated(_project_oracle(u.inner, e), f.T @ u.x0, u.alpha)
     if isinstance(u, Rotated):
         return _project_oracle(u.inner, Subspace(u.q.T @ f, u.q.T @ g))
-    if isinstance(u, EpiScaled):
-        return EpiScaled(_project_oracle(u.inner, e), u.lam)
-    if isinstance(u, PointwiseScaled):
-        return PointwiseScaled(_project_oracle(u.inner, e), u.c)
     if isinstance(u, InfConv):
         return InfConv(_project_oracle(u.left, e), _project_oracle(u.right, e))
     raise UnsupportedVariant(f"projection of {type(u).__name__} is not realized")
@@ -552,8 +548,6 @@ def _restrict_oracle(v, e):
         return SupportFn(project_body(v.body, f))
     if isinstance(v, MaxAffine) and v.domain is None:
         return MaxAffine(v.slopes @ f, v.offsets)
-    if isinstance(v, PointwiseScaled):
-        return PointwiseScaled(_restrict_oracle(v.inner, e), v.c)
     if isinstance(v, PlusAffine):
         return PlusAffine(_restrict_oracle(v.inner, e), f.T @ v.slope, v.const)
     if isinstance(v, PointwiseSum):

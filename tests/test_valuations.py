@@ -9,16 +9,16 @@ from funvol.convex import (
     Ball,
     Box,
     Cone,
-    EpiScaled,
     EpiTranslated,
     Indicator,
     InfConv,
-    PointwiseScaled,
     PointwiseSum,
     PolytopeV,
     Quadratic,
     RadialPower,
     Rotated,
+    epi_scale,
+    pointwise_scale,
 )
 from funvol import numerics, subspaces, valuations
 from funvol.errors import NonConvergedError, SchemaError, UnsupportedVariant
@@ -226,7 +226,7 @@ class TestCauchyKubotaRoute:
         spec = ValuationSpec(1, 2, TENT)
         base = eval_cauchy_kubota(spec, Cone(2, 0.5, 1.0), 32, Rng(2)).value
         for lam in (0.5, 2.0):
-            scaled = eval_cauchy_kubota(spec, EpiScaled(Cone(2, 0.5, 1.0), lam),
+            scaled = eval_cauchy_kubota(spec, epi_scale(Cone(2, 0.5, 1.0), lam),
                                         32, Rng(2)).value
             assert scaled == pytest.approx(lam ** 1 * base, rel=1e-10)
 
@@ -277,8 +277,8 @@ class TestPointwiseScaledFold:
     every route sees the direct form and gives the same bits."""
 
     @pytest.mark.parametrize("scaled,direct", [
-        (lambda: PointwiseScaled(RadialPower(3, 4.0), 2.0), lambda: RadialPower(3, 4.0, 2.0)),
-        (lambda: PointwiseScaled(Quadratic(np.diag([1.0, 2.0, 4.0]), [0.5, 0.0, -0.5], 0.25),
+        (lambda: pointwise_scale(RadialPower(3, 4.0), 2.0), lambda: RadialPower(3, 4.0, 2.0)),
+        (lambda: pointwise_scale(Quadratic(np.diag([1.0, 2.0, 4.0]), [0.5, 0.0, -0.5], 0.25),
                                  2.0),
          lambda: Quadratic(np.diag([2.0, 4.0, 8.0]), [1.0, 0.0, -1.0], 0.5)),
     ], ids=["radial_power", "quadratic"])
@@ -898,11 +898,18 @@ class TestClosedFormInnerValuations:
         r = eval_ck_general(spec, InfConv(Indicator(box), Indicator(SIMPLEX)), 2, 256, Rng(1))
         self._check(r, retrieval_check(spec, box).rhs + retrieval_check(spec, SIMPLEX).rhs, 1)
 
+    def test_pointwise_scaled_indicator(self):
+        # c * I_K is I_K itself, so it takes the indicator's closed form, bit for bit
+        spec = ValuationSpec(1, 3, TENT)
+        scaled = eval_ck_general(spec, pointwise_scale(Indicator(CUBE), 2.0), 2, 20, Rng(0))
+        bare = eval_ck_general(spec, Indicator(CUBE), 2, 20, Rng(0))
+        assert (scaled.value.hex(), scaled.error.hex()) == (bare.value.hex(), bare.error.hex())
+        assert scaled.subspace_samples == bare.subspace_samples
+
     @pytest.mark.parametrize("u,j", [
-        (PointwiseScaled(Indicator(CUBE), 2.0), 1),
         (InfConv(Cone(3, 0.5, 1.0), Quadratic(np.eye(3))), 1),
         (InfConv(Indicator(CUBE), Indicator(SIMPLEX)), 2),
-    ], ids=["pointwise_scaled_indicator", "inf_conv_cone_quadratic", "minkowski_sum_j2"])
+    ], ids=["inf_conv_cone_quadratic", "minkowski_sum_j2"])
     def test_no_closed_form_raises(self, u, j):
         with pytest.raises(UnsupportedVariant):
             eval_ck_general(ValuationSpec(j, 3, TENT), u, 2, 20, Rng(0))
@@ -1228,7 +1235,7 @@ class TestPlaneFreePins:
             ("0x1.e28c731eb694fp+1", "0x1.235d450000000p-33", 1872, 20)),
         "ck_general_epi_scaled": (  # 26,400
             lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
-                                      EpiScaled(Rotated(c.POWER, c.Q), 1.5), 2, 64, Rng(3)),
+                                      epi_scale(Rotated(c.POWER, c.Q), 1.5), 2, 64, Rng(3)),
             ("0x1.69e9565708efbp+2", "0x1.b50b9f0000000p-33", 1872, 20)),
         "ck_general_epi_translated": (  # 26,400
             lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
