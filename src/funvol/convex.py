@@ -1032,9 +1032,10 @@ def epi_scale(u: ConvexFunction, lam: float) -> ConvexFunction:
     radial hinge, lam*K of an indicator, lam times a translate or an offset.
     A support function is 1-homogeneous and stays as it is.  The conjugate
     is :func:`pointwise_scale` of u's by lam."""
-    lam = float(lam)
-    if not (math.isfinite(lam) and lam > 0):
+    # the raw value, as the variants check theirs: a string is a TypeError
+    if isinstance(lam, bool) or not (math.isfinite(lam) and lam > 0):
         raise ValueError("epigraph scaling needs a finite lam > 0")
+    lam = float(lam)
     if isinstance(u, Quadratic):
         return Quadratic(u.a / lam, u.b, lam * u.c)
     if isinstance(u, RadialPower):
@@ -1068,9 +1069,9 @@ def pointwise_scale(v: ConvexFunction, c: float) -> ConvexFunction:
     rate, a support function's body, a max-affine's slopes and offsets, and
     a height or an affine term.  An indicator stays as it is.  The conjugate
     is :func:`epi_scale` of v's by c."""
-    c = float(c)
-    if not (math.isfinite(c) and c > 0):
+    if isinstance(c, bool) or not (math.isfinite(c) and c > 0):
         raise ValueError("pointwise scaling needs a finite c > 0")
+    c = float(c)
     if isinstance(v, Quadratic):
         return Quadratic(c * v.a, c * v.b, c * v.c)
     if isinstance(v, RadialPower):

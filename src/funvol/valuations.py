@@ -15,20 +15,20 @@ body, for indicators and the classical check, are evaluated for the whole
 stack in one numpy pass.  A stack's projections or restrictions come from
 one realization step, :func:`realize_stack`, in one of three shapes.  A
 quadratic's, a rotated one's too, come as one :class:`QuadraticStack`,
-which takes its centers, whitening frames, Hessian terms and ray radii in
-one operation per stack; lone quadratics run as stacks of one.  Where every
-plane gets the same function, as from a radial power, a cone or the
-indicator of a ball about the origin, it comes once: it is integrated once
-per stack, and every plane gets its value and error.  Any other stack comes
-as a list, and its smooth members are integrated as one lockstep polar
-stack (:func:`integrate_polar_stack`): gradients and Hessian terms per
-member, |grad u| and the weight once per integrand call for the whole stack.
+whose smooth and dual integrals are its eigenvalue terms times one radial
+moment of the weight (:func:`_radial_moments`); lone quadratics are stacks
+of one.  Where every plane gets the same function, as from a radial power,
+a cone or the indicator of a ball about the origin, it comes once: it is
+integrated once per stack, and every plane gets its value and error.  Any
+other stack comes as a list, and its smooth members are integrated as one
+lockstep polar stack (:func:`integrate_polar_stack`): gradients and Hessian
+terms per member, |grad u| and the weight once per call for the whole stack.
 A projection that is not smooth takes its degree-j valuation in closed form:
 an indicator's from the V_j of its shadow, a cone's from the cone formula in
 the projected dimension, so no Grassmannian average runs inside another.
 The Cauchy-Kubota route is the general projection route at k = j.
 
-Smooth-route integrals run in polar coordinates around the gradient-zero
+Other smooth-route integrals run in polar coordinates around the gradient-zero
 point c, in the frame x = c + Hess u(c)^{-1} z, with radial panels split at
 the weight's kink preimages per ray.  A lone integral goes through
 :func:`integrate_polar_separable`, the same engine on a stack of one.
@@ -289,33 +289,60 @@ def _support_bound(weight: WeightFunction) -> float:
     return s_max
 
 
-def _smooth_integral(funcs, weight: WeightFunction, degree: int):
-    """For each u of the stack ``funcs``, of one dimension: the integral of
-    weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
-
-    Each polar rule runs in z with x = c + M z, c the minimizer of its u and
-    M from :func:`_whitening`, so a quadratic's region {|grad u| <= s} is a
-    ball in z.  The integrand is still evaluated at the primal points x:
-    gradients and Hessian terms per member, |grad u| and the weight once per
-    call for the whole stack.  A stack of quadratics takes its centers from
-    one stacked solve, its frames A^{-1} from one stacked inverse, its
-    Hessian terms e_degree(eig) once per stack, repeated over each call's
-    owner ranges, and its ray radii from one stacked product.  A frame whose
-    |det M|, or squared image length |M d|^2 of a rule direction d, falls
-    below the smallest normal double would lose its digits to underflow, so
-    it raises :class:`SchemaError` instead, as does one whose |det M| or
-    |M|_F^2 overflows.  Returns (value, error, evals) per member.
-    """
+def _radial_moments(weight: WeightFunction, n: int, coeffs: np.ndarray, rounding=0.0):
+    """(value, error, evals) per member m of a quadratic stack whose integral
+    is coeffs[m] n kappa_n s_max^n I, I = int_0^1 weight(s_max t) t^(n-1) dt
+    the radial moment the stack shares: one :func:`integrate_interval`,
+    graded toward 0 for a singular weight and cut at the weight's knots, its
+    evaluations counted once, on the first member, as :func:`_shared` counts
+    them.  Member m's error is |coeffs[m]| n kappa_n s_max^n times the
+    moment's, plus ``rounding[m]`` |value|.  A member whose value or error
+    leaves double precision raises :class:`NonConvergedError`."""
     s_max = _support_bound(weight)
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        moment = integrate_interval(
+            lambda t: np.asarray(weight(s_max * t)) * t ** (n - 1), 0.0, 1.0,
+            singular_left=weight.singularity.kind != "none",
+            breaks=[k / s_max for k in knots])
+        terms = coeffs * (n * kappa(n) * np.float64(s_max) ** n)
+        values = terms * moment.value
+        errors = (np.abs(terms) * moment.error + rounding * np.abs(values)).tolist()
+    values = values.tolist()
+    for value, error in zip(values, errors):
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise NonConvergedError(
+                f"radial moment left double precision (value {value:.3e}, error "
+                f"{error:.3e})", value, error, moment.evaluations)
+    return [(value, error, moment.evaluations if m == 0 else 0)
+            for m, (value, error) in enumerate(zip(values, errors))]
+
+
+def _smooth_integral(funcs, weight: WeightFunction, degree: int):
+    """For each u of the stack ``funcs``, of one dimension n: the integral of
+    weight(|grad u|) * e_degree(Hessian) over {|grad u| <= s_max}.
+
+    A stack of quadratics runs no polar rule: the gradient map y = A x + b
+    takes the region onto the s_max-ball with dx = dy / det A, so member m
+    gets e_degree(eig_m) / det A_m = e_{n-degree}(1/eig_m) times the stack's
+    one radial moment (:func:`_radial_moments`), with n eps (lambda_max /
+    lambda_min) |value| more error: by Weyl, the backward-stable ``eigvalsh``
+    moves each eigenvalue by about eps lambda_max.  Any other stack runs each
+    polar rule in z with x = c + M z, c the minimizer of its u and M from
+    :func:`_whitening`, and evaluates gradients and Hessian terms per member,
+    |grad u| and the weight once per call for the whole stack.  A frame M
+    (A^{-1} for a quadratic) whose |det M|, or squared image |M d|^2 of a
+    unit direction d, falls below the smallest normal double, or whose |det
+    M| or |M|_F^2 overflows, raises :class:`SchemaError`.  Returns (value,
+    error, evals) per member.
+    """
     funcs = _quadratic_stack(funcs)
-    quads = funcs if isinstance(funcs, QuadraticStack) else None
-    if quads is not None:
-        centers = -np.linalg.solve(quads.a, quads.b[:, :, None])[:, :, 0]
-        # Hess u = A passed the stack's checks: finite, and positive definite
-        # by its eig, so :func:`_whitening` would give A^{-1}
-        frames = np.linalg.inv(quads.a)
-        kinds, n = ["everywhere"], quads.n
+    quads = isinstance(funcs, QuadraticStack)
+    if quads:  # eig(A^{-1}) = 1/eig, the least |A^{-1} d|^2 is (1/lambda_max)^2
+        inv = 1.0 / funcs.eig
+        with np.errstate(over="ignore"):  # refused below
+            jacs, sizes = np.prod(inv, axis=1), np.sum(inv * inv, axis=1)
+            lows = (np.min(inv, axis=1) ** 2).tolist()
     else:
         for u in funcs:
             if u.smooth_kind() is None:
@@ -323,27 +350,27 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                     f"{type(u).__name__} is outside the twice-differentiable catalog")
         centers = [u.minimizer() for u in funcs]
         frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
-        kinds, n = [u.smooth_kind() for u in funcs], funcs[0].n
-    transposed = np.ascontiguousarray(np.swapaxes(frames, 1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        jacs = np.abs(np.linalg.det(frames)).tolist()
-        sizes = np.sum(frames * frames, axis=(1, 2)).tolist()
-    for m, (jac, size) in enumerate(zip(jacs, sizes)):
-        if not (_TINY <= jac < math.inf and size < math.inf):
+        transposed = np.ascontiguousarray(np.swapaxes(frames, 1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            jacs, sizes = np.abs(np.linalg.det(frames)), np.sum(frames * frames, axis=(1, 2))
+        lows = [math.inf] * len(funcs)  # checked per rule direction in ``radii``
+    for m, (jac, size, low) in enumerate(zip(jacs.tolist(), sizes.tolist(), lows)):
+        if not (_TINY <= jac < math.inf and size < math.inf and low >= _TINY):
             raise SchemaError(
                 f"{type(funcs[m]).__name__} is too steep or too flat at its minimizer: the "
-                f"whitening frame's determinant {jac:.3e} or squared size {size:.3e} is "
-                f"beyond double precision")
-    if quads is not None:  # e_degree(eig) is finite where |det A^-1| did not underflow
-        terms = elem_sym_values(quads.eig, degree)
+                f"frame's determinant {jac:.3e}, squared size {size:.3e} or least squared "
+                f"image {low:.3e} is beyond double precision")
+    if quads:
+        return _radial_moments(weight, funcs.n, elem_sym_values(inv, funcs.n - degree),
+                               funcs.n * math.ulp(1.0) * inv.max(axis=1) / inv.min(axis=1))
+    s_max = _support_bound(weight)
+    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
+    kinds, n, jacs = [u.smooth_kind() for u in funcs], funcs[0].n, jacs.tolist()
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink radii
     # sit at shared ratios of the per-ray region radius, probed on the first
     # axis; rays through c in z map to rays through c in x, so the ratios carry over
     if not knots:
-        ratios = [[] for _ in jacs]
-    elif quads is not None:
-        norms = row_norms(quads.a[:, 0]).tolist()  # |e_1 A|, as grad_radius takes it
-        ratios = [[(k / norm) / (s_max / norm) for k in knots] for norm in norms]
+        ratios = [[] for _ in funcs]
     else:
         probe, ratios = np.eye(1, n), []
         for u in funcs:
@@ -353,22 +380,15 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
 
     def integrand(z, owners=((0, 0, None),)):  # a lone member's points alone
         pts = [centers[m] + z[a:b] @ transposed[m] for m, a, b in owners]
-        if quads is not None:  # column-major, the bits of x A + b
-            g = _joined([quads.a[m].T @ x.T + quads.b[m][:, None]
-                         for (m, _, _), x in zip(owners, pts)], axis=1).T
-        else:
-            g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
+        g = _joined([funcs[m].gradient(x) for (m, _, _), x in zip(owners, pts)])
         s = row_norms(g)
         w = np.asarray(weight(np.minimum(s, s_max + 1.0)))
         w = _joined([jacs[m] * w[a:b] for m, a, b in owners])
         w[s >= s_max] = 0.0
         if degree == 0:
             return w
-        if quads is not None:
-            hess = np.repeat(terms[[m for m, _, _ in owners]], [len(x) for x in pts])
-        else:
-            hess = _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
-                            for (m, _, _), x in zip(owners, pts)])
+        hess = _joined([np.asarray(funcs[m].hessian_elem_sym(x, degree))
+                        for (m, _, _), x in zip(owners, pts)])
         out = w * hess
         out[w == 0.0] = 0.0  # outside the weight's support, where hess may be inf
         return out
@@ -384,8 +404,6 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                     f"direction's squared length {low:.3e} underflows")
         length = np.sqrt(squared)
         unit = img / length[:, :, None]
-        if quads is not None:
-            return s_max / row_norms(unit @ quads.a[members]) / length
         return np.array([funcs[m].grad_radius(d, s_max) for m, d in zip(members, unit)]) / length
 
     return _polar(integrand, n, radii, ratios, singular)
@@ -544,35 +562,15 @@ def _dual_integral(j: int, weight: WeightFunction, vs):
     {|x| <= s_max} of weight(|x|) * e_j(Hessian of v).
 
     A stack of quadratics has constant Hessian terms e_j(eig), so member m
-    gets e_j(eig_m) n kappa_n s_max^n I, with error |e_j(eig_m)| n kappa_n
-    s_max^n err, from the one radial moment I = int_0^1 weight(s_max t)
-    t^(n-1) dt that the whole stack shares: a single
-    :func:`integrate_interval`, graded toward 0 for a singular weight and
-    cut at the weight's knots, whose evaluations count once, on the first
-    member, as :func:`_shared` counts them.  A member whose value or error
-    leaves double precision raises :class:`NonConvergedError`.  Any other
-    stack runs as one polar stack, with |x| and the weight evaluated once
-    per call for the whole stack.  Returns (value, error, evals) per member."""
-    s_max = _support_bound(weight)
-    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
+    gets e_j(eig_m) times the stack's one radial moment
+    (:func:`_radial_moments`).  Any other stack runs as one polar stack, with
+    |x| and the weight evaluated once per call for the whole stack.  Returns
+    (value, error, evals) per member."""
     vs = _quadratic_stack(vs)
     if isinstance(vs, QuadraticStack):
-        n = vs.n
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            moment = integrate_interval(
-                lambda t: np.asarray(weight(s_max * t)) * t ** (n - 1), 0.0, 1.0,
-                singular_left=weight.singularity.kind != "none",
-                breaks=[k / s_max for k in knots])
-            terms = elem_sym_values(vs.eig, j) * (n * kappa(n) * np.float64(s_max) ** n)
-            values = (terms * moment.value).tolist()
-            errors = (np.abs(terms) * moment.error).tolist()
-        for value, error in zip(values, errors):
-            if not (math.isfinite(value) and math.isfinite(error)):
-                raise NonConvergedError(
-                    f"dual integral left double precision (value {value:.3e}, error "
-                    f"{error:.3e})", value, error, moment.evaluations)
-        return [(value, error, moment.evaluations if m == 0 else 0)
-                for m, (value, error) in enumerate(zip(values, errors))]
+        return _radial_moments(weight, vs.n, elem_sym_values(vs.eig, j))
+    s_max = _support_bound(weight)
+    knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
     n, kinds = vs[0].n, [v.smooth_kind() for v in vs]
 
     def integrand(pts, owners=((0, 0, None),)):  # a lone member's points alone

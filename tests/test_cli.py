@@ -175,6 +175,21 @@ class TestCompute:
                               str(path), *argv], env=env, capture_output=True, text=True)
         return run.returncode, run.stdout, run.stderr
 
+    @pytest.mark.parametrize("factor", ["2", "1e1", True], ids=["string", "exponent", "true"])
+    @pytest.mark.parametrize("kind,key", [("epi_scale", "lambda"), ("pointwise_scaled", "factor")],
+                             ids=["epi_scale", "pointwise_scaled"])
+    def test_scale_factor_must_be_a_number_exit_2(self, capsys, specs, tmp_path, kind, key,
+                                                  factor):
+        # a scaling factor is checked as it is given, as a variant's own
+        # parameters are: a string or a boolean is no number
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps({"type": kind, key: factor,
+                                    "inner": json.loads(Path(specs["quad"]).read_text())}))
+        code, out, err = run_cli(capsys, "compute", "--function", str(path), "--zeta",
+                                 specs["tent"], "--j", "1", "--method", "smooth")
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["error"]["type"] == "SchemaError"
+
     def test_huge_rotation_exit_2_quietly(self, specs, tmp_path):
         # refused before Q Q^T is formed, which would overflow and warn
         rotate = {"type": "rotate", "Q": [[1e200, 0.0], [0.0, 1.0]],
@@ -298,20 +313,24 @@ class TestCompute:
     def test_ck_stack_non_converged_exit_4(self, capsys, tmp_path, monkeypatch, budget):
         # a member of the projections' plane stack runs out of its budget:
         # the radial depth on lines, the angular level (no two levels of a
-        # perturbed sphere rule agree) on 2-planes
+        # perturbed sphere rule agree) on 2-planes; a quadratic's projections
+        # take one radial moment, so the stack is of a translated radial
+        # power, whose projections are a polar list
         if budget == "_MAX_DEPTH":
             monkeypatch.setattr("funvol.numerics._MAX_DEPTH", 1)
-            a, j, what = [[1.0, 0.3], [0.3, 2.0]], 1, "radial refinement"
+            n, j, what = 2, 1, "radial refinement"
         else:
             rule = funvol.numerics.sphere_rule
             monkeypatch.setattr("funvol.numerics.sphere_rule", lambda n, level: (
                 rule(n, level)[0], rule(n, level)[1] * (1.0 + 1e-6 * level)))
             monkeypatch.setattr("funvol.numerics._MAX_LEVEL", 8)
-            a, j, what = np.diag([1.0, 2.0, 3.0]).tolist(), 2, "angular refinement"
-        quad, bump = tmp_path / "quad.json", tmp_path / "bump.json"
-        quad.write_text(json.dumps({"type": "quadratic", "A": a}))
+            n, j, what = 3, 2, "angular refinement"
+        power, bump = tmp_path / "power.json", tmp_path / "bump.json"
+        power.write_text(json.dumps({
+            "type": "epi_translate", "x0": [0.5, -0.25, 0.125][:n], "alpha": 0.0,
+            "inner": {"type": "radial_power", "n": n, "p": 4.0}}))
         bump.write_text(json.dumps({"type": "bump", "a": 0.2, "b": 0.8}))
-        code, out, err = run_cli(capsys, "compute", "--function", str(quad), "--zeta",
+        code, out, err = run_cli(capsys, "compute", "--function", str(power), "--zeta",
                                  str(bump), "--j", str(j), "--method", "ck")
         assert code == 4 and "Traceback" not in err
         error = json.loads(out)["error"]
@@ -826,12 +845,14 @@ class TestSpecFuzz:
         assert json.loads(out)["error"]["type"] == "SchemaError"
 
     @pytest.mark.parametrize("function,method,j", [
-        (QUAD5, "smooth", "1"), (RADIAL_POWER5, "dual", "1"), (QUAD5, "domain-gradient", "5")],
+        (RADIAL_POWER5, "smooth", "1"), (RADIAL_POWER5, "dual", "1"),
+        (RADIAL_POWER5, "domain-gradient", "5")],
         ids=["smooth-1", "dual-1", "domain-gradient-5"])
     def test_polar_route_past_four_dimensions_exit_3(self, tmp_path, fuzz_files,
                                                      function, method, j):
-        # a quadratic's dual is one interval integral, so the dual case
-        # takes a radial power, whose dual integrand is not radial
+        # a quadratic's smooth, domain and dual integrals are one interval
+        # integral each, so every case takes a radial power, whose
+        # integrands run on the polar rule
         path = tmp_path / "u.json"
         path.write_text(json.dumps(function))
         argv = ["compute", "--function", str(path), "--zeta", fuzz_files["tent"]]
@@ -842,17 +863,26 @@ class TestSpecFuzz:
         code, out, err = run_captured(argv + ["--j", "1", "--method", "ck", "--samples", "8"])
         assert code == 0 and math.isfinite(json.loads(out)["value"])
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_quadratic_dual_past_four_dimensions(self, tmp_path, fuzz_files, n):
-        # the identity quadratic's dual at j = 1 with the unit tent is
-        # e_1 n kappa_n int_0^1 (1 - r) r^(n-1) dr = n kappa_n / (n + 1)
+    @staticmethod
+    def _identity_quadratic(tmp_path, fuzz_files, n, method):
+        """``compute`` at j = 1 with the unit tent on the identity quadratic
+        in R^n, whose valuation and dual valuation are both e_1 n kappa_n
+        int_0^1 (1 - r) r^(n-1) dr = n kappa_n / (n + 1)."""
         path = tmp_path / "u.json"
         path.write_text(json.dumps({"type": "quadratic", "A": np.eye(n).tolist()}))
         code, out, err = run_captured(["compute", "--function", str(path), "--zeta",
-                                       fuzz_files["tent"], "--j", "1", "--method", "dual"])
+                                       fuzz_files["tent"], "--j", "1", "--method", method])
         assert (code, err) == (0, "")
         got, exact = json.loads(out), n * kappa(n) / (n + 1)
         assert abs(got["value"] - exact) <= got["error"] + 8 * math.ulp(exact)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_quadratic_dual_past_four_dimensions(self, tmp_path, fuzz_files, n):
+        self._identity_quadratic(tmp_path, fuzz_files, n, "dual")
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_quadratic_smooth_past_four_dimensions(self, tmp_path, fuzz_files, n):
+        self._identity_quadratic(tmp_path, fuzz_files, n, "smooth")
 
     @pytest.mark.parametrize("function,method,j", BAD_DIMENSIONS.values(),
                              ids=list(BAD_DIMENSIONS))

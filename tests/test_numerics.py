@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funvol import numerics, valuations
-from funvol.convex import PointwiseSum, Quadratic, RadialPower
+from funvol.convex import EpiTranslated, PointwiseSum, Quadratic, RadialPower
 from funvol.errors import NonConvergedError, SchemaError, UnsupportedVariant
 from funvol.numerics import (
     Rng,
@@ -502,18 +502,28 @@ class TestSplitRule:
         assert batches[1:] == [self._halves(1.0, 3.0)]
         assert "with 8 panels" in str(run.failure)
 
+def _translated(*eigs):
+    """The quadratic x'diag(eigs)x/2 translated off the origin: smooth, but no
+    :class:`Quadratic`, so the smooth route takes it to the polar rule."""
+    return EpiTranslated(Quadratic(np.diag(eigs)), [0.5, -0.25, 0.125, 0.0][:len(eigs)], 0.0)
+
+
 class TestPolarWork:
+    """The polar rule's work on smooth integrals.  A quadratic's integral is
+    one radial moment, so these run on translated quadratics, which the
+    smooth route integrates as polar members."""
+
     def test_radial_tent_costs_one_level_and_its_check(self):
         # whitened, the tent integrand of a quadratic is radial: one 15-point
         # panel on the 128 directions of level 2, checked by its 7 Gauss
         # nodes on the 1,024 directions of level 4
         spec = ValuationSpec(1, 4, Tent(1.0))
-        res = eval_smooth(spec, Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])))
+        res = eval_smooth(spec, _translated(1.0, 2.0, 3.0, 4.0))
         assert res.integrand_evals == 128 * 15 + 1024 * 7
 
     def test_counts_repeat(self):
         spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
-        u = Quadratic(np.diag([1.0, 0.5, 0.25]))
+        u = _translated(1.0, 0.5, 0.25)
         first, second = eval_smooth(spec, u), eval_smooth(spec, u)
         assert first.integrand_evals == second.integrand_evals
         assert (first.value, first.error) == (second.value, second.error)
@@ -546,8 +556,7 @@ class TestPolarWork:
             return refine(counted_panels, *args)
 
         monkeypatch.setattr(numerics, "_refine", counted_refine)
-        res = eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
-                          Quadratic(np.diag([1.0, 0.5, 0.25])))
+        res = eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)), _translated(1.0, 0.5, 0.25))
         # level 2 (32 directions) from its 2 panels, one step of one split
         # and four of two, so 11 panels, and the check of those 11 panels at
         # level 4, 11 x 128 x 7 = 9,856 points in one call
@@ -556,9 +565,10 @@ class TestPolarWork:
         for first, last in zip(batches, batches[1:] + [len(sizes)]):
             assert last - first == math.ceil(sum(sizes[first:last]) / budget)
         assert sum(sizes) == res.integrand_evals
-        # the value, error and count of the per-panel evaluation, bit for bit
+        # the value and count of the per-panel evaluation, bit for bit (the
+        # error moved in its last bits when the quadratic was translated)
         assert (res.value.hex(), res.error.hex(), res.integrand_evals) == (
-            "0x1.0d4c4618dfecdp+3", "0x1.fd97cfe614000p-31", 19456)
+            "0x1.0d4c4618dfecdp+3", "0x1.fd973e031c000p-31", 19456)
 
     def test_points_are_contiguous_columns(self, monkeypatch):
         # the integrand gets (m, n) points whose coordinates are contiguous
@@ -583,8 +593,7 @@ class TestPolarWork:
         # panel); its calls of at most _MAX_BATCH points bound the memory it
         # holds, and are filled across panel boundaries
         sizes = self._call_sizes(monkeypatch)
-        res = eval_smooth(ValuationSpec(1, 4, Bump(0.2, 0.8)),
-                          Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])))
+        res = eval_smooth(ValuationSpec(1, 4, Bump(0.2, 0.8)), _translated(1.0, 2.0, 3.0, 4.0))
         assert sum(sizes) == res.integrand_evals == 106_240
         assert 1024 * 15 < max(sizes) <= numerics._MAX_BATCH
         assert sizes[-5:] == [16_380] * 4 + [71_680 - 4 * 16_380]

@@ -636,7 +636,10 @@ class TestMonteCarloPins:
     It was re-recorded again when a quadratic stack's dual integrals became
     one interval integral of its radial moment, counted once per stack: its
     value moved by 3.6e-15 (2 ulp), within its old error, and its count fell
-    to 15.
+    to 15.  ``ck`` and ``ck_general`` were re-recorded when a quadratic
+    stack's smooth integrals became the same one radial moment: values moved
+    by at most 2.2e-16 (1 ulp), errors kept every bit, and counts fell from
+    3,712 and 1,856 to 15.
     """
 
     def test_projection_routes(self):
@@ -650,8 +653,8 @@ class TestMonteCarloPins:
             "dual_ck": eval_dual_ck(ValuationSpec(1, 4, TENT), q4, 2, 8, Rng(7)),
         }
         pins = {
-            "ck": ("0x1.756b29ff62f2ep+0", "0x1.f990db040e468p-4", 3712, 16),
-            "ck_general": ("0x1.f6f713d311ad9p+0", "0x1.98eb5e11c8e1dp-3", 1856, 8),
+            "ck": ("0x1.756b29ff62f2ep+0", "0x1.f990db040e468p-4", 15, 16),
+            "ck_general": ("0x1.f6f713d311adap+0", "0x1.98eb5e11c8e1dp-3", 15, 8),
             "ck_general_ball": ("0x1.a51a6625307d5p+3", "0x1.314c3d92a9e91p-50", 0, 6),
             "dual_ck": ("0x1.40c3f675273aap+3", "0x1.3e096d5bbe02fp-1", 15, 8),
         }
@@ -672,6 +675,41 @@ class TestMonteCarloPins:
             "0x1.8000000000000p+2", "0x1.881d1b31a0165p+2", "0x1.589e561ebdc9bp-4", 64)
 
 
+def _tent_quadratic(eigs, j: int) -> float:
+    """The exact V_j of x'Ax/2 with eig(A) = eigs under the unit tent:
+    e_j(1/eig) n kappa_n int_0^1 (1 - s) s^(n-1) ds = e_j(1/eig) kappa_n / (n + 1)."""
+    n = len(eigs)
+    e_j = math.fsum(math.prod(1.0 / x for x in c) for c in itertools.combinations(eigs, j))
+    return e_j * kappa(n) / (n + 1)
+
+
+class TestSteepAndRotatedQuadratics:
+    """A quadratic's smooth-route value is its eigenvalue terms times one
+    radial moment: within its error + 8 ulp of the exact value however steep
+    the quadratic, and on rotated anisotropic ones, whose eigenvalues
+    ``eigvalsh`` rounds, within the error that counts that rounding."""
+
+    @staticmethod
+    def _check(r, exact):
+        assert abs(r.value - exact) <= r.error + 8 * math.ulp(exact), (r.value, exact, r.error)
+
+    @pytest.mark.parametrize("lam", [1.0, 1e10, 1e50, 1e100])
+    def test_steep_identity(self, lam):
+        spec, u = ValuationSpec(1, 2, TENT), Quadratic(lam * np.eye(2))
+        exact = _tent_quadratic([lam, lam], 1)
+        self._check(eval_smooth(spec, u), exact)
+        self._check(eval_cauchy_kubota(spec, u, 64, Rng(0)), exact)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_rotated_anisotropic(self, j):
+        eigs, spec = [1.0, 0.1, 0.01], ValuationSpec(j, 3, TENT)
+        exact = _tent_quadratic(eigs, j)
+        for seed in range(200):
+            q = sample_rotation(3, Rng(seed))
+            a = q @ np.diag(eigs) @ q.T
+            self._check(eval_smooth(spec, Quadratic(0.5 * (a + a.T))), exact)
+
+
 class TestPolarPins:
     """Polar integrals pinned bit for bit (float.hex): value, error, integrand
     evaluations and planes.  The numbers were recorded before the polar
@@ -686,7 +724,11 @@ class TestPolarPins:
     values moved by at most 1.4e-14 (5 ulp), within their old errors, and
     again when they became one interval integral of the radial moment:
     counts fell to 270, values moved by at most 3.6e-14 (5 ulp), within
-    their old errors."""
+    their old errors.  The two quadratic smooth-route pins were re-recorded
+    when a quadratic stack's smooth integrals became the same radial moment:
+    counts fell from 9,088 and 4,640 to 15 and 30, values moved by 1 ulp,
+    within their old errors, and the errors grew by the rounding term of
+    the eigenvalues, n eps lambda_max / lambda_min relative."""
 
     Q4 = Quadratic(np.diag([1.0, 2.0, 3.0, 4.0]))
     POWER = RadialPower(3, 4.0)
@@ -699,7 +741,7 @@ class TestPolarPins:
             ("0x1.a25ee80be5887p+5", "0x1.be1a3f08cb48fp-25", 270, 0)),
         "smooth_tent_j1": (
             lambda c: eval_smooth(ValuationSpec(1, 4, TENT), c.Q4),
-            ("0x1.07307fd73e4e4p+1", "0x1.0000000000000p-50", 9088, 0)),
+            ("0x1.07307fd73e4e3p+1", "0x1.07307fd73e4e3p-47", 15, 0)),
         "smooth_power_log": (
             lambda c: eval_smooth(ValuationSpec(2, 3, LogCap()), c.POWER),
             ("0x1.e28c731eb694dp+2", "0x1.a770d00000000p-36", 3232, 0)),
@@ -710,7 +752,7 @@ class TestPolarPins:
         "ck_general_cubature": (
             lambda c: eval_ck_general(ValuationSpec(1, 3, TENT),
                                       Quadratic(np.diag([1.0, 2.0, 3.0])), 2, 64, Rng(3)),
-            ("0x1.eb7c166fdfe3ap+0", "0x1.ec8681efcf6ccp-52", 4640, 20)),
+            ("0x1.eb7c166fdfe39p+0", "0x1.3c36d51f0b6ddp-49", 30, 20)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -948,18 +990,31 @@ def _alone(route, items, *args):
     return [route([item], *args)[0] for item in items]
 
 
+def _once(rows):
+    """Per-member rows with the evaluations counted once, on the first
+    member, as a stack that shares one radial moment counts them."""
+    return [(value, error, evals if m == 0 else 0)
+            for m, (value, error, evals) in enumerate(rows)]
+
+
 A3 = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.6]])
 A4 = np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1
+# translated off the origin, a quadratic's projections are no quadratic
+# stack: the smooth route integrates them as a polar stack
+TRANSLATED_A3 = EpiTranslated(Quadratic(A3, [0.1, -0.2, 0.3]), [0.5, 0.0, -0.5], 0.25)
+TRANSLATED_A4 = EpiTranslated(Quadratic(A4), [0.5, -0.25, 0.125, 0.0], 0.25)
 
 
 class TestPlaneStacks:
-    """A stack integrates each of its members as that member alone, bit for
-    bit: value, error and evaluations."""
+    """A polar stack integrates each of its members as that member alone,
+    bit for bit: value, error and evaluations.  A quadratic stack gives each
+    member the value and error it has alone, and counts the evaluations of
+    its one radial moment once."""
 
     @pytest.mark.parametrize("u,zeta", [
-        (Quadratic(A3, [0.1, -0.2, 0.3]), Bump(0.2, 0.8)),
+        (TRANSLATED_A3, Bump(0.2, 0.8)),
         (RadialPower(3, 4.0), LogCap()),
-    ], ids=["quadratic", "radial_power"])
+    ], ids=["translated_quadratic", "radial_power"])
     def test_projections_of_a_cubature_level(self, u, zeta):
         planes, _ = valuations.grassmann_cubature(3, 2, [2])[0]
         ws = [subspaces.project_function(u, e).realized for e in planes]
@@ -967,13 +1022,30 @@ class TestPlaneStacks:
         stacked = valuations._smooth_integral(ws, xi, 1)
         assert _hexes(stacked) == _hexes(_alone(valuations._smooth_integral, ws, xi, 1))
 
-    def test_domain_integrals_at_k_equal_j(self):
-        u = EpiTranslated(Quadratic(A3, [0.1, -0.2, 0.3]), [0.5, 0.0, -0.5], 0.25)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_quadratic_projections_share_one_moment(self, k):
+        u = Quadratic(A3, [0.1, -0.2, 0.3])
+        planes, _ = valuations.grassmann_cubature(3, k, [2])[0]
+        ws = [subspaces.project_function(u, e).realized for e in planes]
+        xi = xi_from_zeta(Bump(0.2, 0.8), 1, k, 3)
+        stacked = valuations._smooth_integral(ws, xi, k - 1)
+        alone = _alone(valuations._smooth_integral, ws, xi, k - 1)
+        assert _hexes(stacked) == _hexes(_once(alone))
+        assert len({evals for _, _, evals in alone}) == 1
+
+    @pytest.mark.parametrize("u,once", [(TRANSLATED_A3, True),
+                                        (EpiTranslated(RadialPower(3, 4.0), [0.5, 0.0, -0.5],
+                                                       0.25), False)],
+                             ids=["translated_quadratic", "translated_radial_power"])
+    def test_domain_integrals_at_k_equal_j(self, u, once):
+        # the cores of a translated quadratic's projections are quadratics,
+        # which share one moment; a radial power's run as a polar stack
         lines, _ = valuations.grassmann_cubature(3, 1, [2])[0]
         ws = [subspaces.project_function(u, e).realized for e in lines]
         xi = xi_from_zeta(Bump(0.2, 0.8), 1, 1, 3)
         stacked = valuations._domain_weight_integrals(ws, xi, 1)
-        assert _hexes(stacked) == _hexes(_alone(valuations._domain_weight_integrals, ws, xi, 1))
+        alone = _alone(valuations._domain_weight_integrals, ws, xi, 1)
+        assert _hexes(stacked) == _hexes(_once(alone) if once else alone)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_restrictions_of_a_cubature_level(self, k):
@@ -985,12 +1057,10 @@ class TestPlaneStacks:
         # counts its evaluations once, on the first plane
         stacked = valuations._dual_integral(1, xi, vs)
         alone = [valuations._dual_integral(1, xi, [w])[0] for w in vs]
-        assert _hexes(stacked) == _hexes(
-            [(value, error, evals if m == 0 else 0)
-             for m, (value, error, evals) in enumerate(alone)])
+        assert _hexes(stacked) == _hexes(_once(alone))
 
     def test_monte_carlo_draw(self):
-        u = Quadratic(A4)
+        u = TRANSLATED_A4
         streams = [Rng(3).stream(i) for i in range(6)]
         ws = [subspaces.project_function(u, e).realized
               for e in valuations.sample_grassmann(4, 2, streams)]
@@ -1020,7 +1090,7 @@ class TestPlaneStacks:
         monkeypatch.setattr(numerics, "_refine", recorded_refine)
         monkeypatch.setattr(valuations, "integrate_polar_stack", recorded_stack)
         streams = [Rng(5).stream(i) for i in range(24)]
-        ws = [subspaces.project_function(Quadratic(A4), e).realized
+        ws = [subspaces.project_function(TRANSLATED_A4, e).realized
               for e in valuations.sample_grassmann(4, 3, streams)]
         xi = xi_from_zeta(Tent(1.0), 1, 3, 4)
         stacked = valuations._smooth_integral(ws, xi, 2)
@@ -1051,7 +1121,8 @@ class TestPlaneStacks:
 
         monkeypatch.setattr(numerics._CountingFn, "__call__", counted)
         monkeypatch.setattr(valuations, "integrate_polar_stack", recorded)
-        u, zeta = Quadratic(np.eye(3)), Tent(1.0)
+        u = EpiTranslated(Quadratic(np.eye(3)), [0.5, 0.0, -0.5], 0.25)
+        zeta = Tent(1.0)
         eval_ck_general(ValuationSpec(1, 3, zeta), u, 2, samples=64, rng=Rng(3))
         assert [size for size, _ in stacks] == [4, 16]
         planes, _ = valuations.grassmann_cubature(3, 2, [2])[0]
@@ -1095,13 +1166,16 @@ class TestStackBudgets:
     @pytest.mark.parametrize("budget", ["_MAX_DEPTH", "_MAX_LEVEL"])
     @pytest.mark.parametrize("route", ["projection", "restriction"])
     def test_first_failure_is_raised(self, route, budget, monkeypatch):
-        # a quadratic's restrictions take one interval integral, so the
-        # restriction route runs on a sum whose restrictions are a polar list
+        # a quadratic's projections and restrictions take one interval
+        # integral, so the projection route runs on a translated quadratic
+        # and the restriction route on a sum, whose projections and
+        # restrictions are a polar list
         what = self._spend(budget, monkeypatch)
         spec = ValuationSpec(1, 3, Bump(0.2, 0.8))
-        u = Quadratic(A3, [0.1, -0.2, 0.3])
-        if route == "restriction":
-            u = PointwiseSum(u, RadialPower(3, 4.0))
+        if route == "projection":
+            u = TRANSLATED_A3
+        else:
+            u = PointwiseSum(Quadratic(A3, [0.1, -0.2, 0.3]), RadialPower(3, 4.0))
         xi = xi_from_zeta(spec.zeta, 1, 2, 3)
         planes, _ = valuations.grassmann_cubature(3, 2, [1])[0]
         with pytest.raises(NonConvergedError, match=what) as info:
@@ -1139,7 +1213,12 @@ class TestQuadraticStackPins:
     errors, and again when a quadratic stack's dual integrals became one
     interval integral of its radial moment, counted once per stack: counts
     fell to 600, values moved by at most 8.9e-16 (1 ulp), within their old
-    errors."""
+    errors.  The four pins of quadratic smooth-route integrals (all but the
+    duals and ``ck_general_epi_translated``, whose translated projections
+    stay on the polar rule) were re-recorded when they became the same
+    radial moment: counts fell to 15 per moment, values moved by at most
+    5.3e-15 (6 ulp), within their old errors, and the errors gained the
+    eigenvalues' rounding term."""
 
     B, C = [0.1, -0.2, 0.3], 0.7
     Q = sample_rotation(3, Rng(2))
@@ -1148,7 +1227,7 @@ class TestQuadraticStackPins:
         "ck_monte_carlo": (
             lambda c: eval_cauchy_kubota(ValuationSpec(2, 4, TENT),
                                          Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), 256, Rng(5)),
-            ("0x1.7e81f78088f08p+0", "0x1.f7e3a01e2ce86p-6", 59392, 256)),
+            ("0x1.7e81f78088f06p+0", "0x1.f7e3a01e2ce86p-6", 15, 256)),
         "dual_ck_rotated": (
             lambda c: eval_dual_ck(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                    Rotated(Quadratic(A3, c.B, c.C), c.Q),
@@ -1161,11 +1240,11 @@ class TestQuadraticStackPins:
         "ck_general_turned": (
             lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                       Quadratic(c.TURNED, c.B, c.C), 2, 64, Rng(3)),
-            ("0x1.3ac38a7384118p+2", "0x1.8d1518461d97bp-32", 72640, 20)),
+            ("0x1.3ac38a7384118p+2", "0x1.8d16f8b13e9e4p-32", 600, 20)),
         "ck_general_lines": (
             lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                       Quadratic(A3, c.B, c.C), 1, 64, Rng(3)),
-            ("0x1.3ac38a7384278p+2", "0x1.03dde6c0e3a50p-28", 10800, 20)),
+            ("0x1.3ac38a7384279p+2", "0x1.03ddeb4627fb5p-28", 540, 20)),
         "ck_general_epi_translated": (
             lambda c: eval_ck_general(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                       EpiTranslated(Quadratic(A3, c.B, c.C), [0.5, 0.0, -0.5],
@@ -1174,7 +1253,7 @@ class TestQuadraticStackPins:
         "smooth_turned": (
             lambda c: eval_smooth(ValuationSpec(1, 3, Bump(0.2, 0.8)),
                                   Quadratic(c.TURNED, c.B, c.C)),
-            ("0x1.3ac38a7384119p+2", "0x1.29d0382fb2000p-31", 19456, 0)),
+            ("0x1.3ac38a738411fp+2", "0x1.29d2de5043a56p-31", 300, 0)),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
