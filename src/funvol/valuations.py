@@ -341,7 +341,7 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
     if quads:  # eig(A^{-1}) = 1/eig, the least |A^{-1} d|^2 is (1/lambda_max)^2
         inv = 1.0 / funcs.eig
         with np.errstate(over="ignore"):  # refused below
-            jacs, sizes = np.prod(inv, axis=1), np.sum(inv * inv, axis=1)
+            jacs, sizes = np.prod(inv, axis=1).tolist(), np.sum(inv * inv, axis=1).tolist()
             lows = (np.min(inv, axis=1) ** 2).tolist()
     else:
         for u in funcs:
@@ -352,9 +352,10 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
         frames = np.array([_whitening(u, center) for u, center in zip(funcs, centers)])
         transposed = np.ascontiguousarray(np.swapaxes(frames, 1, 2))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            jacs, sizes = np.abs(np.linalg.det(frames)), np.sum(frames * frames, axis=(1, 2))
+            jacs = np.abs(np.linalg.det(frames)).tolist()
+            sizes = np.sum(frames * frames, axis=(1, 2)).tolist()
         lows = [math.inf] * len(funcs)  # checked per rule direction in ``radii``
-    for m, (jac, size, low) in enumerate(zip(jacs.tolist(), sizes.tolist(), lows)):
+    for m, (jac, size, low) in enumerate(zip(jacs, sizes, lows)):
         if not (_TINY <= jac < math.inf and size < math.inf and low >= _TINY):
             raise SchemaError(
                 f"{type(funcs[m]).__name__} is too steep or too flat at its minimizer: the "
@@ -365,7 +366,7 @@ def _smooth_integral(funcs, weight: WeightFunction, degree: int):
                                funcs.n * math.ulp(1.0) * inv.max(axis=1) / inv.min(axis=1))
     s_max = _support_bound(weight)
     knots = sorted(k for k in weight.knots() if 0.0 < k < s_max)
-    kinds, n, jacs = [u.smooth_kind() for u in funcs], funcs[0].n, jacs.tolist()
+    kinds, n = [u.smooth_kind() for u in funcs], funcs[0].n
     # the catalog's |grad| along rays is separable g(dir) * h(r), so kink radii
     # sit at shared ratios of the per-ray region radius, probed on the first
     # axis; rays through c in z map to rays through c in x, so the ratios carry over
